@@ -13,7 +13,7 @@
 //	pqs-chaos -list                # print scenario names and docs
 //	pqs-chaos -transport tcp-virtual
 //	                               # run the matrix over the REAL TCP stack
-//	                               # (binary codec, group-commit flusher,
+//	                               # (binary codec, group-commit frame writer,
 //	                               # worker pool) on virtual-time byte
 //	                               # streams; comma-separate to run several
 //	                               # planes in one invocation, e.g.

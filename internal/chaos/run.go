@@ -83,7 +83,7 @@ type Config struct {
 	// Transport selects the data plane: sim.TransportMem (default) drives
 	// client traffic through the MemNetwork with the chaos engine as its
 	// link hook; sim.TransportTCPVirtual drives it through the REAL TCP
-	// stack — framing, binary codec, group-commit flusher, worker pool —
+	// stack — framing, binary codec, group-commit frame writer, worker pool —
 	// over virtual-time byte streams, with the schedule's faults
 	// reimplemented at the byte-stream layer (drops reset connections,
 	// corruption flips bits in framed chunks, blocks refuse dials and

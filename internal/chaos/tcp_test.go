@@ -1,7 +1,7 @@
 package chaos
 
 // Chaos over the REAL data plane: the same scenario matrix, replayed
-// through the TCP stack (framing, binary codec, group-commit flusher,
+// through the TCP stack (framing, binary codec, group-commit frame writer,
 // worker pool) over virtual-time byte streams. Two properties are gated:
 // every scenario still passes its theorem bound when the faults act on
 // framed bytes instead of messages, and every run replays byte-for-byte

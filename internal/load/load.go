@@ -212,7 +212,8 @@ type Result struct {
 	P99Ms      float64 `json:"p99_ms,omitempty"`
 	P999Ms     float64 `json:"p999_ms,omitempty"`
 
-	// SimSeconds is the virtual time the whole run covered; Digest is the
+	// SimSeconds is the virtual time the run covered, from its first arrival
+	// to its last completed operation (teardown excluded); Digest is the
 	// FNV-64a digest of every client's operation stream in client order —
 	// two runs of one Config must produce identical Results, Digest
 	// included.
@@ -257,9 +258,6 @@ func Run(cfg Config) (*Result, error) {
 	sc.Run(func() {
 		res, err = run(cfg, sc)
 	})
-	if res != nil {
-		res.SimSeconds = sc.Elapsed().Seconds()
-	}
 	return res, err
 }
 
@@ -382,6 +380,11 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	}
 
 	e.verdict(res)
+	// Read the clock here, on the run's own worker, before the deferred
+	// teardown: closing the TCP fixture starts a close → FIN → EOF →
+	// close-back chain per connection, and how many of its delivery timers
+	// fire before the last worker exits is up to the Go scheduler.
+	res.SimSeconds = sc.Elapsed().Seconds()
 	return res, nil
 }
 

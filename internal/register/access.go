@@ -2,6 +2,7 @@ package register
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -27,11 +28,12 @@ import (
 // performs, at a fraction of the latency.
 //
 // All timers and spawns go through the client's vtime.Clock. Under the
-// wall clock, calls run on a small pool of idle-retiring worker goroutines
-// (steady-state operations spawn no goroutines at all); under a
-// vtime.SimClock, every call runs as a registered scheduler worker and the
-// gather loop parks around its select, so hedge firing is part of the
-// deterministic virtual-time order.
+// wall clock, calls run on a stack of idle-retiring worker goroutines, each
+// woken through its own mailbox (steady-state operations spawn no
+// goroutines at all; see dispatchPool); under a vtime.SimClock, every call
+// runs as a registered scheduler worker and the gather loop parks around
+// its select, so hedge firing is part of the deterministic virtual-time
+// order.
 
 // callReply carries one server's response through the gather loop. lat is
 // the call's round-trip latency, measured only when adaptive hedging needs
@@ -52,16 +54,41 @@ type dispatchJob struct {
 	timed bool
 }
 
-// poolIdleRetire is how long an idle wall-mode dispatch worker lingers for
-// the next job before exiting. Long enough to serve back-to-back
-// operations without spawning, short enough that a quiescent client leaves
-// no goroutines behind (the leak regressions poll well past this).
+// poolIdleRetire bounds how long an idle wall-mode dispatch worker lingers
+// for the next job before exiting: it retires at the second sweep after it
+// went idle, between poolIdleRetire/2 and poolIdleRetire later. Long enough
+// to serve back-to-back operations without spawning, short enough that a
+// quiescent client leaves no goroutines behind (the leak regressions poll
+// well past this) and a torn-down cluster is not kept reachable through
+// its client's workers for longer than that.
 const poolIdleRetire = 100 * time.Millisecond
 
-// runJob executes one transport call and delivers the reply. The reply
-// channel is buffered for every call that can ever be dispatched, so the
-// send never blocks; under a SimClock it is a tracked message.
-func (c *cell) runJob(j dispatchJob) {
+// dispatchPool is the cell's wall-mode worker pool: a LIFO stack of idle
+// workers, each parked on a private one-slot mailbox. Dispatch pops the
+// most recently idle worker — the one whose stack and cache lines are
+// warmest — and hands it the job with one direct channel send; there is no
+// shared channel for workers to contend on, no select, and no per-job
+// timer. Idle workers are retired by a sweep that runs on the cell's clock
+// every poolIdleRetire/2 for as long as any worker is idle, and not at all
+// otherwise.
+type dispatchPool struct {
+	mu       sync.Mutex
+	idle     []*poolWorker // bottom = idle longest (pushes and pops are at the top)
+	sweeps   uint64        // sweeps run so far; a worker's idle age is counted in these
+	sweeping bool          // a sweep timer is armed
+}
+
+// poolWorker is one pooled worker. While it is on the idle stack its mailbox
+// is empty; whoever pops it owns the single send (a job from dispatch, or
+// the close from a sweep), so neither can block and a job can never reach
+// a worker that is retiring.
+type poolWorker struct {
+	mail   chan dispatchJob
+	idleAt uint64 // dispatchPool.sweeps when it was pushed
+}
+
+// call executes one job's transport call.
+func (c *cell) call(j dispatchJob) callReply {
 	var start time.Time
 	if j.timed {
 		start = c.clock.Now()
@@ -71,6 +98,14 @@ func (c *cell) runJob(j dispatchJob) {
 	if j.timed {
 		r.lat = c.clock.Since(start)
 	}
+	return r
+}
+
+// runJob executes one transport call and delivers the reply. The reply
+// channel is buffered for every call that can ever be dispatched, so the
+// send never blocks; under a SimClock it is a tracked message.
+func (c *cell) runJob(j dispatchJob) {
+	r := c.call(j)
 	if c.sched != nil {
 		c.sched.NoteSend()
 	}
@@ -78,9 +113,9 @@ func (c *cell) runJob(j dispatchJob) {
 }
 
 // dispatch hands one call to a worker: a registered scheduler worker under
-// a SimClock, otherwise an idle pooled goroutine (spawning a fresh one
-// only when none is parked on the jobs channel — after the first
-// operation warms the pool, steady-state reads and writes spawn nothing).
+// a SimClock, otherwise the most recently idle pooled goroutine (spawning a
+// fresh one only when the idle stack is empty — after the first operation
+// warms the pool, steady-state reads and writes spawn nothing).
 func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, ch chan<- callReply, timed bool) {
 	if c.health != nil && c.health.ServerDown(id) {
 		// The transport's circuit breaker already proved this member
@@ -107,29 +142,71 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, ch cha
 		c.sched.Go(func() { c.runJob(j) })
 		return
 	}
-	select {
-	case c.jobs <- j:
-	default:
-		//pqslint:allow rawgo wall-clock-only fallback: this branch runs iff c.sched is nil, i.e. there is no SimClock to enroll the worker with
-		go c.poolWorker(j)
+	p := &c.pool
+	p.mu.Lock()
+	if n := len(p.idle); n > 0 {
+		w := p.idle[n-1]
+		p.idle[n-1] = nil
+		p.idle = p.idle[:n-1]
+		p.mu.Unlock()
+		w.mail <- j
+		return
+	}
+	p.mu.Unlock()
+	//pqslint:allow rawgo wall-clock-only fallback: this branch runs iff c.sched is nil, i.e. there is no SimClock to enroll the worker with
+	go c.runPoolWorker(j)
+}
+
+// runPoolWorker is a pooled worker's body: make the call, push itself on the
+// idle stack (arming the sweep if none is), deliver the reply, park on its
+// mailbox; exit when a sweep closes the mailbox. It is on the stack BEFORE
+// the reply goes out, so an operation that has consumed its replies finds
+// every worker that served it idle: back-to-back operations re-use them
+// all and spawn nothing. (The mailbox is buffered, so a job posted while
+// the worker is still delivering waits there.)
+func (c *cell) runPoolWorker(j dispatchJob) {
+	p := &c.pool
+	w := &poolWorker{mail: make(chan dispatchJob, 1)}
+	for {
+		r := c.call(j)
+		p.mu.Lock()
+		w.idleAt = p.sweeps
+		p.idle = append(p.idle, w)
+		if !p.sweeping {
+			p.sweeping = true
+			c.clock.AfterFunc(poolIdleRetire/2, c.sweepPool)
+		}
+		p.mu.Unlock()
+		j.ch <- r
+		var ok bool
+		if j, ok = <-w.mail; !ok {
+			return
+		}
 	}
 }
 
-// poolWorker runs jobs until it has been idle for poolIdleRetire. The jobs
-// channel is unbuffered, so a handoff only succeeds while a worker is
-// committed to receiving — a worker that chose to retire can never strand
-// a job.
-func (c *cell) poolWorker(j dispatchJob) {
-	idle := c.clock.NewTimer(poolIdleRetire)
-	defer idle.Stop()
-	for {
-		c.runJob(j)
-		idle.Reset(poolIdleRetire)
-		select {
-		case j = <-c.jobs:
-		case <-idle.C:
-			return
-		}
+// sweepPool retires every worker that has been idle through two sweeps —
+// for at least poolIdleRetire/2, at most poolIdleRetire — and re-arms itself
+// while any worker is still idle. The stack is ordered by idle age, so the
+// retirees are a prefix of it.
+func (c *cell) sweepPool() {
+	p := &c.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.sweeps++
+	n := 0
+	for n < len(p.idle) && p.idle[n].idleAt+2 <= p.sweeps {
+		close(p.idle[n].mail)
+		n++
+	}
+	kept := copy(p.idle, p.idle[n:])
+	for i := kept; i < len(p.idle); i++ {
+		p.idle[i] = nil
+	}
+	p.idle = p.idle[:kept]
+	p.sweeping = kept > 0
+	if p.sweeping {
+		c.clock.AfterFunc(poolIdleRetire/2, c.sweepPool)
 	}
 }
 

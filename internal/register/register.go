@@ -230,9 +230,9 @@ type cell struct {
 	rng      *rand.Rand
 	pickFree [][]quorum.ServerID // recycled sampling buffers (see access.go)
 
-	// jobs hands dispatch work to idle pooled workers (wall mode only; see
-	// dispatch in access.go).
-	jobs chan dispatchJob
+	// pool holds the idle dispatch workers (wall mode only; see dispatch in
+	// access.go).
+	pool dispatchPool
 
 	// lat is the adaptive-hedge latency estimator; hedgeK its quantile
 	// knob (Options.HedgeDeviations resolved).
@@ -311,7 +311,6 @@ func newCell(opts Options) (*cell, error) {
 		clock:   clk,
 		sched:   sched,
 		rng:     opts.Rand,
-		jobs:    make(chan dispatchJob),
 		hedgeK:  k,
 		drainWG: vtime.NewWaitGroup(clk),
 	}

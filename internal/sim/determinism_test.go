@@ -62,7 +62,7 @@ func TestMeasureConsistencyDeterministic(t *testing.T) {
 		}},
 
 		// The REAL data plane: calls framed by the binary codec, coalesced
-		// by the group-commit flusher, carried over virtual-time byte
+		// by the group-commit frame writer, carried over virtual-time byte
 		// streams. Byte-level chunk latency draws and connection-reset
 		// faults must replay from the seed exactly like MemNetwork's
 		// per-call draws do.

@@ -144,7 +144,7 @@ type ConsistencyConfig struct {
 	// Transport selects the data plane: TransportMem (default) calls the
 	// replicas through the in-process MemNetwork; TransportTCPVirtual runs
 	// every call through the real TCP stack — framing, binary codec,
-	// group-commit flusher, worker pool — over virtual-time byte streams,
+	// group-commit frame writer, worker pool — over virtual-time byte streams,
 	// so the measured ε covers the deployed read/write path. The latency,
 	// straggler and drop knobs then configure the byte-stream network
 	// (per-chunk draws; DropProb resets connections, the stream analogue

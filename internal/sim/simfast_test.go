@@ -60,7 +60,7 @@ func TestSimFastLongFormEpsilon(t *testing.T) {
 
 // TestSimFastLongFormEpsilonTCP is the virtual-TCP half of the `sim-fast`
 // gate: the long-form ε measurement runs through the REAL data plane —
-// binary codec, group-commit flusher, worker pool — over SimClock-scheduled
+// binary codec, group-commit frame writer, worker pool — over SimClock-scheduled
 // byte streams, with per-chunk latency in the tens of milliseconds,
 // stragglers and adaptive hedging. The wire path costs real scheduler work
 // (every chunk is a timer, every reply crosses read loop → call → gather),

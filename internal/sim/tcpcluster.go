@@ -1,7 +1,7 @@
 package sim
 
 // TCPCluster stands a replica set up behind the REAL TCP data plane —
-// framing, binary codec, group-commit flusher, worker pool — running over
+// framing, binary codec, group-commit frame writer, worker pool — running over
 // virtual-time byte streams (transport.VirtualNet), so the harnesses can
 // measure ε and replay chaos schedules against the code path production
 // actually runs instead of the MemNetwork stand-in.

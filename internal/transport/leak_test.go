@@ -10,6 +10,7 @@ package transport_test
 import (
 	"context"
 	"math/rand"
+	"net"
 	"runtime"
 	"sync"
 	"testing"
@@ -147,5 +148,90 @@ func TestHedgedReadsDrainOverTCP(t *testing.T) {
 	}
 	client.WaitDrained()
 	tcpClient.Close()
+	waitForGoroutines(t, baseline+2)
+}
+
+// stuckConn is a connection whose peer has stopped reading: Write blocks
+// until the connection is closed, then fails.
+type stuckConn struct {
+	net.Conn
+	entered chan struct{} // closed when the first Write has begun blocking
+	closed  chan struct{}
+	enter   sync.Once
+	once    sync.Once
+}
+
+func (c *stuckConn) Write(p []byte) (int, error) {
+	c.enter.Do(func() { close(c.entered) })
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *stuckConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestTCPClientCloseDuringBlockedFlush closes a client while one call is
+// inside the frame writer's conn.Write — leading a flush against a peer that
+// does not read — and the rest have appended their frames behind it. The
+// writer has no goroutine of its own to stop, so Close must not wait on
+// anything: every call fails promptly and transiently, and nothing is left
+// running.
+func TestTCPClientCloseDuringBlockedFlush(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+
+	srv, err := transport.ListenTCP("127.0.0.1:0", transport.HandlerFunc(func(context.Context, any) (any, error) {
+		return wire.PingReply{}, nil
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck := &stuckConn{entered: make(chan struct{}), closed: make(chan struct{})}
+	client := transport.NewTCPClientOpts(map[quorum.ServerID]string{1: srv.Addr()}, transport.TCPClientOptions{
+		Dial: func(_ quorum.ServerID, addr string) (net.Conn, error) {
+			raw, err := net.Dial("tcp", addr)
+			if err != nil {
+				return nil, err
+			}
+			stuck.Conn = raw
+			return stuck, nil
+		},
+	})
+
+	const inflight = 8
+	errs := make(chan error, inflight)
+	call := func() {
+		_, err := client.Call(context.Background(), 1, wire.PingRequest{})
+		errs <- err
+	}
+	go call()
+	<-stuck.entered // the leader is blocked in Write; the rest queue behind it
+	for i := 1; i < inflight; i++ {
+		go call()
+	}
+	closed := make(chan struct{})
+	go func() {
+		client.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("client.Close hung behind a blocked flush")
+	}
+	for i := 0; i < inflight; i++ {
+		select {
+		case err := <-errs:
+			if err == nil || !transport.IsTransient(err) {
+				t.Errorf("call resolved with %v, want a transient failure", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("a call never returned after Close")
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatalf("server close: %v", err)
+	}
 	waitForGoroutines(t, baseline+2)
 }

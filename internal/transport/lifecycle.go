@@ -166,8 +166,9 @@ type dialResult struct {
 // mu are guarded by it; the pool's connections carry their own lease and
 // idle bookkeeping atomically.
 type serverState struct {
-	c  *TCPClient
-	id quorum.ServerID
+	c    *TCPClient
+	id   quorum.ServerID
+	addr string
 
 	mu     sync.Mutex
 	closed bool
@@ -294,7 +295,7 @@ func (s *serverState) allBusyLocked() bool {
 // backoff window and breaker.
 func (s *serverState) dial(now time.Time) (*tcpConn, error) {
 	c := s.c
-	raw, err := c.dial(s.id, c.addrs[s.id])
+	raw, err := c.dial(s.id, s.addr)
 	var conn *tcpConn
 	if err == nil {
 		c.stats.conns.Add(1)
@@ -543,13 +544,7 @@ func (c *TCPClient) maintainLoop() {
 // maintain runs one maintenance pass over every server's pool.
 func (c *TCPClient) maintain() {
 	now := c.clock.Now()
-	c.mu.Lock()
-	states := make([]*serverState, 0, len(c.states))
 	for _, s := range c.states {
-		states = append(states, s)
-	}
-	c.mu.Unlock()
-	for _, s := range states {
 		s.maintain(now)
 	}
 }

@@ -145,9 +145,7 @@ func TestLifecycleDialCoalescing(t *testing.T) {
 		// caller would pin load() above zero forever, so the connection
 		// would never be idle-reaped, never health-probed, and always count
 		// as busy for pool growth.
-		client.mu.Lock()
 		st := client.states[0]
-		client.mu.Unlock()
 		st.mu.Lock()
 		if len(st.conns) == 0 {
 			t.Error("pool empty after coalesced calls completed")

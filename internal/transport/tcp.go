@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,13 +75,10 @@ func ParseCodec(s string) (Codec, error) {
 // beats attempting the allocation.
 const maxFrameSize = 64 << 20
 
-// readBufSize/writeBufSize size the per-connection bufio buffers. Typical
-// frames (read/write RPCs with small values) are well under 4 KiB, so these
-// hold several coalesced frames per syscall.
-const (
-	readBufSize  = 32 << 10
-	writeBufSize = 32 << 10
-)
+// readBufSize sizes the per-connection bufio read buffer. Typical frames
+// (read/write RPCs with small values) are well under 4 KiB, so it holds
+// several coalesced frames per syscall.
+const readBufSize = 32 << 10
 
 // errCallTimeout is returned by TCPClient.Call when CallTimeout elapses
 // before the reply. It implements net.Error (Timeout() == true), so
@@ -216,19 +212,16 @@ type TCPStats struct {
 	FramesRead    uint64
 	FramesWritten uint64
 	// BytesRead and BytesWritten count frame bytes, including length
-	// prefixes, as handed to the buffered reader/writer (gob connections
-	// count only frames, not bytes).
+	// prefixes, as taken from the buffered reader and appended to the frame
+	// writer (gob connections count only frames, not bytes).
 	BytesRead    uint64
 	BytesWritten uint64
-	// Flushes counts syscall-bound writer flushes, including the inline
-	// flushes bufio performs for frames larger than the write buffer;
-	// WritesCoalesced counts frames that piggybacked on another frame's
-	// flush (FramesWritten - Flushes, clamped at zero). For binary
-	// connections carrying frames smaller than the write buffer,
-	// Flushes + WritesCoalesced == FramesWritten and
-	// WritesCoalesced/FramesWritten is the syscall savings of coalescing.
-	// Gob connections count only explicit flushes (gob's own buffering is
-	// opaque).
+	// Flushes counts the frame writers' conn.Write calls — one syscall on a
+	// real socket, one chunk on a VirtualNet; WritesCoalesced counts frames
+	// that shared another frame's Write (FramesWritten - Flushes). On every
+	// codec Flushes + WritesCoalesced == FramesWritten once the writers are
+	// idle, and WritesCoalesced/FramesWritten is the syscall savings of
+	// coalescing.
 	Flushes         uint64
 	WritesCoalesced uint64
 	// Connection-lifecycle counters, all zero unless the client was built
@@ -285,8 +278,9 @@ func (c *tcpCounters) snapshot() TCPStats {
 		ProbesSent:       c.probesSent.Load(),
 		ProbeFailures:    c.probeFailures.Load(),
 	}
-	// Each flush covers at least one frame, so the difference is exactly
-	// the frames that rode along on another frame's flush.
+	// Each flush carries at least one frame, so the difference is exactly
+	// the frames that rode along on another frame's Write. (The two loads
+	// are not one atomic snapshot of a busy writer, hence the guard.)
 	if s.FramesWritten > s.Flushes {
 		s.WritesCoalesced = s.FramesWritten - s.Flushes
 	}
@@ -339,166 +333,115 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// frameWriter serializes frame writes onto one connection through a buffered
-// writer with group-commit flush coalescing: writers append frames under the
-// lock and kick a dedicated flusher goroutine, which flushes whatever has
-// accumulated by the time it runs. A burst of concurrent replies or requests
-// therefore reaches the socket in one syscall, and the flush syscall itself
-// is off every writer's critical path.
+// frameWriter serializes frame writes onto one connection with leader-flushed
+// group commit and no goroutine of its own. A writer appends its frame to
+// the pending buffer under mu; if no flush is in progress it becomes the
+// leader: swap pending for the spare buffer, unlock, hand the batch to the
+// socket in one conn.Write, relock, and repeat until pending is empty.
+// Writers that arrive while the leader is inside Write append behind it and
+// return at once — their frames ride the leader's next Write — so a burst
+// still reaches the socket in few syscalls, nobody waits for a flush they do
+// not lead, and on an idle connection a frame goes out on its writer's own
+// stack with no wake-up in between.
 //
-// Under a vtime.SimClock the flusher is a registered worker and the kick
-// channel a tracked handoff (kickPending mirrors its occupancy under mu), so
-// flushes happen at the same virtual instant as the frames they carry and
-// the scheduler never advances time past an unflushed frame.
+// One conn.Write is one flush (TCPStats.Flushes); every further frame in
+// its batch is coalesced. Nothing here blocks on a channel, so under a
+// vtime.SimClock there is nothing to track: the leader is a running worker
+// for the whole flush, and a frame is on the (virtual) wire at the instant
+// it was written.
 type frameWriter struct {
-	mu          sync.Mutex
-	bw          *bufio.Writer
-	err         error // sticky write/flush error (guarded by mu)
-	stats       *tcpCounters
-	sched       vtime.Sched
-	kickPending bool // a kick is in the channel (guarded by mu)
+	conn  net.Conn
+	stats *tcpCounters
 
-	kick    chan struct{} // capacity 1: wakes the flusher
-	done    chan struct{} // closed by close(); stops the flusher
-	stopped chan struct{} // closed by flushLoop on exit; close() waits on it
+	mu       sync.Mutex
+	pending  []byte // frames appended since the last swap
+	spare    []byte // the drained buffer of the previous flush
+	flushing bool   // a leader is between its first swap and its last Write
+	err      error  // sticky: the first write error, or ErrClosed
 
-	// enc is non-nil on gob connections; writeGob uses it under mu with the
-	// same coalescing rule.
+	// enc is non-nil on gob connections; it encodes into pending, under mu.
 	enc *gob.Encoder
 }
 
-func newFrameWriter(conn net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched) *frameWriter {
-	w := &frameWriter{
-		bw:      bufio.NewWriterSize(conn, writeBufSize),
-		stats:   stats,
-		sched:   sched,
-		kick:    make(chan struct{}, 1),
-		done:    make(chan struct{}),
-		stopped: make(chan struct{}),
-	}
+func newFrameWriter(conn net.Conn, codec Codec, stats *tcpCounters) *frameWriter {
+	w := &frameWriter{conn: conn, stats: stats}
 	if codec == CodecGob {
-		w.enc = gob.NewEncoder(w.bw)
+		w.enc = gob.NewEncoder(pendingAppender{w})
 	}
-	sched.Go(w.flushLoop)
 	return w
 }
 
-// close stops the flusher goroutine and waits for it. Callers must close the
-// underlying connection first: that makes any Flush the flusher is blocked
-// in fail promptly instead of stalling teardown behind a peer that has
-// stopped reading (un-flushed frames at teardown are lost, which callers
-// already treat as a transient connection failure).
+// pendingAppender is the io.Writer gob encodes through: it appends to the
+// writer's pending buffer. Only writeGob reaches it, with mu held.
+type pendingAppender struct{ w *frameWriter }
+
+func (p pendingAppender) Write(b []byte) (int, error) {
+	p.w.pending = append(p.w.pending, b...)
+	return len(b), nil
+}
+
+// close fails every later write with ErrClosed. Callers close the
+// connection first, so a leader blocked in Write against a peer that has
+// stopped reading fails promptly (frames still pending at teardown are
+// lost, which callers already treat as a transient connection failure).
 func (w *frameWriter) close() {
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = ErrClosed
 	}
 	w.mu.Unlock()
-	w.sched.NoteSend() // the done close is one tracked wake-up
-	close(w.done)
-	unpark := w.sched.Park()
-	<-w.stopped
-	unpark()
-	w.sched.NoteRecv()
 }
 
-// flushLoop runs the group commit: each kick flushes everything buffered
-// since the last flush. The number of frames per flush grows with write
-// concurrency (see TCPStats.WritesCoalesced).
-func (w *frameWriter) flushLoop() {
-	defer func() {
-		w.sched.NoteSend() // pairs with close()'s wait on stopped
-		close(w.stopped)
-	}()
-	for {
-		unpark := w.sched.Park()
-		select {
-		case <-w.kick:
-			unpark()
-			w.sched.NoteRecv()
-			// Yield once before flushing: writers that are runnable right
-			// now get to append their frames first, growing the batch. On an
-			// idle connection this is a no-op, so it costs no latency.
-			runtime.Gosched()
-			w.mu.Lock()
-			w.kickPending = false
-			if w.err == nil && w.bw.Buffered() > 0 {
-				w.stats.flushes.Add(1)
-				if err := w.bw.Flush(); err != nil {
-					w.err = err
-				}
-			}
-			w.mu.Unlock()
-		case <-w.done:
-			unpark()
-			w.sched.NoteRecv()
-			// Consume a kick that raced the shutdown, so its tracked send
-			// does not strand the scheduler's pending count.
-			w.mu.Lock()
-			if w.kickPending {
-				//pqslint:allow lockspan kickPending (guarded by w.mu) means exactly one value sits buffered in w.kick, so this receive cannot block
-				<-w.kick
-				w.kickPending = false
-				w.sched.NoteRecv()
-			}
-			w.mu.Unlock()
-			return
+// commit counts the frame just appended and, unless a leader is already
+// flushing, leads the flush. Call with mu held; it unlocks. A follower
+// returns nil; the leader returns the writer's sticky error, which every
+// later writer sees too.
+func (w *frameWriter) commit() error {
+	w.stats.framesWritten.Add(1)
+	if w.flushing {
+		w.mu.Unlock()
+		return nil
+	}
+	w.flushing = true
+	for len(w.pending) > 0 && w.err == nil {
+		buf := w.pending
+		w.pending, w.spare = w.spare[:0], nil
+		w.mu.Unlock()
+		w.stats.flushes.Add(1)
+		_, err := w.conn.Write(buf)
+		w.mu.Lock()
+		// Don't let one huge gossip frame pin megabytes in either buffer
+		// (same cap as frameBufPool and wire.PutBuffer).
+		if cap(buf) <= 1<<20 {
+			w.spare = buf[:0]
+		}
+		if err != nil && w.err == nil {
+			w.err = err
 		}
 	}
-}
-
-// appendDone marks a frame appended and wakes the flusher. Call with mu
-// held; it unlocks. The kick send stays under mu so kickPending exactly
-// mirrors the channel (the flusher's shutdown drain relies on that).
-func (w *frameWriter) appendDone() {
-	w.stats.framesWritten.Add(1)
-	if !w.kickPending {
-		w.kickPending = true
-		w.sched.NoteSend()
-		w.kick <- struct{}{}
-	}
+	w.flushing = false
+	err := w.err
 	w.mu.Unlock()
+	return err
 }
 
 // writeFrame writes a length-prefixed binary frame.
 func (w *frameWriter) writeFrame(body []byte) error {
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(body)))
-
 	w.mu.Lock()
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
 		return err
 	}
-	// Keep the flush counters honest for frames the buffer cannot absorb:
-	// appending past the free space makes bufio flush the buffered bytes
-	// inline, and a body at least as large as the whole buffer goes to the
-	// socket as its own write. Both are syscalls this frame caused, so they
-	// must not be reported as coalesced.
-	if total := n + len(body); total > w.bw.Available() && w.bw.Buffered() > 0 {
-		w.stats.flushes.Add(1)
-	}
-	if len(body) >= w.bw.Size() {
-		w.stats.flushes.Add(1)
-	}
-	if _, err := w.bw.Write(lenBuf[:n]); err != nil {
-		w.err = err
-		w.mu.Unlock()
-		return err
-	}
-	if _, err := w.bw.Write(body); err != nil {
-		w.err = err
-		w.mu.Unlock()
-		return err
-	}
-	w.stats.bytesWritten.Add(uint64(n + len(body)))
-	w.appendDone()
-	return nil
+	before := len(w.pending)
+	w.pending = binary.AppendUvarint(w.pending, uint64(len(body)))
+	w.pending = append(w.pending, body...)
+	w.stats.bytesWritten.Add(uint64(len(w.pending) - before))
+	return w.commit()
 }
 
-// writeGob gob-encodes v (a *wire.Envelope or *wire.ReplyEnvelope) with the
-// same coalescing as writeFrame.
+// writeGob gob-encodes v (a *wire.Envelope or *wire.ReplyEnvelope) onto the
+// same pending buffer and flush path as writeFrame.
 func (w *frameWriter) writeGob(v any) error {
 	w.mu.Lock()
 	if w.err != nil {
@@ -511,8 +454,7 @@ func (w *frameWriter) writeGob(v any) error {
 		w.mu.Unlock()
 		return err
 	}
-	w.appendDone()
-	return nil
+	return w.commit()
 }
 
 // TCPOptions configures a TCPServer beyond its codec.
@@ -521,7 +463,7 @@ type TCPOptions struct {
 	Codec Codec
 	// Clock supplies the scheduling discipline. Nil means the wall clock;
 	// a vtime.SimClock enrolls every server goroutine (accept loop,
-	// connection read loops, flushers, worker pools) in the virtual-time
+	// connection read loops, worker pools) in the virtual-time
 	// scheduler, which is what lets the real data plane run inside the
 	// deterministic harnesses (see VirtualNet).
 	Clock vtime.Clock
@@ -531,8 +473,8 @@ type TCPOptions struct {
 // messages (binary codec by default; see ListenTCPCodec). Each accepted
 // connection is multiplexed: requests are handled concurrently and replies
 // are written back tagged with the request id, so a single client connection
-// can have many calls in flight. Concurrent replies are coalesced into
-// shared flushes (one syscall per burst).
+// can have many calls in flight. Replies written while another reply's
+// Write is in progress share the next one (see frameWriter).
 type TCPServer struct {
 	handler  Handler
 	listener net.Listener
@@ -573,7 +515,7 @@ func ListenTCPCodec(addr string, h Handler, codec Codec) (*TCPServer, error) {
 
 // ServeListener runs the TCP server stack on an existing listener — a real
 // socket or a VirtualNet listener. This is the injection point that lets
-// the unmodified data plane (framing, codec, flusher, worker pool) run on
+// the unmodified data plane (framing, codec, frame writer, worker pool) run on
 // virtual-time byte streams inside the harnesses.
 func ServeListener(l net.Listener, h Handler, o TCPOptions) *TCPServer {
 	wire.RegisterGob()
@@ -659,14 +601,14 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// the connection tears down or the server closes, so in-flight handlers
 	// cannot outlive either.
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	w := newFrameWriter(conn, s.codec, &s.stats, s.sched)
+	w := newFrameWriter(conn, s.codec, &s.stats)
 	cc := s.codecReg.open()
 	defer s.codecReg.close(cc)
 	// Teardown order (LIFO): cancel the connection context FIRST — its
 	// replies are undeliverable, and a handler blocked on ctx.Done would
 	// otherwise deadlock the wait — then wait out in-flight handlers, then
-	// close the socket, then stop the flusher (the socket must die before
-	// the flusher; see frameWriter.close).
+	// close the socket, then fail the writer (the socket must die first;
+	// see frameWriter.close).
 	defer w.close()
 	defer conn.Close()
 	reqWG := vtime.NewWaitGroup(s.clock)
@@ -842,9 +784,8 @@ type TCPClientOptions struct {
 // multiplexed connections per server (one by default), established lazily
 // and re-dialed after failures, with optional dial coalescing, jittered
 // redial backoff and a per-server circuit breaker (see LifecycleConfig).
-// Concurrent requests on one connection are coalesced into shared flushes.
+// Requests written while another's Write is in progress share the next one.
 type TCPClient struct {
-	addrs       map[quorum.ServerID]string
 	codec       Codec
 	clock       vtime.Clock
 	sched       vtime.Sched
@@ -860,9 +801,11 @@ type TCPClient struct {
 	maintDone    chan struct{}
 	maintStopped chan struct{}
 
-	mu     sync.Mutex
+	// states holds one entry per configured address, all built by the
+	// constructor: the map is never written afterwards, so Call's lookup
+	// takes no lock.
 	states map[quorum.ServerID]*serverState
-	closed bool
+	closed atomic.Bool
 	nextID atomic.Uint64
 }
 
@@ -882,10 +825,6 @@ func NewTCPClientCodec(addrs map[quorum.ServerID]string, codec Codec) *TCPClient
 // injection, call timeout).
 func NewTCPClientOpts(addrs map[quorum.ServerID]string, o TCPClientOptions) *TCPClient {
 	wire.RegisterGob()
-	cp := make(map[quorum.ServerID]string, len(addrs))
-	for id, a := range addrs {
-		cp[id] = a
-	}
 	clk := vtime.Or(o.Clock)
 	dial := o.Dial
 	if dial == nil {
@@ -894,11 +833,14 @@ func NewTCPClientOpts(addrs map[quorum.ServerID]string, o TCPClientOptions) *TCP
 		}
 	}
 	c := &TCPClient{
-		addrs: cp, codec: o.Codec,
+		codec: o.Codec,
 		clock: clk, sched: vtime.SchedOf(clk),
 		dial: dial, callTimeout: o.CallTimeout,
 		lifecycle: o.Lifecycle,
-		states:    make(map[quorum.ServerID]*serverState),
+		states:    make(map[quorum.ServerID]*serverState, len(addrs)),
+	}
+	for id, a := range addrs {
+		c.states[id] = &serverState{c: c, id: id, addr: a}
 	}
 	if c.lifecycle.maintenance() {
 		c.maintDone = make(chan struct{})
@@ -1013,9 +955,7 @@ func (c *TCPClient) ServerDown(id quorum.ServerID) bool {
 	if c.lifecycle.BreakerThreshold <= 0 {
 		return false
 	}
-	c.mu.Lock()
 	st := c.states[id]
-	c.mu.Unlock()
 	if st == nil {
 		return false
 	}
@@ -1025,17 +965,9 @@ func (c *TCPClient) ServerDown(id quorum.ServerID) bool {
 // Close closes all connections and stops the maintenance loop. Subsequent
 // calls fail.
 func (c *TCPClient) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Swap(true) {
 		return nil
 	}
-	c.closed = true
-	states := make([]*serverState, 0, len(c.states))
-	for _, st := range c.states {
-		states = append(states, st)
-	}
-	c.mu.Unlock()
 	if c.maintDone != nil {
 		c.sched.NoteSend() // the done close is one tracked wake-up
 		close(c.maintDone)
@@ -1045,7 +977,7 @@ func (c *TCPClient) Close() error {
 		c.sched.NoteRecv()
 	}
 	var first error
-	for _, st := range states {
+	for _, st := range c.states {
 		if err := st.closeAll(); err != nil && first == nil {
 			first = err
 		}
@@ -1056,21 +988,13 @@ func (c *TCPClient) Close() error {
 // acquire resolves the server's lifecycle state and leases a pooled
 // connection from it (dialing as needed).
 func (c *TCPClient) acquire(to quorum.ServerID) (*tcpConn, *serverState, error) {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
+	if c.closed.Load() {
 		return nil, nil, ErrClosed
 	}
 	st, ok := c.states[to]
 	if !ok {
-		if _, known := c.addrs[to]; !known {
-			c.mu.Unlock()
-			return nil, nil, fmt.Errorf("server %d: %w", to, ErrUnknownServer)
-		}
-		st = &serverState{c: c, id: to}
-		c.states[to] = st
+		return nil, nil, fmt.Errorf("server %d: %w", to, ErrUnknownServer)
 	}
-	c.mu.Unlock()
 	conn, err := st.acquire()
 	if err != nil {
 		return nil, nil, err
@@ -1122,7 +1046,7 @@ func newTCPConn(raw net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched
 	c := &tcpConn{
 		raw:       raw,
 		codec:     codec,
-		w:         newFrameWriter(raw, codec, stats, sched),
+		w:         newFrameWriter(raw, codec, stats),
 		stats:     stats,
 		sched:     sched,
 		cc:        cc,
@@ -1278,7 +1202,7 @@ func (c *tcpConn) failAll() {
 		delete(c.pending, id)
 	}
 	c.abandoned = make(map[uint64]struct{})
-	c.raw.Close() // before w.close: unblocks a flusher stuck in Flush
+	c.raw.Close() // before w.close: unblocks a leader stuck in Write
 	c.w.close()
 	c.reg.close(c.cc)
 }

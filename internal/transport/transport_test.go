@@ -5,12 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"pqs/internal/quorum"
-	"pqs/internal/vtime"
 	"pqs/internal/wire"
 )
 
@@ -427,26 +427,48 @@ func TestTCPStatsAndCoalescing(t *testing.T) {
 	}
 }
 
-// slowSinkConn is a net.Conn stub whose Write succeeds after a fixed delay,
-// emulating a socket slower than the producers feeding it.
-type slowSinkConn struct {
+// sinkConn is a net.Conn stub for driving a frameWriter directly: every Write
+// sleeps delay (a socket slower than the producers feeding it), fails with
+// failErr from the failAt-th Write on (1-based; 0 = never), and is recorded.
+type sinkConn struct {
 	net.Conn // panics if any unimplemented method is called
 	delay    time.Duration
+	failAt   int
+	failErr  error
+
+	mu     sync.Mutex
+	writes int
+	bytes  uint64
 }
 
-func (c slowSinkConn) Write(p []byte) (int, error) {
+func (c *sinkConn) Write(p []byte) (int, error) {
 	time.Sleep(c.delay)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.writes++
+	if c.failAt > 0 && c.writes >= c.failAt {
+		return 0, c.failErr
+	}
+	c.bytes += uint64(len(p))
 	return len(p), nil
 }
 
-// TestFrameWriterCoalesces drives many concurrent writers into a frameWriter
-// over a slow sink and asserts that frames actually shared flushes: while
-// the flusher is inside one slow Flush, later writers append behind it and
-// must ride the next one.
+func (c *sinkConn) seen() (writes int, bytes uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes, c.bytes
+}
+
+// TestFrameWriterCoalesces drives 16 concurrent writers into a frameWriter
+// over a sink that takes 2 ms per Write and asserts that frames actually
+// shared Writes: while the leader is inside one slow Write, later writers
+// append behind it and ride its next one. Every writer has returned only
+// once pending is empty, so the counters are final without any waiting:
+// one conn.Write is one flush, every extra frame in it is coalesced.
 func TestFrameWriterCoalesces(t *testing.T) {
 	var stats tcpCounters
-	w := newFrameWriter(slowSinkConn{delay: 2 * time.Millisecond}, CodecBinary, &stats, vtime.SchedOf(nil))
-	defer w.close()
+	sink := &sinkConn{delay: 2 * time.Millisecond}
+	w := newFrameWriter(sink, CodecBinary, &stats)
 	const writers, frames = 16, 8
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
@@ -462,27 +484,189 @@ func TestFrameWriterCoalesces(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	// Wait for the trailing flush to drain before reading counters.
-	deadline := time.Now().Add(2 * time.Second)
+	s := stats.snapshot()
+	writes, bytes := sink.seen()
+	if s.FramesWritten != writers*frames {
+		t.Fatalf("frames written %d, want %d", s.FramesWritten, writers*frames)
+	}
+	if s.WritesCoalesced == 0 {
+		t.Errorf("no coalescing under %d concurrent writers: %+v", writers, s)
+	}
+	if s.Flushes != uint64(writes) || s.Flushes+s.WritesCoalesced != s.FramesWritten {
+		t.Errorf("flush accounting: %d conn.Writes, %+v", writes, s)
+	}
+	if bytes != s.BytesWritten {
+		t.Errorf("sink received %d bytes, writer counted %d: frames left behind", bytes, s.BytesWritten)
+	}
+	w.mu.Lock()
+	if len(w.pending) != 0 || w.flushing {
+		t.Errorf("writer not idle after its writers returned: %d bytes pending, flushing=%v", len(w.pending), w.flushing)
+	}
+	w.mu.Unlock()
+}
+
+// TestFrameWriterStickyError: the Write that fails hands its error to the
+// writer leading that flush as its return value, and to every later writer
+// without touching the connection again.
+func TestFrameWriterStickyError(t *testing.T) {
+	boom := errors.New("sink: broken pipe")
+	for _, codec := range []Codec{CodecBinary, CodecGob} {
+		var stats tcpCounters
+		sink := &sinkConn{failAt: 2, failErr: boom}
+		w := newFrameWriter(sink, codec, &stats)
+		write := func() error {
+			if codec == CodecGob {
+				return w.writeGob(&wire.Envelope{ID: 1, Payload: wire.PingRequest{}})
+			}
+			return w.writeFrame([]byte("frame-body"))
+		}
+		if err := write(); err != nil {
+			t.Fatalf("%v: first write: %v", codec, err)
+		}
+		if err := write(); !errors.Is(err, boom) {
+			t.Fatalf("%v: the leader of the failing flush got %v, want %v", codec, err, boom)
+		}
+		for i := 0; i < 3; i++ {
+			if err := write(); !errors.Is(err, boom) {
+				t.Fatalf("%v: later write %d got %v, want the sticky %v", codec, i, err, boom)
+			}
+		}
+		if writes, _ := sink.seen(); writes != 2 {
+			t.Errorf("%v: %d conn.Writes, want 2 (nothing is written past the error)", codec, writes)
+		}
+		// close() after a write error keeps the first cause.
+		w.close()
+		if err := write(); !errors.Is(err, boom) {
+			t.Errorf("%v: write after close got %v, want %v", codec, err, boom)
+		}
+	}
+}
+
+// blockedConn is a net.Conn stub whose Write blocks until Close, then fails
+// with net.ErrClosed: a peer that has stopped reading.
+type blockedConn struct {
+	net.Conn
+	entered chan struct{} // one token per Write that has begun blocking
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func newBlockedConn() *blockedConn {
+	// 64: more Writes than any test below can have blocked at once, so
+	// announcing one never blocks.
+	return &blockedConn{entered: make(chan struct{}, 64), closed: make(chan struct{})}
+}
+
+func (c *blockedConn) Write(p []byte) (int, error) {
+	c.entered <- struct{}{}
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *blockedConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestFrameWriterCloseDuringFlush closes the writer while its leader is
+// blocked inside conn.Write with followers' frames queued behind it: close
+// must return at once (it waits for nobody), the followers must already have
+// returned, the leader must come back with an error as soon as the
+// connection dies, and later writes must fail. (That nothing is left
+// running is leak_test.go's TestTCPClientCloseDuringBlockedFlush.)
+func TestFrameWriterCloseDuringFlush(t *testing.T) {
+	var stats tcpCounters
+	conn := newBlockedConn()
+	w := newFrameWriter(conn, CodecBinary, &stats)
+
+	leader := make(chan error, 1)
+	go func() { leader <- w.writeFrame([]byte("leader")) }()
+	<-conn.entered // the leader is inside Write, holding no lock
+	for i := 0; i < 4; i++ {
+		if err := w.writeFrame([]byte("follower")); err != nil {
+			t.Fatalf("follower %d: %v (a follower appends and returns)", i, err)
+		}
+	}
+	closed := make(chan struct{})
+	go func() {
+		conn.Close() // callers close the connection first
+		w.close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("close() hung behind an in-flight flush")
+	}
+	select {
+	case err := <-leader:
+		if err == nil {
+			t.Error("leader returned nil from a flush its connection died under")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("leader never returned after the connection closed")
+	}
+	if err := w.writeFrame([]byte("late")); err == nil {
+		t.Error("write after close succeeded")
+	}
+	if s := stats.snapshot(); s.Flushes != 1 {
+		t.Errorf("%d flushes, want 1: nothing may be written after the failure", s.Flushes)
+	}
+}
+
+// TestFrameWriterDropsHugeBuffers: a frame over 1 MiB must not stay pinned in
+// the pending/spare pair once it is on the wire (same cap as frameBufPool and
+// wire.PutBuffer), whether it was the leader's own frame or one appended
+// behind a flush in progress.
+func TestFrameWriterDropsHugeBuffers(t *testing.T) {
+	var stats tcpCounters
+	huge := make([]byte, 2<<20)
+	check := func(w *frameWriter, when string) {
+		t.Helper()
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		if cap(w.pending) > 1<<20 || cap(w.spare) > 1<<20 {
+			t.Errorf("%s: buffers pinned: cap(pending)=%d cap(spare)=%d", when, cap(w.pending), cap(w.spare))
+		}
+	}
+	w := newFrameWriter(&sinkConn{}, CodecBinary, &stats)
+	for i := 0; i < 3; i++ { // cycle both buffers through the leader's hands
+		if err := w.writeFrame([]byte("small")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.writeFrame(huge); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "huge frame led its own flush")
+	if err := w.writeFrame([]byte("small")); err != nil {
+		t.Fatal(err)
+	}
+	check(w, "small frame after it")
+
+	// The huge frame arrives as a follower, mid-flush.
+	slow := &sinkConn{delay: 20 * time.Millisecond}
+	w = newFrameWriter(slow, CodecBinary, &stats)
+	done := make(chan error, 1)
+	go func() { done <- w.writeFrame([]byte("leader")) }()
 	for {
-		s := stats.snapshot()
-		if s.FramesWritten == writers*frames && func() bool {
-			w.mu.Lock()
-			defer w.mu.Unlock()
-			return w.bw.Buffered() == 0
-		}() {
-			if s.WritesCoalesced == 0 {
-				t.Errorf("no coalescing under %d concurrent writers: %+v", writers, s)
-			}
-			if s.Flushes == 0 || s.Flushes+s.WritesCoalesced != s.FramesWritten {
-				t.Errorf("flush accounting: %+v", s)
-			}
-			return
+		w.mu.Lock()
+		flushing := w.flushing
+		w.mu.Unlock()
+		if flushing {
+			break
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("writer never drained: %+v", s)
-		}
-		time.Sleep(time.Millisecond)
+		runtime.Gosched()
+	}
+	if err := w.writeFrame(huge); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	check(w, "huge frame rode a follower's slot")
+	if writes, _ := slow.seen(); writes != 2 {
+		t.Errorf("%d conn.Writes, want 2 (leader's frame, then the follower's)", writes)
 	}
 }
 

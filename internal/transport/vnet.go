@@ -4,7 +4,7 @@ package transport
 // TCP data plane runs on inside the sim and chaos harnesses: an in-process
 // net.Conn / net.Listener implementation whose write→read delivery latency,
 // byte pacing and half-close semantics are scheduled on a vtime.Clock. The
-// real TCP stack — framing, binary codec, bufio group-commit flusher,
+// real TCP stack — framing, binary codec, group-commit frame writer,
 // worker pool, per-connection contexts — runs on it unmodified (see
 // ServeListener and TCPClientOptions.Dial), which is what puts the
 // production code path inside the determinism contract: under a
@@ -72,7 +72,7 @@ var errVConnReset = &vnetError{msg: "transport: virtual connection reset"}
 type VNetStats struct {
 	// Dials counts connection establishments.
 	Dials uint64
-	// Chunks and ChunkBytes count scheduled write chunks (a bufio flush is
+	// Chunks and ChunkBytes count scheduled write chunks (a frame-writer flush is
 	// one chunk, like one TCP segment burst).
 	Chunks     uint64
 	ChunkBytes uint64

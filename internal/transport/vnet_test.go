@@ -178,7 +178,7 @@ func startVirtualCluster(t testing.TB, vn *VirtualNet, clk vtime.Clock, n int, t
 }
 
 // TestVirtualTCPRoundTripSimClock runs the real TCP stack — framing, binary
-// codec, group-commit flusher, worker pool — over virtual-time byte streams
+// codec, leader-flushed frame writer, worker pool — over virtual-time byte streams
 // inside a SimClock, with per-chunk latency. The run must complete
 // instantly in wall time while covering real virtual duration.
 func TestVirtualTCPRoundTripSimClock(t *testing.T) {
@@ -216,14 +216,19 @@ func TestVirtualTCPRoundTripSimClock(t *testing.T) {
 
 // TestVirtualTCPDeterminism replays the same seeded workload twice over the
 // virtual TCP stack and requires identical virtual-time traces: per-call
-// completion timestamps AND the byte/chunk counters of the network — the
-// data plane's replay contract at byte granularity.
+// completion timestamps AND every counter of the network — the data plane's
+// replay contract at byte granularity. A frame is handed to its vconn on the
+// writer's own stack at the instant it is written, so the chunk count is a
+// pure function of the event order: the second half of the workload fans
+// each round out to all servers at once (one frame per connection per
+// instant, as the harnesses do) and must replay as exactly as the serial
+// half.
 func TestVirtualTCPDeterminism(t *testing.T) {
 	type trace struct {
 		stamps []time.Duration
-		chunks uint64
-		bytes  uint64
+		stats  VNetStats
 	}
+	const servers = 6
 	run := func() trace {
 		sc := vtime.NewSimClock()
 		var tr trace
@@ -231,42 +236,60 @@ func TestVirtualTCPDeterminism(t *testing.T) {
 			vn := NewVirtualNet(sc, 7)
 			vn.SetLatency(time.Millisecond, 9*time.Millisecond)
 			vn.SetJitter(500 * time.Microsecond)
-			client, servers := startVirtualCluster(t, vn, sc, 6, time.Second)
+			client, srvs := startVirtualCluster(t, vn, sc, servers, time.Second)
 			ctx := context.Background()
-			for i := 0; i < 30; i++ {
-				id := quorum.ServerID(i % 6)
+			call := func(i int, id quorum.ServerID) {
 				if _, err := client.Call(ctx, id, wire.ReadRequest{Key: fmt.Sprintf("k%d", i)}); err != nil {
-					t.Errorf("call %d: %v", i, err)
+					t.Errorf("call %d to %d: %v", i, id, err)
 				}
+			}
+			for i := 0; i < 30; i++ {
+				call(i, quorum.ServerID(i%servers))
 				tr.stamps = append(tr.stamps, sc.Elapsed())
 			}
+			for round := 0; round < 10; round++ {
+				wg := vtime.NewWaitGroup(sc)
+				for id := 0; id < servers; id++ {
+					id := quorum.ServerID(id)
+					wg.Add(1)
+					sc.Go(func() {
+						defer wg.Done()
+						call(round, id)
+					})
+				}
+				wg.Wait()
+				tr.stamps = append(tr.stamps, sc.Elapsed())
+			}
+			tr.stats = vn.Stats()
 			client.Close()
-			for _, s := range servers {
+			for _, s := range srvs {
 				s.Close()
 			}
-			st := vn.Stats()
-			tr.chunks, tr.bytes = st.Chunks, st.ChunkBytes
 		})
 		return tr
 	}
 	a, b := run(), run()
-	if a.chunks != b.chunks || a.bytes != b.bytes {
-		t.Fatalf("chunk traffic diverged: %d/%dB vs %d/%dB", a.chunks, a.bytes, b.chunks, b.bytes)
+	if a.stats != b.stats {
+		t.Fatalf("network counters diverged:\n%+v\n%+v", a.stats, b.stats)
+	}
+	// One request chunk and one reply chunk per call: nothing coalesces when
+	// each connection carries one frame per instant, and nothing splits.
+	if want := uint64(2 * (30 + 10*servers)); a.stats.Chunks != want {
+		t.Errorf("%d chunks for %d calls, want %d", a.stats.Chunks, want/2, want)
 	}
 	for i := range a.stamps {
 		if a.stamps[i] != b.stamps[i] {
-			t.Fatalf("call %d completed at %v vs %v: virtual TCP is not replaying", i, a.stamps[i], b.stamps[i])
+			t.Fatalf("step %d completed at %v vs %v: virtual TCP is not replaying", i, a.stamps[i], b.stamps[i])
 		}
 	}
-	t.Logf("30 calls, %d chunks (%d bytes) replayed bit-identically", a.chunks, a.bytes)
+	t.Logf("%d calls, %d chunks (%d bytes) replayed bit-identically", a.stats.Chunks/2, a.stats.Chunks, a.stats.ChunkBytes)
 }
 
-// TestVirtualTCPServerCloseWithBufferedFlusher closes the server while a
-// reply is still buffered in a connection's group-commit flusher: teardown
-// must not deadlock or leak goroutines, and the client must observe a
-// transient failure, not a hang. (The flusher's shutdown path drains its
-// kick channel; this is its regression.)
-func TestVirtualTCPServerCloseWithBufferedFlusher(t *testing.T) {
+// TestVirtualTCPServerCloseWithCallInFlight closes the server while a call
+// is somewhere between its request frame and its reply frame: teardown must
+// not deadlock or leak goroutines, and the client must observe a transient
+// failure or the reply, not a hang.
+func TestVirtualTCPServerCloseWithCallInFlight(t *testing.T) {
 	base := runtime.NumGoroutine()
 	sc := vtime.NewSimClock()
 	sc.Run(func() {
@@ -277,9 +300,9 @@ func TestVirtualTCPServerCloseWithBufferedFlusher(t *testing.T) {
 		if _, err := client.Call(ctx, 0, wire.ReadRequest{Key: "warm"}); err != nil {
 			t.Errorf("warm call: %v", err)
 		}
-		// Close the server immediately after issuing a call; whatever state
-		// the flusher is in (reply buffered, kick pending), teardown must
-		// converge and the call must resolve with an error or a reply.
+		// Close the server immediately after issuing a call; wherever its
+		// frames are (request in flight, reply written or not), teardown
+		// must converge and the call must resolve with an error or a reply.
 		done := make(chan struct{})
 		sc.Go(func() {
 			defer func() {

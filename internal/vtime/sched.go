@@ -7,7 +7,7 @@ package vtime
 // production. Built from a SimClock it enrolls every spawn in the
 // scheduler's worker registry and every channel handoff in the tracked-
 // message accounting, which is what lets a subsystem full of long-lived
-// goroutines (the TCP data plane: accept loops, read loops, flushers,
+// goroutines (the TCP data plane: accept loops, read loops,
 // worker pools) join the virtual-time determinism contract.
 //
 // The discipline for a tracked handoff over a channel ch:
