@@ -39,7 +39,9 @@ race:
 # "deterministic" from "usually equal", twenty can. About twelve minutes on
 # two cores; FLAKE_COUNT=N to vary. The chaos matrix over tcp-virtual is left
 # to chaos-tcp, which already replays every scenario twice: under the race
-# detector it costs 100 s a pass.
+# detector it costs 100 s a pass. The sim and chaos suites compare the
+# virtual time a run covered (SimElapsed / SimSeconds) as well as its
+# history, so a clock read that races fixture teardown shows up here.
 FLAKE_COUNT ?= 20
 flake:
 	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TestLoadTCPVirtual' . ./internal/load/ ./internal/transport/ ./internal/sim/ ./internal/register/
@@ -126,11 +128,15 @@ bench-compare:
 	@test -n "$(A)" -a -n "$(B)" || { echo "usage: make bench-compare A=parent.json B=change.json"; exit 2; }
 	$(GO) run ./bench -compare $(A) $(B)
 
-# CI bit-rot guard for the benchmark driver: two seconds of one workload
-# (the one with no sockets in it), which still builds the binary, stands the
-# system up, runs the correctness oracle and exits non-zero if it trips.
+# CI bit-rot guard for the benchmark driver: two seconds each of the two
+# workloads with no sockets in them, which still builds the binary, stands
+# the system up, runs the correctness oracle and exits non-zero if it trips.
+# mem-dissem is the Byzantine path: ten forgers among a hundred servers, so
+# "no forged value is ever returned" and the binomial staleness gate are
+# checked against on-demand verification on every push.
 bench-e2e-smoke:
 	$(GO) run ./bench -workload mem-fanout -seconds 2 > /dev/null
+	$(GO) run ./bench -workload mem-dissem -seconds 2 > /dev/null
 
 # The adversarial regression gate: the full chaos scenario matrix at small
 # trial counts (seconds, deterministic in CHAOS_SEED), plus the negative

@@ -102,6 +102,9 @@ func TestChaosDeterminism(t *testing.T) {
 			if a.Check.Pass != b.Check.Pass || a.Check.Epsilon != b.Check.Epsilon {
 				t.Fatalf("check verdicts diverge for identical histories")
 			}
+			if a.SimSeconds != b.SimSeconds {
+				t.Fatalf("virtual time diverges for identical histories: %v vs %v s", a.SimSeconds, b.SimSeconds)
+			}
 		})
 	}
 }

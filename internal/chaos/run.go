@@ -207,10 +207,6 @@ func Run(cfg Config) (*Report, error) {
 	sc.Run(func() {
 		rep, err = run(cfg, sc)
 	})
-	if rep != nil {
-		rep.Virtual = true
-		rep.SimSeconds = sc.Elapsed().Seconds()
-	}
 	return rep, err
 }
 
@@ -485,6 +481,14 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	rep.StormErrors = rt.stormErrors.Load()
 	rep.StormCoalesced = rt.stormCoalesced.Load()
 	rep.StormFastFails = rt.stormFastFails.Load()
+	if clk != nil {
+		// Read the clock here, on the run's own worker, before the deferred
+		// teardown: how many of the close → FIN → EOF chain's delivery
+		// timers fire before the last worker exits is up to the Go
+		// scheduler (see load.run).
+		rep.Virtual = true
+		rep.SimSeconds = clk.Elapsed().Seconds()
+	}
 	return rep, nil
 }
 

@@ -89,3 +89,40 @@ func TestRecycledQuorumBufferStaysCorrect(t *testing.T) {
 		}
 	}
 }
+
+// TestBenignReadAllocs pins what a benign read allocates on a warm client:
+// no more than it did when its replies were kept in a slice of found
+// replies and a by-server map (38 a read at n=100, q=23 on MemNetwork). One
+// slice of readReply replaced both; the count is 31, of which 23 are the
+// transport boxing each member's reply.
+func TestBenignReadAllocs(t *testing.T) {
+	const n, q, parentAllocs = 100, 23, 38
+	net := transport.NewMemNetwork(1)
+	for i := 0; i < n; i++ {
+		net.Register(quorum.ServerID(i), replica.New(quorum.ServerID(i)))
+	}
+	u, err := quorum.NewUniform(n, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(Options{
+		System: u, Mode: Benign, Transport: net,
+		Rand:  rand.New(rand.NewSource(3)),
+		Clock: ts.NewClock(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	if _, err := c.Write(ctx, "k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(300, func() {
+		if _, err := c.Read(ctx, "k"); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs > parentAllocs {
+		t.Errorf("benign read: %v allocs, want at most %d", allocs, parentAllocs)
+	}
+}

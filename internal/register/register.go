@@ -8,9 +8,20 @@
 // The protocols approximate a safe variable: Theorems 3.2, 4.2 and 5.2 show
 // that a read not concurrent with any write returns the last written value
 // with probability at least 1-ε. The sim package measures exactly this.
+//
+// A read keeps every reply exactly once, in arrival order, in one slice of
+// readReply; selection, read repair and the masking vote all work from it.
+// Dissemination reads verify on demand: max(V') is by definition the first
+// reply that verifies when replies are visited in descending timestamp
+// order, so selectDissemination visits them in that order and stops there.
+// A read costs 1 + (distinct forged triples outranking the accepted stamp)
+// signature checks rather than one per reply; replies at or below the
+// accepted stamp are never examined, because a forgery down there is
+// indistinguishable from a stale reply and cannot change the outcome.
 package register
 
 import (
+	"bytes"
 	"context"
 	"crypto/ed25519"
 	"errors"
@@ -167,7 +178,11 @@ type Options struct {
 	// decidable instead of waiting for every dispatched call:
 	//
 	//   - Benign: quorum-size replies collected;
-	//   - Dissemination: quorum-size replies plus at least one verified one;
+	//   - Dissemination: quorum-size replies of which at least one verifies —
+	//     decided by the same on-demand selection the read finishes with
+	//     (highest timestamp first, stop at the first valid signature), so
+	//     no reply is ever verified twice and a late reply at or below the
+	//     best verified stamp is not verified at all;
 	//   - Masking: some pair holds K vouchers and no rival (seen or unseen)
 	//     can still reach K with the replies outstanding.
 	//
@@ -413,8 +428,12 @@ type ReadResult struct {
 	Replies int
 	// Vouchers counts servers that vouched for the accepted pair.
 	Vouchers int
-	// Discarded counts replies rejected by verification (dissemination) or
-	// left under threshold (masking).
+	// Discarded counts replies the acceptance rule rejected. Dissemination:
+	// replies whose signature was checked and failed — every one of them
+	// outranked the accepted stamp, i.e. exactly the replies that would
+	// have fooled a benign read; replies at or below the accepted stamp are
+	// never examined (at most 1 + distinct-forged-triples-above-it checks
+	// per read). Masking: replies left under the K threshold.
 	Discarded int
 	// Repaired counts quorum members the read pushed the accepted value
 	// back to (only with Options.ReadRepair).
@@ -459,6 +478,23 @@ func maskDecided(votes map[voteKey]int, k, outstanding int) bool {
 	return true
 }
 
+// verdict is what a read knows about one reply's signature.
+type verdict uint8
+
+const (
+	unverified verdict = iota // never checked (the zero value)
+	valid
+	invalid
+)
+
+// readReply is one server's answer to a read, kept once, in arrival order.
+// verdict is only ever set by selectDissemination.
+type readReply struct {
+	id      quorum.ServerID
+	msg     wire.ReadReply
+	verdict verdict
+}
+
 // Read performs the mode's read protocol: query every member of a chosen
 // quorum, filter replies by the mode's acceptance rule, return the
 // highest-timestamped survivor. With Options.EagerRead it returns as soon
@@ -470,10 +506,7 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 	req := wire.ReadRequest{Key: key}
 
 	res := ReadResult{Quorum: append([]quorum.ServerID(nil), q...)}
-	collected := make([]wire.ReadReply, 0, len(q))
-	byID := make(map[quorum.ServerID]wire.ReadReply, len(q))
-	verified := 0
-	var collectedOK []bool    // parallel to collected (Dissemination only)
+	replies := make([]readReply, 0, len(q))
 	var votes map[voteKey]int // vote tally shared by maskDecided and selectMasking
 	if c.opts.Mode == Masking {
 		votes = make(map[voteKey]int)
@@ -486,7 +519,9 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 			case Benign:
 				return ok >= target
 			case Dissemination:
-				return ok >= target && verified > 0
+				// Verdicts are memoised in replies, so re-running the
+				// selection as later replies arrive never re-judges one.
+				return ok >= target && selectDissemination(key, replies, c.opts.Registry.VerifyEntry) >= 0
 			case Masking:
 				return maskDecided(votes, c.opts.K, outstanding)
 			}
@@ -502,26 +537,15 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 			if !ok {
 				return fmt.Errorf("register: unexpected reply type %T", resp)
 			}
-			res.Replies++
-			byID[id] = msg
-			if msg.Found {
-				collected = append(collected, msg)
-				switch c.opts.Mode {
-				case Dissemination:
-					// Verify once, here; the selection step reuses the result.
-					ok := c.opts.Registry.VerifyEntry(key, msg.Value, msg.Stamp, msg.Sig)
-					collectedOK = append(collectedOK, ok)
-					if ok {
-						verified++
-					}
-				case Masking:
-					votes[voteKey{stamp: msg.Stamp, value: string(msg.Value)}]++
-				}
+			replies = append(replies, readReply{id: id, msg: msg})
+			if msg.Found && c.opts.Mode == Masking {
+				votes[voteKey{stamp: msg.Stamp, value: string(msg.Value)}]++
 			}
 			return nil
 		},
 		decided: decided,
 	})
+	res.Replies = len(replies)
 	res.Promoted = out.promoted
 	res.Early = out.early
 	if res.Replies == 0 {
@@ -532,61 +556,120 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 		return res, noRepliesError(fmt.Errorf("%w: quorum size %d", ErrNoReplies, len(q)), out.errs)
 	}
 
+	// best indexes the accepted reply; its signature is the one repair
+	// spreads, so in dissemination mode that is a signature that verified.
+	best := -1
 	switch c.opts.Mode {
 	case Benign:
-		c.selectBenign(&res, collected)
+		best = selectBenign(replies)
 	case Dissemination:
-		c.selectDissemination(&res, collected, collectedOK)
+		best = selectDissemination(key, replies, c.opts.Registry.VerifyEntry)
+		for i := range replies {
+			if replies[i].verdict == invalid {
+				res.Discarded++
+			}
+		}
 	case Masking:
 		c.selectMasking(&res, votes)
+	}
+	var sig []byte
+	if best >= 0 {
+		acc := &replies[best].msg
+		res.Found, res.Value, res.Stamp, sig = true, acc.Value, acc.Stamp, acc.Sig
+		res.Vouchers = vouchers(replies, best)
 	}
 	if res.Found && c.opts.Clock != nil {
 		// A writer that also reads keeps its clock ahead of what it saw.
 		c.opts.Clock.Witness(res.Stamp)
 	}
-	if c.opts.ReadRepair {
-		c.repair(ctx, key, &res, byID, out.errs, out.leftover > 0)
+	var onLate func(callReply)
+	if c.opts.ReadRepair && res.Found {
+		push := wire.WriteRequest{Key: key, Value: res.Value, Stamp: res.Stamp, Sig: sig}
+		c.repair(ctx, push, &res, replies, out.errs, out.leftover > 0)
+		onLate = c.lateRepair(ctx, push)
 	}
-	c.drain(out, c.lateReadHandler(ctx, key, &res, byID))
+	c.drain(out, onLate)
 	return res, nil
 }
 
-// selectBenign implements step 3 of the Section 3.1 read protocol: the pair
-// with the highest timestamp.
-func (c *cell) selectBenign(res *ReadResult, replies []wire.ReadReply) {
-	for _, r := range replies {
-		if !res.Found || res.Stamp.Less(r.Stamp) {
-			res.Found = true
-			res.Value = r.Value
-			res.Stamp = r.Stamp
+// vouchers counts the replies naming the same pair as replies[best].
+func vouchers(replies []readReply, best int) int {
+	acc := &replies[best].msg
+	n := 0
+	for i := range replies {
+		if r := &replies[i].msg; r.Found && r.Stamp == acc.Stamp && bytes.Equal(r.Value, acc.Value) {
+			n++
 		}
 	}
-	for _, r := range replies {
-		if res.Found && r.Stamp == res.Stamp && string(r.Value) == string(res.Value) {
-			res.Vouchers++
-		}
-	}
+	return n
 }
 
-// selectDissemination implements steps 3-4 of the Section 4 read protocol:
-// compute the verifiable subset V', then take the highest timestamp.
-// verified[i] carries the signature check already performed on replies[i]
-// when it was collected.
-func (c *cell) selectDissemination(res *ReadResult, replies []wire.ReadReply, verified []bool) {
-	for i, r := range replies {
-		if !verified[i] {
-			res.Discarded++
-			continue
-		}
-		if !res.Found || res.Stamp.Less(r.Stamp) {
-			res.Found = true
-			res.Value = r.Value
-			res.Stamp = r.Stamp
+// selectBenign implements step 3 of the Section 3.1 read protocol: the
+// index of the reply holding the pair with the highest timestamp (the first
+// to arrive among equals), or -1 when no reply found anything.
+func selectBenign(replies []readReply) int {
+	best := -1
+	for i := range replies {
+		r := &replies[i].msg
+		if r.Found && (best < 0 || replies[best].msg.Stamp.Less(r.Stamp)) {
+			best = i
 		}
 	}
-	for _, r := range replies {
-		if res.Found && r.Stamp == res.Stamp && string(r.Value) == string(res.Value) {
-			res.Vouchers++
+	return best
+}
+
+// selectDissemination implements steps 3-4 of the Section 4 read protocol —
+// the highest-timestamped pair of the verifiable subset V' — without
+// computing V': it visits found replies in descending timestamp order
+// (arrival order among equals) and stops at the first whose signature is
+// valid, which is max(V') by definition. It returns that reply's index, or
+// -1 when nothing verifies, and records every verdict it reaches in
+// replies, so a re-run over a grown slice judges only what is new: a reply
+// byte-identical in (stamp, value, sig) to one already judged inherits its
+// verdict, and a reply at or below the best valid stamp is never examined.
+// One run therefore calls verify at most once per distinct triple
+// outranking the accepted stamp, plus once for the accepted triple.
+func selectDissemination(key string, replies []readReply, verify func(key string, value []byte, stamp ts.Stamp, sig []byte) bool) int {
+	best := -1
+	for i := range replies {
+		if replies[i].verdict == valid && (best < 0 || replies[best].msg.Stamp.Less(replies[i].msg.Stamp)) {
+			best = i
+		}
+	}
+	for {
+		next := -1
+		for i := range replies {
+			r := &replies[i]
+			if !r.msg.Found || r.verdict != unverified {
+				continue
+			}
+			if best >= 0 && !replies[best].msg.Stamp.Less(r.msg.Stamp) {
+				continue
+			}
+			if next < 0 || replies[next].msg.Stamp.Less(r.msg.Stamp) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return best
+		}
+		r := &replies[next]
+		for i := range replies {
+			o := &replies[i]
+			if o.verdict != unverified && o.msg.Stamp == r.msg.Stamp &&
+				bytes.Equal(o.msg.Sig, r.msg.Sig) && bytes.Equal(o.msg.Value, r.msg.Value) {
+				r.verdict = o.verdict
+				break
+			}
+		}
+		if r.verdict == unverified {
+			r.verdict = invalid
+			if verify(key, r.msg.Value, r.msg.Stamp, r.msg.Sig) {
+				r.verdict = valid
+			}
+		}
+		if r.verdict == valid {
+			return next // everything still unverified is at or below it
 		}
 	}
 }

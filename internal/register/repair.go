@@ -8,12 +8,17 @@ import (
 	"pqs/internal/wire"
 )
 
-// repair pushes the accepted value-timestamp pair (with its original
-// signature, so self-verifying data stays verifiable) back to the read
-// quorum members that reported something older or nothing. Read repair is
-// the classical complement to lazy diffusion: it heals exactly the servers
-// a read just observed to be stale, shrinking the window in which a second
+// repair pushes the accepted value-timestamp pair back to the read quorum
+// members that reported something older or nothing. Read repair is the
+// classical complement to lazy diffusion: it heals exactly the servers a
+// read just observed to be stale, shrinking the window in which a second
 // read can miss the value.
+//
+// push carries the signature of the accepted reply itself — in
+// dissemination mode the one that verified, never that of another reply
+// that merely named the same pair: replicas do not verify writes, so a
+// Byzantine member answering the genuine pair under a garbage signature
+// must not get the garbage spread.
 //
 // Repair is valid in benign mode (no adversary) and dissemination mode (the
 // repaired entry carries a verifiable signature, so even a fooled-free read
@@ -21,19 +26,8 @@ import (
 // there a read that was fooled by k colluders would write the fabricated
 // value into correct servers, converting a transient inconsistency into a
 // persistent one. NewClient enforces this.
-func (c *cell) repair(ctx context.Context, key string, res *ReadResult, byID map[quorum.ServerID]wire.ReadReply, errs map[quorum.ServerID]error, inFlight bool) {
-	if !res.Found {
-		return
-	}
-	var sig []byte
-	for _, r := range byID {
-		if r.Found && r.Stamp == res.Stamp && string(r.Value) == string(res.Value) {
-			sig = r.Sig
-			break
-		}
-	}
-	targets := repairTargets(res, byID, errs, inFlight)
-	req := wire.WriteRequest{Key: key, Value: res.Value, Stamp: res.Stamp, Sig: sig}
+func (c *cell) repair(ctx context.Context, push wire.WriteRequest, res *ReadResult, replies []readReply, errs map[quorum.ServerID]error, inFlight bool) {
+	targets := repairTargets(res, replies, errs, inFlight)
 	wg := vtime.NewWaitGroup(c.clock)
 	for _, id := range targets {
 		id := id
@@ -41,7 +35,7 @@ func (c *cell) repair(ctx context.Context, key string, res *ReadResult, byID map
 		c.goWorker(func() {
 			defer wg.Done()
 			// Best effort: a failed repair changes nothing.
-			_, _ = c.opts.Transport.Call(ctx, id, req)
+			_, _ = c.opts.Transport.Call(ctx, id, push)
 		})
 	}
 	wg.Wait()
@@ -53,59 +47,46 @@ func (c *cell) repair(ctx context.Context, key string, res *ReadResult, byID map
 // failed or everything has resolved), plus promoted spares observed stale.
 // Members whose replies are still in flight (inFlight covers both eager
 // returns and context-cancelled gathers) are left to the background drain's
-// lateReadHandler, so repair never re-introduces the straggler wait the
-// eager read just avoided and never targets members whose calls merely
-// have not resolved yet.
-func repairTargets(res *ReadResult, byID map[quorum.ServerID]wire.ReadReply, errs map[quorum.ServerID]error, inFlight bool) []quorum.ServerID {
+// lateRepair, so repair never re-introduces the straggler wait the eager
+// read just avoided and never targets members whose calls merely have not
+// resolved yet.
+func repairTargets(res *ReadResult, replies []readReply, errs map[quorum.ServerID]error, inFlight bool) []quorum.ServerID {
+	current := func(r *wire.ReadReply) bool { return r.Found && !r.Stamp.Less(res.Stamp) }
 	var targets []quorum.ServerID
 	for _, id := range res.Quorum {
-		r, answered := byID[id]
-		switch {
-		case answered:
-			if r.Found && !r.Stamp.Less(res.Stamp) {
-				continue // already current
+		var r *wire.ReadReply
+		for i := range replies {
+			if replies[i].id == id {
+				r = &replies[i].msg
+				break
 			}
-			targets = append(targets, id)
-		default:
-			if _, failed := errs[id]; failed || !inFlight {
+		}
+		if r != nil {
+			if !current(r) {
 				targets = append(targets, id)
 			}
+		} else if _, failed := errs[id]; failed || !inFlight {
+			targets = append(targets, id)
 		}
 	}
-	for id, r := range byID {
-		if quorum.Contains(res.Quorum, id) {
-			continue
+	for i := range replies {
+		if !quorum.Contains(res.Quorum, replies[i].id) && !current(&replies[i].msg) {
+			targets = append(targets, replies[i].id)
 		}
-		if r.Found && !r.Stamp.Less(res.Stamp) {
-			continue
-		}
-		targets = append(targets, id)
 	}
 	return targets
 }
 
-// lateReadHandler returns the background-drain hook for a completed read:
-// it inspects replies that arrive after an eager read returned and, when
-// read repair is enabled and the read accepted a value, pushes that value
-// (with its original signature) to late repliers observed stale. The late
-// read itself still runs on the operation's context (cancelling it aborts
-// the straggler and there is nothing to repair); only the repair write is
-// detached, so a reply that does arrive is healed even if the caller
-// cancels between the reply and the repair. The drain goroutine remains
-// bounded by the late calls already in flight.
-func (c *cell) lateReadHandler(ctx context.Context, key string, res *ReadResult, byID map[quorum.ServerID]wire.ReadReply) func(callReply) {
-	if !c.opts.ReadRepair || !res.Found {
-		return nil
-	}
-	value, stamp := res.Value, res.Stamp
-	var sig []byte
-	for _, r := range byID {
-		if r.Found && r.Stamp == stamp && string(r.Value) == string(value) {
-			sig = r.Sig
-			break
-		}
-	}
-	req := wire.WriteRequest{Key: key, Value: value, Stamp: stamp, Sig: sig}
+// lateRepair returns the background-drain hook for a read that accepted a
+// value with read repair on: it inspects replies that arrive after an eager
+// read returned and pushes the accepted value (push, as in repair) to late
+// repliers observed stale. The late read itself still runs on the
+// operation's context (cancelling it aborts the straggler and there is
+// nothing to repair); only the repair write is detached, so a reply that
+// does arrive is healed even if the caller cancels between the reply and
+// the repair. The drain goroutine remains bounded by the late calls already
+// in flight.
+func (c *cell) lateRepair(ctx context.Context, push wire.WriteRequest) func(callReply) {
 	rctx := context.WithoutCancel(ctx)
 	return func(r callReply) {
 		if r.err != nil {
@@ -115,10 +96,10 @@ func (c *cell) lateReadHandler(ctx context.Context, key string, res *ReadResult,
 		if !ok {
 			return
 		}
-		if msg.Found && !msg.Stamp.Less(stamp) {
+		if msg.Found && !msg.Stamp.Less(push.Stamp) {
 			return // already current
 		}
-		if _, err := c.opts.Transport.Call(rctx, r.id, req); err == nil {
+		if _, err := c.opts.Transport.Call(rctx, r.id, push); err == nil {
 			c.statLateRepairs.Add(1)
 		}
 	}

@@ -1,7 +1,10 @@
 package register
 
 import (
+	"bytes"
 	"context"
+	"crypto/ed25519"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -9,6 +12,7 @@ import (
 	"pqs/internal/replica"
 	"pqs/internal/sv"
 	"pqs/internal/ts"
+	"pqs/internal/wire"
 )
 
 func storeEntry(v string, counter uint64) replica.Entry {
@@ -139,6 +143,69 @@ func TestReadRepairNoopWhenNothingFound(t *testing.T) {
 	for i, rep := range c.reps {
 		if rep.Store().Len() != 0 {
 			t.Errorf("server %d store polluted", i)
+		}
+	}
+}
+
+// garbleSig is a Byzantine replica that stores what it is told and answers
+// reads with the genuine pair — under a signature that does not verify.
+type garbleSig struct{}
+
+func (garbleSig) OnRead(_ string, correct wire.ReadReply) (wire.ReadReply, error) {
+	correct.Sig = bytes.Repeat([]byte{0xAB}, ed25519.SignatureSize)
+	return correct, nil
+}
+
+func (garbleSig) OnWrite(wire.WriteRequest) (bool, error) { return true, nil }
+
+// TestReadRepairSpreadsOnlyTheVerifiedSignature: replicas do not verify
+// writes, so repair must push the signature of the reply that verified and
+// not that of another reply naming the same pair. Fifty times over, a new
+// version lands on a correct server and on a garbleSig one, and a read over
+// the whole universe repairs the eight stale servers; every stored copy
+// must still verify afterwards. (Taking the signature from whichever
+// matching reply came first spread the garbage about every other read, and
+// every later reader then discarded those servers' replies.)
+func TestReadRepairSpreadsOnlyTheVerifiedSignature(t *testing.T) {
+	s := newSigner(t)
+	const n = 10
+	c := newCluster(t, n)
+	c.reps[0].SetBehavior(garbleSig{})
+	full, err := quorum.NewUniform(n, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewClient(Options{
+		System: full, Mode: Dissemination, Transport: c.net,
+		Rand:       rand.New(rand.NewSource(6)),
+		Registry:   s.reg,
+		ReadRepair: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= 50; i++ {
+		value := []byte(fmt.Sprintf("v%d", i))
+		stamp := ts.Stamp{Counter: uint64(i), Writer: 1}
+		sig := sv.Sign(s.kp.Private, "x", value, stamp)
+		c.reps[0].Store().Apply("x", storeEntrySig(value, stamp, sig))
+		c.reps[1].Store().Apply("x", storeEntrySig(value, stamp, sig))
+
+		rr, err := cl.Read(context.Background(), "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rr.Found || rr.Stamp != stamp || rr.Repaired != n-2 {
+			t.Fatalf("read %d: %+v", i, rr)
+		}
+		for id, rep := range c.reps {
+			e, ok := rep.Store().Get("x")
+			if !ok || e.Stamp != stamp {
+				t.Fatalf("read %d: server %d not repaired: %+v", i, id, e)
+			}
+			if !s.reg.VerifyEntry("x", e.Value, e.Stamp, e.Sig) {
+				t.Fatalf("read %d: server %d stores an unverifiable copy of the accepted pair", i, id)
+			}
 		}
 	}
 }

@@ -116,6 +116,7 @@ func diffResults(a, b ConsistencyResult) string {
 		{"Stale", a.Stale, b.Stale},
 		{"Fooled", a.Fooled, b.Fooled},
 		{"Rate", a.Rate, b.Rate},
+		{"SimElapsed", a.SimElapsed, b.SimElapsed},
 	} {
 		if f.av != f.bv {
 			return fmt.Sprintf("first divergent field %s: %v vs %v\n  a: %+v\n  b: %+v", f.name, f.av, f.bv, a, b)

@@ -199,7 +199,6 @@ func MeasureConsistency(cfg ConsistencyConfig) (ConsistencyResult, error) {
 	sc.Run(func() {
 		res, err = measureConsistency(cfg, sc)
 	})
-	res.SimElapsed = sc.Elapsed()
 	return res, err
 }
 
@@ -337,6 +336,11 @@ func measureConsistency(cfg ConsistencyConfig, clk *vtime.SimClock) (Consistency
 	}
 	res.Rate = 1 - float64(res.Correct)/float64(res.Trials)
 	client.WaitDrained() // retire background drains before the cluster goes away
+	if clk != nil {
+		// Read on the run's own worker, before the deferred teardown, whose
+		// delivery timers fire in Go-scheduler order (see load.run).
+		res.SimElapsed = clk.Elapsed()
+	}
 	return res, nil
 }
 

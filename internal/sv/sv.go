@@ -59,8 +59,10 @@ func Sign(priv ed25519.PrivateKey, key string, value []byte, stamp ts.Stamp) []b
 }
 
 // Verify reports whether sig is a valid signature over the tuple under pub.
+// A key or signature of the wrong length is rejected before the digest is
+// built, so such a forgery costs no copy of the value it rides on.
 func Verify(pub ed25519.PublicKey, key string, value []byte, stamp ts.Stamp, sig []byte) bool {
-	if len(pub) != ed25519.PublicKeySize {
+	if len(pub) != ed25519.PublicKeySize || len(sig) != ed25519.SignatureSize {
 		return false
 	}
 	return ed25519.Verify(pub, Digest(key, value, stamp), sig)

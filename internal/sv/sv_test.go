@@ -66,6 +66,25 @@ func TestVerifyRejectsTampering(t *testing.T) {
 	}
 }
 
+// TestVerifyWrongLengthSigIsFree pins the order of Verify's checks: a forged
+// signature of the wrong length is rejected before the digest — a copy of
+// the whole value — is built, so it costs nothing however large the value.
+func TestVerifyWrongLengthSigIsFree(t *testing.T) {
+	kp := testKey(t, 8)
+	stamp := ts.Stamp{Counter: 1, Writer: 7}
+	value := make([]byte, 16<<10)
+	for _, sig := range [][]byte{nil, []byte("not a real signature"), make([]byte, 65)} {
+		if Verify(kp.Public, "x", value, stamp, sig) {
+			t.Errorf("%d-byte signature accepted", len(sig))
+		}
+		if allocs := testing.AllocsPerRun(100, func() {
+			Verify(kp.Public, "x", value, stamp, sig)
+		}); allocs != 0 {
+			t.Errorf("%d-byte signature: %v allocs per Verify, want 0", len(sig), allocs)
+		}
+	}
+}
+
 func TestDigestInjective(t *testing.T) {
 	// The classic length-extension confusion: ("ab", "c") vs ("a", "bc")
 	// must produce different digests.
