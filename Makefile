@@ -41,10 +41,15 @@ race:
 # to chaos-tcp, which already replays every scenario twice: under the race
 # detector it costs 100 s a pass. The sim and chaos suites compare the
 # virtual time a run covered (SimElapsed / SimSeconds) as well as its
-# history, so a clock read that races fixture teardown shows up here.
+# history, so a clock read that races fixture teardown shows up here. The
+# register's caller-path tests ride along: the same stream of operations
+# must give the same results, drop pattern and replica contents whether its
+# calls run on the caller or on pool workers (the pool side is scheduled by
+# Go, so "the same" has to hold on every run), and a call that can park must
+# never be run on the caller (exact virtual time).
 FLAKE_COUNT ?= 20
 flake:
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TestLoadTCPVirtual' . ./internal/load/ ./internal/transport/ ./internal/sim/ ./internal/register/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TestLoadTCPVirtual|TestInlineMatchesPoolDifferential|TestParkingCallsNeverRunOnTheCaller' . ./internal/load/ ./internal/transport/ ./internal/sim/ ./internal/register/
 	$(GO) test -race -count=$(FLAKE_COUNT) -run 'TestChaosDeterminism$$' ./internal/chaos/
 
 # tier1 is the repository's acceptance gate: it must pass from a clean

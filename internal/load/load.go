@@ -10,14 +10,16 @@
 //   - The COUNTING phase measures ε at population scale. Every client is
 //     its own SimClock worker with its own register.Client, rng, writer
 //     clock and disjoint keyspace ("c<id>/k<j>"), issuing operations on an
-//     open-loop arrival grid (whole microseconds). On the mem plane the
-//     clients run with register.Options.InlineDispatch and zero simulated
-//     latency, so an operation completes synchronously at its arrival
-//     instant: at any moment exactly one client is running, the only
-//     shared mutable state (the membership-view counter) changes only at
-//     churn-wave instants deliberately placed off the arrival grid (+1ns),
-//     and the whole interleaving is deterministic — the run replays
-//     byte-for-byte from its seed (Result.Digest pins it). The
+//     open-loop arrival grid (whole microseconds). On the mem plane this
+//     phase runs at zero simulated latency with no fault hook, so the
+//     network itself reports that no call can park (transport.TryCaller)
+//     and register runs every call on the issuing client's own worker — no
+//     option asks for it. An operation therefore completes synchronously
+//     at its arrival instant: at any moment exactly one client is running,
+//     the only shared mutable state (the membership-view counter) changes
+//     only at churn-wave instants deliberately placed off the arrival grid
+//     (+1ns), and the whole interleaving is deterministic — the run
+//     replays byte-for-byte from its seed (Result.Digest pins it). The
 //     latency-tolerance knobs of the embedded Tuning block are stripped
 //     here (hedging is meaningless at zero latency); W and ReadRepair,
 //     which change coverage and therefore ε, are honored.
@@ -26,6 +28,8 @@
 //     against the same cluster with the Topology latency model installed
 //     and the FULL Tuning block (spares, hedging, eager reads) in effect,
 //     and records per-operation virtual-time durations into p50/p99/p999.
+//     With latency installed every call declines the caller path and runs
+//     as a scheduler worker, so hedge timers fire while calls are in flight.
 //
 // Churn runs as replacement waves: WaveSize servers are deregistered and
 // replaced by empty replicas (their copies are destroyed — a departure in
@@ -432,8 +436,6 @@ func (e *engine) newClient(seed int64, writer uint32, fullTuning bool) (*registe
 		opts.AdaptiveHedge = e.cfg.Tuning.AdaptiveHedge
 		opts.HedgeDeviations = e.cfg.Tuning.HedgeDeviations
 		opts.EagerRead = e.cfg.Tuning.EagerRead
-	} else if e.cfg.Topology.Transport == "" || e.cfg.Topology.Transport == sim.TransportMem {
-		opts.InlineDispatch = true
 	}
 	return register.NewClient(opts)
 }

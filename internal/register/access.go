@@ -20,6 +20,17 @@ import (
 // reply channel is buffered for every call that can ever be dispatched, so
 // senders never block).
 //
+// A call that cannot park runs on the caller. Whether it can is for the
+// layers below to say, per call: when the transport is a
+// transport.TryCaller, dispatch offers it the call first, and a call it
+// completes — MemNetwork does, on a link with no latency, hook or
+// concurrency cap, to a handler that does not wait — has its reply queued
+// locally and consumed by the same goroutine, without a worker, a channel
+// or a wake-up. Only a declined call is handed to a worker. The rule is the
+// same under both clocks and is not an option; it looks at the link and the
+// handler, never at anything the engine branches on, and the access set is
+// sampled before any of it runs.
+//
 // Promotion preserves the attempt-level ε argument documented on
 // RetryingClient and quorum.SpareSampler: a spare is dispatched only when a
 // member has observably failed or when a hedge timer — independent of server
@@ -28,12 +39,12 @@ import (
 // performs, at a fraction of the latency.
 //
 // All timers and spawns go through the client's vtime.Clock. Under the
-// wall clock, calls run on a stack of idle-retiring worker goroutines, each
-// woken through its own mailbox (steady-state operations spawn no
-// goroutines at all; see dispatchPool); under a vtime.SimClock, every call
-// runs as a registered scheduler worker and the gather loop parks around
-// its select, so hedge firing is part of the deterministic virtual-time
-// order.
+// wall clock, handed-off calls run on a stack of idle-retiring worker
+// goroutines, each woken through its own mailbox (steady-state operations
+// spawn no goroutines at all; see dispatchPool); under a vtime.SimClock,
+// each runs as a registered scheduler worker and the gather loop parks
+// around its select, so hedge firing is part of the deterministic
+// virtual-time order.
 
 // callReply carries one server's response through the gather loop. lat is
 // the call's round-trip latency, measured only when adaptive hedging needs
@@ -87,36 +98,68 @@ type poolWorker struct {
 	idleAt uint64 // dispatchPool.sweeps when it was pushed
 }
 
-// call executes one job's transport call.
-func (c *cell) call(j dispatchJob) callReply {
+// call executes one job's transport call: Transport.Call on a worker
+// (mayPark), TryCall on the caller otherwise. ok is false only when TryCall
+// declined, in which case nothing happened.
+func (c *cell) call(j dispatchJob, mayPark bool) (r callReply, ok bool) {
 	var start time.Time
 	if j.timed {
 		start = c.clock.Now()
 	}
-	resp, err := c.opts.Transport.Call(j.ctx, j.id, j.req)
-	r := callReply{id: j.id, resp: resp, err: err}
+	r.id = j.id
+	if mayPark {
+		r.resp, r.err = c.opts.Transport.Call(j.ctx, j.id, j.req)
+		ok = true
+	} else {
+		r.resp, ok, r.err = c.try.TryCall(j.ctx, j.id, j.req)
+	}
 	if j.timed {
 		r.lat = c.clock.Since(start)
 	}
-	return r
+	return r, ok
 }
 
 // runJob executes one transport call and delivers the reply. The reply
 // channel is buffered for every call that can ever be dispatched, so the
 // send never blocks; under a SimClock it is a tracked message.
 func (c *cell) runJob(j dispatchJob) {
-	r := c.call(j)
+	r, _ := c.call(j, true)
 	if c.sched != nil {
 		c.sched.NoteSend()
 	}
 	j.ch <- r
 }
 
-// dispatch hands one call to a worker: a registered scheduler worker under
-// a SimClock, otherwise the most recently idle pooled goroutine (spawning a
+// replyQueue is where one gather's replies arrive. A reply produced on the
+// caller — a call TryCall completed, or a member failed at dispatch — is
+// appended to local (storage borrowed from the operation's scratch) and
+// consumed from there by the same goroutine; ch carries the replies of
+// handed-off calls and is made when the first call is handed off, so an
+// operation that parks nowhere makes no channel.
+type replyQueue struct {
+	local []callReply
+	next  int // local[next:] is unconsumed
+	ch    chan callReply
+	total int // every call this gather can ever dispatch: ch's buffer
+}
+
+// pop takes the next locally queued reply, if there is one.
+func (q *replyQueue) pop() (callReply, bool) {
+	if q.next == len(q.local) {
+		return callReply{}, false
+	}
+	r := q.local[q.next]
+	q.next++
+	return r, true
+}
+
+// dispatch issues one call. A member the transport already knows is down
+// fails here; a call that cannot park runs here, on the caller; anything
+// else is handed to a worker: a registered scheduler worker under a
+// SimClock, otherwise the most recently idle pooled goroutine (spawning a
 // fresh one only when the idle stack is empty — after the first operation
 // warms the pool, steady-state reads and writes spawn nothing).
-func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, ch chan<- callReply, timed bool) {
+func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *replyQueue, timed bool) {
 	if c.health != nil && c.health.ServerDown(id) {
 		// The transport's circuit breaker already proved this member
 		// unreachable: deliver the failure at t=0 so the gather promotes a
@@ -125,20 +168,23 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, ch cha
 		// the ε argument (promotion conditioned on observable failure) is
 		// untouched.
 		c.statServerDown.Add(1)
-		if c.sched != nil {
-			c.sched.NoteSend()
-		}
-		ch <- callReply{id: id, err: transport.ErrServerDown}
+		q.local = append(q.local, callReply{id: id, err: transport.ErrServerDown})
 		return
 	}
-	j := dispatchJob{ctx: ctx, id: id, req: req, ch: ch, timed: timed}
-	if c.sched != nil {
-		if c.opts.InlineDispatch {
-			// The reply channel is buffered for the full access set, so a
-			// synchronous runJob can never block on delivery.
-			c.runJob(j)
+	j := dispatchJob{ctx: ctx, id: id, req: req, timed: timed}
+	if c.try != nil {
+		// The id is passed down, never looked at: whether this call runs
+		// here is the link's and the handler's answer.
+		if r, ok := c.call(j, false); ok {
+			q.local = append(q.local, r)
 			return
 		}
+	}
+	if q.ch == nil {
+		q.ch = make(chan callReply, q.total)
+	}
+	j.ch = q.ch
+	if c.sched != nil {
 		c.sched.Go(func() { c.runJob(j) })
 		return
 	}
@@ -168,7 +214,7 @@ func (c *cell) runPoolWorker(j dispatchJob) {
 	p := &c.pool
 	w := &poolWorker{mail: make(chan dispatchJob, 1)}
 	for {
-		r := c.call(j)
+		r, _ := c.call(j, true)
 		p.mu.Lock()
 		w.idleAt = p.sweeps
 		p.idle = append(p.idle, w)
@@ -240,11 +286,13 @@ func (c *cell) noteRecv() {
 	}
 }
 
-// gatherSpec parameterizes one gather run.
+// gatherSpec parameterizes one gather run. The request is gather's own
+// argument, not a field: it travels to workers and so to the heap, and the
+// callbacks here would follow it.
 type gatherSpec struct {
-	req    any
-	quorum []quorum.ServerID
-	spares []quorum.ServerID
+	quorum  []quorum.ServerID
+	spares  []quorum.ServerID
+	scratch *scratch // the operation's (see pickWithSpares)
 	// onOK consumes a successful reply in arrival order (called from the
 	// gather goroutine, so no locking is needed). Returning a non-nil error
 	// reclassifies the reply as a failure, triggering spare promotion.
@@ -258,31 +306,41 @@ type gatherSpec struct {
 // gatherOutcome reports a gather run.
 type gatherOutcome struct {
 	ok       int
-	errs     map[quorum.ServerID]error
+	errs     map[quorum.ServerID]error // nil until a call fails
 	promoted int
 	early    bool
 	leftover int
 	ctxErr   error
-	ch       <-chan callReply
+	replies  replyQueue // where the leftover replies are (see drain)
 }
 
-// gather runs the access engine. It returns when the completion rule is
-// decidable, when every dispatched call has resolved, or when ctx is done.
-func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
-	total := len(spec.quorum) + len(spec.spares)
-	ch := make(chan callReply, total)
+// gather runs the access engine: req to every member of spec.quorum, then
+// to spares as members fail or the hedge timer fires. It returns when the
+// completion rule is decidable, when every dispatched call has resolved, or
+// when ctx is done.
+func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gatherOutcome) {
+	q := &out.replies
+	q.total = len(spec.quorum) + len(spec.spares)
+	q.local = spec.scratch.local[:0]
+	defer func() {
+		// The queue's storage goes back to the scratch (grown, perhaps)
+		// unless replies are left in it: then the drain owns it.
+		spec.scratch.local = nil
+		if out.leftover == 0 {
+			spec.scratch.local = q.local
+		}
+	}()
 	timed := c.opts.AdaptiveHedge
 	for _, id := range spec.quorum {
-		c.dispatch(ctx, id, spec.req, ch, timed)
+		c.dispatch(ctx, id, req, q, timed)
 	}
-	out := gatherOutcome{errs: make(map[quorum.ServerID]error), ch: ch}
 	outstanding := len(spec.quorum)
 	next := 0
 	promote := func() bool {
 		if next >= len(spec.spares) {
 			return false
 		}
-		c.dispatch(ctx, spec.spares[next], spec.req, ch, timed)
+		c.dispatch(ctx, spec.spares[next], req, q, timed)
 		next++
 		outstanding++
 		out.promoted++
@@ -314,6 +372,9 @@ func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
 			}
 		}
 		if r.err != nil {
+			if out.errs == nil {
+				out.errs = make(map[quorum.ServerID]error)
+			}
 			out.errs[r.id] = r.err
 			promote()
 			return false
@@ -329,26 +390,19 @@ func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
 		}
 		return false
 	}
-	inline := c.opts.InlineDispatch && c.sched != nil
 	for outstanding > 0 {
-		if inline {
-			// Inline dispatch already buffered every reply, including the
-			// ones a promote() just issued: consume without parking. The
-			// empty-channel fallthrough to the parking select is for safety
-			// only (it cannot fire while replies are delivered inline).
-			select {
-			case r := <-ch:
-				c.noteRecv()
-				if handle(r) {
-					return out
-				}
-				continue
-			default:
+		// Replies produced on the caller first, including those of spares a
+		// promote() just ran: they are already here. Once local is empty
+		// every outstanding call is on a worker, so q.ch exists.
+		if r, ok := q.pop(); ok {
+			if handle(r) {
+				return out
 			}
+			continue
 		}
 		unpark := c.park()
 		select {
-		case r := <-ch:
+		case r := <-q.ch:
 			unpark()
 			c.noteRecv()
 			if handle(r) {
@@ -369,6 +423,10 @@ func (c *cell) gather(ctx context.Context, spec gatherSpec) gatherOutcome {
 			return out
 		}
 	}
+	// Everything resolved, nothing decided. Calls run on the caller never
+	// reach the select above, so a dead context shows here or nowhere: an
+	// operation that got no replies reports it, not the failures it caused.
+	out.ctxErr = ctx.Err()
 	return out
 }
 
@@ -393,14 +451,20 @@ func (c *cell) drain(out gatherOutcome, onLate func(callReply)) {
 	if out.leftover == 0 {
 		return
 	}
+	// Copies, so that only an operation that does leave replies behind pays
+	// for moving them to the heap.
+	leftover, replies := out.leftover, out.replies
 	c.drainWG.Add(1)
 	c.goWorker(func() {
 		defer c.drainWG.Done()
-		for i := 0; i < out.leftover; i++ {
-			unpark := c.park()
-			r := <-out.ch
-			unpark()
-			c.noteRecv()
+		for i := 0; i < leftover; i++ {
+			r, ok := replies.pop()
+			if !ok {
+				unpark := c.park()
+				r = <-replies.ch
+				unpark()
+				c.noteRecv()
+			}
 			if r.err == nil {
 				c.statLate.Add(1)
 			}
@@ -411,50 +475,61 @@ func (c *cell) drain(out gatherOutcome, onLate func(callReply)) {
 	})
 }
 
+// scratch is the memory one operation borrows from its cell and gives back
+// when it completes: the buffer its access set is sampled into, the queue
+// of replies produced on the caller, and a read's kept replies. Nothing in
+// it escapes the operation — Read and Write copy the access set into the
+// result's Quorum field and a result's Value points at the replica's bytes,
+// not into here — so recycling cannot rewrite anything a caller holds.
+type scratch struct {
+	pick    []quorum.ServerID
+	local   []callReply
+	replies []readReply
+}
+
+// maxScratchFree bounds the scratch freelist; beyond the steady concurrency
+// level extra buffers are garbage, not cache.
+const maxScratchFree = 8
+
 // pickWithSpares samples one access set plus the configured number of
-// spares under the client's strategy. Spare-free picks from an
-// InplacePicker-capable system run through the client's buffer freelist, so
-// steady-state sampling performs zero allocations; each operation returns
-// its buffer with recyclePick when it completes.
-func (c *cell) pickWithSpares() (q, spares []quorum.ServerID) {
+// spares under the client's strategy, and lends the operation a scratch,
+// which it returns with recycle when it completes. Spare-free picks from an
+// InplacePicker-capable system sample into the scratch, so steady-state
+// sampling performs zero allocations.
+func (c *cell) pickWithSpares() (s *scratch, q, spares []quorum.ServerID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if n := len(c.free); n > 0 {
+		s, c.free[n-1] = c.free[n-1], nil
+		c.free = c.free[:n-1]
+	} else {
+		s = new(scratch)
+	}
 	if c.opts.Spares > 0 {
 		if ss, ok := c.opts.System.(quorum.SpareSampler); ok {
-			return ss.PickWithSpares(c.rng, c.opts.Spares)
+			q, spares = ss.PickWithSpares(c.rng, c.opts.Spares)
+			return s, q, spares
 		}
 	}
 	if ip, ok := c.opts.System.(quorum.InplacePicker); ok {
-		return ip.PickInto(c.rng, c.takeBufLocked()), nil
+		if s.pick == nil {
+			s.pick = make([]quorum.ServerID, 0, c.opts.System.QuorumSize())
+		}
+		s.pick = ip.PickInto(c.rng, s.pick[:0])
+		return s, s.pick, nil
 	}
-	return c.opts.System.Pick(c.rng), nil
+	return s, c.opts.System.Pick(c.rng), nil
 }
 
-// maxPickFree bounds the sampling-buffer freelist; beyond the steady
-// concurrency level extra buffers are garbage, not cache.
-const maxPickFree = 8
-
-// takeBufLocked pops a sampling buffer from the freelist. c.mu must be held.
-func (c *cell) takeBufLocked() []quorum.ServerID {
-	if n := len(c.pickFree); n > 0 {
-		buf := c.pickFree[n-1]
-		c.pickFree = c.pickFree[:n-1]
-		return buf[:0]
-	}
-	return make([]quorum.ServerID, 0, c.opts.System.QuorumSize())
-}
-
-// recyclePick returns a completed operation's access-set buffer to the
-// freelist. The buffer never escapes the operation: Read and Write copy it
-// into the result's Quorum field, so recycling cannot rewrite anything a
-// caller holds.
-func (c *cell) recyclePick(q []quorum.ServerID) {
-	if cap(q) == 0 {
-		return
-	}
+// recycle returns a completed operation's scratch to the freelist, dropping
+// what its reply buffers point at (boxed replies, value bytes) so the
+// freelist retains none of it.
+func (c *cell) recycle(s *scratch) {
+	clear(s.local)
+	clear(s.replies)
 	c.mu.Lock()
-	if len(c.pickFree) < maxPickFree {
-		c.pickFree = append(c.pickFree, q)
+	if len(c.free) < maxScratchFree {
+		c.free = append(c.free, s)
 	}
 	c.mu.Unlock()
 }

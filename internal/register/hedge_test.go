@@ -26,7 +26,9 @@ func uniformSystem(t *testing.T, n, q int) *quorum.Uniform {
 func hedgedClient(t *testing.T, c *cluster, sys quorum.System, opts Options) *Client {
 	t.Helper()
 	opts.System = sys
-	opts.Transport = c.net
+	if opts.Transport == nil {
+		opts.Transport = c.net
+	}
 	if opts.Rand == nil {
 		opts.Rand = rand.New(rand.NewSource(99))
 	}

@@ -3,7 +3,10 @@ package register
 // Regressions for the wall-mode dispatch pool (dispatchPool in access.go):
 // an idle stack with private mailboxes, retired by a clock-driven sweep.
 // The sweeps are driven by hand through a stub clock, so what a test
-// observes never depends on how fast the machine runs it. Run under -race.
+// observes never depends on how fast the machine runs it. The pool is where
+// calls go that might park, and a zero-latency MemNetwork says its calls
+// cannot, so the clients here reach it through callOnly, as a socket
+// transport would. Run under -race.
 
 import (
 	"context"
@@ -63,7 +66,7 @@ func TestPoolSteadyStateSpawnsNothing(t *testing.T) {
 	const n, q = 9, 5
 	clk := &sweepClock{WallClock: vtime.Wall()}
 	net := newCluster(t, n)
-	cl := hedgedClient(t, net, uniformSystem(t, n, q), Options{Time: clk})
+	cl := hedgedClient(t, net, uniformSystem(t, n, q), Options{Time: clk, Transport: callOnly{net.net}})
 	c := cl.cells[0]
 	ctx := context.Background()
 
@@ -111,7 +114,8 @@ func TestPoolRetiresWithinTwoSweeps(t *testing.T) {
 	const n, q = 9, 5
 	baseline := runtime.NumGoroutine()
 	clk := &sweepClock{WallClock: vtime.Wall()}
-	cl := hedgedClient(t, newCluster(t, n), uniformSystem(t, n, q), Options{Time: clk})
+	net := newCluster(t, n)
+	cl := hedgedClient(t, net, uniformSystem(t, n, q), Options{Time: clk, Transport: callOnly{net.net}})
 	c := cl.cells[0]
 	if _, err := cl.Write(context.Background(), "k", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -160,7 +164,8 @@ func TestPoolBurstNeverStrandsAJob(t *testing.T) {
 	const n, q, clients, ops = 12, 6, 8, 150
 	baseline := runtime.NumGoroutine()
 	clk := &sweepClock{WallClock: vtime.Wall()}
-	cl := hedgedClient(t, newCluster(t, n), uniformSystem(t, n, q), Options{Time: clk})
+	net := newCluster(t, n)
+	cl := hedgedClient(t, net, uniformSystem(t, n, q), Options{Time: clk, Transport: callOnly{net.net}})
 	c := cl.cells[0]
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -220,7 +225,8 @@ func TestPoolBurstNeverStrandsAJob(t *testing.T) {
 func TestPoolRetiresOnTheWallClock(t *testing.T) {
 	const n, q = 9, 5
 	baseline := runtime.NumGoroutine()
-	cl := hedgedClient(t, newCluster(t, n), uniformSystem(t, n, q), Options{})
+	net := newCluster(t, n)
+	cl := hedgedClient(t, net, uniformSystem(t, n, q), Options{Transport: callOnly{net.net}})
 	for i := 0; i < 20; i++ {
 		if _, err := cl.Write(context.Background(), "k", []byte("v")); err != nil {
 			t.Fatal(err)

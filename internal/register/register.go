@@ -18,6 +18,15 @@
 // signature checks rather than one per reply; replies at or below the
 // accepted stamp are never examined, because a forgery down there is
 // indistinguishable from a stale reply and cannot change the outcome.
+//
+// Where a call runs is not the client's to configure. A call that cannot
+// park — the transport is a transport.TryCaller and says so for this call,
+// as MemNetwork does on a link with no latency, fault hook or concurrency
+// cap to a replica whose behaviour never waits — runs on the goroutine that
+// issued the operation and its reply is consumed there, with no worker, no
+// channel and no wake-up; any other call is handed to a worker (a pooled
+// goroutine under the wall clock, a scheduler worker under a SimClock). One
+// rule, both clocks; see access.go.
 package register
 
 import (
@@ -209,17 +218,6 @@ type Options struct {
 	// RingVnodes is the virtual-node count per cell on the routing ring
 	// (0 = ring.DefaultVnodes). Only meaningful with Cells > 1.
 	RingVnodes int
-
-	// InlineDispatch, under a SimClock, runs each member call synchronously
-	// on the issuing worker instead of spawning a scheduler worker per
-	// call, and the gather consumes the already-buffered replies without
-	// parking. This collapses the per-operation scheduler cost from
-	// O(quorum) worker spawns and timer handshakes to roughly zero, which
-	// is what makes million-op population runs (internal/load) affordable.
-	// Only sensible on a zero-latency transport: a transport that sleeps
-	// per call would serialize those sleeps on the issuing worker. Ignored
-	// without a SimClock.
-	InlineDispatch bool
 }
 
 // cell is the per-cell gather engine: it runs the paper's access protocols
@@ -241,9 +239,9 @@ type cell struct {
 	clock vtime.Clock
 	sched *vtime.SimClock
 
-	mu       sync.Mutex // guards rng (not goroutine safe) and pickFree
-	rng      *rand.Rand
-	pickFree [][]quorum.ServerID // recycled sampling buffers (see access.go)
+	mu   sync.Mutex // guards rng (not goroutine safe) and free
+	rng  *rand.Rand
+	free []*scratch // recycled per-operation memory (see access.go)
 
 	// pool holds the idle dispatch workers (wall mode only; see dispatch in
 	// access.go).
@@ -258,6 +256,11 @@ type cell struct {
 	// (a breaker-enabled TCPClient): dispatch fails known-down members at
 	// t=0 so the gather promotes spares immediately (see access.go).
 	health transport.HealthReporter
+
+	// try is non-nil when the transport can say, per call, that it will not
+	// park (a transport.TryCaller — MemNetwork): dispatch then runs such a
+	// call on the caller and hands only declined ones to a worker.
+	try transport.TryCaller
 
 	accessCounters
 	drainWG *vtime.WaitGroup
@@ -332,6 +335,7 @@ func newCell(opts Options) (*cell, error) {
 	if hr, ok := opts.Transport.(transport.HealthReporter); ok {
 		c.health = hr
 	}
+	c.try, _ = opts.Transport.(transport.TryCaller)
 	return c, nil
 }
 
@@ -370,8 +374,8 @@ func (c *cell) Write(ctx context.Context, key string, value []byte) (WriteResult
 	if c.opts.Clock == nil {
 		return WriteResult{}, errors.New("register: client has no clock; cannot write")
 	}
-	q, spares := c.pickWithSpares()
-	defer c.recyclePick(q)
+	scratch, q, spares := c.pickWithSpares()
+	defer c.recycle(scratch)
 	stamp := c.opts.Clock.Next()
 	val := make([]byte, len(value))
 	copy(val, value)
@@ -381,15 +385,15 @@ func (c *cell) Write(ctx context.Context, key string, value []byte) (WriteResult
 	}
 	req := wire.WriteRequest{Key: key, Value: val, Stamp: stamp, Sig: sig}
 
-	res := WriteResult{Quorum: append([]quorum.ServerID(nil), q...), Stamp: stamp}
+	res := WriteResult{Quorum: append([]quorum.ServerID(nil), q...), Acked: make([]quorum.ServerID, 0, len(q)), Stamp: stamp}
 	target := len(q)
 	if !c.opts.RequireFullWrite && c.opts.W > 0 && c.opts.W < target {
 		target = c.opts.W
 	}
-	out := c.gather(ctx, gatherSpec{
-		req:    req,
-		quorum: q,
-		spares: spares,
+	out := c.gather(ctx, req, gatherSpec{
+		quorum:  q,
+		spares:  spares,
+		scratch: scratch,
 		onOK: func(id quorum.ServerID, _ any) error {
 			res.Acked = append(res.Acked, id)
 			return nil
@@ -501,12 +505,15 @@ type readReply struct {
 // as the acceptance rule is decidable; with Options.Spares, failed or
 // lagging members are hedged with spare servers.
 func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
-	q, spares := c.pickWithSpares()
-	defer c.recyclePick(q)
+	scratch, q, spares := c.pickWithSpares()
+	replies := scratch.replies[:0]
+	defer func() {
+		scratch.replies = replies
+		c.recycle(scratch)
+	}()
 	req := wire.ReadRequest{Key: key}
 
 	res := ReadResult{Quorum: append([]quorum.ServerID(nil), q...)}
-	replies := make([]readReply, 0, len(q))
 	var votes map[voteKey]int // vote tally shared by maskDecided and selectMasking
 	if c.opts.Mode == Masking {
 		votes = make(map[voteKey]int)
@@ -528,10 +535,10 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 			return false
 		}
 	}
-	out := c.gather(ctx, gatherSpec{
-		req:    req,
-		quorum: q,
-		spares: spares,
+	out := c.gather(ctx, req, gatherSpec{
+		quorum:  q,
+		spares:  spares,
+		scratch: scratch,
 		onOK: func(id quorum.ServerID, resp any) error {
 			msg, ok := resp.(wire.ReadReply)
 			if !ok {

@@ -18,6 +18,12 @@ type cluster struct {
 	reps []*replica.Replica
 }
 
+// callOnly hides a transport's optional capabilities, TryCaller above all:
+// what is left is a transport any of whose calls might park, as far as the
+// engine can tell, so every call is handed to a worker — the path a socket
+// transport takes.
+type callOnly struct{ transport.Transport }
+
 func newCluster(t *testing.T, n int) *cluster {
 	t.Helper()
 	c := &cluster{net: transport.NewMemNetwork(42)}

@@ -28,14 +28,21 @@ import (
 // persistent one. NewClient enforces this.
 func (c *cell) repair(ctx context.Context, push wire.WriteRequest, res *ReadResult, replies []readReply, errs map[quorum.ServerID]error, inFlight bool) {
 	targets := repairTargets(res, replies, errs, inFlight)
+	var req any = push
 	wg := vtime.NewWaitGroup(c.clock)
 	for _, id := range targets {
+		// Best effort either way: a failed repair changes nothing. As in
+		// dispatch, a push that cannot park runs here.
+		if c.try != nil {
+			if _, ok, _ := c.try.TryCall(ctx, id, req); ok {
+				continue
+			}
+		}
 		id := id
 		wg.Add(1)
 		c.goWorker(func() {
 			defer wg.Done()
-			// Best effort: a failed repair changes nothing.
-			_, _ = c.opts.Transport.Call(ctx, id, push)
+			_, _ = c.opts.Transport.Call(ctx, id, req)
 		})
 	}
 	wg.Wait()

@@ -84,6 +84,11 @@ func (Stale) OnWrite(wire.WriteRequest) (bool, error) { return false, nil }
 // that carry real traffic and cannot inject delay themselves. A nil Inner
 // delays Correct behavior; a nil Clock sleeps on the wall clock, while the
 // harnesses inject a vtime.SimClock so the delay is virtual.
+//
+// Delayed sleeps inside Handle, so a replica running it declines TryHandle:
+// its calls are always handed to a worker, never run on the goroutine that
+// is gathering replies (where the sleep would silence the hedge timer and
+// the context).
 type Delayed struct {
 	Inner Behavior
 	Delay time.Duration
@@ -121,7 +126,7 @@ func (Silent) OnRead(string, wire.ReadReply) (wire.ReadReply, error) {
 // OnWrite implements Behavior.
 func (Silent) OnWrite(wire.WriteRequest) (bool, error) { return false, ErrSuppressed }
 
-// The two possible write replies, boxed once (see Handle).
+// The two possible write replies, boxed once (see handle).
 var (
 	writeReplyStored  any = wire.WriteReply{Stored: true}
 	writeReplyIgnored any = wire.WriteReply{Stored: false}
@@ -175,6 +180,28 @@ func (r *Replica) current() (Behavior, Verifier) {
 // Handle implements transport.Handler.
 func (r *Replica) Handle(_ context.Context, req any) (any, error) {
 	behavior, verifier := r.current()
+	return r.handle(behavior, verifier, req)
+}
+
+// TryHandle implements transport.TryHandler: it answers iff the replica's
+// behaviour, snapshotted once, is one of this package's own that never
+// wait. Delayed sleeps and a Behavior defined elsewhere might, so both
+// decline — conservatively, because a call parked on its caller's gather
+// goroutine would stall the very timers meant to route around it. (A
+// Verifier is a predicate over bytes: it computes, it does not wait.)
+func (r *Replica) TryHandle(_ context.Context, req any) (any, bool, error) {
+	behavior, verifier := r.current()
+	switch behavior.(type) {
+	case Correct, Forger, Stale, Silent:
+	default:
+		return nil, false, nil
+	}
+	resp, err := r.handle(behavior, verifier, req)
+	return resp, true, err
+}
+
+// handle answers one request under the given behaviour snapshot.
+func (r *Replica) handle(behavior Behavior, verifier Verifier, req any) (any, error) {
 	switch m := req.(type) {
 	case wire.ReadRequest:
 		var correct wire.ReadReply

@@ -242,3 +242,53 @@ func TestGossipVerifierBlocksForgeries(t *testing.T) {
 		t.Errorf("valid entry rejected: %+v", e)
 	}
 }
+
+// foreignBehavior is a Behavior defined outside the package's own set.
+type foreignBehavior struct{ Correct }
+
+// TestTryHandleAcceptsOnlyWhatNeverWaits: TryHandle answers exactly as
+// Handle does under the package's own non-waiting behaviours, and declines
+// — touching nothing — under Delayed (which sleeps) and under any Behavior
+// it does not know (which might).
+func TestTryHandleAcceptsOnlyWhatNeverWaits(t *testing.T) {
+	ctx := context.Background()
+	write := wire.WriteRequest{Key: "k", Value: []byte("v"), Stamp: ts.Stamp{Counter: 1, Writer: 1}}
+	read := wire.ReadRequest{Key: "k"}
+	for _, b := range []Behavior{Correct{}, Forger{Value: []byte("f"), Stamp: ts.Stamp{Counter: 9}}, Stale{}, Silent{}} {
+		viaHandle, viaTry := New(0), New(0)
+		viaHandle.SetBehavior(b)
+		viaTry.SetBehavior(b)
+		for _, req := range []any{write, read, wire.PingRequest{}, "unknown"} {
+			want, wantErr := viaHandle.Handle(ctx, req)
+			got, ok, err := viaTry.TryHandle(ctx, req)
+			if !ok {
+				t.Fatalf("%T declined %T", b, req)
+			}
+			if (err == nil) != (wantErr == nil) || !equalReplies(got, want) {
+				t.Errorf("%T, %T: TryHandle = %v, %v; Handle = %v, %v", b, req, got, err, want, wantErr)
+			}
+		}
+		if h, tr := viaHandle.Store().Len(), viaTry.Store().Len(); h != tr {
+			t.Errorf("%T: stores hold %d and %d entries", b, h, tr)
+		}
+	}
+	for _, b := range []Behavior{Delayed{}, Delayed{Inner: Silent{}}, foreignBehavior{}, &foreignBehavior{}} {
+		r := New(0)
+		r.SetBehavior(b)
+		if _, ok, err := r.TryHandle(ctx, write); ok || err != nil {
+			t.Errorf("%T: TryHandle ok %v, err %v; want a decline", b, ok, err)
+		}
+		if r.Store().Len() != 0 {
+			t.Errorf("%T: a declined write was applied", b)
+		}
+	}
+}
+
+func equalReplies(a, b any) bool {
+	ra, isRead := a.(wire.ReadReply)
+	if !isRead {
+		return a == b
+	}
+	rb, ok := b.(wire.ReadReply)
+	return ok && ra.Found == rb.Found && ra.Stamp == rb.Stamp && string(ra.Value) == string(rb.Value)
+}

@@ -14,14 +14,22 @@ import (
 // identity-blindness invariant (and the epsblind analyzer that mechanizes
 // it) applies per cell unchanged.
 //
-// When t reports per-server health (HealthReporter — a breaker-enabled
-// TCPClient), the returned transport forwards that too, translated into
-// the same local id space, so per-cell engines keep their t=0 fast-fail
-// path on degraded members.
+// The view has t's optional capabilities and no others, each translated
+// into the same local id space: per-server health (HealthReporter — a
+// breaker-enabled TCPClient), so per-cell engines keep their t=0 fast-fail
+// path on degraded members, and TryCaller (MemNetwork), so they keep
+// running calls that cannot park on the caller.
 func Offset(t Transport, base quorum.ServerID) Transport {
 	o := offset{inner: t, base: base}
-	if hr, ok := t.(HealthReporter); ok {
-		return &offsetHealth{offset: o, hr: hr}
+	hr, isHR := t.(HealthReporter)
+	tc, isTC := t.(TryCaller)
+	switch {
+	case isHR && isTC:
+		return &offsetHealthTry{o, healthShift{hr, base}, tryShift{tc, base}}
+	case isHR:
+		return &offsetHealth{o, healthShift{hr, base}}
+	case isTC:
+		return &offsetTry{o, tryShift{tc, base}}
 	}
 	return &o
 }
@@ -37,18 +45,40 @@ func (o *offset) Call(ctx context.Context, to quorum.ServerID, req any) (any, er
 	return o.inner.Call(ctx, o.base+to, req)
 }
 
-// offsetHealth additionally forwards per-server health in local ids.
-type offsetHealth struct {
-	offset
-	hr HealthReporter
+// healthShift forwards per-server health in local ids.
+type healthShift struct {
+	hr   HealthReporter
+	base quorum.ServerID
 }
 
 // ServerDown implements HealthReporter.
-func (o *offsetHealth) ServerDown(id quorum.ServerID) bool {
-	return o.hr.ServerDown(o.base + id)
+func (h healthShift) ServerDown(id quorum.ServerID) bool { return h.hr.ServerDown(h.base + id) }
+
+// tryShift forwards TryCall in local ids.
+type tryShift struct {
+	tc   TryCaller
+	base quorum.ServerID
 }
 
-var (
-	_ Transport      = (*offset)(nil)
-	_ HealthReporter = (*offsetHealth)(nil)
+// TryCall implements TryCaller.
+func (t tryShift) TryCall(ctx context.Context, to quorum.ServerID, req any) (any, bool, error) {
+	return t.tc.TryCall(ctx, t.base+to, req)
+}
+
+// The three views with capabilities: Go has no way to add a method to a
+// value at run time, so each combination is a type.
+type (
+	offsetHealth struct {
+		offset
+		healthShift
+	}
+	offsetTry struct {
+		offset
+		tryShift
+	}
+	offsetHealthTry struct {
+		offset
+		healthShift
+		tryShift
+	}
 )

@@ -37,8 +37,21 @@ var (
 )
 
 // Handler is the server side of the transport: replicas implement it.
+// Handle may wait (sleep, take a contended lock for long, call out); a
+// handler that can wait must not implement TryHandler, or must decline
+// there whenever it might.
 type Handler interface {
 	Handle(ctx context.Context, req any) (any, error)
+}
+
+// TryHandler is an optional capability of a Handler: TryHandle answers the
+// request like Handle iff it can do so without parking the calling
+// goroutine. ok=false means "this would have to wait": nothing happened,
+// the request was not looked at, use Handle. A transport that delivers by
+// function call (MemNetwork) uses it to run a call on its caller's own
+// goroutine instead of one handed to it for the purpose.
+type TryHandler interface {
+	TryHandle(ctx context.Context, req any) (resp any, ok bool, err error)
 }
 
 // HandlerFunc adapts a function to the Handler interface.
@@ -51,6 +64,20 @@ func (f HandlerFunc) Handle(ctx context.Context, req any) (any, error) { return 
 // returns its response.
 type Transport interface {
 	Call(ctx context.Context, to quorum.ServerID, req any) (any, error)
+}
+
+// TryCaller is an optional capability of a Transport: TryCall completes the
+// call exactly as Call would — same errors, same effects — iff it can do so
+// without parking the calling goroutine. ok=false means "this would have to
+// wait": nothing happened (no fault hook consulted, no slot taken, no
+// sequence number consumed), and a Call made next is indistinguishable from
+// a Call made instead. Whether a call can park is something the link and
+// the handler know and a caller can only guess, so the layers that know say
+// so per call; a caller that fans out (register's gather) runs an accepted
+// call on its own goroutine and hands only declined ones to a worker.
+// Transports that always wait on a socket simply do not implement it.
+type TryCaller interface {
+	TryCall(ctx context.Context, to quorum.ServerID, req any) (resp any, ok bool, err error)
 }
 
 // ClientSource is the source id MemNetwork attributes to direct callers
@@ -109,26 +136,20 @@ type LinkHook interface {
 // servers. The zero value is not usable; construct with NewMemNetwork.
 // All configuration methods are safe for concurrent use with Call.
 type MemNetwork struct {
-	mu        sync.RWMutex
-	handlers  map[quorum.ServerID]Handler
-	crashed   map[quorum.ServerID]bool
-	groups    map[quorum.ServerID]int // partition group per server; default 0
+	mu sync.RWMutex
+	// servers holds everything the network knows about one server id in one
+	// record, so a call does one map lookup. Records are created on first
+	// mention and never removed (Deregister resets one, keeping its
+	// call-sequence counter).
+	servers   map[quorum.ServerID]*memServer
 	dropProb  float64
 	minLat    time.Duration
 	maxLat    time.Duration
-	perServer map[quorum.ServerID]latRange // overrides minLat/maxLat per server
-	callGroup int                          // partition group of direct Call users (clients)
+	callGroup int // partition group of direct Call users (clients)
 
 	// hook, when non-nil, intercepts every call (fault injection; see
 	// LinkHook).
 	hook LinkHook
-
-	// sems, when non-empty, caps concurrent in-service calls per server
-	// (see SetServerConcurrency): a call holds one slot of its
-	// destination's semaphore across the simulated latency and the handler,
-	// so latency becomes service time and each server gets a finite
-	// throughput ceiling.
-	sems map[quorum.ServerID]chan struct{}
 
 	// clock supplies simulated-latency sleeps and fault delays. The wall
 	// clock by default; the sim and chaos harnesses install a
@@ -136,7 +157,15 @@ type MemNetwork struct {
 	// deterministic to replay). See SetClock.
 	clock vtime.Clock
 
-	// callSeq holds one counter per destination. Both the built-in drop
+	seed uint64
+}
+
+// memServer is one server id's state: its link as configured, and its call
+// counter.
+type memServer struct {
+	memLink // guarded by MemNetwork.mu
+
+	// callSeq counts calls per destination. Both the built-in drop
 	// decision and the latency draw hash (seed, destination,
 	// per-destination call count), so a run whose per-destination call
 	// sequence is deterministic — sequential client operations, as in the
@@ -149,9 +178,23 @@ type MemNetwork struct {
 	// lock-free AND deterministic, which virtual-time hedging requires —
 	// under a SimClock, latency decides which replies a hedged read
 	// collects, so it must replay from the seed like drops always have.
-	callSeq map[quorum.ServerID]*atomic.Uint64
+	callSeq atomic.Uint64
+}
 
-	seed uint64
+// memLink is what a call needs to know about its destination; a call copies
+// it out under the read lock.
+type memLink struct {
+	handler Handler    // nil: not (or no longer) a member
+	try     TryHandler // handler's TryHandler side, nil if it has none
+	crashed bool
+	group   int       // partition group; default 0
+	lat     *latRange // overrides the network's latency range; nil = none
+
+	// sem, when non-nil, caps concurrent in-service calls (see
+	// SetServerConcurrency): a call holds one slot of its destination's
+	// semaphore across the simulated latency and the handler, so latency
+	// becomes service time and the server gets a finite throughput ceiling.
+	sem chan struct{}
 }
 
 // latRange is a per-server latency override.
@@ -163,13 +206,21 @@ type latRange struct {
 // randomness so that experiments are reproducible.
 func NewMemNetwork(seed int64) *MemNetwork {
 	return &MemNetwork{
-		handlers: make(map[quorum.ServerID]Handler),
-		crashed:  make(map[quorum.ServerID]bool),
-		groups:   make(map[quorum.ServerID]int),
-		callSeq:  make(map[quorum.ServerID]*atomic.Uint64),
-		seed:     uint64(seed),
-		clock:    vtime.Wall(),
+		servers: make(map[quorum.ServerID]*memServer),
+		seed:    uint64(seed),
+		clock:   vtime.Wall(),
 	}
+}
+
+// serverLocked returns id's record, creating it on first mention. n.mu must
+// be held for writing.
+func (n *MemNetwork) serverLocked(id quorum.ServerID) *memServer {
+	s := n.servers[id]
+	if s == nil {
+		s = new(memServer)
+		n.servers[id] = s
+	}
+	return s
 }
 
 // SetClock installs the time source for simulated latency and fault
@@ -196,26 +247,24 @@ func splitmix64(x uint64) uint64 {
 func (n *MemNetwork) Register(id quorum.ServerID, h Handler) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.handlers[id] = h
-	if n.callSeq[id] == nil {
-		n.callSeq[id] = new(atomic.Uint64)
-	}
+	s := n.serverLocked(id)
+	s.handler = h
+	s.try, _ = h.(TryHandler)
 }
 
 // Deregister removes a server from the membership: subsequent calls to it
 // fail with ErrUnknownServer, exactly as if the id had never been
-// registered — its crash flag, partition group and latency override are
-// forgotten too, so a later Register rejoins a genuinely fresh member.
-// Together with Register it models mid-run membership churn (leave/join).
-// The call-sequence counter for the id is retained so a rejoin does not
-// replay the departed server's fault pattern.
+// registered — its crash flag, partition group, latency override and
+// concurrency cap are forgotten too, so a later Register rejoins a
+// genuinely fresh member. Together with Register it models mid-run
+// membership churn (leave/join). The call-sequence counter for the id is
+// retained so a rejoin does not replay the departed server's fault pattern.
 func (n *MemNetwork) Deregister(id quorum.ServerID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.handlers, id)
-	delete(n.crashed, id)
-	delete(n.groups, id)
-	delete(n.perServer, id)
+	if s := n.servers[id]; s != nil {
+		s.memLink = memLink{}
+	}
 }
 
 // SetLinkHook installs (or, with nil, removes) the fault-injection hook
@@ -230,21 +279,29 @@ func (n *MemNetwork) SetLinkHook(h LinkHook) {
 func (n *MemNetwork) Crash(id quorum.ServerID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.crashed[id] = true
+	n.serverLocked(id).crashed = true
 }
 
 // Recover clears a server's crashed state.
 func (n *MemNetwork) Recover(id quorum.ServerID) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	delete(n.crashed, id)
+	if s := n.servers[id]; s != nil {
+		s.crashed = false
+	}
 }
 
 // CrashedCount returns the number of currently crashed servers.
 func (n *MemNetwork) CrashedCount() int {
 	n.mu.RLock()
 	defer n.mu.RUnlock()
-	return len(n.crashed)
+	crashed := 0
+	for _, s := range n.servers {
+		if s.crashed {
+			crashed++
+		}
+	}
+	return crashed
 }
 
 // SetDropProb sets the probability that any single call is lost.
@@ -277,14 +334,12 @@ func (n *MemNetwork) SetServerLatency(id quorum.ServerID, min, max time.Duration
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.perServer == nil {
-		n.perServer = make(map[quorum.ServerID]latRange)
-	}
+	s := n.serverLocked(id)
 	if max == 0 {
-		delete(n.perServer, id)
+		s.lat = nil
 		return
 	}
-	n.perServer[id] = latRange{min: min, max: max}
+	s.lat = &latRange{min: min, max: max}
 }
 
 // SetServerConcurrency caps every currently registered server at k calls
@@ -298,13 +353,11 @@ func (n *MemNetwork) SetServerLatency(id quorum.ServerID, min, max time.Duration
 func (n *MemNetwork) SetServerConcurrency(k int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if k <= 0 {
-		n.sems = nil
-		return
-	}
-	n.sems = make(map[quorum.ServerID]chan struct{}, len(n.handlers))
-	for id := range n.handlers {
-		n.sems[id] = make(chan struct{}, k)
+	for _, s := range n.servers {
+		s.sem = nil
+		if k > 0 && s.handler != nil {
+			s.sem = make(chan struct{}, k)
+		}
 	}
 }
 
@@ -313,18 +366,16 @@ func (n *MemNetwork) SetServerConcurrency(k int) {
 func (n *MemNetwork) SetPartition(groups map[quorum.ServerID]int) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.groups = make(map[quorum.ServerID]int, len(groups))
+	for _, s := range n.servers {
+		s.group = 0
+	}
 	for id, g := range groups {
-		n.groups[id] = g
+		n.serverLocked(id).group = g
 	}
 }
 
 // ClearPartition heals all partitions.
-func (n *MemNetwork) ClearPartition() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.groups = make(map[quorum.ServerID]int)
-}
+func (n *MemNetwork) ClearPartition() { n.SetPartition(nil) }
 
 // SetCallerGroup places direct callers of Call (clients) into a partition
 // group; the default group is 0.
@@ -341,96 +392,137 @@ func (n *MemNetwork) SetCallerGroup(g int) {
 // large experiments fast; production callers treat ErrDropped like a
 // timeout.
 func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
+	resp, _, err := n.call(ctx, to, req, true)
+	return resp, err
+}
+
+// TryCall implements TryCaller: it is Call, on the caller's goroutine, for
+// a call that nothing on the way can park — the link has no latency (global
+// or per-server), no LinkHook (a hook may delay) and no concurrency slot to
+// wait for, and the handler is a TryHandler that accepts. Everything else
+// declines. A completed call saw the same partition, crash and
+// unknown-server checks and the same counter-hashed drop verdict Call would
+// have applied; a declined one leaves no trace.
+func (n *MemNetwork) TryCall(ctx context.Context, to quorum.ServerID, req any) (any, bool, error) {
+	return n.call(ctx, to, req, false)
+}
+
+// call is the one body of Call (mayPark) and TryCall (!mayPark). ok is
+// false only for a TryCall that declined.
+func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, mayPark bool) (resp any, ok bool, err error) {
 	n.mu.RLock()
-	h, ok := n.handlers[to]
-	crashed := n.crashed[to]
+	s := n.servers[to]
+	var srv memLink
+	if s != nil {
+		srv = s.memLink
+	}
 	drop := n.dropProb
-	callCnt := n.callSeq[to]
 	hook := n.hook
-	sem := n.sems[to]
 	clock := n.clock
 	minLat, maxLat := n.minLat, n.maxLat
-	if lr, ok := n.perServer[to]; ok {
-		minLat, maxLat = lr.min, lr.max
+	if srv.lat != nil {
+		minLat, maxLat = srv.lat.min, srv.lat.max
 	}
-	sameGroup := n.groups[to] == n.callGroup
+	sameGroup := srv.group == n.callGroup
 	n.mu.RUnlock()
 
-	if !ok {
-		return nil, fmt.Errorf("server %d: %w", to, ErrUnknownServer)
+	if !mayPark && (hook != nil || srv.sem != nil || maxLat > 0) {
+		// Decided on the link alone, before the hook, the semaphore or the
+		// sequence counter is touched: the Call that follows starts clean.
+		return nil, false, nil
+	}
+	if srv.handler == nil {
+		return nil, true, fmt.Errorf("server %d: %w", to, ErrUnknownServer)
 	}
 	if !sameGroup {
-		return nil, fmt.Errorf("server %d: %w", to, ErrPartitioned)
+		return nil, true, fmt.Errorf("server %d: %w", to, ErrPartitioned)
 	}
-	if crashed {
-		return nil, fmt.Errorf("server %d: %w", to, ErrCrashed)
+	if srv.crashed {
+		return nil, true, fmt.Errorf("server %d: %w", to, ErrCrashed)
+	}
+	if !mayPark && srv.try == nil {
+		return nil, false, nil
 	}
 	var fault CallFault
 	if hook != nil {
 		fault = hook.FilterCall(SourceFromContext(ctx), to, req)
 		if fault.Drop {
-			return nil, fmt.Errorf("server %d: %w", to, ErrDropped)
+			return nil, true, fmt.Errorf("server %d: %w", to, ErrDropped)
 		}
 		if fault.ReplaceReq != nil {
 			req = fault.ReplaceReq
 		}
 	}
-	if sem != nil {
+	if srv.sem != nil {
 		// Service-time accounting (SetServerConcurrency): hold one of the
 		// destination's slots across the latency sleep and the handler.
 		select {
-		case sem <- struct{}{}:
-			defer func() { <-sem }()
+		case srv.sem <- struct{}{}:
+			defer func() { <-srv.sem }()
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return nil, true, ctx.Err()
 		}
 	}
-	if drop > 0 || maxLat > minLat {
+	counted := drop > 0 || maxLat > minLat
+	if counted {
 		// One decision word per call, counter-hashed: both the drop verdict
 		// and the latency draw depend only on (seed, destination,
 		// per-destination call count), so harnesses that keep the call
 		// sequence deterministic replay drops and latency byte-for-byte
 		// (see callSeq).
-		seq := callCnt.Add(1)
+		seq := s.callSeq.Add(1)
 		base := splitmix64(n.seed ^ (uint64(to)+1)<<32 ^ seq)
 		if drop > 0 {
 			u := splitmix64(base ^ 0x0D)
 			if float64(u>>11)/(1<<53) < drop {
-				return nil, fmt.Errorf("server %d: %w", to, ErrDropped)
+				return nil, true, fmt.Errorf("server %d: %w", to, ErrDropped)
 			}
 		}
 		if maxLat > minLat {
 			d := minLat + time.Duration(splitmix64(base^0x1A)%uint64(maxLat-minLat+1))
 			if d > 0 {
 				if err := clock.SleepCtx(ctx, d); err != nil {
-					return nil, err
+					return nil, true, err
 				}
 			}
 		}
 	}
 	if maxLat == minLat && maxLat > 0 {
 		if err := clock.SleepCtx(ctx, minLat); err != nil {
-			return nil, err
+			return nil, true, err
 		}
 	}
 	if fault.Delay > 0 {
 		if err := clock.SleepCtx(ctx, fault.Delay); err != nil {
-			return nil, err
+			return nil, true, err
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, true, err
 	}
-	resp, err := h.Handle(ctx, req)
+	if !mayPark {
+		resp, ok, err = srv.try.TryHandle(ctx, req)
+		if !ok && counted {
+			// The handler would have to wait, and its call was already
+			// numbered (it survived the drop verdict): hand the number
+			// back, so the Call that follows draws the same one.
+			s.callSeq.Add(^uint64(0))
+		}
+		return resp, ok, err
+	}
+	resp, err = srv.handler.Handle(ctx, req)
 	if fault.Duplicate {
 		// Deliver the request a second time, discarding the second reply:
 		// the visible effect is what idempotency (or its absence) makes it.
-		h.Handle(ctx, req) //nolint:errcheck // duplicate delivery, reply discarded
+		srv.handler.Handle(ctx, req) //nolint:errcheck // duplicate delivery, reply discarded
 	}
 	if fault.MutateReply != nil {
 		resp, err = fault.MutateReply(resp, err)
 	}
-	return resp, err
+	return resp, true, err
 }
 
-var _ Transport = (*MemNetwork)(nil)
+var (
+	_ Transport = (*MemNetwork)(nil)
+	_ TryCaller = (*MemNetwork)(nil)
+)
