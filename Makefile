@@ -10,7 +10,7 @@ GO ?= go
 # bench-smoke passes 1x to guard against bit-rot without timing flakiness).
 BENCHTIME ?= 1s
 
-.PHONY: all build test vet lint race flake tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale e2e-smoke
+.PHONY: all build test vet lint loc race flake tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale e2e-smoke
 
 all: ci
 
@@ -29,6 +29,21 @@ vet:
 # "Static analysis & determinism invariants" section of README.md.
 lint:
 	$(GO) run ./cmd/pqs-lint ./...
+
+# Non-test Go lines (wc -l: comments and blanks included) per top-level
+# package (cmd/x, examples/x, internal/x; a package's testdata counts with
+# it), then in total; bench/ is listed but kept out of the total, since only
+# a benchmark PR may change it. ROADMAP item 2 asks every deletion PR to
+# quote these numbers before and after.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' | sort | xargs wc -l | awk '\
+		$$2 == "total" { next } \
+		{ k = split($$2, p, "/"); d = "."; \
+		  if (k > 2) d = (p[2] ~ /^(cmd|examples|internal)$$/ && k > 3) ? p[2] "/" p[3] : p[2]; \
+		  if (!(d in n)) order[++dirs] = d; n[d] += $$1 } \
+		END { \
+			for (i = 1; i <= dirs; i++) { d = order[i]; printf "%7d %s\n", n[d], d; if (d != "bench") total += n[d] } \
+			printf "%7d total outside bench/\n", total }'
 
 race:
 	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/chaos/ ./internal/diffusion/

@@ -99,6 +99,9 @@ func TestChaosDeterminism(t *testing.T) {
 			if d := a.History.Diff(b.History); d != "" {
 				t.Fatalf("seed %d did not replay:\n%s", *chaosSeed, d)
 			}
+			if a.HistorySHA256 == "" || a.HistorySHA256 != b.HistorySHA256 {
+				t.Fatalf("equal histories hash differently: %q vs %q", a.HistorySHA256, b.HistorySHA256)
+			}
 			if a.Check.Pass != b.Check.Pass || a.Check.Epsilon != b.Check.Epsilon {
 				t.Fatalf("check verdicts diverge for identical histories")
 			}
@@ -129,6 +132,9 @@ func TestChaosSeedSensitivity(t *testing.T) {
 	}
 	if d := a.History.Diff(b.History); d == "" {
 		t.Fatal("seeds 1 and 2 produced identical histories; the harness is ignoring its seed")
+	}
+	if a.HistorySHA256 == b.HistorySHA256 {
+		t.Fatalf("different histories share the hash %s", a.HistorySHA256)
 	}
 }
 

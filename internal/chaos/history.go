@@ -6,6 +6,8 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"strings"
@@ -137,6 +139,17 @@ func (h History) Diff(other History) string {
 		return fmt.Sprintf("history lengths diverge: %d vs %d events (first %d equal)", len(h), len(other), n)
 	}
 	return ""
+}
+
+// sha256 is the hex SHA-256 of the history's canonical op lines (Op.String,
+// one per line): equal exactly when Diff is empty, so two runs — or two
+// commits — compare by diffing their reports.
+func (h History) sha256() string {
+	d := sha256.New()
+	for _, op := range h {
+		fmt.Fprintln(d, op)
+	}
+	return hex.EncodeToString(d.Sum(nil))
 }
 
 // CheckConfig parameterizes the consistency checker.

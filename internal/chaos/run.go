@@ -180,8 +180,11 @@ type Report struct {
 	StormCoalesced uint64 `json:"storm_dials_coalesced,omitempty"`
 	StormFastFails uint64 `json:"storm_backoff_fast_fails,omitempty"`
 	// History is the full operation record (omitted from JSON reports;
-	// replay the seed to regenerate it).
-	History History `json:"-"`
+	// replay the seed to regenerate it). HistorySHA256 is its fingerprint,
+	// the hex SHA-256 over the canonical op lines: same seed, same hash, on
+	// every run and across commits that claim unchanged behaviour.
+	History       History `json:"-"`
+	HistorySHA256 string  `json:"history_sha256"`
 }
 
 // Run executes cfg: it stands up a cluster with a deterministic fault
@@ -452,6 +455,8 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		Transport: transportName,
 		History:   hist,
 		Check:     Check(hist, checkCfg),
+
+		HistorySHA256: hist.sha256(),
 	}
 	if rt.gossip != nil {
 		rep.GossipRounds = gossipRounds
