@@ -86,9 +86,11 @@ bench:
 bench-tail:
 	$(GO) test -run 'XXX' -bench 'ReadTailLatency|EpsilonBenignHedged|EpsilonMaskingHedged' -benchtime 2s .
 
-# The data-plane throughput numbers: codec encode/decode cost (binary vs the
-# gob baseline) and end-to-end ops/sec over MemNetwork and TCP, recorded as
-# machine-readable JSON so the perf trajectory across PRs has data points.
+# The data-plane throughput numbers: codec encode/decode cost (binary vs
+# encoding/gob, which survives only there, as the micro-benchmark's baseline:
+# no transport speaks it) and end-to-end ops/sec over MemNetwork and TCP,
+# recorded as machine-readable JSON so the perf trajectory across PRs has
+# data points.
 # Staged through a temp file rather than a pipe so a benchmark failure
 # fails the target (/bin/sh has no pipefail).
 bench-json:

@@ -216,7 +216,7 @@ func newBenchCluster(b *testing.B, mode pqs.Mode, byz int) (*pqs.System, *pqs.Cl
 	if err != nil {
 		b.Fatal(err)
 	}
-	cluster, err := pqs.NewLocalCluster(sys.N(), 1)
+	cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: sys.N(), Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -286,13 +286,13 @@ func newTailLatencyCluster(b *testing.B, spares int, hedge time.Duration, eager 
 	if err != nil {
 		b.Fatal(err)
 	}
-	cluster, err := pqs.NewLocalCluster(sys.N(), 1)
+	cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: sys.N(), Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	client, err := pqs.NewClient(pqs.ClientConfig{
 		System: sys, Transport: cluster.Transport(), WriterID: 1, Seed: 2,
-		Spares: spares, HedgeDelay: hedge, EagerRead: eager,
+		Tuning: pqs.Tuning{Spares: spares, HedgeDelay: hedge, EagerRead: eager},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -367,7 +367,7 @@ func BenchmarkEmpiricalEpsilonBenignHedged(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
 			System: e, Mode: register.Benign, Trials: trials, Seed: int64(i) + 1,
-			Spares: 3, EagerRead: true, DropProb: 0.05,
+			Tuning: pqs.Tuning{Spares: 3, EagerRead: true}, DropProb: 0.05,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -396,7 +396,7 @@ func BenchmarkEmpiricalEpsilonMaskingHedged(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
 			System: m, Mode: register.Masking, K: m.K(), B: 3, Trials: trials, Seed: int64(i) + 1,
-			Spares: 3, EagerRead: true, DropProb: 0.03,
+			Tuning: pqs.Tuning{Spares: 3, EagerRead: true}, DropProb: 0.03,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -20,32 +20,33 @@ type LocalCluster struct {
 	net    *transport.MemNetwork
 	reps   []*replica.Replica
 	gossip *diffusion.Group
-	// cellN is the per-cell replica count when the cluster was built with
-	// NewLocalClusterCells (0 for a classic single-cell cluster).
+	// cellN is the per-cell replica count (ClusterConfig.N).
 	cellN int
 }
 
-// ClusterConfig describes a local replica cluster: the one options struct
-// behind the historical constructors NewLocalCluster, NewLocalClusterCells,
-// sim.NewCluster, sim.NewClusterClock and sim.NewClusterCellsClock, which
-// all survive as thin wrappers over it. The sim package accepts the same
-// struct through sim.NewClusterCfg.
+// ClusterConfig describes a local replica cluster. The sim package builds
+// its clusters from the same struct (sim.NewCluster).
 type ClusterConfig = config.Cluster
 
 // NewCluster starts a local in-process cluster from cfg: cfg.Cells × cfg.N
 // correct replicas (Cells 0 or 1 = the classic single-cell layout) on one
-// simulated network seeded by cfg.Seed. A non-nil cfg.Clock puts the
-// network's simulated latency on that clock (harnesses pass a
+// simulated network seeded by cfg.Seed. With Cells > 1 the cluster is laid
+// out for a multi-cell client (ClientConfig.Cells = cfg.Cells over a System
+// with N = cfg.N): cell i owns servers [i*N, (i+1)*N). All cells share the
+// one network, so cross-cell faults — a partition between cells, a whole
+// cell crashing — are injected with the usual methods over global server
+// ids (or CrashCell/RecoverCell for whole cells). A non-nil cfg.Clock puts
+// the network's simulated latency on that clock (harnesses pass a
 // vtime.SimClock for deterministic virtual time).
 func NewCluster(cfg ClusterConfig) (*LocalCluster, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("pqs: cluster size %d must be positive", cfg.N)
 	}
 	if cfg.Cells < 0 {
-		return nil, fmt.Errorf("pqs: cell count %d must be positive", cfg.Cells)
+		return nil, fmt.Errorf("pqs: cell count %d must not be negative", cfg.Cells)
 	}
 	total := cfg.Total()
-	c := &LocalCluster{net: transport.NewMemNetwork(cfg.Seed)}
+	c := &LocalCluster{net: transport.NewMemNetwork(cfg.Seed), cellN: cfg.N}
 	if cfg.Clock != nil {
 		c.net.SetClock(cfg.Clock)
 	}
@@ -54,51 +55,23 @@ func NewCluster(cfg ClusterConfig) (*LocalCluster, error) {
 		c.reps = append(c.reps, r)
 		c.net.Register(quorum.ServerID(i), r)
 	}
-	if cfg.Cells >= 1 {
-		// An explicit cell count (even 1) records the per-cell size, so
-		// CrashCell/RecoverCell address cells exactly as before; Cells = 0
-		// keeps the classic single-cell cluster with no cell layout.
-		c.cellN = cfg.N
-	}
 	return c, nil
-}
-
-// NewLocalCluster starts n correct in-process replicas. seed fixes the
-// simulated network's randomness. It is a thin wrapper over NewCluster.
-func NewLocalCluster(n int, seed int64) (*LocalCluster, error) {
-	return NewCluster(ClusterConfig{N: n, Seed: seed})
-}
-
-// NewLocalClusterCells starts cells*n correct in-process replicas laid out
-// for a multi-cell client (ClientConfig.Cells = cells over a System with
-// N = n): cell i owns servers [i*n, (i+1)*n). All cells share one simulated
-// network, so cross-cell faults — a partition between cells, a whole cell
-// crashing — are injected with the usual methods over global server ids
-// (or CrashCell/RecoverCell for whole cells). It is a thin wrapper over
-// NewCluster.
-func NewLocalClusterCells(cells, n int, seed int64) (*LocalCluster, error) {
-	if cells <= 0 {
-		return nil, fmt.Errorf("pqs: cell count %d must be positive", cells)
-	}
-	return NewCluster(ClusterConfig{Cells: cells, N: n, Seed: seed})
 }
 
 // N returns the cluster size (total replicas across all cells).
 func (c *LocalCluster) N() int { return len(c.reps) }
 
 // Cells returns the cell count the cluster was laid out for (1 for a
-// classic NewLocalCluster).
-func (c *LocalCluster) Cells() int {
-	if c.cellN == 0 {
-		return 1
-	}
-	return len(c.reps) / c.cellN
-}
+// single-cell cluster).
+func (c *LocalCluster) Cells() int { return len(c.reps) / c.cellN }
 
-// CrashCell crashes every replica of the given cell (see
-// NewLocalClusterCells for the layout). Operations routed to the cell fail
-// until RecoverCell; other cells are untouched.
+// CrashCell crashes every replica of the given cell (see NewCluster for the
+// layout). Operations routed to the cell fail until RecoverCell; other cells
+// are untouched. A cell index outside [0, Cells()) does nothing.
 func (c *LocalCluster) CrashCell(cell int) {
+	if cell < 0 || cell >= c.Cells() {
+		return
+	}
 	for i := cell * c.cellN; i < (cell+1)*c.cellN; i++ {
 		c.Crash(i)
 	}
@@ -106,6 +79,9 @@ func (c *LocalCluster) CrashCell(cell int) {
 
 // RecoverCell recovers every replica of the given cell.
 func (c *LocalCluster) RecoverCell(cell int) {
+	if cell < 0 || cell >= c.Cells() {
+		return
+	}
 	for i := cell * c.cellN; i < (cell+1)*c.cellN; i++ {
 		c.Recover(i)
 	}

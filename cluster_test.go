@@ -2,6 +2,7 @@ package pqs
 
 import (
 	"context"
+	"fmt"
 	"testing"
 )
 
@@ -12,7 +13,7 @@ func TestLocalClusterDiffusion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(25, 2)
+	cluster, err := NewCluster(ClusterConfig{N: 25, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,10 +46,10 @@ func TestLocalClusterDiffusion(t *testing.T) {
 }
 
 func TestLocalClusterValidation(t *testing.T) {
-	if _, err := NewLocalCluster(0, 1); err == nil {
+	if _, err := NewCluster(ClusterConfig{N: 0, Seed: 1}); err == nil {
 		t.Error("zero-size cluster accepted")
 	}
-	cluster, err := NewLocalCluster(3, 1)
+	cluster, err := NewCluster(ClusterConfig{N: 3, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,14 +64,22 @@ func TestLocalClusterValidation(t *testing.T) {
 
 // TestMultiCellFacade exercises the cells configuration end to end through
 // the public API: a 4-cell cluster, keyspace routing, whole-cell crash
-// isolation and recovery.
+// isolation and recovery — and the same on a cluster built with Cells: 0,
+// which is one cell and must crash and recover as cell 0.
 func TestMultiCellFacade(t *testing.T) {
-	const cells, n, q = 4, 15, 8
+	for _, cfgCells := range []int{0, 4} {
+		t.Run(fmt.Sprintf("Cells=%d", cfgCells), func(t *testing.T) { testCellFacade(t, cfgCells) })
+	}
+}
+
+func testCellFacade(t *testing.T, cfgCells int) {
+	const n, q = 15, 8
+	cells := max(cfgCells, 1)
 	sys, err := New(Config{N: n, Q: q})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalClusterCells(cells, n, 3)
+	cluster, err := NewCluster(ClusterConfig{Cells: cfgCells, N: n, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +88,7 @@ func TestMultiCellFacade(t *testing.T) {
 	}
 	client, err := NewClient(ClientConfig{
 		System: sys, Transport: cluster.Transport(), WriterID: 1, Seed: 1,
-		Cells: cells,
+		Topology: Topology{Cells: cfgCells},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,5 +126,11 @@ func TestMultiCellFacade(t *testing.T) {
 	cluster.RecoverCell(victim)
 	if r, err := client.Read(ctx, keys[0]); err != nil || string(r.Value) != "v-"+keys[0] {
 		t.Fatalf("read after RecoverCell: %+v %v", r, err)
+	}
+	// A cell the cluster does not have is nobody's servers to crash.
+	cluster.CrashCell(-1)
+	cluster.CrashCell(cells)
+	if got := cluster.net.CrashedCount(); got != 0 {
+		t.Fatalf("CrashCell out of range crashed %d servers", got)
 	}
 }

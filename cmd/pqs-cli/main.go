@@ -49,7 +49,7 @@ func run() error {
 	writer := flag.Uint("writer", 1, "writer id for puts")
 	timeout := flag.Duration("timeout", 5*time.Second, "per-operation timeout")
 	stats := flag.Bool("stats", false, "print the client's AccessStats as JSON after the operation")
-	codecStr := flag.String("codec", "binary", "wire codec: binary, gob, or binary-flate (compressed WAN profile); must match the servers'")
+	codecStr := flag.String("codec", "binary", "wire codec: binary or binary-flate (compressed WAN profile); must match the servers'")
 	flag.Parse()
 
 	addrs, err := parseServers(*servers)
@@ -97,7 +97,7 @@ func run() error {
 		Transport: tc,
 		WriterID:  uint32(*writer),
 		Seed:      time.Now().UnixNano(),
-		Cells:     *cells,
+		Topology:  pqs.Topology{Cells: *cells},
 	})
 	if err != nil {
 		return err
@@ -145,6 +145,8 @@ func run() error {
 	return nil
 }
 
+// parseServers reads the -servers list. The client builds its universe over
+// ids 0..n-1, so the list must name each of them exactly once.
 func parseServers(s string) (map[int]string, error) {
 	if s == "" {
 		return nil, fmt.Errorf("-servers is required")
@@ -159,7 +161,15 @@ func parseServers(s string) (map[int]string, error) {
 		if err != nil {
 			return nil, fmt.Errorf("bad server id %q: %w", id, err)
 		}
+		if prev, dup := out[n]; dup {
+			return nil, fmt.Errorf("server id %d listed twice (%s and %s)", n, prev, addr)
+		}
 		out[n] = addr
+	}
+	for id := 0; id < len(out); id++ {
+		if _, ok := out[id]; !ok {
+			return nil, fmt.Errorf("server id %d is missing: %d servers must have ids 0..%d", id, len(out), len(out)-1)
+		}
 	}
 	return out, nil
 }

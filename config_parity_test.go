@@ -1,38 +1,27 @@
 package pqs
 
-// The api_redesign guards: every config that drives the register client
-// shares ONE access-tuning block (config.Tuning) and ONE cluster-shape
-// block (config.Topology), and no config may ever grow a private copy of a
-// knob again. The reflection test freezes the deprecated flat aliases that
-// exist today; the compat tests pin that the old flat spelling and the new
-// embedded spelling produce bit-identical histories on both data planes.
+// The no-drift gate: the register client and every config that drives it
+// share ONE access-tuning block (config.Tuning), the harness configs share
+// ONE cluster-shape block (config.Topology), and none of them may grow a
+// private copy of a knob.
 
 import (
-	"context"
-	"fmt"
 	"reflect"
 	"testing"
-	"time"
 
 	"pqs/internal/chaos"
 	"pqs/internal/config"
-	"pqs/internal/core"
 	"pqs/internal/load"
 	"pqs/internal/register"
 	"pqs/internal/sim"
 )
 
-// knobNames is every field name of the two shared blocks, plus the one
-// historical alias that forwarded under a different name (sim's WriteW →
-// Tuning.W). A top-level field with one of these names on a client-driving
-// config is a knob copy.
-func knobNames(t *testing.T) map[string]bool {
-	t.Helper()
-	names := map[string]bool{"WriteW": true}
-	for _, blk := range []reflect.Type{
-		reflect.TypeOf(config.Tuning{}),
-		reflect.TypeOf(config.Topology{}),
-	} {
+// knobNames is every field name of the given shared blocks. A top-level
+// field with one of these names on a config that embeds them is a knob
+// copy.
+func knobNames(blocks ...reflect.Type) map[string]bool {
+	names := map[string]bool{}
+	for _, blk := range blocks {
 		for i := 0; i < blk.NumField(); i++ {
 			names[blk.Field(i).Name] = true
 		}
@@ -40,175 +29,56 @@ func knobNames(t *testing.T) map[string]bool {
 	return names
 }
 
-// TestConfigKnobParity is the no-drift gate: each client-driving config
-// embeds BOTH shared blocks (so every knob is reachable through the
-// canonical spelling), and its top-level flat knob copies are exactly the
-// frozen deprecated aliases below — no more, no fewer. Adding a private
-// tuning field to any config fails this test; extend config.Tuning
-// instead.
+// TestConfigKnobParity: each config embeds the shared blocks it is listed
+// with (so every knob is reachable through the one spelling) and has no
+// top-level field named like one of their knobs, except the frozen names
+// below. Adding a private tuning field to any config fails this test;
+// extend config.Tuning instead.
 func TestConfigKnobParity(t *testing.T) {
-	knobs := knobNames(t)
+	tuning, topology := reflect.TypeOf(config.Tuning{}), reflect.TypeOf(config.Topology{})
 	cases := []struct {
-		typ reflect.Type
-		// frozen is the complete set of legacy flat aliases (plus, for
-		// ClientConfig, the Transport field that shares a knob's name but
-		// carries the data-plane object, not the string selector).
+		typ    reflect.Type
+		embeds []reflect.Type
+		// frozen lists top-level fields that share a knob's name without
+		// being a copy of it.
 		frozen []string
 	}{
-		{reflect.TypeOf(ClientConfig{}), []string{
-			"ReadRepair", "Spares", "HedgeDelay", "AdaptiveHedge",
-			"HedgeDeviations", "EagerRead", "W", "Cells", "CellVnodes",
-			"Transport", // transport.Transport object, not the plane selector
-		}},
-		{reflect.TypeOf(sim.ConsistencyConfig{}), []string{
-			"Spares", "HedgeDelay", "EagerRead", "AdaptiveHedge",
-			"HedgeDeviations", "WriteW", "Transport", "LatencyMin", "LatencyMax",
-		}},
-		{reflect.TypeOf(chaos.Config{}), []string{
-			"Spares", "HedgeDelay", "AdaptiveHedge", "EagerRead",
-			"Cells", "Transport", "LatencyMin", "LatencyMax",
-		}},
-		// load.Config was born after the redesign: zero flat aliases.
-		{reflect.TypeOf(load.Config{}), nil},
+		// Transport is the transport.Transport object, not the plane selector.
+		{reflect.TypeOf(ClientConfig{}), []reflect.Type{tuning, topology}, []string{"Transport"}},
+		{reflect.TypeOf(sim.ConsistencyConfig{}), []reflect.Type{tuning, topology}, nil},
+		{reflect.TypeOf(chaos.Config{}), []reflect.Type{tuning, topology}, nil},
+		{reflect.TypeOf(load.Config{}), []reflect.Type{tuning, topology}, nil},
+		// The client itself: embeds config.Tuning, no flat copy. Its Cells
+		// and RingVnodes are its own fields; it has no Topology.
+		{reflect.TypeOf(register.Options{}), []reflect.Type{tuning}, nil},
 	}
 	for _, tc := range cases {
 		t.Run(tc.typ.String(), func(t *testing.T) {
+			knobs := knobNames(tc.embeds...)
 			frozen := map[string]bool{}
 			for _, n := range tc.frozen {
 				frozen[n] = true
 			}
-			embedded := map[string]bool{}
-			var flat []string
+			embedded := map[reflect.Type]bool{}
 			for i := 0; i < tc.typ.NumField(); i++ {
 				f := tc.typ.Field(i)
 				if f.Anonymous {
-					embedded[f.Type.String()] = true
+					embedded[f.Type] = true
 					continue
 				}
-				if knobs[f.Name] {
-					flat = append(flat, f.Name)
-					if !frozen[f.Name] {
-						t.Errorf("%s.%s is a NEW flat copy of a shared knob; set it on the embedded config.Tuning/Topology block instead",
-							tc.typ, f.Name)
-					}
+				if knobs[f.Name] && !frozen[f.Name] {
+					t.Errorf("%s.%s is a flat copy of a shared knob; set it on the embedded block instead", tc.typ, f.Name)
 				}
+				delete(frozen, f.Name)
 			}
-			for _, blk := range []string{"config.Tuning", "config.Topology"} {
+			for _, blk := range tc.embeds {
 				if !embedded[blk] {
 					t.Errorf("%s does not embed %s", tc.typ, blk)
 				}
 			}
-			if len(flat) != len(tc.frozen) {
-				t.Errorf("%s flat knob aliases = %v, frozen list = %v: removing a deprecated alias breaks the compat contract",
-					tc.typ, flat, tc.frozen)
+			for n := range frozen {
+				t.Errorf("%s.%s is frozen but no longer exists; drop it from the list", tc.typ, n)
 			}
 		})
-	}
-}
-
-// chaosCompatPair builds the same hedged chaos scenario twice: once
-// through the legacy flat fields, once through the embedded blocks.
-func chaosCompatPair(t *testing.T, transport string) (flat, embedded chaos.Config) {
-	t.Helper()
-	sys, err := core.NewEpsilonIntersectingEll(36, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := chaos.Config{
-		Name: "compat/" + transport, System: sys, Mode: register.Benign,
-		Ops: 120, Seed: 11, Bound: sys.EpsilonBound(),
-		Virtual: true,
-	}
-	flat = base
-	flat.Spares = 2
-	flat.HedgeDelay = 2 * time.Millisecond
-	flat.EagerRead = true
-	flat.Transport = transport
-	flat.LatencyMin = 500 * time.Microsecond
-	flat.LatencyMax = 3 * time.Millisecond
-
-	embedded = base
-	embedded.Tuning = config.Tuning{
-		Spares: 2, HedgeDelay: 2 * time.Millisecond, EagerRead: true,
-	}
-	embedded.Topology = config.Topology{
-		Transport:  transport,
-		LatencyMin: 500 * time.Microsecond,
-		LatencyMax: 3 * time.Millisecond,
-	}
-	return flat, embedded
-}
-
-// TestConfigAliasBitCompat is the migration contract: the flat spelling
-// and the embedded spelling of one hedged scenario replay bit-identical
-// histories on BOTH data planes. Old callers can migrate field by field
-// with zero behavior change.
-func TestConfigAliasBitCompat(t *testing.T) {
-	for _, tr := range []string{sim.TransportMem, sim.TransportTCPVirtual} {
-		t.Run(tr, func(t *testing.T) {
-			flatCfg, embCfg := chaosCompatPair(t, tr)
-			a, err := chaos.Run(flatCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := chaos.Run(embCfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if d := a.History.Diff(b.History); d != "" {
-				t.Errorf("flat vs embedded histories diverge on %s: %s", tr, d)
-			}
-			if a.Check.Epsilon != b.Check.Epsilon {
-				t.Errorf("flat ε=%v embedded ε=%v", a.Check.Epsilon, b.Check.Epsilon)
-			}
-		})
-	}
-}
-
-// TestClientConfigAliasCompat pins the public-API half: a NewClient built
-// from legacy flat fields and one built from the embedded Tuning block
-// behave identically against same-seed clusters.
-func TestClientConfigAliasCompat(t *testing.T) {
-	run := func(cfg ClientConfig) []string {
-		cluster, err := NewLocalCluster(25, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys, err := New(Config{N: 25, Epsilon: 1e-2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg.System = sys
-		cfg.Transport = cluster.Transport()
-		cfg.WriterID = 1
-		cfg.Seed = 9
-		client, err := NewClient(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.WaitDrained()
-		ctx := context.Background()
-		var trace []string
-		for i := 0; i < 40; i++ {
-			key := fmt.Sprintf("k%d", i%5)
-			if _, err := client.Write(ctx, key, []byte(fmt.Sprintf("v%d", i))); err != nil {
-				t.Fatalf("write %d: %v", i, err)
-			}
-			rr, err := client.Read(ctx, key)
-			if err != nil {
-				t.Fatalf("read %d: %v", i, err)
-			}
-			trace = append(trace, fmt.Sprintf("%s=%s@%v", key, rr.Value, rr.Stamp))
-		}
-		return trace
-	}
-	flat := run(ClientConfig{
-		Spares: 2, EagerRead: true, ReadRepair: true, W: 0,
-	})
-	embedded := run(ClientConfig{
-		Tuning: Tuning{Spares: 2, EagerRead: true, ReadRepair: true},
-	})
-	if !reflect.DeepEqual(flat, embedded) {
-		t.Errorf("legacy flat and embedded ClientConfig traces diverge:\nflat:     %v\nembedded: %v", flat, embedded)
 	}
 }

@@ -45,7 +45,7 @@ func run() error {
 	fmt.Printf("location service: %d stores, quorum size %d, load %.2f, eps=%.1e\n\n",
 		stores, sys.QuorumSize(), sys.Load(), sys.Epsilon())
 
-	cluster, err := pqs.NewLocalCluster(stores, 7)
+	cluster, err := pqs.NewCluster(pqs.ClusterConfig{N: stores, Seed: 7})
 	if err != nil {
 		return err
 	}

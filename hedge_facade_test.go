@@ -14,7 +14,7 @@ func TestLocalClusterHedgedRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(sys.N(), 1)
+	cluster, err := NewCluster(ClusterConfig{N: sys.N(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,9 +26,7 @@ func TestLocalClusterHedgedRead(t *testing.T) {
 		// 8 spares: with 8/25 stragglers the eager benign read needs 7 fast
 		// repliers among the 15 dispatchable servers, which every seed-7
 		// sample satisfies with margin (worst draw leaves 9 fast).
-		Spares:     8,
-		HedgeDelay: 2 * time.Millisecond,
-		EagerRead:  true,
+		Tuning: Tuning{Spares: 8, HedgeDelay: 2 * time.Millisecond, EagerRead: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -88,13 +86,11 @@ func TestTCPHedgedRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	client, err := NewClient(ClientConfig{
-		System:     sys,
-		Transport:  tc,
-		WriterID:   1,
-		Seed:       3,
-		Spares:     1,
-		HedgeDelay: 5 * time.Millisecond,
-		EagerRead:  true,
+		System:    sys,
+		Transport: tc,
+		WriterID:  1,
+		Seed:      3,
+		Tuning:    Tuning{Spares: 1, HedgeDelay: 5 * time.Millisecond, EagerRead: true},
 	})
 	if err != nil {
 		t.Fatal(err)

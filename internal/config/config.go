@@ -1,25 +1,22 @@
-// Package config holds the two configuration blocks shared by every harness
-// that drives the register client — the public pqs.ClientConfig, the
-// Monte-Carlo sim.ConsistencyConfig, the adversarial chaos.Config and the
-// population-scale load.Config:
+// Package config holds the configuration blocks shared by every layer that
+// builds or drives the register client — register.Options, the public
+// pqs.ClientConfig, the Monte-Carlo sim.ConsistencyConfig, the adversarial
+// chaos.Config and the population-scale load.Config:
 //
 //   - Tuning: the access-tuning knobs (straggler tolerance, hedging, early
-//     completion, read repair) that parameterize register.Options.
+//     completion, read repair). Declared and documented here, once;
+//     register.Options embeds the block and every config above embeds it
+//     too, so a harness hands its block to the client as Tuning: cfg.Tuning.
 //   - Topology: the cluster-shape knobs (cells, universe size, data plane,
 //     latency model).
+//   - Cluster: the layout pqs.NewCluster and sim.NewCluster build.
 //
-// Before this package each config struct carried its own flat copy of these
-// fields, and the copies drifted (sim lacked ReadRepair, chaos lacked
-// HedgeDeviations/W). Now every config embeds Tuning and Topology; the old
-// flat fields survive as deprecated aliases that forward, resolved by Or:
-// an embedded (canonical) field wins when set, the legacy flat field fills
-// zero-valued gaps, and boolean knobs combine by OR. A reflection test at
-// the repo root pins the rule that no config struct ever grows a private
-// copy of a tuning knob again.
+// A reflection test at the repo root (config_parity_test.go) pins the rule
+// that no config struct grows a private copy of one of these knobs.
 //
 // The package is deliberately leaf-level (it imports only vtime), so the
-// public API, the harnesses and the load generator can all share it without
-// cycles.
+// public API, the client, the harnesses and the load generator can all share
+// it without cycles.
 package config
 
 import (
@@ -28,56 +25,76 @@ import (
 	"pqs/internal/vtime"
 )
 
-// Tuning is the access-tuning block shared by every client-driving config:
-// the straggler-tolerance and consistency/latency trade-off knobs of
-// register.Options. Zero values mean "protocol default" everywhere, so an
-// all-zero Tuning is the classic wait-for-all client.
-//
-// See register.Options for the full semantics of each knob; the field names
-// match one-to-one.
+// Tuning is the access-tuning block: the straggler-tolerance and
+// consistency/latency trade-off knobs of the register client. Zero values
+// mean "protocol default" everywhere, so an all-zero Tuning is the classic
+// wait-for-all client.
 type Tuning struct {
-	// Spares oversamples every access set by this many extra servers,
-	// promoted on member failure or hedge-timer expiry.
+	// Spares is the number of extra servers sampled alongside every access
+	// set (oversampling). A spare is dispatched ("promoted") when a member's
+	// call fails, or each time HedgeDelay elapses without the operation
+	// completing. Requires a system that implements quorum.SpareSampler.
+	//
+	// Promotion preserves the attempt-level ε argument documented on
+	// register.RetryingClient: spares are drawn by the same strategy and
+	// promoted only on observed failure or on an identity-blind timer, so
+	// the access set that completes is the strategy's sample conditioned on
+	// liveness — the same conditioning a full re-sample performs. With
+	// spares in play, RequireFullWrite is satisfied by quorum-size
+	// acknowledgements, whether they came from original members or promoted
+	// spares.
 	Spares int
-	// HedgeDelay promotes one spare each time this delay elapses before the
-	// operation completes (with AdaptiveHedge, the warmup bootstrap).
+	// HedgeDelay, when positive, promotes one spare each time this delay
+	// elapses before the operation completes (latency hedging). Zero means
+	// spares are promoted only on observed member failure. With
+	// AdaptiveHedge set this is only the bootstrap value used until the
+	// latency estimator has warmed up.
 	HedgeDelay time.Duration
-	// AdaptiveHedge derives the hedge delay from the pooled reply-latency
-	// estimator (SRTT + HedgeDeviations·RTTVAR) instead of HedgeDelay.
+	// AdaptiveHedge derives the hedge delay from an online latency
+	// estimate instead of the fixed HedgeDelay: the client keeps a pooled
+	// EWMA of reply latency (SRTT) and an EWMA of its deviation (RTTVAR,
+	// Jacobson/Karels gains) and hedges at SRTT + HedgeDeviations·RTTVAR —
+	// an upper-quantile estimate that tracks the cluster as it speeds up
+	// or degrades. Per-server EWMAs are kept for observability
+	// (ServerLatencies) but never steer the delay: the hedge timer stays a
+	// function of pooled history from past operations only, independent of
+	// which servers the current access set contains, preserving the
+	// identity-blind-timer premise of the ε argument above. Requires
+	// Spares > 0 and a positive HedgeDelay (the pre-warmup bootstrap).
 	AdaptiveHedge bool
-	// HedgeDeviations is the adaptive-hedge quantile knob (0 = default 4).
+	// HedgeDeviations is the adaptive-hedge quantile knob: the number of
+	// deviations above the latency EWMA at which the hedge fires.
+	// 0 means the default (4, the classic RTO multiplier).
 	HedgeDeviations float64
-	// EagerRead returns reads at the mode's decidable completion threshold,
-	// draining stragglers in the background.
+	// EagerRead makes Read return as soon as the mode's acceptance rule is
+	// decidable instead of waiting for every dispatched call:
+	//
+	//   - Benign: quorum-size replies collected;
+	//   - Dissemination: quorum-size replies of which at least one verifies —
+	//     decided by the same on-demand selection the read finishes with
+	//     (highest timestamp first, stop at the first valid signature), so
+	//     no reply is ever verified twice and a late reply at or below the
+	//     best verified stamp is not verified at all;
+	//   - Masking: some pair holds K vouchers and no rival (seen or unseen)
+	//     can still reach K with the replies outstanding.
+	//
+	// Remaining replies are drained in the background (see Client.Stats and
+	// Client.WaitDrained); with ReadRepair set, late stale repliers are
+	// repaired from the drain as well.
 	EagerRead bool
-	// W completes writes after W acknowledgements (0 = full access set).
+	// W, when between 1 and the quorum size, completes Write as soon as W
+	// members acknowledged, leaving the rest to the background drain. Zero
+	// (or RequireFullWrite) keeps the default: wait for the full access set.
+	// W below the quorum size trades a further ε degradation for latency,
+	// exactly as best-effort writes already do; the calls already in flight
+	// keep delivering the write to the remaining members as long as the
+	// operation's context stays live (cancelling it aborts them).
 	W int
-	// ReadRepair pushes the value a read accepted back to stale members.
+	// ReadRepair pushes the value a read accepted back to the read-quorum
+	// members observed to be stale, with its original signature. Valid in
+	// Benign and Dissemination modes; rejected in Masking mode, where a
+	// fooled read must not persist a fabricated value onto correct servers.
 	ReadRepair bool
-}
-
-// Or resolves t against a legacy flat-field block: every zero-valued knob of
-// t is filled from legacy, and booleans combine by OR (a knob enabled
-// through either spelling stays enabled). Configs that embed Tuning call
-// this with their deprecated flat fields so old code keeps its exact
-// behavior while new code sets the embedded block only.
-func (t Tuning) Or(legacy Tuning) Tuning {
-	if t.Spares == 0 {
-		t.Spares = legacy.Spares
-	}
-	if t.HedgeDelay == 0 {
-		t.HedgeDelay = legacy.HedgeDelay
-	}
-	t.AdaptiveHedge = t.AdaptiveHedge || legacy.AdaptiveHedge
-	if t.HedgeDeviations == 0 {
-		t.HedgeDeviations = legacy.HedgeDeviations
-	}
-	t.EagerRead = t.EagerRead || legacy.EagerRead
-	if t.W == 0 {
-		t.W = legacy.W
-	}
-	t.ReadRepair = t.ReadRepair || legacy.ReadRepair
-	return t
 }
 
 // Topology is the cluster-shape block shared by every harness config: how
@@ -103,35 +120,8 @@ type Topology struct {
 	LatencyMin, LatencyMax time.Duration
 }
 
-// Or resolves t against a legacy flat-field block, exactly as Tuning.Or:
-// zero-valued fields fill from legacy.
-func (t Topology) Or(legacy Topology) Topology {
-	if t.Cells == 0 {
-		t.Cells = legacy.Cells
-	}
-	if t.CellVnodes == 0 {
-		t.CellVnodes = legacy.CellVnodes
-	}
-	if t.N == 0 {
-		t.N = legacy.N
-	}
-	if t.Transport == "" {
-		t.Transport = legacy.Transport
-	}
-	if t.LatencyMin == 0 {
-		t.LatencyMin = legacy.LatencyMin
-	}
-	if t.LatencyMax == 0 {
-		t.LatencyMax = legacy.LatencyMax
-	}
-	return t
-}
-
-// Cluster describes a replica-cluster layout: the one options struct behind
-// the five historical cluster constructors (pqs.NewLocalCluster,
-// pqs.NewLocalClusterCells, sim.NewCluster, sim.NewClusterClock,
-// sim.NewClusterCellsClock), which survive as thin wrappers. pqs.NewCluster
-// and sim.NewClusterCfg both take it; they differ only in return type.
+// Cluster describes a replica-cluster layout. pqs.NewCluster and
+// sim.NewCluster both take it; they differ only in return type.
 type Cluster struct {
 	// Cells is the quorum-cell count (0 or 1 = single cell).
 	Cells int

@@ -79,10 +79,7 @@ import (
 // The NUL prefix keeps it out of every client keyspace.
 const MemberViewKey = "\x00pqs/member-view"
 
-// Config drives one population-scale load run. The access-tuning knobs
-// live on the embedded config.Tuning block and the shape knobs on
-// config.Topology — load is the first harness born after the Tuning/
-// Topology unification, so it has no deprecated flat aliases at all.
+// Config drives one population-scale load run.
 type Config struct {
 	// Tuning is the access-tuning block. It is honored in full by the
 	// latency phase; the counting phase strips the latency-tolerance knobs
@@ -287,7 +284,7 @@ type cfg = Config
 func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	n := c.System.N()
 	q := c.System.QuorumSize()
-	cluster := sim.NewClusterCfg(config.Cluster{Cells: c.Topology.Cells, N: n, Seed: c.Seed, Clock: sc})
+	cluster := sim.NewCluster(config.Cluster{Cells: c.Topology.Cells, N: n, Seed: c.Seed, Clock: sc})
 	total := len(cluster.Replicas)
 
 	e := &engine{cfg: c, sc: sc, net: cluster.Net, total: total}
@@ -303,7 +300,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 		if c.Waves > 0 || c.CrashN > 0 {
 			return nil, errors.New("load: churn and crashes require the mem plane")
 		}
-		tc, err := sim.NewTCPCluster(cluster, sc, c.Seed+0x7C9, 0)
+		tc, err := sim.NewTCPCluster(cluster, sc, c.Seed+0x7C9, sim.TCPClusterOptions{})
 		if err != nil {
 			return nil, err
 		}
@@ -418,26 +415,21 @@ type clientState struct {
 // clients strip the latency-tolerance knobs (see the package comment);
 // the latency-phase issuer and the churn driver's advertiser keep them.
 func (e *engine) newClient(seed int64, writer uint32, fullTuning bool) (*register.Client, error) {
-	opts := register.Options{
+	tuning := e.cfg.Tuning
+	if !fullTuning {
+		tuning = config.Tuning{W: tuning.W, ReadRepair: tuning.ReadRepair}
+	}
+	return register.NewClient(register.Options{
 		System:     e.cfg.System,
 		Mode:       register.Benign,
 		Transport:  e.callTr,
 		Rand:       rand.New(rand.NewSource(seed)),
 		Clock:      ts.NewClock(writer),
 		Time:       e.sc,
-		W:          e.cfg.Tuning.W,
-		ReadRepair: e.cfg.Tuning.ReadRepair,
-		Cells:      e.cfg.Topology.Cells,
-		RingVnodes: e.cfg.Topology.CellVnodes,
-	}
-	if fullTuning {
-		opts.Spares = e.cfg.Tuning.Spares
-		opts.HedgeDelay = e.cfg.Tuning.HedgeDelay
-		opts.AdaptiveHedge = e.cfg.Tuning.AdaptiveHedge
-		opts.HedgeDeviations = e.cfg.Tuning.HedgeDeviations
-		opts.EagerRead = e.cfg.Tuning.EagerRead
-	}
-	return register.NewClient(opts)
+		Tuning:     tuning,
+		Cells:      e.cfg.Cells,
+		RingVnodes: e.cfg.CellVnodes,
+	})
 }
 
 func (e *engine) newClientState(i int) (*clientState, error) {

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/register"
 	"pqs/internal/sim"
@@ -42,8 +43,8 @@ func TestBreakerBeatsHedgeOnStalledServer(t *testing.T) {
 		sc := vtime.NewSimClock()
 		var durs []time.Duration
 		sc.Run(func() {
-			cluster := sim.NewClusterClock(n, 7, sc)
-			tc, err := sim.NewTCPClusterOpts(cluster, sc, 7, sim.TCPClusterOptions{
+			cluster := sim.NewCluster(config.Cluster{N: n, Seed: 7, Clock: sc})
+			tc, err := sim.NewTCPCluster(cluster, sc, 7, sim.TCPClusterOptions{
 				CallTimeout: 50 * time.Millisecond,
 				Lifecycle:   lc,
 			})
@@ -60,15 +61,13 @@ func TestBreakerBeatsHedgeOnStalledServer(t *testing.T) {
 				return
 			}
 			client, err := register.NewClient(register.Options{
-				System:     sys,
-				Mode:       register.Benign,
-				Transport:  tc.Client,
-				Rand:       rand.New(rand.NewSource(21)),
-				Clock:      ts.NewClock(1),
-				Time:       sc,
-				Spares:     2,
-				HedgeDelay: hedgeDelay,
-				EagerRead:  true,
+				System:    sys,
+				Mode:      register.Benign,
+				Transport: tc.Client,
+				Rand:      rand.New(rand.NewSource(21)),
+				Clock:     ts.NewClock(1),
+				Time:      sc,
+				Tuning:    config.Tuning{Spares: 2, HedgeDelay: hedgeDelay, EagerRead: true},
 			})
 			if err != nil {
 				t.Error(err)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/ts"
 )
@@ -75,9 +76,7 @@ func TestEagerReadSkipsStraggler(t *testing.T) {
 	c := newCluster(t, n)
 	sys := uniformSystem(t, n, q)
 	cl := hedgedClient(t, c, sys, Options{
-		Spares:     4,
-		HedgeDelay: 2 * time.Millisecond,
-		EagerRead:  true,
+		Tuning: config.Tuning{Spares: 4, HedgeDelay: 2 * time.Millisecond, EagerRead: true},
 	})
 	ctx := context.Background()
 	keys := []string{"a", "b", "c", "d", "e", "f", "g", "h"}
@@ -141,7 +140,7 @@ func TestEagerReadMasking(t *testing.T) {
 	const n = 7
 	c := newCluster(t, n)
 	sys := uniformSystem(t, n, n) // access set = whole universe
-	cl := hedgedClient(t, c, sys, Options{Mode: Masking, K: 2, EagerRead: true})
+	cl := hedgedClient(t, c, sys, Options{Mode: Masking, K: 2, Tuning: config.Tuning{EagerRead: true}})
 	ctx := context.Background()
 	if _, err := cl.Write(ctx, "x", []byte("v")); err != nil {
 		t.Fatal(err)
@@ -176,7 +175,7 @@ func TestEagerWriteThreshold(t *testing.T) {
 	const n = 5
 	c := newCluster(t, n)
 	sys := uniformSystem(t, n, n)
-	cl := hedgedClient(t, c, sys, Options{W: 3})
+	cl := hedgedClient(t, c, sys, Options{Tuning: config.Tuning{W: 3}})
 	ctx := context.Background()
 	const stragglerWait = 250 * time.Millisecond
 	c.net.SetServerLatency(4, stragglerWait, stragglerWait)
@@ -227,7 +226,7 @@ func TestHedgePromotesSparesBeforeResample(t *testing.T) {
 	const n, q = 9, 5
 	c := newCluster(t, n)
 	cs := &countingSystem{SpareSampler: uniformSystem(t, n, q)}
-	cl := hedgedClient(t, c, cs, Options{Spares: 4})
+	cl := hedgedClient(t, c, cs, Options{Tuning: config.Tuning{Spares: 4}})
 	rc, err := NewRetryingClient(cl, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +262,7 @@ func TestRetryFallsThroughOnDeadQuorum(t *testing.T) {
 	const n, q = 6, 3
 	c := newCluster(t, n)
 	cs := &countingSystem{SpareSampler: uniformSystem(t, n, q)}
-	cl := hedgedClient(t, c, cs, Options{Spares: 2})
+	cl := hedgedClient(t, c, cs, Options{Tuning: config.Tuning{Spares: 2}})
 	rc, err := NewRetryingClient(cl, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -312,10 +311,12 @@ func TestLateReadRepair(t *testing.T) {
 	c := newCluster(t, n)
 	sys := uniformSystem(t, n, q)
 	cl := hedgedClient(t, c, sys, Options{
-		Spares:     1,
-		HedgeDelay: 2 * time.Millisecond,
-		EagerRead:  true,
-		ReadRepair: true,
+		Tuning: config.Tuning{
+			Spares:     1,
+			HedgeDelay: 2 * time.Millisecond,
+			EagerRead:  true,
+			ReadRepair: true,
+		},
 	})
 	ctx := context.Background()
 	if _, err := cl.Write(ctx, "x", []byte("v1")); err != nil {
@@ -399,7 +400,7 @@ func TestSpareRequiresSampler(t *testing.T) {
 		Mode:      Benign,
 		Transport: c.net,
 		Rand:      rand.New(rand.NewSource(1)),
-		Spares:    2,
+		Tuning:    config.Tuning{Spares: 2},
 	})
 	if err == nil {
 		t.Fatal("Spares accepted for a system without SpareSampler")

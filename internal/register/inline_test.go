@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/replica"
 	"pqs/internal/transport"
@@ -113,7 +114,7 @@ func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 					System: fixedSystem{SpareSampler: uniformSystem(t, q+1, q), members: members, spares: []quorum.ServerID{q}},
 					Mode:   Benign, Transport: net, Time: clk,
 					Rand:   rand.New(rand.NewSource(1)),
-					Spares: 1, HedgeDelay: hedgeDelay, EagerRead: true,
+					Tuning: config.Tuning{Spares: 1, HedgeDelay: hedgeDelay, EagerRead: true},
 				})
 				if err != nil {
 					readErr = err
@@ -320,17 +321,17 @@ func TestInlineMatchesPoolDifferential(t *testing.T) {
 	for _, dc := range []differentialCase{
 		{name: "benign", n: 12, q: 7, opts: Options{Mode: Benign}},
 		{name: "benign spares eager repair", n: 12, q: 7, crashed: []quorum.ServerID{4},
-			opts: Options{Mode: Benign, Spares: 2, EagerRead: true, ReadRepair: true}},
+			opts: Options{Mode: Benign, Tuning: config.Tuning{Spares: 2, EagerRead: true, ReadRepair: true}}},
 		{name: "benign W repair", n: 12, q: 7, crashed: []quorum.ServerID{4},
-			opts: Options{Mode: Benign, ReadRepair: true, W: 5}},
+			opts: Options{Mode: Benign, Tuning: config.Tuning{ReadRepair: true, W: 5}}},
 		{name: "dissemination forgers spares eager repair", n: 12, q: 7, forgers: []quorum.ServerID{1, 6}, crashed: []quorum.ServerID{9},
-			opts: Options{Mode: Dissemination, Spares: 2, EagerRead: true, ReadRepair: true}},
+			opts: Options{Mode: Dissemination, Tuning: config.Tuning{Spares: 2, EagerRead: true, ReadRepair: true}}},
 		{name: "dissemination forgers W", n: 12, q: 7, forgers: []quorum.ServerID{2},
-			opts: Options{Mode: Dissemination, W: 4}},
+			opts: Options{Mode: Dissemination, Tuning: config.Tuning{W: 4}}},
 		{name: "masking forgers spares", n: 12, q: 9, forgers: []quorum.ServerID{0, 7}, crashed: []quorum.ServerID{3},
-			opts: Options{Mode: Masking, K: 3, Spares: 2}},
+			opts: Options{Mode: Masking, K: 3, Tuning: config.Tuning{Spares: 2}}},
 		{name: "masking forgers W", n: 12, q: 9, forgers: []quorum.ServerID{0, 7},
-			opts: Options{Mode: Masking, K: 3, W: 7}},
+			opts: Options{Mode: Masking, K: 3, Tuning: config.Tuning{W: 7}}},
 	} {
 		t.Run(dc.name, func(t *testing.T) {
 			inlineOut, inlineStores, inlineProbes := differentialRun(t, dc, true)

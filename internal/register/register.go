@@ -37,8 +37,8 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/sv"
 	"pqs/internal/transport"
@@ -136,78 +136,16 @@ type Options struct {
 	// reach the whole chosen quorum; leaving this false (best effort)
 	// trades a further ε degradation for availability.
 	RequireFullWrite bool
-	// ReadRepair pushes the value a read accepted back to the read-quorum
-	// members observed to be stale, with its original signature. Valid in
-	// Benign and Dissemination modes; rejected in Masking mode, where a
-	// fooled read must not persist a fabricated value onto correct servers.
-	ReadRepair bool
-
-	// Spares is the number of extra servers sampled alongside every access
-	// set (oversampling). A spare is dispatched ("promoted") when a member's
-	// call fails, or each time HedgeDelay elapses without the operation
-	// completing. Requires System to implement quorum.SpareSampler.
-	//
-	// Promotion preserves the attempt-level ε argument documented on
-	// RetryingClient: spares are drawn by the same strategy and promoted
-	// only on observed failure or on an identity-blind timer, so the access
-	// set that completes is the strategy's sample conditioned on liveness —
-	// the same conditioning a full re-sample performs. With spares in play,
-	// RequireFullWrite is satisfied by quorum-size acknowledgements, whether
-	// they came from original members or promoted spares.
-	Spares int
-	// HedgeDelay, when positive, promotes one spare each time this delay
-	// elapses before the operation completes (latency hedging). Zero means
-	// spares are promoted only on observed member failure. With
-	// AdaptiveHedge set this is only the bootstrap value used until the
-	// latency estimator has warmed up.
-	HedgeDelay time.Duration
-	// AdaptiveHedge derives the hedge delay from an online latency
-	// estimate instead of the fixed HedgeDelay: the client keeps a pooled
-	// EWMA of reply latency (SRTT) and an EWMA of its deviation (RTTVAR,
-	// Jacobson/Karels gains) and hedges at SRTT + HedgeDeviations·RTTVAR —
-	// an upper-quantile estimate that tracks the cluster as it speeds up
-	// or degrades. Per-server EWMAs are kept for observability
-	// (ServerLatencies) but never steer the delay: the hedge timer stays a
-	// function of pooled history from past operations only, independent of
-	// which servers the current access set contains, preserving the
-	// identity-blind-timer premise of the ε argument above. Requires
-	// Spares > 0 and a positive HedgeDelay (the pre-warmup bootstrap).
-	AdaptiveHedge bool
-	// HedgeDeviations is the adaptive-hedge quantile knob: the number of
-	// deviations above the latency EWMA at which the hedge fires.
-	// 0 means the default (4, the classic RTO multiplier).
-	HedgeDeviations float64
+	// Tuning is the access-tuning block — Spares, HedgeDelay, AdaptiveHedge,
+	// HedgeDeviations, EagerRead, W, ReadRepair — declared and documented in
+	// package config, which every harness config embeds too.
+	config.Tuning
 	// Time supplies timers, sleeps and latency measurement. Nil means the
 	// wall clock. The sim and chaos harnesses install a vtime.SimClock,
 	// which makes hedge timers deterministic and virtual-latency runs
 	// complete in wall-clock milliseconds; every goroutine the client
 	// spawns then registers with the SimClock scheduler.
 	Time vtime.Clock
-	// EagerRead makes Read return as soon as the mode's acceptance rule is
-	// decidable instead of waiting for every dispatched call:
-	//
-	//   - Benign: quorum-size replies collected;
-	//   - Dissemination: quorum-size replies of which at least one verifies —
-	//     decided by the same on-demand selection the read finishes with
-	//     (highest timestamp first, stop at the first valid signature), so
-	//     no reply is ever verified twice and a late reply at or below the
-	//     best verified stamp is not verified at all;
-	//   - Masking: some pair holds K vouchers and no rival (seen or unseen)
-	//     can still reach K with the replies outstanding.
-	//
-	// Remaining replies are drained in the background (see Stats and
-	// WaitDrained); with ReadRepair set, late stale repliers are repaired
-	// from the drain as well.
-	EagerRead bool
-	// W, when between 1 and the quorum size, completes Write as soon as W
-	// members acknowledged, leaving the rest to the background drain. Zero
-	// (or RequireFullWrite) keeps the default: wait for the full access set.
-	// W below the quorum size trades a further ε degradation for latency,
-	// exactly as best-effort writes already do; the calls already in flight
-	// keep delivering the write to the remaining members as long as the
-	// operation's context stays live (cancelling it aborts them).
-	W int
-
 	// Cells partitions the keyspace across this many independent quorum
 	// cells. Cell i is a full copy of the configured system over servers
 	// [i*n, (i+1)*n) of the Transport, where n = System.N(); a consistent-

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/replica"
 	"pqs/internal/sv"
@@ -36,8 +37,8 @@ func TestReadRepairHealsStaleMembers(t *testing.T) {
 	}
 	cl, err := NewClient(Options{
 		System: full, Mode: Benign, Transport: c.net,
-		Rand:       rand.New(rand.NewSource(1)),
-		ReadRepair: true,
+		Rand:   rand.New(rand.NewSource(1)),
+		Tuning: config.Tuning{ReadRepair: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -81,9 +82,9 @@ func TestReadRepairPreservesSignatures(t *testing.T) {
 	}
 	cl, err := NewClient(Options{
 		System: full, Mode: Dissemination, Transport: c.net,
-		Rand:       rand.New(rand.NewSource(2)),
-		Registry:   reg,
-		ReadRepair: true,
+		Rand:     rand.New(rand.NewSource(2)),
+		Registry: reg,
+		Tuning:   config.Tuning{ReadRepair: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,8 +112,8 @@ func TestReadRepairRejectedInMaskingMode(t *testing.T) {
 	}
 	_, err = NewClient(Options{
 		System: full, Mode: Masking, K: 2, Transport: c.net,
-		Rand:       rand.New(rand.NewSource(3)),
-		ReadRepair: true,
+		Rand:   rand.New(rand.NewSource(3)),
+		Tuning: config.Tuning{ReadRepair: true},
 	})
 	if err == nil {
 		t.Fatal("masking + read repair must be rejected")
@@ -127,8 +128,8 @@ func TestReadRepairNoopWhenNothingFound(t *testing.T) {
 	}
 	cl, err := NewClient(Options{
 		System: full, Mode: Benign, Transport: c.net,
-		Rand:       rand.New(rand.NewSource(4)),
-		ReadRepair: true,
+		Rand:   rand.New(rand.NewSource(4)),
+		Tuning: config.Tuning{ReadRepair: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +178,9 @@ func TestReadRepairSpreadsOnlyTheVerifiedSignature(t *testing.T) {
 	}
 	cl, err := NewClient(Options{
 		System: full, Mode: Dissemination, Transport: c.net,
-		Rand:       rand.New(rand.NewSource(6)),
-		Registry:   s.reg,
-		ReadRepair: true,
+		Rand:     rand.New(rand.NewSource(6)),
+		Registry: s.reg,
+		Tuning:   config.Tuning{ReadRepair: true},
 	})
 	if err != nil {
 		t.Fatal(err)

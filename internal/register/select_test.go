@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/replica"
 	"pqs/internal/sv"
@@ -335,7 +336,7 @@ func TestEagerDisseminationCompletesOnSpare(t *testing.T) {
 			System: fixedSystem{SpareSampler: uniformSystem(t, 4, 3), members: []quorum.ServerID{0, 1, 2}, spares: []quorum.ServerID{3}},
 			Mode:   Dissemination, Registry: s.reg, Transport: net, Time: clk,
 			Rand:   rand.New(rand.NewSource(1)),
-			Spares: 1, HedgeDelay: hedgeDelay, EagerRead: true,
+			Tuning: config.Tuning{Spares: 1, HedgeDelay: hedgeDelay, EagerRead: true},
 		})
 		if err != nil {
 			readErr = err

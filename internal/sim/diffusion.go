@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"pqs/internal/config"
 	"pqs/internal/diffusion"
 	"pqs/internal/quorum"
 	"pqs/internal/register"
@@ -30,7 +31,7 @@ func MeasureDiffusionConsistency(sys quorum.System, rounds, fanout, trials int, 
 	res := ConsistencyResult{Trials: trials}
 	ctx := context.Background()
 	for i := 0; i < trials; i++ {
-		cluster := NewCluster(sys.N(), seed+int64(i)*13)
+		cluster := NewCluster(config.Cluster{N: sys.N(), Seed: seed + int64(i)*13})
 		client, err := register.NewClient(register.Options{
 			System:    sys,
 			Mode:      register.Benign,

@@ -35,12 +35,15 @@ type Cluster struct {
 	Replicas []*replica.Replica
 }
 
-// NewClusterCfg builds a cluster from the unified config.Cluster options
-// struct shared with the public pqs.NewCluster: Cells × N replicas (Cells
-// 0 or 1 = single cell) on one simulated network, with the network's
-// latency on cfg.Clock (nil = wall clock). The historical constructors
-// NewCluster, NewClusterClock and NewClusterCellsClock are thin wrappers.
-func NewClusterCfg(cfg config.Cluster) *Cluster {
+// NewCluster builds a cluster from the config.Cluster options struct shared
+// with the public pqs.NewCluster: Cells × N replicas (Cells 0 or 1 = single
+// cell, otherwise cell i owns global ids [i·N, (i+1)·N) as a cell-
+// partitioned client with register.Options.Cells = Cells expects) on one
+// simulated network, with the network's latency on cfg.Clock (nil = wall
+// clock; the harnesses pass a vtime.SimClock so simulated latency is
+// virtual: instant to execute, deterministic to replay). NewTCPCluster
+// wraps the whole Cluster, so every cell's replicas get byte streams.
+func NewCluster(cfg config.Cluster) *Cluster {
 	c := &Cluster{Net: transport.NewMemNetwork(cfg.Seed)}
 	c.Net.SetClock(cfg.Clock)
 	total := cfg.Total()
@@ -52,49 +55,34 @@ func NewClusterCfg(cfg config.Cluster) *Cluster {
 	return c
 }
 
-// NewCluster builds n correct replicas on a fresh simulated network (wall
-// clock).
-func NewCluster(n int, seed int64) *Cluster {
-	return NewClusterCfg(config.Cluster{N: n, Seed: seed})
-}
-
-// NewClusterClock builds a cluster whose network runs on the given time
-// source (nil means the wall clock). The harnesses pass a vtime.SimClock
-// so simulated latency is virtual: instant to execute, deterministic to
-// replay.
-func NewClusterClock(n int, seed int64, clk vtime.Clock) *Cluster {
-	return NewClusterCfg(config.Cluster{N: n, Seed: seed, Clock: clk})
-}
-
-// NewClusterCellsClock builds a multi-cell cluster: cells×n replicas laid
-// out for a cell-partitioned client (register.Options.Cells = cells over a
-// system with N = n), cell i owning global ids [i·n, (i+1)·n). All cells
-// share one simulated network and clock, so cross-cell faults are injected
-// with the usual per-server methods over global ids. The chaos harness and
-// the TCP plane (NewTCPCluster wraps the whole Cluster, so every cell's
-// replicas get virtual byte streams) build on this layout.
-func NewClusterCellsClock(cells, n int, seed int64, clk vtime.Clock) *Cluster {
-	return NewClusterCfg(config.Cluster{Cells: cells, N: n, Seed: seed, Clock: clk})
-}
-
 // N returns the cluster size.
 func (c *Cluster) N() int { return len(c.Replicas) }
 
 // ConsistencyConfig drives MeasureConsistency.
-//
-// The access-tuning knobs live canonically on the embedded config.Tuning
-// block (Tuning.W is what the legacy flat WriteW forwarded to; ReadRepair
-// and full HedgeDeviations parity arrived with the block) and the shape
-// knobs on config.Topology; the flat fields of the same names below are
-// deprecated aliases that forward, with the embedded block winning when
-// both are set. See the README section "Configuring access tuning".
 type ConsistencyConfig struct {
-	// Tuning is the canonical access-tuning block (register.Options knobs).
+	// Tuning is the access-tuning block handed to the client, so the
+	// empirical ε can be measured with hedging, early completion and read
+	// repair in effect. Spares requires System to implement
+	// quorum.SpareSampler.
 	config.Tuning
-	// Topology is the canonical shape block. MeasureConsistency honors
+	// Topology is the shape block. MeasureConsistency honors
 	// Cells/CellVnodes (a cell-partitioned measurement), Transport and the
 	// latency model; Topology.N is ignored (the universe size comes from
 	// System.N()).
+	//
+	// Transport selects the data plane: TransportMem (default) calls the
+	// replicas through the in-process MemNetwork; TransportTCPVirtual runs
+	// every call through the real TCP stack — framing, binary codec,
+	// group-commit frame writer, worker pool — over virtual-time byte
+	// streams, so the measured ε covers the deployed read/write path. The
+	// latency, straggler and drop knobs then configure the byte-stream
+	// network (per-chunk draws; DropProb resets connections, the stream
+	// analogue of a lost call). Requires Virtual.
+	//
+	// LatencyMin and LatencyMax, when LatencyMax > 0, give every call a
+	// uniform simulated latency drawn deterministically from the seed. This
+	// is what makes hedge timers meaningful under Virtual: without latency
+	// every reply is instant and no hedge ever fires.
 	config.Topology
 	// System is the quorum system under test (carrier + strategy).
 	System quorum.System
@@ -112,28 +100,9 @@ type ConsistencyConfig struct {
 	// Seed makes the run reproducible.
 	Seed int64
 
-	// Spares, HedgeDelay and EagerRead enable the client's straggler-
-	// tolerant access path (register.Options), so the empirical ε can be
-	// measured with hedging in effect. Spares requires System to implement
-	// quorum.SpareSampler.
-	//
-	// Deprecated: set the embedded Tuning block; these flat aliases forward.
-	Spares     int
-	HedgeDelay time.Duration
-	EagerRead  bool
-	// AdaptiveHedge and HedgeDeviations enable the adaptive hedge-delay
-	// estimator (register.Options.AdaptiveHedge): the delay tracks
-	// SRTT + HedgeDeviations·RTTVAR of the observed reply latencies.
-	AdaptiveHedge   bool
-	HedgeDeviations float64
 	// DropProb makes the simulated network lose each call with this
 	// probability, forcing failure-triggered spare promotion.
 	DropProb float64
-	// WriteW, when non-zero, completes writes at WriteW acknowledgements
-	// (register.Options.W).
-	//
-	// Deprecated: set Tuning.W; this flat alias forwards.
-	WriteW int
 
 	// Virtual runs the measurement under a fresh vtime.SimClock: simulated
 	// latency and hedge timers execute in virtual time, so a run that
@@ -141,24 +110,6 @@ type ConsistencyConfig struct {
 	// deterministic even with hedging enabled — the configuration the
 	// wall clock could never replay.
 	Virtual bool
-	// Transport selects the data plane: TransportMem (default) calls the
-	// replicas through the in-process MemNetwork; TransportTCPVirtual runs
-	// every call through the real TCP stack — framing, binary codec,
-	// group-commit frame writer, worker pool — over virtual-time byte streams,
-	// so the measured ε covers the deployed read/write path. The latency,
-	// straggler and drop knobs then configure the byte-stream network
-	// (per-chunk draws; DropProb resets connections, the stream analogue
-	// of a lost call). Requires Virtual.
-	Transport string
-	// LatencyMin and LatencyMax, when LatencyMax > 0, give every call a
-	// uniform simulated latency in [LatencyMin, LatencyMax] (drawn
-	// deterministically from the seed). This is what makes hedge timers
-	// meaningful under Virtual: without latency every reply is instant and
-	// no hedge ever fires.
-	//
-	// Deprecated: set Topology.LatencyMin/LatencyMax; these flat aliases
-	// forward (as does the flat Transport above, for Topology.Transport).
-	LatencyMin, LatencyMax time.Duration
 	// StragglerN and StragglerLatency, when StragglerN > 0, override the
 	// latency of servers 0..StragglerN-1 to exactly StragglerLatency,
 	// modelling a slow subset the hedge should route around.
@@ -212,35 +163,19 @@ func measureConsistency(cfg ConsistencyConfig, clk *vtime.SimClock) (Consistency
 		return ConsistencyResult{}, errors.New("sim: System is required")
 	}
 	n := cfg.System.N()
-	// Resolve the canonical Tuning/Topology blocks against the deprecated
-	// flat aliases (WriteW is the legacy spelling of Tuning.W). A config
-	// written entirely in either spelling resolves to the same values.
-	tun := cfg.Tuning.Or(config.Tuning{
-		Spares:          cfg.Spares,
-		HedgeDelay:      cfg.HedgeDelay,
-		AdaptiveHedge:   cfg.AdaptiveHedge,
-		HedgeDeviations: cfg.HedgeDeviations,
-		EagerRead:       cfg.EagerRead,
-		W:               cfg.WriteW,
-	})
-	topo := cfg.Topology.Or(config.Topology{
-		Transport:  cfg.Transport,
-		LatencyMin: cfg.LatencyMin,
-		LatencyMax: cfg.LatencyMax,
-	})
 	var netClk vtime.Clock // avoid a typed-nil *SimClock inside the interface
 	if clk != nil {
 		netClk = clk
 	}
-	cluster := NewClusterCfg(config.Cluster{Cells: topo.Cells, N: n, Seed: cfg.Seed, Clock: netClk})
+	cluster := NewCluster(config.Cluster{Cells: cfg.Cells, N: n, Seed: cfg.Seed, Clock: netClk})
 	var callTransport transport.Transport = cluster.Net
-	switch topo.Transport {
+	switch cfg.Transport {
 	case "", TransportMem:
 		if cfg.DropProb > 0 {
 			cluster.Net.SetDropProb(cfg.DropProb)
 		}
-		if topo.LatencyMax > 0 {
-			cluster.Net.SetLatency(topo.LatencyMin, topo.LatencyMax)
+		if cfg.LatencyMax > 0 {
+			cluster.Net.SetLatency(cfg.LatencyMin, cfg.LatencyMax)
 		}
 		for i := 0; i < cfg.StragglerN && i < n; i++ {
 			cluster.Net.SetServerLatency(quorum.ServerID(i), cfg.StragglerLatency, cfg.StragglerLatency)
@@ -249,7 +184,7 @@ func measureConsistency(cfg ConsistencyConfig, clk *vtime.SimClock) (Consistency
 		if clk == nil {
 			return ConsistencyResult{}, errors.New("sim: Transport tcp-virtual requires Virtual")
 		}
-		tc, err := NewTCPCluster(cluster, clk, cfg.Seed+0x7C9, 0)
+		tc, err := NewTCPCluster(cluster, clk, cfg.Seed+0x7C9, TCPClusterOptions{})
 		if err != nil {
 			return ConsistencyResult{}, err
 		}
@@ -257,33 +192,27 @@ func measureConsistency(cfg ConsistencyConfig, clk *vtime.SimClock) (Consistency
 		if cfg.DropProb > 0 {
 			tc.Net.SetDrop(cfg.DropProb)
 		}
-		if topo.LatencyMax > 0 {
-			tc.Net.SetLatency(topo.LatencyMin, topo.LatencyMax)
+		if cfg.LatencyMax > 0 {
+			tc.Net.SetLatency(cfg.LatencyMin, cfg.LatencyMax)
 		}
 		for i := 0; i < cfg.StragglerN && i < n; i++ {
 			tc.Net.SetServerLatency(quorum.ServerID(i), cfg.StragglerLatency, cfg.StragglerLatency)
 		}
 		callTransport = tc.Client
 	default:
-		return ConsistencyResult{}, fmt.Errorf("sim: unknown Transport %q", topo.Transport)
+		return ConsistencyResult{}, fmt.Errorf("sim: unknown Transport %q", cfg.Transport)
 	}
 
 	opts := register.Options{
-		System:          cfg.System,
-		Mode:            cfg.Mode,
-		K:               cfg.K,
-		Transport:       callTransport,
-		Rand:            rand.New(rand.NewSource(cfg.Seed + 1)),
-		Clock:           ts.NewClock(1),
-		Spares:          tun.Spares,
-		HedgeDelay:      tun.HedgeDelay,
-		EagerRead:       tun.EagerRead,
-		AdaptiveHedge:   tun.AdaptiveHedge,
-		HedgeDeviations: tun.HedgeDeviations,
-		W:               tun.W,
-		ReadRepair:      tun.ReadRepair,
-		Cells:           topo.Cells,
-		RingVnodes:      topo.CellVnodes,
+		System:     cfg.System,
+		Mode:       cfg.Mode,
+		K:          cfg.K,
+		Transport:  callTransport,
+		Rand:       rand.New(rand.NewSource(cfg.Seed + 1)),
+		Clock:      ts.NewClock(1),
+		Tuning:     cfg.Tuning,
+		Cells:      cfg.Cells,
+		RingVnodes: cfg.CellVnodes,
 	}
 	if clk != nil {
 		opts.Time = clk
@@ -477,7 +406,7 @@ func MeasureConsistencyUnderCrashes(cfg CrashConsistencyConfig) (CrashConsistenc
 	res := CrashConsistencyResult{Trials: cfg.Trials}
 	ctx := context.Background()
 	for i := 0; i < cfg.Trials; i++ {
-		cluster := NewCluster(n, cfg.Seed+int64(i))
+		cluster := NewCluster(config.Cluster{N: n, Seed: cfg.Seed + int64(i)})
 		client, err := register.NewClient(register.Options{
 			System:    cfg.System,
 			Mode:      register.Benign,

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pqs/internal/combin"
+	"pqs/internal/config"
 	"pqs/internal/core"
 	"pqs/internal/quorum"
 	"pqs/internal/register"
@@ -250,7 +251,7 @@ func TestConsistencyUnderCrashes(t *testing.T) {
 }
 
 func TestClusterHelpers(t *testing.T) {
-	c := NewCluster(5, 1)
+	c := NewCluster(config.Cluster{N: 5, Seed: 1})
 	if c.N() != 5 || len(c.Replicas) != 5 {
 		t.Error("cluster size wrong")
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/core"
 	"pqs/internal/register"
 )
@@ -27,10 +28,14 @@ func TestSimFastLongFormEpsilon(t *testing.T) {
 	cfg := ConsistencyConfig{
 		System: sys, Mode: register.Benign, Trials: 400, Seed: 42,
 		Virtual:    true,
-		LatencyMin: 20 * time.Millisecond, LatencyMax: 60 * time.Millisecond,
+		Topology:   config.Topology{LatencyMin: 20 * time.Millisecond, LatencyMax: 60 * time.Millisecond},
 		StragglerN: 5, StragglerLatency: 150 * time.Millisecond,
-		Spares: 2, HedgeDelay: 80 * time.Millisecond, AdaptiveHedge: true,
-		EagerRead: true,
+		Tuning: config.Tuning{
+			Spares:        2,
+			HedgeDelay:    80 * time.Millisecond,
+			AdaptiveHedge: true,
+			EagerRead:     true,
+		},
 	}
 	start := time.Now()
 	res, err := MeasureConsistency(cfg)
@@ -77,11 +82,14 @@ func TestSimFastLongFormEpsilonTCP(t *testing.T) {
 	cfg := ConsistencyConfig{
 		System: sys, Mode: register.Benign, Trials: 200, Seed: 42,
 		Virtual:    true,
-		Transport:  TransportTCPVirtual,
-		LatencyMin: 10 * time.Millisecond, LatencyMax: 30 * time.Millisecond,
+		Topology:   config.Topology{Transport: TransportTCPVirtual, LatencyMin: 10 * time.Millisecond, LatencyMax: 30 * time.Millisecond},
 		StragglerN: 5, StragglerLatency: 80 * time.Millisecond,
-		Spares: 2, HedgeDelay: 90 * time.Millisecond, AdaptiveHedge: true,
-		EagerRead: true,
+		Tuning: config.Tuning{
+			Spares:        2,
+			HedgeDelay:    90 * time.Millisecond,
+			AdaptiveHedge: true,
+			EagerRead:     true,
+		},
 	}
 	start := time.Now()
 	res, err := MeasureConsistency(cfg)
@@ -122,7 +130,7 @@ func TestAdaptiveHedgeEpsilonPreserved(t *testing.T) {
 	base := ConsistencyConfig{
 		System: sys, Mode: register.Benign, Trials: 500, Seed: 23,
 		Virtual:    true,
-		LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond,
+		Topology:   config.Topology{LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
 		StragglerN: 4, StragglerLatency: 25 * time.Millisecond,
 		DropProb: 0.08,
 	}

@@ -78,7 +78,7 @@ type TCPCluster struct {
 	gossip   map[quorum.ServerID]*transport.TCPClient
 }
 
-// TCPClusterOptions parameterises NewTCPClusterOpts beyond the required
+// TCPClusterOptions parameterises NewTCPCluster beyond the required
 // cluster/clock/seed triple.
 type TCPClusterOptions struct {
 	// CallTimeout bounds each client call; <= 0 means DefaultCallTimeout.
@@ -93,13 +93,8 @@ type TCPClusterOptions struct {
 
 // NewTCPCluster wires every replica of c behind its own TCP server on a
 // fresh VirtualNet over clk, and returns the fixture plus a client
-// reaching all of them. callTimeout <= 0 means DefaultCallTimeout.
-func NewTCPCluster(c *Cluster, clk vtime.Clock, seed int64, callTimeout time.Duration) (*TCPCluster, error) {
-	return NewTCPClusterOpts(c, clk, seed, TCPClusterOptions{CallTimeout: callTimeout})
-}
-
-// NewTCPClusterOpts is NewTCPCluster with the full option set.
-func NewTCPClusterOpts(c *Cluster, clk vtime.Clock, seed int64, opts TCPClusterOptions) (*TCPCluster, error) {
+// reaching all of them.
+func NewTCPCluster(c *Cluster, clk vtime.Clock, seed int64, opts TCPClusterOptions) (*TCPCluster, error) {
 	if clk == nil {
 		return nil, errors.New("sim: TCP cluster requires a clock (virtual run)")
 	}

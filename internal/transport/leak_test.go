@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/register"
 	"pqs/internal/replica"
@@ -116,15 +117,17 @@ func TestHedgedReadsDrainOverTCP(t *testing.T) {
 	}
 	tcpClient := transport.NewTCPClient(addrs)
 	client, err := register.NewClient(register.Options{
-		System:     sys,
-		Mode:       register.Benign,
-		Transport:  tcpClient,
-		Rand:       rand.New(rand.NewSource(1)),
-		Clock:      ts.NewClock(1),
-		Spares:     2,
-		HedgeDelay: time.Millisecond,
-		EagerRead:  true,
-		W:          1,
+		System:    sys,
+		Mode:      register.Benign,
+		Transport: tcpClient,
+		Rand:      rand.New(rand.NewSource(1)),
+		Clock:     ts.NewClock(1),
+		Tuning: config.Tuning{
+			Spares:     2,
+			HedgeDelay: time.Millisecond,
+			EagerRead:  true,
+			W:          1,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)

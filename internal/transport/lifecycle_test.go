@@ -462,3 +462,90 @@ func TestRPCErrorUnclassifiedStaysRetryable(t *testing.T) {
 		}
 	})
 }
+
+// foreignPayload is a type the closed binary codec does not carry.
+type foreignPayload struct{ X int }
+
+// TestUnencodableRequestKeepsConnection: a request the codec cannot encode
+// never reaches the socket, so it must fail permanently on its own — not
+// evict the multiplexed connection under a call already in flight on it, and
+// not count against the breaker (threshold 1: one counted failure would mark
+// the server down).
+func TestUnencodableRequestKeepsConnection(t *testing.T) {
+	started, release := make(chan struct{}), make(chan struct{})
+	h := HandlerFunc(func(_ context.Context, req any) (any, error) {
+		if r, ok := req.(wire.ReadRequest); ok && r.Key == "slow" {
+			close(started)
+			<-release
+		}
+		return req, nil
+	})
+	srv, err := ListenTCP("127.0.0.1:0", h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := NewTCPClientOpts(map[quorum.ServerID]string{0: srv.Addr()}, TCPClientOptions{
+		Lifecycle: LifecycleConfig{BreakerThreshold: 1, BreakerCooldown: time.Hour},
+	})
+	defer client.Close()
+
+	inFlight := make(chan error, 1)
+	go func() {
+		_, err := client.Call(context.Background(), 0, wire.ReadRequest{Key: "slow"})
+		inFlight <- err
+	}()
+	<-started
+
+	_, err = client.Call(context.Background(), 0, foreignPayload{1})
+	if !IsPermanent(err) || IsTransient(err) {
+		t.Errorf("unencodable request failed with %v, want a permanent, non-transient error", err)
+	}
+	if client.ServerDown(0) {
+		t.Error("a local encode failure opened the server's breaker")
+	}
+	close(release)
+	if err := <-inFlight; err != nil {
+		t.Errorf("the call in flight on the same connection failed: %v", err)
+	}
+	if _, err := client.Call(context.Background(), 0, wire.PingRequest{}); err != nil {
+		t.Errorf("call after the encode failure: %v", err)
+	}
+	if st := client.Stats(); st.Conns != 1 || st.BreakerTrips != 0 {
+		t.Errorf("conns = %d, breaker trips = %d; want the one original connection and no trip", st.Conns, st.BreakerTrips)
+	}
+}
+
+// TestUnencodableReplyIsPermanentRPCError is the server-side twin: a handler
+// reply the codec cannot encode comes back promptly as a permanent *RPCError,
+// and the connection serves the next call.
+func TestUnencodableReplyIsPermanentRPCError(t *testing.T) {
+	h := HandlerFunc(func(_ context.Context, req any) (any, error) {
+		if _, ok := req.(wire.ReadRequest); ok {
+			return foreignPayload{1}, nil
+		}
+		return req, nil
+	})
+	for _, codec := range []Codec{CodecBinary, CodecBinaryFlate} {
+		srv, err := ListenTCPCodec("127.0.0.1:0", h, codec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		client := NewTCPClientOpts(map[quorum.ServerID]string{0: srv.Addr()}, TCPClientOptions{Codec: codec})
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		_, err = client.Call(ctx, 0, wire.ReadRequest{Key: "k"})
+		var rpc *RPCError
+		if !errors.As(err, &rpc) || !IsPermanent(err) {
+			t.Errorf("%v: unencodable reply surfaced as %v, want a permanent *RPCError", codec, err)
+		}
+		if _, err := client.Call(ctx, 0, wire.PingRequest{}); err != nil {
+			t.Errorf("%v: call after the unencodable reply: %v", codec, err)
+		}
+		if st := client.Stats(); st.Conns != 1 {
+			t.Errorf("%v: %d connections dialed, want 1", codec, st.Conns)
+		}
+		cancel()
+		client.Close()
+		srv.Close()
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -27,10 +26,6 @@ const (
 	// CodecBinary is the hand-rolled length-prefixed binary codec of
 	// internal/wire (codec.go): the data-plane fast path. Default.
 	CodecBinary Codec = iota
-	// CodecGob is the encoding/gob framing the transport originally used,
-	// kept for wire-compat tests and as a safety hatch: it can carry payload
-	// types the closed binary codec rejects.
-	CodecGob
 	// CodecBinaryFlate is the binary codec with DEFLATE-compressed payload
 	// slots (wire.TagCompressed): the WAN profile. Frames below the
 	// compression threshold — or that deflate cannot shrink — go out in
@@ -46,8 +41,6 @@ func (c Codec) String() string {
 	switch c {
 	case CodecBinary:
 		return "binary"
-	case CodecGob:
-		return "gob"
 	case CodecBinaryFlate:
 		return "binary-flate"
 	default:
@@ -61,12 +54,10 @@ func ParseCodec(s string) (Codec, error) {
 	switch s {
 	case "binary":
 		return CodecBinary, nil
-	case "gob":
-		return CodecGob, nil
 	case "binary-flate":
 		return CodecBinaryFlate, nil
 	default:
-		return 0, fmt.Errorf("transport: unknown codec %q (want binary, gob or binary-flate)", s)
+		return 0, fmt.Errorf("transport: unknown codec %q (want binary or binary-flate)", s)
 	}
 }
 
@@ -86,9 +77,8 @@ const readBufSize = 32 << 10
 var errCallTimeout = &vnetError{msg: "transport: call timed out", timeout: true}
 
 // ConnCodecStats counts one connection's traffic through the message codec:
-// envelope bodies encoded and decoded, and their byte volume. Gob
-// connections count messages only (gob's framing is opaque, so byte counts
-// stay zero). These counters are kept per connection — each connection's
+// envelope bodies encoded and decoded, and their byte volume. These
+// counters are kept per connection — each connection's
 // goroutines increment their own uncontended cache line — and aggregated
 // into TCPStats on snapshot, replacing the process-wide counters the wire
 // package used to maintain on the hot path (one shared cache line hammered
@@ -213,14 +203,14 @@ type TCPStats struct {
 	FramesWritten uint64
 	// BytesRead and BytesWritten count frame bytes, including length
 	// prefixes, as taken from the buffered reader and appended to the frame
-	// writer (gob connections count only frames, not bytes).
+	// writer.
 	BytesRead    uint64
 	BytesWritten uint64
 	// Flushes counts the frame writers' conn.Write calls — one syscall on a
 	// real socket, one chunk on a VirtualNet; WritesCoalesced counts frames
-	// that shared another frame's Write (FramesWritten - Flushes). On every
-	// codec Flushes + WritesCoalesced == FramesWritten once the writers are
-	// idle, and WritesCoalesced/FramesWritten is the syscall savings of
+	// that shared another frame's Write (FramesWritten - Flushes):
+	// Flushes + WritesCoalesced == FramesWritten once the writers are idle,
+	// and WritesCoalesced/FramesWritten is the syscall savings of
 	// coalescing.
 	Flushes         uint64
 	WritesCoalesced uint64
@@ -358,26 +348,10 @@ type frameWriter struct {
 	spare    []byte // the drained buffer of the previous flush
 	flushing bool   // a leader is between its first swap and its last Write
 	err      error  // sticky: the first write error, or ErrClosed
-
-	// enc is non-nil on gob connections; it encodes into pending, under mu.
-	enc *gob.Encoder
 }
 
-func newFrameWriter(conn net.Conn, codec Codec, stats *tcpCounters) *frameWriter {
-	w := &frameWriter{conn: conn, stats: stats}
-	if codec == CodecGob {
-		w.enc = gob.NewEncoder(pendingAppender{w})
-	}
-	return w
-}
-
-// pendingAppender is the io.Writer gob encodes through: it appends to the
-// writer's pending buffer. Only writeGob reaches it, with mu held.
-type pendingAppender struct{ w *frameWriter }
-
-func (p pendingAppender) Write(b []byte) (int, error) {
-	p.w.pending = append(p.w.pending, b...)
-	return len(b), nil
+func newFrameWriter(conn net.Conn, stats *tcpCounters) *frameWriter {
+	return &frameWriter{conn: conn, stats: stats}
 }
 
 // close fails every later write with ErrClosed. Callers close the
@@ -437,23 +411,6 @@ func (w *frameWriter) writeFrame(body []byte) error {
 	w.pending = binary.AppendUvarint(w.pending, uint64(len(body)))
 	w.pending = append(w.pending, body...)
 	w.stats.bytesWritten.Add(uint64(len(w.pending) - before))
-	return w.commit()
-}
-
-// writeGob gob-encodes v (a *wire.Envelope or *wire.ReplyEnvelope) onto the
-// same pending buffer and flush path as writeFrame.
-func (w *frameWriter) writeGob(v any) error {
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
-	}
-	if err := w.enc.Encode(v); err != nil {
-		w.err = err
-		w.mu.Unlock()
-		return err
-	}
 	return w.commit()
 }
 
@@ -518,7 +475,6 @@ func ListenTCPCodec(addr string, h Handler, codec Codec) (*TCPServer, error) {
 // the unmodified data plane (framing, codec, frame writer, worker pool) run on
 // virtual-time byte streams inside the harnesses.
 func ServeListener(l net.Listener, h Handler, o TCPOptions) *TCPServer {
-	wire.RegisterGob()
 	clk := vtime.Or(o.Clock)
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &TCPServer{
@@ -601,7 +557,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	// the connection tears down or the server closes, so in-flight handlers
 	// cannot outlive either.
 	ctx, cancel := context.WithCancel(s.baseCtx)
-	w := newFrameWriter(conn, s.codec, &s.stats)
+	w := newFrameWriter(conn, &s.stats)
 	cc := s.codecReg.open()
 	defer s.codecReg.close(cc)
 	// Teardown order (LIFO): cancel the connection context FIRST — its
@@ -640,11 +596,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 		// A write error means the connection is going away; the read loop
 		// will observe it and exit.
-		if s.codec == CodecGob {
-			cc.countEncode(0)
-			_ = w.writeGob(&reply)
-			return
-		}
 		bp := wire.GetBuffer()
 		var frame []byte
 		var encErr error
@@ -722,18 +673,6 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		}
 	}
 
-	if s.codec == CodecGob {
-		dec := gob.NewDecoder(bufio.NewReaderSize(conn, readBufSize))
-		for {
-			var env wire.Envelope
-			if err := dec.Decode(&env); err != nil {
-				return
-			}
-			s.stats.framesRead.Add(1)
-			cc.countDecode(0)
-			dispatch(env)
-		}
-	}
 	br := bufio.NewReaderSize(conn, readBufSize)
 	for {
 		body, release, err := readFrame(br, &s.stats)
@@ -812,19 +751,12 @@ type TCPClient struct {
 // NewTCPClient returns a client that reaches server id at addrs[id] with the
 // default binary codec.
 func NewTCPClient(addrs map[quorum.ServerID]string) *TCPClient {
-	return NewTCPClientCodec(addrs, CodecBinary)
-}
-
-// NewTCPClientCodec is NewTCPClient with an explicit codec; it must match
-// the servers'.
-func NewTCPClientCodec(addrs map[quorum.ServerID]string, codec Codec) *TCPClient {
-	return NewTCPClientOpts(addrs, TCPClientOptions{Codec: codec})
+	return NewTCPClientOpts(addrs, TCPClientOptions{})
 }
 
 // NewTCPClientOpts is NewTCPClient with full options (codec, clock, dialer
 // injection, call timeout).
 func NewTCPClientOpts(addrs map[quorum.ServerID]string, o TCPClientOptions) *TCPClient {
-	wire.RegisterGob()
 	clk := vtime.Or(o.Clock)
 	dial := o.Dial
 	if dial == nil {
@@ -871,10 +803,12 @@ func (c *TCPClient) Stats() TCPStats {
 // connections.
 func (c *TCPClient) ConnStats() []ConnCodecStats { return c.codecReg.perConn() }
 
-// Call implements Transport. Transport-level outcomes (dial failures, send
+// Call implements Transport. Transport-level outcomes (dial failures, write
 // errors, torn connections, timeouts) feed the server's circuit breaker;
 // server-answered RPC errors count as reachability successes and surface
-// as *RPCError carrying the wire's transient/permanent classification.
+// as *RPCError carrying the wire's transient/permanent classification. A
+// request the codec cannot encode fails permanently without touching either
+// the connection or the breaker.
 func (c *TCPClient) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
 	conn, st, err := c.acquire(to)
 	if err != nil {
@@ -884,6 +818,13 @@ func (c *TCPClient) Call(ctx context.Context, to quorum.ServerID, req any) (any,
 	id := c.nextID.Add(1)
 	ch, err := conn.send(id, req)
 	if err != nil {
+		if IsPermanent(err) {
+			// The request never left this process (see tcpConn.send): the
+			// connection and the calls in flight on it are fine, and the
+			// failure says nothing about the server.
+			st.recordNeutral()
+			return nil, err
+		}
 		st.evict(conn)
 		st.recordFailure()
 		return nil, err
@@ -1046,7 +987,7 @@ func newTCPConn(raw net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched
 	c := &tcpConn{
 		raw:       raw,
 		codec:     codec,
-		w:         newFrameWriter(raw, codec, stats),
+		w:         newFrameWriter(raw, stats),
 		stats:     stats,
 		sched:     sched,
 		cc:        cc,
@@ -1058,6 +999,10 @@ func newTCPConn(raw net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched
 	return c
 }
 
+// send registers the call and writes its request frame. A request the
+// closed binary codec cannot encode fails with a wire.PermanentError before
+// anything is written, so the connection stays usable; any other error is a
+// write failure and the caller must tear the connection down.
 func (c *tcpConn) send(id uint64, req any) (chan wire.ReplyEnvelope, error) {
 	ch := make(chan wire.ReplyEnvelope, 1)
 	c.mu.Lock()
@@ -1068,29 +1013,27 @@ func (c *tcpConn) send(id uint64, req any) (chan wire.ReplyEnvelope, error) {
 	c.pending[id] = ch
 	c.mu.Unlock()
 
+	bp := wire.GetBuffer()
+	var frame []byte
 	var err error
-	if c.codec == CodecGob {
-		c.cc.countEncode(0)
-		err = c.w.writeGob(&wire.Envelope{ID: id, Payload: req})
-	} else {
-		bp := wire.GetBuffer()
-		var frame []byte
-		if c.codec == CodecBinaryFlate {
-			var res wire.FlateResult
-			frame, res, err = wire.AppendEnvelopeFlate(*bp, wire.Envelope{ID: id, Payload: req})
-			if err == nil {
-				c.cc.countFlate(res)
-			}
-		} else {
-			frame, err = wire.AppendEnvelope(*bp, wire.Envelope{ID: id, Payload: req})
-		}
+	if c.codec == CodecBinaryFlate {
+		var res wire.FlateResult
+		frame, res, err = wire.AppendEnvelopeFlate(*bp, wire.Envelope{ID: id, Payload: req})
 		if err == nil {
-			c.cc.countEncode(len(frame))
-			err = c.w.writeFrame(frame)
-			*bp = frame[:0]
+			c.cc.countFlate(res)
 		}
-		wire.PutBuffer(bp)
+	} else {
+		frame, err = wire.AppendEnvelope(*bp, wire.Envelope{ID: id, Payload: req})
 	}
+	if err != nil {
+		wire.PutBuffer(bp)
+		c.forget(id)
+		return nil, wire.PermanentError(fmt.Errorf("transport: encode: %w", err))
+	}
+	c.cc.countEncode(len(frame))
+	err = c.w.writeFrame(frame)
+	*bp = frame[:0]
+	wire.PutBuffer(bp)
 	if err != nil {
 		c.forget(id)
 		return nil, fmt.Errorf("transport: send: %w", err)
@@ -1124,21 +1067,6 @@ func (c *tcpConn) abandon(id uint64) bool {
 }
 
 func (c *tcpConn) readLoop() {
-	if c.codec == CodecGob {
-		dec := gob.NewDecoder(bufio.NewReaderSize(c.raw, readBufSize))
-		for {
-			var reply wire.ReplyEnvelope
-			if err := dec.Decode(&reply); err != nil {
-				c.failAll()
-				return
-			}
-			c.stats.framesRead.Add(1)
-			c.cc.countDecode(0)
-			if !c.deliver(reply) {
-				return
-			}
-		}
-	}
 	br := bufio.NewReaderSize(c.raw, readBufSize)
 	for {
 		body, release, err := readFrame(br, c.stats)

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -180,7 +181,7 @@ func TestTCPRoundTrip(t *testing.T) {
 	if resp.(wire.PingReply).ServerID != 5 {
 		t.Errorf("reply %+v", resp)
 	}
-	// Round-trip a full write/read pair to exercise gob registration.
+	// Round-trip a full write request through the codec.
 	wreq := wire.WriteRequest{Key: "k", Value: []byte("v")}
 	if resp, err = client.Call(context.Background(), 5, wreq); err != nil {
 		t.Fatal(err)
@@ -317,9 +318,16 @@ func TestTCPContextCancellation(t *testing.T) {
 // TestTCPBothCodecsRoundTrip runs the full request/reply exchange under each
 // codec, including an error reply and a payload with nil and empty slices.
 func TestTCPBothCodecsRoundTrip(t *testing.T) {
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
+	echo := &echoHandler{id: 9}
+	h := HandlerFunc(func(ctx context.Context, req any) (any, error) {
+		if r, ok := req.(wire.ReadRequest); ok && r.Key == "boom" {
+			return nil, errors.New("handler: boom")
+		}
+		return echo.Handle(ctx, req)
+	})
+	for _, codec := range []Codec{CodecBinary, CodecBinaryFlate} {
 		t.Run(codec.String(), func(t *testing.T) {
-			srv, err := ListenTCPCodec("127.0.0.1:0", &echoHandler{id: 9}, codec)
+			srv, err := ListenTCPCodec("127.0.0.1:0", h, codec)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -327,7 +335,7 @@ func TestTCPBothCodecsRoundTrip(t *testing.T) {
 			if srv.Codec() != codec {
 				t.Fatalf("server codec %v", srv.Codec())
 			}
-			client := NewTCPClientCodec(map[quorum.ServerID]string{9: srv.Addr()}, codec)
+			client := NewTCPClientOpts(map[quorum.ServerID]string{9: srv.Addr()}, TCPClientOptions{Codec: codec})
 			defer client.Close()
 			resp, err := client.Call(context.Background(), 9, wire.PingRequest{})
 			if err != nil {
@@ -344,6 +352,11 @@ func TestTCPBothCodecsRoundTrip(t *testing.T) {
 			got := resp.(wire.WriteRequest)
 			if got.Key != "k" || len(got.Value) != 0 || len(got.Sig) != 0 {
 				t.Errorf("echoed write = %+v", got)
+			}
+			_, err = client.Call(context.Background(), 9, wire.ReadRequest{Key: "boom"})
+			var rpcErr *RPCError
+			if !errors.As(err, &rpcErr) || rpcErr.Msg != "handler: boom" || rpcErr.Server != 9 {
+				t.Errorf("error reply = %v, want the handler's error as an *RPCError from server 9", err)
 			}
 		})
 	}
@@ -468,7 +481,7 @@ func (c *sinkConn) seen() (writes int, bytes uint64) {
 func TestFrameWriterCoalesces(t *testing.T) {
 	var stats tcpCounters
 	sink := &sinkConn{delay: 2 * time.Millisecond}
-	w := newFrameWriter(sink, CodecBinary, &stats)
+	w := newFrameWriter(sink, &stats)
 	const writers, frames = 16, 8
 	var wg sync.WaitGroup
 	for g := 0; g < writers; g++ {
@@ -507,18 +520,24 @@ func TestFrameWriterCoalesces(t *testing.T) {
 
 // TestFrameWriterStickyError: the Write that fails hands its error to the
 // writer leading that flush as its return value, and to every later writer
-// without touching the connection again.
+// without touching the connection again. The frames are request envelopes
+// as each codec encodes them.
 func TestFrameWriterStickyError(t *testing.T) {
 	boom := errors.New("sink: broken pipe")
-	for _, codec := range []Codec{CodecBinary, CodecGob} {
+	for _, codec := range []Codec{CodecBinary, CodecBinaryFlate} {
 		var stats tcpCounters
 		sink := &sinkConn{failAt: 2, failErr: boom}
-		w := newFrameWriter(sink, codec, &stats)
+		w := newFrameWriter(sink, &stats)
+		env := wire.Envelope{ID: 1, Payload: wire.WriteRequest{Key: "k", Value: bytes.Repeat([]byte("v"), 1024)}}
 		write := func() error {
-			if codec == CodecGob {
-				return w.writeGob(&wire.Envelope{ID: 1, Payload: wire.PingRequest{}})
+			frame, err := wire.AppendEnvelope(nil, env)
+			if codec == CodecBinaryFlate {
+				frame, _, err = wire.AppendEnvelopeFlate(nil, env)
 			}
-			return w.writeFrame([]byte("frame-body"))
+			if err != nil {
+				t.Fatalf("%v: encode: %v", codec, err)
+			}
+			return w.writeFrame(frame)
 		}
 		if err := write(); err != nil {
 			t.Fatalf("%v: first write: %v", codec, err)
@@ -577,7 +596,7 @@ func (c *blockedConn) Close() error {
 func TestFrameWriterCloseDuringFlush(t *testing.T) {
 	var stats tcpCounters
 	conn := newBlockedConn()
-	w := newFrameWriter(conn, CodecBinary, &stats)
+	w := newFrameWriter(conn, &stats)
 
 	leader := make(chan error, 1)
 	go func() { leader <- w.writeFrame([]byte("leader")) }()
@@ -629,7 +648,7 @@ func TestFrameWriterDropsHugeBuffers(t *testing.T) {
 			t.Errorf("%s: buffers pinned: cap(pending)=%d cap(spare)=%d", when, cap(w.pending), cap(w.spare))
 		}
 	}
-	w := newFrameWriter(&sinkConn{}, CodecBinary, &stats)
+	w := newFrameWriter(&sinkConn{}, &stats)
 	for i := 0; i < 3; i++ { // cycle both buffers through the leader's hands
 		if err := w.writeFrame([]byte("small")); err != nil {
 			t.Fatal(err)
@@ -646,7 +665,7 @@ func TestFrameWriterDropsHugeBuffers(t *testing.T) {
 
 	// The huge frame arrives as a follower, mid-flush.
 	slow := &sinkConn{delay: 20 * time.Millisecond}
-	w = newFrameWriter(slow, CodecBinary, &stats)
+	w = newFrameWriter(slow, &stats)
 	done := make(chan error, 1)
 	go func() { done <- w.writeFrame([]byte("leader")) }()
 	for {

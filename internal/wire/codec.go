@@ -435,7 +435,7 @@ func AppendMessage(b []byte, msg any) ([]byte, error) {
 }
 
 // DecodeMessage decodes one tagged message from b, returning the decoded
-// value (a concrete wire struct, matching what the gob path delivers) and
+// value (a concrete wire struct, not a pointer) and
 // the unconsumed rest.
 func DecodeMessage(b []byte) (any, []byte, error) {
 	if len(b) < 1 {

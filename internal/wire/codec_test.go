@@ -30,8 +30,9 @@ func binaryRoundTrip(t *testing.T, msg any) any {
 	return out
 }
 
-// gobRoundTrip encodes msg with encoding/gob (through an Envelope, as the
-// gob transport path does) and decodes it back.
+// gobRoundTrip encodes msg with encoding/gob (through an Envelope, so the
+// payload travels as an interface value) and decodes it back: the reference
+// the binary codec is compared against.
 func gobRoundTrip(t *testing.T, msg any) any {
 	t.Helper()
 	RegisterGob()

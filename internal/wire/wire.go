@@ -2,9 +2,10 @@
 // servers: the read and write RPCs of the paper's access protocols
 // (Sections 3.1, 4 and 5.2) plus the push-pull messages of the diffusion
 // mechanism (Section 1.1). Both transports carry these types. The TCP
-// transport serializes them with the hand-rolled binary codec in codec.go by
-// default, and can fall back to encoding/gob (which is why RegisterGob
-// exists) for wire-compat testing.
+// transport serializes them with the hand-rolled binary codec in codec.go.
+// encoding/gob never reaches the wire: RegisterGob exists so the codec's
+// property tests and the codec micro-benchmark can use a gob round trip as
+// the reference the binary codec is compared against.
 //
 // # Binary wire format
 //
@@ -207,8 +208,9 @@ type ReplyEnvelope struct {
 
 var registerOnce sync.Once
 
-// RegisterGob registers every wire message with encoding/gob. Safe to call
-// multiple times; the TCP transport calls it on construction.
+// RegisterGob registers every wire message with encoding/gob, for tests and
+// benchmarks that use gob as the reference codec. Safe to call multiple
+// times.
 func RegisterGob() {
 	registerOnce.Do(func() {
 		gob.Register(ReadRequest{})

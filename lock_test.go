@@ -23,7 +23,7 @@ func lockFixture(t *testing.T) (*LockService, *LockService) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(15, 3)
+	cluster, err := NewCluster(ClusterConfig{N: 15, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

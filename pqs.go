@@ -14,11 +14,11 @@
 //     storing arbitrary data via a read threshold k (Section 5).
 //
 // Start with New to resolve a System from a target ε, then run replicas
-// (in-process via NewLocalCluster, or over TCP via ListenAndServe/Dial) and
+// (in-process via NewCluster, or over TCP via ListenAndServe/Dial) and
 // access them through a Client:
 //
 //	sys, _ := pqs.New(pqs.Config{N: 100, Epsilon: 1e-3, Mode: pqs.ModeBenign})
-//	cluster, _ := pqs.NewLocalCluster(sys.N(), 1)
+//	cluster, _ := pqs.NewCluster(pqs.ClusterConfig{N: sys.N(), Seed: 1})
 //	client, _ := pqs.NewClient(pqs.ClientConfig{
 //		System: sys, Transport: cluster.Transport(), WriterID: 1, Seed: 1,
 //	})
@@ -33,7 +33,7 @@
 //
 // Because any set sampled by the access strategy is a valid quorum
 // (Section 3: quorums are ~ℓ√n uniformly random servers), a client never
-// has to wait for specific stragglers. ClientConfig exposes three knobs
+// has to wait for specific stragglers. ClientConfig.Tuning holds the knobs
 // that exploit this:
 //
 //   - Spares and HedgeDelay oversample the access set: up to Spares extra
@@ -61,7 +61,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"time"
 
 	"pqs/internal/config"
 	"pqs/internal/core"
@@ -265,34 +264,31 @@ type Registry = sv.Registry
 // NewRegistry returns an empty writer-key registry.
 func NewRegistry() *Registry { return sv.NewRegistry() }
 
-// Tuning is the canonical access-tuning block — Spares, HedgeDelay,
-// AdaptiveHedge, HedgeDeviations, EagerRead, W, ReadRepair — shared by
-// ClientConfig, sim.ConsistencyConfig, chaos.Config and load.Config. Set
-// the knobs once here and embed the block; the flat fields of the same
-// names on each config are deprecated aliases that forward into it. See
-// the README section "Configuring access tuning" for the migration note.
+// Tuning is the access-tuning block — Spares, HedgeDelay, AdaptiveHedge,
+// HedgeDeviations, EagerRead, W, ReadRepair — embedded by ClientConfig (and
+// by the sim, chaos and load harness configs). Each knob is documented on
+// the type; the README section "Configuring access tuning" shows it in use.
 type Tuning = config.Tuning
 
-// Topology is the canonical cluster-shape block — Cells, CellVnodes, N,
-// Transport plane, latency model — shared by the same four configs as
-// Tuning. Fields a config cannot honor are documented on that config.
+// Topology is the cluster-shape block — Cells, CellVnodes, N, Transport
+// plane, latency model — embedded by the same configs as Tuning. Fields a
+// config cannot honor are documented on that config.
 type Topology = config.Topology
 
 // ClientConfig configures a Client.
-//
-// The access-tuning knobs (Spares, HedgeDelay, AdaptiveHedge,
-// HedgeDeviations, EagerRead, W, ReadRepair) and the cluster-shape knobs
-// (Cells, CellVnodes) exist twice: canonically on the embedded Tuning and
-// Topology blocks, and as the original flat fields, kept as deprecated
-// aliases. Both spellings behave identically; when a knob is set through
-// both, the embedded block wins (booleans combine by OR). New code should
-// set the embedded blocks only.
 type ClientConfig struct {
-	// Tuning is the canonical access-tuning block (see the Tuning alias).
+	// Tuning holds the access-tuning knobs: straggler tolerance (Spares,
+	// HedgeDelay, AdaptiveHedge, HedgeDeviations), early completion
+	// (EagerRead, W) and ReadRepair.
 	Tuning
-	// Topology is the canonical cluster-shape block. NewClient honors
-	// Cells and CellVnodes; N, Transport and the latency fields are
-	// ignored here (the universe comes from System, the plane from the
+	// Topology holds the cluster-shape knobs. NewClient honors Cells and
+	// CellVnodes: Cells > 1 partitions the keyspace across that many
+	// independent quorum cells by consistent hashing, cell i being a full
+	// System-sized PQS over servers [i*N, (i+1)*N) of the Transport (see
+	// ClusterConfig.Cells) with its own strategy, ε budget and stats;
+	// CellVnodes is the virtual-node count per cell on the routing ring
+	// (0 = the ring package default). N, Transport and the latency fields
+	// are ignored here (the universe comes from System, the plane from the
 	// Transport field below).
 	Topology
 	// System is the quorum system to access (from New).
@@ -313,72 +309,6 @@ type ClientConfig struct {
 	// RequireFullWrite makes writes fail unless the whole quorum
 	// acknowledged (see register.Options.RequireFullWrite).
 	RequireFullWrite bool
-	// ReadRepair pushes the value a read accepted back to stale quorum
-	// members. Valid in benign and dissemination modes; rejected in
-	// masking mode (a fooled read must not persist fabricated data).
-	//
-	// Deprecated: set Tuning.ReadRepair; this flat alias forwards.
-	ReadRepair bool
-	// Spares oversamples every access set by this many extra servers,
-	// promoted when a member fails or lags (see HedgeDelay). Spares are
-	// drawn by the same access strategy, preserving the attempt-level ε
-	// argument (see the package docs).
-	//
-	// Deprecated: set Tuning.Spares; this flat alias forwards.
-	Spares int
-	// HedgeDelay, when positive, promotes one spare each time this delay
-	// elapses before the operation completes. Zero promotes spares only on
-	// observed member failure. With AdaptiveHedge set this is only the
-	// bootstrap delay used until the latency estimator warms up.
-	//
-	// Deprecated: set Tuning.HedgeDelay; this flat alias forwards.
-	HedgeDelay time.Duration
-	// AdaptiveHedge derives the hedge delay from an online estimate of the
-	// cluster's reply-latency distribution instead of the fixed
-	// HedgeDelay: the client tracks a latency EWMA and deviation EWMA
-	// (Jacobson/Karels gains, as in TCP retransmission timers) and hedges
-	// at EWMA + HedgeDeviations·deviation, so the delay follows the
-	// cluster as it speeds up or degrades. The delay is computed from
-	// pooled history only — never from the identity of the servers in the
-	// current access set — preserving the ε argument for hedged promotion.
-	// Requires Spares > 0 and a positive HedgeDelay bootstrap.
-	//
-	// Deprecated: set Tuning.AdaptiveHedge; this flat alias forwards.
-	AdaptiveHedge bool
-	// HedgeDeviations is the adaptive-hedge quantile knob (deviations
-	// above the latency EWMA at which the hedge fires); zero means the
-	// default of 4.
-	//
-	// Deprecated: set Tuning.HedgeDeviations; this flat alias forwards.
-	HedgeDeviations float64
-	// EagerRead returns reads at the mode's decidable completion threshold
-	// instead of waiting for every straggler; remaining replies are drained
-	// in the background (read repair included).
-	//
-	// Deprecated: set Tuning.EagerRead; this flat alias forwards.
-	EagerRead bool
-	// W, when between 1 and the quorum size, completes writes after W
-	// acknowledgements, trading a further ε degradation for latency; the
-	// calls already in flight keep delivering the write to the remaining
-	// members while the operation's context stays live. Zero (or
-	// RequireFullWrite) waits for the full access set.
-	//
-	// Deprecated: set Tuning.W; this flat alias forwards.
-	W int
-	// Cells partitions the keyspace across this many independent quorum
-	// cells by consistent hashing: cell i is a full System-sized PQS over
-	// servers [i*N, (i+1)*N) of the Transport (see NewLocalClusterCells),
-	// with its own strategy, ε budget and stats; aggregate throughput
-	// scales with the cell count while each cell keeps the paper's
-	// per-cell guarantees. 0 or 1 is the classic single-cell client.
-	//
-	// Deprecated: set Topology.Cells; this flat alias forwards.
-	Cells int
-	// CellVnodes is the virtual-node count per cell on the routing ring
-	// (0 = the ring package default). Only meaningful with Cells > 1.
-	//
-	// Deprecated: set Topology.CellVnodes; this flat alias forwards.
-	CellVnodes int
 }
 
 // Transport delivers one request to one server. Implemented by LocalCluster
@@ -443,20 +373,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	// Resolve the canonical Tuning/Topology blocks against the deprecated
-	// flat aliases: embedded wins when set, flat fills the gaps, booleans
-	// OR. A config written entirely in either spelling is unchanged by
-	// this, which is what pins bit-for-bit seed compatibility.
-	tun := cfg.Tuning.Or(Tuning{
-		Spares:          cfg.Spares,
-		HedgeDelay:      cfg.HedgeDelay,
-		AdaptiveHedge:   cfg.AdaptiveHedge,
-		HedgeDeviations: cfg.HedgeDeviations,
-		EagerRead:       cfg.EagerRead,
-		W:               cfg.W,
-		ReadRepair:      cfg.ReadRepair,
-	})
-	topo := cfg.Topology.Or(Topology{Cells: cfg.Cells, CellVnodes: cfg.CellVnodes})
 	opts := register.Options{
 		System:           cfg.System,
 		Mode:             cfg.System.Mode(),
@@ -466,15 +382,9 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		Clock:            ts.NewClock(cfg.WriterID),
 		Registry:         cfg.Registry,
 		RequireFullWrite: cfg.RequireFullWrite,
-		ReadRepair:       tun.ReadRepair,
-		Spares:           tun.Spares,
-		HedgeDelay:       tun.HedgeDelay,
-		AdaptiveHedge:    tun.AdaptiveHedge,
-		HedgeDeviations:  tun.HedgeDeviations,
-		EagerRead:        tun.EagerRead,
-		W:                tun.W,
-		Cells:            topo.Cells,
-		RingVnodes:       topo.CellVnodes,
+		Tuning:           cfg.Tuning,
+		Cells:            cfg.Cells,
+		RingVnodes:       cfg.CellVnodes,
 	}
 	if cfg.Key.Private != nil {
 		opts.Signer = cfg.Key.Private

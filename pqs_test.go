@@ -94,7 +94,7 @@ func TestLocalClusterRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(sys.N(), 7)
+	cluster, err := NewCluster(ClusterConfig{N: sys.N(), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestLocalClusterFaultInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(10, 1)
+	cluster, err := NewCluster(ClusterConfig{N: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +152,7 @@ func TestDisseminationEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(n, 3)
+	cluster, err := NewCluster(ClusterConfig{N: n, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestMaskingEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster, err := NewLocalCluster(n, 5)
+	cluster, err := NewCluster(ClusterConfig{N: n, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +287,7 @@ func TestNewClientValidation(t *testing.T) {
 	if _, err := NewClient(ClientConfig{Transport: nil, System: sys}); err == nil {
 		t.Error("nil transport accepted")
 	}
-	cluster, _ := NewLocalCluster(10, 1)
+	cluster, _ := NewCluster(ClusterConfig{N: 10, Seed: 1})
 	if _, err := NewClient(ClientConfig{Transport: cluster.Transport()}); err == nil {
 		t.Error("nil system accepted")
 	}

@@ -153,7 +153,7 @@ func (s *Server) StartDiffusion(peers map[int]string, fanout int, interval time.
 		addrs[quorum.ServerID(id)] = a
 		ids = append(ids, quorum.ServerID(id))
 	}
-	tc := transport.NewTCPClientCodec(addrs, s.srv.Codec())
+	tc := transport.NewTCPClientOpts(addrs, transport.TCPClientOptions{Codec: s.srv.Codec()})
 	eng, err := diffusion.NewEngine(diffusion.Config{
 		Self:      s.rep.ID(),
 		Peers:     ids,
@@ -209,8 +209,9 @@ type DialOptions struct {
 	// slots above a size threshold — the WAN profile (see the README's
 	// "WAN profile & compression" section).
 	Codec Codec
-	// CallTimeout bounds each Call when the caller's context has no
-	// deadline. Zero means the transport default.
+	// CallTimeout, when positive, bounds every Call, whatever deadline the
+	// caller's context carries; zero means no bound (see
+	// transport.TCPClientOptions.CallTimeout).
 	CallTimeout time.Duration
 	// Lifecycle enables the connection lifecycle layer: a bounded
 	// health-checked connection pool per server, dial coalescing with
@@ -255,17 +256,15 @@ type TCPClient = transport.TCPClient
 type Codec = transport.Codec
 
 // The available wire codecs. CodecBinary is the hand-rolled binary fast
-// path and the default; CodecGob is the reflective baseline; the flate
-// codec is CodecBinary plus deflate compression of payload slots above a
-// size threshold — the WAN profile.
+// path and the default; the flate codec is CodecBinary plus deflate
+// compression of payload slots above a size threshold — the WAN profile.
 const (
 	CodecBinary      = transport.CodecBinary
-	CodecGob         = transport.CodecGob
 	CodecBinaryFlate = transport.CodecBinaryFlate
 )
 
-// ParseCodec maps the flag-level codec names ("binary", "gob",
-// "binary-flate") to Codec values; pqsd and pqs-cli -codec use it.
+// ParseCodec maps the flag-level codec names ("binary", "binary-flate") to
+// Codec values; pqsd and pqs-cli -codec use it.
 func ParseCodec(s string) (Codec, error) { return transport.ParseCodec(s) }
 
 // LifecycleConfig tunes the per-server connection lifecycle
