@@ -4,8 +4,8 @@
 // network with injectable latency, message loss, partitions and server
 // crashes; it is the substrate for the experiment harness, exactly as the
 // paper's analysis assumes an abstract message-passing system. TCPClient and
-// TCPServer (tcp.go) carry the same messages over real sockets for
-// deployments.
+// TCPServer (tcp_client.go, tcp_server.go; framing in tcp_frame.go) carry the
+// same messages over real sockets for deployments.
 package transport
 
 import (
