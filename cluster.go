@@ -47,9 +47,7 @@ func NewCluster(cfg ClusterConfig) (*LocalCluster, error) {
 	}
 	total := cfg.Total()
 	c := &LocalCluster{net: transport.NewMemNetwork(cfg.Seed), cellN: cfg.N}
-	if cfg.Clock != nil {
-		c.net.SetClock(cfg.Clock)
-	}
+	c.net.SetClock(cfg.Clock)
 	for i := 0; i < total; i++ {
 		r := replica.New(quorum.ServerID(i))
 		c.reps = append(c.reps, r)
@@ -68,22 +66,18 @@ func (c *LocalCluster) Cells() int { return len(c.reps) / c.cellN }
 // CrashCell crashes every replica of the given cell (see NewCluster for the
 // layout). Operations routed to the cell fail until RecoverCell; other cells
 // are untouched. A cell index outside [0, Cells()) does nothing.
-func (c *LocalCluster) CrashCell(cell int) {
-	if cell < 0 || cell >= c.Cells() {
-		return
-	}
-	for i := cell * c.cellN; i < (cell+1)*c.cellN; i++ {
-		c.Crash(i)
-	}
-}
+func (c *LocalCluster) CrashCell(cell int) { c.forCell(cell, c.Crash) }
 
 // RecoverCell recovers every replica of the given cell.
-func (c *LocalCluster) RecoverCell(cell int) {
+func (c *LocalCluster) RecoverCell(cell int) { c.forCell(cell, c.Recover) }
+
+// forCell applies f to the server ids of the given cell.
+func (c *LocalCluster) forCell(cell int, f func(id int)) {
 	if cell < 0 || cell >= c.Cells() {
 		return
 	}
 	for i := cell * c.cellN; i < (cell+1)*c.cellN; i++ {
-		c.Recover(i)
+		f(i)
 	}
 }
 

@@ -25,10 +25,7 @@
 //	                               # BENCH_epsilon.json (the CI artifact
 //	                               # tracking the ε trend across PRs, like
 //	                               # BENCH_throughput.json), with one section
-//	                               # per transport; every entry carries the
-//	                               # run's history_sha256, so two documents
-//	                               # from one seed diff equal exactly when
-//	                               # the histories do
+//	                               # per transport
 //	pqs-chaos -negative            # also run the intentionally failing
 //	                               # negative scenario (its failure is
 //	                               # expected and does not affect the exit
@@ -92,12 +89,9 @@ type epsilonDoc struct {
 }
 
 type epsilonEntry struct {
-	Name      string `json:"name"`
-	Transport string `json:"transport"`
-	// HistorySHA256 is chaos.Report.HistorySHA256 (chaos matrix only): equal
-	// across two documents exactly when the same-seed histories are.
-	HistorySHA256 string             `json:"history_sha256,omitempty"`
-	Metrics       map[string]float64 `json:"metrics"`
+	Name      string             `json:"name"`
+	Transport string             `json:"transport"`
+	Metrics   map[string]float64 `json:"metrics"`
 }
 
 // epsilonFile is where -json writes the ε trend document.
@@ -157,7 +151,7 @@ func buildEpsilonDoc(rep matrixReport) epsilonDoc {
 			m[p+"p_value"] = cell.PValue
 			m[p+"pass"] = boolMetric(cell.Pass)
 		}
-		doc.Scenarios = append(doc.Scenarios, epsilonEntry{Name: sc.Name, Transport: sc.Transport, HistorySHA256: sc.HistorySHA256, Metrics: m})
+		doc.Scenarios = append(doc.Scenarios, epsilonEntry{Name: sc.Name, Transport: sc.Transport, Metrics: m})
 	}
 	return doc
 }

@@ -25,31 +25,19 @@ type Config struct {
 	// straggler-tolerant access path for the run, putting hedge timers
 	// inside the chaos determinism contract.
 	config.Tuning
-	// Topology is the shape block: Cells/CellVnodes, Transport and the
-	// latency model. Topology.N is ignored (the universe size comes from
-	// System.N()).
+	// Topology is the shape block. With Cells > 1 the cluster holds
+	// Cells*System.N() replicas and the checker enforces the ε bound per
+	// cell as well as globally (see CheckConfig.Cells); schedule actions
+	// keep addressing global server ids, so scenarios can partition between
+	// cells or crash a whole cell.
 	//
-	// Cells, when > 1, runs the scenario against a multi-cell client: the
-	// cluster holds Cells*System.N() replicas (cell i owning servers
-	// [i*n, (i+1)*n)), every key routes to one cell by consistent hashing,
-	// and the checker enforces the ε bound per cell as well as globally
-	// (see CheckConfig.Cells). Schedule actions keep addressing global
-	// server ids, so scenarios can partition between cells or crash a
-	// whole cell.
-	//
-	// Transport selects the data plane: sim.TransportMem (default) drives
-	// client traffic through the MemNetwork with the chaos engine as its
-	// link hook; sim.TransportTCPVirtual drives it through the REAL TCP
-	// stack — framing, binary codec, group-commit frame writer, worker pool —
-	// over virtual-time byte streams, with the schedule's faults
-	// reimplemented at the byte-stream layer (drops reset connections,
-	// corruption flips bits in framed chunks, blocks refuse dials and
-	// reset streams; duplication is a deliberate no-op — TCP sequence
-	// numbers preclude it). Implies Virtual.
-	//
-	// LatencyMin and LatencyMax, when LatencyMax > 0, give every call a
-	// uniform simulated latency drawn deterministically from the seed.
-	// Meaningful mainly with Virtual (wall runs would really sleep).
+	// On sim.TransportMem the chaos engine is the MemNetwork's link hook;
+	// on sim.TransportTCPVirtual (implies Virtual) the schedule's faults are
+	// reimplemented at the byte-stream layer: drops reset connections,
+	// corruption flips bits in framed chunks, blocks refuse dials and reset
+	// streams, and duplication is a deliberate no-op — TCP sequence numbers
+	// preclude it. Latency is meaningful mainly with Virtual (wall runs
+	// would really sleep).
 	config.Topology
 
 	// Name labels the run in reports.
@@ -210,16 +198,11 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		keys = cfg.Ops
 	}
 
-	cells := cfg.Cells
-	if cells < 1 {
-		cells = 1
-	}
-
 	var netClk vtime.Clock // avoid a typed-nil *SimClock inside the interface
 	if clk != nil {
 		netClk = clk
 	}
-	cluster := sim.NewCluster(config.Cluster{Cells: cells, N: cfg.System.N(), Seed: cfg.Seed, Clock: netClk})
+	cluster := sim.NewCluster(config.Cluster{Cells: cfg.Cells, N: cfg.System.N(), Seed: cfg.Seed, Clock: netClk})
 	var (
 		eng           *Engine
 		tc            *sim.TCPCluster
@@ -262,12 +245,10 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		Transport:  callTransport,
 		Rand:       rand.New(rand.NewSource(cfg.Seed + 1)),
 		Clock:      ts.NewClock(1),
+		Time:       netClk,
 		Tuning:     cfg.Tuning,
 		Cells:      cfg.Cells,
 		RingVnodes: cfg.CellVnodes,
-	}
-	if clk != nil {
-		opts.Time = clk
 	}
 	if cfg.Mode == register.Dissemination {
 		kp, err := sv.GenerateKey(sim.SeededReader(cfg.Seed + 2))

@@ -7,8 +7,7 @@
 //     completion, read repair). Declared and documented here, once;
 //     register.Options embeds the block and every config above embeds it
 //     too, so a harness hands its block to the client as Tuning: cfg.Tuning.
-//   - Topology: the cluster-shape knobs (cells, universe size, data plane,
-//     latency model).
+//   - Topology: the cluster-shape knobs (cells, data plane, latency model).
 //   - Cluster: the layout pqs.NewCluster and sim.NewCluster build.
 //
 // A reflection test at the repo root (config_parity_test.go) pins the rule
@@ -98,9 +97,9 @@ type Tuning struct {
 }
 
 // Topology is the cluster-shape block shared by every harness config: how
-// many quorum cells, how many replicas, which data plane, and the simulated
-// latency model. Zero values mean "single cell, size from the quorum
-// system, mem plane, no injected latency".
+// many quorum cells, which data plane, and the simulated latency model; the
+// per-cell replica count is the quorum system's N(). Zero values mean
+// "single cell, mem plane, no injected latency".
 type Topology struct {
 	// Cells partitions the keyspace across this many quorum cells (0 or 1 =
 	// the classic single-cell layout).
@@ -108,10 +107,6 @@ type Topology struct {
 	// CellVnodes is the per-cell virtual-node count on the routing ring
 	// (0 = the ring package default).
 	CellVnodes int
-	// N is the per-cell replica count. Harnesses that carry a quorum system
-	// leave it 0 and derive it from System.N(); the load generator sets it
-	// explicitly.
-	N int
 	// Transport selects the data plane ("mem" or "tcp-virtual"; empty =
 	// mem).
 	Transport string

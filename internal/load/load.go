@@ -87,8 +87,7 @@ type Config struct {
 	// keeps the coverage knobs (W, ReadRepair) — see the package comment.
 	config.Tuning
 	// Topology supplies Cells/CellVnodes, Transport and the latency model
-	// (used by the latency phase). Topology.N is ignored; the universe
-	// size comes from System.N().
+	// (used by the latency phase).
 	config.Topology
 
 	// Name labels the scale point in reports and BENCH_epsilon.json.

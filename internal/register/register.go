@@ -136,9 +136,8 @@ type Options struct {
 	// reach the whole chosen quorum; leaving this false (best effort)
 	// trades a further ε degradation for availability.
 	RequireFullWrite bool
-	// Tuning is the access-tuning block — Spares, HedgeDelay, AdaptiveHedge,
-	// HedgeDeviations, EagerRead, W, ReadRepair — declared and documented in
-	// package config, which every harness config embeds too.
+	// Tuning is the access-tuning block, declared and documented in package
+	// config; every harness config embeds it too.
 	config.Tuning
 	// Time supplies timers, sleeps and latency measurement. Nil means the
 	// wall clock. The sim and chaos harnesses install a vtime.SimClock,

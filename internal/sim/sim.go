@@ -65,24 +65,13 @@ type ConsistencyConfig struct {
 	// repair in effect. Spares requires System to implement
 	// quorum.SpareSampler.
 	config.Tuning
-	// Topology is the shape block. MeasureConsistency honors
-	// Cells/CellVnodes (a cell-partitioned measurement), Transport and the
-	// latency model; Topology.N is ignored (the universe size comes from
-	// System.N()).
-	//
-	// Transport selects the data plane: TransportMem (default) calls the
-	// replicas through the in-process MemNetwork; TransportTCPVirtual runs
-	// every call through the real TCP stack — framing, binary codec,
-	// group-commit frame writer, worker pool — over virtual-time byte
-	// streams, so the measured ε covers the deployed read/write path. The
-	// latency, straggler and drop knobs then configure the byte-stream
-	// network (per-chunk draws; DropProb resets connections, the stream
-	// analogue of a lost call). Requires Virtual.
-	//
-	// LatencyMin and LatencyMax, when LatencyMax > 0, give every call a
-	// uniform simulated latency drawn deterministically from the seed. This
-	// is what makes hedge timers meaningful under Virtual: without latency
-	// every reply is instant and no hedge ever fires.
+	// Topology is the shape block: Cells/CellVnodes make the measurement
+	// cell-partitioned. On TransportTCPVirtual (requires Virtual) the
+	// measured ε covers the deployed read/write path, and the latency,
+	// straggler and drop knobs configure the byte-stream network (per-chunk
+	// draws; DropProb resets connections, the stream analogue of a lost
+	// call). Latency is what makes hedge timers meaningful under Virtual:
+	// without it every reply is instant and no hedge ever fires.
 	config.Topology
 	// System is the quorum system under test (carrier + strategy).
 	System quorum.System
@@ -210,12 +199,10 @@ func measureConsistency(cfg ConsistencyConfig, clk *vtime.SimClock) (Consistency
 		Transport:  callTransport,
 		Rand:       rand.New(rand.NewSource(cfg.Seed + 1)),
 		Clock:      ts.NewClock(1),
+		Time:       netClk,
 		Tuning:     cfg.Tuning,
 		Cells:      cfg.Cells,
 		RingVnodes: cfg.CellVnodes,
-	}
-	if clk != nil {
-		opts.Time = clk
 	}
 
 	forgedValue := []byte("\x00fabricated")

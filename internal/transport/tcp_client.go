@@ -114,9 +114,6 @@ func (c *TCPClient) newWaitGroup() *vtime.WaitGroup { return vtime.NewWaitGroup(
 
 var _ Transport = (*TCPClient)(nil)
 
-// Codec returns the codec the client speaks.
-func (c *TCPClient) Codec() Codec { return c.codec }
-
 // Stats returns a snapshot of the client's wire counters, aggregated over
 // all its connections.
 func (c *TCPClient) Stats() TCPStats {

@@ -530,9 +530,12 @@ func TestFrameWriterStickyError(t *testing.T) {
 		w := newFrameWriter(sink, &stats)
 		env := wire.Envelope{ID: 1, Payload: wire.WriteRequest{Key: "k", Value: bytes.Repeat([]byte("v"), 1024)}}
 		write := func() error {
-			frame, err := wire.AppendEnvelope(nil, env)
+			var frame []byte
+			var err error
 			if codec == CodecBinaryFlate {
 				frame, _, err = wire.AppendEnvelopeFlate(nil, env)
+			} else {
+				frame, err = wire.AppendEnvelope(nil, env)
 			}
 			if err != nil {
 				t.Fatalf("%v: encode: %v", codec, err)

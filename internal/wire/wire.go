@@ -2,10 +2,9 @@
 // servers: the read and write RPCs of the paper's access protocols
 // (Sections 3.1, 4 and 5.2) plus the push-pull messages of the diffusion
 // mechanism (Section 1.1). Both transports carry these types. The TCP
-// transport serializes them with the hand-rolled binary codec in codec.go.
-// encoding/gob never reaches the wire: RegisterGob exists so the codec's
-// property tests and the codec micro-benchmark can use a gob round trip as
-// the reference the binary codec is compared against.
+// transport serializes them with the hand-rolled binary codec in codec.go;
+// encoding/gob never reaches the wire (RegisterGob exists so the codec's
+// tests and micro-benchmark can compare against a gob round trip).
 //
 // # Binary wire format
 //
@@ -209,8 +208,7 @@ type ReplyEnvelope struct {
 var registerOnce sync.Once
 
 // RegisterGob registers every wire message with encoding/gob, for tests and
-// benchmarks that use gob as the reference codec. Safe to call multiple
-// times.
+// benchmarks that use gob as the reference codec. Idempotent.
 func RegisterGob() {
 	registerOnce.Do(func() {
 		gob.Register(ReadRequest{})

@@ -270,16 +270,14 @@ func NewRegistry() *Registry { return sv.NewRegistry() }
 // the type; the README section "Configuring access tuning" shows it in use.
 type Tuning = config.Tuning
 
-// Topology is the cluster-shape block — Cells, CellVnodes, N, Transport
-// plane, latency model — embedded by the same configs as Tuning. Fields a
+// Topology is the cluster-shape block — Cells, CellVnodes, Transport plane,
+// latency model — embedded by the same configs as Tuning. Fields a
 // config cannot honor are documented on that config.
 type Topology = config.Topology
 
 // ClientConfig configures a Client.
 type ClientConfig struct {
-	// Tuning holds the access-tuning knobs: straggler tolerance (Spares,
-	// HedgeDelay, AdaptiveHedge, HedgeDeviations), early completion
-	// (EagerRead, W) and ReadRepair.
+	// Tuning holds the access-tuning knobs (see the Tuning type).
 	Tuning
 	// Topology holds the cluster-shape knobs. NewClient honors Cells and
 	// CellVnodes: Cells > 1 partitions the keyspace across that many
@@ -287,9 +285,8 @@ type ClientConfig struct {
 	// System-sized PQS over servers [i*N, (i+1)*N) of the Transport (see
 	// ClusterConfig.Cells) with its own strategy, ε budget and stats;
 	// CellVnodes is the virtual-node count per cell on the routing ring
-	// (0 = the ring package default). N, Transport and the latency fields
-	// are ignored here (the universe comes from System, the plane from the
-	// Transport field below).
+	// (0 = the ring package default). Transport and the latency fields are
+	// ignored here (the plane comes from the Transport field below).
 	Topology
 	// System is the quorum system to access (from New).
 	System *System

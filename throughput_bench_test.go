@@ -5,7 +5,7 @@
 // trajectory across PRs has data points; `make bench-smoke` (CI) runs them
 // for one iteration to guard against bit-rot.
 //
-// BenchmarkCodecGob is the pre-fast-path baseline of the codec micro-
+// The gob codec benchmark is the pre-fast-path baseline of the codec micro-
 // benchmark, measured in the same run as the binary codec so the headline
 // ratio is apples-to-apples. Gob is not a wire codec: the TCP rows run the
 // binary codec only, under the sub-benchmark name they always had.
