@@ -46,7 +46,7 @@ loc:
 			printf "%7d total outside bench/\n", total }'
 
 race:
-	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/chaos/ ./internal/diffusion/
+	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/chaos/ ./internal/diffusion/ ./internal/sv/
 
 # The flake gate: every same-seed-twice determinism suite, twenty times
 # over under the race detector. A determinism test that passes most runs is
@@ -208,11 +208,14 @@ sim-scale:
 	$(GO) run ./cmd/pqs-chaos -load -seed $(CHAOS_SEED) -negative -verify-determinism -json -budget 5m -o /dev/null
 
 # Ten seconds of coverage-guided fuzzing each for the binary codec's decode
-# surface and the virtual byte-stream fault injector, so both fuzz targets
-# actually execute in CI rather than only replaying their seed corpora.
+# surface, the virtual byte-stream fault injector and the dissemination
+# read's selection over the registry's verified set (differential, against
+# plain sv.Verify), so the fuzz targets actually execute in CI rather than
+# only replaying their seed corpora.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzVNetFaultInjector -fuzztime 10s ./internal/transport
+	$(GO) test -run XXX -fuzz FuzzSelectDissemination -fuzztime 10s ./internal/register
 
 # The end-to-end smoke gate: build the real pqsd/pqs-cli binaries, stand a
 # 5-replica cluster up on loopback TCP, write and read through the CLI, kill

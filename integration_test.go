@@ -41,7 +41,9 @@ func TestIntegrationTCPByzantineDissemination(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.Add(key.ID, key.Public)
+	if err := reg.Add(key.ID, key.Public); err != nil {
+		t.Fatal(err)
+	}
 	client, err := NewClient(ClientConfig{
 		System: sys, Transport: tc, WriterID: key.ID, Key: key, Registry: reg, Seed: 6,
 	})

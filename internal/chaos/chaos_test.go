@@ -3,9 +3,11 @@ package chaos
 import (
 	"flag"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pqs/internal/register"
+	"pqs/internal/sim"
 	"pqs/internal/ts"
 	"pqs/internal/wire"
 )
@@ -162,6 +164,75 @@ func TestNegativeScenarioFails(t *testing.T) {
 	if c.Pass {
 		t.Fatalf("checker passed a run whose measured ε %.4f exceeds the configured bound %.3g", c.EligibleEpsilon, c.Bound)
 	}
+}
+
+// TestSigAudit: dissem/bad-sig-echo really does make the reader run
+// signature checks and really does look at what correct servers store, on
+// both data planes; and each of the audit's two assertions fails a run that
+// deserves it.
+func TestSigAudit(t *testing.T) {
+	build := func(t *testing.T, name string) Config {
+		t.Helper()
+		sc, ok := Find(name)
+		if !ok {
+			t.Fatalf("%s scenario missing", name)
+		}
+		cfg, err := sc.Build(1, *chaosSeed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.SigAudit = true
+		return cfg
+	}
+	violations := func(t *testing.T, cfg Config, containing string) int {
+		t.Helper()
+		rep, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, v := range rep.Check.Violations {
+			if strings.Contains(v, containing) {
+				n++
+			}
+		}
+		if (n > 0) == rep.Check.Pass {
+			t.Fatalf("%d violations containing %q, yet pass=%v", n, containing, rep.Check.Pass)
+		}
+		return n
+	}
+
+	for _, plane := range []string{sim.TransportMem, sim.TransportTCPVirtual} {
+		t.Run("bad-sig-echo/"+plane, func(t *testing.T) {
+			cfg := build(t, "dissem/bad-sig-echo")
+			cfg.Transport = plane
+			rep, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !rep.Check.Pass {
+				t.Fatalf("violations: %v", rep.Check.Violations)
+			}
+			// Every write is read back once: signed here, so never checked.
+			if rep.SigChecks == 0 || rep.SigReused < uint64(cfg.Ops) || rep.StoredAudited == 0 {
+				t.Errorf("SigChecks %d, SigReused %d, StoredAudited %d over %d pairs", rep.SigChecks, rep.SigReused, rep.StoredAudited, cfg.Ops)
+			}
+		})
+	}
+	t.Run("wrong-length forgeries cost no check", func(t *testing.T) {
+		// dissem/forgers answers under an unknown writer with a 33-byte
+		// signature: refused before ed25519, which the audit reports.
+		if n := violations(t, build(t, "dissem/forgers"), "ran no ed25519 check"); n != 1 {
+			t.Errorf("%d violations, want 1", n)
+		}
+	})
+	t.Run("garbage on a correct server is found", func(t *testing.T) {
+		// dissem/corrupt flips bits in writes on their way to correct
+		// servers, which store them unverified.
+		if n := violations(t, build(t, "dissem/corrupt"), "does not verify"); n == 0 {
+			t.Error("the audit found nothing wrong with corrupted stores")
+		}
+	})
 }
 
 // TestGossipUnderFireExercisesTheMachinery asserts the gossip-under-fire

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -96,6 +97,19 @@ type Config struct {
 	// mem plane.
 	Lifecycle transport.LifecycleConfig
 
+	// SigAudit adds two end-of-run assertions to a dissemination run's
+	// verdict, for scenarios whose adversary attacks signatures rather than
+	// values. The client must have run at least one real signature check
+	// (AccessStats.SigChecks > 0): a well-formed forged signature cannot be
+	// refused for free, and a failed check is never remembered. And every
+	// entry held by a replica whose behaviour is Correct must verify under
+	// plain sv.Verify, which shares nothing with the registry's set of
+	// verified tuples: replicas do not verify writes, so this is what
+	// stands between a read repair that spreads the wrong signature and a
+	// persistent ε degradation. Not for schedules that corrupt links, where
+	// a correct server stores a corrupted write's garbage by design.
+	SigAudit bool
+
 	// GossipEvery, when positive, runs one synchronized diffusion round
 	// (anti-entropy push-pull over the current membership) after every
 	// GossipEvery-th write/read pair — lazy propagation running
@@ -135,6 +149,16 @@ type Report struct {
 	GossipBytesPushed     uint64 `json:"gossip_bytes_pushed,omitempty"`
 	GossipBytesSuppressed uint64 `json:"gossip_bytes_suppressed,omitempty"`
 	GossipFullSyncs       uint64 `json:"gossip_full_syncs,omitempty"`
+	// SigChecks and SigReused are the client's signature-verdict counters
+	// at the end of a dissemination run (register.AccessStats): verdicts
+	// that ran ed25519 and verdicts reused from an earlier check or from the
+	// client's own signing. StoredAudited counts the stored entries
+	// Config.SigAudit verified. Aggregates, not part of History: on the mem
+	// plane under the wall clock, which of two equal-stamped replies is
+	// looked at first is the Go scheduler's choice.
+	SigChecks     uint64 `json:"sig_checks,omitempty"`
+	SigReused     uint64 `json:"sig_reused,omitempty"`
+	StoredAudited int    `json:"stored_audited,omitempty"`
 	// Lifecycle snapshots the main client's connection-lifecycle counters
 	// when Config.Lifecycle enables any feature under tcp-virtual. Counter
 	// totals are aggregates, not part of the byte-for-byte determinism
@@ -250,13 +274,17 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		Cells:      cfg.Cells,
 		RingVnodes: cfg.CellVnodes,
 	}
+	var writerKey sv.KeyPair
 	if cfg.Mode == register.Dissemination {
 		kp, err := sv.GenerateKey(sim.SeededReader(cfg.Seed + 2))
 		if err != nil {
 			return nil, fmt.Errorf("chaos: generate key: %w", err)
 		}
+		writerKey = kp
 		reg := sv.NewRegistry()
-		reg.Add(1, kp.Public)
+		if err := reg.Add(1, kp.Public); err != nil {
+			return nil, fmt.Errorf("chaos: register key: %w", err)
+		}
 		opts.Signer = kp.Private
 		opts.Registry = reg
 	}
@@ -389,6 +417,13 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 
 		HistorySHA256: hist.sha256(),
 	}
+	if cfg.Mode == register.Dissemination {
+		st := client.Stats()
+		rep.SigChecks, rep.SigReused = st.SigChecks, st.SigReused
+		if cfg.SigAudit {
+			rep.auditSignatures(cluster.Replicas, writerKey.Public)
+		}
+	}
 	if rt.gossip != nil {
 		rep.GossipRounds = gossipRounds
 		for _, e := range rt.gossip.Engines() {
@@ -426,6 +461,32 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		rep.SimSeconds = clk.Elapsed().Seconds()
 	}
 	return rep, nil
+}
+
+// auditSignatures applies Config.SigAudit's two assertions, adding what
+// fails to the report's violations.
+func (rep *Report) auditSignatures(replicas []*replica.Replica, pub ed25519.PublicKey) {
+	fail := func(format string, args ...any) {
+		rep.Check.Violations = append(rep.Check.Violations, fmt.Sprintf(format, args...))
+		rep.Check.Pass = false
+	}
+	if rep.SigChecks == 0 {
+		fail("signature audit: the client ran no ed25519 check in the whole run (%d verdicts reused)", rep.SigReused)
+	}
+	for _, r := range replicas {
+		if _, correct := r.Behavior().(replica.Correct); !correct {
+			continue
+		}
+		keys := r.Store().Keys()
+		sort.Strings(keys)
+		for _, key := range keys {
+			e, _ := r.Store().Get(key)
+			rep.StoredAudited++
+			if !sv.Verify(pub, key, e.Value, e.Stamp, e.Sig) {
+				fail("signature audit: correct server %d holds (%q, %q, %v) under a signature that does not verify", r.ID(), key, e.Value, e.Stamp)
+			}
+		}
+	}
 }
 
 // LifecycleReport is the connection-lifecycle slice of the tcp-virtual

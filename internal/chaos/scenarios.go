@@ -408,6 +408,28 @@ func Scenarios() []Scenario {
 			},
 		},
 		{
+			Name: "dissem/bad-sig-echo",
+			Doc:  "b=10 Byzantine members echo the writer's genuine newest (value, stamp) — five under a bit-flipped signature, five under an older version's genuine one — with read repair on; reads must run and fail real ed25519 checks, none may be fooled, and every entry a correct server holds at the end must still verify under a plain, memory-free check",
+			Build: func(scale int, seed int64) (Config, error) {
+				sys, err := core.NewDisseminationEll(baseN, 10, 3.5)
+				if err != nil {
+					return Config{}, err
+				}
+				return Config{
+					Name: "dissem/bad-sig-echo", System: sys, Mode: register.Dissemination,
+					Ops: 120 * scale, Seed: seed, Bound: sys.EpsilonBound(),
+					// Repair is what would make a wrongly accepted signature
+					// permanent: it writes the accepted reply's signature to
+					// servers that never check it.
+					Tuning:   config.Tuning{ReadRepair: true},
+					SigAudit: true,
+					Schedule: Schedule{
+						At(0, BadSigEchoes(false, ids(0, 5)...), BadSigEchoes(true, ids(5, 5)...)),
+					},
+				}, nil
+			},
+		},
+		{
 			Name: "masking/colluders",
 			Doc:  "a colluding B-set placed on the strategy's most-sampled servers; the threshold k must keep P(fooled) within Theorem 5.10's ε",
 			Build: func(scale int, seed int64) (Config, error) {

@@ -390,6 +390,23 @@ func Equivocate(ids ...quorum.ServerID) Action {
 	return BehaveEach(func(id quorum.ServerID) replica.Behavior { return &Equivocator{ID: id} }, ids...)
 }
 
+// BadSigEchoes turns the listed replicas into bad-signature echoes
+// (replica.BadSigEcho): each answers the writer's genuine newest pair under
+// a signature that cannot verify — the genuine one with a bit flipped, a
+// different bit per replica, or with replay the genuine signature of the
+// key's previous version.
+func BadSigEchoes(replay bool, ids ...quorum.ServerID) Action {
+	flavour := "garbage"
+	if replay {
+		flavour = "replay"
+	}
+	return actionFunc{fmt.Sprintf("bad-sig-echo(%s)%v", flavour, ids), func(rt *runtime) {
+		InstallEach(rt.cluster, func(id quorum.ServerID) replica.Behavior {
+			return &replica.BadSigEcho{Bit: int(id), Replay: replay}
+		}, ids...)
+	}}
+}
+
 // StaleEchoes turns the listed replicas into stale echoes.
 func StaleEchoes(ids ...quorum.ServerID) Action {
 	return Behave(StaleEcho(), ids...)

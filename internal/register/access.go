@@ -561,6 +561,13 @@ type AccessStats struct {
 	// (transport.ErrServerDown): each such member's slot fails at t=0,
 	// promoting a spare immediately instead of waiting out the hedge timer.
 	ServerDownFastFails uint64
+	// SigChecks and SigReused count the verdicts of dissemination reads on
+	// signatures of the right length under a registered writer: SigChecks
+	// those that ran ed25519, SigReused those answered from the registry's
+	// set of already verified tuples (sv.Registry). With forgers about,
+	// SigChecks keeps climbing: a failed check is never remembered.
+	SigChecks uint64
+	SigReused uint64
 
 	// LatencySamples, SRTT, RTTVar and HedgeDelay describe the adaptive-
 	// hedge latency estimator (zero unless Options.AdaptiveHedge is set):
@@ -581,6 +588,8 @@ func (c *cell) Stats() AccessStats {
 		LateReplies:         c.statLate.Load(),
 		LateRepairs:         c.statLateRepairs.Load(),
 		ServerDownFastFails: c.statServerDown.Load(),
+		SigChecks:           c.statSigChecks.Load(),
+		SigReused:           c.statSigReused.Load(),
 	}
 	if c.opts.AdaptiveHedge {
 		s.LatencySamples, s.SRTT, s.RTTVar = c.lat.snapshot()
@@ -602,4 +611,6 @@ type accessCounters struct {
 	statLate        atomic.Uint64
 	statLateRepairs atomic.Uint64
 	statServerDown  atomic.Uint64
+	statSigChecks   atomic.Uint64
+	statSigReused   atomic.Uint64
 }

@@ -17,7 +17,12 @@
 // A read costs 1 + (distinct forged triples outranking the accepted stamp)
 // signature checks rather than one per reply; replies at or below the
 // accepted stamp are never examined, because a forgery down there is
-// indistinguishable from a stale reply and cannot change the outcome.
+// indistinguishable from a stale reply and cannot change the outcome. What a
+// check costs is the registry's business: sv.Registry answers from its set
+// of tuples already known to verify — which a writer feeds by signing
+// through it — so across reads a value is verified once, and only a reply
+// that has never verified here runs ed25519 (AccessStats.SigChecks and
+// SigReused count the two).
 //
 // Where a call runs is not the client's to configure. A call that cannot
 // park — the transport is a transport.TryCaller and says so for this call,
@@ -126,10 +131,13 @@ type Options struct {
 	Rand *rand.Rand
 	// Clock issues write timestamps. Required for writers.
 	Clock *ts.Clock
-	// Signer, when set, signs writes (self-verifying data).
+	// Signer, when set, signs writes (self-verifying data). It must be a
+	// well-formed key, and the one Registry holds for Clock's writer id if
+	// Registry holds any: NewClient refuses a writer no reader could verify.
 	Signer ed25519.PrivateKey
 	// Registry verifies replies in Dissemination mode. Required for
-	// dissemination readers.
+	// dissemination readers. A writer's own signatures are noted in it, so
+	// reading them back costs no check.
 	Registry *sv.Registry
 	// RequireFullWrite makes Write fail with ErrPartialWrite unless every
 	// quorum member acknowledged. The paper's analysis assumes updates
@@ -232,6 +240,9 @@ func newCell(opts Options) (*cell, error) {
 	default:
 		return nil, fmt.Errorf("register: unknown mode %d", opts.Mode)
 	}
+	if err := checkSigner(opts); err != nil {
+		return nil, err
+	}
 	if opts.Spares < 0 {
 		return nil, fmt.Errorf("register: Spares %d must be non-negative", opts.Spares)
 	}
@@ -276,6 +287,30 @@ func newCell(opts Options) (*cell, error) {
 	return c, nil
 }
 
+// checkSigner rejects a writer none of whose writes any reader could verify:
+// a Signer that is not a well-formed ed25519 private key (its public half
+// must be the one its seed derives; sv.Registry.SignEntry relies on that),
+// or one whose public half differs from the key Registry holds for Clock's
+// writer id. Left alone, either is ε = 1 with no error anywhere. A registry
+// that does not know the writer at all is fine: the key may be added later,
+// and other readers have registries of their own.
+func checkSigner(opts Options) error {
+	if opts.Signer == nil {
+		return nil
+	}
+	if len(opts.Signer) != ed25519.PrivateKeySize || !bytes.Equal(ed25519.NewKeyFromSeed(opts.Signer.Seed()), opts.Signer) {
+		return errors.New("register: Options.Signer is not a well-formed ed25519 private key")
+	}
+	if opts.Registry == nil || opts.Clock == nil {
+		return nil
+	}
+	writer := opts.Clock.Writer()
+	if pub, ok := opts.Registry.Lookup(writer); ok && !bytes.Equal(pub, opts.Signer[ed25519.SeedSize:]) {
+		return fmt.Errorf("register: Options.Registry holds a different public key for writer %d than Options.Signer's; no reader could verify this client's writes", writer)
+	}
+	return nil
+}
+
 // Mode returns the client's protocol mode.
 func (c *cell) Mode() Mode { return c.opts.Mode }
 
@@ -317,7 +352,13 @@ func (c *cell) Write(ctx context.Context, key string, value []byte) (WriteResult
 	val := make([]byte, len(value))
 	copy(val, value)
 	var sig []byte
-	if c.opts.Signer != nil {
+	switch {
+	case c.opts.Signer == nil:
+	case c.opts.Registry != nil:
+		// A writer that also reads has its registry note what it signed:
+		// reading this write back then costs no signature check.
+		sig = c.opts.Registry.SignEntry(c.opts.Signer, key, val, stamp)
+	default:
 		sig = sv.Sign(c.opts.Signer, key, val, stamp)
 	}
 	req := wire.WriteRequest{Key: key, Value: val, Stamp: stamp, Sig: sig}
@@ -465,7 +506,7 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 			case Dissemination:
 				// Verdicts are memoised in replies, so re-running the
 				// selection as later replies arrive never re-judges one.
-				return ok >= target && selectDissemination(key, replies, c.opts.Registry.VerifyEntry) >= 0
+				return ok >= target && selectDissemination(key, replies, c.verifyEntry) >= 0
 			case Masking:
 				return maskDecided(votes, c.opts.K, outstanding)
 			}
@@ -507,7 +548,7 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 	case Benign:
 		best = selectBenign(replies)
 	case Dissemination:
-		best = selectDissemination(key, replies, c.opts.Registry.VerifyEntry)
+		best = selectDissemination(key, replies, c.verifyEntry)
 		for i := range replies {
 			if replies[i].verdict == invalid {
 				res.Discarded++
@@ -534,6 +575,20 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 	}
 	c.drain(out, onLate)
 	return res, nil
+}
+
+// verifyEntry is the registry's verdict on one reply tuple, counted: a
+// verdict that ran ed25519 and one that reused an earlier check each go to
+// their AccessStats counter.
+func (c *cell) verifyEntry(key string, value []byte, stamp ts.Stamp, sig []byte) bool {
+	ok, cost := c.opts.Registry.Judge(key, value, stamp, sig)
+	switch cost {
+	case sv.Checked:
+		c.statSigChecks.Add(1)
+	case sv.Reused:
+		c.statSigReused.Add(1)
+	}
+	return ok
 }
 
 // vouchers counts the replies naming the same pair as replies[best].

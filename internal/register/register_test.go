@@ -236,7 +236,9 @@ func TestDisseminationFiltersForgeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := sv.NewRegistry()
-	reg.Add(1, kp.Public)
+	if err := reg.Add(1, kp.Public); err != nil {
+		t.Fatal(err)
+	}
 
 	b := 3
 	c := byzSetup(t, b, []byte("not a real signature"))

@@ -68,7 +68,9 @@ func TestReadRepairPreservesSignatures(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := sv.NewRegistry()
-	reg.Add(1, kp.Public)
+	if err := reg.Add(1, kp.Public); err != nil {
+		t.Fatal(err)
+	}
 
 	c := newCluster(t, 6)
 	stamp := ts.Stamp{Counter: 3, Writer: 1}

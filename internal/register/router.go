@@ -196,6 +196,8 @@ func (c *Client) Stats() AccessStats {
 		agg.LateReplies += s.LateReplies
 		agg.LateRepairs += s.LateRepairs
 		agg.ServerDownFastFails += s.ServerDownFastFails
+		agg.SigChecks += s.SigChecks
+		agg.SigReused += s.SigReused
 		agg.LatencySamples += s.LatencySamples
 	}
 	return agg

@@ -2,6 +2,7 @@ package replica
 
 import (
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"fmt"
 	"sync"
@@ -77,6 +78,72 @@ func (Stale) OnRead(_ string, correct wire.ReadReply) (wire.ReadReply, error) {
 
 // OnWrite implements Behavior.
 func (Stale) OnWrite(wire.WriteRequest) (bool, error) { return false, nil }
+
+// BadSigEcho is the adversary that attacks signatures instead of values. It
+// applies every write like a correct server, so it knows the writer's genuine
+// newest pair for each key, and answers reads with exactly that pair under a
+// well-formed 64-byte signature that does not verify. Such a reply names the
+// right value at the right stamp and cannot be refused on its length: a
+// reader must run — and fail — a real ed25519 check on it, must not take the
+// pair on this reply's word, and must never let read repair spread its
+// signature (replicas do not verify writes). Two flavours:
+//
+//   - garbage (Replay false): the genuine signature with bit Bit flipped.
+//     Give colluders different bits and they share no triple.
+//   - replay (Replay true): the genuine signature of the version the key held
+//     before — right writer, right key, wrong tuple — and, at odd stamp
+//     counters, that older version's value along with it, i.e. an old genuine
+//     (value, signature) promoted to the newest stamp. A key with no older
+//     version gets the garbage flavour.
+//
+// It never waits, so it answers TryHandle. Use one instance per replica.
+type BadSigEcho struct {
+	Bit    int
+	Replay bool
+
+	mu sync.Mutex
+	// seen holds, per key, the newest write seen and the one it superseded
+	// (the zero request until there is one).
+	seen map[string][2]wire.WriteRequest
+}
+
+// OnRead implements Behavior.
+func (b *BadSigEcho) OnRead(key string, correct wire.ReadReply) (wire.ReadReply, error) {
+	if !correct.Found {
+		return correct, nil
+	}
+	if b.Replay {
+		b.mu.Lock()
+		last, old := b.seen[key][0], b.seen[key][1]
+		b.mu.Unlock()
+		if old.Sig != nil && last.Stamp == correct.Stamp {
+			correct.Sig = old.Sig
+			if correct.Stamp.Counter%2 == 1 {
+				correct.Value = old.Value
+			}
+			return correct, nil
+		}
+	}
+	sig := make([]byte, ed25519.SignatureSize)
+	copy(sig, correct.Sig)
+	bit := b.Bit % (8 * len(sig))
+	sig[bit/8] ^= 1 << (bit % 8)
+	correct.Sig = sig
+	return correct, nil
+}
+
+// OnWrite implements Behavior: the write is applied, and remembered.
+func (b *BadSigEcho) OnWrite(req wire.WriteRequest) (bool, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.seen == nil {
+		b.seen = make(map[string][2]wire.WriteRequest)
+	}
+	if last := b.seen[req.Key][0]; last.Stamp.Less(req.Stamp) {
+		b.seen[req.Key] = [2]wire.WriteRequest{req, last}
+	}
+	return true, nil
+}
 
 // Delayed wraps a behavior with a fixed artificial delay before every
 // answer, turning a live server into a straggler. It is the fault-injection
@@ -164,6 +231,12 @@ func (r *Replica) SetBehavior(b Behavior) {
 	r.behavior = b
 }
 
+// Behavior returns the replica's current behavior.
+func (r *Replica) Behavior() Behavior {
+	b, _ := r.current()
+	return b
+}
+
 // SetVerifier installs the entry verifier used on the gossip merge path.
 func (r *Replica) SetVerifier(v Verifier) {
 	r.mu.Lock()
@@ -192,7 +265,7 @@ func (r *Replica) Handle(_ context.Context, req any) (any, error) {
 func (r *Replica) TryHandle(_ context.Context, req any) (any, bool, error) {
 	behavior, verifier := r.current()
 	switch behavior.(type) {
-	case Correct, Forger, Stale, Silent:
+	case Correct, Forger, Stale, Silent, *BadSigEcho:
 	default:
 		return nil, false, nil
 	}

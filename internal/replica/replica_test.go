@@ -1,7 +1,9 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"crypto/ed25519"
 	"errors"
 	"sync"
 	"testing"
@@ -157,6 +159,59 @@ func TestForgerBehavior(t *testing.T) {
 	}
 }
 
+// TestBadSigEchoBehavior: the echo serves the genuine newest (value, stamp)
+// of each key, never under the signature that came with it.
+func TestBadSigEchoBehavior(t *testing.T) {
+	sigOf := func(c uint64) []byte { return bytes.Repeat([]byte{byte(c)}, ed25519.SignatureSize) }
+	put := func(r *Replica, key, val string, c uint64) {
+		t.Helper()
+		req := wire.WriteRequest{Key: key, Value: []byte(val), Stamp: ts.Stamp{Counter: c, Writer: 1}, Sig: sigOf(c)}
+		if resp, err := r.Handle(context.Background(), req); err != nil || !resp.(wire.WriteReply).Stored {
+			t.Fatalf("write %s@%d: %v, %v", key, c, resp, err)
+		}
+	}
+
+	garbage := New(0)
+	garbage.SetBehavior(&BadSigEcho{Bit: 9})
+	if got, err := read(t, garbage, "x"); err != nil || got.Found {
+		t.Errorf("read of a key never written = %+v, %v", got, err)
+	}
+	put(garbage, "x", "v1", 1)
+	put(garbage, "x", "v2", 2)
+	got, _ := read(t, garbage, "x")
+	want := sigOf(2)
+	want[1] ^= 1 << 1 // bit 9
+	if string(got.Value) != "v2" || got.Stamp.Counter != 2 || !bytes.Equal(got.Sig, want) {
+		t.Errorf("garbage echo read = %+v, want v2@2 under the genuine signature with bit 9 flipped", got)
+	}
+
+	replay := New(1)
+	replay.SetBehavior(&BadSigEcho{Bit: 9, Replay: true})
+	put(replay, "x", "v1", 1)
+	if got, _ := read(t, replay, "x"); string(got.Value) != "v1" || bytes.Equal(got.Sig, sigOf(1)) || len(got.Sig) != ed25519.SignatureSize {
+		t.Errorf("replay echo with no older version read = %+v, want v1@1 under a flipped signature", got)
+	}
+	put(replay, "x", "v2", 2)
+	if got, _ := read(t, replay, "x"); string(got.Value) != "v2" || got.Stamp.Counter != 2 || !bytes.Equal(got.Sig, sigOf(1)) {
+		t.Errorf("replay echo at an even stamp read = %+v, want v2@2 under v1's signature", got)
+	}
+	put(replay, "x", "v3", 3)
+	if got, _ := read(t, replay, "x"); string(got.Value) != "v2" || got.Stamp.Counter != 3 || !bytes.Equal(got.Sig, sigOf(2)) {
+		t.Errorf("replay echo at an odd stamp read = %+v, want v2's value and signature under stamp 3", got)
+	}
+	// An old write arriving late changes nothing.
+	if _, err := replay.Handle(context.Background(), wire.WriteRequest{Key: "x", Value: []byte("late"), Stamp: ts.Stamp{Counter: 1, Writer: 1}, Sig: sigOf(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := read(t, replay, "x"); got.Stamp.Counter != 3 || !bytes.Equal(got.Sig, sigOf(2)) {
+		t.Errorf("after a late old write the replay echo read = %+v", got)
+	}
+	// What it stores is what a correct server would.
+	if e, ok := replay.Store().Get("x"); !ok || string(e.Value) != "v3" || !bytes.Equal(e.Sig, sigOf(3)) {
+		t.Errorf("store holds %+v", e)
+	}
+}
+
 func TestStaleBehavior(t *testing.T) {
 	r := New(0)
 	write(t, r, "x", "v1", 1)
@@ -254,9 +309,16 @@ func TestTryHandleAcceptsOnlyWhatNeverWaits(t *testing.T) {
 	ctx := context.Background()
 	write := wire.WriteRequest{Key: "k", Value: []byte("v"), Stamp: ts.Stamp{Counter: 1, Writer: 1}}
 	read := wire.ReadRequest{Key: "k"}
-	for _, b := range []Behavior{Correct{}, Forger{Value: []byte("f"), Stamp: ts.Stamp{Counter: 9}}, Stale{}, Silent{}} {
+	for _, mk := range []func() Behavior{
+		func() Behavior { return Correct{} },
+		func() Behavior { return Forger{Value: []byte("f"), Stamp: ts.Stamp{Counter: 9}} },
+		func() Behavior { return Stale{} },
+		func() Behavior { return Silent{} },
+		func() Behavior { return &BadSigEcho{} },
+	} {
 		viaHandle, viaTry := New(0), New(0)
-		viaHandle.SetBehavior(b)
+		viaHandle.SetBehavior(mk())
+		b := mk()
 		viaTry.SetBehavior(b)
 		for _, req := range []any{write, read, wire.PingRequest{}, "unknown"} {
 			want, wantErr := viaHandle.Handle(ctx, req)

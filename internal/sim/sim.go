@@ -214,7 +214,9 @@ func measureConsistency(cfg ConsistencyConfig, clk *vtime.SimClock) (Consistency
 			return ConsistencyResult{}, err
 		}
 		reg := sv.NewRegistry()
-		reg.Add(1, kp.Public)
+		if err := reg.Add(1, kp.Public); err != nil {
+			return ConsistencyResult{}, err
+		}
 		opts.Signer = kp.Private
 		opts.Registry = reg
 		installForgers(cluster, cfg.B, forgedValue)

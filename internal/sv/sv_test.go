@@ -18,13 +18,20 @@ func (d detRand) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-func testKey(t *testing.T, seed int64) KeyPair {
+func testKey(t testing.TB, seed int64) KeyPair {
 	t.Helper()
 	kp, err := GenerateKey(detRand{rand.New(rand.NewSource(seed))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return kp
+}
+
+func mustAdd(t testing.TB, reg *Registry, writer uint32, pub []byte) {
+	t.Helper()
+	if err := reg.Add(writer, pub); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestSignVerifyRoundTrip(t *testing.T) {
@@ -107,7 +114,7 @@ func TestRegistry(t *testing.T) {
 		t.Error("new registry not empty")
 	}
 	kp := testKey(t, 4)
-	reg.Add(9, kp.Public)
+	mustAdd(t, reg, 9, kp.Public)
 	if reg.Len() != 1 {
 		t.Error("Len after Add")
 	}
@@ -117,6 +124,14 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := reg.Lookup(10); ok {
 		t.Error("Lookup of unknown writer succeeded")
+	}
+	for _, bad := range [][]byte{nil, {}, kp.Public[:31], append(append([]byte(nil), kp.Public...), 0)} {
+		if err := reg.Add(11, bad); err == nil {
+			t.Errorf("Add accepted a %d-byte public key", len(bad))
+		}
+	}
+	if _, ok := reg.Lookup(11); ok || reg.Len() != 1 {
+		t.Error("a refused key was registered")
 	}
 
 	stamp := ts.Stamp{Counter: 5, Writer: 9}
@@ -142,7 +157,7 @@ func TestRegistryKeyIsolation(t *testing.T) {
 	reg := NewRegistry()
 	kp := testKey(t, 6)
 	pub := append([]byte(nil), kp.Public...)
-	reg.Add(1, pub)
+	mustAdd(t, reg, 1, pub)
 	pub[0] ^= 0xff
 	got, _ := reg.Lookup(1)
 	if !bytes.Equal(got, kp.Public) {
@@ -157,7 +172,9 @@ func TestRegistryConcurrent(t *testing.T) {
 	go func() {
 		defer close(done)
 		for i := 0; i < 1000; i++ {
-			reg.Add(uint32(i%16), kp.Public)
+			if err := reg.Add(uint32(i%16), kp.Public); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	for i := 0; i < 1000; i++ {

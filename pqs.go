@@ -258,7 +258,8 @@ func GenerateWriterKey(id uint32, rand interface{ Read([]byte) (int, error) }) (
 }
 
 // Registry maps writer ids to public keys; dissemination readers require
-// one to decide which replies are verifiable.
+// one to decide which replies are verifiable. Add returns an error for a key
+// that is not ed25519.PublicKeySize bytes long.
 type Registry = sv.Registry
 
 // NewRegistry returns an empty writer-key registry.
@@ -297,8 +298,13 @@ type ClientConfig struct {
 	// leave it zero.
 	WriterID uint32
 	// Key, when set, signs writes (required for dissemination writers).
+	// NewClient refuses a Key whose public half differs from the key
+	// Registry holds for WriterID: no reader could verify such a client's
+	// writes.
 	Key WriterKey
-	// Registry verifies replies (required for dissemination readers).
+	// Registry verifies replies (required for dissemination readers). It
+	// remembers which signatures it has seen verify and which this client
+	// made itself, so a value is checked once, not once per read.
 	Registry *Registry
 	// Seed fixes the access strategy's randomness; use distinct seeds per
 	// client. Zero means seed 1.
@@ -323,8 +329,9 @@ type ReadResult = register.ReadResult
 type WriteResult = register.WriteResult
 
 // AccessStats reports a client's cumulative straggler-tolerance counters
-// (spares promoted, early completions, late replies and late repairs); see
-// Client.Stats and Client.WaitDrained.
+// (spares promoted, early completions, late replies and late repairs) and,
+// for dissemination readers, how many signature verdicts ran ed25519 and how
+// many reused an earlier check; see Client.Stats and Client.WaitDrained.
 type AccessStats = register.AccessStats
 
 // RingView is a versioned description of a multi-cell client's routing

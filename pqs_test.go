@@ -164,7 +164,9 @@ func TestDisseminationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := NewRegistry()
-	reg.Add(key.ID, key.Public)
+	if err := reg.Add(key.ID, key.Public); err != nil {
+		t.Fatal(err)
+	}
 	client, err := NewClient(ClientConfig{
 		System: sys, Transport: cluster.Transport(),
 		WriterID: key.ID, Key: key, Registry: reg, Seed: 4,
@@ -186,6 +188,27 @@ func TestDisseminationEndToEnd(t *testing.T) {
 		if r.Found && string(r.Value) == "forged" {
 			t.Fatalf("read %d accepted a forgery", i)
 		}
+	}
+	// The value was signed by this client, so reading it back reuses that
+	// knowledge; the forgers' unknown writer id is refused before any check.
+	if st := client.Stats(); st.SigChecks != 0 || st.SigReused == 0 {
+		t.Errorf("SigChecks %d, SigReused %d after reading an own write 100 times; want 0 and > 0", st.SigChecks, st.SigReused)
+	}
+
+	// A writer whose key is not the one its registry holds for its id could
+	// write nothing any reader accepts: refused at construction.
+	impostor, err := GenerateWriterKey(key.ID, rand.New(rand.NewSource(10)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewClient(ClientConfig{
+		System: sys, Transport: cluster.Transport(),
+		WriterID: key.ID, Key: impostor, Registry: reg, Seed: 4,
+	}); err == nil {
+		t.Error("NewClient accepted a Key that differs from the Registry's key for WriterID")
+	}
+	if err := reg.Add(2, impostor.Public[:16]); err == nil {
+		t.Error("Registry.Add accepted half a public key")
 	}
 }
 
