@@ -14,7 +14,7 @@
 //	pqs-chaos -transport tcp-virtual
 //	                               # run the matrix over the REAL TCP stack
 //	                               # (binary codec, group-commit frame writer,
-//	                               # worker pool) on virtual-time byte
+//	                               # read-loop dispatch) on virtual-time byte
 //	                               # streams; comma-separate to run several
 //	                               # planes in one invocation, e.g.
 //	                               # -transport mem,tcp-virtual

@@ -332,11 +332,20 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	seq := 0
 	next := 0
 	for t := 0; t < cfg.Ops; t++ {
+		applied := next
 		for next < len(events) && events[next].T <= t {
 			for _, act := range events[next].Acts {
 				act.apply(rt)
 			}
 			next++
+		}
+		if clk != nil && next > applied {
+			// An action's consequences run on other workers at this same
+			// virtual instant (a reset wakes the client's read loops, which
+			// fail their connections, which the next acquire prunes). Let
+			// them finish, or whether the next write leases a dead
+			// connection or redials is the Go scheduler's choice.
+			clk.Settle()
 		}
 		if rt.gossip != nil && t > 0 && t%cfg.GossipEvery == 0 {
 			// Diffusion interleaves with client traffic at pair

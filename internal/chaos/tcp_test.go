@@ -2,9 +2,9 @@ package chaos
 
 // Chaos over the REAL data plane: the same scenario matrix, replayed
 // through the TCP stack (framing, binary codec, group-commit frame writer,
-// worker pool) over virtual-time byte streams. Two properties are gated:
-// every scenario still passes its theorem bound when the faults act on
-// framed bytes instead of messages, and every run replays byte-for-byte
+// read-loop dispatch) over virtual-time byte streams. Two properties are
+// gated: every scenario still passes its theorem bound when the faults act
+// on framed bytes instead of messages, and every run replays byte-for-byte
 // from its seed — the CI chaos-tcp job runs exactly these.
 
 import (
@@ -84,6 +84,36 @@ func TestChaosDeterminismTCPVirtual(t *testing.T) {
 				t.Fatalf("virtual time diverges for identical histories: %v vs %v s", a.SimSeconds, b.SimSeconds)
 			}
 		})
+	}
+}
+
+// TestChaosSettlesAfterActions replays the scenario whose schedule resets
+// connections between operations (Leave/Join waves) ten times over. A
+// reset's consequences — read loops failing their connections, the pool
+// pruning them — run on other workers at the same virtual instant, so
+// unless the run settles after applying an event, whether the next write
+// leases a dead connection (one member fails, Full=false) or redials is the
+// Go scheduler's choice: about one double-run in seven diverged.
+func TestChaosSettlesAfterActions(t *testing.T) {
+	churn, ok := Find("benign/churn-timed")
+	if !ok {
+		t.Fatal("scenario benign/churn-timed is gone")
+	}
+	for i := 0; i < 10; i++ {
+		a, err := Run(tcpConfig(t, churn, 1, *chaosSeed))
+		if err != nil {
+			t.Fatalf("run %d/a: %v", i, err)
+		}
+		b, err := Run(tcpConfig(t, churn, 1, *chaosSeed))
+		if err != nil {
+			t.Fatalf("run %d/b: %v", i, err)
+		}
+		if d := a.History.Diff(b.History); d != "" {
+			t.Fatalf("double-run %d: seed %d did not replay:\n%s", i, *chaosSeed, d)
+		}
+		if a.SimSeconds != b.SimSeconds {
+			t.Fatalf("double-run %d: virtual time diverges: %v vs %v s", i, a.SimSeconds, b.SimSeconds)
+		}
 	}
 }
 

@@ -7,16 +7,14 @@ package lint
 
 import "testing"
 
-func TestWallclock(t *testing.T)   { runFixture(t, "wallclock", Wallclock) }
-func TestRawgo(t *testing.T)       { runFixture(t, "rawgo", Rawgo) }
-func TestGlobalrand(t *testing.T)  { runFixture(t, "globalrand", Globalrand) }
-func TestLockspan(t *testing.T)    { runFixture(t, "lockspan", Lockspan) }
-func TestEpsblind(t *testing.T)    { runFixture(t, "epsblind", Epsblind) }
-func TestCopylocks(t *testing.T)   { runFixture(t, "copylocks", Copylocks) }
-func TestAtomic(t *testing.T)      { runFixture(t, "atomic", Atomic) }
-func TestShadow(t *testing.T)      { runFixture(t, "shadow", Shadow) }
-func TestLoopclosure(t *testing.T) { runFixture(t, "loopclosure", Loopclosure) }
-func TestNilness(t *testing.T)     { runFixture(t, "nilness", Nilness) }
+func TestWallclock(t *testing.T)  { runFixture(t, "wallclock", Wallclock) }
+func TestRawgo(t *testing.T)      { runFixture(t, "rawgo", Rawgo) }
+func TestGlobalrand(t *testing.T) { runFixture(t, "globalrand", Globalrand) }
+func TestLockspan(t *testing.T)   { runFixture(t, "lockspan", Lockspan) }
+func TestEpsblind(t *testing.T)   { runFixture(t, "epsblind", Epsblind) }
+func TestAtomic(t *testing.T)     { runFixture(t, "atomic", Atomic) }
+func TestShadow(t *testing.T)     { runFixture(t, "shadow", Shadow) }
+func TestNilness(t *testing.T)    { runFixture(t, "nilness", Nilness) }
 
 // TestRepoClean runs the full suite over the real tree: the repository
 // must stay lint-clean, which is the same gate `make lint` enforces in CI.

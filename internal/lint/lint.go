@@ -18,8 +18,9 @@
 //     observed failure keeps the completing access set the strategy's
 //     sample conditioned on liveness).
 //
-// plus lite reimplementations of the relevant stock vet passes (copylocks,
-// nilness, shadow, atomic, loopclosure) so one binary gates them all. The
+// plus lite reimplementations of the stock vet passes `go vet` itself does
+// not run or runs more narrowly (nilness, shadow, atomic); copylocks and
+// loopclosure are left to `go vet`, which make ci runs beside this suite. The
 // framework mirrors the golang.org/x/tools/go/analysis API shape but is
 // self-contained on the standard library: the container this repo builds in
 // has no module proxy, so the loader (load.go) drives `go list -export` and

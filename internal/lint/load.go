@@ -30,7 +30,7 @@ type Package struct {
 	Dir string
 	// ModulePath and GoVersion come from the enclosing module: ModulePath
 	// identifies the module root package, GoVersion (e.g. "1.24") selects
-	// language semantics (loopclosure only applies below 1.22).
+	// language semantics.
 	ModulePath string
 	GoVersion  string
 
@@ -154,8 +154,7 @@ func typecheck(fset *token.FileSet, imp types.Importer, t *listPkg) (*Package, e
 	}
 	conf := types.Config{
 		Importer: imp,
-		// Keep language semantics aligned with the module's go directive —
-		// loopclosure, in particular, is only meaningful below go1.22.
+		// Keep language semantics aligned with the module's go directive.
 		GoVersion: goVersionDirective(pkg.GoVersion),
 	}
 	info := &types.Info{
@@ -182,18 +181,4 @@ func goVersionDirective(v string) string {
 		return ""
 	}
 	return "go" + v
-}
-
-// langBelow122 reports whether the package's module selects pre-go1.22
-// semantics (per-loop rather than per-iteration loop variables).
-func (p *Package) langBelow122(defaultTrue bool) bool {
-	v := p.GoVersion
-	if v == "" {
-		return defaultTrue
-	}
-	var major, minor int
-	if _, err := fmt.Sscanf(v, "%d.%d", &major, &minor); err != nil {
-		return defaultTrue
-	}
-	return major < 1 || (major == 1 && minor < 22)
 }

@@ -14,10 +14,8 @@ func All() []*Analyzer {
 		Globalrand,
 		Lockspan,
 		Epsblind,
-		Copylocks,
 		Atomic,
 		Shadow,
-		Loopclosure,
 		Nilness,
 	}
 }

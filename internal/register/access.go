@@ -124,9 +124,7 @@ func (c *cell) call(j dispatchJob, mayPark bool) (r callReply, ok bool) {
 // send never blocks; under a SimClock it is a tracked message.
 func (c *cell) runJob(j dispatchJob) {
 	r, _ := c.call(j, true)
-	if c.sched != nil {
-		c.sched.NoteSend()
-	}
+	c.sched.NoteSend()
 	j.ch <- r
 }
 
@@ -184,7 +182,7 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 		q.ch = make(chan callReply, q.total)
 	}
 	j.ch = q.ch
-	if c.sched != nil {
+	if c.sched.Virtual() {
 		c.sched.Go(func() { c.runJob(j) })
 		return
 	}
@@ -199,7 +197,7 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 		return
 	}
 	p.mu.Unlock()
-	//pqslint:allow rawgo wall-clock-only fallback: this branch runs iff c.sched is nil, i.e. there is no SimClock to enroll the worker with
+	//pqslint:allow rawgo wall-clock-only fallback: this branch runs iff c.sched is not virtual, i.e. there is no SimClock to enroll the worker with
 	go c.runPoolWorker(j)
 }
 
@@ -253,36 +251,6 @@ func (c *cell) sweepPool() {
 	p.sweeping = kept > 0
 	if p.sweeping {
 		c.clock.AfterFunc(poolIdleRetire/2, c.sweepPool)
-	}
-}
-
-// goWorker runs fn on a goroutine the clock's scheduler knows about.
-func (c *cell) goWorker(fn func()) {
-	if c.sched != nil {
-		c.sched.Go(fn)
-		return
-	}
-	//pqslint:allow rawgo wall-clock-only fallback: this branch runs iff c.sched is nil, i.e. there is no SimClock to enroll the worker with
-	go fn()
-}
-
-// noopUnpark is park's no-op under the wall clock.
-func noopUnpark() {}
-
-// park marks the caller blocked for the SimClock quiescence detector; the
-// returned function must run as soon as the blocking select returns.
-func (c *cell) park() func() {
-	if c.sched == nil {
-		return noopUnpark
-	}
-	return c.sched.Park()
-}
-
-// noteRecv records consumption of a tracked message (a reply or a hedge
-// fire) under a SimClock.
-func (c *cell) noteRecv() {
-	if c.sched != nil {
-		c.sched.NoteRecv()
 	}
 }
 
@@ -400,17 +368,17 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 			}
 			continue
 		}
-		unpark := c.park()
+		unpark := c.sched.Park()
 		select {
 		case r := <-q.ch:
 			unpark()
-			c.noteRecv()
+			c.sched.NoteRecv()
 			if handle(r) {
 				return out
 			}
 		case <-hedgeC:
 			unpark()
-			c.noteRecv()
+			c.sched.NoteRecv()
 			if promote() {
 				hedge.Reset(hedgeDelay)
 			} else {
@@ -455,15 +423,15 @@ func (c *cell) drain(out gatherOutcome, onLate func(callReply)) {
 	// for moving them to the heap.
 	leftover, replies := out.leftover, out.replies
 	c.drainWG.Add(1)
-	c.goWorker(func() {
+	c.sched.Go(func() {
 		defer c.drainWG.Done()
 		for i := 0; i < leftover; i++ {
 			r, ok := replies.pop()
 			if !ok {
-				unpark := c.park()
+				unpark := c.sched.Park()
 				r = <-replies.ch
 				unpark()
-				c.noteRecv()
+				c.sched.NoteRecv()
 			}
 			if r.err == nil {
 				c.statLate.Add(1)

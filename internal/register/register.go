@@ -178,11 +178,12 @@ type Options struct {
 type cell struct {
 	opts Options
 
-	// clock is Options.Time or the wall clock; sched is non-nil when it is
-	// a vtime.SimClock, switching every spawn and blocking wait to the
-	// scheduler's discipline (see access.go).
+	// clock is Options.Time or the wall clock; sched is its scheduling
+	// discipline: under a vtime.SimClock every spawn and blocking wait
+	// follows the scheduler's rules, under the wall clock it is inert (see
+	// access.go).
 	clock vtime.Clock
-	sched *vtime.SimClock
+	sched vtime.Sched
 
 	mu   sync.Mutex // guards rng (not goroutine safe) and free
 	rng  *rand.Rand
@@ -267,7 +268,6 @@ func newCell(opts Options) (*cell, error) {
 		}
 	}
 	clk := vtime.Or(opts.Time)
-	sched, _ := clk.(*vtime.SimClock)
 	k := opts.HedgeDeviations
 	if k == 0 {
 		k = defaultHedgeDeviations
@@ -275,7 +275,7 @@ func newCell(opts Options) (*cell, error) {
 	c := &cell{
 		opts:    opts,
 		clock:   clk,
-		sched:   sched,
+		sched:   vtime.SchedOf(clk),
 		rng:     opts.Rand,
 		hedgeK:  k,
 		drainWG: vtime.NewWaitGroup(clk),

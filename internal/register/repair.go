@@ -40,7 +40,7 @@ func (c *cell) repair(ctx context.Context, push wire.WriteRequest, res *ReadResu
 		}
 		id := id
 		wg.Add(1)
-		c.goWorker(func() {
+		c.sched.Go(func() {
 			defer wg.Done()
 			_, _ = c.opts.Transport.Call(ctx, id, req)
 		})

@@ -65,13 +65,13 @@ func TestSimFastLongFormEpsilon(t *testing.T) {
 
 // TestSimFastLongFormEpsilonTCP is the virtual-TCP half of the `sim-fast`
 // gate: the long-form ε measurement runs through the REAL data plane —
-// binary codec, group-commit frame writer, worker pool — over SimClock-scheduled
-// byte streams, with per-chunk latency in the tens of milliseconds,
-// stragglers and adaptive hedging. The wire path costs real scheduler work
-// (every chunk is a timer, every reply crosses read loop → call → gather),
-// so the bar is >= 20x rather than the MemNetwork run's 50x; what it gates
-// is the same property: simulated seconds must not cost wall seconds, now
-// for the code path production actually runs.
+// binary codec, group-commit frame writer, read-loop dispatch — over
+// SimClock-scheduled byte streams, with per-chunk latency in the tens of
+// milliseconds, stragglers and adaptive hedging. The wire path costs real
+// scheduler work (every chunk is a timer, every reply crosses read loop →
+// call → gather), so the bar is >= 20x rather than the MemNetwork run's 50x;
+// what it gates is the same property: simulated seconds must not cost wall
+// seconds, now for the code path production actually runs.
 //
 // Run it alone with: make sim-fast
 func TestSimFastLongFormEpsilonTCP(t *testing.T) {

@@ -1,10 +1,10 @@
 package sim
 
 // TCPCluster stands a replica set up behind the REAL TCP data plane —
-// framing, binary codec, group-commit frame writer, worker pool — running over
-// virtual-time byte streams (transport.VirtualNet), so the harnesses can
-// measure ε and replay chaos schedules against the code path production
-// actually runs instead of the MemNetwork stand-in.
+// framing, binary codec, group-commit frame writer, read-loop dispatch —
+// running over virtual-time byte streams (transport.VirtualNet), so the
+// harnesses can measure ε and replay chaos schedules against the code path
+// production actually runs instead of the MemNetwork stand-in.
 
 import (
 	"context"
@@ -38,7 +38,10 @@ const DefaultCallTimeout = time.Second
 
 // swapHandler lets the harness replace a server's replica mid-run
 // (membership rejoin installs a fresh, empty replica) without tearing the
-// TCP server down: the server holds the indirection, not the replica.
+// TCP server down: the server holds the indirection, not the replica. It
+// keeps the wrapped handler's TryHandler side (the way transport.Offset
+// keeps TryCaller), so the server still answers a replica that cannot park
+// on the connection's read loop.
 type swapHandler struct {
 	mu sync.RWMutex
 	h  transport.Handler
@@ -50,12 +53,24 @@ func (s *swapHandler) set(h transport.Handler) {
 	s.mu.Unlock()
 }
 
+func (s *swapHandler) get() transport.Handler {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.h
+}
+
 // Handle implements transport.Handler.
 func (s *swapHandler) Handle(ctx context.Context, req any) (any, error) {
-	s.mu.RLock()
-	h := s.h
-	s.mu.RUnlock()
-	return h.Handle(ctx, req)
+	return s.get().Handle(ctx, req)
+}
+
+// TryHandle implements transport.TryHandler: the current handler's answer,
+// a decline if it has no TryHandler side.
+func (s *swapHandler) TryHandle(ctx context.Context, req any) (any, bool, error) {
+	if try, ok := s.get().(transport.TryHandler); ok {
+		return try.TryHandle(ctx, req)
+	}
+	return nil, false, nil
 }
 
 // TCPCluster is the TCP data plane wired over a cluster's replicas.

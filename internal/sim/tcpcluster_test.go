@@ -1,0 +1,64 @@
+package sim
+
+import (
+	"context"
+	"testing"
+	"time"
+
+	"pqs/internal/config"
+	"pqs/internal/replica"
+	"pqs/internal/transport"
+	"pqs/internal/vtime"
+	"pqs/internal/wire"
+)
+
+// TestSwapHandlerKeepsTryHandle: the handler indirection in front of every
+// fixture server forwards TryHandle to whatever it currently wraps and
+// declines for a handler that has no such side (or whose replica may wait),
+// across SetHandler — and in every state the call over the wire is answered,
+// on the read loop or off it.
+func TestSwapHandlerKeepsTryHandle(t *testing.T) {
+	sc := vtime.NewSimClock()
+	sc.Run(func() {
+		c := NewCluster(config.Cluster{N: 1, Seed: 1, Clock: sc})
+		tc, err := NewTCPCluster(c, sc, 1, TCPClusterOptions{})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		defer tc.Close()
+		ctx := context.Background()
+		sh := tc.handlers[0]
+		slow := replica.New(0)
+		slow.SetBehavior(replica.Delayed{Delay: 50 * time.Millisecond, Clock: sc})
+		plain := transport.HandlerFunc(func(context.Context, any) (any, error) { return wire.PingReply{ServerID: 7}, nil })
+
+		for _, step := range []struct {
+			name   string
+			h      transport.Handler // nil: the replica NewTCPCluster installed
+			accept bool
+			id     int
+		}{
+			{"the cluster's replica", nil, true, 0},
+			{"a HandlerFunc", plain, false, 7},
+			{"a Delayed replica", slow, false, 0},
+			{"a fresh replica", replica.New(0), true, 0},
+		} {
+			if step.h != nil {
+				if err := tc.SetHandler(0, step.h); err != nil {
+					t.Errorf("%s: SetHandler: %v", step.name, err)
+				}
+			}
+			resp, ok, err := sh.TryHandle(ctx, wire.PingRequest{})
+			if ok != step.accept || err != nil {
+				t.Errorf("%s: TryHandle ok %v, err %v; want ok %v", step.name, ok, err, step.accept)
+			}
+			if ok && resp != (wire.PingReply{ServerID: step.id}) {
+				t.Errorf("%s: TryHandle answered %v", step.name, resp)
+			}
+			if resp, err := tc.Client.Call(ctx, 0, wire.PingRequest{}); err != nil || resp != (wire.PingReply{ServerID: step.id}) {
+				t.Errorf("%s: call over the wire = %v, %v", step.name, resp, err)
+			}
+		}
+	})
+}

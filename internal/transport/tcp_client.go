@@ -350,7 +350,7 @@ func (c *tcpConn) send(id uint64, req any) (chan wire.ReplyEnvelope, error) {
 	}
 	if err != nil {
 		wire.PutBuffer(bp)
-		c.forget(id)
+		c.forget(id, ch)
 		return nil, wire.PermanentError(fmt.Errorf("transport: encode: %w", err))
 	}
 	c.cc.countEncode(len(frame))
@@ -358,18 +358,27 @@ func (c *tcpConn) send(id uint64, req any) (chan wire.ReplyEnvelope, error) {
 	*bp = frame[:0]
 	wire.PutBuffer(bp)
 	if err != nil {
-		c.forget(id)
+		c.forget(id, ch)
 		return nil, fmt.Errorf("transport: send: %w", err)
 	}
 	return ch, nil
 }
 
 // forget drops a pending call without expecting its reply (send failure:
-// the request never went out).
-func (c *tcpConn) forget(id uint64) {
+// the request never went out). The call was registered before the write, so
+// a read loop woken by the same reset that failed the write may already
+// have claimed it in failAll; its tracked close is then in ch and nobody
+// else will read it, so it is consumed here, as after a false abandon
+// (failAll closes under c.mu: the receive cannot block).
+func (c *tcpConn) forget(id uint64, ch chan wire.ReplyEnvelope) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
+	_, pending := c.pending[id]
 	delete(c.pending, id)
+	c.mu.Unlock()
+	if !pending {
+		<-ch
+		c.sched.NoteRecv()
+	}
 }
 
 // abandon drops a pending call whose reply may still arrive (timeout or

@@ -17,9 +17,9 @@ type TCPOptions struct {
 	Codec Codec
 	// Clock supplies the scheduling discipline. Nil means the wall clock;
 	// a vtime.SimClock enrolls every server goroutine (accept loop,
-	// connection read loops, worker pools) in the virtual-time
-	// scheduler, which is what lets the real data plane run inside the
-	// deterministic harnesses (see VirtualNet).
+	// connection read loops, the goroutines of requests that may park) in
+	// the virtual-time scheduler, which is what lets the real data plane run
+	// inside the deterministic harnesses (see VirtualNet).
 	Clock vtime.Clock
 }
 
@@ -31,6 +31,7 @@ type TCPOptions struct {
 // Write is in progress share the next one (see frameWriter).
 type TCPServer struct {
 	handler  Handler
+	try      TryHandler // handler's TryHandler side, nil if it has none
 	listener net.Listener
 	codec    Codec
 	clock    vtime.Clock
@@ -69,8 +70,8 @@ func ListenTCPCodec(addr string, h Handler, codec Codec) (*TCPServer, error) {
 
 // ServeListener runs the TCP server stack on an existing listener — a real
 // socket or a VirtualNet listener. This is the injection point that lets
-// the unmodified data plane (framing, codec, frame writer, worker pool) run on
-// virtual-time byte streams inside the harnesses.
+// the unmodified data plane (framing, codec, frame writer, read-loop
+// dispatch) run on virtual-time byte streams inside the harnesses.
 func ServeListener(l net.Listener, h Handler, o TCPOptions) *TCPServer {
 	clk := vtime.Or(o.Clock)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -81,6 +82,7 @@ func ServeListener(l net.Listener, h Handler, o TCPOptions) *TCPServer {
 		conns: make(map[net.Conn]struct{}),
 		wg:    vtime.NewWaitGroup(clk),
 	}
+	s.try, _ = h.(TryHandler)
 	s.wg.Add(1)
 	s.sched.Go(s.acceptLoop)
 	return s
@@ -168,9 +170,10 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 	defer reqWG.Wait()
 	defer cancel()
 
-	handle := func(env wire.Envelope) {
-		resp, err := s.handler.Handle(ctx, env.Payload)
-		reply := wire.ReplyEnvelope{ID: env.ID, Payload: resp}
+	// answer encodes one reply and writes it; it is called from the read
+	// loop and from the goroutines of requests that could park.
+	answer := func(id uint64, resp any, err error) {
+		reply := wire.ReplyEnvelope{ID: id, Payload: resp}
 		if err != nil {
 			reply.Err = err.Error()
 			// Classify the failure on the wire so clients can stop retrying
@@ -210,64 +213,13 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			// carry; surface that as a permanent RPC error instead of
 			// dropping the reply (the client would hang).
 			frame, _ = wire.AppendReplyEnvelope((*bp)[:0], wire.ReplyEnvelope{
-				ID: env.ID, Err: encErr.Error(), ErrKind: wire.ErrKindPermanent,
+				ID: id, Err: encErr.Error(), ErrKind: wire.ErrKindPermanent,
 			})
 		}
 		cc.countEncode(len(frame))
 		_ = w.writeFrame(frame)
 		*bp = frame[:0]
 		wire.PutBuffer(bp)
-	}
-
-	// A small pool of resident workers absorbs the steady request stream
-	// (goroutine creation and its stack growth were measurable on the hot
-	// path). The channel is unbuffered on purpose: a request is only handed
-	// to a worker that is already idle and overflows to a fresh goroutine
-	// otherwise, so a slow handler can never head-of-line-block a request
-	// that arrived after it.
-	const workers = 4
-	reqCh := make(chan wire.Envelope)
-	defer func() {
-		// Each pool worker consumes the close as one WEAK wake-up: weak so
-		// that a worker busy in a handler sleeping on the clock cannot
-		// freeze virtual time with its unconsumed wake (exiting workers do
-		// nothing observable; reqWG.Done is its own tracked release), yet
-		// visible enough that the deadlock detector waits out the wake
-		// in-flight window instead of panicking.
-		for i := 0; i < workers; i++ {
-			s.sched.NoteWeakSend()
-		}
-		close(reqCh)
-	}()
-	for i := 0; i < workers; i++ {
-		reqWG.Add(1)
-		s.sched.Go(func() {
-			defer reqWG.Done()
-			for {
-				unpark := s.sched.Park()
-				env, ok := <-reqCh
-				unpark()
-				if !ok {
-					s.sched.NoteWeakRecv()
-					return
-				}
-				s.sched.NoteRecv()
-				handle(env)
-			}
-		})
-	}
-	dispatch := func(env wire.Envelope) {
-		s.sched.NoteSend()
-		select {
-		case reqCh <- env:
-		default:
-			s.sched.NoteRecv() // no idle worker took it; undo the note
-			reqWG.Add(1)
-			s.sched.Go(func() {
-				defer reqWG.Done()
-				handle(env)
-			})
-		}
 	}
 
 	br := bufio.NewReaderSize(conn, readBufSize)
@@ -287,6 +239,22 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		if err != nil {
 			return // corrupt stream; drop the connection
 		}
-		dispatch(env)
+		// A request whose handler says it cannot park is answered here, on
+		// the read loop: nothing behind it on this connection can be held up
+		// by it, and its reply leaves in arrival order. Anything else gets a
+		// goroutine of its own, so a slow handler never delays a request
+		// that arrived after it.
+		if s.try != nil {
+			if resp, ok, err := s.try.TryHandle(ctx, env.Payload); ok {
+				answer(env.ID, resp, err)
+				continue
+			}
+		}
+		reqWG.Add(1)
+		s.sched.Go(func() {
+			defer reqWG.Done()
+			resp, err := s.handler.Handle(ctx, env.Payload)
+			answer(env.ID, resp, err)
+		})
 	}
 }

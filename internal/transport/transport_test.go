@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"pqs/internal/quorum"
+	"pqs/internal/vtime"
 	"pqs/internal/wire"
 )
 
@@ -123,11 +124,20 @@ func TestMemNetworkLatencyAndContext(t *testing.T) {
 	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
 		t.Errorf("latency not simulated: %v", elapsed)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
-	defer cancel()
-	if _, err := n.Call(ctx, 0, wire.PingRequest{}); !errors.Is(err, context.DeadlineExceeded) {
-		t.Errorf("err = %v, want deadline exceeded", err)
-	}
+	// The cancellation half runs on a SimClock. Under the wall clock the
+	// context's deadline and the latency sleep are two runtime timers, and
+	// on a loaded machine the later one can be received first, with
+	// ctx.Err() still nil; in virtual time the cancel at 1 ms is over before
+	// the clock can reach the 5 ms the sleep needs.
+	clk := vtime.NewSimClock()
+	clk.Run(func() {
+		n.SetClock(clk)
+		ctx, cancel := context.WithCancel(context.Background())
+		clk.AfterFunc(time.Millisecond, cancel)
+		if _, err := n.Call(ctx, 0, wire.PingRequest{}); !errors.Is(err, context.Canceled) {
+			t.Errorf("err = %v, want canceled", err)
+		}
+	})
 }
 
 func TestMemNetworkHandlerError(t *testing.T) {

@@ -5,7 +5,7 @@ package transport
 // net.Conn / net.Listener implementation whose write→read delivery latency,
 // byte pacing and half-close semantics are scheduled on a vtime.Clock. The
 // real TCP stack — framing, binary codec, group-commit frame writer,
-// worker pool, per-connection contexts — runs on it unmodified (see
+// read-loop dispatch, per-connection contexts — runs on it unmodified (see
 // ServeListener and TCPClientOptions.Dial), which is what puts the
 // production code path inside the determinism contract: under a
 // vtime.SimClock a whole chaos scenario over "TCP" replays byte-for-byte

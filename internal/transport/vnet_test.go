@@ -178,9 +178,9 @@ func startVirtualCluster(t testing.TB, vn *VirtualNet, clk vtime.Clock, n int, t
 }
 
 // TestVirtualTCPRoundTripSimClock runs the real TCP stack — framing, binary
-// codec, leader-flushed frame writer, worker pool — over virtual-time byte streams
-// inside a SimClock, with per-chunk latency. The run must complete
-// instantly in wall time while covering real virtual duration.
+// codec, leader-flushed frame writer, read-loop dispatch — over virtual-time
+// byte streams inside a SimClock, with per-chunk latency. The run must
+// complete instantly in wall time while covering real virtual duration.
 func TestVirtualTCPRoundTripSimClock(t *testing.T) {
 	sc := vtime.NewSimClock()
 	var elapsed time.Duration

@@ -7,8 +7,8 @@ package vtime
 // production. Built from a SimClock it enrolls every spawn in the
 // scheduler's worker registry and every channel handoff in the tracked-
 // message accounting, which is what lets a subsystem full of long-lived
-// goroutines (the TCP data plane: accept loops, read loops,
-// worker pools) join the virtual-time determinism contract.
+// goroutines (the TCP data plane: accept loops, read loops, one goroutine
+// per request that may park) join the virtual-time determinism contract.
 //
 // The discipline for a tracked handoff over a channel ch:
 //
@@ -69,20 +69,5 @@ func (s Sched) NoteSend() {
 func (s Sched) NoteRecv() {
 	if s.sim != nil {
 		s.sim.NoteRecv()
-	}
-}
-
-// NoteWeakSend records a weak wake-up in flight (a teardown signal whose
-// receiver does nothing observable); see SimClock.NoteWeakSend.
-func (s Sched) NoteWeakSend() {
-	if s.sim != nil {
-		s.sim.NoteWeakSend()
-	}
-}
-
-// NoteWeakRecv records consumption of a weak wake-up.
-func (s Sched) NoteWeakRecv() {
-	if s.sim != nil {
-		s.sim.NoteWeakRecv()
 	}
 }

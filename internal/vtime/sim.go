@@ -29,7 +29,6 @@ type SimClock struct {
 	workers int // registered worker goroutines
 	parked  int // workers blocked in a clock wait
 	pending int // tracked messages sent but not yet consumed
-	weak    int // weak wake-ups in flight (see NoteWeakSend)
 	running bool
 }
 
@@ -135,34 +134,6 @@ func (c *SimClock) NoteRecv() {
 	c.mu.Unlock()
 }
 
-// NoteWeakSend records a WEAK wake-up in flight: unlike a tracked message
-// it does not stop virtual time from advancing — timers still fire while
-// it pends — but it does hold off the deadlock detector, which would
-// otherwise see every worker parked with nothing pending and panic while
-// the wake-up is still being scheduled by the Go runtime.
-//
-// Use it for teardown signals whose receivers do nothing observable (a
-// worker-pool close making idle workers exit): a strong NoteSend there can
-// deadlock the clock — the wake pends until EVERY receiver consumes it,
-// and a receiver busy in a handler that sleeps on the clock needs time to
-// advance before it can consume anything — while an untracked close can
-// race the detector. Weak tracking is exactly the middle ground, at the
-// cost that timer fire may interleave with the receiver's (unobservable)
-// exit path.
-func (c *SimClock) NoteWeakSend() {
-	c.mu.Lock()
-	c.weak++
-	c.mu.Unlock()
-}
-
-// NoteWeakRecv records consumption of a weak wake-up (after unparking).
-func (c *SimClock) NoteWeakRecv() {
-	c.mu.Lock()
-	c.weak--
-	c.wakeLocked()
-	c.mu.Unlock()
-}
-
 // Elapsed returns the virtual time consumed since construction — the
 // "simulated seconds" a speedup measurement compares against wall time.
 func (c *SimClock) Elapsed() time.Duration {
@@ -183,15 +154,9 @@ func (c *SimClock) schedule() {
 		}
 		if c.parked == c.workers && c.pending == 0 {
 			if len(c.timers) == 0 {
-				if c.weak > 0 {
-					// Weak wake-ups are in flight: their receivers are about
-					// to unpark, so this is a scheduling gap, not a deadlock.
-					c.cond.Wait()
-					continue
-				}
 				panic(fmt.Sprintf(
-					"vtime: deadlock: %d workers all parked, nothing pending, no timer to fire",
-					c.workers))
+					"vtime: deadlock: every worker parked, nothing pending, no timer to fire (workers=%d parked=%d pending=%d timers=%d)",
+					c.workers, c.parked, c.pending, len(c.timers)))
 			}
 			t := heap.Pop(&c.timers).(*simTimer)
 			if t.when.After(c.now) {
@@ -243,9 +208,20 @@ func (c *SimClock) Since(t time.Time) time.Duration {
 // Sleep implements Clock: it blocks the calling worker until virtual time
 // has advanced by d.
 func (c *SimClock) Sleep(d time.Duration) {
-	if d <= 0 {
-		return
+	if d > 0 {
+		c.waitTimer(d)
 	}
+}
+
+// Settle parks the calling worker until every other worker is parked and no
+// tracked message is in flight, without advancing virtual time: a
+// zero-delay timer fires only at quiescence. A driver calls it after an
+// action whose consequences run on other workers (a connection reset waking
+// read loops) and must be over before its next step.
+func (c *SimClock) Settle() { c.waitTimer(0) }
+
+// waitTimer parks the calling worker until a timer of d fires.
+func (c *SimClock) waitTimer(d time.Duration) {
 	t := c.NewTimer(d)
 	unpark := c.Park()
 	<-t.C

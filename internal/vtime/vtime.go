@@ -78,7 +78,15 @@
 //
 // Run panics on deadlock (all workers parked, nothing pending, no timer to
 // fire): in a simulation that situation means a goroutine is blocked on an
-// event that can never happen.
+// event that can never happen. There is no third state between "tracked" and
+// "invisible": a wake-up the scheduler is told about holds virtual time
+// until it is consumed, one it is not told about may be overtaken by the
+// clock or by this panic, and nothing in between exists.
+//
+// A driver that changes the world from outside an operation (a fault
+// schedule resetting connections) calls Settle before its next step: the
+// consequences of the change run on other workers at the same virtual
+// instant, and Settle returns only once they have all parked again.
 package vtime
 
 import (

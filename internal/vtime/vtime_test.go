@@ -86,6 +86,44 @@ func TestSimConcurrentSleepers(t *testing.T) {
 	}
 }
 
+// TestSimSettle: Settle returns once every other worker has parked or
+// finished — a chain of tracked handoffs runs to its end first — without
+// moving the clock, so a timer due later has not fired.
+func TestSimSettle(t *testing.T) {
+	clk := NewSimClock()
+	clk.Run(func() {
+		clk.Sleep(3 * time.Millisecond)
+		var later atomic.Bool
+		tm := clk.AfterFunc(time.Millisecond, func() { later.Store(true) })
+		const hops = 20
+		var reached atomic.Int64
+		ch := make(chan int)
+		for i := 0; i < hops; i++ {
+			clk.Go(func() {
+				unpark := clk.Park()
+				n := <-ch
+				unpark()
+				clk.NoteRecv()
+				reached.Add(1)
+				if n+1 < hops {
+					clk.NoteSend()
+					ch <- n + 1
+				}
+			})
+		}
+		clk.NoteSend()
+		ch <- 0
+		clk.Settle()
+		if got := reached.Load(); got != hops {
+			t.Errorf("Settle returned with the handoff chain at hop %d of %d", got, hops)
+		}
+		if later.Load() || clk.Elapsed() != 3*time.Millisecond {
+			t.Errorf("Settle moved the clock: elapsed %v, later timer fired %v", clk.Elapsed(), later.Load())
+		}
+		tm.Stop()
+	})
+}
+
 // TestSimTrackedChannelHandoff exercises the NoteSend/Park/NoteRecv
 // protocol gather-style loops use: a producer sleeping virtual latency
 // hands results to a parked consumer, and the hedge-style timer fires only
