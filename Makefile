@@ -45,8 +45,12 @@ loc:
 			for (i = 1; i <= dirs; i++) { d = order[i]; printf "%7d %s\n", n[d], d; if (d != "bench") total += n[d] } \
 			printf "%7d total outside bench/\n", total }'
 
+# The sim line runs one structure, not the package: swapHandler is the only
+# state sim owns that requests and a reconfiguration reach concurrently; the
+# package's determinism suites run under -race in the flake gate.
 race:
 	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/chaos/ ./internal/diffusion/ ./internal/sv/
+	$(GO) test -race -run 'TestSwapHandler' ./internal/sim/
 
 # The flake gate: every same-seed-twice determinism suite, twenty times
 # over under the race detector. A determinism test that passes most runs is
@@ -60,10 +64,12 @@ race:
 # must give the same results, drop pattern and replica contents whether its
 # calls run on the caller or on pool workers (the pool side is scheduled by
 # Go, so "the same" has to hold on every run), and a call that can park must
-# never be run on the caller (exact virtual time).
+# never be run on the caller (exact virtual time). So does MemNetwork's
+# golden replay: the counter hash every same-seed history rests on must
+# produce the recorded drop verdicts and latency draws on every run.
 FLAKE_COUNT ?= 20
 flake: flake-tcp
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TestLoadTCPVirtual|TestInlineMatchesPoolDifferential|TestParkingCallsNeverRunOnTheCaller' . ./internal/load/ ./internal/transport/ ./internal/sim/ ./internal/register/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TestLoadTCPVirtual|TestInlineMatchesPoolDifferential|TestParkingCallsNeverRunOnTheCaller|TestMemNetworkGoldenReplay' . ./internal/load/ ./internal/transport/ ./internal/sim/ ./internal/register/
 	$(GO) test -race -count=$(FLAKE_COUNT) -run 'TestChaosDeterminism$$' ./internal/chaos/
 
 # The tcp-virtual half of the flake gate, and the CI chaos-tcp job:

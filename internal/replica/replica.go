@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pqs/internal/quorum"
@@ -204,14 +205,23 @@ type Replica struct {
 	id    quorum.ServerID
 	store *Store
 
-	mu       sync.RWMutex
+	// conf is what a request is answered under: it loads the pair once and
+	// takes no lock. mu orders the setters, which publish a copy with one
+	// field changed, so two of them cannot lose each other's field.
+	mu   sync.Mutex
+	conf atomic.Pointer[replicaConf]
+}
+
+type replicaConf struct {
 	behavior Behavior
 	verifier Verifier
 }
 
 // New returns a correct replica with an empty store.
 func New(id quorum.ServerID) *Replica {
-	return &Replica{id: id, store: NewStore(), behavior: Correct{}}
+	r := &Replica{id: id, store: NewStore()}
+	r.conf.Store(&replicaConf{behavior: Correct{}})
+	return r
 }
 
 // ID returns the replica's server id.
@@ -223,12 +233,14 @@ func (r *Replica) Store() *Store { return r.store }
 
 // SetBehavior swaps the replica's behavior (fault injection).
 func (r *Replica) SetBehavior(b Behavior) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if b == nil {
 		b = Correct{}
 	}
-	r.behavior = b
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := *r.conf.Load()
+	c.behavior = b
+	r.conf.Store(&c)
 }
 
 // Behavior returns the replica's current behavior.
@@ -241,13 +253,14 @@ func (r *Replica) Behavior() Behavior {
 func (r *Replica) SetVerifier(v Verifier) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.verifier = v
+	c := *r.conf.Load()
+	c.verifier = v
+	r.conf.Store(&c)
 }
 
 func (r *Replica) current() (Behavior, Verifier) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.behavior, r.verifier
+	c := r.conf.Load()
+	return c.behavior, c.verifier
 }
 
 // Handle implements transport.Handler.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"errors"
+	"strconv"
 	"sync"
 	"testing"
 
@@ -342,6 +343,63 @@ func TestTryHandleAcceptsOnlyWhatNeverWaits(t *testing.T) {
 		}
 		if r.Store().Len() != 0 {
 			t.Errorf("%T: a declined write was applied", b)
+		}
+	}
+}
+
+// TestReplicaConcurrentSettersLoseNothing: SetBehavior and SetVerifier each
+// republish the whole {behaviour, verifier} pair, so two of them racing must
+// not write back each other's stale half. Each goroutine owns one field and
+// must find, before every one of its 10 000 sets, the value it set last.
+// Afterwards the capability rule still holds, and changing the behaviour
+// has kept the verifier.
+func TestReplicaConcurrentSettersLoseNothing(t *testing.T) {
+	const sets = 10000
+	ctx := context.Background()
+	r := New(0)
+	// verifierNo(i) accepts exactly the key that spells i.
+	verifierNo := func(i int) Verifier {
+		return func(key string, _ []byte, _ ts.Stamp, _ []byte) bool { return key == strconv.Itoa(i) }
+	}
+	holdsVerifier := func(i int) bool {
+		_, v := r.current()
+		return v != nil && v(strconv.Itoa(i), nil, ts.Stamp{}, nil)
+	}
+	var setters sync.WaitGroup
+	setters.Add(2)
+	go func() {
+		defer setters.Done()
+		r.SetBehavior(Forger{})
+		for i := 1; i <= sets; i++ {
+			if f, ok := r.Behavior().(Forger); !ok || f.Stamp.Counter != uint64(i-1) {
+				t.Errorf("behaviour %d lost to a concurrent SetVerifier: holds %+v", i-1, r.Behavior())
+				return
+			}
+			r.SetBehavior(Forger{Stamp: ts.Stamp{Counter: uint64(i)}})
+		}
+	}()
+	go func() {
+		defer setters.Done()
+		r.SetVerifier(verifierNo(0))
+		for i := 1; i <= sets; i++ {
+			if !holdsVerifier(i - 1) {
+				t.Errorf("verifier %d lost to a concurrent SetBehavior", i-1)
+				return
+			}
+			r.SetVerifier(verifierNo(i))
+		}
+	}()
+	setters.Wait()
+	if f, ok := r.Behavior().(Forger); !ok || f.Stamp.Counter != sets || !holdsVerifier(sets) {
+		t.Errorf("after the race: behaviour %+v, last verifier held %v", r.Behavior(), holdsVerifier(sets))
+	}
+	for _, b := range []Behavior{Delayed{}, foreignBehavior{}} {
+		r.SetBehavior(b)
+		if _, ok, err := r.TryHandle(ctx, wire.PingRequest{}); ok || err != nil {
+			t.Errorf("%T: TryHandle ok %v, err %v; want a decline", b, ok, err)
+		}
+		if !holdsVerifier(sets) {
+			t.Errorf("SetBehavior(%T) dropped the verifier", b)
 		}
 	}
 }

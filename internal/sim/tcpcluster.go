@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"pqs/internal/quorum"
@@ -41,34 +42,31 @@ const DefaultCallTimeout = time.Second
 // TCP server down: the server holds the indirection, not the replica. It
 // keeps the wrapped handler's TryHandler side (the way transport.Offset
 // keeps TryCaller), so the server still answers a replica that cannot park
-// on the connection's read loop.
-type swapHandler struct {
-	mu sync.RWMutex
-	h  transport.Handler
+// on the connection's read loop. The side is asserted once, in set, as
+// MemNetwork.Register does it; a request loads the pair and takes no lock.
+type swapHandler struct{ cur atomic.Pointer[swapTarget] }
+
+type swapTarget struct {
+	h   transport.Handler
+	try transport.TryHandler // h's TryHandler side, nil if it has none
 }
 
 func (s *swapHandler) set(h transport.Handler) {
-	s.mu.Lock()
-	s.h = h
-	s.mu.Unlock()
-}
-
-func (s *swapHandler) get() transport.Handler {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.h
+	t := &swapTarget{h: h}
+	t.try, _ = h.(transport.TryHandler)
+	s.cur.Store(t)
 }
 
 // Handle implements transport.Handler.
 func (s *swapHandler) Handle(ctx context.Context, req any) (any, error) {
-	return s.get().Handle(ctx, req)
+	return s.cur.Load().h.Handle(ctx, req)
 }
 
 // TryHandle implements transport.TryHandler: the current handler's answer,
 // a decline if it has no TryHandler side.
 func (s *swapHandler) TryHandle(ctx context.Context, req any) (any, bool, error) {
-	if try, ok := s.get().(transport.TryHandler); ok {
-		return try.TryHandle(ctx, req)
+	if t := s.cur.Load(); t.try != nil {
+		return t.try.TryHandle(ctx, req)
 	}
 	return nil, false, nil
 }

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"sync"
 	"testing"
 	"time"
 
@@ -61,4 +62,37 @@ func TestSwapHandlerKeepsTryHandle(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSwapHandlerSetRacesRequests: requests load the {handler, TryHandler
+// side} pair while set replaces it, with no lock between them. Every request
+// is answered by one whole pair — a replica's TryHandle never paired with
+// the HandlerFunc's missing one. Run under -race (make race).
+func TestSwapHandlerSetRacesRequests(t *testing.T) {
+	ctx := context.Background()
+	plain := transport.HandlerFunc(func(context.Context, any) (any, error) { return wire.PingReply{ServerID: 7}, nil })
+	sh := new(swapHandler)
+	sh.set(plain)
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 5000; i++ {
+				if resp, ok, err := sh.TryHandle(ctx, wire.PingRequest{}); err != nil || ok && resp != (wire.PingReply{ServerID: 3}) {
+					t.Errorf("TryHandle = %v, %v, %v; only the replica has that side", resp, ok, err)
+					return
+				}
+				if resp, err := sh.Handle(ctx, wire.PingRequest{}); err != nil || resp != (wire.PingReply{ServerID: 3}) && resp != (wire.PingReply{ServerID: 7}) {
+					t.Errorf("Handle = %v, %v", resp, err)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 5000; i++ {
+		sh.set(replica.New(3))
+		sh.set(plain)
+	}
+	wg.Wait()
 }

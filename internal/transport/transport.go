@@ -134,18 +134,33 @@ type LinkHook interface {
 
 // MemNetwork is a simulated network hosting any number of in-process
 // servers. The zero value is not usable; construct with NewMemNetwork.
-// All configuration methods are safe for concurrent use with Call.
+// All configuration methods are safe for concurrent use with Call: a
+// setter's effect is visible to every call that starts after it returns;
+// calls in flight finish under the view they started with.
 type MemNetwork struct {
-	mu sync.RWMutex
+	// mu guards the configuration as the setters write it; a call takes it
+	// only to rebuild a stale view.
+	mu sync.Mutex
 	// servers holds everything the network knows about one server id in one
-	// record, so a call does one map lookup. Records are created on first
-	// mention and never removed (Deregister resets one, keeping its
-	// call-sequence counter).
-	servers   map[quorum.ServerID]*memServer
-	dropProb  float64
-	minLat    time.Duration
-	maxLat    time.Duration
-	callGroup int // partition group of direct Call users (clients)
+	// record. Records are created on first mention and never removed
+	// (Deregister resets one, keeping its call-sequence counter).
+	servers map[quorum.ServerID]*memLink
+	memSettings
+
+	// view is the configuration as calls read it, an immutable copy; nil once
+	// a setter has changed the original. Setters only invalidate and the next
+	// call rebuilds, so n setters in a row cost one O(n) copy, not n.
+	view   atomic.Pointer[memView]
+	builds int // views built so far, under mu (tests count them)
+
+	seed uint64
+}
+
+// memSettings is the network-wide half of the configuration.
+type memSettings struct {
+	dropProb float64
+	minLat   time.Duration
+	maxLat   time.Duration
 
 	// hook, when non-nil, intercepts every call (fault injection; see
 	// LinkHook).
@@ -156,33 +171,16 @@ type MemNetwork struct {
 	// vtime.SimClock so latency becomes virtual (instant to execute,
 	// deterministic to replay). See SetClock.
 	clock vtime.Clock
-
-	seed uint64
 }
 
-// memServer is one server id's state: its link as configured, and its call
-// counter.
-type memServer struct {
-	memLink // guarded by MemNetwork.mu
-
-	// callSeq counts calls per destination. Both the built-in drop
-	// decision and the latency draw hash (seed, destination,
-	// per-destination call count), so a run whose per-destination call
-	// sequence is deterministic — sequential client operations, as in the
-	// sim and chaos harnesses — replays its drop pattern AND its latency
-	// schedule exactly from the seed, even though the calls themselves are
-	// dispatched concurrently. (Which servers an operation calls never
-	// depends on reply arrival order, only on the client's own seeded
-	// sampling, so the per-destination counts are scheduling-independent.)
-	// Counter-hashing replaced the PR 2 pooled-PRNG latency draws: it is
-	// lock-free AND deterministic, which virtual-time hedging requires —
-	// under a SimClock, latency decides which replies a hedged read
-	// collects, so it must replay from the seed like drops always have.
-	callSeq atomic.Uint64
+// memView is what a call reads: one atomic load, one map lookup, no lock.
+type memView struct {
+	links map[quorum.ServerID]memLink
+	memSettings
 }
 
-// memLink is what a call needs to know about its destination; a call copies
-// it out under the read lock.
+// memLink is what a call needs to know about its destination; a call reads
+// the copy in the view it loaded.
 type memLink struct {
 	handler Handler    // nil: not (or no longer) a member
 	try     TryHandler // handler's TryHandler side, nil if it has none
@@ -195,6 +193,22 @@ type memLink struct {
 	// semaphore across the simulated latency and the handler, so latency
 	// becomes service time and the server gets a finite throughput ceiling.
 	sem chan struct{}
+
+	// callSeq counts calls per destination: one counter per id, shared by
+	// every copy of its link and kept across Deregister. Both the built-in
+	// drop decision and the latency draw hash (seed, destination,
+	// per-destination call count), so a run whose per-destination call
+	// sequence is deterministic — sequential client operations, as in the
+	// sim and chaos harnesses — replays its drop pattern AND its latency
+	// schedule exactly from the seed, even though the calls themselves are
+	// dispatched concurrently. (Which servers an operation calls never
+	// depends on reply arrival order, only on the client's own seeded
+	// sampling, so the per-destination counts are scheduling-independent.)
+	// Counter-hashing replaced the PR 2 pooled-PRNG latency draws: it is
+	// lock-free AND deterministic, which virtual-time hedging requires —
+	// under a SimClock, latency decides which replies a hedged read
+	// collects, so it must replay from the seed like drops always have.
+	callSeq *atomic.Uint64
 }
 
 // latRange is a per-server latency override.
@@ -206,18 +220,44 @@ type latRange struct {
 // randomness so that experiments are reproducible.
 func NewMemNetwork(seed int64) *MemNetwork {
 	return &MemNetwork{
-		servers: make(map[quorum.ServerID]*memServer),
-		seed:    uint64(seed),
-		clock:   vtime.Wall(),
+		servers:     make(map[quorum.ServerID]*memLink),
+		seed:        uint64(seed),
+		memSettings: memSettings{clock: vtime.Wall()},
 	}
 }
 
+// changed ends a setter: every method that writes the configuration takes
+// mu and defers changed, which invalidates the view before it releases mu,
+// so no call that starts after the setter returns can load the old one.
+func (n *MemNetwork) changed() {
+	n.view.Store(nil)
+	n.mu.Unlock()
+}
+
+// rebuild publishes a fresh view for a call that found none. It runs under
+// mu, so it copies a configuration no setter is halfway through, and calls
+// that find the view stale together build it once.
+func (n *MemNetwork) rebuild() *memView {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	v := n.view.Load()
+	if v == nil {
+		v = &memView{links: make(map[quorum.ServerID]memLink, len(n.servers)), memSettings: n.memSettings}
+		for id, s := range n.servers {
+			v.links[id] = *s
+		}
+		n.builds++
+		n.view.Store(v)
+	}
+	return v
+}
+
 // serverLocked returns id's record, creating it on first mention. n.mu must
-// be held for writing.
-func (n *MemNetwork) serverLocked(id quorum.ServerID) *memServer {
+// be held.
+func (n *MemNetwork) serverLocked(id quorum.ServerID) *memLink {
 	s := n.servers[id]
 	if s == nil {
-		s = new(memServer)
+		s = &memLink{callSeq: new(atomic.Uint64)}
 		n.servers[id] = s
 	}
 	return s
@@ -228,7 +268,7 @@ func (n *MemNetwork) serverLocked(id quorum.ServerID) *memServer {
 // harnesses set it once at cluster construction.
 func (n *MemNetwork) SetClock(clk vtime.Clock) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	n.clock = vtime.Or(clk)
 }
 
@@ -246,7 +286,7 @@ func splitmix64(x uint64) uint64 {
 // models a server rejoining the membership.
 func (n *MemNetwork) Register(id quorum.ServerID, h Handler) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	s := n.serverLocked(id)
 	s.handler = h
 	s.try, _ = h.(TryHandler)
@@ -261,9 +301,9 @@ func (n *MemNetwork) Register(id quorum.ServerID, h Handler) {
 // retained so a rejoin does not replay the departed server's fault pattern.
 func (n *MemNetwork) Deregister(id quorum.ServerID) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	if s := n.servers[id]; s != nil {
-		s.memLink = memLink{}
+		*s = memLink{callSeq: s.callSeq}
 	}
 }
 
@@ -271,21 +311,21 @@ func (n *MemNetwork) Deregister(id quorum.ServerID) {
 // consulted on every call. See LinkHook.
 func (n *MemNetwork) SetLinkHook(h LinkHook) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	n.hook = h
 }
 
 // Crash marks a server as crashed: calls to it fail with ErrCrashed.
 func (n *MemNetwork) Crash(id quorum.ServerID) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	n.serverLocked(id).crashed = true
 }
 
 // Recover clears a server's crashed state.
 func (n *MemNetwork) Recover(id quorum.ServerID) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	if s := n.servers[id]; s != nil {
 		s.crashed = false
 	}
@@ -293,8 +333,8 @@ func (n *MemNetwork) Recover(id quorum.ServerID) {
 
 // CrashedCount returns the number of currently crashed servers.
 func (n *MemNetwork) CrashedCount() int {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	crashed := 0
 	for _, s := range n.servers {
 		if s.crashed {
@@ -310,7 +350,7 @@ func (n *MemNetwork) SetDropProb(p float64) {
 		panic(fmt.Sprintf("transport: drop probability %v outside [0,1]", p))
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	n.dropProb = p
 }
 
@@ -321,7 +361,7 @@ func (n *MemNetwork) SetLatency(min, max time.Duration) {
 		panic("transport: invalid latency range")
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	n.minLat, n.maxLat = min, max
 }
 
@@ -333,7 +373,7 @@ func (n *MemNetwork) SetServerLatency(id quorum.ServerID, min, max time.Duration
 		panic("transport: invalid latency range")
 	}
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	s := n.serverLocked(id)
 	if max == 0 {
 		s.lat = nil
@@ -352,7 +392,7 @@ func (n *MemNetwork) SetServerLatency(id quorum.ServerID, min, max time.Duration
 // adding cells adds no measurable capacity.
 func (n *MemNetwork) SetServerConcurrency(k int) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	for _, s := range n.servers {
 		s.sem = nil
 		if k > 0 && s.handler != nil {
@@ -361,11 +401,12 @@ func (n *MemNetwork) SetServerConcurrency(k int) {
 	}
 }
 
-// SetPartition assigns servers to partition groups. Calls between different
-// groups fail with ErrPartitioned. Servers not mentioned stay in group 0.
+// SetPartition assigns servers to partition groups. Direct callers are in
+// group 0: calls to a server in any other group fail with ErrPartitioned.
+// Servers not mentioned stay in group 0.
 func (n *MemNetwork) SetPartition(groups map[quorum.ServerID]int) {
 	n.mu.Lock()
-	defer n.mu.Unlock()
+	defer n.changed()
 	for _, s := range n.servers {
 		s.group = 0
 	}
@@ -376,14 +417,6 @@ func (n *MemNetwork) SetPartition(groups map[quorum.ServerID]int) {
 
 // ClearPartition heals all partitions.
 func (n *MemNetwork) ClearPartition() { n.SetPartition(nil) }
-
-// SetCallerGroup places direct callers of Call (clients) into a partition
-// group; the default group is 0.
-func (n *MemNetwork) SetCallerGroup(g int) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.callGroup = g
-}
 
 // Call implements Transport. The call observes, in order: partition state,
 // crash state, the installed LinkHook (if any), simulated loss, simulated
@@ -410,21 +443,15 @@ func (n *MemNetwork) TryCall(ctx context.Context, to quorum.ServerID, req any) (
 // call is the one body of Call (mayPark) and TryCall (!mayPark). ok is
 // false only for a TryCall that declined.
 func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, mayPark bool) (resp any, ok bool, err error) {
-	n.mu.RLock()
-	s := n.servers[to]
-	var srv memLink
-	if s != nil {
-		srv = s.memLink
+	v := n.view.Load()
+	if v == nil {
+		v = n.rebuild()
 	}
-	drop := n.dropProb
-	hook := n.hook
-	clock := n.clock
-	minLat, maxLat := n.minLat, n.maxLat
+	srv := v.links[to] // the zero link for an id never mentioned: no handler
+	drop, hook, clock, minLat, maxLat := v.dropProb, v.hook, v.clock, v.minLat, v.maxLat
 	if srv.lat != nil {
 		minLat, maxLat = srv.lat.min, srv.lat.max
 	}
-	sameGroup := srv.group == n.callGroup
-	n.mu.RUnlock()
 
 	if !mayPark && (hook != nil || srv.sem != nil || maxLat > 0) {
 		// Decided on the link alone, before the hook, the semaphore or the
@@ -434,7 +461,7 @@ func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, mayP
 	if srv.handler == nil {
 		return nil, true, fmt.Errorf("server %d: %w", to, ErrUnknownServer)
 	}
-	if !sameGroup {
+	if srv.group != 0 {
 		return nil, true, fmt.Errorf("server %d: %w", to, ErrPartitioned)
 	}
 	if srv.crashed {
@@ -470,7 +497,7 @@ func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, mayP
 		// per-destination call count), so harnesses that keep the call
 		// sequence deterministic replay drops and latency byte-for-byte
 		// (see callSeq).
-		seq := s.callSeq.Add(1)
+		seq := srv.callSeq.Add(1)
 		base := splitmix64(n.seed ^ (uint64(to)+1)<<32 ^ seq)
 		if drop > 0 {
 			u := splitmix64(base ^ 0x0D)
@@ -506,7 +533,7 @@ func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, mayP
 			// The handler would have to wait, and its call was already
 			// numbered (it survived the drop verdict): hand the number
 			// back, so the Call that follows draws the same one.
-			s.callSeq.Add(^uint64(0))
+			srv.callSeq.Add(^uint64(0))
 		}
 		return resp, ok, err
 	}

@@ -102,12 +102,7 @@ func TestMemNetworkPartition(t *testing.T) {
 	if _, err := n.Call(context.Background(), 1, wire.PingRequest{}); !errors.Is(err, ErrPartitioned) {
 		t.Errorf("cross-group err = %v, want ErrPartitioned", err)
 	}
-	n.SetCallerGroup(1)
-	if _, err := n.Call(context.Background(), 1, wire.PingRequest{}); err != nil {
-		t.Errorf("after moving caller group: %v", err)
-	}
 	n.ClearPartition()
-	n.SetCallerGroup(0)
 	if _, err := n.Call(context.Background(), 1, wire.PingRequest{}); err != nil {
 		t.Errorf("after healing: %v", err)
 	}

@@ -37,8 +37,8 @@ func acceptingEcho() *tryEcho {
 }
 
 func seqOf(n *MemNetwork, id quorum.ServerID) uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
+	n.mu.Lock()
+	defer n.mu.Unlock()
 	return n.servers[id].callSeq.Load()
 }
 
@@ -151,9 +151,9 @@ func TestTryCallDeclinesWithoutSideEffects(t *testing.T) {
 		n := NewMemNetwork(1)
 		n.Register(1, acceptingEcho())
 		n.SetServerConcurrency(1)
-		n.mu.RLock()
+		n.mu.Lock()
 		sem := n.servers[1].sem
-		n.mu.RUnlock()
+		n.mu.Unlock()
 		for i := 0; i < 3; i++ {
 			if _, ok, _ := n.TryCall(context.Background(), 1, "x"); ok {
 				t.Fatal("a capped server must decline: its slot may have to be waited for")
