@@ -118,12 +118,14 @@ bench-json:
 	@rm -f BENCH_throughput.out
 	@echo "wrote BENCH_throughput.json"
 
-# CI bit-rot guard: run every throughput/codec benchmark for one iteration
-# and verify the JSON pipeline still produces a well-formed document.
-# Staged through a scratch file so the committed BENCH_throughput.json —
-# the bench-regress baseline — is never clobbered with 1-iteration rates.
+# CI bit-rot guard: run every throughput/codec benchmark, and the store's
+# cold-read benchmark (its ns/get is one more value-unit pair to benchjson),
+# for one iteration and verify the JSON pipeline still produces a well-formed
+# document. Staged through a scratch file so the committed
+# BENCH_throughput.json — the bench-regress baseline — is never clobbered
+# with 1-iteration rates.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn)' -benchmem -benchtime 1x . > BENCH_smoke.out
+	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold)' -benchmem -benchtime 1x . ./internal/replica/ > BENCH_smoke.out
 	$(GO) run ./cmd/benchjson < BENCH_smoke.out > BENCH_smoke.json
 	@rm -f BENCH_smoke.out
 	$(GO) run ./cmd/benchjson -check BENCH_smoke.json
@@ -227,14 +229,17 @@ sim-scale:
 	$(GO) run ./cmd/pqs-chaos -load -seed $(CHAOS_SEED) -negative -verify-determinism -json -budget 5m -o /dev/null
 
 # Ten seconds of coverage-guided fuzzing each for the binary codec's decode
-# surface, the virtual byte-stream fault injector and the dissemination
+# surface, the virtual byte-stream fault injector, the dissemination
 # read's selection over the registry's verified set (differential, against
-# plain sv.Verify), so the fuzz targets actually execute in CI rather than
-# only replaying their seed corpora.
+# plain sv.Verify) and the replica store's flat tables (differential, against
+# a plain map, under the real hash and under hashes that force one shard and
+# one slot), so the fuzz targets actually execute in CI rather than only
+# replaying their seed corpora.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzVNetFaultInjector -fuzztime 10s ./internal/transport
 	$(GO) test -run XXX -fuzz FuzzSelectDissemination -fuzztime 10s ./internal/register
+	$(GO) test -run XXX -fuzz FuzzStoreAgainstModel -fuzztime 10s ./internal/replica
 
 # The end-to-end smoke gate: build the real pqsd/pqs-cli binaries, stand a
 # 5-replica cluster up on loopback TCP, write and read through the CLI, kill

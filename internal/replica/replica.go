@@ -326,7 +326,8 @@ func (r *Replica) handle(behavior Behavior, verifier Verifier, req any) (any, er
 
 // handleGossip merges the initiator's entries into the local store (subject
 // to the verifier) and returns entries where the local copy dominates or
-// the initiator mentioned nothing.
+// the initiator mentioned nothing, in adoption order: the same merged state
+// gives the same reply bytes whatever the store's layout.
 func (r *Replica) handleGossip(m wire.GossipRequest, verify Verifier) wire.GossipReply {
 	offered := make(map[string]ts.Stamp, len(m.Entries))
 	for _, e := range m.Entries {
@@ -337,11 +338,11 @@ func (r *Replica) handleGossip(m wire.GossipRequest, verify Verifier) wire.Gossi
 		r.store.Apply(e.Key, Entry{Value: e.Value, Stamp: e.Stamp, Sig: e.Sig})
 	}
 	var reply wire.GossipReply
-	for key, e := range r.store.Snapshot() {
-		if st, ok := offered[key]; ok && !st.Less(e.Stamp) {
+	for _, c := range r.store.Changes(0, r.store.Seq()) {
+		if st, ok := offered[c.Key]; ok && !st.Less(c.Entry.Stamp) {
 			continue
 		}
-		reply.Entries = append(reply.Entries, wire.Item{Key: key, Value: e.Value, Stamp: e.Stamp, Sig: e.Sig})
+		reply.Entries = append(reply.Entries, wire.Item{Key: c.Key, Value: c.Entry.Value, Stamp: c.Entry.Stamp, Sig: c.Entry.Sig})
 	}
 	return reply
 }

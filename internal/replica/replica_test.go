@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/ed25519"
 	"errors"
+	"fmt"
 	"strconv"
 	"sync"
 	"testing"
@@ -274,6 +275,41 @@ func TestGossipMerge(t *testing.T) {
 	}
 	if !found {
 		t.Error("b did not return only-b")
+	}
+}
+
+// TestGossipReplyOrder: a gossip reply lists entries in adoption order, so
+// the same merged state gives the same bytes every time it is asked, and
+// whichever way the store happens to be laid out (replicas whose tables were
+// built under differently seeded hashes).
+func TestGossipReplyOrder(t *testing.T) {
+	replyBytes := func(r *Replica, m wire.GossipRequest) []byte {
+		return r.handleGossip(m, nil).AppendTo(nil)
+	}
+	var push wire.GossipRequest
+	reps := []*Replica{New(0), New(1), New(2)}
+	for i := 0; i < 200; i++ {
+		k := fmt.Sprintf("k%d", i*7%200)
+		e := Entry{Value: []byte(k), Stamp: ts.Stamp{Counter: uint64(i%5 + 1), Writer: 1}}
+		for j, r := range reps {
+			r.store.apply(k, e, modelHash[j%2](k)) // reps[1] under the other seed
+		}
+		if i%3 == 0 {
+			push.Entries = append(push.Entries, wire.Item{Key: k, Value: e.Value, Stamp: ts.Stamp{Counter: uint64(i % 7), Writer: 1}})
+		}
+	}
+	all := replyBytes(reps[0], wire.GossipRequest{})
+	if len(all) < 200 || !bytes.Equal(all, replyBytes(reps[0], wire.GossipRequest{})) {
+		t.Error("one replica, asked twice, ordered its reply differently")
+	}
+	if !bytes.Equal(all, replyBytes(reps[1], wire.GossipRequest{})) {
+		t.Error("replicas laid out under different hash seeds ordered their replies differently")
+	}
+	// The same holds after a merge, with the offered entries filtered out.
+	merged := replyBytes(reps[0], push)
+	if len(merged) == 0 || len(merged) >= len(all) || !bytes.Equal(merged, replyBytes(reps[2], push)) {
+		t.Errorf("two replicas merging one request answered differently (%d and %d bytes of %d)",
+			len(merged), len(replyBytes(reps[2], push)), len(all))
 	}
 }
 

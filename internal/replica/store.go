@@ -7,6 +7,7 @@
 package replica
 
 import (
+	"hash/maphash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -25,9 +26,11 @@ type Entry struct {
 
 // numShards is the store's shard count. The load analysis puts ~l*sqrt(n)
 // concurrent accesses on a busy replica; 64 shards keep the probability of
-// two concurrent distinct-key operations colliding on a shard's lock small
-// without bloating the zero-value footprint. Must be a power of two.
-const numShards = 64
+// two concurrent distinct-key operations colliding on a shard's lock small,
+// and a shard is one 64-byte line, so an empty store is 4 KiB and NewStore
+// allocates nothing else. Must be a power of two.
+const shardBits = 6
+const numShards = 1 << shardBits
 
 // Store is a replica's local key-value state, sharded by key hash so that
 // operations on distinct keys proceed without contending on a single lock.
@@ -46,84 +49,136 @@ type Store struct {
 	gets, applies, adopted atomic.Uint64
 }
 
+// shard is one lock and one open-addressed table (linear probing, length a
+// power of two or zero, no deletions: the store never deletes). A read RPC
+// touches the shard's line and then the key's slot, nothing in between.
 type shard struct {
-	mu sync.RWMutex
-	m  map[string]stored
+	mu    sync.RWMutex
+	slots []slot
+	n     int // occupied slots
 	// bytes tracks the summed binary wire size (wire.Item.EncodedSize) of
 	// the shard's current entries, so "what would a full push cost"
 	// stays O(shards) to answer instead of O(keys).
 	bytes int64
 }
 
-// stored is a shard's record for one key: the entry, its adoption sequence
-// number (see Store.seq) and its cached wire size. Keeping all three
-// inline in one map — values, not pointers — matters at population scale:
-// a parallel seq map would double the hash work on the Apply fast path,
-// and boxing records behind pointers adds millions of GC-scannable
-// objects (measured ~10% slower end-to-end on the scale/ matrix). The
-// cached size makes the re-write path's bytes accounting one EncodedSize
-// call instead of two.
-type stored struct {
-	e    Entry
+// slot is a shard's record for one key: the entry, its adoption sequence
+// number (see Store.seq; 0 marks an empty slot, adoption sequences start at
+// 1), the key's hash tag and the entry's cached wire size (an int32: frames
+// are at most 64 MiB). The words a probe reads — seq, tag, the key's header
+// — come first and together. All of it is inline, values not pointers:
+// boxing records adds millions of GC-scannable objects at population scale
+// (measured ~10% slower end-to-end on the scale/ matrix), and at 96 bytes a
+// slot is what a Go map spent on the same key and record. The cached size
+// makes the re-write path's bytes accounting one EncodedSize call instead
+// of two.
+type slot struct {
 	seq  uint64
-	size int64
+	tag  uint32
+	size int32
+	key  string
+	e    Entry
 }
 
 // NewStore returns an empty store.
-func NewStore() *Store {
-	s := &Store{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[string]stored)
+func NewStore() *Store { return &Store{} }
+
+// hashSeed keys hash. Clients choose the keys, so the hash must be one they
+// cannot compute: the Go map this table replaced was seeded too, and under a
+// public hash a writer picking colliding keys would turn every probe of a
+// shard into a scan of it. One seed per process, not per store: a store's
+// own seed is a load behind its counter line's miss, and cost mem-fanout 8 %.
+var hashSeed = maphash.MakeSeed()
+
+// hash is the one hash taken of a key: its low shardBits bits pick the
+// shard and the 32 above them are the tag a slot keeps. The tag's low bits
+// are the home slot, so growing a table re-homes from tags and hashes
+// nothing; a key's bytes are compared only where the whole tag matches.
+func hash(key string) uint64 { return maphash.String(hashSeed, key) }
+
+// find returns the index of key's slot, or of the empty slot that ends its
+// probe run: apply keeps every allocated table at most 7/8 full.
+func (sh *shard) find(key string, h uint64) (int, bool) {
+	if len(sh.slots) == 0 {
+		return 0, false
 	}
-	return s
+	tag, mask := uint32(h>>shardBits), len(sh.slots)-1
+	for i := int(tag) & mask; ; i = (i + 1) & mask {
+		if sl := &sh.slots[i]; sl.seq == 0 {
+			return i, false
+		} else if sl.tag == tag && sl.key == key {
+			return i, true
+		}
+	}
 }
 
-// shardFor hashes key with FNV-1a (inlined; hash/fnv would allocate a
-// hasher per call) and selects a shard.
-func (s *Store) shardFor(key string) *shard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= prime32
+// grow doubles the table (4 slots at first: most shards of a replica hold a
+// handful of keys) and re-homes every record.
+func (sh *shard) grow() {
+	old := sh.slots
+	sh.slots = make([]slot, max(4, 2*len(old)))
+	mask := len(sh.slots) - 1
+	for _, sl := range old {
+		if sl.seq == 0 {
+			continue
+		}
+		i := int(sl.tag) & mask
+		for sh.slots[i].seq != 0 {
+			i = (i + 1) & mask
+		}
+		sh.slots[i] = sl
 	}
-	return &s.shards[h&(numShards-1)]
 }
 
 // Get returns the entry for key, if any.
-func (s *Store) Get(key string) (Entry, bool) {
+func (s *Store) Get(key string) (Entry, bool) { return s.get(key, hash(key)) }
+
+// get is Get under a given hash (tests pin it to force collisions).
+func (s *Store) get(key string, h uint64) (Entry, bool) {
 	s.gets.Add(1)
-	sh := s.shardFor(key)
+	sh := &s.shards[h&(numShards-1)]
 	sh.mu.RLock()
-	st, ok := sh.m[key]
+	var e Entry
+	i, ok := sh.find(key, h)
+	if ok {
+		e = sh.slots[i].e
+	}
 	sh.mu.RUnlock()
-	return st.e, ok
+	return e, ok
 }
 
 // Apply adopts the entry if its stamp strictly dominates the stored one
 // (last-writer-wins merge; the standard timestamped-register update). It
 // reports whether the entry was adopted.
-func (s *Store) Apply(key string, e Entry) bool {
+func (s *Store) Apply(key string, e Entry) bool { return s.apply(key, e, hash(key)) }
+
+// apply is Apply under a given hash (see get).
+func (s *Store) apply(key string, e Entry, h uint64) bool {
 	s.applies.Add(1)
-	sh := s.shardFor(key)
+	sh := &s.shards[h&(numShards-1)]
 	sh.mu.Lock()
-	cur, ok := sh.m[key]
-	if ok && !cur.e.Stamp.Less(e.Stamp) {
+	i, ok := sh.find(key, h)
+	if ok && !sh.slots[i].e.Stamp.Less(e.Stamp) {
 		sh.mu.Unlock()
 		return false
+	}
+	if !ok {
+		// Grow above 7/8 full, where a stored key still sits 3.5 slots from
+		// home in the mean and the table costs what the map it replaced did
+		// (TestStoreFootprint); growing at 3/4 costs 13 to 23 % more heap.
+		if sh.n++; sh.n*8 > len(sh.slots)*7 {
+			sh.grow()
+			i, _ = sh.find(key, h)
+		}
+		sh.slots[i].tag, sh.slots[i].key = uint32(h>>shardBits), key
 	}
 	// The sequence number is drawn under the shard lock so that any
 	// number at or below a Seq() observation is visible to a subsequent
 	// Changes scan of this shard (the scan serializes on the same lock).
-	size := int64(itemWireSize(key, e))
-	sh.m[key] = stored{e: e, seq: s.seq.Add(1), size: size}
-	sh.bytes += size
-	if ok {
-		sh.bytes -= cur.size
-	}
+	sl := &sh.slots[i]
+	size := int32(itemWireSize(key, e))
+	sh.bytes += int64(size) - int64(sl.size)
+	sl.e, sl.seq, sl.size = e, s.seq.Add(1), size
 	sh.mu.Unlock()
 	s.adopted.Add(1)
 	return true
@@ -161,28 +216,39 @@ type Change struct {
 
 // Changes returns the entries adopted with sequence numbers in
 // (since, upTo], ordered by ascending sequence. The ordering is
-// deterministic (map iteration order never leaks into the result), which
-// matters on simulated transports: gossip frame bytes — and therefore
-// compressed frame sizes and virtual-link pacing — must replay identically
-// for a given seed. The scan is O(keys); a store-side ring of recent
-// adoptions could make it O(delta) if gossip rounds ever dominate profiles.
+// deterministic (table order, which the hash seed decides, never leaks into
+// the result), which matters on simulated transports: gossip frame bytes —
+// and therefore compressed frame sizes and virtual-link pacing — must replay
+// identically for a given seed. The scan is O(keys); a store-side ring of
+// recent adoptions could make it O(delta) if gossip rounds ever dominate
+// profiles.
 func (s *Store) Changes(since, upTo uint64) []Change {
 	if upTo <= since {
 		return nil
 	}
 	var out []Change
+	s.each(func(sl *slot) {
+		if sl.seq > since && sl.seq <= upTo {
+			out = append(out, Change{Key: sl.key, Entry: sl.e, Seq: sl.seq})
+		}
+	})
+	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	return out
+}
+
+// each calls fn on every occupied slot, shard by shard under the shard's
+// read lock, in table order.
+func (s *Store) each(fn func(*slot)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		for k, st := range sh.m {
-			if st.seq > since && st.seq <= upTo {
-				out = append(out, Change{Key: k, Entry: st.e, Seq: st.seq})
+		for j := range sh.slots {
+			if sl := &sh.slots[j]; sl.seq != 0 {
+				fn(sl)
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
 }
 
 // Len returns the number of stored keys.
@@ -191,7 +257,7 @@ func (s *Store) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n += len(sh.m)
+		n += sh.n
 		sh.mu.RUnlock()
 	}
 	return n
@@ -200,14 +266,7 @@ func (s *Store) Len() int {
 // Keys returns all stored keys (unordered).
 func (s *Store) Keys() []string {
 	out := make([]string, 0, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k := range sh.m {
-			out = append(out, k)
-		}
-		sh.mu.RUnlock()
-	}
+	s.each(func(sl *slot) { out = append(out, sl.key) })
 	return out
 }
 
@@ -220,14 +279,7 @@ func (s *Store) Keys() []string {
 // entries).
 func (s *Store) Snapshot() map[string]Entry {
 	out := make(map[string]Entry, s.Len())
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		for k, st := range sh.m {
-			out[k] = st.e
-		}
-		sh.mu.RUnlock()
-	}
+	s.each(func(sl *slot) { out[sl.key] = sl.e })
 	return out
 }
 
@@ -259,7 +311,7 @@ func (s *Store) Stats() StoreStats {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.RLock()
-		n := len(sh.m)
+		n := sh.n
 		sh.mu.RUnlock()
 		st.Keys += n
 		if n > st.MaxShardKeys {

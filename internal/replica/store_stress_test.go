@@ -9,9 +9,12 @@ import (
 )
 
 // TestStoreConcurrentStress hammers the sharded store from many goroutines
-// mixing Apply, Get, Len, Keys, Snapshot and Stats. Run under -race (the
+// mixing Apply, Get, Len, Keys, Snapshot, Changes and Stats, while the
+// writers grow every shard's table under the readers. Run under -race (the
 // Makefile's race target includes this package); correctness assertions
-// check the last-writer-wins merge survived the contention.
+// check the last-writer-wins merge survived the contention, and that a
+// Changes scan racing adoptions still lists each key once, by ascending
+// sequence, up to the Seq it was given.
 func TestStoreConcurrentStress(t *testing.T) {
 	s := NewStore()
 	const (
@@ -40,7 +43,7 @@ func TestStoreConcurrentStress(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				switch i % 4 {
+				switch i % 5 {
 				case 0:
 					s.Get(key(i + r))
 				case 1:
@@ -54,6 +57,15 @@ func TestStoreConcurrentStress(t *testing.T) {
 							t.Error("snapshot holds zero-stamp entry")
 							return
 						}
+					}
+				case 3:
+					upTo, seen, last := s.Seq(), make(map[string]bool), uint64(0)
+					for _, c := range s.Changes(0, upTo) {
+						if c.Seq <= last || c.Seq > upTo || seen[c.Key] {
+							t.Errorf("Changes(0, %d): seq %d for %s after seq %d (seen before: %v)", upTo, c.Seq, c.Key, last, seen[c.Key])
+							return
+						}
+						last, seen[c.Key] = c.Seq, true
 					}
 				default:
 					s.Keys()
@@ -101,8 +113,8 @@ func TestStoreConcurrentStress(t *testing.T) {
 	}
 }
 
-// TestStoreShardDistribution sanity-checks that FNV-1a spreads realistic
-// keys across shards instead of piling them onto a few.
+// TestStoreShardDistribution sanity-checks that the hash's low bits spread
+// realistic keys across shards instead of piling them onto a few.
 func TestStoreShardDistribution(t *testing.T) {
 	s := NewStore()
 	const n = 4096
