@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (one bench per artifact; see DESIGN.md's per-experiment index), validating
-// the protocol-level ε empirically, and measuring the protocol hot paths.
+// (one bench per artifact; `make paper` writes them all to EXPERIMENTS.md)
+// and measuring the protocol hot paths. The protocol-level ε is validated by
+// the chaos matrix and internal/sim's TestEmpiricalEpsilon* tests.
 //
 // Run everything:
 //
@@ -22,8 +23,6 @@ import (
 	"pqs/internal/analysis"
 	"pqs/internal/core"
 	"pqs/internal/quorum"
-	"pqs/internal/register"
-	"pqs/internal/sim"
 )
 
 // BenchmarkTable1 regenerates the Table 1 bounds summary.
@@ -102,73 +101,6 @@ func BenchmarkFigure2(b *testing.B) { benchFigure(b, analysis.Figure2) }
 // BenchmarkFigure3 regenerates Figure 3 (failure probabilities, masking,
 // b = √n).
 func BenchmarkFigure3(b *testing.B) { benchFigure(b, analysis.Figure3) }
-
-// BenchmarkEmpiricalEpsilonBenign validates Theorem 3.2 end to end: it runs
-// write-then-read trials through the full protocol stack and reports the
-// empirical vs exact ε.
-func BenchmarkEmpiricalEpsilonBenign(b *testing.B) {
-	e, err := core.NewEpsilonIntersecting(36, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const trials = 1500
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: e, Mode: register.Benign, Trials: trials, Seed: int64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
-	}
-	b.ReportMetric(rate, "eps-empirical")
-	b.ReportMetric(e.Epsilon(), "eps-exact")
-}
-
-// BenchmarkEmpiricalEpsilonDissemination validates Theorem 4.2 with
-// colluding forgers whose replies cannot verify.
-func BenchmarkEmpiricalEpsilonDissemination(b *testing.B) {
-	d, err := core.NewDissemination(36, 10, 6)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const trials = 1500
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: d, Mode: register.Dissemination, B: 6, Trials: trials, Seed: int64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
-	}
-	b.ReportMetric(rate, "eps-empirical")
-	b.ReportMetric(d.Epsilon(), "eps-exact")
-}
-
-// BenchmarkEmpiricalEpsilonMasking validates Theorem 5.2 with colluding
-// forgers against the k-threshold read.
-func BenchmarkEmpiricalEpsilonMasking(b *testing.B) {
-	m, err := core.NewMasking(36, 18, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const trials = 1500
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: m, Mode: register.Masking, K: m.K(), B: 3, Trials: trials, Seed: int64(i) + 1,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
-	}
-	b.ReportMetric(rate, "eps-empirical")
-	b.ReportMetric(m.Epsilon(), "eps-exact")
-}
 
 // BenchmarkAblationMaskingK regenerates the k-threshold sweep.
 func BenchmarkAblationMaskingK(b *testing.B) {
@@ -349,66 +281,6 @@ func BenchmarkReadTailLatencyBaseline(b *testing.B) {
 func BenchmarkReadTailLatencyHedged(b *testing.B) {
 	client := newTailLatencyCluster(b, 8, time.Millisecond, true)
 	benchReadTail(b, client)
-}
-
-// BenchmarkEmpiricalEpsilonBenignHedged re-validates Theorem 3.2 with the
-// straggler-tolerant access path switched on: eager reads, spare promotion
-// forced by a 5% message-drop rate, full protocol stack. The observed
-// non-intersection rate must stay within the construction's closed-form
-// bound e^{-ℓ²}, demonstrating that failure-triggered spare promotion
-// preserves the ε analysis; the bench fails otherwise.
-func BenchmarkEmpiricalEpsilonBenignHedged(b *testing.B) {
-	e, err := core.NewEpsilonIntersecting(36, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const trials = 1500
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: e, Mode: register.Benign, Trials: trials, Seed: int64(i) + 1,
-			Tuning: pqs.Tuning{Spares: 3, EagerRead: true}, DropProb: 0.05,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
-		if rate > e.EpsilonBound() {
-			b.Fatalf("hedged empirical eps %.4f exceeds bound %.4f", rate, e.EpsilonBound())
-		}
-	}
-	b.ReportMetric(rate, "eps-empirical")
-	b.ReportMetric(e.Epsilon(), "eps-exact")
-	b.ReportMetric(e.EpsilonBound(), "eps-bound")
-}
-
-// BenchmarkEmpiricalEpsilonMaskingHedged re-validates Theorem 5.2 with
-// colluding forgers AND the eager masking read (return once no rival can
-// reach the K threshold) plus drop-forced spare promotion. The fooled+stale
-// rate must stay within the masking bound; the bench fails otherwise.
-func BenchmarkEmpiricalEpsilonMaskingHedged(b *testing.B) {
-	m, err := core.NewMasking(36, 18, 3)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const trials = 1500
-	var rate float64
-	for i := 0; i < b.N; i++ {
-		res, err := sim.MeasureConsistency(sim.ConsistencyConfig{
-			System: m, Mode: register.Masking, K: m.K(), B: 3, Trials: trials, Seed: int64(i) + 1,
-			Tuning: pqs.Tuning{Spares: 3, EagerRead: true}, DropProb: 0.03,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		rate = res.Rate
-		if rate > m.EpsilonBound() {
-			b.Fatalf("hedged empirical eps %.4f exceeds bound %.4f", rate, m.EpsilonBound())
-		}
-	}
-	b.ReportMetric(rate, "eps-empirical")
-	b.ReportMetric(m.Epsilon(), "eps-exact")
-	b.ReportMetric(m.EpsilonBound(), "eps-bound")
 }
 
 // BenchmarkQuorumPick measures the access strategy sampler.

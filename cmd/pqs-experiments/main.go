@@ -1,8 +1,10 @@
 // Command pqs-experiments regenerates every table and figure of the paper's
 // evaluation (Section 6 plus the Table 1 bounds summary) and the ablation
-// studies listed in DESIGN.md. Results are printed to stdout (tables as
-// markdown, figures as ASCII plots) and written to an output directory as
-// CSV and markdown for EXPERIMENTS.md.
+// and validation studies of package analysis. Tables print to stdout as
+// markdown and figures as ASCII plots — the same seeds every run, so stdout
+// is byte-for-byte reproducible and `make paper` commits it as
+// EXPERIMENTS.md — and everything is also written to an output directory
+// as CSV and markdown. The closing summary goes to stderr.
 //
 // Usage:
 //
@@ -112,7 +114,7 @@ func run() error {
 		}
 	}
 
-	fmt.Printf("wrote %d tables and %d figures to %s\n", len(tables), len(figures), *out)
+	fmt.Fprintf(os.Stderr, "wrote %d tables and %d figures to %s\n", len(tables), len(figures), *out)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 // Command pqs-lint is the determinism-invariant multichecker: it runs the
 // internal/lint analyzer suite (wallclock, rawgo, globalrand, lockspan,
-// epsblind, plus the vet-lite passes) over the given packages and exits
+// epsblind, deadexport, plus the vet-lite passes) over the given packages
+// — deadexport only when they include the module root — and exits
 // non-zero on any finding. CI runs it as `make lint`; a finding that is
 // genuinely intended is silenced in place with
 //

@@ -13,7 +13,6 @@ import (
 	"pqs/internal/config"
 	"pqs/internal/load"
 	"pqs/internal/register"
-	"pqs/internal/sim"
 )
 
 // knobNames is every field name of the given shared blocks. A top-level
@@ -45,7 +44,6 @@ func TestConfigKnobParity(t *testing.T) {
 	}{
 		// Transport is the transport.Transport object, not the plane selector.
 		{reflect.TypeOf(ClientConfig{}), []reflect.Type{tuning, topology}, []string{"Transport"}},
-		{reflect.TypeOf(sim.ConsistencyConfig{}), []reflect.Type{tuning, topology}, nil},
 		{reflect.TypeOf(chaos.Config{}), []reflect.Type{tuning, topology}, nil},
 		{reflect.TypeOf(load.Config{}), []reflect.Type{tuning, topology}, nil},
 		// The client itself: embeds config.Tuning, no flat copy. Its Cells

@@ -60,7 +60,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 			t.Errorf("row %d: probabilistic quorum not smaller than threshold", i)
 		}
 		// Exact eps must be small (within 6x of the 1e-3 target everywhere,
-		// per the calibration note in DESIGN.md).
+		// per Table 2's first note).
 		if eps := floatCell(t, tbl, i, 4); eps > 6e-3 {
 			t.Errorf("row %d: exact eps %v implausibly large", i, eps)
 		}

@@ -1,9 +1,10 @@
 // Package analysis regenerates every table and figure of the paper's
 // evaluation (Section 6, plus the Table 1 bounds summary of Section 2) from
 // the exact formulas implemented in core/combin, and provides the ablation
-// studies called out in DESIGN.md. Generators return structured Tables and
-// Figures; render helpers emit Markdown, CSV and ASCII plots, which the
-// pqs-experiments command writes to disk.
+// and validation studies beside them. Generators return structured Tables
+// and Figures; render helpers emit Markdown, CSV and ASCII plots, which the
+// pqs-experiments command prints (`make paper` commits them as
+// EXPERIMENTS.md) and writes to disk.
 package analysis
 
 import (

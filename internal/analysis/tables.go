@@ -69,7 +69,7 @@ func Table2() (*Table, error) {
 			"threshold q", "threshold A", "grid q", "grid A",
 		},
 		Notes: []string{
-			"exact eps is C(n-q,q)/C(n,q); the paper's l values give eps slightly above 1e-3 at the smallest n (see EXPERIMENTS.md).",
+			"exact eps is C(n-q,q)/C(n,q); the paper's l values give eps slightly above 1e-3 at the smallest n; the 'min q' column gives the smallest q that meets it.",
 			"threshold A = n-q+1 (the paper lists q, which differs by one for even n).",
 		},
 	}
@@ -120,7 +120,7 @@ func Table3() (*Table, error) {
 		Notes: []string{
 			"the paper's l values achieve exact eps <= 1e-3 in every row.",
 			"n=225 threshold row: the published table prints 166/60; the construction formulas give 117/109 (OCR corruption; all other rows match the formulas).",
-			"grid A = sqrt(n)-r+1 (the paper lists sqrt(n); see EXPERIMENTS.md).",
+			"grid A = sqrt(n)-r+1: one crash in each of that many rows leaves fewer than r clean rows (the paper lists sqrt(n)).",
 		},
 	}
 	for _, n := range TableSizes {

@@ -38,7 +38,7 @@ import (
 	"pqs/internal/wire"
 )
 
-// Any is a wildcard endpoint for Block/Unblock: Block(Any, to) severs every
+// Any is a wildcard endpoint for Block: Block(Any, to) severs every
 // inbound link of to, Block(from, Any) every outbound link of from.
 const Any quorum.ServerID = -2
 
@@ -124,14 +124,6 @@ func (e *Engine) SetReorder(d time.Duration) { e.mu.Lock(); e.reorderMax = d; e.
 func (e *Engine) Block(from, to quorum.ServerID) {
 	e.mu.Lock()
 	e.blocked[linkKey{from, to}] = true
-	e.mu.Unlock()
-}
-
-// Unblock restores the directed link from→to (exact key match with a prior
-// Block call).
-func (e *Engine) Unblock(from, to quorum.ServerID) {
-	e.mu.Lock()
-	delete(e.blocked, linkKey{from, to})
 	e.mu.Unlock()
 }
 

@@ -519,16 +519,6 @@ func Scenarios() []Scenario {
 	}
 }
 
-// Find returns the named scenario.
-func Find(name string) (Scenario, bool) {
-	for _, s := range Scenarios() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // NegativeConfig is the intentionally failing configuration the negative
 // test (and cmd/pqs-chaos -negative) runs: an overrun masking system —
 // b = 20 colluders against threshold k = 3, where the colluders reach the

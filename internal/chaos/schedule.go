@@ -308,14 +308,6 @@ func BlockInbound(ids ...quorum.ServerID) Action {
 	}}
 }
 
-// BlockLink severs one directed link (from may be transport.ClientSource or
-// Any).
-func BlockLink(from, to quorum.ServerID) Action {
-	return actionFunc{fmt.Sprintf("block(%d->%d)", from, to), func(rt *runtime) {
-		rt.block(from, to)
-	}}
-}
-
 // Heal removes every block and zeroes every link-fault probability.
 func Heal() Action {
 	return actionFunc{"heal", func(rt *runtime) { rt.heal() }}
@@ -421,9 +413,4 @@ func SlowDown(step, max time.Duration, ids ...quorum.ServerID) Action {
 			return &SlowLorris{Step: step, Max: max, Clock: rt.clock}
 		}, ids...)
 	}}
-}
-
-// Restore resets the listed replicas to correct behavior.
-func Restore(ids ...quorum.ServerID) Action {
-	return Behave(replica.Correct{}, ids...)
 }

@@ -95,7 +95,7 @@ func TestChaosDeterminismTCPVirtual(t *testing.T) {
 // leases a dead connection (one member fails, Full=false) or redials is the
 // Go scheduler's choice: about one double-run in seven diverged.
 func TestChaosSettlesAfterActions(t *testing.T) {
-	churn, ok := Find("benign/churn-timed")
+	churn, ok := find("benign/churn-timed")
 	if !ok {
 		t.Fatal("scenario benign/churn-timed is gone")
 	}

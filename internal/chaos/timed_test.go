@@ -11,7 +11,7 @@ import (
 // churn-timed scenario populates depth buckets beyond D=0 (the whole point
 // of ReadLag), carries a timed verdict, and passes its decayed bound.
 func TestTimedChurnScenario(t *testing.T) {
-	sc, ok := Find("benign/churn-timed")
+	sc, ok := find("benign/churn-timed")
 	if !ok {
 		t.Fatal("benign/churn-timed missing from the library")
 	}

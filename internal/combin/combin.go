@@ -8,14 +8,7 @@
 // live in package core.
 package combin
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrDomain is returned (wrapped) by functions whose arguments lie outside
-// their mathematical domain.
-var ErrDomain = errors.New("combin: argument outside domain")
+import "math"
 
 // LnFactorial returns ln(n!). It panics if n is negative, since a negative
 // factorial is a programming error rather than a data error.
@@ -71,39 +64,6 @@ func Binom(n, k int) float64 {
 		return 0
 	}
 	return math.Exp(LnBinom(n, k))
-}
-
-// LogAdd returns ln(e^a + e^b) computed stably.
-func LogAdd(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-// LogSumExp returns ln(sum_i e^{xs[i]}) computed stably. It returns -Inf for
-// an empty slice.
-func LogSumExp(xs []float64) float64 {
-	maxv := math.Inf(-1)
-	for _, x := range xs {
-		if x > maxv {
-			maxv = x
-		}
-	}
-	if math.IsInf(maxv, -1) {
-		return maxv
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += math.Exp(x - maxv)
-	}
-	return maxv + math.Log(sum)
 }
 
 // HypergeomLnPMF returns ln P(X = k) where X follows the hypergeometric
@@ -316,45 +276,6 @@ func MaskingErrExact(n, q, b, k int) float64 {
 		good += px * HypergeomTailGE(n, q-x, q, k)
 	}
 	return clampProb(1 - good)
-}
-
-// ChernoffUpperMult bounds the upper tail of a sum of independent Bernoulli
-// variables with mean mu: P(X > (1+gamma) mu). It uses the two-regime form
-// quoted in the paper (Lemma 5.7, following Motwani & Raghavan):
-//
-//	e^{-mu γ²/4}          for 0 < γ <= 2e-1,
-//	2^{-(1+γ) mu}         for γ > 2e-1.
-func ChernoffUpperMult(mu, gamma float64) float64 {
-	if gamma <= 0 {
-		return 1
-	}
-	if gamma <= 2*math.E-1 {
-		return math.Exp(-mu * gamma * gamma / 4)
-	}
-	return math.Exp(-(1 + gamma) * mu * math.Ln2)
-}
-
-// ChernoffLowerMult bounds the lower tail: P(X < (1-delta) mu) <= e^{-mu δ²/2}
-// for 0 <= delta <= 1.
-func ChernoffLowerMult(mu, delta float64) float64 {
-	if delta <= 0 {
-		return 1
-	}
-	if delta > 1 {
-		delta = 1
-	}
-	return math.Exp(-mu * delta * delta / 2)
-}
-
-// HoeffdingTailAbove bounds P(Binomial(n,p) > n*x) for x > p by e^{-2n(x-p)²}.
-// The paper uses this form for failure probabilities: with x = 1 - q/n it
-// bounds the probability that more than n-q servers crash.
-func HoeffdingTailAbove(n int, p, x float64) float64 {
-	if x <= p {
-		return 1
-	}
-	d := x - p
-	return math.Exp(-2 * float64(n) * d * d)
 }
 
 // IntSqrt returns the integer square root of n (the largest s with s*s <= n).

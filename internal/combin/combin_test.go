@@ -92,35 +92,6 @@ func TestLnBinomPascalIdentity(t *testing.T) {
 	}
 }
 
-func TestLogAdd(t *testing.T) {
-	cases := []struct{ a, b, want float64 }{
-		{math.Log(2), math.Log(3), math.Log(5)},
-		{math.Inf(-1), math.Log(3), math.Log(3)},
-		{math.Log(3), math.Inf(-1), math.Log(3)},
-		{-1000, -1000, -1000 + math.Ln2},
-	}
-	for _, c := range cases {
-		if got := LogAdd(c.a, c.b); !almostEqual(got, c.want, 1e-12) {
-			t.Errorf("LogAdd(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestLogSumExp(t *testing.T) {
-	if got := LogSumExp(nil); !math.IsInf(got, -1) {
-		t.Errorf("LogSumExp(nil) = %v, want -Inf", got)
-	}
-	xs := []float64{math.Log(1), math.Log(2), math.Log(3)}
-	if got := LogSumExp(xs); !almostEqual(got, math.Log(6), 1e-12) {
-		t.Errorf("LogSumExp = %v, want ln 6", got)
-	}
-	// Stability for extreme magnitudes.
-	xs = []float64{-1e4, -1e4 + math.Log(2)}
-	if got := LogSumExp(xs); !almostEqual(got, -1e4+math.Log(3), 1e-9) {
-		t.Errorf("LogSumExp extreme = %v", got)
-	}
-}
-
 func TestHypergeomPMFSumsToOne(t *testing.T) {
 	cases := []struct{ pop, marked, draw int }{
 		{10, 3, 4}, {20, 10, 5}, {100, 30, 22}, {7, 7, 3}, {9, 0, 4},
@@ -398,50 +369,6 @@ func TestMaskingErrExactEdges(t *testing.T) {
 	want := ProbDisjoint(20, 6, 6)
 	if !almostEqual(got, want, 1e-12) {
 		t.Errorf("b=0,k=1: %v want %v", got, want)
-	}
-}
-
-func TestChernoffBounds(t *testing.T) {
-	// The bounds must actually bound exact binomial tails.
-	n, p := 200, 0.1
-	mu := float64(n) * p
-	for _, gamma := range []float64{0.5, 1, 2, 5, 10} {
-		k := int(math.Ceil((1 + gamma) * mu))
-		exact := BinomialTailGT(n, p, int((1+gamma)*mu))
-		bound := ChernoffUpperMult(mu, gamma)
-		if exact > bound+1e-12 {
-			t.Errorf("upper bound violated at gamma=%v: exact %v > bound %v (k=%d)", gamma, exact, bound, k)
-		}
-	}
-	for _, delta := range []float64{0.3, 0.5, 0.9} {
-		k := int(math.Floor((1 - delta) * mu))
-		var exact float64
-		for i := 0; i < k; i++ {
-			exact += BinomialPMF(n, p, i)
-		}
-		bound := ChernoffLowerMult(mu, delta)
-		if exact > bound+1e-12 {
-			t.Errorf("lower bound violated at delta=%v: exact %v > bound %v", delta, exact, bound)
-		}
-	}
-	if ChernoffUpperMult(10, 0) != 1 || ChernoffLowerMult(10, 0) != 1 {
-		t.Error("zero deviation should give trivial bound 1")
-	}
-}
-
-func TestHoeffdingBoundsBinomialTail(t *testing.T) {
-	for _, c := range []struct {
-		n    int
-		p, x float64
-	}{{100, 0.3, 0.5}, {300, 0.5, 0.7}, {900, 0.9, 0.95}} {
-		exact := BinomialTailGT(c.n, c.p, int(float64(c.n)*c.x))
-		bound := HoeffdingTailAbove(c.n, c.p, c.x)
-		if exact > bound+1e-12 {
-			t.Errorf("Hoeffding violated n=%d p=%v x=%v: %v > %v", c.n, c.p, c.x, exact, bound)
-		}
-	}
-	if HoeffdingTailAbove(100, 0.5, 0.4) != 1 {
-		t.Error("x <= p should give trivial bound")
 	}
 }
 

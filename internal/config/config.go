@@ -1,7 +1,7 @@
 // Package config holds the configuration blocks shared by every layer that
 // builds or drives the register client — register.Options, the public
-// pqs.ClientConfig, the Monte-Carlo sim.ConsistencyConfig, the adversarial
-// chaos.Config and the population-scale load.Config:
+// pqs.ClientConfig, the adversarial chaos.Config (the one write-then-read ε
+// loop) and the population-scale load.Config:
 //
 //   - Tuning: the access-tuning knobs (straggler tolerance, hedging, early
 //     completion, read repair). Declared and documented here, once;

@@ -306,6 +306,8 @@ func MinQForMasking(n, b int, eps float64) (int, error) {
 // LoadLowerBoundIntersecting returns the Theorem 3.9 lower bound on the load
 // of any ε-intersecting quorum system with expected quorum size eq over n
 // servers: max(eq/n, (1-√ε)²/eq).
+//
+//pqslint:allow deadexport paper Theorem 3.9, pinned by core_test TestConstructionMeetsLowerBounds
 func LoadLowerBoundIntersecting(n int, eq, eps float64) float64 {
 	if eps < 0 {
 		eps = 0
@@ -320,6 +322,8 @@ func LoadLowerBoundIntersecting(n int, eq, eps float64) float64 {
 // LoadLowerBoundIntersectingGlobal returns the Corollary 3.12 bound
 // (1-√ε)/√n, the minimum over all expected quorum sizes of
 // LoadLowerBoundIntersecting.
+//
+//pqslint:allow deadexport paper Corollary 3.12, pinned by core_test TestConstructionMeetsLowerBounds
 func LoadLowerBoundIntersectingGlobal(n int, eps float64) float64 {
 	if eps < 0 {
 		eps = 0
@@ -333,6 +337,8 @@ func LoadLowerBoundIntersectingGlobal(n int, eps float64) float64 {
 // LoadLowerBoundMasking returns the Theorem 5.5 lower bound on the load of
 // any (b, ε)-masking quorum system: (1-2ε)/(1-ε) · b/n (zero when ε >= 1/2,
 // where the bound is vacuous).
+//
+//pqslint:allow deadexport paper Theorem 5.5, pinned by core_test TestConstructionMeetsLowerBounds
 func LoadLowerBoundMasking(n, b int, eps float64) float64 {
 	if eps >= 0.5 {
 		return 0

@@ -18,7 +18,13 @@
 //     observed failure keeps the completing access set the strategy's
 //     sample conditioned on liveness).
 //
-// plus lite reimplementations of the stock vet passes `go vet` itself does
+// plus deadexport, which guards the surface rather than the replay: no
+// package-level identifier under internal/ that only tests reference. It
+// is the one rule that reads the whole load (a module-wide reference index
+// the runner builds before its per-package loop); a seam a test of live
+// behaviour needs stays under an allow naming who uses it.
+//
+// and lite reimplementations of the stock vet passes `go vet` itself does
 // not run or runs more narrowly (nilness, shadow, atomic); copylocks and
 // loopclosure are left to `go vet`, which make ci runs beside this suite. The
 // framework mirrors the golang.org/x/tools/go/analysis API shape but is
@@ -70,6 +76,7 @@ type Pass struct {
 	Types     *types.Package
 	TypesInfo *types.Info
 
+	refs   *refIndex // module-wide, for deadexport
 	report func(Diagnostic)
 }
 
@@ -122,20 +129,6 @@ func funcOf(info *types.Info, e ast.Expr) *types.Func {
 	}
 	fn, _ := info.Uses[id].(*types.Func)
 	return fn
-}
-
-// isPkgFunc reports whether e refers to the package-level function
-// pkgPath.name (receiver-less, exact package path).
-func isPkgFunc(info *types.Info, e ast.Expr, pkgPath, name string) bool {
-	fn := funcOf(info, e)
-	if fn == nil || fn.Pkg() == nil {
-		return false
-	}
-	sig, _ := fn.Type().(*types.Signature)
-	if sig == nil || sig.Recv() != nil {
-		return false
-	}
-	return fn.Pkg().Path() == pkgPath && fn.Name() == name
 }
 
 // exprString renders e compactly for use in messages and for matching a

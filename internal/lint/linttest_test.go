@@ -31,6 +31,12 @@ import (
 func runFixture(t *testing.T, name string, analyzers ...*Analyzer) {
 	t.Helper()
 	diags, pkgs := loadFixture(t, name, analyzers...)
+	matchWants(t, diags, pkgs)
+}
+
+// matchWants checks diags against the `// want` comments in pkgs.
+func matchWants(t *testing.T, diags []Diagnostic, pkgs []*Package) {
+	t.Helper()
 	wants := collectWants(t, pkgs)
 	for _, d := range diags {
 		key := lineKey(d.Pos.Filename, d.Pos.Line)

@@ -6,7 +6,7 @@ import (
 )
 
 // All returns the full analyzer suite in reporting order: the five
-// determinism invariants first, then the vet-lite passes.
+// determinism invariants first, then the vet-lite passes, then deadexport.
 func All() []*Analyzer {
 	return []*Analyzer{
 		Wallclock,
@@ -17,6 +17,7 @@ func All() []*Analyzer {
 		Atomic,
 		Shadow,
 		Nilness,
+		Deadexport,
 	}
 }
 
@@ -35,6 +36,10 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		ran[a.Name] = true
 	}
 
+	refs := indexRefs(pkgs)
+	if !refs.root {
+		delete(ran, Deadexport.Name) // inert without every referrer: its allows are idle, not stale
+	}
 	var out []Diagnostic
 	for _, pkg := range pkgs {
 		idx := collectDirectives(pkg, known)
@@ -48,6 +53,7 @@ func Run(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 				Files:     pkg.Syntax,
 				Types:     pkg.Types,
 				TypesInfo: pkg.TypesInfo,
+				refs:      refs,
 				report:    func(d Diagnostic) { found = append(found, d) },
 			}
 			if err := a.Run(pass); err != nil {

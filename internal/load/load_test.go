@@ -244,9 +244,6 @@ func TestScaleScenarioLibrary(t *testing.T) {
 			t.Errorf("duplicate scenario %q", sc.Name)
 		}
 		seen[sc.Name] = true
-		if _, ok := Find(sc.Name); !ok {
-			t.Errorf("Find(%q) failed", sc.Name)
-		}
 		cfg, err := sc.Build(1)
 		if err != nil {
 			t.Fatalf("%s: %v", sc.Name, err)

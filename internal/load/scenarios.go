@@ -155,16 +155,6 @@ func Scenarios() []Scenario {
 	}
 }
 
-// Find returns the named scale point.
-func Find(name string) (Scenario, bool) {
-	for _, s := range Scenarios() {
-		if s.Name == name {
-			return s, true
-		}
-	}
-	return Scenario{}, false
-}
-
 // NegativeConfig is the intentionally failing scale configuration (run by
 // cmd/pqs-chaos -load -negative and the negative test): a view-blind
 // timed run under brutal churn — 40% of the universe replaced per wave,

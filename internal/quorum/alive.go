@@ -24,11 +24,6 @@ func (u *Uniform) LiveQuorumExists(crashed func(ServerID) bool) bool {
 	return false
 }
 
-// LiveQuorumExists implements LiveChecker.
-func (s *Singleton) LiveQuorumExists(crashed func(ServerID) bool) bool {
-	return !crashed(s.id)
-}
-
 // LiveQuorumExists implements LiveChecker: a live quorum needs one fully
 // live row and one fully live column.
 func (g *Grid) LiveQuorumExists(crashed func(ServerID) bool) bool {
@@ -113,7 +108,6 @@ func (g *ByzGrid) LiveQuorumExists(crashed func(ServerID) bool) bool {
 var (
 	_ LiveChecker = (*Uniform)(nil)
 	_ LiveChecker = (*Threshold)(nil) // via embedded Uniform
-	_ LiveChecker = (*Singleton)(nil)
 	_ LiveChecker = (*Grid)(nil)
 	_ LiveChecker = (*ByzGrid)(nil)
 )

@@ -26,21 +26,8 @@ func TestUniformLiveQuorumExists(t *testing.T) {
 	}
 }
 
-func TestSingletonLiveQuorumExists(t *testing.T) {
-	s, err := NewSingleton(3, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.LiveQuorumExists(crashedSet(0, 2)) {
-		t.Error("server 1 alive: quorum exists")
-	}
-	if s.LiveQuorumExists(crashedSet(1)) {
-		t.Error("server 1 crashed: no quorum")
-	}
-}
-
 func TestGridLiveQuorumExists(t *testing.T) {
-	g, err := NewRectGrid(3, 3)
+	g, err := NewGrid(9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,25 +28,11 @@ func NewGrid(n int) (*Grid, error) {
 	return &Grid{rows: s, cols: s}, nil
 }
 
-// NewRectGrid returns the rows x cols grid system.
-func NewRectGrid(rows, cols int) (*Grid, error) {
-	if rows <= 0 || cols <= 0 {
-		return nil, fmt.Errorf("quorum: grid dimensions %dx%d must be positive", rows, cols)
-	}
-	return &Grid{rows: rows, cols: cols}, nil
-}
-
 // Name implements System.
 func (g *Grid) Name() string { return fmt.Sprintf("grid(%dx%d)", g.rows, g.cols) }
 
 // N implements System.
 func (g *Grid) N() int { return g.rows * g.cols }
-
-// Rows returns the number of grid rows.
-func (g *Grid) Rows() int { return g.rows }
-
-// Cols returns the number of grid columns.
-func (g *Grid) Cols() int { return g.cols }
 
 // QuorumSize implements System: one row plus one column share one cell.
 func (g *Grid) QuorumSize() int { return g.rows + g.cols - 1 }
@@ -138,7 +124,6 @@ func (g *Grid) FailProb(p float64) float64 {
 type ByzGrid struct {
 	side int // grid is side x side
 	r    int // rows and columns per quorum
-	b    int // tolerated Byzantine failures
 	name string
 }
 
@@ -200,7 +185,7 @@ func newByzGrid(n, b, r int) (*ByzGrid, error) {
 	if r < 1 || r > side {
 		return nil, fmt.Errorf("quorum: grid quorum needs %d rows/cols but grid side is %d", r, side)
 	}
-	return &ByzGrid{side: side, r: r, b: b}, nil
+	return &ByzGrid{side: side, r: r}, nil
 }
 
 // Name implements System.
@@ -208,12 +193,6 @@ func (g *ByzGrid) Name() string { return g.name }
 
 // N implements System.
 func (g *ByzGrid) N() int { return g.side * g.side }
-
-// B returns the number of Byzantine failures the construction masks.
-func (g *ByzGrid) B() int { return g.b }
-
-// RowsPerQuorum returns r, the number of rows (and of columns) per quorum.
-func (g *ByzGrid) RowsPerQuorum() int { return g.r }
 
 // QuorumSize implements System: r rows and r columns overlap in r*r cells,
 // so |Q| = 2*r*side - r*r.
@@ -257,8 +236,8 @@ func (g *ByzGrid) Load() float64 {
 // row) leaves at most r-1 rows untouched, so no quorum can assemble r clean
 // rows; no smaller set suffices, because with at most side-r crashed-in rows
 // there remain r fully clean rows and, symmetrically, r clean columns.
-// Hence A = side - r + 1. (The paper's Tables 3-4 list sqrt(n) here; see
-// EXPERIMENTS.md for the discrepancy note.)
+// Hence A = side - r + 1. (The paper's Tables 3-4 list sqrt(n) here; the
+// analysis package's Table 3 notes the discrepancy.)
 func (g *ByzGrid) FaultTolerance() int { return g.side - g.r + 1 }
 
 // FailProb implements System, approximately: it returns the union bound

@@ -2,7 +2,7 @@
 // baseline constructions and the probabilistic constructions of Malkhi,
 // Reiter, Wool and Wright, together with the strict systems themselves:
 // threshold (majority) systems, the Maekawa grid, Byzantine threshold
-// systems, Byzantine grid systems, and the singleton system.
+// systems and Byzantine grid systems.
 //
 // A quorum system here is a sampling procedure (the access strategy w of
 // Definition 2.3) plus analytic quality measures: load (Definition 2.4),
@@ -125,25 +125,6 @@ func sortIDs(s []ServerID) {
 	}
 }
 
-// Intersect returns the intersection of two ascending-sorted ID slices.
-func Intersect(a, b []ServerID) []ServerID {
-	var out []ServerID
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
 // Contains reports whether ascending-sorted s contains id.
 func Contains(s []ServerID, id ServerID) bool {
 	lo, hi := 0, len(s)
@@ -248,8 +229,7 @@ func (u *Uniform) NonIntersectProb() float64 {
 // Byzantine threshold construction of Section 6.
 type Threshold struct {
 	Uniform
-	minIntersect int // guaranteed minimum overlap of any two quorums: 2q-n
-	name         string
+	name string
 }
 
 var _ System = (*Threshold)(nil)
@@ -265,9 +245,8 @@ func NewThreshold(n, q int) (*Threshold, error) {
 		return nil, fmt.Errorf("quorum: threshold size %d does not guarantee intersection over %d servers", q, n)
 	}
 	return &Threshold{
-		Uniform:      *u,
-		minIntersect: 2*q - n,
-		name:         fmt.Sprintf("threshold(n=%d,q=%d)", n, q),
+		Uniform: *u,
+		name:    fmt.Sprintf("threshold(n=%d,q=%d)", n, q),
 	}, nil
 }
 
@@ -296,9 +275,6 @@ func NewDissemThreshold(n, b int) (*Threshold, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.minIntersect < b+1 {
-		return nil, fmt.Errorf("quorum: internal: overlap %d < b+1", t.minIntersect)
-	}
 	t.name = fmt.Sprintf("dissem-threshold(n=%d,b=%d)", n, b)
 	return t, nil
 }
@@ -318,55 +294,9 @@ func NewMaskThreshold(n, b int) (*Threshold, error) {
 	if err != nil {
 		return nil, err
 	}
-	if t.minIntersect < 2*b+1 {
-		return nil, fmt.Errorf("quorum: internal: overlap %d < 2b+1", t.minIntersect)
-	}
 	t.name = fmt.Sprintf("mask-threshold(n=%d,b=%d)", n, b)
 	return t, nil
 }
 
 // Name implements System.
 func (t *Threshold) Name() string { return t.name }
-
-// MinIntersect returns the guaranteed minimum overlap 2q-n of any two
-// quorums.
-func (t *Threshold) MinIntersect() int { return t.minIntersect }
-
-// Singleton is the one-server quorum system {{u}}. It has the best possible
-// failure probability p among strict systems when p >= 1/2 (Peleg-Wool), and
-// appears as one branch of the strict lower-bound curve in Figures 1-3.
-type Singleton struct {
-	n  int
-	id ServerID
-}
-
-var _ System = (*Singleton)(nil)
-
-// NewSingleton returns the singleton system over n servers using server id.
-func NewSingleton(n int, id ServerID) (*Singleton, error) {
-	if n <= 0 || id < 0 || int(id) >= n {
-		return nil, fmt.Errorf("quorum: singleton id %d outside universe of %d", id, n)
-	}
-	return &Singleton{n: n, id: id}, nil
-}
-
-// Name implements System.
-func (s *Singleton) Name() string { return fmt.Sprintf("singleton(n=%d)", s.n) }
-
-// N implements System.
-func (s *Singleton) N() int { return s.n }
-
-// QuorumSize implements System.
-func (s *Singleton) QuorumSize() int { return 1 }
-
-// Pick implements System.
-func (s *Singleton) Pick(_ *rand.Rand) []ServerID { return []ServerID{s.id} }
-
-// Load implements System: the single server carries every access.
-func (s *Singleton) Load() float64 { return 1 }
-
-// FaultTolerance implements System.
-func (s *Singleton) FaultTolerance() int { return 1 }
-
-// FailProb implements System.
-func (s *Singleton) FailProb(p float64) float64 { return p }

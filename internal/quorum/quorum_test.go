@@ -7,6 +7,30 @@ import (
 	"testing/quick"
 )
 
+// intersect returns the intersection of two ascending-sorted ID slices: the
+// overlap oracle the intersection tests check quorums with.
+func intersect(a, b []ServerID) []ServerID {
+	var out []ServerID
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// minIntersect is the guaranteed minimum overlap 2q-n of any two quorums of
+// a threshold system.
+func minIntersect(t *Threshold) int { return 2*t.QuorumSize() - t.N() }
+
 func TestSampleKBasic(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
@@ -143,11 +167,11 @@ func TestSampleKPanics(t *testing.T) {
 func TestIntersectAndContains(t *testing.T) {
 	a := []ServerID{1, 3, 5, 7, 9}
 	b := []ServerID{2, 3, 4, 7, 10}
-	got := Intersect(a, b)
+	got := intersect(a, b)
 	if len(got) != 2 || got[0] != 3 || got[1] != 7 {
 		t.Errorf("Intersect = %v, want [3 7]", got)
 	}
-	if Intersect(a, nil) != nil {
+	if intersect(a, nil) != nil {
 		t.Error("Intersect with empty should be nil")
 	}
 	for _, id := range a {
@@ -169,7 +193,7 @@ func TestIntersectQuick(t *testing.T) {
 		n := 1 + rr.Intn(40)
 		a := SampleK(rr, n, rr.Intn(n+1))
 		b := SampleK(rr, n, rr.Intn(n+1))
-		inter := Intersect(a, b)
+		inter := intersect(a, b)
 		// Every element of inter is in both; every common element is in inter.
 		set := make(map[ServerID]bool)
 		for _, id := range inter {
@@ -231,7 +255,7 @@ func TestUniformNonIntersectEmpirical(t *testing.T) {
 	r := rand.New(rand.NewSource(4))
 	trials, misses := 200000, 0
 	for i := 0; i < trials; i++ {
-		if len(Intersect(u.Pick(r), u.Pick(r))) == 0 {
+		if len(intersect(u.Pick(r), u.Pick(r))) == 0 {
 			misses++
 		}
 	}
@@ -254,7 +278,7 @@ func TestMajorityPaperSizes(t *testing.T) {
 	// Table 2 threshold column: quorum size and fault tolerance. The paper
 	// lists fault tolerance equal to the quorum size in every row; the exact
 	// value A = n-q+1 coincides with that for odd n and is one lower for
-	// even n (see EXPERIMENTS.md).
+	// even n (analysis.Table2 notes it).
 	want := map[int][2]int{
 		25: {13, 13}, 100: {51, 50}, 225: {113, 113},
 		400: {201, 200}, 625: {313, 313}, 900: {451, 450},
@@ -278,14 +302,14 @@ func TestThresholdIntersectionGuarantee(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if th.MinIntersect() != 2 {
-		t.Errorf("MinIntersect = %d, want 2", th.MinIntersect())
+	if minIntersect(th) != 2 {
+		t.Errorf("MinIntersect = %d, want 2", minIntersect(th))
 	}
 	r := rand.New(rand.NewSource(5))
 	for i := 0; i < 2000; i++ {
 		a, b := th.Pick(r), th.Pick(r)
-		if len(Intersect(a, b)) < th.MinIntersect() {
-			t.Fatalf("quorums intersect in %d < %d", len(Intersect(a, b)), th.MinIntersect())
+		if len(intersect(a, b)) < minIntersect(th) {
+			t.Fatalf("quorums intersect in %d < %d", len(intersect(a, b)), minIntersect(th))
 		}
 	}
 	if _, err := NewThreshold(20, 10); err == nil {
@@ -296,7 +320,7 @@ func TestThresholdIntersectionGuarantee(t *testing.T) {
 func TestDissemThresholdPaperSizes(t *testing.T) {
 	// Table 3 threshold column with b = floor((sqrt(n)-1)/2). The n=225 row
 	// is OCR-corrupted in the source; the formula values are used
-	// (see DESIGN.md).
+	// (analysis.Table3 notes it).
 	cases := []struct{ n, b, size, ft int }{
 		{25, 2, 14, 12},
 		{100, 4, 53, 48},
@@ -316,8 +340,8 @@ func TestDissemThresholdPaperSizes(t *testing.T) {
 		if th.FaultTolerance() != c.ft {
 			t.Errorf("n=%d: fault tolerance %d, want %d", c.n, th.FaultTolerance(), c.ft)
 		}
-		if th.MinIntersect() < c.b+1 {
-			t.Errorf("n=%d: overlap %d < b+1", c.n, th.MinIntersect())
+		if minIntersect(th) < c.b+1 {
+			t.Errorf("n=%d: overlap %d < b+1", c.n, minIntersect(th))
 		}
 	}
 	if _, err := NewDissemThreshold(10, 4); err == nil {
@@ -349,8 +373,8 @@ func TestMaskThresholdPaperSizes(t *testing.T) {
 		if th.FaultTolerance() != c.ft {
 			t.Errorf("n=%d: fault tolerance %d, want %d", c.n, th.FaultTolerance(), c.ft)
 		}
-		if th.MinIntersect() < 2*c.b+1 {
-			t.Errorf("n=%d: overlap %d < 2b+1", c.n, th.MinIntersect())
+		if minIntersect(th) < 2*c.b+1 {
+			t.Errorf("n=%d: overlap %d < 2b+1", c.n, minIntersect(th))
 		}
 	}
 	if _, err := NewMaskThreshold(10, 3); err == nil {
@@ -365,25 +389,6 @@ func TestResilienceBounds(t *testing.T) {
 	}
 	if MaxDissemB(4) != 1 || MaxMaskB(5) != 1 {
 		t.Errorf("small-n bounds: %d, %d", MaxDissemB(4), MaxMaskB(5))
-	}
-}
-
-func TestSingleton(t *testing.T) {
-	s, err := NewSingleton(10, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Pick(rand.New(rand.NewSource(1))); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Pick = %v", got)
-	}
-	if s.Load() != 1 || s.FaultTolerance() != 1 || s.QuorumSize() != 1 {
-		t.Error("singleton measures wrong")
-	}
-	if s.FailProb(0.37) != 0.37 {
-		t.Error("singleton FailProb must equal p")
-	}
-	if _, err := NewSingleton(5, 5); err == nil {
-		t.Error("out-of-universe id must be rejected")
 	}
 }
 
@@ -408,7 +413,7 @@ func TestGridBasics(t *testing.T) {
 }
 
 func TestGridPickShape(t *testing.T) {
-	g, err := NewRectGrid(4, 6)
+	g, err := NewGrid(36)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,7 +437,7 @@ func TestGridPickShape(t *testing.T) {
 			}
 		}
 		for _, c := range colCount {
-			if c == 4 {
+			if c == 6 {
 				fullCols++
 			}
 		}
@@ -504,8 +509,8 @@ func bruteGridFailProb(rows, cols int, p float64) float64 {
 }
 
 func TestGridFailProbExact(t *testing.T) {
-	for _, dims := range [][2]int{{2, 2}, {2, 3}, {3, 3}, {3, 4}} {
-		g, err := NewRectGrid(dims[0], dims[1])
+	for _, dims := range [][2]int{{2, 2}, {3, 3}, {4, 4}} {
+		g, err := NewGrid(dims[0] * dims[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -563,18 +568,19 @@ func TestByzGridPaperSizes(t *testing.T) {
 }
 
 func TestByzGridOverlap(t *testing.T) {
-	g, err := NewMaskGrid(100, 4)
+	const b = 4
+	g, err := NewMaskGrid(100, b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	r := rand.New(rand.NewSource(9))
 	for i := 0; i < 1000; i++ {
-		a, b := g.Pick(r), g.Pick(r)
-		if len(a) != g.QuorumSize() || len(b) != g.QuorumSize() {
-			t.Fatalf("pick size %d/%d, want %d", len(a), len(b), g.QuorumSize())
+		a, c := g.Pick(r), g.Pick(r)
+		if len(a) != g.QuorumSize() || len(c) != g.QuorumSize() {
+			t.Fatalf("pick size %d/%d, want %d", len(a), len(c), g.QuorumSize())
 		}
-		if got := len(Intersect(a, b)); got < 2*g.B()+1 {
-			t.Fatalf("overlap %d < 2b+1 = %d", got, 2*g.B()+1)
+		if got := len(intersect(a, c)); got < 2*b+1 {
+			t.Fatalf("overlap %d < 2b+1 = %d", got, 2*b+1)
 		}
 	}
 }
@@ -584,9 +590,9 @@ func TestByzGridMeasures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// r = ceil(sqrt(5/2)) = 2; A = 10 - 2 + 1 = 9.
-	if g.RowsPerQuorum() != 2 {
-		t.Errorf("r = %d, want 2", g.RowsPerQuorum())
+	// r = ceil(sqrt(5/2)) = 2: |Q| = 2·2·10 - 2·2 = 36; A = 10 - 2 + 1 = 9.
+	if g.QuorumSize() != 36 {
+		t.Errorf("quorum size %d, want 36", g.QuorumSize())
 	}
 	if g.FaultTolerance() != 9 {
 		t.Errorf("fault tolerance %d, want 9", g.FaultTolerance())
@@ -626,9 +632,6 @@ func TestLoadLowerBoundNaorWool(t *testing.T) {
 	}
 	if g, err := NewGrid(100); err == nil {
 		systems = append(systems, g)
-	}
-	if s, err := NewSingleton(100, 0); err == nil {
-		systems = append(systems, s)
 	}
 	for _, s := range systems {
 		if s.Load() < 1/math.Sqrt(float64(s.N()))-1e-12 {

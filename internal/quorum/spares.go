@@ -1,9 +1,6 @@
 package quorum
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "math/rand"
 
 // SpareSampler is implemented by systems whose access strategy can produce,
 // alongside one quorum, a ranked list of spare servers to promote when a
@@ -16,9 +13,8 @@ import (
 // (or to be slower than a hedge delay that is independent of server
 // identity) is the same conditioning the retrying client already documents:
 // the access set that completes is the strategy's sample conditioned on
-// having answered, so the attempt-level ε argument carries over. The sim
-// package's consistency harness and the empirical-ε benchmarks measure
-// exactly this with hedging enabled.
+// having answered, so the attempt-level ε argument carries over. The chaos
+// harness (chaos.Run) measures exactly this with hedging enabled.
 type SpareSampler interface {
 	System
 	// PickWithSpares samples one quorum plus up to spares extra servers.
@@ -108,49 +104,9 @@ func (g *ByzGrid) PickWithSpares(rnd *rand.Rand, spares int) ([]ServerID, []Serv
 	return q, sampleComplement(rnd, g.N(), q, spares)
 }
 
-// PickWithSpares implements SpareSampler. The strategy already asks servers
-// in a uniformly random order and stops at the vote threshold, so the spares
-// are simply the next servers of the same permutation — exactly the servers
-// the strategy would have asked next had a member been dead.
-func (w *Weighted) PickWithSpares(r *rand.Rand, spares int) ([]ServerID, []ServerID) {
-	perm := r.Perm(len(w.votes))
-	got := 0
-	cut := 0
-	var out []ServerID
-	for i, idx := range perm {
-		out = append(out, ServerID(idx))
-		got += w.votes[idx]
-		if got >= w.t {
-			cut = i + 1
-			break
-		}
-	}
-	if got < w.t {
-		// NewWeighted guarantees threshold <= total votes, so even the full
-		// permutation reaching fewer than t votes means the invariant was
-		// broken (a zero-value or mutated Weighted). Returning the whole
-		// universe as a "quorum" here would silently void the intersection
-		// guarantee every ε bound rests on — fail loudly instead.
-		panic(fmt.Sprintf("quorum: weighted votes total %d below threshold %d; Weighted must be built with NewWeighted", got, w.t))
-	}
-	sortIDs(out)
-	if spares > len(perm)-cut {
-		spares = len(perm) - cut
-	}
-	if spares < 0 {
-		spares = 0
-	}
-	spare := make([]ServerID, 0, spares)
-	for _, idx := range perm[cut : cut+spares] {
-		spare = append(spare, ServerID(idx))
-	}
-	return out, spare
-}
-
 var (
 	_ SpareSampler = (*Uniform)(nil)
 	_ SpareSampler = (*Threshold)(nil) // via embedded Uniform
 	_ SpareSampler = (*Grid)(nil)
 	_ SpareSampler = (*ByzGrid)(nil)
-	_ SpareSampler = (*Weighted)(nil)
 )

@@ -52,11 +52,7 @@ func TestPickWithSparesContract(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := NewWeighted([]int{3, 1, 1, 1, 2, 2, 1}, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sys := range []SpareSampler{u, g, bg, w} {
+	for _, sys := range []SpareSampler{u, g, bg} {
 		for trial := 0; trial < 200; trial++ {
 			checkSpares(t, sys, r, trial%5)
 		}
@@ -100,24 +96,6 @@ func TestUniformSparesPreserveQuorumDistribution(t *testing.T) {
 		got := float64(c) / float64(trials)
 		if math.Abs(got-want) > 0.015 {
 			t.Errorf("server %d quorum frequency %.4f, want %.4f +/- 0.015", id, got, want)
-		}
-	}
-}
-
-// TestWeightedSparesFollowPermutation checks the weighted strategy's spares
-// are exactly the servers the permutation-prefix strategy would have asked
-// next: quorum and spares together never repeat a server and cover votes in
-// permutation order.
-func TestWeightedSparesFollowPermutation(t *testing.T) {
-	w, err := NewWeighted([]int{1, 1, 1, 1, 1}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 100; trial++ {
-		q, spare := w.PickWithSpares(r, 2)
-		if len(q) != 3 || len(spare) != 2 {
-			t.Fatalf("got |q|=%d |spare|=%d, want 3 and 2", len(q), len(spare))
 		}
 	}
 }

@@ -391,12 +391,12 @@ func TestMaskDecided(t *testing.T) {
 // support must fail loudly at construction, not silently degrade.
 func TestSpareRequiresSampler(t *testing.T) {
 	c := newCluster(t, 3)
-	single, err := quorum.NewSingleton(3, 1)
+	u, err := quorum.NewUniform(3, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, err = NewClient(Options{
-		System:    single,
+		System:    struct{ quorum.System }{u}, // hides PickWithSpares
 		Mode:      Benign,
 		Transport: c.net,
 		Rand:      rand.New(rand.NewSource(1)),

@@ -277,6 +277,8 @@ func (s *Store) Keys() []string {
 // may appear in some shards and not others, which is harmless to the gossip
 // path (anti-entropy converges regardless of which rounds see which
 // entries).
+//
+//pqslint:allow deadexport seam: replica and register tests compare whole stores against a model
 func (s *Store) Snapshot() map[string]Entry {
 	out := make(map[string]Entry, s.Len())
 	s.each(func(sl *slot) { out[sl.key] = sl.e })

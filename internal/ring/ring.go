@@ -43,8 +43,7 @@ type point struct {
 // Ring is an immutable consistent-hash ring over a set of member cells.
 // Construct with New (or View.Ring); safe for concurrent use.
 type Ring struct {
-	points  []point
-	members []int
+	points []point
 }
 
 // New builds a ring over the given member cell ids with vnodes virtual
@@ -61,10 +60,7 @@ func New(members []int, vnodes int) (*Ring, error) {
 		return nil, fmt.Errorf("ring: vnodes %d must be positive", vnodes)
 	}
 	seen := make(map[int]bool, len(members))
-	r := &Ring{
-		points:  make([]point, 0, len(members)*vnodes),
-		members: append([]int(nil), members...),
-	}
+	r := &Ring{points: make([]point, 0, len(members)*vnodes)}
 	for _, m := range members {
 		if m < 0 {
 			return nil, fmt.Errorf("ring: member cell id %d must be non-negative", m)
@@ -99,9 +95,6 @@ func (r *Ring) Lookup(key string) int {
 	}
 	return r.points[i].cell
 }
-
-// Members returns the member cell ids (a copy, in construction order).
-func (r *Ring) Members() []int { return append([]int(nil), r.members...) }
 
 // keyHash positions a key on the circle: FNV-1a 64 finalized with
 // splitmix64. Raw FNV of short structured inputs leaves the high bits

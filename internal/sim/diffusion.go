@@ -13,6 +13,17 @@ import (
 	"pqs/internal/ts"
 )
 
+// ConsistencyResult summarizes MeasureDiffusionConsistency.
+type ConsistencyResult struct {
+	Trials int
+	// Correct counts reads that returned the last written value; Stale
+	// counts the rest (an older value, or nothing).
+	Correct int
+	Stale   int
+	// Rate is the empirical failure probability, 1 - Correct/Trials.
+	Rate float64
+}
+
 // MeasureDiffusionConsistency measures the Section 1.1 claim that a
 // diffusion mechanism drives the effective ε toward zero for updates
 // sufficiently dispersed in time: each trial writes under the benign

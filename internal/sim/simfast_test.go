@@ -1,20 +1,39 @@
-package sim
+package sim_test
 
 import (
 	"math"
 	"testing"
 	"time"
 
+	"pqs/internal/chaos"
 	"pqs/internal/config"
 	"pqs/internal/core"
 	"pqs/internal/register"
+	"pqs/internal/sim"
 )
 
+// stragglers slows servers 0..n-1 to exactly d per call from the first
+// operation on: the subset the hedge should route around.
+func stragglers(n int, d time.Duration) chaos.Action {
+	return chaos.SlowDown(d, d, ids(n)...)
+}
+
+// simSpeedup runs cfg under a SimClock and returns its report and the ratio
+// of the virtual time it covered to the wall time it took.
+func simSpeedup(t *testing.T, cfg chaos.Config) (*chaos.Report, time.Duration, float64) {
+	t.Helper()
+	start := time.Now()
+	rep := run(t, cfg)
+	wall := time.Since(start)
+	simulated := time.Duration(rep.SimSeconds * float64(time.Second))
+	return rep, simulated, float64(simulated) / float64(wall)
+}
+
 // TestSimFastLongFormEpsilon is the CI `sim-fast` gate: the long-form ε
-// measurement — hundreds of trials over a 100-server cluster with tens of
-// milliseconds of injected per-call latency, stragglers and adaptive
-// hedging — which real-time sleeps made far too slow for CI. Under a
-// SimClock it must cover its simulated duration at least 50x faster than
+// measurement — hundreds of write-then-read pairs over a 100-server cluster
+// with tens of milliseconds of injected per-call latency, stragglers and
+// adaptive hedging — which real-time sleeps made far too slow for CI. Under
+// a SimClock it must cover its simulated duration at least 50x faster than
 // wall time, proving the virtual-time speedup is real and gating
 // regressions that would reintroduce wall-clock waits into the simulated
 // path.
@@ -25,41 +44,34 @@ func TestSimFastLongFormEpsilon(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ConsistencyConfig{
-		System: sys, Mode: register.Benign, Trials: 400, Seed: 42,
-		Virtual:    true,
-		Topology:   config.Topology{LatencyMin: 20 * time.Millisecond, LatencyMax: 60 * time.Millisecond},
-		StragglerN: 5, StragglerLatency: 150 * time.Millisecond,
+	cfg := chaos.Config{
+		System: sys, Mode: register.Benign, Ops: 400, Seed: 42, Bound: sys.EpsilonBound(),
+		Virtual:  true,
+		Topology: config.Topology{LatencyMin: 20 * time.Millisecond, LatencyMax: 60 * time.Millisecond},
 		Tuning: config.Tuning{
 			Spares:        2,
 			HedgeDelay:    80 * time.Millisecond,
 			AdaptiveHedge: true,
 			EagerRead:     true,
 		},
+		Schedule: chaos.Schedule{chaos.At(0, stragglers(5, 150*time.Millisecond))},
 	}
-	start := time.Now()
-	res, err := MeasureConsistency(cfg)
-	wall := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
+	rep, simulated, speedup := simSpeedup(t, cfg)
+	if simulated < 10*time.Second {
+		t.Fatalf("run simulated only %v; the latency injection is not reaching the clock", simulated)
 	}
-	if res.SimElapsed < 10*time.Second {
-		t.Fatalf("run simulated only %v; the latency injection is not reaching the clock", res.SimElapsed)
-	}
-	speedup := float64(res.SimElapsed) / float64(wall)
-	t.Logf("simulated %v in %v wall: %.0fx speedup (ε=%.4f over %d trials, bound %.3g)",
-		res.SimElapsed.Round(time.Millisecond), wall.Round(time.Millisecond),
-		speedup, res.Rate, res.Trials, sys.EpsilonBound())
+	eps := rep.Check.Epsilon
+	t.Logf("simulated %v at %.0fx wall speed (ε=%.4f over %d reads, bound %.3g)",
+		simulated.Round(time.Millisecond), speedup, eps, rep.Check.Reads, sys.EpsilonBound())
 	if speedup < 50 {
-		t.Fatalf("virtual time ran only %.1fx faster than wall (%v simulated in %v); want >= 50x",
-			speedup, res.SimElapsed, wall)
+		t.Fatalf("virtual time ran only %.1fx faster than wall (%v simulated); want >= 50x", speedup, simulated)
 	}
 	// The measurement itself must stay sane: the bound check with slack
 	// for the finite trial count (the adversarial version lives in the
-	// chaos suite; this is the smoke assertion for the long-form run).
-	sigma := math.Sqrt(sys.EpsilonBound() * (1 - sys.EpsilonBound()) / float64(cfg.Trials))
-	if res.Rate > sys.EpsilonBound()+3*sigma {
-		t.Fatalf("long-form ε %.5f far above bound %.5f", res.Rate, sys.EpsilonBound())
+	// chaos matrix; this is the smoke assertion for the long-form run).
+	sigma := math.Sqrt(sys.EpsilonBound() * (1 - sys.EpsilonBound()) / float64(cfg.Ops))
+	if eps > sys.EpsilonBound()+3*sigma {
+		t.Fatalf("long-form ε %.5f far above bound %.5f", eps, sys.EpsilonBound())
 	}
 }
 
@@ -79,38 +91,30 @@ func TestSimFastLongFormEpsilonTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ConsistencyConfig{
-		System: sys, Mode: register.Benign, Trials: 200, Seed: 42,
-		Virtual:    true,
-		Topology:   config.Topology{Transport: TransportTCPVirtual, LatencyMin: 10 * time.Millisecond, LatencyMax: 30 * time.Millisecond},
-		StragglerN: 5, StragglerLatency: 80 * time.Millisecond,
+	cfg := chaos.Config{
+		System: sys, Mode: register.Benign, Ops: 200, Seed: 42, Bound: sys.EpsilonBound(),
+		Topology: config.Topology{Transport: sim.TransportTCPVirtual, LatencyMin: 10 * time.Millisecond, LatencyMax: 30 * time.Millisecond},
 		Tuning: config.Tuning{
 			Spares:        2,
 			HedgeDelay:    90 * time.Millisecond,
 			AdaptiveHedge: true,
 			EagerRead:     true,
 		},
+		Schedule: chaos.Schedule{chaos.At(0, stragglers(5, 80*time.Millisecond))},
 	}
-	start := time.Now()
-	res, err := MeasureConsistency(cfg)
-	wall := time.Since(start)
-	if err != nil {
-		t.Fatal(err)
+	rep, simulated, speedup := simSpeedup(t, cfg)
+	if simulated < 5*time.Second {
+		t.Fatalf("run simulated only %v; chunk latency is not reaching the byte streams", simulated)
 	}
-	if res.SimElapsed < 5*time.Second {
-		t.Fatalf("run simulated only %v; chunk latency is not reaching the byte streams", res.SimElapsed)
-	}
-	speedup := float64(res.SimElapsed) / float64(wall)
-	t.Logf("virtual TCP: simulated %v in %v wall: %.0fx speedup (ε=%.4f over %d trials, bound %.3g)",
-		res.SimElapsed.Round(time.Millisecond), wall.Round(time.Millisecond),
-		speedup, res.Rate, res.Trials, sys.EpsilonBound())
+	eps := rep.Check.Epsilon
+	t.Logf("virtual TCP: simulated %v at %.0fx wall speed (ε=%.4f over %d reads, bound %.3g)",
+		simulated.Round(time.Millisecond), speedup, eps, rep.Check.Reads, sys.EpsilonBound())
 	if speedup < 20 {
-		t.Fatalf("virtual TCP ran only %.1fx faster than wall (%v simulated in %v); want >= 20x",
-			speedup, res.SimElapsed, wall)
+		t.Fatalf("virtual TCP ran only %.1fx faster than wall (%v simulated); want >= 20x", speedup, simulated)
 	}
-	sigma := math.Sqrt(sys.EpsilonBound() * (1 - sys.EpsilonBound()) / float64(cfg.Trials))
-	if res.Rate > sys.EpsilonBound()+3*sigma {
-		t.Fatalf("long-form ε %.5f far above bound %.5f", res.Rate, sys.EpsilonBound())
+	sigma := math.Sqrt(sys.EpsilonBound() * (1 - sys.EpsilonBound()) / float64(cfg.Ops))
+	if eps > sys.EpsilonBound()+3*sigma {
+		t.Fatalf("long-form ε %.5f far above bound %.5f", eps, sys.EpsilonBound())
 	}
 }
 
@@ -127,39 +131,28 @@ func TestAdaptiveHedgeEpsilonPreserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := ConsistencyConfig{
-		System: sys, Mode: register.Benign, Trials: 500, Seed: 23,
-		Virtual:    true,
-		Topology:   config.Topology{LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
-		StragglerN: 4, StragglerLatency: 25 * time.Millisecond,
-		DropProb: 0.08,
+	base := chaos.Config{
+		System: sys, Mode: register.Benign, Ops: 500, Seed: 23,
+		Virtual:  true,
+		Topology: config.Topology{LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
+		Schedule: chaos.Schedule{chaos.At(0, stragglers(4, 25*time.Millisecond), chaos.Drop(0.08))},
 	}
 	hedged := base
-	hedged.Spares = 3
-	hedged.HedgeDelay = 5 * time.Millisecond
-	hedged.AdaptiveHedge = true
-	hedged.EagerRead = true
+	hedged.Tuning = config.Tuning{Spares: 3, HedgeDelay: 5 * time.Millisecond, AdaptiveHedge: true, EagerRead: true}
 
-	rb, err := MeasureConsistency(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rh, err := MeasureConsistency(hedged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sigma := math.Sqrt(math.Max(rb.Rate, 0.01) * (1 - rb.Rate) / float64(base.Trials))
-	t.Logf("ε unhedged %.4f, adaptive-hedged %.4f (3σ slack %.4f), hedged run simulated %v vs %v",
-		rb.Rate, rh.Rate, 3*sigma, rh.SimElapsed.Round(time.Millisecond), rb.SimElapsed.Round(time.Millisecond))
-	if rh.Rate > rb.Rate+3*sigma {
-		t.Fatalf("adaptive hedging degraded ε: %.4f hedged vs %.4f unhedged (+3σ = %.4f)",
-			rh.Rate, rb.Rate, rb.Rate+3*sigma)
+	rb, rh := run(t, base), run(t, hedged)
+	eb, eh := rb.Check.Epsilon, rh.Check.Epsilon
+	sigma := math.Sqrt(math.Max(eb, 0.01) * (1 - eb) / float64(base.Ops))
+	t.Logf("ε unhedged %.4f, adaptive-hedged %.4f (3σ slack %.4f), hedged run simulated %.3fs vs %.3fs",
+		eb, eh, 3*sigma, rh.SimSeconds, rb.SimSeconds)
+	if eh > eb+3*sigma {
+		t.Fatalf("adaptive hedging degraded ε: %.4f hedged vs %.4f unhedged (+3σ = %.4f)", eh, eb, eb+3*sigma)
 	}
 	// And it must actually have hedged something: the straggler subset
 	// plus drops guarantee promotions, so a zero here means the knob was
 	// silently disconnected.
-	if rh.SimElapsed >= rb.SimElapsed {
-		t.Fatalf("hedged run was not faster in virtual time (%v vs %v); hedging is not engaging",
-			rh.SimElapsed, rb.SimElapsed)
+	if rh.SimSeconds >= rb.SimSeconds {
+		t.Fatalf("hedged run was not faster in virtual time (%.3fs vs %.3fs); hedging is not engaging",
+			rh.SimSeconds, rb.SimSeconds)
 	}
 }

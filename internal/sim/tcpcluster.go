@@ -19,8 +19,8 @@ import (
 	"pqs/internal/vtime"
 )
 
-// Transport selector values for ConsistencyConfig.Transport (and
-// chaos.Config.Transport, which aliases them).
+// Transport selector values for config.Topology.Transport, as chaos.Config
+// and load.Config read it.
 const (
 	// TransportMem runs client calls directly on the in-process MemNetwork
 	// (the default, and the only option before the virtual TCP data plane).

@@ -44,7 +44,7 @@ func (h *bothSides) TryHandle(_ context.Context, req any) (any, bool, error) {
 func TestServerAnswersOnTheReadLoop(t *testing.T) {
 	const n = 200
 	h := new(bothSides)
-	srv, err := ListenTCP("127.0.0.1:0", h)
+	srv, err := ListenTCPCodec("127.0.0.1:0", h, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestParkingRequestDoesNotHoldUpTheConnection(t *testing.T) {
 // flight on holds its read loop and nothing else.
 func TestIdleConnectionCostsOneGoroutine(t *testing.T) {
 	const conns = 20
-	srv, err := ListenTCP("127.0.0.1:0", new(bothSides))
+	srv, err := ListenTCPCodec("127.0.0.1:0", new(bothSides), CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

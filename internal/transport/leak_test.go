@@ -63,11 +63,11 @@ func TestTCPServerCloseWithInflightRequests(t *testing.T) {
 			return wire.PingReply{}, nil
 		}
 	})
-	srv, err := transport.ListenTCP("127.0.0.1:0", h)
+	srv, err := transport.ListenTCPCodec("127.0.0.1:0", h, transport.CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := transport.NewTCPClient(map[quorum.ServerID]string{1: srv.Addr()})
+	client := transport.NewTCPClientOpts(map[quorum.ServerID]string{1: srv.Addr()}, transport.TCPClientOptions{})
 
 	const inflight = 8
 	var wg sync.WaitGroup
@@ -108,14 +108,14 @@ func TestHedgedReadsDrainOverTCP(t *testing.T) {
 		r := replica.New(quorum.ServerID(i))
 		// Slow replicas keep replies in flight when the reads return early.
 		r.SetBehavior(replica.Delayed{Delay: 5 * time.Millisecond})
-		srv, err := transport.ListenTCP("127.0.0.1:0", r)
+		srv, err := transport.ListenTCPCodec("127.0.0.1:0", r, transport.CodecBinary)
 		if err != nil {
 			t.Fatal(err)
 		}
 		servers = append(servers, srv)
 		addrs[quorum.ServerID(i)] = srv.Addr()
 	}
-	tcpClient := transport.NewTCPClient(addrs)
+	tcpClient := transport.NewTCPClientOpts(addrs, transport.TCPClientOptions{})
 	client, err := register.NewClient(register.Options{
 		System:    sys,
 		Mode:      register.Benign,
@@ -184,9 +184,9 @@ func (c *stuckConn) Close() error {
 func TestTCPClientCloseDuringBlockedFlush(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	srv, err := transport.ListenTCP("127.0.0.1:0", transport.HandlerFunc(func(context.Context, any) (any, error) {
+	srv, err := transport.ListenTCPCodec("127.0.0.1:0", transport.HandlerFunc(func(context.Context, any) (any, error) {
 		return wire.PingReply{}, nil
-	}))
+	}), transport.CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

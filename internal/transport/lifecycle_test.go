@@ -480,7 +480,7 @@ func TestUnencodableRequestKeepsConnection(t *testing.T) {
 		}
 		return req, nil
 	})
-	srv, err := ListenTCP("127.0.0.1:0", h)
+	srv, err := ListenTCPCodec("127.0.0.1:0", h, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}

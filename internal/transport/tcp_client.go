@@ -74,14 +74,9 @@ type TCPClient struct {
 	nextID atomic.Uint64
 }
 
-// NewTCPClient returns a client that reaches server id at addrs[id] with the
-// default binary codec.
-func NewTCPClient(addrs map[quorum.ServerID]string) *TCPClient {
-	return NewTCPClientOpts(addrs, TCPClientOptions{})
-}
-
-// NewTCPClientOpts is NewTCPClient with full options (codec, clock, dialer
-// injection, call timeout).
+// NewTCPClientOpts returns a client that reaches server id at addrs[id],
+// configured by o (codec, clock, dialer injection, call timeout; the zero
+// value is the binary codec on the wall clock over real sockets).
 func NewTCPClientOpts(addrs map[quorum.ServerID]string, o TCPClientOptions) *TCPClient {
 	clk := vtime.Or(o.Clock)
 	dial := o.Dial

@@ -51,15 +51,9 @@ type TCPServer struct {
 	wg     *vtime.WaitGroup
 }
 
-// ListenTCP starts serving h on addr (e.g. "127.0.0.1:0") with the default
-// binary codec. Close shuts the server down and waits for connection
-// goroutines to finish.
-func ListenTCP(addr string, h Handler) (*TCPServer, error) {
-	return ListenTCPCodec(addr, h, CodecBinary)
-}
-
-// ListenTCPCodec is ListenTCP with an explicit codec. Clients must dial with
-// the same codec.
+// ListenTCPCodec starts serving h on addr (e.g. "127.0.0.1:0") with codec.
+// Clients must dial with the same codec. Close shuts the server down and
+// waits for connection goroutines to finish.
 func ListenTCPCodec(addr string, h Handler, codec Codec) (*TCPServer, error) {
 	l, err := net.Listen("tcp", addr)
 	if err != nil {

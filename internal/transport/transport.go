@@ -55,6 +55,8 @@ type TryHandler interface {
 }
 
 // HandlerFunc adapts a function to the Handler interface.
+//
+//pqslint:allow deadexport seam: transport and sim tests build handlers from closures
 type HandlerFunc func(ctx context.Context, req any) (any, error)
 
 // Handle implements Handler.

@@ -172,12 +172,12 @@ func TestMemNetworkConcurrent(t *testing.T) {
 }
 
 func TestTCPRoundTrip(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", &echoHandler{id: 5})
+	srv, err := ListenTCPCodec("127.0.0.1:0", &echoHandler{id: 5}, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient(map[quorum.ServerID]string{5: srv.Addr()})
+	client := NewTCPClientOpts(map[quorum.ServerID]string{5: srv.Addr()}, TCPClientOptions{})
 	defer client.Close()
 	resp, err := client.Call(context.Background(), 5, wire.PingRequest{})
 	if err != nil {
@@ -197,12 +197,12 @@ func TestTCPRoundTrip(t *testing.T) {
 }
 
 func TestTCPServerError(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", &echoHandler{id: 1, fail: errors.New("storage exploded")})
+	srv, err := ListenTCPCodec("127.0.0.1:0", &echoHandler{id: 1, fail: errors.New("storage exploded")}, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient(map[quorum.ServerID]string{1: srv.Addr()})
+	client := NewTCPClientOpts(map[quorum.ServerID]string{1: srv.Addr()}, TCPClientOptions{})
 	defer client.Close()
 	_, err = client.Call(context.Background(), 1, wire.PingRequest{})
 	if err == nil || err.Error() != "server 1: storage exploded" {
@@ -211,12 +211,12 @@ func TestTCPServerError(t *testing.T) {
 }
 
 func TestTCPConcurrentCalls(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", &echoHandler{id: 2})
+	srv, err := ListenTCPCodec("127.0.0.1:0", &echoHandler{id: 2}, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient(map[quorum.ServerID]string{2: srv.Addr()})
+	client := NewTCPClientOpts(map[quorum.ServerID]string{2: srv.Addr()}, TCPClientOptions{})
 	defer client.Close()
 	var wg sync.WaitGroup
 	for g := 0; g < 32; g++ {
@@ -241,7 +241,7 @@ func TestTCPConcurrentCalls(t *testing.T) {
 }
 
 func TestTCPUnknownServer(t *testing.T) {
-	client := NewTCPClient(nil)
+	client := NewTCPClientOpts(nil, TCPClientOptions{})
 	defer client.Close()
 	if _, err := client.Call(context.Background(), 9, wire.PingRequest{}); !errors.Is(err, ErrUnknownServer) {
 		t.Errorf("err = %v, want ErrUnknownServer", err)
@@ -249,12 +249,12 @@ func TestTCPUnknownServer(t *testing.T) {
 }
 
 func TestTCPClientClose(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", &echoHandler{id: 0})
+	srv, err := ListenTCPCodec("127.0.0.1:0", &echoHandler{id: 0}, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient(map[quorum.ServerID]string{0: srv.Addr()})
+	client := NewTCPClientOpts(map[quorum.ServerID]string{0: srv.Addr()}, TCPClientOptions{})
 	if _, err := client.Call(context.Background(), 0, wire.PingRequest{}); err != nil {
 		t.Fatal(err)
 	}
@@ -272,11 +272,11 @@ func TestTCPServerCloseFailsPendingCalls(t *testing.T) {
 		<-block
 		return req, nil
 	})
-	srv, err := ListenTCP("127.0.0.1:0", h)
+	srv, err := ListenTCPCodec("127.0.0.1:0", h, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewTCPClient(map[quorum.ServerID]string{0: srv.Addr()})
+	client := NewTCPClientOpts(map[quorum.ServerID]string{0: srv.Addr()}, TCPClientOptions{})
 	defer client.Close()
 	errc := make(chan error, 1)
 	go func() {
@@ -301,12 +301,12 @@ func TestTCPContextCancellation(t *testing.T) {
 		time.Sleep(200 * time.Millisecond)
 		return req, nil
 	})
-	srv, err := ListenTCP("127.0.0.1:0", h)
+	srv, err := ListenTCPCodec("127.0.0.1:0", h, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient(map[quorum.ServerID]string{0: srv.Addr()})
+	client := NewTCPClientOpts(map[quorum.ServerID]string{0: srv.Addr()}, TCPClientOptions{})
 	defer client.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -377,11 +377,11 @@ func TestTCPServerCloseCancelsHandlerContext(t *testing.T) {
 		<-ctx.Done() // only Close (or conn teardown) can release this
 		return nil, ctx.Err()
 	})
-	srv, err := ListenTCP("127.0.0.1:0", h)
+	srv, err := ListenTCPCodec("127.0.0.1:0", h, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
-	client := NewTCPClient(map[quorum.ServerID]string{0: srv.Addr()})
+	client := NewTCPClientOpts(map[quorum.ServerID]string{0: srv.Addr()}, TCPClientOptions{})
 	defer client.Close()
 	go client.Call(context.Background(), 0, wire.PingRequest{})
 	<-started
@@ -401,12 +401,12 @@ func TestTCPServerCloseCancelsHandlerContext(t *testing.T) {
 // and checks the wire counters: every frame accounted for, and flushes +
 // coalesced writes summing to frames written (the coalescing invariant).
 func TestTCPStatsAndCoalescing(t *testing.T) {
-	srv, err := ListenTCP("127.0.0.1:0", &echoHandler{id: 2})
+	srv, err := ListenTCPCodec("127.0.0.1:0", &echoHandler{id: 2}, CodecBinary)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client := NewTCPClient(map[quorum.ServerID]string{2: srv.Addr()})
+	client := NewTCPClientOpts(map[quorum.ServerID]string{2: srv.Addr()}, TCPClientOptions{})
 	defer client.Close()
 	const goroutines, calls = 16, 50
 	var wg sync.WaitGroup

@@ -115,7 +115,6 @@ type VirtualNet struct {
 	blocked   map[blockKey]bool
 	minLat    time.Duration
 	maxLat    time.Duration
-	perServer map[quorum.ServerID]latRange
 	// Per-direction link bandwidth in bytes per second; 0 = infinite.
 	// rateUp paces client→server chunks (the request leg), rateDown
 	// server→client (the reply leg) — asymmetric WAN links have different
@@ -147,15 +146,13 @@ func NewVirtualNet(clk vtime.Clock, seed int64) *VirtualNet {
 		crashed:   make(map[quorum.ServerID]bool),
 		stalled:   make(map[quorum.ServerID]bool),
 		blocked:   make(map[blockKey]bool),
-		perServer: make(map[quorum.ServerID]latRange),
 		chunkSeq:  make(map[vlinkKey]uint64),
 	}
 }
 
-// Clock returns the network's time source.
-func (vn *VirtualNet) Clock() vtime.Clock { return vn.clock }
-
 // Stats returns a snapshot of the network's counters.
+//
+//pqslint:allow deadexport seam: transport vnet_test and dispatch_test read the chunk and stall counters
 func (vn *VirtualNet) Stats() VNetStats {
 	vn.mu.Lock()
 	defer vn.mu.Unlock()
@@ -181,25 +178,11 @@ func (vn *VirtualNet) SetLatency(min, max time.Duration) {
 	vn.minLat, vn.maxLat = min, max
 }
 
-// SetServerLatency overrides the chunk latency range for every connection
-// whose listener end is id (both directions), modelling a straggler. A zero
-// max restores the global range.
-func (vn *VirtualNet) SetServerLatency(id quorum.ServerID, min, max time.Duration) {
-	if min < 0 || max < min {
-		panic("transport: invalid latency range")
-	}
-	vn.mu.Lock()
-	defer vn.mu.Unlock()
-	if max == 0 {
-		delete(vn.perServer, id)
-		return
-	}
-	vn.perServer[id] = latRange{min: min, max: max}
-}
-
 // SetByteRate sets the link bandwidth in bytes per second, symmetrically in
 // both directions: each chunk adds its serialization delay and occupies its
 // direction of the link while transmitting. Zero means infinite bandwidth.
+//
+//pqslint:allow deadexport seam: the root throughput_bench_test paces WAN links with it
 func (vn *VirtualNet) SetByteRate(bytesPerSec int64) {
 	vn.SetByteRateAsym(bytesPerSec, bytesPerSec)
 }
@@ -265,6 +248,8 @@ func (vn *VirtualNet) Recover(id quorum.ServerID) {
 // fires. This is the slow/hung-server failure mode — the one a circuit
 // breaker exists for — as opposed to Crash, whose resets fail fast.
 // Existing connections stay up; dials still succeed.
+//
+//pqslint:allow deadexport seam: transport lifecycle_test and register degraded_test hang a server with it
 func (vn *VirtualNet) Stall(id quorum.ServerID) {
 	vn.mu.Lock()
 	defer vn.mu.Unlock()
@@ -273,6 +258,8 @@ func (vn *VirtualNet) Stall(id quorum.ServerID) {
 
 // Unstall clears a server's stalled state. Chunks swallowed while stalled
 // are gone for good (their streams will look reset to any framing above).
+//
+//pqslint:allow deadexport seam: transport lifecycle_test revives a stalled server with it
 func (vn *VirtualNet) Unstall(id quorum.ServerID) {
 	vn.mu.Lock()
 	defer vn.mu.Unlock()
@@ -310,13 +297,6 @@ func (vn *VirtualNet) Block(from, to quorum.ServerID) {
 	resetAll(victims)
 }
 
-// Unblock restores the directed path from→to (exact key match).
-func (vn *VirtualNet) Unblock(from, to quorum.ServerID) {
-	vn.mu.Lock()
-	defer vn.mu.Unlock()
-	delete(vn.blocked, blockKey{from, to})
-}
-
 // Heal removes every block and zeroes every fault probability (latency and
 // bandwidth are topology, not faults, and stay).
 func (vn *VirtualNet) Heal() {
@@ -334,7 +314,6 @@ func (vn *VirtualNet) Deregister(id quorum.ServerID) {
 	l := vn.listeners[id]
 	delete(vn.listeners, id)
 	delete(vn.crashed, id)
-	delete(vn.perServer, id)
 	victims := vn.connsTouchingLocked(id)
 	vn.mu.Unlock()
 	if l != nil {
@@ -440,19 +419,16 @@ type chunkVerdict struct {
 	delay      time.Duration
 }
 
-// verdict draws the per-chunk decision word: delivery latency (global or
-// per-server override), jitter, drop and corruption, all counter-hashed
-// from (seed, link, chunk sequence) exactly like MemNetwork's per-call
-// draws, so a run whose per-link chunk sequence is deterministic replays
-// its delivery schedule and fault pattern from the seed.
+// verdict draws the per-chunk decision word: delivery latency, jitter, drop
+// and corruption, all counter-hashed from (seed, link, chunk sequence)
+// exactly like MemNetwork's per-call draws, so a run whose per-link chunk
+// sequence is deterministic replays its delivery schedule and fault pattern
+// from the seed.
 func (vn *VirtualNet) verdict(link vlinkKey, size int) chunkVerdict {
 	vn.mu.Lock()
 	vn.chunkSeq[link]++
 	seq := vn.chunkSeq[link]
 	minLat, maxLat := vn.minLat, vn.maxLat
-	if lr, ok := vn.perServer[link.server]; ok {
-		minLat, maxLat = lr.min, lr.max
-	}
 	dropP, corruptP, jitterMax := vn.dropP, vn.corruptP, vn.jitterMax
 	rate := vn.rateDown
 	if link.toServer {
@@ -771,9 +747,6 @@ func (c *vconn) Close() error {
 	vn := c.net
 	vn.mu.Lock()
 	minLat := vn.minLat
-	if lr, ok := vn.perServer[c.server]; ok {
-		minLat = lr.min
-	}
 	vn.mu.Unlock()
 	c.scheduleChunk(vchunk{fin: true}, minLat)
 	c.net.dropConn(c)

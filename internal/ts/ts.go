@@ -86,11 +86,3 @@ func (c *Clock) Witness(s Stamp) {
 		c.last = s.Counter
 	}
 }
-
-// Max returns the larger of a and b.
-func Max(a, b Stamp) Stamp {
-	if a.Less(b) {
-		return b
-	}
-	return a
-}

@@ -138,17 +138,6 @@ func TestClockConcurrent(t *testing.T) {
 	}
 }
 
-func TestMax(t *testing.T) {
-	a := Stamp{Counter: 3, Writer: 1}
-	b := Stamp{Counter: 3, Writer: 2}
-	if Max(a, b) != b || Max(b, a) != b {
-		t.Error("Max wrong")
-	}
-	if Max(a, a) != a {
-		t.Error("Max of equal wrong")
-	}
-}
-
 func TestString(t *testing.T) {
 	if got := (Stamp{Counter: 12, Writer: 4}).String(); got != "12@4" {
 		t.Errorf("String = %q", got)

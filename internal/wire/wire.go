@@ -209,6 +209,8 @@ var registerOnce sync.Once
 
 // RegisterGob registers every wire message with encoding/gob, for tests and
 // benchmarks that use gob as the reference codec. Idempotent.
+//
+//pqslint:allow deadexport seam: gob is the reference codec of wire_test and codec_test round trips and of the root BenchmarkCodecGob
 func RegisterGob() {
 	registerOnce.Do(func() {
 		gob.Register(ReadRequest{})

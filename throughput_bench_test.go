@@ -239,14 +239,14 @@ func newThroughputTCPClient(b *testing.B) *pqs.Client {
 	addrs := make(map[quorum.ServerID]string, n)
 	for i := 0; i < n; i++ {
 		rep := replica.New(quorum.ServerID(i))
-		srv, err := transport.ListenTCP("127.0.0.1:0", rep)
+		srv, err := transport.ListenTCPCodec("127.0.0.1:0", rep, transport.CodecBinary)
 		if err != nil {
 			b.Fatal(err)
 		}
 		b.Cleanup(func() { srv.Close() })
 		addrs[quorum.ServerID(i)] = srv.Addr()
 	}
-	tc := transport.NewTCPClient(addrs)
+	tc := transport.NewTCPClientOpts(addrs, transport.TCPClientOptions{})
 	b.Cleanup(func() { tc.Close() })
 	sys, err := pqs.New(pqs.Config{N: n, Q: 3})
 	if err != nil {
