@@ -59,9 +59,30 @@ paper:
 # The sim line runs one structure, not the package: swapHandler is the only
 # state sim owns that requests and a reconfiguration reach concurrently; the
 # package's determinism suites run under -race in the flake gate.
+#
+# The chaos package in one -race process peaks at 7.5-9.1 GB, so it runs in
+# batches, one process each: every test not named in CHAOS_RACE_SPLIT in one
+# batch, then each CHAOS_RACE_SPLIT test once per scenario family (the
+# benign/, wan/, ... prefix of the names `pqs-chaos -list` prints). The
+# batches come from `go test -list` and the scenario list, so together they
+# are the package; the check before them fails if a split name is no longer
+# a test there, since its batches would then match nothing and pass.
+CHAOS_RACE_SPLIT = TestChaosScenariosTCPVirtual TestChaosDeterminismTCPVirtual
 race:
-	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/chaos/ ./internal/diffusion/ ./internal/sv/
+	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/diffusion/ ./internal/sv/
 	$(GO) test -race -run 'TestSwapHandler' ./internal/sim/
+	@tests=$$($(GO) test -list . ./internal/chaos/ | grep -E '^(Test|Fuzz|Example)') && \
+	families=$$($(GO) run ./cmd/pqs-chaos -list | cut -d/ -f1 | sort -u) && [ -n "$$families" ] && \
+	for s in $(CHAOS_RACE_SPLIT); do \
+		echo "$$tests" | grep -qx "$$s" || { echo "race: $$s is not a test of ./internal/chaos/"; exit 1; }; \
+	done && \
+	rest=$$(echo "$$tests" | grep -vx $(CHAOS_RACE_SPLIT:%=-e %) | paste -sd'|') && \
+	echo "race batch: ^($$rest)$$" && \
+	$(GO) test -race -run "^($$rest)$$" ./internal/chaos/ && \
+	for s in $(CHAOS_RACE_SPLIT); do for f in $$families; do \
+		echo "race batch: ^$$s$$/^$$f$$"; \
+		$(GO) test -race -run "^$$s$$/^$$f$$" ./internal/chaos/ || exit 1; \
+	done; done
 
 # The flake gate: every same-seed-twice determinism suite, twenty times
 # over under the race detector. A determinism test that passes most runs is
@@ -132,14 +153,15 @@ bench-json:
 	@rm -f BENCH_throughput.out
 	@echo "wrote BENCH_throughput.json"
 
-# CI bit-rot guard: run every throughput/codec benchmark, and the store's
-# cold-read benchmark (its ns/get is one more value-unit pair to benchjson),
+# CI bit-rot guard: run every throughput/codec benchmark, and the store's and
+# the replica's cold-read benchmarks (their ns/get and ns/read are one more
+# value-unit pair each to benchjson),
 # for one iteration and verify the JSON pipeline still produces a well-formed
 # document. Staged through a scratch file so the committed
 # BENCH_throughput.json — the bench-regress baseline — is never clobbered
 # with 1-iteration rates.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold)' -benchmem -benchtime 1x . ./internal/replica/ > BENCH_smoke.out
+	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold|BenchmarkReplicaReadCold)' -benchmem -benchtime 1x . ./internal/replica/ > BENCH_smoke.out
 	$(GO) run ./cmd/benchjson < BENCH_smoke.out > BENCH_smoke.json
 	@rm -f BENCH_smoke.out
 	$(GO) run ./cmd/benchjson -check BENCH_smoke.json

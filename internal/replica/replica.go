@@ -194,10 +194,13 @@ func (Silent) OnRead(string, wire.ReadReply) (wire.ReadReply, error) {
 // OnWrite implements Behavior.
 func (Silent) OnWrite(wire.WriteRequest) (bool, error) { return false, ErrSuppressed }
 
-// The two possible write replies, boxed once (see handle).
+// Replies are boxed into `any` once, not once per request (boxing a literal
+// allocates): a write answers with one of the two write replies, an honest
+// read with the box its Store made at adoption, or with readReplyAbsent.
 var (
 	writeReplyStored  any = wire.WriteReply{Stored: true}
 	writeReplyIgnored any = wire.WriteReply{Stored: false}
+	readReplyAbsent   any = wire.ReadReply{}
 )
 
 // Replica is one data server. It implements transport.Handler.
@@ -290,11 +293,13 @@ func (r *Replica) TryHandle(_ context.Context, req any) (any, bool, error) {
 func (r *Replica) handle(behavior Behavior, verifier Verifier, req any) (any, error) {
 	switch m := req.(type) {
 	case wire.ReadRequest:
-		var correct wire.ReadReply
-		if e, ok := r.store.Get(m.Key); ok {
-			correct = wire.ReadReply{Found: true, Value: e.Value, Stamp: e.Stamp, Sig: e.Sig}
+		// Correct.OnRead returns its argument, so an honest reply is the
+		// stored box itself; every other behaviour sees the pair unboxed.
+		reply := r.store.reply(m.Key)
+		if _, ok := behavior.(Correct); ok {
+			return reply, nil
 		}
-		return behavior.OnRead(m.Key, correct)
+		return behavior.OnRead(m.Key, reply.(wire.ReadReply))
 	case wire.WriteRequest:
 		apply, err := behavior.OnWrite(m)
 		if err != nil {
@@ -304,9 +309,6 @@ func (r *Replica) handle(behavior Behavior, verifier Verifier, req any) (any, er
 		if apply {
 			stored = r.store.Apply(m.Key, Entry{Value: m.Value, Stamp: m.Stamp, Sig: m.Sig})
 		}
-		// Pre-boxed: a fresh wire.WriteReply literal would allocate on every
-		// boxing into `any`, and the write path runs millions of times in
-		// population-scale runs.
 		if stored {
 			return writeReplyStored, nil
 		}

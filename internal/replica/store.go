@@ -8,6 +8,7 @@ package replica
 
 import (
 	"hash/maphash"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -44,40 +45,61 @@ type Store struct {
 	// (Changes). Sequence numbers are store-local bookkeeping — they are
 	// never serialized and two replicas' sequences are unrelated.
 	seq atomic.Uint64
-
-	// op counters (cumulative; see Stats)
-	gets, applies, adopted atomic.Uint64
 }
 
-// shard is one lock and one open-addressed table (linear probing, length a
-// power of two or zero, no deletions: the store never deletes). A read RPC
-// touches the shard's line and then the key's slot, nothing in between.
+// shard is one lock, one open-addressed table (linear probing, length a
+// power of two or zero, no deletions: the store never deletes) and the
+// shard's operation counts, in one 64-byte line: a read RPC touches it, the
+// key's slot and the slot's reply box. The counts are kept under the lock,
+// where a store-wide counter line cost every call a second miss. A Mutex,
+// not an RWMutex: that makes room for them, and a read holds it for a probe.
 type shard struct {
-	mu    sync.RWMutex
-	slots []slot
-	n     int // occupied slots
-	// bytes tracks the summed binary wire size (wire.Item.EncodedSize) of
-	// the shard's current entries, so "what would a full push cost"
-	// stays O(shards) to answer instead of O(keys).
-	bytes int64
+	mu            sync.Mutex
+	slots         []slot
+	n             int     // occupied slots
+	gets, applies uint64  // cumulative; see Stats
+	_             [8]byte // to the line's end
 }
 
-// slot is a shard's record for one key: the entry, its adoption sequence
-// number (see Store.seq; 0 marks an empty slot, adoption sequences start at
-// 1), the key's hash tag and the entry's cached wire size (an int32: frames
-// are at most 64 MiB). The words a probe reads — seq, tag, the key's header
-// — come first and together. All of it is inline, values not pointers:
-// boxing records adds millions of GC-scannable objects at population scale
-// (measured ~10% slower end-to-end on the scale/ matrix), and at 96 bytes a
-// slot is what a Go map spent on the same key and record. The cached size
-// makes the re-write path's bytes accounting one EncodedSize call instead
-// of two.
+// slot is a shard's record for one key: its adoption sequence number (see
+// Store.seq; 0 marks an empty slot, adoption sequences start at 1), the
+// key's hash tag, the entry's stamp counter capped at 2^32-1, and the entry
+// itself, boxed as the wire.ReadReply an honest read returns. The words a
+// probe reads — seq, tag, the key's header — come first and together. The
+// box is made once, when apply adopts the entry, and every read of that
+// version returns it as it is: boxing per read was an allocation on every
+// read RPC (runtime.convT, 10 % of mem-fanout, and as much again in the
+// malloc and GC it fed). An adoption pays the box instead, and a slot is 48
+// bytes plus an 80-byte box, not 96 inline; at population scale that
+// measured less, not more: sim-mem's peak RSS and CPU per op both fell 13 %.
+// The box is a second miss behind the slot's, which a read pays in the
+// client and a write would pay comparing stamps; ctr settles that comparison
+// unless the counters tie or pass 32 bits (see older).
 type slot struct {
-	seq  uint64
-	tag  uint32
-	size int32
-	key  string
-	e    Entry
+	seq   uint64
+	tag   uint32
+	ctr   uint32
+	key   string
+	reply any // wire.ReadReply{Found: true, ...}
+}
+
+// older reports whether the slot's entry is stamped below st.
+func (sl *slot) older(st ts.Stamp) bool {
+	if sl.ctr < math.MaxUint32 && uint64(sl.ctr) != st.Counter {
+		return uint64(sl.ctr) < st.Counter
+	}
+	return sl.reply.(wire.ReadReply).Stamp.Less(st)
+}
+
+// boxed is e as the reply an honest read of it returns.
+func boxed(e Entry) any {
+	return wire.ReadReply{Found: true, Value: e.Value, Stamp: e.Stamp, Sig: e.Sig}
+}
+
+// entryOf is boxed's inverse (the zero Entry for the absent-key reply).
+func entryOf(reply any) Entry {
+	r := reply.(wire.ReadReply)
+	return Entry{Value: r.Value, Stamp: r.Stamp, Sig: r.Sig}
 }
 
 // NewStore returns an empty store.
@@ -87,7 +109,7 @@ func NewStore() *Store { return &Store{} }
 // cannot compute: the Go map this table replaced was seeded too, and under a
 // public hash a writer picking colliding keys would turn every probe of a
 // shard into a scan of it. One seed per process, not per store: a store's
-// own seed is a load behind its counter line's miss, and cost mem-fanout 8 %.
+// own seed is a line to load before the hash can start; it cost mem-fanout 8 %.
 var hashSeed = maphash.MakeSeed()
 
 // hash is the one hash taken of a key: its low shardBits bits pick the
@@ -135,16 +157,28 @@ func (s *Store) Get(key string) (Entry, bool) { return s.get(key, hash(key)) }
 
 // get is Get under a given hash (tests pin it to force collisions).
 func (s *Store) get(key string, h uint64) (Entry, bool) {
-	s.gets.Add(1)
+	r, ok := s.lookup(key, h)
+	return entryOf(r), ok
+}
+
+// reply is an honest read's answer: the box apply made, or readReplyAbsent.
+func (s *Store) reply(key string) any {
+	r, _ := s.lookup(key, hash(key))
+	return r
+}
+
+// lookup is the one read path: it counts a get and returns key's reply box.
+func (s *Store) lookup(key string, h uint64) (any, bool) {
 	sh := &s.shards[h&(numShards-1)]
-	sh.mu.RLock()
-	var e Entry
+	sh.mu.Lock()
+	sh.gets++
+	r := readReplyAbsent
 	i, ok := sh.find(key, h)
 	if ok {
-		e = sh.slots[i].e
+		r = sh.slots[i].reply
 	}
-	sh.mu.RUnlock()
-	return e, ok
+	sh.mu.Unlock()
+	return r, ok
 }
 
 // Apply adopts the entry if its stamp strictly dominates the stored one
@@ -154,11 +188,11 @@ func (s *Store) Apply(key string, e Entry) bool { return s.apply(key, e, hash(ke
 
 // apply is Apply under a given hash (see get).
 func (s *Store) apply(key string, e Entry, h uint64) bool {
-	s.applies.Add(1)
 	sh := &s.shards[h&(numShards-1)]
 	sh.mu.Lock()
+	sh.applies++
 	i, ok := sh.find(key, h)
-	if ok && !sh.slots[i].e.Stamp.Less(e.Stamp) {
+	if ok && !sh.slots[i].older(e.Stamp) {
 		sh.mu.Unlock()
 		return false
 	}
@@ -176,11 +210,8 @@ func (s *Store) apply(key string, e Entry, h uint64) bool {
 	// number at or below a Seq() observation is visible to a subsequent
 	// Changes scan of this shard (the scan serializes on the same lock).
 	sl := &sh.slots[i]
-	size := int32(itemWireSize(key, e))
-	sh.bytes += int64(size) - int64(sl.size)
-	sl.e, sl.seq, sl.size = e, s.seq.Add(1), size
+	sl.reply, sl.seq, sl.ctr = boxed(e), s.seq.Add(1), uint32(min(e.Stamp.Counter, math.MaxUint32))
 	sh.mu.Unlock()
-	s.adopted.Add(1)
 	return true
 }
 
@@ -194,15 +225,12 @@ func itemWireSize(key string, e Entry) int {
 func (s *Store) Seq() uint64 { return s.seq.Load() }
 
 // WireSize returns the summed binary wire size of all current entries — the
-// payload cost a full-snapshot gossip push would incur right now.
+// payload cost a full-snapshot gossip push would incur right now. It is
+// O(keys), like the Changes scan each gossip round makes beside it: a size
+// kept per slot would cost a write the miss on the old box that ctr saves.
 func (s *Store) WireSize() int64 {
 	var n int64
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		n += sh.bytes
-		sh.mu.RUnlock()
-	}
+	s.each(func(sl *slot) { n += int64(itemWireSize(sl.key, entryOf(sl.reply))) })
 	return n
 }
 
@@ -229,7 +257,7 @@ func (s *Store) Changes(since, upTo uint64) []Change {
 	var out []Change
 	s.each(func(sl *slot) {
 		if sl.seq > since && sl.seq <= upTo {
-			out = append(out, Change{Key: sl.key, Entry: sl.e, Seq: sl.seq})
+			out = append(out, Change{Key: sl.key, Entry: entryOf(sl.reply), Seq: sl.seq})
 		}
 	})
 	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
@@ -237,17 +265,17 @@ func (s *Store) Changes(since, upTo uint64) []Change {
 }
 
 // each calls fn on every occupied slot, shard by shard under the shard's
-// read lock, in table order.
+// lock, in table order.
 func (s *Store) each(fn func(*slot)) {
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
+		sh.mu.Lock()
 		for j := range sh.slots {
 			if sl := &sh.slots[j]; sl.seq != 0 {
 				fn(sl)
 			}
 		}
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 }
 
@@ -256,9 +284,9 @@ func (s *Store) Len() int {
 	n := 0
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
+		sh.mu.Lock()
 		n += sh.n
-		sh.mu.RUnlock()
+		sh.mu.Unlock()
 	}
 	return n
 }
@@ -281,7 +309,7 @@ func (s *Store) Keys() []string {
 //pqslint:allow deadexport seam: replica and register tests compare whole stores against a model
 func (s *Store) Snapshot() map[string]Entry {
 	out := make(map[string]Entry, s.Len())
-	s.each(func(sl *slot) { out[sl.key] = sl.e })
+	s.each(func(sl *slot) { out[sl.key] = entryOf(sl.reply) })
 	return out
 }
 
@@ -293,7 +321,7 @@ type StoreStats struct {
 	// MaxShardKeys is the most keys held by one shard (skew indicator).
 	MaxShardKeys int
 	// Gets and Applies count operations; Adopted counts the Applies whose
-	// entry won the last-writer-wins merge.
+	// entry won the last-writer-wins merge, which is what Seq counts too.
 	Gets    uint64
 	Applies uint64
 	Adopted uint64
@@ -303,22 +331,14 @@ type StoreStats struct {
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() StoreStats {
-	st := StoreStats{
-		Shards:  numShards,
-		Gets:    s.gets.Load(),
-		Applies: s.applies.Load(),
-		Adopted: s.adopted.Load(),
-		Seq:     s.seq.Load(),
-	}
+	seq := s.seq.Load()
+	st := StoreStats{Shards: numShards, Adopted: seq, Seq: seq}
 	for i := range s.shards {
 		sh := &s.shards[i]
-		sh.mu.RLock()
-		n := sh.n
-		sh.mu.RUnlock()
-		st.Keys += n
-		if n > st.MaxShardKeys {
-			st.MaxShardKeys = n
-		}
+		sh.mu.Lock()
+		st.Keys, st.MaxShardKeys = st.Keys+sh.n, max(st.MaxShardKeys, sh.n)
+		st.Gets, st.Applies = st.Gets+sh.gets, st.Applies+sh.applies
+		sh.mu.Unlock()
 	}
 	return st
 }

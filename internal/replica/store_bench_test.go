@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"pqs/internal/ts"
+	"pqs/internal/wire"
 )
 
 // benchStores builds n stores holding names, all sharing the key strings and
@@ -75,9 +77,47 @@ func BenchmarkStoreGetCold(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sweep), "ns/get")
 }
 
+// BenchmarkReplicaReadCold prices what a read RPC costs at its replica, as
+// mem-fanout's callers pay for it: BenchmarkStoreGetCold's shape and sweep,
+// each visit an honest TryHandle of a pre-boxed ReadRequest, so that what is
+// measured is the handler and the store. Read ns/read (0 allocs/op: the
+// reply is the box the store made at adoption); run with -cpu 1,2.
+func BenchmarkReplicaReadCold(b *testing.B) {
+	const sweep = 4096
+	stores, names, pairs := coldFixture()
+	replicas := make([]*Replica, len(stores))
+	for i, s := range stores {
+		replicas[i] = New(0)
+		replicas[i].store = s
+	}
+	reqs := make([]any, len(names))
+	for i, k := range names {
+		reqs[i] = wire.ReadRequest{Key: k}
+	}
+	ctx := context.Background()
+	var entry atomic.Uint32
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		at := int(entry.Add(7919))
+		for pb.Next() {
+			for i := 0; i < sweep; i++ {
+				p := pairs[(at+i)%len(pairs)]
+				resp, ok, err := replicas[p>>16].TryHandle(ctx, reqs[p&0xFFFF])
+				if !ok || err != nil || !resp.(wire.ReadReply).Found {
+					b.Errorf("replica %d: %s: %v, %v, %v", p>>16, names[p&0xFFFF], resp, ok, err)
+					return
+				}
+			}
+			at += sweep
+		}
+	})
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sweep), "ns/read")
+}
+
 // BenchmarkStoreApplyAdopt prices the write RPC's store access on the same
 // shape: every Apply carries a higher stamp than the last, so every one is
-// adopted (find, size accounting, sequence draw). One goroutine: adoptions
+// adopted (find, the reply box, sequence draw). One goroutine: adoptions
 // draw from one counter per store, and mem-fanout is 10 % writes.
 func BenchmarkStoreApplyAdopt(b *testing.B) {
 	stores, names, pairs := coldFixture()
@@ -95,13 +135,14 @@ func BenchmarkStoreApplyAdopt(b *testing.B) {
 // TestStoreFootprint gates what a store costs to keep: 100 stores of 64, 400
 // and 1 600 keys, heap bytes per key over and above the keys and values
 // themselves, against what this same test measured at e990225, where a shard
-// was a Go map from key to record: 654, 185 and 163. The flat table measures
-// 323, 187 and 162, and is allowed 5 % over: the runs differ by about 1 % with
-// the process's hash seed, and the 400-key point is the doubling's worst case
-// against a map — a shard of 8 to 14 keys takes 16 slots (1 536 bytes plus
-// the 8-byte malloc header of a pointerful object above 512 bytes: a
-// 1 792-byte size class) while the map still sits in its first group of
-// eight. Population-scale runs (sim-mem: 1 000 stores, peak RSS) hold 64 to
+// was a Go map from key to record: 654, 185 and 163. The flat table of
+// 48-byte slots, each entry boxed as its read reply, measures 277, 174 and
+// 168 (324, 187 and 161 with 96-byte records inline), and is allowed 5 %
+// over: the runs differ by about 1 % with the process's hash seed, and the
+// 400-key point is the doubling's worst case against a map — a shard of 8 to
+// 14 keys takes 16 slots (768 bytes plus the 8-byte malloc header of a
+// pointerful object above 512 bytes: an 896-byte size class) while the map
+// still sits in its first group of eight. Population-scale runs (sim-mem: 1 000 stores, peak RSS) hold 64 to
 // 200 keys a store, the table's good side. Key names are random: e990225
 // chose the shard by unkeyed FNV-1a, which deals sequential names out almost
 // evenly and would flatter it.

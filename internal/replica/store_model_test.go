@@ -99,12 +99,17 @@ const (
 	hashOneSlot  = 3
 )
 
+// modelCounters are the stamp counters a model run draws from, in order:
+// four small ones and four on either side of 2^32-1, where a slot's ctr
+// stops being the counter and apply must ask the box.
+var modelCounters = [8]uint64{1, 2, 3, 4, math.MaxUint32 - 1, math.MaxUint32, math.MaxUint32 + 1, math.MaxUint32 + 2}
+
 // checkStoreAgainstModel runs prog — three bytes a step: key, operation and
 // value length, stamp — against a store under the chosen hash and against
-// the model, comparing every answer after every step. Stamps come from a
-// range of eight counters and three writers, so equal-stamp and stale
-// re-applies are as common as adoptions; values change length, so a
-// re-write moves WireSize both ways.
+// the model, comparing every answer after every step. Stamps come from
+// eight counters and three writers, so equal-stamp and stale re-applies are
+// as common as adoptions; values change length, so a re-write moves
+// WireSize both ways.
 func checkStoreAgainstModel(t testing.TB, prog []byte, nKeys int, hash func(string) uint64) *Store {
 	s, m := NewStore(), &storeModel{m: map[string]Change{}}
 	for step := 0; len(prog) >= 3; step, prog = step+1, prog[3:] {
@@ -118,7 +123,7 @@ func checkStoreAgainstModel(t testing.TB, prog []byte, nKeys int, hash func(stri
 		} else {
 			e := Entry{
 				Value: make([]byte, prog[1]>>2),
-				Stamp: ts.Stamp{Counter: uint64(prog[2]&7) + 1, Writer: uint32(prog[2]>>3) % 3},
+				Stamp: ts.Stamp{Counter: modelCounters[prog[2]&7], Writer: uint32(prog[2]>>3) % 3},
 			}
 			if prog[2]&0x80 != 0 {
 				e.Sig = []byte{prog[2]}
@@ -142,8 +147,8 @@ func checkStoreAgainstModel(t testing.TB, prog []byte, nKeys int, hash func(stri
 // single table 0 → 4 → 8 → … → 256 slots (checked at the end), so every
 // growth step and every re-homing happens under comparison.
 func TestStoreMatchesModel(t *testing.T) {
-	if got := unsafe.Sizeof(slot{}); got != 96 {
-		t.Errorf("a slot is %d bytes, want 96: what the map it replaced spent on a key and its record", got)
+	if got := unsafe.Sizeof(slot{}); got != 48 {
+		t.Errorf("a slot is %d bytes, want 48: probe words, the key and the reply box", got)
 	}
 	if got := unsafe.Sizeof(shard{}); got != 64 {
 		t.Errorf("a shard is %d bytes, want one 64-byte line", got)

@@ -175,14 +175,14 @@ type memSettings struct {
 	clock vtime.Clock
 }
 
-// memView is what a call reads: one atomic load, one map lookup, no lock.
+// memView is what a call reads: one atomic load, one index, no lock.
 type memView struct {
-	links map[quorum.ServerID]memLink
+	links []memLink // by server id, up to the highest mentioned; see noLink
 	memSettings
 }
 
 // memLink is what a call needs to know about its destination; a call reads
-// the copy in the view it loaded.
+// it in place, in the view it loaded.
 type memLink struct {
 	handler Handler    // nil: not (or no longer) a member
 	try     TryHandler // handler's TryHandler side, nil if it has none
@@ -212,6 +212,8 @@ type memLink struct {
 	// collects, so it must replay from the seed like drops always have.
 	callSeq *atomic.Uint64
 }
+
+var noLink memLink // an id's link outside a view's links: no handler; never written
 
 // latRange is a per-server latency override.
 type latRange struct {
@@ -244,9 +246,15 @@ func (n *MemNetwork) rebuild() *memView {
 	defer n.mu.Unlock()
 	v := n.view.Load()
 	if v == nil {
-		v = &memView{links: make(map[quorum.ServerID]memLink, len(n.servers)), memSettings: n.memSettings}
+		size := 0
+		for id := range n.servers {
+			size = max(size, int(id)+1)
+		}
+		v = &memView{links: make([]memLink, size), memSettings: n.memSettings}
 		for id, s := range n.servers {
-			v.links[id] = *s
+			if id >= 0 {
+				v.links[id] = *s
+			}
 		}
 		n.builds++
 		n.view.Store(v)
@@ -285,8 +293,11 @@ func splitmix64(x uint64) uint64 {
 
 // Register attaches a server handler under the given id, replacing any
 // previous registration. Re-registering a departed id (see Deregister)
-// models a server rejoining the membership.
+// models a server rejoining the membership. Server ids are non-negative.
 func (n *MemNetwork) Register(id quorum.ServerID, h Handler) {
+	if id < 0 {
+		panic(fmt.Sprintf("transport: negative server id %d", id))
+	}
 	n.mu.Lock()
 	defer n.changed()
 	s := n.serverLocked(id)
@@ -449,7 +460,10 @@ func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, mayP
 	if v == nil {
 		v = n.rebuild()
 	}
-	srv := v.links[to] // the zero link for an id never mentioned: no handler
+	srv := &noLink
+	if uint(to) < uint(len(v.links)) {
+		srv = &v.links[to]
+	}
 	drop, hook, clock, minLat, maxLat := v.dropProb, v.hook, v.clock, v.minLat, v.maxLat
 	if srv.lat != nil {
 		minLat, maxLat = srv.lat.min, srv.lat.max
@@ -461,7 +475,7 @@ func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, mayP
 		return nil, false, nil
 	}
 	if srv.handler == nil {
-		return nil, true, fmt.Errorf("server %d: %w", to, ErrUnknownServer)
+		return nil, true, ErrUnknownServer // bare: the caller knows the id, and this allocates nothing
 	}
 	if srv.group != 0 {
 		return nil, true, fmt.Errorf("server %d: %w", to, ErrPartitioned)

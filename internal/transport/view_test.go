@@ -395,6 +395,76 @@ func TestRegisterThousandRebuildsOnce(t *testing.T) {
 	}
 }
 
+// TestMemNetworkSparseIDs: a view's links are a slice indexed by id, as long
+// as the highest id mentioned. Registered ids on either side of a gap
+// answer; an id in the gap, past the end or negative is unknown to Call and
+// TryCall alike, and finding that out allocates nothing. A negative id
+// cannot be registered.
+func TestMemNetworkSparseIDs(t *testing.T) {
+	n := NewMemNetwork(1)
+	var registered []quorum.ServerID
+	for id := quorum.ServerID(0); id < 100; id++ {
+		if id < 25 || id >= 75 {
+			n.Register(id, constEcho{})
+			registered = append(registered, id)
+		}
+	}
+	ctx := context.Background()
+	var req any = "x"
+	for _, id := range registered {
+		if resp, ok, err := n.TryCall(ctx, id, req); !ok || err != nil || resp != "x" {
+			t.Fatalf("server %d: %v, %v, %v", id, resp, ok, err)
+		}
+	}
+	if got := len(n.view.Load().links); got != 100 {
+		t.Errorf("the view holds %d links, want 100 (highest id + 1)", got)
+	}
+	for _, id := range []quorum.ServerID{25, 74, 100, 1 << 40, -1, -1 << 40} {
+		if _, err := n.Call(ctx, id, req); !errors.Is(err, ErrUnknownServer) {
+			t.Errorf("Call(%d): %v, want ErrUnknownServer", id, err)
+		}
+		if _, ok, err := n.TryCall(ctx, id, req); !ok || !errors.Is(err, ErrUnknownServer) {
+			t.Errorf("TryCall(%d): ok %v, %v; want ErrUnknownServer", id, ok, err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			n.Call(ctx, id, req)    //nolint:errcheck // counting allocations
+			n.TryCall(ctx, id, req) //nolint:errcheck // counting allocations
+		})
+		if allocs != 0 {
+			t.Errorf("a call to unknown id %d allocates %v times, want 0", id, allocs)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Register(-1) did not panic")
+		}
+	}()
+	n.Register(-1, constEcho{})
+}
+
+// TestDeregisterKeepsCallSeq: the per-destination call counter survives
+// Deregister and reaches the rejoined member's link in the next view, so a
+// rejoin continues the departed server's fault sequence instead of
+// replaying it.
+func TestDeregisterKeepsCallSeq(t *testing.T) {
+	n := NewMemNetwork(1)
+	n.Register(80, constEcho{})
+	n.SetDropProb(0.5) // drops are counted: every call draws a number
+	ctx := context.Background()
+	for i := 0; i < 10; i++ {
+		n.Call(ctx, 80, "x") //nolint:errcheck // drawing sequence numbers
+	}
+	n.Deregister(80)
+	if _, err := n.Call(ctx, 80, "x"); !errors.Is(err, ErrUnknownServer) {
+		t.Fatalf("after Deregister: %v", err)
+	}
+	n.Register(80, constEcho{})
+	n.Call(ctx, 80, "x") //nolint:errcheck // one more number
+	if got := n.view.Load().links[80].callSeq.Load(); got != 11 {
+		t.Errorf("the rejoined link's counter is at %d, want 11", got)
+	}
+}
+
 // BenchmarkMemNetworkTryCallParallel prices one visit of a fan-out: run it
 // with -cpu 1,2 and read ns/call. A call that writes a shared cache line (a
 // reader count) costs more per call on two processors than on one; a call
