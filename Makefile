@@ -56,9 +56,11 @@ paper:
 		$(GO) run ./cmd/pqs-experiments; } > EXPERIMENTS.md.tmp
 	@mv EXPERIMENTS.md.tmp EXPERIMENTS.md
 
-# The sim line runs one structure, not the package: swapHandler is the only
-# state sim owns that requests and a reconfiguration reach concurrently; the
-# package's determinism suites run under -race in the flake gate.
+# vtime runs whole: under a SimClock, timer callbacks run on the scheduler's
+# own goroutine, beside the workers they wake. The sim line runs one
+# structure, not the package: swapHandler is the only state sim owns that
+# requests and a reconfiguration reach concurrently; the package's
+# determinism suites run under -race in the flake gate.
 #
 # The chaos package in one -race process peaks at 7.5-9.1 GB, so it runs in
 # batches, one process each: every test not named in CHAOS_RACE_SPLIT in one
@@ -69,7 +71,7 @@ paper:
 # a test there, since its batches would then match nothing and pass.
 CHAOS_RACE_SPLIT = TestChaosScenariosTCPVirtual TestChaosDeterminismTCPVirtual
 race:
-	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/diffusion/ ./internal/sv/
+	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/diffusion/ ./internal/sv/ ./internal/vtime/
 	$(GO) test -race -run 'TestSwapHandler' ./internal/sim/
 	@tests=$$($(GO) test -list . ./internal/chaos/ | grep -E '^(Test|Fuzz|Example)') && \
 	families=$$($(GO) run ./cmd/pqs-chaos -list | cut -d/ -f1 | sort -u) && [ -n "$$families" ] && \
@@ -99,11 +101,14 @@ race:
 # Go, so "the same" has to hold on every run), and a call that can park must
 # never be run on the caller (exact virtual time). So does MemNetwork's
 # golden replay: the counter hash every same-seed history rests on must
-# produce the recorded drop verdicts and latency draws on every run.
+# produce the recorded drop verdicts and latency draws on every run. So do
+# the pinned load digests and chaos history fingerprints (TestGoldenDigests,
+# TestGoldenHistories): equal to each other twice is not enough, they must
+# equal the recorded values on every run.
 FLAKE_COUNT ?= 20
 flake: flake-tcp
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TestLoadTCPVirtual|TestInlineMatchesPoolDifferential|TestParkingCallsNeverRunOnTheCaller|TestMemNetworkGoldenReplay' . ./internal/load/ ./internal/transport/ ./internal/register/
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'TestChaosDeterminism(Hedged)?$$' ./internal/chaos/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TestLoadTCPVirtual|TestGoldenDigests|TestInlineMatchesPoolDifferential|TestParkingCallsNeverRunOnTheCaller|TestMemNetworkGoldenReplay' . ./internal/load/ ./internal/transport/ ./internal/register/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'TestChaosDeterminism(Hedged)?$$|TestGoldenHistories' ./internal/chaos/
 
 # The tcp-virtual half of the flake gate, and the CI chaos-tcp job:
 # chaos-tcp (every scenario twice per plane, byte-for-byte) FLAKE_TCP times
@@ -153,15 +158,16 @@ bench-json:
 	@rm -f BENCH_throughput.out
 	@echo "wrote BENCH_throughput.json"
 
-# CI bit-rot guard: run every throughput/codec benchmark, and the store's and
+# CI bit-rot guard: run every throughput/codec benchmark, the store's and
 # the replica's cold-read benchmarks (their ns/get and ns/read are one more
-# value-unit pair each to benchjson),
+# value-unit pair each to benchjson) and the register's hedged read under a
+# SimClock (every call on a pooled dispatch worker),
 # for one iteration and verify the JSON pipeline still produces a well-formed
 # document. Staged through a scratch file so the committed
 # BENCH_throughput.json — the bench-regress baseline — is never clobbered
 # with 1-iteration rates.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold|BenchmarkReplicaReadCold)' -benchmem -benchtime 1x . ./internal/replica/ > BENCH_smoke.out
+	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold|BenchmarkReplicaReadCold|BenchmarkVirtualHedgedRead)' -benchmem -benchtime 1x . ./internal/replica/ ./internal/register/ > BENCH_smoke.out
 	$(GO) run ./cmd/benchjson < BENCH_smoke.out > BENCH_smoke.json
 	@rm -f BENCH_smoke.out
 	$(GO) run ./cmd/benchjson -check BENCH_smoke.json

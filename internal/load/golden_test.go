@@ -1,0 +1,63 @@
+package load
+
+import (
+	"testing"
+	"time"
+
+	"pqs/internal/config"
+	"pqs/internal/core"
+	"pqs/internal/sim"
+)
+
+// TestGoldenDigests pins what four small scale points record: the digest of
+// every client's operation stream, the virtual time the run covered and the
+// latency phase's median. Together they cover both planes, pair and fraction
+// mode, crashes, churn with rejoin gossip under the timed verdict, and a
+// hedged latency phase. A change to how the simulation is scheduled (which
+// goroutine runs what) must leave all of them equal; a change that moves one
+// changed behaviour, and must say so and re-pin.
+func TestGoldenDigests(t *testing.T) {
+	sys, err := core.NewEpsilonIntersectingEll(150, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcpSys, err := core.NewEpsilonIntersectingEll(64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hedged := config.Tuning{Spares: 2, HedgeDelay: 2 * time.Millisecond, AdaptiveHedge: true, EagerRead: true}
+	latency := config.Topology{LatencyMin: 200 * time.Microsecond, LatencyMax: 800 * time.Microsecond}
+	tcpLatency := latency
+	tcpLatency.Transport = sim.TransportTCPVirtual
+	for _, g := range []struct {
+		cfg    Config
+		digest string
+		simSec float64
+		p50Ms  float64
+	}{
+		{cfg: Config{Name: "golden/mem-crash", System: sys, Clients: 120, Arrivals: 8, CrashN: 6,
+			Seed: 11, Bound: sys.EpsilonBound(), Tuning: hedged, Topology: latency, LatencyOps: 200},
+			digest: "2178e16d5383c2b6", simSec: 0.16505395, p50Ms: 0.781424},
+		{cfg: Config{Name: "golden/mem-fraction", System: sys, Clients: 100, Arrivals: 16, ReadFraction: 0.7,
+			Seed: 12, Bound: sys.EpsilonBound()},
+			digest: "732e3c85741501fc", simSec: 0.018619, p50Ms: 0},
+		{cfg: Config{Name: "golden/mem-churn", System: sys, Clients: 100, Arrivals: 10,
+			Waves: 4, WaveSize: 10, GossipWaveRounds: 1, Timed: true,
+			Seed: 13, Bound: sys.EpsilonBound()},
+			digest: "4c7464d1c109a56d", simSec: 0.011749, p50Ms: 0},
+		{cfg: Config{Name: "golden/tcp", System: tcpSys, Clients: 8, Arrivals: 30,
+			Seed: 14, Bound: tcpSys.EpsilonBound(), Tuning: hedged, Topology: tcpLatency, LatencyOps: 100},
+			digest: "e92dae42a2f51c65", simSec: 0.173231439, p50Ms: 1.435185},
+	} {
+		t.Run(g.cfg.Name, func(t *testing.T) {
+			res, err := Run(g.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Digest != g.digest || res.SimSeconds != g.simSec || res.P50Ms != g.p50Ms {
+				t.Errorf("digest %s, sim_seconds %v, p50 %v ms; pinned %s, %v, %v",
+					res.Digest, res.SimSeconds, res.P50Ms, g.digest, g.simSec, g.p50Ms)
+			}
+		})
+	}
+}

@@ -7,19 +7,22 @@
 //
 // The engine runs two phases under one vtime.SimClock:
 //
-//   - The COUNTING phase measures ε at population scale. Every client is
-//     its own SimClock worker with its own register.Client, rng, writer
-//     clock and disjoint keyspace ("c<id>/k<j>"), issuing operations on an
-//     open-loop arrival grid (whole microseconds). On the mem plane this
-//     phase runs at zero simulated latency with no fault hook, so the
-//     network itself reports that no call can park (transport.TryCaller)
-//     and register runs every call on the issuing client's own worker — no
-//     option asks for it. An operation therefore completes synchronously
-//     at its arrival instant: at any moment exactly one client is running,
-//     the only shared mutable state (the membership-view counter) changes
-//     only at churn-wave instants deliberately placed off the arrival grid
-//     (+1ns), and the whole interleaving is deterministic — the run
-//     replays byte-for-byte from its seed (Result.Digest pins it). The
+//   - The COUNTING phase measures ε at population scale. Every client has
+//     its own register.Client, rng, writer clock and disjoint keyspace
+//     ("c<id>/k<j>"), and issues operations on an open-loop arrival grid
+//     (whole microseconds). The clients are not workers: one driver worker
+//     keeps every client's next arrival in a heap ordered by (instant,
+//     insertion sequence), sleeps to the earliest, runs that client's
+//     operation and re-inserts it at its next arrival. This phase runs at
+//     zero simulated latency, so every operation completes at its arrival
+//     instant on both planes; on the mem plane, with no fault hook either,
+//     the network itself reports that no call can park
+//     (transport.TryCaller) and register runs every call on the driver — no
+//     option asks for it. Clients share no key, and the only shared mutable
+//     state (the membership-view counter) changes only at churn-wave
+//     instants deliberately placed off the arrival grid (+1ns), so the
+//     order in which same-instant arrivals run changes no outcome and the
+//     run replays byte-for-byte from its seed (Result.Digest pins it). The
 //     latency-tolerance knobs of the embedded Tuning block are stripped
 //     here (hedging is meaningless at zero latency); W and ReadRepair,
 //     which change coverage and therefore ε, are honored.
@@ -29,7 +32,8 @@
 //     and the FULL Tuning block (spares, hedging, eager reads) in effect,
 //     and records per-operation virtual-time durations into p50/p99/p999.
 //     With latency installed every call declines the caller path and runs
-//     as a scheduler worker, so hedge timers fire while calls are in flight.
+//     on the issuer's pooled dispatch workers (registered scheduler
+//     workers), so hedge timers fire while calls are in flight.
 //
 // Churn runs as replacement waves: WaveSize servers are deregistered and
 // replaced by empty replicas (their copies are destroyed — a departure in
@@ -49,6 +53,7 @@
 package load
 
 import (
+	"container/heap"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -319,8 +324,8 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 		e.gossip = g
 	}
 
-	// The counting phase: one SimClock worker per client, plus the churn
-	// and crash drivers.
+	// The counting phase: this worker drives every client from the arrival
+	// heap; the churn and crash drivers are workers of their own.
 	clients := make([]*clientState, c.Clients)
 	for i := range clients {
 		cs, err := e.newClientState(i)
@@ -330,14 +335,6 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 		clients[i] = cs
 	}
 	wg := vtime.NewWaitGroup(sc)
-	wg.Add(len(clients))
-	for _, cs := range clients {
-		cs := cs
-		sc.Go(func() {
-			defer wg.Done()
-			e.clientLoop(cs)
-		})
-	}
 	if c.Waves > 0 {
 		wg.Add(1)
 		sc.Go(func() {
@@ -352,6 +349,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 			e.crashLoop()
 		})
 	}
+	e.drive(clients)
 	wg.Wait()
 	for _, cs := range clients {
 		cs.cl.WaitDrained()
@@ -393,10 +391,11 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 // only the replicas (on disjoint keys) and the view counter, so the
 // interleaving of same-instant arrivals cannot change any outcome.
 type clientState struct {
-	id   int
-	rng  *rand.Rand
-	cl   *register.Client
-	keys []string
+	id      int
+	rng     *rand.Rand
+	arrived int // arrivals served so far
+	cl      *register.Client
+	keys    []string
 	// ctr[k] is the write counter of key k (its value is the decimal
 	// counter); viewAt[k] the membership view observed at its last write.
 	ctr    []int
@@ -488,27 +487,79 @@ func (c *clientState) draw(mean time.Duration) time.Duration {
 	return time.Duration(gap) * time.Microsecond
 }
 
-func (e *engine) clientLoop(c *clientState) {
-	next := c.draw(e.cfg.Arrival)
-	for t := 0; t < e.cfg.Arrivals; t++ {
-		e.sleepUntil(next)
-		next += c.draw(e.cfg.Arrival)
-		if e.cfg.ReadFraction > 0 {
-			written := e.cfg.Keys
-			if c.writes < written {
-				written = c.writes
-			}
-			if written == 0 || c.rng.Float64() >= e.cfg.ReadFraction {
-				e.doWrite(c, c.writes%e.cfg.Keys)
-			} else {
-				e.doRead(c, c.rng.Intn(written))
-			}
-		} else {
-			e.doWrite(c, t%e.cfg.Keys)
-			if t >= e.cfg.ReadLag {
-				e.doRead(c, (t-e.cfg.ReadLag)%e.cfg.Keys)
-			}
+// arrival is one client's next arrival instant in the driver's heap.
+type arrival struct {
+	at  time.Duration
+	seq uint64 // insertion order: the tie-break between equal instants
+	c   *clientState
+}
+
+// arrivals is a min-heap of arrival by (at, seq).
+type arrivals []arrival
+
+func (h arrivals) Len() int { return len(h) }
+func (h arrivals) Less(i, j int) bool {
+	if h[i].at != h[j].at {
+		return h[i].at < h[j].at
+	}
+	return h[i].seq < h[j].seq
+}
+func (h arrivals) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *arrivals) Push(x any)   { *h = append(*h, x.(arrival)) }
+func (h *arrivals) Pop() any {
+	old := *h
+	a := old[len(old)-1]
+	*h = old[:len(old)-1]
+	return a
+}
+
+// drive runs the counting phase on the calling worker: sleep to the earliest
+// pending arrival, draw that client's next gap, run its operation, re-insert
+// it — until every client has made all its arrivals. Each client's rng sees
+// its draws in one fixed order (a gap, then the operation's own draws), and
+// every operation completes at its arrival instant.
+func (e *engine) drive(clients []*clientState) {
+	h := make(arrivals, len(clients))
+	for i, c := range clients {
+		h[i] = arrival{at: c.draw(e.cfg.Arrival), seq: uint64(i), c: c}
+	}
+	heap.Init(&h)
+	seq := uint64(len(h))
+	for len(h) > 0 {
+		a := h[0]
+		e.sleepUntil(a.at)
+		c := a.c
+		t := c.arrived
+		c.arrived++
+		next := a.at + c.draw(e.cfg.Arrival)
+		e.step(c, t)
+		if c.arrived == e.cfg.Arrivals {
+			heap.Pop(&h)
+			continue
 		}
+		h[0].at, h[0].seq = next, seq
+		seq++
+		heap.Fix(&h, 0)
+	}
+}
+
+// step is client c's operation at its arrival t.
+func (e *engine) step(c *clientState, t int) {
+	if e.cfg.ReadFraction > 0 {
+		written := e.cfg.Keys
+		if c.writes < written {
+			written = c.writes
+		}
+		if written == 0 || c.rng.Float64() >= e.cfg.ReadFraction {
+			e.doWrite(c, c.writes%e.cfg.Keys)
+		} else {
+			e.doRead(c, c.rng.Intn(written))
+		}
+		return
+	}
+	e.doWrite(c, t%e.cfg.Keys)
+	if t >= e.cfg.ReadLag {
+		e.doRead(c, (t-e.cfg.ReadLag)%e.cfg.Keys)
 	}
 }
 

@@ -38,13 +38,14 @@ import (
 // sample conditioned on liveness, the same conditioning a full re-sample
 // performs, at a fraction of the latency.
 //
-// All timers and spawns go through the client's vtime.Clock. Under the
-// wall clock, handed-off calls run on a stack of idle-retiring worker
-// goroutines, each woken through its own mailbox (steady-state operations
-// spawn no goroutines at all; see dispatchPool); under a vtime.SimClock,
-// each runs as a registered scheduler worker and the gather loop parks
-// around its select, so hedge firing is part of the deterministic
-// virtual-time order.
+// All timers and spawns go through the client's vtime.Clock. Under either
+// clock, handed-off calls run on a stack of idle-retiring worker goroutines,
+// each woken through its own mailbox (steady-state operations spawn no
+// goroutines at all; see dispatchPool). Under a vtime.SimClock the workers
+// are registered scheduler workers, every handoff is a tracked message, the
+// idle sweep is a virtual timer and the gather loop parks around its
+// select, so hedge firing is part of the deterministic virtual-time order;
+// which worker runs a call never changes when it runs.
 
 // callReply carries one server's response through the gather loop. lat is
 // the call's round-trip latency, measured only when adaptive hedging needs
@@ -65,23 +66,24 @@ type dispatchJob struct {
 	timed bool
 }
 
-// poolIdleRetire bounds how long an idle wall-mode dispatch worker lingers
-// for the next job before exiting: it retires at the second sweep after it
-// went idle, between poolIdleRetire/2 and poolIdleRetire later. Long enough
-// to serve back-to-back operations without spawning, short enough that a
+// poolIdleRetire bounds how long an idle dispatch worker lingers for the
+// next job before exiting: it retires at the second sweep after it went
+// idle, between poolIdleRetire/2 and poolIdleRetire later. Long enough to
+// serve back-to-back operations without spawning, short enough that a
 // quiescent client leaves no goroutines behind (the leak regressions poll
-// well past this) and a torn-down cluster is not kept reachable through
-// its client's workers for longer than that.
+// well past this) and a torn-down cluster is not kept reachable through its
+// client's workers for longer than that. Under a SimClock this is virtual
+// time, and SimClock.Run returns only once the last idle worker retired.
 const poolIdleRetire = 100 * time.Millisecond
 
-// dispatchPool is the cell's wall-mode worker pool: a LIFO stack of idle
-// workers, each parked on a private one-slot mailbox. Dispatch pops the
-// most recently idle worker — the one whose stack and cache lines are
-// warmest — and hands it the job with one direct channel send; there is no
-// shared channel for workers to contend on, no select, and no per-job
-// timer. Idle workers are retired by a sweep that runs on the cell's clock
-// every poolIdleRetire/2 for as long as any worker is idle, and not at all
-// otherwise.
+// dispatchPool is the cell's worker pool, the same under either clock: a
+// LIFO stack of idle workers, each parked on a private one-slot mailbox.
+// Dispatch pops the most recently idle worker — the one whose stack and
+// cache lines are warmest — and hands it the job with one direct channel
+// send; there is no shared channel for workers to contend on, no select,
+// and no per-job timer. Idle workers are retired by a sweep that runs on the
+// cell's clock every poolIdleRetire/2 for as long as any worker is idle, and
+// not at all otherwise.
 type dispatchPool struct {
 	mu       sync.Mutex
 	idle     []*poolWorker // bottom = idle longest (pushes and pops are at the top)
@@ -119,15 +121,6 @@ func (c *cell) call(j dispatchJob, mayPark bool) (r callReply, ok bool) {
 	return r, ok
 }
 
-// runJob executes one transport call and delivers the reply. The reply
-// channel is buffered for every call that can ever be dispatched, so the
-// send never blocks; under a SimClock it is a tracked message.
-func (c *cell) runJob(j dispatchJob) {
-	r, _ := c.call(j, true)
-	c.sched.NoteSend()
-	j.ch <- r
-}
-
 // replyQueue is where one gather's replies arrive. A reply produced on the
 // caller — a call TryCall completed, or a member failed at dispatch — is
 // appended to local (storage borrowed from the operation's scratch) and
@@ -153,10 +146,10 @@ func (q *replyQueue) pop() (callReply, bool) {
 
 // dispatch issues one call. A member the transport already knows is down
 // fails here; a call that cannot park runs here, on the caller; anything
-// else is handed to a worker: a registered scheduler worker under a
-// SimClock, otherwise the most recently idle pooled goroutine (spawning a
-// fresh one only when the idle stack is empty — after the first operation
-// warms the pool, steady-state reads and writes spawn nothing).
+// else is handed to the most recently idle pooled worker (spawning a fresh
+// one through the clock's Sched only when the idle stack is empty — after
+// the first operation warms the pool, steady-state reads and writes spawn
+// nothing).
 func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *replyQueue, timed bool) {
 	if c.health != nil && c.health.ServerDown(id) {
 		// The transport's circuit breaker already proved this member
@@ -182,10 +175,6 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 		q.ch = make(chan callReply, q.total)
 	}
 	j.ch = q.ch
-	if c.sched.Virtual() {
-		c.sched.Go(func() { c.runJob(j) })
-		return
-	}
 	p := &c.pool
 	p.mu.Lock()
 	if n := len(p.idle); n > 0 {
@@ -193,12 +182,12 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 		p.idle[n-1] = nil
 		p.idle = p.idle[:n-1]
 		p.mu.Unlock()
+		c.sched.NoteSend()
 		w.mail <- j
 		return
 	}
 	p.mu.Unlock()
-	//pqslint:allow rawgo wall-clock-only fallback: this branch runs iff c.sched is not virtual, i.e. there is no SimClock to enroll the worker with
-	go c.runPoolWorker(j)
+	c.sched.Go(func() { c.runPoolWorker(j) })
 }
 
 // runPoolWorker is a pooled worker's body: make the call, push itself on the
@@ -207,7 +196,8 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 // the reply goes out, so an operation that has consumed its replies finds
 // every worker that served it idle: back-to-back operations re-use them
 // all and spawn nothing. (The mailbox is buffered, so a job posted while
-// the worker is still delivering waits there.)
+// the worker is still delivering waits there.) The reply, the job and the
+// sweep's close are tracked messages (free under the wall clock).
 func (c *cell) runPoolWorker(j dispatchJob) {
 	p := &c.pool
 	w := &poolWorker{mail: make(chan dispatchJob, 1)}
@@ -221,9 +211,14 @@ func (c *cell) runPoolWorker(j dispatchJob) {
 			c.clock.AfterFunc(poolIdleRetire/2, c.sweepPool)
 		}
 		p.mu.Unlock()
+		c.sched.NoteSend()
 		j.ch <- r
+		unpark := c.sched.Park()
 		var ok bool
-		if j, ok = <-w.mail; !ok {
+		j, ok = <-w.mail
+		unpark()
+		c.sched.NoteRecv()
+		if !ok {
 			return
 		}
 	}
@@ -240,6 +235,7 @@ func (c *cell) sweepPool() {
 	p.sweeps++
 	n := 0
 	for n < len(p.idle) && p.idle[n].idleAt+2 <= p.sweeps {
+		c.sched.NoteSend()
 		close(p.idle[n].mail)
 		n++
 	}

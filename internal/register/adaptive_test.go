@@ -35,6 +35,7 @@ func adaptiveRun(t *testing.T, opts func(net *transport.MemNetwork) Options, ops
 	t.Helper()
 	clk := vtime.NewSimClock()
 	var stats AccessStats
+	var elapsed time.Duration
 	var failed error
 	clk.Run(func() {
 		net := newVirtualNet(10, 7, clk)
@@ -60,11 +61,14 @@ func adaptiveRun(t *testing.T, opts func(net *transport.MemNetwork) Options, ops
 		}
 		c.WaitDrained()
 		stats = c.Stats()
+		// Read on this worker: after Run returns, the clock has also covered
+		// the idle dispatch workers' retirement.
+		elapsed = clk.Elapsed()
 	})
 	if failed != nil {
 		t.Fatal(failed)
 	}
-	return stats, clk.Elapsed()
+	return stats, elapsed
 }
 
 // baseOptions is the shared 10-server, quorum-3 configuration.

@@ -1,21 +1,28 @@
 package register
 
-// Regressions for the wall-mode dispatch pool (dispatchPool in access.go):
-// an idle stack with private mailboxes, retired by a clock-driven sweep.
-// The sweeps are driven by hand through a stub clock, so what a test
-// observes never depends on how fast the machine runs it. The pool is where
-// calls go that might park, and a zero-latency MemNetwork says its calls
-// cannot, so the clients here reach it through callOnly, as a socket
-// transport would. Run under -race.
+// Regressions for the dispatch pool (dispatchPool in access.go): an idle
+// stack with private mailboxes, retired by a clock-driven sweep. On the wall
+// clock the sweeps are driven by hand through a stub clock, so what a test
+// observes never depends on how fast the machine runs it; under a SimClock
+// they are virtual timers. The pool is where calls go that might park, and
+// a zero-latency MemNetwork says its calls cannot, so the wall-clock
+// clients here reach it through callOnly, as a socket transport would. Run
+// under -race.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"pqs/internal/config"
+	"pqs/internal/quorum"
+	"pqs/internal/transport"
+	"pqs/internal/ts"
 	"pqs/internal/vtime"
 )
 
@@ -238,5 +245,130 @@ func TestPoolRetiresOnTheWallClock(t *testing.T) {
 		// Generous: the bound is poolIdleRetire, the slack is for a loaded
 		// CI machine's timer latency; the exact bound is pinned above.
 		t.Errorf("idle workers took %v to retire, want about %v", took, poolIdleRetire)
+	}
+}
+
+// virtualHedgedReader is the client of the virtual-dispatch test and
+// benchmark, built inside clk.Run: n = 100 replicas behind 200-800µs of
+// virtual latency, a uniform q = 23 system with 2 spares and a 500µs hedge
+// delay, so nearly every read promotes a spare. Reads are not eager, so
+// each waits for every call it made and leaves nothing to a drain. wrap,
+// when non-nil, stands between the client and the network.
+func virtualHedgedReader(clk *vtime.SimClock, wrap func(transport.Transport) transport.Transport) (*Client, error) {
+	net := newVirtualNet(100, 1, clk)
+	net.SetLatency(200*time.Microsecond, 800*time.Microsecond)
+	sys, err := quorum.NewUniform(100, 23)
+	if err != nil {
+		return nil, err
+	}
+	var tr transport.Transport = net
+	if wrap != nil {
+		tr = wrap(net)
+	}
+	return NewClient(Options{
+		System: sys, Mode: Benign, Transport: tr, Time: clk,
+		Rand: rand.New(rand.NewSource(1)), Clock: ts.NewClock(1),
+		Tuning: config.Tuning{Spares: 2, HedgeDelay: 500 * time.Microsecond},
+	})
+}
+
+// callProbe forwards calls, recording which goroutine made each one and the
+// most goroutines the process had when one was made.
+type callProbe struct {
+	transport.Transport
+
+	mu         sync.Mutex
+	goroutines map[string]bool
+	peak       int
+}
+
+func (p *callProbe) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
+	var buf [64]byte
+	id := string(bytes.Fields(buf[:runtime.Stack(buf[:], false)])[1]) // "goroutine <id> [running]:"
+	live := runtime.NumGoroutine()
+	p.mu.Lock()
+	p.goroutines[id] = true
+	p.peak = max(p.peak, live)
+	p.mu.Unlock()
+	return p.Transport.Call(ctx, to, req)
+}
+
+// TestVirtualDispatchReusesWorkers: under a SimClock, calls that park run on
+// the same pooled workers as on the wall clock. Over 50 sequential hedged
+// reads no more than q + spares distinct goroutines ever make a call, the
+// process never holds more than that many goroutines beyond what it had
+// before the first read, and Run returns once the idle workers retire.
+// (Virtual time stays under two sweep periods, so no worker retires while
+// the reads run.)
+func TestVirtualDispatchReusesWorkers(t *testing.T) {
+	const q, spares, reads = 23, 2, 50
+	clk := vtime.NewSimClock()
+	probe := &callProbe{goroutines: map[string]bool{}}
+	var baseline, promoted int
+	var took time.Duration
+	var failed error
+	clk.Run(func() {
+		cl, err := virtualHedgedReader(clk, func(net transport.Transport) transport.Transport {
+			probe.Transport = net
+			return probe
+		})
+		if err != nil {
+			failed = err
+			return
+		}
+		baseline = runtime.NumGoroutine()
+		for i := 0; i < reads; i++ {
+			rr, err := cl.Read(context.Background(), "k")
+			if err != nil {
+				failed = fmt.Errorf("read %d: %w", i, err)
+				return
+			}
+			promoted += rr.Promoted
+		}
+		took = clk.Elapsed()
+	})
+	if failed != nil {
+		t.Fatal(failed)
+	}
+	if promoted == 0 {
+		t.Fatal("no read promoted a spare: the test no longer exercises hedging")
+	}
+	if took >= poolIdleRetire {
+		t.Fatalf("the reads covered %v of virtual time: workers may retire mid-run, which the bounds below do not allow for", took)
+	}
+	if got := len(probe.goroutines); got > q+spares {
+		t.Errorf("%d distinct goroutines made calls over %d reads, want at most q + spares = %d", got, reads, q+spares)
+	}
+	if probe.peak > baseline+q+spares {
+		t.Errorf("%d goroutines at peak, %d before the first read: more than q + spares = %d workers", probe.peak, baseline, q+spares)
+	}
+	t.Logf("%d reads, %d spares promoted, %v virtual: %d goroutines made calls, peak %d over a baseline of %d",
+		reads, promoted, took, len(probe.goroutines), probe.peak, baseline)
+}
+
+// BenchmarkVirtualHedgedRead prices one hedged read under a SimClock with
+// every call on a pooled worker (TestVirtualDispatchReusesWorkers's shape).
+func BenchmarkVirtualHedgedRead(b *testing.B) {
+	clk := vtime.NewSimClock()
+	var failed error
+	clk.Run(func() {
+		cl, err := virtualHedgedReader(clk, nil)
+		if err != nil {
+			failed = err
+			return
+		}
+		ctx := context.Background()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := cl.Read(ctx, "k"); err != nil {
+				failed = err
+				return
+			}
+		}
+		b.StopTimer()
+	})
+	if failed != nil {
+		b.Fatal(failed)
 	}
 }

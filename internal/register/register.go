@@ -29,9 +29,9 @@
 // as MemNetwork does on a link with no latency, fault hook or concurrency
 // cap to a replica whose behaviour never waits — runs on the goroutine that
 // issued the operation and its reply is consumed there, with no worker, no
-// channel and no wake-up; any other call is handed to a worker (a pooled
-// goroutine under the wall clock, a scheduler worker under a SimClock). One
-// rule, both clocks; see access.go.
+// channel and no wake-up; any other call is handed to a pooled worker (a
+// registered scheduler worker under a SimClock). One rule and one pool, both
+// clocks; see access.go.
 package register
 
 import (
@@ -189,8 +189,7 @@ type cell struct {
 	rng  *rand.Rand
 	free []*scratch // recycled per-operation memory (see access.go)
 
-	// pool holds the idle dispatch workers (wall mode only; see dispatch in
-	// access.go).
+	// pool holds the idle dispatch workers (see dispatch in access.go).
 	pool dispatchPool
 
 	// lat is the adaptive-hedge latency estimator; hedgeK its quantile

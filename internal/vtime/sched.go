@@ -33,9 +33,6 @@ func SchedOf(c Clock) Sched {
 	return Sched{sim: sc}
 }
 
-// Virtual reports whether the discipline is backed by a SimClock.
-func (s Sched) Virtual() bool { return s.sim != nil }
-
 // Go spawns fn: as a registered scheduler worker under a SimClock, as a
 // plain goroutine otherwise.
 func (s Sched) Go(fn func()) {

@@ -30,6 +30,8 @@ type SimClock struct {
 	parked  int // workers blocked in a clock wait
 	pending int // tracked messages sent but not yet consumed
 	running bool
+
+	unpark func() // what Park returns: one closure, made by NewSimClock
 }
 
 // NewSimClock returns a virtual clock at the simulation epoch. It is inert
@@ -37,13 +39,18 @@ type SimClock struct {
 func NewSimClock() *SimClock {
 	c := &SimClock{now: simEpoch}
 	c.cond = sync.NewCond(&c.mu)
+	c.unpark = func() {
+		c.mu.Lock()
+		c.parked--
+		c.mu.Unlock()
+	}
 	return c
 }
 
 // Run executes fn as the root worker of the simulated world and drives the
-// scheduler until fn and every worker it spawned (Go, AfterFunc) have
-// finished. It panics if the simulation deadlocks: every worker parked,
-// no undelivered message, and no timer left to fire.
+// scheduler until fn and every worker it spawned have finished. It panics
+// if the simulation deadlocks: every worker parked, no undelivered message,
+// and no timer left to fire.
 func (c *SimClock) Run(fn func()) {
 	c.mu.Lock()
 	if c.running {
@@ -109,11 +116,7 @@ func (c *SimClock) Park() func() {
 	c.parked++
 	c.wakeLocked()
 	c.mu.Unlock()
-	return func() {
-		c.mu.Lock()
-		c.parked--
-		c.mu.Unlock()
-	}
+	return c.unpark
 }
 
 // NoteSend records that a tracked message is about to be sent: the system
@@ -144,51 +147,45 @@ func (c *SimClock) Elapsed() time.Duration {
 
 // schedule is the event loop Run drives on the caller's goroutine: wait
 // for quiescence, fire the earliest timer, repeat; return when every
-// worker has finished.
+// worker has finished. An AfterFunc callback runs here, with c.mu released:
+// every worker is parked, so nothing else runs until the callback wakes it.
 func (c *SimClock) schedule() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	for {
-		if c.workers == 0 {
-			return
-		}
-		if c.parked == c.workers && c.pending == 0 {
-			if len(c.timers) == 0 {
-				panic(fmt.Sprintf(
-					"vtime: deadlock: every worker parked, nothing pending, no timer to fire (workers=%d parked=%d pending=%d timers=%d)",
-					c.workers, c.parked, c.pending, len(c.timers)))
-			}
-			t := heap.Pop(&c.timers).(*simTimer)
-			if t.when.After(c.now) {
-				c.now = t.when
-			}
-			c.fireLocked(t)
+	for c.workers > 0 {
+		if c.parked < c.workers || c.pending > 0 {
+			c.cond.Wait()
 			continue
 		}
-		c.cond.Wait()
-	}
-}
-
-// fireLocked delivers one timer. c.mu must be held.
-func (c *SimClock) fireLocked(t *simTimer) {
-	if t.fn != nil {
-		// AfterFunc: the callback runs as a registered worker.
-		c.workers++
-		go func() {
-			defer c.workerDone()
+		if len(c.timers) == 0 {
+			msg := fmt.Sprintf(
+				"vtime: deadlock: every worker parked, nothing pending, no timer to fire (workers=%d parked=%d pending=%d timers=%d)",
+				c.workers, c.parked, c.pending, len(c.timers))
+			c.mu.Unlock()
+			panic(msg)
+		}
+		t := heap.Pop(&c.timers).(*simTimer)
+		if t.when.After(c.now) {
+			c.now = t.when
+		}
+		if t.fn != nil {
+			c.mu.Unlock()
 			t.fn()
-		}()
-		return
+			c.mu.Lock()
+			continue
+		}
+		// Channel timer: the fire is a tracked message. The channel has
+		// capacity 1 and is empty here (Stop/Reset discard undelivered
+		// fires, and a timer fires at most once per arming), so the send
+		// cannot block. Exactly one of c and wake is non-nil.
+		select {
+		case t.c <- c.now:
+			c.pending++
+		case t.wake <- struct{}{}:
+			c.pending++
+		default:
+		}
 	}
-	// Channel timer: the fire is a tracked message. The channel has
-	// capacity 1 and is empty here (Stop/Reset discard undelivered fires,
-	// and a timer fires at most once per arming), so the send cannot
-	// block.
-	select {
-	case t.c <- c.now:
-		c.pending++
-	default:
-	}
+	c.mu.Unlock()
 }
 
 // Now implements Clock.
@@ -222,9 +219,9 @@ func (c *SimClock) Settle() { c.waitTimer(0) }
 
 // waitTimer parks the calling worker until a timer of d fires.
 func (c *SimClock) waitTimer(d time.Duration) {
-	t := c.NewTimer(d)
+	t := c.arm(&simTimer{clk: c, wake: make(chan struct{}, 1)}, d)
 	unpark := c.Park()
-	<-t.C
+	<-t.wake
 	unpark()
 	c.NoteRecv()
 }
@@ -236,10 +233,10 @@ func (c *SimClock) SleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := c.NewTimer(d)
+	t := c.arm(&simTimer{clk: c, wake: make(chan struct{}, 1)}, d)
 	unpark := c.Park()
 	select {
-	case <-t.C:
+	case <-t.wake:
 		unpark()
 		c.NoteRecv()
 		// A cancellation that raced the timer fire still reports as a
@@ -248,28 +245,29 @@ func (c *SimClock) SleepCtx(ctx context.Context, d time.Duration) error {
 		return ctx.Err()
 	case <-ctx.Done():
 		unpark()
-		t.Stop()
+		t.stop()
 		return ctx.Err()
 	}
 }
 
 // NewTimer implements Clock.
 func (c *SimClock) NewTimer(d time.Duration) *Timer {
-	st := &simTimer{clk: c, c: make(chan time.Time, 1), idx: -1}
-	c.mu.Lock()
-	c.scheduleLocked(st, d)
-	c.mu.Unlock()
+	st := c.arm(&simTimer{clk: c, c: make(chan time.Time, 1)}, d)
 	return &Timer{C: st.c, sim: st}
 }
 
-// AfterFunc implements Clock: fn runs as a registered worker when the
-// timer fires.
+// AfterFunc implements Clock: fn runs on the scheduler when the timer
+// fires (see the package doc's rule 3).
 func (c *SimClock) AfterFunc(d time.Duration, fn func()) *Timer {
-	st := &simTimer{clk: c, fn: fn, idx: -1}
+	return &Timer{sim: c.arm(&simTimer{clk: c, fn: fn}, d)}
+}
+
+// arm schedules st for d from now and returns it.
+func (c *SimClock) arm(st *simTimer, d time.Duration) *simTimer {
 	c.mu.Lock()
 	c.scheduleLocked(st, d)
 	c.mu.Unlock()
-	return &Timer{sim: st}
+	return st
 }
 
 // scheduleLocked arms st for d from now. c.mu must be held.
@@ -284,11 +282,14 @@ func (c *SimClock) scheduleLocked(st *simTimer, d time.Duration) {
 	c.wakeLocked()
 }
 
-// simTimer is a SimClock timer: either a channel timer (c != nil) or an
-// AfterFunc timer (fn != nil).
+// simTimer is a SimClock timer: a NewTimer's channel timer (c != nil), a
+// bare wait of the clock's own (wake != nil: no time value, so the channel
+// is one allocation, where a chan time.Time is two), or an AfterFunc timer
+// (fn != nil).
 type simTimer struct {
 	clk  *SimClock
 	c    chan time.Time
+	wake chan struct{}
 	fn   func()
 	when time.Time
 	seq  uint64
@@ -326,15 +327,14 @@ func (t *simTimer) reset(d time.Duration) bool {
 // drainLocked discards an undelivered fire, balancing its pending count.
 // clk.mu must be held.
 func (t *simTimer) drainLocked() {
-	if t.c == nil {
-		return
-	}
 	select {
 	case <-t.c:
-		t.clk.pending--
-		t.clk.wakeLocked()
+	case <-t.wake:
 	default:
+		return
 	}
+	t.clk.pending--
+	t.clk.wakeLocked()
 }
 
 // timerHeap orders timers by (deadline, creation sequence).

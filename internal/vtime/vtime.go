@@ -44,8 +44,13 @@
 //     — exactly one event at a time, each fully processed (the system
 //     re-quiesces) before the next fires.
 //  3. A fired timer either delivers on its channel (counting as a tracked
-//     message until received) or runs its AfterFunc callback as a fresh
-//     registered worker.
+//     message until received) or runs its AfterFunc callback on the
+//     scheduler's own goroutine, at the quiescent point it fires at: no
+//     worker is spawned or counted for it. So the callback must not block
+//     or park (no Sleep, no Park, no WaitGroup wait, no lock a parked
+//     worker could hold); it may spawn workers with Go, send tracked
+//     messages and arm timers, and the scheduler waits for whatever it
+//     woke to park again before it fires the next timer.
 //
 // Together 1-3 make every recorded outcome under a SimClock a
 // deterministic function of the program's inputs: with seeded randomness,
@@ -110,8 +115,9 @@ type Clock interface {
 	SleepCtx(ctx context.Context, d time.Duration) error
 	// NewTimer returns a timer that delivers the clock's now on C after d.
 	NewTimer(d time.Duration) *Timer
-	// AfterFunc runs fn after d. Under a SimClock fn runs as a registered
-	// worker goroutine.
+	// AfterFunc runs fn after d. Under a SimClock fn runs on the scheduler
+	// at quiescence, so it must not block or park; it may Go, send tracked
+	// messages and arm timers (see the package doc's rule 3).
 	AfterFunc(d time.Duration, fn func()) *Timer
 }
 

@@ -2,6 +2,7 @@ package vtime
 
 import (
 	"context"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -326,5 +327,127 @@ func TestSimDeterministicReplay(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("traces diverge at %d: %v vs %v", i, a, b)
 		}
+	}
+}
+
+// TestSimAfterFuncRunsOnTheScheduler: a fired callback is not a worker — the
+// registry holds exactly the workers that were running before it fired.
+func TestSimAfterFuncRunsOnTheScheduler(t *testing.T) {
+	clk := NewSimClock()
+	var during, before int
+	clk.Run(func() {
+		clk.mu.Lock()
+		before = clk.workers
+		clk.mu.Unlock()
+		clk.AfterFunc(time.Millisecond, func() {
+			clk.mu.Lock()
+			during = clk.workers
+			clk.mu.Unlock()
+		})
+		clk.Sleep(2 * time.Millisecond)
+	})
+	if before != 1 || during != before {
+		t.Fatalf("workers during the callback = %d, want %d (the root alone)", during, before)
+	}
+}
+
+// TestSimCallbackSpawnsAndSends: a callback may spawn a worker and hand it a
+// tracked message; the scheduler waits for that worker to park or finish
+// before it fires the next timer, and Run returns once it is done.
+func TestSimCallbackSpawnsAndSends(t *testing.T) {
+	clk := NewSimClock()
+	var got int
+	var at time.Duration
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		clk.Run(func() {
+			ch := make(chan int, 1)
+			done := NewWaitGroup(clk)
+			done.Add(1)
+			clk.AfterFunc(time.Millisecond, func() {
+				clk.Go(func() {
+					defer done.Done()
+					unpark := clk.Park()
+					v := <-ch
+					unpark()
+					clk.NoteRecv()
+					clk.Sleep(time.Millisecond)
+					got, at = v, clk.Elapsed()
+				})
+				clk.NoteSend()
+				ch <- 7
+			})
+			done.Wait()
+		})
+	}()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run did not return after a callback spawned a worker and sent it a tracked message")
+	}
+	if got != 7 || at != 2*time.Millisecond {
+		t.Fatalf("spawned worker got %d at %v, want 7 at 2ms", got, at)
+	}
+}
+
+// TestSimFireOrderWithCallbacks: callbacks and channel timers share one
+// (deadline, seq) order, and a timer a callback arms for "now" fires after
+// the timers already due at that instant, not before.
+func TestSimFireOrderWithCallbacks(t *testing.T) {
+	clk := NewSimClock()
+	var order []string
+	clk.Run(func() {
+		done := NewWaitGroup(clk)
+		note := func(s string) func() {
+			done.Add(1)
+			return func() {
+				order = append(order, s)
+				done.Done()
+			}
+		}
+		zero := note("a+0")
+		clk.AfterFunc(10*time.Millisecond, func() {
+			order = append(order, "a")
+			clk.AfterFunc(0, zero)
+		})
+		clk.AfterFunc(10*time.Millisecond, note("b"))
+		tm := clk.NewTimer(10 * time.Millisecond)
+		clk.AfterFunc(5*time.Millisecond, note("early"))
+		unpark := clk.Park()
+		<-tm.C
+		unpark()
+		clk.NoteRecv()
+		order = append(order, "chan")
+		done.Wait()
+	})
+	want := "early a b chan a+0"
+	if got := fmt.Sprint(order); got != "["+want+"]" {
+		t.Fatalf("fired %v, want [%s]", got, want)
+	}
+}
+
+// TestSimWaitAllocs: a park/unpark pair allocates nothing, and a virtual
+// sleep allocates its timer and that timer's channel, nothing more.
+func TestSimWaitAllocs(t *testing.T) {
+	clk := NewSimClock()
+	var park, sleep float64
+	clk.Run(func() {
+		// A worker the scheduler sees as running, so it does not act on the
+		// root's bare parks below.
+		hold := make(chan struct{})
+		clk.Go(func() { <-hold })
+		park = testing.AllocsPerRun(100, func() {
+			unpark := clk.Park()
+			unpark()
+		})
+		close(hold)
+		sleep = testing.AllocsPerRun(100, func() { clk.Sleep(time.Millisecond) })
+	})
+	if park != 0 {
+		t.Errorf("Park + unpark allocates %v objects, want 0", park)
+	}
+	if sleep > 2 {
+		t.Errorf("Sleep allocates %v objects, want <= 2", sleep)
 	}
 }
