@@ -97,7 +97,7 @@ race:
 # clock read that races fixture teardown shows up here. The
 # register's caller-path tests ride along: the same stream of operations
 # must give the same results, drop pattern and replica contents whether its
-# calls run on the caller or on pool workers (the pool side is scheduled by
+# calls run on the caller or on workers (the worker side is scheduled by
 # Go, so "the same" has to hold on every run), and a call that can park must
 # never be run on the caller (exact virtual time). So does MemNetwork's
 # golden replay: the counter hash every same-seed history rests on must
@@ -160,14 +160,15 @@ bench-json:
 
 # CI bit-rot guard: run every throughput/codec benchmark, the store's and
 # the replica's cold-read benchmarks (their ns/get and ns/read are one more
-# value-unit pair each to benchjson) and the register's hedged read under a
-# SimClock (every call on a pooled dispatch worker),
+# value-unit pair each to benchjson), the register's hedged read under a
+# SimClock (every call started, completed by the clock) and a read through
+# the whole TCP stack over a VirtualNet (sim-tcpv's shape; goroutines/op),
 # for one iteration and verify the JSON pipeline still produces a well-formed
 # document. Staged through a scratch file so the committed
 # BENCH_throughput.json — the bench-regress baseline — is never clobbered
 # with 1-iteration rates.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold|BenchmarkReplicaReadCold|BenchmarkVirtualHedgedRead)' -benchmem -benchtime 1x . ./internal/replica/ ./internal/register/ > BENCH_smoke.out
+	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold|BenchmarkReplicaReadCold|BenchmarkVirtualHedgedRead|BenchmarkVirtualTCPRead)' -benchmem -benchtime 1x . ./internal/replica/ ./internal/register/ ./internal/sim/ > BENCH_smoke.out
 	$(GO) run ./cmd/benchjson < BENCH_smoke.out > BENCH_smoke.json
 	@rm -f BENCH_smoke.out
 	$(GO) run ./cmd/benchjson -check BENCH_smoke.json
@@ -274,15 +275,17 @@ sim-scale:
 # Ten seconds of coverage-guided fuzzing each for the binary codec's decode
 # surface, the virtual byte-stream fault injector, the dissemination
 # read's selection over the registry's verified set (differential, against
-# plain sv.Verify) and the replica store's flat tables (differential, against
+# plain sv.Verify), the replica store's flat tables (differential, against
 # a plain map, under the real hash and under hashes that force one shard and
-# one slot), so the fuzz targets actually execute in CI rather than only
+# one slot) and the ring-view decoder a refreshing client feeds whatever
+# ViewKey holds, so the fuzz targets actually execute in CI rather than only
 # replaying their seed corpora.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzVNetFaultInjector -fuzztime 10s ./internal/transport
 	$(GO) test -run XXX -fuzz FuzzSelectDissemination -fuzztime 10s ./internal/register
 	$(GO) test -run XXX -fuzz FuzzStoreAgainstModel -fuzztime 10s ./internal/replica
+	$(GO) test -run XXX -fuzz FuzzDecodeView -fuzztime 10s ./internal/ring
 
 # The end-to-end smoke gate: build the real pqsd/pqs-cli binaries, stand a
 # 5-replica cluster up on loopback TCP, write and read through the CLI, kill

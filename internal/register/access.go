@@ -2,7 +2,6 @@ package register
 
 import (
 	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -15,21 +14,24 @@ import (
 // and Write: it dispatches one RPC per access-set member, promotes spare
 // servers when a member fails or a hedge delay elapses, and returns as soon
 // as the caller's completion rule is decidable, leaving stragglers to a
-// background drain that can never leak goroutines (every in-flight call owns
-// one worker that terminates when its transport call returns, and the
-// reply channel is buffered for every call that can ever be dispatched, so
-// senders never block).
+// background drain that can never leak goroutines (every call in flight
+// completes exactly once, and the reply channel is buffered for every call
+// that can ever be dispatched, so a completion never blocks).
 //
-// A call that cannot park runs on the caller. Whether it can is for the
-// layers below to say, per call: when the transport is a
-// transport.TryCaller, dispatch offers it the call first, and a call it
-// completes — MemNetwork does, on a link with no latency, hook or
-// concurrency cap, to a handler that does not wait — has its reply queued
-// locally and consumed by the same goroutine, without a worker, a channel
-// or a wake-up. Only a declined call is handed to a worker. The rule is the
-// same under both clocks and is not an option; it looks at the link and the
-// handler, never at anything the engine branches on, and the access set is
-// sampled before any of it runs.
+// How a call runs is for the layers below to say, per call, and dispatch
+// asks them in order; the rule is the same under both clocks and is not an
+// option. First TryCall (a transport.TryCaller): a call that cannot park —
+// MemNetwork, on a link with no latency, hook or concurrency cap, to a
+// handler that does not wait — runs on the caller and its reply is queued
+// locally and consumed by the same goroutine, with no channel or wake-up.
+// Then Start (a transport.Starter): a call that waits only for a peer or
+// the clock — TCPClient on an established connection, MemNetwork on a
+// link whose only wait is time — is started on the caller, and its
+// completion pushes the reply straight into the gather's channel from
+// whatever goroutine settles it (a connection's read loop, a timer). Only a
+// call both decline gets a worker of its own. None of it looks at anything
+// the engine branches on, and the access set is sampled before any of it
+// runs.
 //
 // Promotion preserves the attempt-level ε argument documented on
 // RetryingClient and quorum.SpareSampler: a spare is dispatched only when a
@@ -38,14 +40,11 @@ import (
 // sample conditioned on liveness, the same conditioning a full re-sample
 // performs, at a fraction of the latency.
 //
-// All timers and spawns go through the client's vtime.Clock. Under either
-// clock, handed-off calls run on a stack of idle-retiring worker goroutines,
-// each woken through its own mailbox (steady-state operations spawn no
-// goroutines at all; see dispatchPool). Under a vtime.SimClock the workers
-// are registered scheduler workers, every handoff is a tracked message, the
-// idle sweep is a virtual timer and the gather loop parks around its
-// select, so hedge firing is part of the deterministic virtual-time order;
-// which worker runs a call never changes when it runs.
+// All timers and spawns go through the client's vtime.Clock. Under a
+// vtime.SimClock every completion is a tracked message, a worker is a
+// registered scheduler worker, and the gather loop parks around its select,
+// so hedge firing is part of the deterministic virtual-time order; a
+// started call's timers are armed by the gather, in dispatch order.
 
 // callReply carries one server's response through the gather loop. lat is
 // the call's round-trip latency, measured only when adaptive hedging needs
@@ -57,76 +56,12 @@ type callReply struct {
 	lat  time.Duration
 }
 
-// dispatchJob is one transport call handed to a worker.
-type dispatchJob struct {
-	ctx   context.Context
-	id    quorum.ServerID
-	req   any
-	ch    chan<- callReply
-	timed bool
-}
-
-// poolIdleRetire bounds how long an idle dispatch worker lingers for the
-// next job before exiting: it retires at the second sweep after it went
-// idle, between poolIdleRetire/2 and poolIdleRetire later. Long enough to
-// serve back-to-back operations without spawning, short enough that a
-// quiescent client leaves no goroutines behind (the leak regressions poll
-// well past this) and a torn-down cluster is not kept reachable through its
-// client's workers for longer than that. Under a SimClock this is virtual
-// time, and SimClock.Run returns only once the last idle worker retired.
-const poolIdleRetire = 100 * time.Millisecond
-
-// dispatchPool is the cell's worker pool, the same under either clock: a
-// LIFO stack of idle workers, each parked on a private one-slot mailbox.
-// Dispatch pops the most recently idle worker — the one whose stack and
-// cache lines are warmest — and hands it the job with one direct channel
-// send; there is no shared channel for workers to contend on, no select,
-// and no per-job timer. Idle workers are retired by a sweep that runs on the
-// cell's clock every poolIdleRetire/2 for as long as any worker is idle, and
-// not at all otherwise.
-type dispatchPool struct {
-	mu       sync.Mutex
-	idle     []*poolWorker // bottom = idle longest (pushes and pops are at the top)
-	sweeps   uint64        // sweeps run so far; a worker's idle age is counted in these
-	sweeping bool          // a sweep timer is armed
-}
-
-// poolWorker is one pooled worker. While it is on the idle stack its mailbox
-// is empty; whoever pops it owns the single send (a job from dispatch, or
-// the close from a sweep), so neither can block and a job can never reach
-// a worker that is retiring.
-type poolWorker struct {
-	mail   chan dispatchJob
-	idleAt uint64 // dispatchPool.sweeps when it was pushed
-}
-
-// call executes one job's transport call: Transport.Call on a worker
-// (mayPark), TryCall on the caller otherwise. ok is false only when TryCall
-// declined, in which case nothing happened.
-func (c *cell) call(j dispatchJob, mayPark bool) (r callReply, ok bool) {
-	var start time.Time
-	if j.timed {
-		start = c.clock.Now()
-	}
-	r.id = j.id
-	if mayPark {
-		r.resp, r.err = c.opts.Transport.Call(j.ctx, j.id, j.req)
-		ok = true
-	} else {
-		r.resp, ok, r.err = c.try.TryCall(j.ctx, j.id, j.req)
-	}
-	if j.timed {
-		r.lat = c.clock.Since(start)
-	}
-	return r, ok
-}
-
 // replyQueue is where one gather's replies arrive. A reply produced on the
 // caller — a call TryCall completed, or a member failed at dispatch — is
 // appended to local (storage borrowed from the operation's scratch) and
 // consumed from there by the same goroutine; ch carries the replies of
-// handed-off calls and is made when the first call is handed off, so an
-// operation that parks nowhere makes no channel.
+// started and handed-off calls and is made when the first such call is
+// dispatched, so an operation that waits on nothing makes no channel.
 type replyQueue struct {
 	local []callReply
 	next  int // local[next:] is unconsumed
@@ -144,12 +79,9 @@ func (q *replyQueue) pop() (callReply, bool) {
 	return r, true
 }
 
-// dispatch issues one call. A member the transport already knows is down
-// fails here; a call that cannot park runs here, on the caller; anything
-// else is handed to the most recently idle pooled worker (spawning a fresh
-// one through the clock's Sched only when the idle stack is empty — after
-// the first operation warms the pool, steady-state reads and writes spawn
-// nothing).
+// dispatch issues one call: a member the transport already knows is down
+// fails here; otherwise TryCall, then Start, then a worker (see the file
+// comment).
 func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *replyQueue, timed bool) {
 	if c.health != nil && c.health.ServerDown(id) {
 		// The transport's circuit breaker already proved this member
@@ -162,11 +94,19 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 		q.local = append(q.local, callReply{id: id, err: transport.ErrServerDown})
 		return
 	}
-	j := dispatchJob{ctx: ctx, id: id, req: req, timed: timed}
+	var start time.Time
+	if timed {
+		start = c.clock.Now()
+	}
 	if c.try != nil {
 		// The id is passed down, never looked at: whether this call runs
 		// here is the link's and the handler's answer.
-		if r, ok := c.call(j, false); ok {
+		r := callReply{id: id}
+		var ok bool
+		if r.resp, ok, r.err = c.try.TryCall(ctx, id, req); ok {
+			if timed {
+				r.lat = c.clock.Since(start)
+			}
 			q.local = append(q.local, r)
 			return
 		}
@@ -174,80 +114,19 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 	if q.ch == nil {
 		q.ch = make(chan callReply, q.total)
 	}
-	j.ch = q.ch
-	p := &c.pool
-	p.mu.Lock()
-	if n := len(p.idle); n > 0 {
-		w := p.idle[n-1]
-		p.idle[n-1] = nil
-		p.idle = p.idle[:n-1]
-		p.mu.Unlock()
+	ch := q.ch
+	done := func(resp any, err error) {
+		r := callReply{id: id, resp: resp, err: err}
+		if timed {
+			r.lat = c.clock.Since(start)
+		}
 		c.sched.NoteSend()
-		w.mail <- j
+		ch <- r
+	}
+	if c.start != nil && c.start.Start(ctx, id, req, done) {
 		return
 	}
-	p.mu.Unlock()
-	c.sched.Go(func() { c.runPoolWorker(j) })
-}
-
-// runPoolWorker is a pooled worker's body: make the call, push itself on the
-// idle stack (arming the sweep if none is), deliver the reply, park on its
-// mailbox; exit when a sweep closes the mailbox. It is on the stack BEFORE
-// the reply goes out, so an operation that has consumed its replies finds
-// every worker that served it idle: back-to-back operations re-use them
-// all and spawn nothing. (The mailbox is buffered, so a job posted while
-// the worker is still delivering waits there.) The reply, the job and the
-// sweep's close are tracked messages (free under the wall clock).
-func (c *cell) runPoolWorker(j dispatchJob) {
-	p := &c.pool
-	w := &poolWorker{mail: make(chan dispatchJob, 1)}
-	for {
-		r, _ := c.call(j, true)
-		p.mu.Lock()
-		w.idleAt = p.sweeps
-		p.idle = append(p.idle, w)
-		if !p.sweeping {
-			p.sweeping = true
-			c.clock.AfterFunc(poolIdleRetire/2, c.sweepPool)
-		}
-		p.mu.Unlock()
-		c.sched.NoteSend()
-		j.ch <- r
-		unpark := c.sched.Park()
-		var ok bool
-		j, ok = <-w.mail
-		unpark()
-		c.sched.NoteRecv()
-		if !ok {
-			return
-		}
-	}
-}
-
-// sweepPool retires every worker that has been idle through two sweeps —
-// for at least poolIdleRetire/2, at most poolIdleRetire — and re-arms itself
-// while any worker is still idle. The stack is ordered by idle age, so the
-// retirees are a prefix of it.
-func (c *cell) sweepPool() {
-	p := &c.pool
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.sweeps++
-	n := 0
-	for n < len(p.idle) && p.idle[n].idleAt+2 <= p.sweeps {
-		c.sched.NoteSend()
-		close(p.idle[n].mail)
-		n++
-	}
-	kept := copy(p.idle, p.idle[n:])
-	for i := kept; i < len(p.idle); i++ {
-		p.idle[i] = nil
-	}
-	p.idle = p.idle[:kept]
-	p.sweeping = kept > 0
-	if p.sweeping {
-		c.clock.AfterFunc(poolIdleRetire/2, c.sweepPool)
-	}
+	c.sched.Go(func() { done(c.opts.Transport.Call(ctx, id, req)) })
 }
 
 // gatherSpec parameterizes one gather run. The request is gather's own
@@ -357,7 +236,7 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 	for outstanding > 0 {
 		// Replies produced on the caller first, including those of spares a
 		// promote() just ran: they are already here. Once local is empty
-		// every outstanding call is on a worker, so q.ch exists.
+		// every outstanding call was started or handed off, so q.ch exists.
 		if r, ok := q.pop(); ok {
 			if handle(r) {
 				return out
@@ -467,7 +346,10 @@ func (c *cell) pickWithSpares() (s *scratch, q, spares []quorum.ServerID) {
 		s, c.free[n-1] = c.free[n-1], nil
 		c.free = c.free[:n-1]
 	} else {
-		s = new(scratch)
+		// Sized for every call the operation can make, so a short-lived
+		// client does not grow its first scratch by doubling.
+		k := c.opts.System.QuorumSize() + c.opts.Spares
+		s = &scratch{local: make([]callReply, 0, k), replies: make([]readReply, 0, k)}
 	}
 	if c.opts.Spares > 0 {
 		if ss, ok := c.opts.System.(quorum.SpareSampler); ok {

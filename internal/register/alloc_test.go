@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/replica"
 	"pqs/internal/transport"
@@ -140,5 +141,24 @@ func TestBenignWriteAllocs(t *testing.T) {
 	})
 	if allocs > want {
 		t.Errorf("benign write: %v allocs, want at most %d", allocs, want)
+	}
+}
+
+// TestFirstScratchHoldsEveryCall: the first scratch a cell lends is sized
+// for q + spares calls, so a short-lived client's first operation never
+// grows its reply queue or its kept replies by doubling.
+func TestFirstScratchHoldsEveryCall(t *testing.T) {
+	const n, q, spares = 100, 23, 2
+	c := hedgedClient(t, newCluster(t, n), uniformSystem(t, n, q), Options{Tuning: config.Tuning{Spares: spares}})
+	s, _, _ := c.cells[0].pickWithSpares()
+	if cap(s.local) != q+spares || cap(s.replies) != q+spares {
+		t.Errorf("first scratch holds %d queued and %d kept replies, want %d each", cap(s.local), cap(s.replies), q+spares)
+	}
+	if _, err := c.Read(context.Background(), "k"); err != nil {
+		t.Fatal(err)
+	}
+	s, _, _ = c.cells[0].pickWithSpares()
+	if cap(s.local) != q+spares || cap(s.replies) != q+spares {
+		t.Errorf("after a read the scratch holds %d and %d, want %d each: it grew", cap(s.local), cap(s.replies), q+spares)
 	}
 }

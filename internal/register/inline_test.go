@@ -25,10 +25,12 @@ import (
 	"pqs/internal/wire"
 )
 
-// pathCounter is a MemNetwork that counts which way each call went.
+// pathCounter is a MemNetwork that counts which way each call went, and
+// records on which goroutines calls were started and completed.
 type pathCounter struct {
 	*transport.MemNetwork
-	onCaller, handedOff atomic.Int64
+	onCaller, started, handedOff atomic.Int64
+	startedOn, doneOn            atomic.Uint64
 }
 
 func (p *pathCounter) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
@@ -42,6 +44,18 @@ func (p *pathCounter) TryCall(ctx context.Context, to quorum.ServerID, req any) 
 		p.onCaller.Add(1)
 	}
 	return resp, ok, err
+}
+
+func (p *pathCounter) Start(ctx context.Context, to quorum.ServerID, req any, done func(any, error)) bool {
+	ok := p.MemNetwork.Start(ctx, to, req, func(resp any, err error) {
+		p.doneOn.Store(goid())
+		done(resp, err)
+	})
+	if ok {
+		p.started.Add(1)
+		p.startedOn.Store(goid())
+	}
+	return ok
 }
 
 // napper is a Behavior this package's replicas know nothing about: correct,
@@ -61,11 +75,13 @@ func (n napper) OnRead(key string, correct wire.ReadReply) (wire.ReadReply, erro
 // SimClock, an access set of 23 of which one member can park for 50 ms — a
 // Delayed replica, a replica with a foreign Behavior that sleeps, or a link
 // with latency — one spare, a 2 ms hedge, eager reads. The 22 that cannot
-// park run on the caller; the one that can is handed off, so the gather
-// goroutine is free when the hedge timer fires: the read promotes the
-// spare (which runs on the caller too) and completes at exactly the hedge
-// delay. Had the parking call run on the caller, the timer could not have
-// been served before it returned and the read would end at 50 ms.
+// park run on the caller. The one that can is handed to a worker when its
+// replica may sleep, and when only latency delays it, it is started on the
+// caller and completed by the clock, with no worker at all. Either way the
+// gather goroutine is free when the hedge timer fires: the read promotes
+// the spare (which runs on the caller too) and completes at exactly the
+// hedge delay. Had the parking call run on the caller, the timer could not
+// have been served before it returned and the read would end at 50 ms.
 func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 	const (
 		q          = 23
@@ -74,18 +90,19 @@ func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 		hedgeDelay = 2 * time.Millisecond
 	)
 	for _, c := range []struct {
-		name string
-		park func(clk *vtime.SimClock, net *transport.MemNetwork, rep *replica.Replica)
+		name    string
+		park    func(clk *vtime.SimClock, net *transport.MemNetwork, rep *replica.Replica)
+		started bool // the clock, not a worker, completes the parking call
 	}{
 		{"Delayed", func(clk *vtime.SimClock, _ *transport.MemNetwork, rep *replica.Replica) {
 			rep.SetBehavior(replica.Delayed{Delay: stall, Clock: clk})
-		}},
+		}, false},
 		{"foreign Behavior", func(clk *vtime.SimClock, _ *transport.MemNetwork, rep *replica.Replica) {
 			rep.SetBehavior(napper{clk: clk, nap: stall})
-		}},
+		}, false},
 		{"server latency", func(_ *vtime.SimClock, net *transport.MemNetwork, _ *replica.Replica) {
 			net.SetServerLatency(straggler, stall, stall)
-		}},
+		}, true},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			clk := vtime.NewSimClock()
@@ -95,8 +112,11 @@ func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 				readErr error
 				took    time.Duration
 				stats   AccessStats
+				caller  uint64
 			)
+			scheduler := goid() // Run's caller runs the scheduler
 			clk.Run(func() {
+				caller = goid()
 				net.SetClock(clk)
 				members := make([]quorum.ServerID, q)
 				for i := 0; i <= q; i++ {
@@ -134,8 +154,16 @@ func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 			if !rr.Found || string(rr.Value) != "v" || rr.Promoted != 1 || rr.Replies != q || !rr.Early {
 				t.Errorf("read returned %+v; want the value from %d replies, one spare promoted, early", rr, q)
 			}
-			if on, off := net.onCaller.Load(), net.handedOff.Load(); on != q || off != 1 {
-				t.Errorf("%d calls ran on the caller and %d were handed off; want %d (22 members and the spare) and 1", on, off, q)
+			want := [2]int64{0, 1} // started, handed off
+			if c.started {
+				want = [2]int64{1, 0}
+			}
+			if on, st, off := net.onCaller.Load(), net.started.Load(), net.handedOff.Load(); on != q || [2]int64{st, off} != want {
+				t.Errorf("%d calls ran on the caller, %d were started and %d handed off; want %d (22 members and the spare), %d and %d", on, st, off, q, want[0], want[1])
+			}
+			if c.started && (net.startedOn.Load() != caller || net.doneOn.Load() != scheduler) {
+				t.Errorf("the parking call was started on goroutine %d and completed on %d; want the caller's (%d) and the scheduler's (%d)",
+					net.startedOn.Load(), net.doneOn.Load(), caller, scheduler)
 			}
 			if stats.LateReplies != 1 {
 				t.Errorf("%d late replies, want the straggler's", stats.LateReplies)
@@ -236,6 +264,8 @@ func differentialRun(t *testing.T, dc differentialCase, direct bool) (outcomes [
 	if opts.Mode == Dissemination {
 		opts.Signer, opts.Registry = s.kp.Private, s.reg
 	}
+	paths := &pathCounter{MemNetwork: c.net}
+	opts.Transport = paths
 	if !direct {
 		opts.Transport = callOnly{c.net}
 	}
@@ -282,10 +312,8 @@ func differentialRun(t *testing.T, dc differentialCase, direct bool) (outcomes [
 		// order — and with it the drop pattern — is the stream's own.
 		cl.WaitDrained()
 	}
-	if direct {
-		if idle := len(idleWorkers(cl.cells[0])); idle != 0 {
-			t.Errorf("the direct client handed calls to %d pool workers; nothing on this network can park", idle)
-		}
+	if st, off := paths.started.Load(), paths.handedOff.Load(); direct && st+off != 0 {
+		t.Errorf("the direct client started %d calls and handed %d to workers; nothing on this network can park", st, off)
 	}
 
 	for _, r := range c.reps {

@@ -29,9 +29,12 @@
 // as MemNetwork does on a link with no latency, fault hook or concurrency
 // cap to a replica whose behaviour never waits — runs on the goroutine that
 // issued the operation and its reply is consumed there, with no worker, no
-// channel and no wake-up; any other call is handed to a pooled worker (a
-// registered scheduler worker under a SimClock). One rule and one pool, both
-// clocks; see access.go.
+// channel and no wake-up. A call that waits only for a peer or the clock —
+// the transport is a transport.Starter that accepts it, as TCPClient does
+// on an established connection — is started there and its completion
+// delivers the reply to the operation's channel. Only a call both decline
+// gets a worker of its own (a registered scheduler worker under a
+// SimClock). One rule, both clocks; see access.go.
 package register
 
 import (
@@ -189,9 +192,6 @@ type cell struct {
 	rng  *rand.Rand
 	free []*scratch // recycled per-operation memory (see access.go)
 
-	// pool holds the idle dispatch workers (see dispatch in access.go).
-	pool dispatchPool
-
 	// lat is the adaptive-hedge latency estimator; hedgeK its quantile
 	// knob (Options.HedgeDeviations resolved).
 	lat    latencyEstimator
@@ -202,10 +202,13 @@ type cell struct {
 	// t=0 so the gather promotes spares immediately (see access.go).
 	health transport.HealthReporter
 
-	// try is non-nil when the transport can say, per call, that it will not
-	// park (a transport.TryCaller — MemNetwork): dispatch then runs such a
-	// call on the caller and hands only declined ones to a worker.
-	try transport.TryCaller
+	// try and start are the transport's optional ways to make a call
+	// without a worker (a transport.TryCaller — MemNetwork — and a
+	// transport.Starter — MemNetwork, TCPClient), nil when it lacks them:
+	// dispatch offers each call to try, then to start, and hands only a
+	// call both decline to a worker.
+	try   transport.TryCaller
+	start transport.Starter
 
 	accessCounters
 	drainWG *vtime.WaitGroup
@@ -283,6 +286,7 @@ func newCell(opts Options) (*cell, error) {
 		c.health = hr
 	}
 	c.try, _ = opts.Transport.(transport.TryCaller)
+	c.start, _ = opts.Transport.(transport.Starter)
 	return c, nil
 }
 

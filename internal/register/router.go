@@ -260,6 +260,14 @@ func (c *Client) ApplyView(v ring.View) error {
 			return fmt.Errorf("register: view member %d outside configured cells [0,%d)", m, len(c.cells))
 		}
 	}
+	// A stale view builds no ring (checked again below: a newer one may land
+	// while this one is built).
+	c.mu.RLock()
+	stale := v.Version <= c.view.Version
+	c.mu.RUnlock()
+	if stale {
+		return nil
+	}
 	r, err := v.Ring()
 	if err != nil {
 		return err

@@ -217,3 +217,34 @@ func TestSingleCellHasNoRingView(t *testing.T) {
 		t.Fatalf("single-cell view should be zero, got %+v", v)
 	}
 }
+
+// TestApplyViewChecksVersionFirst: a refresh that finds the view it already
+// routes by builds no ring, and a view whose ring could not be built is
+// refused only when it is news. A hostile ViewKey entry is at worst one
+// refused view, never an allocation per member per vnode on every refresh.
+func TestApplyViewChecksVersionFirst(t *testing.T) {
+	c, _ := newCellFixture(t, 4, 10, 6, 6)
+	members := []int{0, 1, 2, 3}
+	current := ring.View{Version: 5, Members: members, Vnodes: ring.MaxVnodes}
+	if err := c.ApplyView(current); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := c.ApplyView(current); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("re-applying the current view allocates %v times: it built a ring", allocs)
+	}
+	hostile := ring.View{Version: 4, Members: members, Vnodes: ring.MaxVnodes + 1}
+	if err := c.ApplyView(hostile); err != nil {
+		t.Errorf("a stale view was judged, not ignored: %v", err)
+	}
+	hostile.Version = 6
+	if err := c.ApplyView(hostile); err == nil {
+		t.Error("a newer view with more than MaxVnodes was adopted")
+	}
+	if got := c.View().Version; got != 5 {
+		t.Errorf("routing by view %d, want 5", got)
+	}
+}

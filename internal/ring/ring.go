@@ -34,6 +34,12 @@ import (
 // trivially cheap.
 const DefaultVnodes = 64
 
+// MaxVnodes caps the virtual-node count per cell, a configured CellVnodes
+// and a decoded view's alike: a ring of 16-byte points then costs at most
+// 64 KiB per member, so a hostile view cannot make a client allocate
+// gigabytes.
+const MaxVnodes = 4096
+
 // point is one virtual node: a position on the hash circle owned by a cell.
 type point struct {
 	hash uint64
@@ -47,8 +53,8 @@ type Ring struct {
 }
 
 // New builds a ring over the given member cell ids with vnodes virtual
-// nodes per member (0 means DefaultVnodes). Member ids must be
-// non-negative and distinct.
+// nodes per member (0 means DefaultVnodes, at most MaxVnodes). Member ids
+// must be non-negative and distinct.
 func New(members []int, vnodes int) (*Ring, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("ring: at least one member cell is required")
@@ -56,8 +62,8 @@ func New(members []int, vnodes int) (*Ring, error) {
 	if vnodes == 0 {
 		vnodes = DefaultVnodes
 	}
-	if vnodes < 1 {
-		return nil, fmt.Errorf("ring: vnodes %d must be positive", vnodes)
+	if vnodes < 1 || vnodes > MaxVnodes {
+		return nil, fmt.Errorf("ring: vnodes %d outside [1, %d]", vnodes, MaxVnodes)
 	}
 	seen := make(map[int]bool, len(members))
 	r := &Ring{points: make([]point, 0, len(members)*vnodes)}
@@ -161,7 +167,8 @@ func (v View) Encode() []byte {
 	return buf
 }
 
-// DecodeView parses an encoded view.
+// DecodeView parses an encoded view, refusing a Vnodes above MaxVnodes: a
+// decoded view's ring is bounded by its input.
 func DecodeView(b []byte) (View, error) {
 	if len(b) < 1+8+4+4 || b[0] != viewMagic {
 		return View{}, fmt.Errorf("ring: malformed view encoding (%d bytes)", len(b))
@@ -169,6 +176,9 @@ func DecodeView(b []byte) (View, error) {
 	v := View{
 		Version: binary.BigEndian.Uint64(b[1:9]),
 		Vnodes:  int(binary.BigEndian.Uint32(b[9:13])),
+	}
+	if v.Vnodes > MaxVnodes {
+		return View{}, fmt.Errorf("ring: view has %d vnodes per member, more than %d", v.Vnodes, MaxVnodes)
 	}
 	n := int(binary.BigEndian.Uint32(b[13:17]))
 	if len(b) != 17+4*n {

@@ -1,6 +1,8 @@
 package ring
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 )
@@ -114,4 +116,50 @@ func TestViewEncodeDecodeRoundTrip(t *testing.T) {
 	if _, err := DecodeView(append(v.Encode(), 0)); err == nil {
 		t.Fatal("over-long view should fail")
 	}
+}
+
+func TestVnodesAreCapped(t *testing.T) {
+	if _, err := New([]int{0}, MaxVnodes); err != nil {
+		t.Fatalf("MaxVnodes refused: %v", err)
+	}
+	if _, err := New([]int{0}, MaxVnodes+1); err == nil {
+		t.Fatal("more than MaxVnodes accepted")
+	}
+	b := View{Version: 1, Members: []int{0}, Vnodes: MaxVnodes + 1}.Encode()
+	if _, err := DecodeView(b); err == nil {
+		t.Fatal("a view with more than MaxVnodes decoded")
+	}
+	b = View{Version: 1, Members: []int{0}}.Encode()
+	binary.BigEndian.PutUint32(b[9:13], 0xFFFFFFFF)
+	if _, err := DecodeView(b); err == nil {
+		t.Fatal("a view with 2^32-1 vnodes decoded")
+	}
+}
+
+// FuzzDecodeView: whatever the bytes, DecodeView does not panic; a view it
+// accepts holds one member per four input bytes past the header and at most
+// MaxVnodes, so its ring has no more points than the input bounds, and it
+// re-encodes to the same bytes.
+func FuzzDecodeView(f *testing.F) {
+	f.Add(View{Version: 7, Members: []int{0, 1, 3}, Vnodes: 32}.Encode())
+	f.Add(View{Version: 1, Members: []int{0}, Vnodes: MaxVnodes}.Encode())
+	f.Add(View{Version: 2, Members: []int{5, 5}}.Encode())
+	f.Add([]byte{viewMagic, 0, 0, 0, 0, 0, 0, 0, 1, 0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 1, 0, 0, 0, 0})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := DecodeView(b)
+		if err != nil {
+			return
+		}
+		if want := (len(b) - 17) / 4; len(v.Members) != want || v.Vnodes > MaxVnodes {
+			t.Fatalf("%d input bytes decoded to %d members and %d vnodes; want %d members and at most %d vnodes",
+				len(b), len(v.Members), v.Vnodes, want, MaxVnodes)
+		}
+		if !bytes.Equal(v.Encode(), b) {
+			t.Fatalf("round trip: %x re-encodes to %x", b, v.Encode())
+		}
+		if r, err := v.Ring(); err == nil && len(r.points) > len(v.Members)*MaxVnodes {
+			t.Fatalf("%d members made %d points", len(v.Members), len(r.points))
+		}
+	})
 }

@@ -173,9 +173,9 @@ func TestIdleConnectionCostsOneGoroutine(t *testing.T) {
 
 // resetOnWrite is a client-side stream whose Write finds the stream reset
 // under it, and does not return before the connection's read loop — woken
-// by that same reset — has failed every pending call. That is the order a
-// drop verdict inside vconn.Write produces when the Go scheduler runs the
-// read loop first.
+// by that same reset — has failed every pending call (and so evicted the
+// connection). That is the order a drop verdict inside vconn.Write produces
+// when the Go scheduler runs the read loop first.
 type resetOnWrite struct {
 	net.Conn
 	failed func() bool // has the tcpConn above failed its calls?
@@ -191,10 +191,11 @@ func (c *resetOnWrite) Write([]byte) (int, error) {
 
 // TestFailedSendConsumesTheReadLoopsWake: send registers its call before it
 // writes, so when the write fails on a reset the read loop may already have
-// claimed the call in failAll — a tracked close nobody but send can
-// consume. Left in place it freezes virtual time for good: Run never
-// returns (which is how this test fails). The next call must find the dead
-// connection pruned and succeed on a fresh one.
+// claimed the call in failAll. The call must then be completed once, by
+// failAll: a failed send that completed it again, or a completion that left
+// its tracked wake-up unconsumed, freezes virtual time for good — Run never
+// returns, which is how this test fails. The next call must find the dead
+// connection gone and succeed on a fresh one.
 func TestFailedSendConsumesTheReadLoopsWake(t *testing.T) {
 	sc := vtime.NewSimClock()
 	done := make(chan struct{})
@@ -223,7 +224,7 @@ func TestFailedSendConsumesTheReadLoopsWake(t *testing.T) {
 						st := client.states[to]
 						st.mu.Lock()
 						defer st.mu.Unlock()
-						return len(st.conns) == 1 && st.conns[0].isClosed()
+						return len(st.conns) == 0 || st.conns[0].isClosed()
 					}}, nil
 				},
 			})

@@ -11,12 +11,14 @@
 package transport
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"pqs/internal/quorum"
+	"pqs/internal/vtime"
 	"pqs/internal/wire"
 )
 
@@ -106,11 +108,7 @@ type LifecycleConfig struct {
 
 // Enabled reports whether any lifecycle feature beyond the legacy
 // single-connection behavior is configured.
-func (c LifecycleConfig) Enabled() bool { return c.active() }
-
-// active reports whether any lifecycle feature beyond the legacy behavior
-// is enabled.
-func (c LifecycleConfig) active() bool {
+func (c LifecycleConfig) Enabled() bool {
 	return c.PoolSize > 1 || c.IdleTimeout > 0 || c.ProbeEvery > 0 ||
 		c.DialBackoffBase > 0 || c.BreakerThreshold > 0
 }
@@ -195,8 +193,12 @@ type serverState struct {
 
 // acquire returns a pooled connection to the server, dialing (or joining an
 // in-flight dial) when the pool is empty or warrants growth. The returned
-// connection is leased; the caller must release it via release().
-func (s *serverState) acquire() (*tcpConn, error) {
+// connection is leased; the caller must release it via release(). With
+// mayDial false a call that would dial or join a dial is declined — nil
+// connection, nil error — and nothing happened, unless the breaker would
+// reject it anyway: breaker and backoff fast-fails are returned as from a
+// dialing acquire.
+func (s *serverState) acquire(mayDial bool) (*tcpConn, error) {
 	lc := &s.c.lifecycle
 	now := s.c.clock.Now()
 	s.mu.Lock()
@@ -204,13 +206,34 @@ func (s *serverState) acquire() (*tcpConn, error) {
 		s.mu.Unlock()
 		return nil, ErrClosed
 	}
+	live := s.conns[:0]
+	for _, cn := range s.conns {
+		if !cn.isClosed() {
+			live = append(live, cn)
+		}
+	}
+	s.conns = live
+	// Dial when the pool is empty, or when every connection is busy and the
+	// pool may grow — unless inside the redial-backoff window, which either
+	// falls back to an existing connection or fails fast.
+	grow := len(s.conns) == 0 || (len(s.conns) < lc.poolSize() && !s.dialing && s.allBusyLocked())
+	backoff := lc.DialBackoffBase > 0 && now.Before(s.backoffUntil)
+	if grow && !mayDial && (s.dialing || !backoff) {
+		// The breaker is asked without admitting: admission may claim the
+		// half-open trial, which the dialing call that follows must get.
+		down := s.downLocked(now, lc)
+		s.mu.Unlock()
+		if !down {
+			return nil, nil
+		}
+		return nil, s.fastFail()
+	}
 	if !s.breakerAdmitLocked(now, lc) {
 		s.mu.Unlock()
-		s.c.stats.breakerFastFails.Add(1)
-		return nil, fmt.Errorf("server %d: %w", s.id, ErrServerDown)
+		return nil, s.fastFail()
 	}
-	conn := s.pickLocked(lc)
-	if conn != nil {
+	if !grow {
+		conn := s.rrLocked()
 		conn.lease()
 		s.mu.Unlock()
 		return conn, nil
@@ -235,12 +258,11 @@ func (s *serverState) acquire() (*tcpConn, error) {
 		}
 		return r.conn, nil
 	}
-	if lc.DialBackoffBase > 0 && now.Before(s.backoffUntil) {
-		// Inside the redial-backoff window. Growth can wait: fall back to
-		// an existing connection if the pool has one, else fail fast with
-		// the failure that opened the window.
+	if backoff {
+		// Growth can wait: fall back to an existing connection if the pool
+		// has one, else fail fast with the failure that opened the window.
 		if len(s.conns) > 0 {
-			conn = s.rrLocked()
+			conn := s.rrLocked()
 			conn.lease()
 			s.mu.Unlock()
 			return conn, nil
@@ -256,24 +278,10 @@ func (s *serverState) acquire() (*tcpConn, error) {
 	return s.dial(now)
 }
 
-// pickLocked chooses a live pool connection, pruning dead ones. A nil
-// return asks the caller to dial: the pool is empty, or every connection
-// is busy and the pool may grow.
-func (s *serverState) pickLocked(lc *LifecycleConfig) *tcpConn {
-	live := s.conns[:0]
-	for _, cn := range s.conns {
-		if !cn.isClosed() {
-			live = append(live, cn)
-		}
-	}
-	s.conns = live
-	if len(s.conns) == 0 {
-		return nil
-	}
-	if len(s.conns) < lc.poolSize() && !s.dialing && s.allBusyLocked() {
-		return nil
-	}
-	return s.rrLocked()
+// fastFail counts and returns an open breaker's rejection.
+func (s *serverState) fastFail() error {
+	s.c.stats.breakerFastFails.Add(1)
+	return fmt.Errorf("server %d: %w", s.id, ErrServerDown)
 }
 
 func (s *serverState) rrLocked() *tcpConn {
@@ -306,7 +314,7 @@ func (s *serverState) dial(now time.Time) (*tcpConn, error) {
 	s.mu.Lock()
 	if err == nil && s.closed {
 		// The client closed while we dialed; the pool no longer exists.
-		conn.close()
+		conn.failAll()
 		conn, err = nil, ErrClosed
 	}
 	s.dialing = false
@@ -471,7 +479,7 @@ func (s *serverState) evict(conn *tcpConn) {
 		}
 	}
 	s.mu.Unlock()
-	conn.close()
+	conn.failAll()
 }
 
 // down reports whether a call to the server right now would fail fast with
@@ -482,6 +490,11 @@ func (s *serverState) down(now time.Time, lc *LifecycleConfig) bool {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.downLocked(now, lc)
+}
+
+// downLocked is down with s.mu held.
+func (s *serverState) downLocked(now time.Time, lc *LifecycleConfig) bool {
 	switch s.brState {
 	case breakerOpen:
 		// After the cooldown the next call is admitted as the half-open
@@ -496,19 +509,15 @@ func (s *serverState) down(now time.Time, lc *LifecycleConfig) bool {
 
 // closeAll tears the state down: subsequent acquires fail, pooled
 // connections close. In-flight dials observe closed at publish time.
-func (s *serverState) closeAll() error {
+func (s *serverState) closeAll() {
 	s.mu.Lock()
 	s.closed = true
 	conns := s.conns
 	s.conns = nil
 	s.mu.Unlock()
-	var first error
 	for _, cn := range conns {
-		if err := cn.close(); err != nil && first == nil {
-			first = err
-		}
+		cn.failAll()
 	}
-	return first
 }
 
 // maintainLoop is the client's background maintenance goroutine: on every
@@ -577,12 +586,12 @@ func (s *serverState) maintain(now time.Time) {
 	s.mu.Unlock()
 	for _, cn := range reap {
 		s.c.stats.connsReaped.Add(1)
-		cn.close()
+		cn.failAll()
 	}
 	if len(probe) == 0 {
 		return
 	}
-	wg := s.c.newWaitGroup()
+	wg := vtime.NewWaitGroup(s.c.clock)
 	for _, cn := range probe {
 		cn := cn
 		wg.Add(1)
@@ -595,49 +604,12 @@ func (s *serverState) maintain(now time.Time) {
 	wg.Wait()
 }
 
-// probeConn sends one health-check ping on the connection and waits out the
-// probe timeout. Failures evict the connection and count against the
-// breaker; replies (any reply — the server is alive) count as successes.
+// probeConn sends one health-check ping on the connection and waits for it
+// to settle within the probe timeout. Failures evict the connection and
+// count against the breaker; replies (any reply — the server is alive) count
+// as successes (see tcpCall.complete).
 func (s *serverState) probeConn(cn *tcpConn) {
 	c := s.c
 	c.stats.probesSent.Add(1)
-	id := c.nextID.Add(1)
-	ch, err := cn.send(id, wire.PingRequest{})
-	if err != nil {
-		c.stats.probeFailures.Add(1)
-		s.evict(cn)
-		s.recordFailure()
-		return
-	}
-	t := c.clock.NewTimer(c.lifecycle.probeTimeout())
-	defer t.Stop()
-	unpark := c.sched.Park()
-	select {
-	case _, ok := <-ch:
-		unpark()
-		c.sched.NoteRecv()
-		if !ok {
-			c.stats.probeFailures.Add(1)
-			s.evict(cn)
-			s.recordFailure()
-			return
-		}
-		s.recordSuccess()
-	case <-t.C:
-		unpark()
-		c.sched.NoteRecv()
-		if !cn.abandon(id) {
-			// The reply raced the timer into the buffered channel; consume
-			// its tracked send and honor it.
-			_, ok := <-ch
-			c.sched.NoteRecv()
-			if ok {
-				s.recordSuccess()
-				return
-			}
-		}
-		c.stats.probeFailures.Add(1)
-		s.evict(cn)
-		s.recordFailure()
-	}
+	c.wait(context.Background(), s, cn, wire.PingRequest{}, c.lifecycle.probeTimeout(), true) //nolint:errcheck // the outcome is counted in tcpCall.complete
 }

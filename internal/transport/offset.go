@@ -14,30 +14,26 @@ import (
 // identity-blindness invariant (and the epsblind analyzer that mechanizes
 // it) applies per cell unchanged.
 //
-// The view has t's optional capabilities and no others, each translated
-// into the same local id space: per-server health (HealthReporter — a
-// breaker-enabled TCPClient), so per-cell engines keep their t=0 fast-fail
-// path on degraded members, and TryCaller (MemNetwork), so they keep
-// running calls that cannot park on the caller.
+// The view always offers TryCall, Start and ServerDown, translated into the
+// same local id space. Each forwards to t's capability when t has it — a
+// MemNetwork's TryCall and Start, a TCPClient's Start and breaker-fed
+// ServerDown — and otherwise declines, or reports the server up. Declining
+// is always a legal answer, so one type serves every transport.
 func Offset(t Transport, base quorum.ServerID) Transport {
-	o := offset{inner: t, base: base}
-	hr, isHR := t.(HealthReporter)
-	tc, isTC := t.(TryCaller)
-	switch {
-	case isHR && isTC:
-		return &offsetHealthTry{o, healthShift{hr, base}, tryShift{tc, base}}
-	case isHR:
-		return &offsetHealth{o, healthShift{hr, base}}
-	case isTC:
-		return &offsetTry{o, tryShift{tc, base}}
-	}
-	return &o
+	o := &offset{inner: t, base: base}
+	o.health, _ = t.(HealthReporter)
+	o.try, _ = t.(TryCaller)
+	o.start, _ = t.(Starter)
+	return o
 }
 
 // offset shifts server ids on the way down.
 type offset struct {
-	inner Transport
-	base  quorum.ServerID
+	inner  Transport
+	base   quorum.ServerID
+	health HealthReporter // nil: t reports no per-server health
+	try    TryCaller      // nil: t has no TryCall
+	start  Starter        // nil: t has no Start
 }
 
 // Call implements Transport.
@@ -45,40 +41,20 @@ func (o *offset) Call(ctx context.Context, to quorum.ServerID, req any) (any, er
 	return o.inner.Call(ctx, o.base+to, req)
 }
 
-// healthShift forwards per-server health in local ids.
-type healthShift struct {
-	hr   HealthReporter
-	base quorum.ServerID
+// TryCall implements TryCaller.
+func (o *offset) TryCall(ctx context.Context, to quorum.ServerID, req any) (any, bool, error) {
+	if o.try == nil {
+		return nil, false, nil
+	}
+	return o.try.TryCall(ctx, o.base+to, req)
+}
+
+// Start implements Starter.
+func (o *offset) Start(ctx context.Context, to quorum.ServerID, req any, done func(any, error)) bool {
+	return o.start != nil && o.start.Start(ctx, o.base+to, req, done)
 }
 
 // ServerDown implements HealthReporter.
-func (h healthShift) ServerDown(id quorum.ServerID) bool { return h.hr.ServerDown(h.base + id) }
-
-// tryShift forwards TryCall in local ids.
-type tryShift struct {
-	tc   TryCaller
-	base quorum.ServerID
+func (o *offset) ServerDown(id quorum.ServerID) bool {
+	return o.health != nil && o.health.ServerDown(o.base+id)
 }
-
-// TryCall implements TryCaller.
-func (t tryShift) TryCall(ctx context.Context, to quorum.ServerID, req any) (any, bool, error) {
-	return t.tc.TryCall(ctx, t.base+to, req)
-}
-
-// The three views with capabilities: Go has no way to add a method to a
-// value at run time, so each combination is a type.
-type (
-	offsetHealth struct {
-		offset
-		healthShift
-	}
-	offsetTry struct {
-		offset
-		tryShift
-	}
-	offsetHealthTry struct {
-		offset
-		healthShift
-		tryShift
-	}
-)

@@ -103,10 +103,6 @@ func NewTCPClientOpts(addrs map[quorum.ServerID]string, o TCPClientOptions) *TCP
 	return c
 }
 
-// newWaitGroup returns a WaitGroup on the client's clock (virtual-time
-// aware under a SimClock).
-func (c *TCPClient) newWaitGroup() *vtime.WaitGroup { return vtime.NewWaitGroup(c.clock) }
-
 var _ Transport = (*TCPClient)(nil)
 
 // Stats returns a snapshot of the client's wire counters, aggregated over
@@ -126,86 +122,50 @@ func (c *TCPClient) ConnStats() []ConnCodecStats { return c.codecReg.perConn() }
 // server-answered RPC errors count as reachability successes and surface
 // as *RPCError carrying the wire's transient/permanent classification. A
 // request the codec cannot encode fails permanently without touching either
-// the connection or the breaker.
+// the connection or the breaker. Call is Start that may dial, plus a wait.
 func (c *TCPClient) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
-	conn, st, err := c.acquire(to)
+	conn, st, err := c.acquire(to, true)
 	if err != nil {
 		return nil, err
 	}
-	defer st.release(conn)
-	id := c.nextID.Add(1)
-	ch, err := conn.send(id, req)
-	if err != nil {
-		if IsPermanent(err) {
-			// The request never left this process (see tcpConn.send): the
-			// connection and the calls in flight on it are fine, and the
-			// failure says nothing about the server.
-			st.recordNeutral()
-			return nil, err
-		}
-		st.evict(conn)
-		st.recordFailure()
-		return nil, err
+	return c.wait(ctx, st, conn, req, c.callTimeout, false)
+}
+
+// Start implements Starter: Call on a connection already established, with
+// done in place of the wait. It declines a call that would dial or join a
+// dial; a breaker or backoff fast-fail completes at once. The frame is on
+// its way when Start returns (a frameWriter's leader never waits on a
+// socket); done runs on the connection's read loop for a reply or a
+// failure, on the clock for the timeout, on ctx's watcher for a cancel.
+func (c *TCPClient) Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool {
+	conn, st, err := c.acquire(to, false)
+	switch {
+	case err != nil:
+		done(nil, err)
+	case conn == nil:
+		return false
+	default:
+		c.send(ctx, st, conn, req, c.callTimeout, false, done)
 	}
-	var timeoutC <-chan time.Time
-	if c.callTimeout > 0 {
-		t := c.clock.NewTimer(c.callTimeout)
-		defer t.Stop()
-		timeoutC = t.C
+	return true
+}
+
+// wait sends a call (see send) and parks until its completion has run.
+func (c *TCPClient) wait(ctx context.Context, st *serverState, conn *tcpConn, req any, timeout time.Duration, probe bool) (any, error) {
+	type result struct {
+		resp any
+		err  error
 	}
-	reply := func(r wire.ReplyEnvelope, ok bool) (any, error) {
-		if !ok {
-			st.evict(conn)
-			st.recordFailure()
-			return nil, fmt.Errorf("server %d: %w", to, ErrClosed)
-		}
-		st.recordSuccess()
-		if r.Err != "" {
-			return nil, &RPCError{Server: to, Kind: r.ErrKind, Msg: r.Err}
-		}
-		return r.Payload, nil
-	}
+	ch := make(chan result, 1)
+	c.send(ctx, st, conn, req, timeout, probe, func(resp any, err error) {
+		c.sched.NoteSend()
+		ch <- result{resp, err}
+	})
 	unpark := c.sched.Park()
-	select {
-	case r, ok := <-ch:
-		unpark()
-		c.sched.NoteRecv()
-		return reply(r, ok)
-	case <-timeoutC:
-		unpark()
-		c.sched.NoteRecv()
-		if !conn.abandon(id) {
-			// A reply (or the conn's failure close) raced the timer into the
-			// buffered channel: consume it — its tracked send must not
-			// strand the scheduler's pending count — and honor it, so the
-			// call's outcome does not depend on which case of a same-instant
-			// race the select happened to pick.
-			r, ok := <-ch
-			c.sched.NoteRecv()
-			return reply(r, ok)
-		}
-		// The conn is suspect (slow, stalled, or its framing desynced by a
-		// corrupted prefix): the call is abandoned and the conn torn down so
-		// the next call re-dials a clean stream.
-		st.evict(conn)
-		st.recordFailure()
-		return nil, fmt.Errorf("server %d: %w", to, errCallTimeout)
-	case <-ctx.Done():
-		unpark()
-		if !conn.abandon(id) {
-			// The reply (or the conn's failure close) already claimed the
-			// call: its tracked wake-up is in the buffered channel or about
-			// to land there. Consume it so the send's NoteSend cannot
-			// strand the scheduler's pending count — under a SimClock an
-			// unconsumed tracked message freezes virtual time forever.
-			<-ch
-			c.sched.NoteRecv()
-		}
-		// Cancellation proves nothing about the server; release a held
-		// half-open trial slot without moving the breaker.
-		st.recordNeutral()
-		return nil, ctx.Err()
-	}
+	r := <-ch
+	unpark()
+	c.sched.NoteRecv()
+	return r.resp, r.err
 }
 
 // ServerDown implements HealthReporter: true when the server's circuit
@@ -235,18 +195,16 @@ func (c *TCPClient) Close() error {
 		unpark()
 		c.sched.NoteRecv()
 	}
-	var first error
 	for _, st := range c.states {
-		if err := st.closeAll(); err != nil && first == nil {
-			first = err
-		}
+		st.closeAll()
 	}
-	return first
+	return nil
 }
 
 // acquire resolves the server's lifecycle state and leases a pooled
-// connection from it (dialing as needed).
-func (c *TCPClient) acquire(to quorum.ServerID) (*tcpConn, *serverState, error) {
+// connection from it (see serverState.acquire: with mayDial false it may
+// decline, returning no connection and no error).
+func (c *TCPClient) acquire(to quorum.ServerID, mayDial bool) (*tcpConn, *serverState, error) {
 	if c.closed.Load() {
 		return nil, nil, ErrClosed
 	}
@@ -254,11 +212,115 @@ func (c *TCPClient) acquire(to quorum.ServerID) (*tcpConn, *serverState, error) 
 	if !ok {
 		return nil, nil, fmt.Errorf("server %d: %w", to, ErrUnknownServer)
 	}
-	conn, err := st.acquire()
-	if err != nil {
+	conn, err := st.acquire(mayDial)
+	if conn == nil {
 		return nil, nil, err
 	}
 	return conn, st, nil
+}
+
+// send registers a call on conn and writes its request frame. done runs
+// exactly once, possibly before send returns, after the breaker accounting
+// and the lease release (see tcpCall.complete). The call timeout, when
+// positive, and a cancellable ctx each arm a completer; a request the codec
+// cannot encode fails permanently without registering anything.
+func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, req any, timeout time.Duration, probe bool, done func(any, error)) {
+	call := &tcpCall{st: st, conn: conn, id: c.nextID.Add(1), probe: probe, done: done}
+	bp := wire.GetBuffer()
+	frame, err := conn.encode(*bp, call.id, req)
+	if err != nil {
+		wire.PutBuffer(bp)
+		// The request never left this process: the connection and the calls
+		// in flight on it are fine, and the failure says nothing about the
+		// server.
+		call.complete(neutral, nil, wire.PermanentError(fmt.Errorf("transport: encode: %w", err)))
+		return
+	}
+	conn.mu.Lock()
+	if conn.closed {
+		conn.mu.Unlock()
+		wire.PutBuffer(bp)
+		call.complete(failed, nil, ErrClosed)
+		return
+	}
+	conn.pending[call.id] = call
+	if timeout > 0 {
+		call.timer = c.clock.AfterFunc(timeout, func() {
+			// The conn is suspect (slow, stalled, or its framing desynced by
+			// a corrupted prefix): the call is abandoned and the conn torn
+			// down, so the next call re-dials a clean stream.
+			if conn.claim(call.id, true) {
+				call.complete(failed, nil, fmt.Errorf("server %d: %w", st.id, errCallTimeout))
+			}
+		})
+	}
+	if ctx.Done() != nil {
+		call.stop = context.AfterFunc(ctx, func() {
+			// Cancellation proves nothing about the server.
+			if conn.claim(call.id, true) {
+				call.complete(neutral, nil, ctx.Err())
+			}
+		})
+	}
+	conn.mu.Unlock()
+	conn.cc.countEncode(len(frame))
+	err = conn.w.writeFrame(frame)
+	*bp = frame[:0]
+	wire.PutBuffer(bp)
+	if err != nil && conn.claim(call.id, false) {
+		call.complete(failed, nil, fmt.Errorf("transport: send: %w", err))
+	}
+}
+
+// tcpCall is one call in flight on a connection. Exactly one completer
+// claims it, by taking it out of the connection's pending table under
+// tcpConn.mu — deliver (its reply), failAll (the connection failed), its
+// timeout, its ctx watcher or its failed send — and then, with no lock held,
+// completes it.
+type tcpCall struct {
+	st    *serverState
+	conn  *tcpConn
+	id    uint64
+	probe bool // a health check: its lease is the prober's, its failures are probe failures
+	done  func(resp any, err error)
+	timer *vtime.Timer // the call timeout; nil without one
+	stop  func() bool  // deregisters the ctx watcher; nil without one
+}
+
+// verdict is what a call's outcome says about its server.
+type verdict int8
+
+const (
+	answered verdict = iota // the server replied, perhaps with an RPC error
+	failed                  // the connection failed or stalled: evict it
+	neutral                 // nothing: a cancellation, or a request that never left
+)
+
+// complete settles a claimed call: it disarms its other completers, moves
+// the breaker, evicts a failed connection, returns the lease and runs done.
+func (t *tcpCall) complete(v verdict, resp any, err error) {
+	if t.timer != nil {
+		t.timer.Stop()
+	}
+	if t.stop != nil {
+		t.stop()
+	}
+	switch v {
+	case answered:
+		t.st.recordSuccess()
+	case failed:
+		if t.probe {
+			t.st.c.stats.probeFailures.Add(1)
+		}
+		t.st.evict(t.conn)
+		t.st.recordFailure()
+	default:
+		t.st.recordNeutral()
+	}
+	if !t.probe {
+		t.st.release(t.conn)
+	}
+	t.done(resp, err)
 }
 
 // tcpConn is one multiplexed client connection.
@@ -267,7 +329,6 @@ type tcpConn struct {
 	codec Codec
 	w     *frameWriter
 	stats *tcpCounters
-	sched vtime.Sched
 	cc    *codecCounters
 	reg   *codecRegistry
 
@@ -279,8 +340,8 @@ type tcpConn struct {
 	lastUsed atomic.Int64
 
 	mu        sync.Mutex
-	pending   map[uint64]chan wire.ReplyEnvelope
-	abandoned map[uint64]struct{}
+	pending   map[uint64]*tcpCall // calls in flight, by request id
+	abandoned map[uint64]struct{} // timed-out or cancelled calls whose reply may still come
 	closed    bool
 }
 
@@ -307,90 +368,44 @@ func newTCPConn(raw net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched
 		codec:     codec,
 		w:         newFrameWriter(raw, stats),
 		stats:     stats,
-		sched:     sched,
 		cc:        cc,
 		reg:       reg,
-		pending:   make(map[uint64]chan wire.ReplyEnvelope),
+		pending:   make(map[uint64]*tcpCall),
 		abandoned: make(map[uint64]struct{}),
 	}
+	c.w.sock, c.w.sched = newSockWriter(raw), sched
 	sched.Go(c.readLoop)
 	return c
 }
 
-// send registers the call and writes its request frame. A request the
-// closed binary codec cannot encode fails with a wire.PermanentError before
-// anything is written, so the connection stays usable; any other error is a
-// write failure and the caller must tear the connection down.
-func (c *tcpConn) send(id uint64, req any) (chan wire.ReplyEnvelope, error) {
-	ch := make(chan wire.ReplyEnvelope, 1)
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, ErrClosed
+// encode appends id's request frame to buf. A request the closed binary
+// codec cannot encode fails with the codec's error and writes nothing.
+func (c *tcpConn) encode(buf []byte, id uint64, req any) ([]byte, error) {
+	if c.codec != CodecBinaryFlate {
+		return wire.AppendEnvelope(buf, wire.Envelope{ID: id, Payload: req})
 	}
-	c.pending[id] = ch
-	c.mu.Unlock()
-
-	bp := wire.GetBuffer()
-	var frame []byte
-	var err error
-	if c.codec == CodecBinaryFlate {
-		var res wire.FlateResult
-		frame, res, err = wire.AppendEnvelopeFlate(*bp, wire.Envelope{ID: id, Payload: req})
-		if err == nil {
-			c.cc.countFlate(res)
-		}
-	} else {
-		frame, err = wire.AppendEnvelope(*bp, wire.Envelope{ID: id, Payload: req})
+	frame, res, err := wire.AppendEnvelopeFlate(buf, wire.Envelope{ID: id, Payload: req})
+	if err == nil {
+		c.cc.countFlate(res)
 	}
-	if err != nil {
-		wire.PutBuffer(bp)
-		c.forget(id, ch)
-		return nil, wire.PermanentError(fmt.Errorf("transport: encode: %w", err))
-	}
-	c.cc.countEncode(len(frame))
-	err = c.w.writeFrame(frame)
-	*bp = frame[:0]
-	wire.PutBuffer(bp)
-	if err != nil {
-		c.forget(id, ch)
-		return nil, fmt.Errorf("transport: send: %w", err)
-	}
-	return ch, nil
+	return frame, err
 }
 
-// forget drops a pending call without expecting its reply (send failure:
-// the request never went out). The call was registered before the write, so
-// a read loop woken by the same reset that failed the write may already
-// have claimed it in failAll; its tracked close is then in ch and nobody
-// else will read it, so it is consumed here, as after a false abandon
-// (failAll closes under c.mu: the receive cannot block).
-func (c *tcpConn) forget(id uint64, ch chan wire.ReplyEnvelope) {
-	c.mu.Lock()
-	_, pending := c.pending[id]
-	delete(c.pending, id)
-	c.mu.Unlock()
-	if !pending {
-		<-ch
-		c.sched.NoteRecv()
-	}
-}
-
-// abandon drops a pending call whose reply may still arrive (timeout or
-// context cancellation); a late reply matching it is discarded silently
-// instead of being treated as a protocol violation. It reports whether the
-// call was still pending: false means deliver or failAll already claimed
-// it, so a (tracked) wake-up is in — or imminently landing in — the
-// call's buffered channel and the caller must consume it.
-func (c *tcpConn) abandon(id uint64) bool {
+// claim takes a pending call out of the table, reporting whether it was
+// there: false means another completer claimed it first. An abandoned call
+// (timeout, cancellation) may still be answered; its late reply is then
+// discarded silently instead of being treated as a protocol violation.
+func (c *tcpConn) claim(id uint64, abandon bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.pending[id]; ok {
-		delete(c.pending, id)
-		c.abandoned[id] = struct{}{}
-		return true
+	if _, ok := c.pending[id]; !ok {
+		return false
 	}
-	return false
+	delete(c.pending, id)
+	if abandon {
+		c.abandoned[id] = struct{}{}
+	}
+	return true
 }
 
 func (c *tcpConn) readLoop() {
@@ -419,17 +434,19 @@ func (c *tcpConn) readLoop() {
 	}
 }
 
-// deliver routes a reply to its waiting call. A reply matching no pending
+// deliver completes the call a reply answers. A reply matching no pending
 // or abandoned call means the stream is desynced or an id was corrupted in
 // flight: the connection is failed (false return stops the read loop).
 func (c *tcpConn) deliver(reply wire.ReplyEnvelope) bool {
 	c.mu.Lock()
-	ch, ok := c.pending[reply.ID]
-	if ok {
+	if call, ok := c.pending[reply.ID]; ok {
 		delete(c.pending, reply.ID)
 		c.mu.Unlock()
-		c.sched.NoteSend()
-		ch <- reply
+		if reply.Err != "" {
+			call.complete(answered, nil, &RPCError{Server: call.st.id, Kind: reply.ErrKind, Msg: reply.Err})
+		} else {
+			call.complete(answered, reply.Payload, nil)
+		}
 		return true
 	}
 	if _, was := c.abandoned[reply.ID]; was {
@@ -442,29 +459,23 @@ func (c *tcpConn) deliver(reply wire.ReplyEnvelope) bool {
 	return false
 }
 
-// failAll closes the connection and wakes every pending caller with a
-// closed channel.
+// failAll closes the connection and fails every pending call.
 func (c *tcpConn) failAll() {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	if c.closed {
+		c.mu.Unlock()
 		return
 	}
 	c.closed = true
-	for id, ch := range c.pending {
-		c.sched.NoteSend() // the close below is one tracked wake-up
-		close(ch)
-		delete(c.pending, id)
-	}
-	c.abandoned = make(map[uint64]struct{})
-	c.raw.Close() // before w.close: unblocks a leader stuck in Write
+	calls := c.pending
+	c.pending, c.abandoned = nil, nil
+	c.raw.Close() // before w.close: unblocks a writer stuck in Write
 	c.w.close()
 	c.reg.close(c.cc)
-}
-
-func (c *tcpConn) close() error {
-	c.failAll()
-	return nil
+	c.mu.Unlock()
+	for _, call := range calls {
+		call.complete(failed, nil, fmt.Errorf("server %d: %w", call.st.id, ErrClosed))
+	}
 }
 
 // IsTransient reports whether err is a transport-level failure that a

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"pqs/internal/vtime"
 	"pqs/internal/wire"
 )
 
@@ -329,9 +330,17 @@ func uvarintLen(v uint64) int {
 // vtime.SimClock there is nothing to track: the leader is a running worker
 // for the whole flush, and a frame is on the (virtual) wire at the instant
 // it was written.
+//
+// A client's leader is whoever is starting a call — an operation's gather,
+// fanning out — so it must not wait on a peer: on a socket (sock set) it
+// makes one non-blocking write, and a worker started by sched writes what
+// the socket did not take and leads the flushes after it. A vconn's Write
+// never blocks, so there the leader always finishes its own flush.
 type frameWriter struct {
 	conn  net.Conn
 	stats *tcpCounters
+	sock  *sockWriter // nil: the leader writes with conn.Write
+	sched vtime.Sched
 
 	mu       sync.Mutex
 	pending  []byte // frames appended since the last swap
@@ -367,26 +376,56 @@ func (w *frameWriter) commit() error {
 		return nil
 	}
 	w.flushing = true
+	return w.lead()
+}
+
+// lead flushes pending until it is empty: mu held on entry, released on
+// return. A leader that hands the rest of a flush to a worker returns nil
+// at once, its frame queued like a follower's.
+func (w *frameWriter) lead() error {
 	for len(w.pending) > 0 && w.err == nil {
 		buf := w.pending
 		w.pending, w.spare = w.spare[:0], nil
 		w.mu.Unlock()
 		w.stats.flushes.Add(1)
-		_, err := w.conn.Write(buf)
+		var err error
+		if w.sock == nil {
+			_, err = w.conn.Write(buf)
+		} else if n, werr := w.sock.write(buf); werr != nil || n == len(buf) {
+			err = werr
+		} else {
+			w.sched.Go(func() {
+				_, rest := w.conn.Write(buf[n:])
+				w.mu.Lock()
+				w.recycle(buf, rest)
+				if w.lead() != nil {
+					// Nobody waits on this flush to see the error: fail the
+					// stream, so the read loop fails the calls it carried.
+					w.conn.Close()
+				}
+			})
+			return nil
+		}
 		w.mu.Lock()
-		// Don't let one huge gossip frame pin megabytes in either buffer
-		// (same cap as frameBufPool and wire.PutBuffer).
-		if cap(buf) <= 1<<20 {
-			w.spare = buf[:0]
-		}
-		if err != nil && w.err == nil {
-			w.err = err
-		}
+		w.recycle(buf, err)
 	}
 	w.flushing = false
 	err := w.err
 	w.mu.Unlock()
 	return err
+}
+
+// recycle keeps a flushed buffer as the spare and records a write error.
+// Call with mu held.
+func (w *frameWriter) recycle(buf []byte, err error) {
+	// Don't let one huge gossip frame pin megabytes in either buffer (same
+	// cap as frameBufPool and wire.PutBuffer).
+	if cap(buf) <= 1<<20 {
+		w.spare = buf[:0]
+	}
+	if err != nil && w.err == nil {
+		w.err = err
+	}
 }
 
 // writeFrame writes a length-prefixed binary frame.

@@ -82,6 +82,17 @@ type TryCaller interface {
 	TryCall(ctx context.Context, to quorum.ServerID, req any) (resp any, ok bool, err error)
 }
 
+// Starter is an optional capability of a Transport: Start begins the call
+// without waiting on any peer. false means it declined and did nothing, as a
+// declined TryCall does. true means done runs exactly once, with what Call
+// would have returned, possibly before Start returns, on whatever goroutine
+// settles the call (a connection's read loop, a clock's timer); done must
+// not block. So a call in flight is a registered completion — register's
+// gather pushes it into the reply channel it selects on — not a goroutine.
+type Starter interface {
+	Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool
+}
+
 // ClientSource is the source id MemNetwork attributes to direct callers
 // (clients) that did not tag their context with WithSource. Server-to-server
 // traffic (e.g. diffusion) tags its calls so per-link fault hooks can tell
@@ -431,15 +442,148 @@ func (n *MemNetwork) SetPartition(groups map[quorum.ServerID]int) {
 // ClearPartition heals all partitions.
 func (n *MemNetwork) ClearPartition() { n.SetPartition(nil) }
 
-// Call implements Transport. The call observes, in order: partition state,
-// crash state, the installed LinkHook (if any), simulated loss, simulated
-// latency, then the server handler. Simulated loss surfaces promptly as
-// ErrDropped rather than stalling until the context deadline, which keeps
-// large experiments fast; production callers treat ErrDropped like a
-// timeout.
-func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
-	resp, _, err := n.call(ctx, to, req, true)
+// callMode is what a call may wait for: Call parks wherever it must, TryCall
+// waits for nothing, Start waits only on the clock.
+type callMode int8
+
+const (
+	parks callMode = iota
+	noWait
+	clockOnly
+)
+
+// admission is a call the network let through to its destination: the link,
+// the request as the hook left it, the hook's verdict, the latency it waits
+// before its handler runs, and the concurrency slot it holds, if any.
+type admission struct {
+	link  *memLink
+	req   any
+	fault CallFault
+	clock vtime.Clock
+	lat   time.Duration
+	slot  chan struct{} // the caller releases it
+	drop  bool          // the call drew a number (see TryCall)
+}
+
+// admit is the one way into the network for Call, TryCall and Start. It
+// observes, in order: partition state, crash state, the installed LinkHook
+// (if any), the destination's concurrency slot, simulated loss and
+// simulated latency. ok is false when mode cannot take this link or handler;
+// that is decided before the hook, the slot or the sequence counter is
+// touched, so nothing happened. Otherwise a non-nil err ends the call.
+func (n *MemNetwork) admit(ctx context.Context, to quorum.ServerID, req any, mode callMode, a *admission) (ok bool, err error) {
+	v := n.view.Load()
+	if v == nil {
+		v = n.rebuild()
+	}
+	srv := &noLink
+	if uint(to) < uint(len(v.links)) {
+		srv = &v.links[to]
+	}
+	minLat, maxLat := v.minLat, v.maxLat
+	if srv.lat != nil {
+		minLat, maxLat = srv.lat.min, srv.lat.max
+	}
+	// Only time stands between a call on a link with latency or a hook and
+	// its handler; a call on any other link is TryCall's, and a slot of a
+	// capped server may have to be waited for.
+	timed := v.hook != nil || maxLat > 0
+	if mode != parks && (srv.sem != nil || timed != (mode == clockOnly)) {
+		return false, nil
+	}
+	if srv.handler == nil {
+		return true, ErrUnknownServer // bare: the caller knows the id, and this allocates nothing
+	}
+	if srv.group != 0 {
+		return true, fmt.Errorf("server %d: %w", to, ErrPartitioned)
+	}
+	if srv.crashed {
+		return true, fmt.Errorf("server %d: %w", to, ErrCrashed)
+	}
+	if mode != parks && srv.try == nil {
+		return false, nil
+	}
+	*a = admission{link: srv, req: req, clock: v.clock, lat: minLat}
+	if v.hook != nil {
+		a.fault = v.hook.FilterCall(SourceFromContext(ctx), to, req)
+		if a.fault.Drop {
+			return true, fmt.Errorf("server %d: %w", to, ErrDropped)
+		}
+		if a.fault.ReplaceReq != nil {
+			a.req = a.fault.ReplaceReq
+		}
+	}
+	if srv.sem != nil {
+		// Service-time accounting (SetServerConcurrency): hold one of the
+		// destination's slots across the latency sleep and the handler.
+		select {
+		case srv.sem <- struct{}{}:
+			a.slot = srv.sem
+		case <-ctx.Done():
+			return true, ctx.Err()
+		}
+	}
+	if a.drop = v.dropProb > 0; a.drop || maxLat > minLat {
+		// One decision word per call, counter-hashed: both the drop verdict
+		// and the latency draw depend only on (seed, destination,
+		// per-destination call count), so harnesses that keep the call
+		// sequence deterministic replay drops and latency byte-for-byte
+		// (see callSeq).
+		seq := srv.callSeq.Add(1)
+		base := splitmix64(n.seed ^ (uint64(to)+1)<<32 ^ seq)
+		if a.drop && float64(splitmix64(base^0x0D)>>11)/(1<<53) < v.dropProb {
+			return true, fmt.Errorf("server %d: %w", to, ErrDropped)
+		}
+		if maxLat > minLat {
+			a.lat += time.Duration(splitmix64(base^0x1A) % uint64(maxLat-minLat+1))
+		}
+	}
+	return true, nil
+}
+
+// handle delivers an admitted call with Handle — twice if the hook
+// duplicated it, the second reply discarded: the visible effect is what
+// idempotency (or its absence) makes it — and applies MutateReply.
+func (a *admission) handle(ctx context.Context) (any, error) {
+	resp, err := a.link.handler.Handle(ctx, a.req)
+	if a.fault.Duplicate {
+		a.link.handler.Handle(ctx, a.req) //nolint:errcheck // duplicate delivery, reply discarded
+	}
+	return a.fault.reply(resp, err)
+}
+
+// reply applies the hook's MutateReply, if it set one.
+func (f *CallFault) reply(resp any, err error) (any, error) {
+	if f.MutateReply != nil {
+		return f.MutateReply(resp, err)
+	}
 	return resp, err
+}
+
+// Call implements Transport; see admit for what a call observes on its
+// way. Simulated loss surfaces promptly as ErrDropped rather than stalling
+// until the context deadline, which keeps large experiments fast;
+// production callers treat ErrDropped like a timeout.
+func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
+	var a admission
+	_, err := n.admit(ctx, to, req, parks, &a)
+	if a.slot != nil {
+		defer func() { <-a.slot }()
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, d := range [2]time.Duration{a.lat, a.fault.Delay} {
+		if d > 0 {
+			if err := a.clock.SleepCtx(ctx, d); err != nil {
+				return nil, err
+			}
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return a.handle(ctx)
 }
 
 // TryCall implements TryCaller: it is Call, on the caller's goroutine, for
@@ -450,122 +594,70 @@ func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any
 // unknown-server checks and the same counter-hashed drop verdict Call would
 // have applied; a declined one leaves no trace.
 func (n *MemNetwork) TryCall(ctx context.Context, to quorum.ServerID, req any) (any, bool, error) {
-	return n.call(ctx, to, req, false)
-}
-
-// call is the one body of Call (mayPark) and TryCall (!mayPark). ok is
-// false only for a TryCall that declined.
-func (n *MemNetwork) call(ctx context.Context, to quorum.ServerID, req any, mayPark bool) (resp any, ok bool, err error) {
-	v := n.view.Load()
-	if v == nil {
-		v = n.rebuild()
-	}
-	srv := &noLink
-	if uint(to) < uint(len(v.links)) {
-		srv = &v.links[to]
-	}
-	drop, hook, clock, minLat, maxLat := v.dropProb, v.hook, v.clock, v.minLat, v.maxLat
-	if srv.lat != nil {
-		minLat, maxLat = srv.lat.min, srv.lat.max
-	}
-
-	if !mayPark && (hook != nil || srv.sem != nil || maxLat > 0) {
-		// Decided on the link alone, before the hook, the semaphore or the
-		// sequence counter is touched: the Call that follows starts clean.
-		return nil, false, nil
-	}
-	if srv.handler == nil {
-		return nil, true, ErrUnknownServer // bare: the caller knows the id, and this allocates nothing
-	}
-	if srv.group != 0 {
-		return nil, true, fmt.Errorf("server %d: %w", to, ErrPartitioned)
-	}
-	if srv.crashed {
-		return nil, true, fmt.Errorf("server %d: %w", to, ErrCrashed)
-	}
-	if !mayPark && srv.try == nil {
-		return nil, false, nil
-	}
-	var fault CallFault
-	if hook != nil {
-		fault = hook.FilterCall(SourceFromContext(ctx), to, req)
-		if fault.Drop {
-			return nil, true, fmt.Errorf("server %d: %w", to, ErrDropped)
-		}
-		if fault.ReplaceReq != nil {
-			req = fault.ReplaceReq
-		}
-	}
-	if srv.sem != nil {
-		// Service-time accounting (SetServerConcurrency): hold one of the
-		// destination's slots across the latency sleep and the handler.
-		select {
-		case srv.sem <- struct{}{}:
-			defer func() { <-srv.sem }()
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
-	}
-	counted := drop > 0 || maxLat > minLat
-	if counted {
-		// One decision word per call, counter-hashed: both the drop verdict
-		// and the latency draw depend only on (seed, destination,
-		// per-destination call count), so harnesses that keep the call
-		// sequence deterministic replay drops and latency byte-for-byte
-		// (see callSeq).
-		seq := srv.callSeq.Add(1)
-		base := splitmix64(n.seed ^ (uint64(to)+1)<<32 ^ seq)
-		if drop > 0 {
-			u := splitmix64(base ^ 0x0D)
-			if float64(u>>11)/(1<<53) < drop {
-				return nil, true, fmt.Errorf("server %d: %w", to, ErrDropped)
-			}
-		}
-		if maxLat > minLat {
-			d := minLat + time.Duration(splitmix64(base^0x1A)%uint64(maxLat-minLat+1))
-			if d > 0 {
-				if err := clock.SleepCtx(ctx, d); err != nil {
-					return nil, true, err
-				}
-			}
-		}
-	}
-	if maxLat == minLat && maxLat > 0 {
-		if err := clock.SleepCtx(ctx, minLat); err != nil {
-			return nil, true, err
-		}
-	}
-	if fault.Delay > 0 {
-		if err := clock.SleepCtx(ctx, fault.Delay); err != nil {
-			return nil, true, err
-		}
+	var a admission
+	if ok, err := n.admit(ctx, to, req, noWait, &a); !ok || err != nil {
+		return nil, ok, err
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, true, err
 	}
-	if !mayPark {
-		resp, ok, err = srv.try.TryHandle(ctx, req)
-		if !ok && counted {
-			// The handler would have to wait, and its call was already
-			// numbered (it survived the drop verdict): hand the number
-			// back, so the Call that follows draws the same one.
-			srv.callSeq.Add(^uint64(0))
+	resp, ok, err := a.link.try.TryHandle(ctx, a.req)
+	if !ok && a.drop {
+		// The handler would have to wait, and its call was already numbered
+		// (it survived the drop verdict): hand the number back, so the Call
+		// that follows draws the same one.
+		a.link.callSeq.Add(^uint64(0))
+	}
+	return resp, ok, err
+}
+
+// Start implements Starter for exactly the calls whose only wait is time: a
+// link with latency or a LinkHook, to a TryHandler, on a server with no
+// concurrency cap (TryCall takes the links with nothing to wait for, a
+// worker the capped ones). It runs Call's admission on the caller, then arms
+// a timer for the latency and, when that fires, one for the hook's delay —
+// the chain Call's two sleeps make, so each timer keeps its (deadline,
+// sequence) place. The handler then runs where the timer fires (under a
+// SimClock, on the scheduler) if TryHandle accepts and the call is not
+// duplicated, and on a worker otherwise. A call cancelled in flight ends
+// with ctx.Err() when its timer fires, without reaching the handler.
+func (n *MemNetwork) Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool {
+	a := new(admission)
+	ok, err := n.admit(ctx, to, req, clockOnly, a)
+	if !ok {
+		return false
+	}
+	if err != nil {
+		done(nil, err)
+		return true
+	}
+	after := func(d time.Duration, fn func()) {
+		if d > 0 {
+			a.clock.AfterFunc(d, fn)
+		} else {
+			fn()
 		}
-		return resp, ok, err
 	}
-	resp, err = srv.handler.Handle(ctx, req)
-	if fault.Duplicate {
-		// Deliver the request a second time, discarding the second reply:
-		// the visible effect is what idempotency (or its absence) makes it.
-		srv.handler.Handle(ctx, req) //nolint:errcheck // duplicate delivery, reply discarded
-	}
-	if fault.MutateReply != nil {
-		resp, err = fault.MutateReply(resp, err)
-	}
-	return resp, true, err
+	after(a.lat, func() {
+		after(a.fault.Delay, func() {
+			if err := ctx.Err(); err != nil {
+				done(nil, err)
+				return
+			}
+			if !a.fault.Duplicate {
+				if resp, ok, err := a.link.try.TryHandle(ctx, a.req); ok {
+					done(a.fault.reply(resp, err))
+					return
+				}
+			}
+			vtime.SchedOf(a.clock).Go(func() { done(a.handle(ctx)) })
+		})
+	})
+	return true
 }
 
 var (
 	_ Transport = (*MemNetwork)(nil)
 	_ TryCaller = (*MemNetwork)(nil)
+	_ Starter   = (*MemNetwork)(nil)
 )

@@ -260,52 +260,52 @@ func TestDeregisterForgetsAllButCallSeq(t *testing.T) {
 	}
 }
 
-// healthOnly and healthTry are Call-capable stubs with the optional
-// capabilities Offset forwards.
+// healthOnly is a Call-capable stub that reports server 12 down.
 type healthOnly struct{ Transport }
 
 func (healthOnly) ServerDown(id quorum.ServerID) bool { return id == 12 }
 
-type healthTry struct {
-	healthOnly
-	TryCaller
-}
-
-// TestOffsetForwardsCapabilities: the shifted view is a TryCaller iff the
-// transport is, a HealthReporter iff the transport is, and translates ids
-// for each.
+// TestOffsetForwardsCapabilities: the shifted view always offers TryCall,
+// Start and ServerDown; each translates ids into the transport's when the
+// transport has the capability, and declines (or reports the server up)
+// when it does not, without touching the transport.
 func TestOffsetForwardsCapabilities(t *testing.T) {
 	n := NewMemNetwork(1)
 	n.Register(12, acceptingEcho())
+	n.Register(13, acceptingEcho())
+	n.SetServerLatency(13, time.Nanosecond, time.Nanosecond) // only Start takes it
+	ctx := context.Background()
 	for _, c := range []struct {
-		name        string
-		tr          Transport
-		try, health bool
+		name               string
+		tr                 Transport
+		try, start, health bool
 	}{
-		{"MemNetwork", n, true, false},
-		{"Call only", struct{ Transport }{n}, false, false},
-		{"health", healthOnly{n}, false, true},
-		{"health and try", healthTry{healthOnly{n}, n}, true, true},
+		{"MemNetwork", n, true, true, false},
+		{"Call only", struct{ Transport }{n}, false, false, false},
+		{"health", healthOnly{n}, false, false, true},
 	} {
 		o := Offset(c.tr, 10)
-		tc, isTry := o.(TryCaller)
-		hr, isHealth := o.(HealthReporter)
-		if isTry != c.try || isHealth != c.health {
-			t.Errorf("%s: TryCaller %v, HealthReporter %v; want %v, %v", c.name, isTry, isHealth, c.try, c.health)
-			continue
-		}
-		if resp, err := o.Call(context.Background(), 2, "x"); err != nil || resp != "x" {
+		if resp, err := o.Call(ctx, 2, "x"); err != nil || resp != "x" {
 			t.Errorf("%s: Call(2) = %v, %v", c.name, resp, err)
 		}
-		if isTry {
-			if resp, ok, err := tc.TryCall(context.Background(), 2, "x"); !ok || err != nil || resp != "x" {
-				t.Errorf("%s: TryCall(2) = %v, %v, %v", c.name, resp, ok, err)
-			}
-			if _, ok, err := tc.TryCall(context.Background(), 3, "x"); !ok || !errors.Is(err, ErrUnknownServer) {
-				t.Errorf("%s: TryCall(3) = %v, %v; want unknown server 13", c.name, ok, err)
+		if resp, ok, err := o.(TryCaller).TryCall(ctx, 2, "x"); ok != c.try || (ok && (err != nil || resp != "x")) {
+			t.Errorf("%s: TryCall(2) = %v, %v, %v; want taken %v", c.name, resp, ok, err, c.try)
+		}
+		if c.try {
+			if _, ok, err := o.(TryCaller).TryCall(ctx, 4, "x"); !ok || !errors.Is(err, ErrUnknownServer) {
+				t.Errorf("%s: TryCall(4) = %v, %v; want unknown server 14", c.name, ok, err)
 			}
 		}
-		if isHealth && (!hr.ServerDown(2) || hr.ServerDown(12)) {
+		got := make(chan any, 1)
+		ok := o.(Starter).Start(ctx, 3, "x", func(resp any, err error) { got <- resp })
+		if ok != c.start {
+			t.Errorf("%s: Start(3) taken %v, want %v", c.name, ok, c.start)
+		} else if ok {
+			if resp := <-got; resp != "x" {
+				t.Errorf("%s: Start(3) completed with %v", c.name, resp)
+			}
+		}
+		if down := o.(HealthReporter); down.ServerDown(2) != c.health || down.ServerDown(12) {
 			t.Errorf("%s: ServerDown not translated to local ids", c.name)
 		}
 	}

@@ -76,23 +76,38 @@ func newViewFixture(t *testing.T) *viewFixture {
 	return f
 }
 
-// next makes the next TryCall and the next Call to a server and requires
-// both to observe the same configuration: TryCall declines iff declines,
-// whichever of the two completes ends with want (nil: a reply, returned).
-// It leaves a published view behind, so the setter that follows is seen
-// only if it invalidates.
-func (f *viewFixture) next(to quorum.ServerID, want error, declines bool) any {
+// next makes the next TryCall, Call and Start to a server and requires all
+// three to observe the same configuration: TryCall declines iff declines,
+// Start takes what TryCall declines unless a slot may have to be waited for
+// (slotted), and whichever completes ends with want (nil: a reply,
+// returned). It leaves a published view behind, so the setter that follows
+// is seen only if it invalidates.
+func (f *viewFixture) next(to quorum.ServerID, want error, declines bool, slotted ...bool) any {
 	f.t.Helper()
 	tryResp, ok, tryErr := f.n.TryCall(context.Background(), to, "x")
 	resp, err := f.n.Call(context.Background(), to, "x")
+	type result struct {
+		resp any
+		err  error
+	}
+	started := make(chan result, 1)
+	startOK := f.n.Start(context.Background(), to, "x", func(resp any, err error) { started <- result{resp, err} })
 	if ok == declines {
 		f.t.Errorf("TryCall to %d: completed %v, want declined %v", to, ok, declines)
+	}
+	if startOK != (declines && len(slotted) == 0) {
+		f.t.Errorf("Start to %d: taken %v, want %v", to, startOK, declines && len(slotted) == 0)
 	}
 	if !errors.Is(err, want) {
 		f.t.Errorf("Call to %d: err %v, want %v", to, err, want)
 	}
 	if ok && (!errors.Is(tryErr, want) || tryResp != resp) {
 		f.t.Errorf("TryCall to %d: %v, %v; Call: %v, %v", to, tryResp, tryErr, resp, err)
+	}
+	if startOK {
+		if r := <-started; !errors.Is(r.err, want) || r.resp != resp {
+			f.t.Errorf("Start to %d: %v, %v; Call: %v, %v", to, r.resp, r.err, resp, err)
+		}
 	}
 	if f.n.view.Load() == nil {
 		f.t.Errorf("no view published after a call")
@@ -157,7 +172,7 @@ func TestMemNetworkSetterIsSeenByTheNextCall(t *testing.T) {
 			f.n.mu.Lock()
 			probe.sem = f.n.servers[1].sem
 			f.n.mu.Unlock()
-			f.next(1, nil, true)
+			f.next(1, nil, true, true)
 			if probe.held != 1 {
 				f.t.Errorf("the handler ran with %d slots held, want 1", probe.held)
 			}
@@ -176,8 +191,8 @@ func TestMemNetworkSetterIsSeenByTheNextCall(t *testing.T) {
 			hook := &recordingHook{fault: CallFault{Drop: true}}
 			f.n.SetLinkHook(hook)
 			f.next(1, ErrDropped, true)
-			if got := hook.calls.Load(); got != 1 {
-				f.t.Errorf("hook consulted %d times by one declined TryCall and one Call", got)
+			if got := hook.calls.Load(); got != 2 {
+				f.t.Errorf("hook consulted %d times by one declined TryCall, one Call and one Start", got)
 			}
 		},
 		"SetClock": func(f *viewFixture) {
@@ -195,7 +210,7 @@ func TestMemNetworkSetterIsSeenByTheNextCall(t *testing.T) {
 		t.Run(name, func(t *testing.T) { row(newViewFixture(t)) })
 	}
 
-	readers := map[string]bool{"Call": true, "TryCall": true, "CrashedCount": true}
+	readers := map[string]bool{"Call": true, "TryCall": true, "Start": true, "CrashedCount": true}
 	typ := reflect.TypeOf((*MemNetwork)(nil))
 	methods := make(map[string]bool)
 	for i := 0; i < typ.NumMethod(); i++ {

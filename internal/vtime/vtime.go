@@ -28,14 +28,15 @@
 //     equal-deadline timers — is deterministic when the creations are
 //     ordered by the program itself: issued by a single worker, or
 //     separated by a quiescence point. Equal-deadline timers created by
-//     concurrently racing workers (e.g. two fixed-latency calls dispatched
-//     in one burst) may fire in either order across runs; harness code
-//     must therefore never let a RECORDED outcome depend on the relative
-//     order of same-instant events. The shipped harnesses satisfy this by
-//     construction: completion rules are count-based, value selection is
-//     max-timestamp with value-equality at equal stamps, and the latency
-//     estimator pools values — so same-instant reordering never changes a
-//     recorded history, which is what the determinism regressions assert.
+//     concurrently racing workers (e.g. the reply chunks of two servers'
+//     read loops woken at one instant) may fire in either order across
+//     runs; harness code must therefore never let a RECORDED outcome
+//     depend on the relative order of same-instant events. The shipped
+//     harnesses satisfy this by construction: completion rules are
+//     count-based, value selection is max-timestamp with value-equality at
+//     equal stamps, and the latency estimator pools values — so
+//     same-instant reordering never changes a recorded history, which is
+//     what the determinism regressions assert.
 //  2. Virtual time advances only at quiescence: every registered worker
 //     goroutine is parked (blocked in a clock sleep, a tracked channel
 //     receive, or a vtime.WaitGroup wait) and every tracked message has
