@@ -60,31 +60,13 @@ paper:
 # own goroutine, beside the workers they wake. The sim line runs one
 # structure, not the package: swapHandler is the only state sim owns that
 # requests and a reconfiguration reach concurrently; the package's
-# determinism suites run under -race in the flake gate.
-#
-# The chaos package in one -race process peaks at 7.5-9.1 GB, so it runs in
-# batches, one process each: every test not named in CHAOS_RACE_SPLIT in one
-# batch, then each CHAOS_RACE_SPLIT test once per scenario family (the
-# benign/, wan/, ... prefix of the names `pqs-chaos -list` prints). The
-# batches come from `go test -list` and the scenario list, so together they
-# are the package; the check before them fails if a split name is no longer
-# a test there, since its batches would then match nothing and pass.
-CHAOS_RACE_SPLIT = TestChaosScenariosTCPVirtual TestChaosDeterminismTCPVirtual
+# determinism suites run under -race in the flake gate. The chaos package
+# runs whole, in one process (under 1 GB of RSS since its virtual
+# connections stopped holding a parked reader each).
 race:
 	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/diffusion/ ./internal/sv/ ./internal/vtime/
 	$(GO) test -race -run 'TestSwapHandler' ./internal/sim/
-	@tests=$$($(GO) test -list . ./internal/chaos/ | grep -E '^(Test|Fuzz|Example)') && \
-	families=$$($(GO) run ./cmd/pqs-chaos -list | cut -d/ -f1 | sort -u) && [ -n "$$families" ] && \
-	for s in $(CHAOS_RACE_SPLIT); do \
-		echo "$$tests" | grep -qx "$$s" || { echo "race: $$s is not a test of ./internal/chaos/"; exit 1; }; \
-	done && \
-	rest=$$(echo "$$tests" | grep -vx $(CHAOS_RACE_SPLIT:%=-e %) | paste -sd'|') && \
-	echo "race batch: ^($$rest)$$" && \
-	$(GO) test -race -run "^($$rest)$$" ./internal/chaos/ && \
-	for s in $(CHAOS_RACE_SPLIT); do for f in $$families; do \
-		echo "race batch: ^$$s$$/^$$f$$"; \
-		$(GO) test -race -run "^$$s$$/^$$f$$" ./internal/chaos/ || exit 1; \
-	done; done
+	$(GO) test -race ./internal/chaos/
 
 # The flake gate: every same-seed-twice determinism suite, twenty times
 # over under the race detector. A determinism test that passes most runs is
@@ -112,10 +94,9 @@ flake: flake-tcp
 
 # The tcp-virtual half of the flake gate, and the CI chaos-tcp job:
 # chaos-tcp (every scenario twice per plane, byte-for-byte) FLAKE_TCP times
-# over, about fifteen seconds a pass. A shell loop over the plain binary, not
-# `go test -race -count`: under the race detector `go test ./internal/chaos/`
-# peaks at 9.1 GB of RSS in 129 s, and -race -count=3 of it was OOM-killed
-# on a 16 GB box.
+# over, about ten seconds a pass. A shell loop over the plain binary, not
+# `go test -race -count`: a pass of the binary takes seconds, one of
+# `go test -race ./internal/chaos/` over a minute (make race runs that once).
 FLAKE_TCP ?= 5
 flake-tcp:
 	@i=1; while [ $$i -le $(FLAKE_TCP) ]; do \
@@ -273,7 +254,9 @@ sim-scale:
 	$(GO) run ./cmd/pqs-chaos -load -seed $(CHAOS_SEED) -negative -verify-determinism -json -budget 5m -o /dev/null
 
 # Ten seconds of coverage-guided fuzzing each for the binary codec's decode
-# surface, the virtual byte-stream fault injector, the dissemination
+# surface, the virtual byte-stream fault injector, the frame feed both
+# transports read through (any chunking of a stream must cut the same
+# frames and reach the same verdict as the whole stream), the dissemination
 # read's selection over the registry's verified set (differential, against
 # plain sv.Verify), the replica store's flat tables (differential, against
 # a plain map, under the real hash and under hashes that force one shard and
@@ -283,6 +266,7 @@ sim-scale:
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzVNetFaultInjector -fuzztime 10s ./internal/transport
+	$(GO) test -run XXX -fuzz FuzzFrameFeed -fuzztime 10s ./internal/transport
 	$(GO) test -run XXX -fuzz FuzzSelectDissemination -fuzztime 10s ./internal/register
 	$(GO) test -run XXX -fuzz FuzzStoreAgainstModel -fuzztime 10s ./internal/replica
 	$(GO) test -run XXX -fuzz FuzzDecodeView -fuzztime 10s ./internal/ring

@@ -341,7 +341,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		}
 		if clk != nil && next > applied {
 			// An action's consequences run on other workers at this same
-			// virtual instant (a reset wakes the client's read loops, which
+			// virtual instant (a reset notifies the client's connections, which
 			// fail their connections, which the next acquire prunes). Let
 			// them finish, or whether the next write leases a dead
 			// connection or redials is the Go scheduler's choice.

@@ -89,7 +89,7 @@ func TestChaosDeterminismTCPVirtual(t *testing.T) {
 
 // TestChaosSettlesAfterActions replays the scenario whose schedule resets
 // connections between operations (Leave/Join waves) ten times over. A
-// reset's consequences — read loops failing their connections, the pool
+// reset's consequences — connections failing on notifying workers, the pool
 // pruning them — run on other workers at the same virtual instant, so
 // unless the run settles after applying an event, whether the next write
 // leases a dead connection (one member fails, Full=false) or redials is the

@@ -28,7 +28,7 @@ import (
 // the clock — TCPClient on an established connection, MemNetwork on a
 // link whose only wait is time — is started on the caller, and its
 // completion pushes the reply straight into the gather's channel from
-// whatever goroutine settles it (a connection's read loop, a timer). Only a
+// whatever goroutine settles it (where its reply is read, a timer). Only a
 // call both decline gets a worker of its own. None of it looks at anything
 // the engine branches on, and the access set is sampled before any of it
 // runs.

@@ -80,8 +80,8 @@ func TestSimFastLongFormEpsilon(t *testing.T) {
 // binary codec, group-commit frame writer, read-loop dispatch — over
 // SimClock-scheduled byte streams, with per-chunk latency in the tens of
 // milliseconds, stragglers and adaptive hedging. The wire path costs real
-// scheduler work (every chunk is a timer, every reply crosses read loop →
-// call → gather), so the bar is >= 20x rather than the MemNetwork run's 50x;
+// scheduler work (every chunk is a timer whose reply frame completes a
+// call into its gather), so the bar is >= 20x rather than the MemNetwork run's 50x;
 // what it gates is the same property: simulated seconds must not cost wall
 // seconds, now for the code path production actually runs.
 //

@@ -36,8 +36,8 @@ func nextGoid() uint64 {
 // every connection up before the clock starts. Besides ns/op and allocs/op
 // it reports goroutines/op, the goroutines started per read, counted over
 // countReads further reads on one processor (see nextGoid): with every call
-// started on the caller and every request answered on its connection's
-// read loop, nothing is left that needs one.
+// started on the caller and every request answered, and every reply
+// delivered, where its chunk lands, nothing is left that needs one.
 func BenchmarkVirtualTCPRead(b *testing.B) {
 	const n, q, countReads = 144, 24, 500
 	sc := vtime.NewSimClock()

@@ -42,7 +42,7 @@ const DefaultCallTimeout = time.Second
 // TCP server down: the server holds the indirection, not the replica. It
 // keeps the wrapped handler's TryHandler side (the way transport.Offset
 // keeps TryCaller), so the server still answers a replica that cannot park
-// on the connection's read loop. The side is asserted once, in set, as
+// where its request is read. The side is asserted once, in set, as
 // MemNetwork.Register does it; a request loads the pair and takes no lock.
 type swapHandler struct{ cur atomic.Pointer[swapTarget] }
 

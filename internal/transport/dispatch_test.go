@@ -8,7 +8,6 @@ package transport
 // call must consume the wake that failure left behind.
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -66,14 +65,9 @@ func TestServerAnswersOnTheReadLoop(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	br := bufio.NewReader(conn)
-	for want := uint64(1); want <= n; want++ {
-		body, release, err := readFrame(br, &stats)
-		if err != nil {
-			t.Fatalf("reply %d: %v", want, err)
-		}
+	want := uint64(1)
+	err = readEach(conn, func(body []byte) bool {
 		reply, err := wire.DecodeReplyEnvelope(body)
-		release()
 		if err != nil {
 			t.Fatalf("reply %d: %v", want, err)
 		}
@@ -83,6 +77,11 @@ func TestServerAnswersOnTheReadLoop(t *testing.T) {
 		if got := reply.Payload.(wire.ReadRequest).Key; got != fmt.Sprint(want) {
 			t.Fatalf("reply %d echoes key %q", want, got)
 		}
+		want++
+		return want <= n
+	})
+	if want <= n {
+		t.Fatalf("reply %d: %v", want, err)
 	}
 	if tried, handled := h.tried.Load(), h.handled.Load(); tried != n || handled != 0 {
 		t.Errorf("%d requests: %d TryHandle and %d Handle calls, want %d and 0", n, tried, handled, n)

@@ -6,7 +6,6 @@ package transport
 // Call would have left it in.
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -182,17 +181,11 @@ func scriptServer(l net.Listener, got chan<- string) {
 		go func() {
 			defer conn.Close()
 			var stats tcpCounters
-			br := bufio.NewReader(conn)
 			w := newFrameWriter(conn, &stats)
-			for {
-				body, release, err := readFrame(br, &stats)
-				if err != nil {
-					return
-				}
+			readEach(conn, func(body []byte) bool {
 				env, err := wire.DecodeEnvelope(body)
-				release()
 				if err != nil {
-					return
+					return false
 				}
 				key := env.Payload.(wire.ReadRequest).Key
 				got <- key
@@ -203,15 +196,13 @@ func scriptServer(l net.Listener, got chan<- string) {
 				case "rpcerr":
 					reply.Err, reply.ErrKind = "refused", wire.ErrKindPermanent
 				case "reset":
-					return
+					return false
 				default:
-					continue
+					return true
 				}
 				frame, _ := wire.AppendReplyEnvelope(nil, reply)
-				if w.writeFrame(frame) != nil {
-					return
-				}
-			}
+				return w.writeFrame(frame) == nil
+			})
 		}()
 	}
 }

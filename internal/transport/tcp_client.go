@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -135,7 +134,8 @@ func (c *TCPClient) Call(ctx context.Context, to quorum.ServerID, req any) (any,
 // done in place of the wait. It declines a call that would dial or join a
 // dial; a breaker or backoff fast-fail completes at once. The frame is on
 // its way when Start returns (a frameWriter's leader never waits on a
-// socket); done runs on the connection's read loop for a reply or a
+// socket); done runs where the connection's frames are read (its read loop
+// on a socket, the delivery timer on a VirtualNet) for a reply or a
 // failure, on the clock for the timeout, on ctx's watcher for a cancel.
 func (c *TCPClient) Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool {
 	conn, st, err := c.acquire(to, false)
@@ -374,7 +374,7 @@ func newTCPConn(raw net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched
 		abandoned: make(map[uint64]struct{}),
 	}
 	c.w.sock, c.w.sched = newSockWriter(raw), sched
-	sched.Go(c.readLoop)
+	readFrames(raw, stats, sched, c.onFrame, c.failAll)
 	return c
 }
 
@@ -408,35 +408,23 @@ func (c *tcpConn) claim(id uint64, abandon bool) bool {
 	return true
 }
 
-func (c *tcpConn) readLoop() {
-	br := bufio.NewReaderSize(c.raw, readBufSize)
-	for {
-		body, release, err := readFrame(br, c.stats)
-		if err != nil {
-			c.failAll()
-			return
-		}
-		var reply wire.ReplyEnvelope
-		if c.codec == CodecBinaryFlate {
-			reply, err = wire.DecodeReplyEnvelopeFlate(body)
-		} else {
-			reply, err = wire.DecodeReplyEnvelope(body)
-		}
-		c.cc.countDecode(len(body))
-		release()
-		if err != nil {
-			c.failAll()
-			return
-		}
-		if !c.deliver(reply) {
-			return
-		}
+// onFrame decodes one reply frame and delivers it; false (an undecodable
+// reply, or one deliver refuses) fails the connection.
+func (c *tcpConn) onFrame(body []byte) bool {
+	var reply wire.ReplyEnvelope
+	var err error
+	if c.codec == CodecBinaryFlate {
+		reply, err = wire.DecodeReplyEnvelopeFlate(body)
+	} else {
+		reply, err = wire.DecodeReplyEnvelope(body)
 	}
+	c.cc.countDecode(len(body))
+	return err == nil && c.deliver(reply)
 }
 
 // deliver completes the call a reply answers. A reply matching no pending
 // or abandoned call means the stream is desynced or an id was corrupted in
-// flight: the connection is failed (false return stops the read loop).
+// flight: the connection is failed (false return stops the reading).
 func (c *tcpConn) deliver(reply wire.ReplyEnvelope) bool {
 	c.mu.Lock()
 	if call, ok := c.pending[reply.ID]; ok {

@@ -1,10 +1,8 @@
 package transport
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -62,9 +60,9 @@ func ParseCodec(s string) (Codec, error) {
 // beats attempting the allocation.
 const maxFrameSize = 64 << 20
 
-// readBufSize sizes the per-connection bufio read buffer. Typical frames
-// (read/write RPCs with small values) are well under 4 KiB, so it holds
-// several coalesced frames per syscall.
+// readBufSize sizes a socket read loop's buffer. Typical frames (read/write
+// RPCs with small values) are well under 4 KiB, so one read takes several
+// coalesced frames per syscall.
 const readBufSize = 32 << 10
 
 // ConnCodecStats counts one connection's traffic through the message codec:
@@ -193,8 +191,7 @@ type TCPStats struct {
 	FramesRead    uint64
 	FramesWritten uint64
 	// BytesRead and BytesWritten count frame bytes, including length
-	// prefixes, as taken from the buffered reader and appended to the frame
-	// writer.
+	// prefixes, as cut by the frame feed and appended to the frame writer.
 	BytesRead    uint64
 	BytesWritten uint64
 	// Flushes counts the frame writers' conn.Write calls — one syscall on a
@@ -268,50 +265,118 @@ func (c *tcpCounters) snapshot() TCPStats {
 	return s
 }
 
-// frameBufPool recycles binary frame read buffers across requests.
-var frameBufPool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}
-
-// readFrame reads one length-prefixed frame into a pooled buffer. The
-// returned release function recycles the buffer; callers must not retain the
-// slice after calling it (decoded values copy out of it).
-func readFrame(br *bufio.Reader, c *tcpCounters) (body []byte, release func(), err error) {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return nil, nil, err
-	}
-	if n > maxFrameSize {
-		return nil, nil, fmt.Errorf("transport: frame of %d bytes exceeds limit", n)
-	}
-	bp := frameBufPool.Get().(*[]byte)
-	if cap(*bp) < int(n) {
-		*bp = make([]byte, n)
-	}
-	buf := (*bp)[:n]
-	if _, err := io.ReadFull(br, buf); err != nil {
-		frameBufPool.Put(bp)
-		return nil, nil, err
-	}
-	c.framesRead.Add(1)
-	c.bytesRead.Add(n + uint64(uvarintLen(n)))
-	return buf, func() {
-		// Don't let one huge gossip frame pin megabytes in the pool (same
-		// cap as wire.PutBuffer).
-		if cap(buf) > 1<<20 {
-			return
-		}
-		*bp = buf[:0]
-		frameBufPool.Put(bp)
-	}, nil
+// frameFeed cuts a byte stream into length-prefixed frames, however its
+// bytes arrive (see readFrames). A frame within one feed is handed over in
+// place; only one split across feeds is copied, into part.
+type frameFeed struct {
+	stats *tcpCounters
+	part  []byte // the start of a frame the last feed ended inside
 }
 
-// uvarintLen returns the encoded size of v.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
+// feed hands the body of each frame p completes to onFrame, in order, and
+// keeps a trailing partial frame. It reports false, ending the stream, on a
+// prefix that is corrupt or above maxFrameSize (before any of its body is
+// kept) or a frame onFrame refuses. A body aliases p or part: onFrame must
+// copy out what it keeps (the wire decoders do).
+func (f *frameFeed) feed(p []byte, onFrame func(body []byte) bool) bool {
+	if len(f.part) > 0 {
+		var head [binary.MaxVarintLen64 + 1]byte // enough to tell an overlong prefix
+		k := copy(head[:], f.part)
+		size, pl := frameHead(head[:k+copy(head[k:], p)])
+		if pl < 0 {
+			return false
+		}
+		need := len(p)
+		if pl > 0 {
+			need = min(need, pl+size-len(f.part))
+		}
+		f.keep(p[:need], pl+size)
+		if p = p[need:]; pl == 0 || len(f.part) < pl+size {
+			return true
+		}
+		frame := f.part
+		if f.part = f.part[:0]; cap(f.part) > 1<<20 { // one gossip frame must not pin megabytes
+			f.part = nil
+		}
+		if !f.cut(frame, onFrame) {
+			return false
+		}
 	}
-	return n
+	return f.cut(p, onFrame)
+}
+
+// cut hands over every whole frame p holds and keeps the rest.
+func (f *frameFeed) cut(p []byte, onFrame func([]byte) bool) bool {
+	for len(p) > 0 {
+		size, pl := frameHead(p)
+		if pl < 0 {
+			return false
+		}
+		if pl == 0 || pl+size > len(p) {
+			f.keep(p, pl+size)
+			return true
+		}
+		f.stats.framesRead.Add(1)
+		f.stats.bytesRead.Add(uint64(pl + size))
+		if !onFrame(p[pl : pl+size]) {
+			return false
+		}
+		p = p[pl+size:]
+	}
+	return true
+}
+
+// frameHead parses the length prefix p starts with: the body size, and the
+// prefix length, 0 while incomplete and < 0 if corrupt or too large.
+func frameHead(p []byte) (size, n int) {
+	v, n := binary.Uvarint(p)
+	if n < 0 || v > maxFrameSize {
+		return 0, -1
+	}
+	return int(v), n
+}
+
+// keep appends b to part, doubling its storage as bytes arrive and going to
+// the frame's size (total, 0 while unknown) once doubling would pass half of
+// it: a frame pins what its sender sent, not what its prefix claims, at a
+// constant number of copies per byte.
+func (f *frameFeed) keep(b []byte, total int) {
+	if n := len(f.part) + len(b); n > cap(f.part) {
+		c := max(2*cap(f.part), n)
+		if total > 0 && 2*c > total {
+			c = total
+		}
+		f.part = append(make([]byte, 0, c), f.part...)
+	}
+	f.part = append(f.part, b...)
+}
+
+// readFrames hands each frame that arrives on conn to onFrame, in order, and
+// calls end once the stream ends or onFrame refuses a frame. A vconn's
+// frames are cut where its chunks land (vconn.setSink), so there onFrame and
+// end must not block; a socket gets a read loop, started by sched.
+func readFrames(conn net.Conn, stats *tcpCounters, sched vtime.Sched, onFrame func([]byte) bool, end func()) {
+	f := &frameFeed{stats: stats}
+	if vc, ok := conn.(*vconn); ok {
+		vc.setSink(func(p []byte, err error) bool {
+			if err == nil && f.feed(p, onFrame) {
+				return true
+			}
+			end()
+			return false
+		})
+		return
+	}
+	sched.Go(func() {
+		buf := make([]byte, readBufSize)
+		for {
+			n, err := conn.Read(buf)
+			if n > 0 && !f.feed(buf[:n], onFrame) || err != nil {
+				end()
+				return
+			}
+		}
+	})
 }
 
 // frameWriter serializes frame writes onto one connection with leader-flushed
@@ -419,7 +484,7 @@ func (w *frameWriter) lead() error {
 // Call with mu held.
 func (w *frameWriter) recycle(buf []byte, err error) {
 	// Don't let one huge gossip frame pin megabytes in either buffer (same
-	// cap as frameBufPool and wire.PutBuffer).
+	// cap as frameFeed and wire.PutBuffer).
 	if cap(buf) <= 1<<20 {
 		w.spare = buf[:0]
 	}

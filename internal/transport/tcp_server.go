@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"net"
@@ -16,9 +15,9 @@ type TCPOptions struct {
 	// Codec selects the wire serialization (CodecBinary default).
 	Codec Codec
 	// Clock supplies the scheduling discipline. Nil means the wall clock;
-	// a vtime.SimClock enrolls every server goroutine (accept loop,
-	// connection read loops, the goroutines of requests that may park) in
-	// the virtual-time scheduler, which is what lets the real data plane run
+	// a vtime.SimClock enrolls every server goroutine (accept loop, socket
+	// read loops, the goroutines of requests that may park) in the
+	// virtual-time scheduler, which is what lets the real data plane run
 	// inside the deterministic harnesses (see VirtualNet).
 	Clock vtime.Clock
 }
@@ -64,8 +63,8 @@ func ListenTCPCodec(addr string, h Handler, codec Codec) (*TCPServer, error) {
 
 // ServeListener runs the TCP server stack on an existing listener — a real
 // socket or a VirtualNet listener. This is the injection point that lets
-// the unmodified data plane (framing, codec, frame writer, read-loop
-// dispatch) run on virtual-time byte streams inside the harnesses.
+// the data plane (framing, codec, frame writer, request dispatch) run on
+// virtual-time byte streams inside the harnesses.
 func ServeListener(l net.Listener, h Handler, o TCPOptions) *TCPServer {
 	clk := vtime.Or(o.Clock)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -135,37 +134,38 @@ func (s *TCPServer) acceptLoop() {
 		s.wg.Add(1)
 		s.mu.Unlock()
 		s.stats.conns.Add(1)
-		s.sched.Go(func() { s.serveConn(conn) })
+		s.serveConn(conn)
 	}
 }
 
+// serveConn starts serving conn (see readFrames) and returns.
 func (s *TCPServer) serveConn(conn net.Conn) {
-	defer s.wg.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-	}()
 	// Every request on this connection runs under a context cancelled when
 	// the connection tears down or the server closes, so in-flight handlers
 	// cannot outlive either.
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	w := newFrameWriter(conn, &s.stats)
 	cc := s.codecReg.open()
-	defer s.codecReg.close(cc)
-	// Teardown order (LIFO): cancel the connection context FIRST — its
-	// replies are undeliverable, and a handler blocked on ctx.Done would
-	// otherwise deadlock the wait — then wait out in-flight handlers, then
-	// close the socket, then fail the writer (the socket must die first;
-	// see frameWriter.close).
-	defer w.close()
-	defer conn.Close()
 	reqWG := vtime.NewWaitGroup(s.clock)
-	defer reqWG.Wait()
-	defer cancel()
+	// teardown runs on a worker once the stream ends, since it waits. Cancel
+	// the connection context FIRST — its replies are undeliverable, and a
+	// handler blocked on ctx.Done would otherwise deadlock the wait — then
+	// wait out in-flight handlers, then close the socket, then fail the
+	// writer (the socket must die first; see frameWriter.close).
+	teardown := func() {
+		cancel()
+		reqWG.Wait()
+		conn.Close()
+		w.close()
+		s.codecReg.close(cc)
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+		s.wg.Done()
+	}
 
-	// answer encodes one reply and writes it; it is called from the read
-	// loop and from the goroutines of requests that could park.
+	// answer encodes one reply and writes it; it is called where a frame is
+	// handled and from the goroutines of requests that could park.
 	answer := func(id uint64, resp any, err error) {
 		reply := wire.ReplyEnvelope{ID: id, Payload: resp}
 		if err != nil {
@@ -188,8 +188,8 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			}
 			reply.Payload = nil
 		}
-		// A write error means the connection is going away; the read loop
-		// will observe it and exit.
+		// A write error means the connection is going away; its reading
+		// side will observe it and end.
 		bp := wire.GetBuffer()
 		var frame []byte
 		var encErr error
@@ -216,32 +216,27 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 		wire.PutBuffer(bp)
 	}
 
-	br := bufio.NewReaderSize(conn, readBufSize)
-	for {
-		body, release, err := readFrame(br, &s.stats)
-		if err != nil {
-			return
-		}
+	onFrame := func(body []byte) bool {
 		var env wire.Envelope
+		var err error
 		if s.codec == CodecBinaryFlate {
 			env, err = wire.DecodeEnvelopeFlate(body)
 		} else {
 			env, err = wire.DecodeEnvelope(body)
 		}
 		cc.countDecode(len(body))
-		release()
 		if err != nil {
-			return // corrupt stream; drop the connection
+			return false // corrupt stream; drop the connection
 		}
-		// A request whose handler says it cannot park is answered here, on
-		// the read loop: nothing behind it on this connection can be held up
-		// by it, and its reply leaves in arrival order. Anything else gets a
-		// goroutine of its own, so a slow handler never delays a request
-		// that arrived after it.
+		// A request whose handler says it cannot park is answered here,
+		// where its frame was read: nothing behind it on this connection can
+		// be held up by it, and its reply leaves in arrival order. Anything
+		// else gets a goroutine of its own, so a slow handler never delays a
+		// request that arrived after it.
 		if s.try != nil {
 			if resp, ok, err := s.try.TryHandle(ctx, env.Payload); ok {
 				answer(env.ID, resp, err)
-				continue
+				return true
 			}
 		}
 		reqWG.Add(1)
@@ -250,5 +245,7 @@ func (s *TCPServer) serveConn(conn net.Conn) {
 			resp, err := s.handler.Handle(ctx, env.Payload)
 			answer(env.ID, resp, err)
 		})
+		return true
 	}
+	readFrames(conn, &s.stats, s.sched, onFrame, func() { s.sched.Go(teardown) })
 }

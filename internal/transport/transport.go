@@ -86,7 +86,7 @@ type TryCaller interface {
 // without waiting on any peer. false means it declined and did nothing, as a
 // declined TryCall does. true means done runs exactly once, with what Call
 // would have returned, possibly before Start returns, on whatever goroutine
-// settles the call (a connection's read loop, a clock's timer); done must
+// settles the call (where its reply's frame is read, a clock's timer); done must
 // not block. So a call in flight is a registered completion — register's
 // gather pushes it into the reply channel it selects on — not a goroutine.
 type Starter interface {

@@ -5,11 +5,12 @@ package transport
 // net.Conn / net.Listener implementation whose write→read delivery latency,
 // byte pacing and half-close semantics are scheduled on a vtime.Clock. The
 // real TCP stack — framing, binary codec, group-commit frame writer,
-// read-loop dispatch, per-connection contexts — runs on it unmodified (see
-// ServeListener and TCPClientOptions.Dial), which is what puts the
-// production code path inside the determinism contract: under a
-// vtime.SimClock a whole chaos scenario over "TCP" replays byte-for-byte
-// from its seed and executes in wall-clock milliseconds.
+// request dispatch, per-connection contexts — runs on it (see ServeListener
+// and TCPClientOptions.Dial), which is what puts the production code path
+// inside the determinism contract: under a vtime.SimClock a whole chaos
+// scenario over "TCP" replays byte-for-byte from its seed and executes in
+// wall-clock milliseconds. Only the reading differs from a socket's: each
+// chunk is parsed where it lands (vconn.setSink), by no goroutine of its own.
 //
 // Fault injection happens at the byte-stream layer, below framing, so the
 // adversary works against framed bytes rather than messages:
@@ -571,9 +572,10 @@ type vchunk struct {
 }
 
 // vconn is one endpoint of a virtual byte-stream pair. It implements
-// net.Conn. Reads block until scheduled delivery releases bytes (parked
-// under a SimClock); writes never block — they copy the chunk, consult the
-// fault plane, and schedule delivery on the clock.
+// net.Conn. Writes never block — they copy the chunk, consult the fault
+// plane, and schedule delivery on the clock. The TCP stack reads through a
+// sink (setSink); Read blocks until delivery releases bytes (parked under a
+// SimClock).
 //
 // Both endpoints of a pair share one stream mutex (pmu): writes touch the
 // peer's pending queue and resets touch both ends, so a single lock keeps
@@ -593,6 +595,9 @@ type vconn struct {
 	rstErr  error    // fault-plane reset
 	waiting bool
 	readCh  chan struct{}
+
+	sink    func(p []byte, err error) bool // see setSink; nil again once it is done
+	pumping bool                           // a goroutine is delivering to sink
 
 	// writer-side scheduling state.
 	sendSeq     uint64
@@ -632,13 +637,70 @@ func (c *vconn) Read(p []byte) (int, error) {
 	}
 }
 
-// wakeLocked wakes a parked reader; one tracked signal per waiter.
+// wakeLocked wakes the reader: a parked Read, one tracked signal per
+// waiter, or the sink, on a worker, unless a delivery is under way.
 func (c *vconn) wakeLocked() {
 	if c.waiting {
 		c.waiting = false
 		c.net.sched.NoteSend()
 		c.readCh <- struct{}{}
 	}
+	if c.sink != nil && !c.pumping {
+		c.net.sched.Go(func() {
+			c.pmu.Lock()
+			c.pumpLocked()
+		})
+	}
+}
+
+// setSink makes fn the reader in place of Read: released bytes at once,
+// then each chunk where it lands (arrive), in order, in Write's copy; the
+// terminal error (reset, net.ErrClosed, io.EOF after the data) exactly once;
+// nothing after it or after fn returns false. fn never runs under pmu nor
+// reentrantly (one deliverer at a time, pumping). A Close or reset outside a
+// delivery wakes fn on a worker, not on the caller, which may hold a lock fn
+// takes (failAll closes under tcpConn.mu).
+func (c *vconn) setSink(fn func(p []byte, err error) bool) {
+	c.pmu.Lock()
+	c.sink = fn
+	c.pumpLocked()
+}
+
+// pumpLocked hands the sink what it is owed, in Read's precedence, until
+// nothing is, unless another goroutine is at it; without a sink it wakes a
+// parked Read. Call with pmu held; it unlocks.
+func (c *vconn) pumpLocked() {
+	if c.sink == nil || c.pumping {
+		c.wakeLocked()
+		c.pmu.Unlock()
+		return
+	}
+	c.pumping = true
+	for fn := c.sink; fn != nil; fn = c.sink {
+		var p []byte
+		var err error
+		switch {
+		case c.rstErr != nil:
+			err = c.rstErr
+		case c.closed:
+			err = net.ErrClosed
+		case len(c.readBuf) > 0:
+			p, c.readBuf = c.readBuf, nil
+		case c.eof:
+			err = io.EOF
+		}
+		if p == nil && err == nil {
+			break
+		}
+		c.pmu.Unlock()
+		more := fn(p, err)
+		c.pmu.Lock()
+		if err != nil || !more {
+			c.sink = nil
+		}
+	}
+	c.pumping = false
+	c.pmu.Unlock()
 }
 
 // Write implements net.Conn: consult the fault plane, copy the chunk, and
@@ -710,23 +772,25 @@ func (c *vconn) scheduleChunk(ch vchunk, delay time.Duration) {
 	c.net.clock.AfterFunc(deliverAt.Sub(now), func() { peer.arrive(seq) })
 }
 
-// arrive releases every pending chunk up to seq into the read buffer.
-// Release by sequence prefix keeps the stream ordered even if the
-// underlying timers fire out of order (wall clocks give no ordering
-// guarantee for equal deadlines).
+// arrive releases every pending chunk up to seq to the reader. Release by
+// sequence prefix keeps the stream ordered even if the underlying timers
+// fire out of order (wall clocks give no ordering guarantee for equal
+// deadlines).
 func (c *vconn) arrive(seq uint64) {
 	c.pmu.Lock()
 	for len(c.pending) > 0 && c.pending[0].seq <= seq {
 		ch := c.pending[0]
 		c.pending = c.pending[1:]
-		if ch.fin {
+		switch {
+		case ch.fin:
 			c.eof = true
-		} else {
+		case len(c.readBuf) == 0:
+			c.readBuf = ch.data // Write's copy: the chunk is the buffer
+		default:
 			c.readBuf = append(c.readBuf, ch.data...)
 		}
 	}
-	c.wakeLocked()
-	c.pmu.Unlock()
+	c.pumpLocked()
 }
 
 // Close implements net.Conn: local reads and writes fail from now on, and
