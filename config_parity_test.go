@@ -47,7 +47,7 @@ func TestConfigKnobParity(t *testing.T) {
 		{reflect.TypeOf(chaos.Config{}), []reflect.Type{tuning, topology}, nil},
 		{reflect.TypeOf(load.Config{}), []reflect.Type{tuning, topology}, nil},
 		// The client itself: embeds config.Tuning, no flat copy. Its Cells
-		// and RingVnodes are its own fields; it has no Topology.
+		// is its own field; it has no Topology.
 		{reflect.TypeOf(register.Options{}), []reflect.Type{tuning}, nil},
 	}
 	for _, tc := range cases {

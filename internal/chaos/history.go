@@ -160,17 +160,11 @@ type CheckConfig struct {
 	// of Theorem 3.2, 4.2 or 5.2 for the system under test). 1 disables
 	// the statistical test (violations are still checked).
 	Bound float64
-	// Alpha is the p-value below which the measured ε is declared to
-	// exceed Bound (the configured confidence). Default 1e-6: the checker
-	// only fails when the observed stale count would happen less than one
-	// time in a million under the bound — deterministic-friendly, since a
-	// seed either fails reproducibly or passes reproducibly.
-	Alpha float64
 	// Cells, when > 1, additionally tests EVERY cell's empirical ε against
 	// Bound (each cell is an independent instance of the same construction,
 	// so the theorem bound applies per cell, not just on average): the
 	// result carries a per-cell section for each cell, and a run fails when
-	// ANY cell's p-value drops below Alpha — a cell blowing its budget must
+	// ANY cell's p-value drops below DefaultAlpha — a cell blowing its budget must
 	// not hide inside a passing global average.
 	Cells int
 	// Timed, when set, replaces the flat bound test with the timed-quorum
@@ -199,7 +193,11 @@ type TimedBound struct {
 	Base float64 `json:"base"`
 }
 
-// DefaultAlpha is CheckConfig.Alpha's default.
+// DefaultAlpha is the p-value below which a measured ε is declared to
+// exceed its bound: the checker fails only when the observed bad count would
+// happen less than one time in a million under the bound —
+// deterministic-friendly, since a seed either fails reproducibly or passes
+// reproducibly.
 const DefaultAlpha = 1e-6
 
 // CheckResult is the checker's verdict over one history.
@@ -262,7 +260,7 @@ type CheckResult struct {
 	Cells []CellResult `json:"cells,omitempty"`
 
 	// Pass is the overall verdict: no violations, the measured global ε is
-	// statistically consistent with Bound (PValue >= Alpha), and — in a
+	// statistically consistent with Bound (PValue >= DefaultAlpha), and — in a
 	// multi-cell run — every per-cell section passes too.
 	Pass bool `json:"pass"`
 }
@@ -278,7 +276,7 @@ type CellResult struct {
 	EligibleBad     int     `json:"eligible_bad"`
 	EligibleEpsilon float64 `json:"eligible_epsilon"`
 	// Bound and PValue report the cell's own binomial test; Pass its
-	// verdict (PValue >= Alpha).
+	// verdict (PValue >= DefaultAlpha).
 	Bound  float64 `json:"bound"`
 	PValue float64 `json:"p_value"`
 	Pass   bool    `json:"pass"`
@@ -293,11 +291,8 @@ type writeRec struct {
 }
 
 // Check classifies every read in h against the writes that preceded it and
-// tests the empirical ε against cfg.Bound at confidence cfg.Alpha.
+// tests the empirical ε against cfg.Bound at confidence DefaultAlpha.
 func Check(h History, cfg CheckConfig) CheckResult {
-	if cfg.Alpha == 0 {
-		cfg.Alpha = DefaultAlpha
-	}
 	if cfg.Bound == 0 {
 		cfg.Bound = 1
 	}
@@ -416,13 +411,13 @@ func Check(h History, cfg CheckConfig) CheckResult {
 	if res.EligibleBad > 0 && cfg.Bound < 1 {
 		res.PValue = combin.BinomialTailGE(res.EligibleReads, cfg.Bound, res.EligibleBad)
 	}
-	res.Pass = len(res.Violations) == 0 && res.PValue >= cfg.Alpha
+	res.Pass = len(res.Violations) == 0 && res.PValue >= DefaultAlpha
 	if cfg.Timed != nil {
 		gs := make([]TimedGroup, 0, len(timedGroups))
 		for _, g := range timedGroups {
 			gs = append(gs, *g)
 		}
-		res.Timed = EvaluateTimed(gs, *cfg.Timed, cfg.Alpha)
+		res.Timed = EvaluateTimed(gs, *cfg.Timed)
 		// Under churn the flat bound is the wrong null hypothesis — the
 		// timed verdict replaces it (violations and per-cell sections still
 		// veto below).
@@ -437,7 +432,7 @@ func Check(h History, cfg CheckConfig) CheckResult {
 		if c.EligibleBad > 0 && cfg.Bound < 1 {
 			c.PValue = combin.BinomialTailGE(c.EligibleReads, cfg.Bound, c.EligibleBad)
 		}
-		c.Pass = c.PValue >= cfg.Alpha
+		c.Pass = c.PValue >= DefaultAlpha
 		if !c.Pass {
 			res.Pass = false
 		}
@@ -469,20 +464,17 @@ type TimedResult struct {
 	// PValue is P(total bad ≥ observed) under the null hypothesis that each
 	// bucket fails at exactly its bound (combin.GroupedBinomialTailGE).
 	PValue float64 `json:"p_value"`
-	// Pass is PValue >= alpha.
+	// Pass is PValue >= DefaultAlpha.
 	Pass bool `json:"pass"`
 }
 
 // EvaluateTimed computes each bucket's time-decayed bound and tests the
-// total bad count against the sum of bucket binomials at confidence alpha
-// (0 = DefaultAlpha). Buckets arrive with Departures/Reads/Bad set; the
+// total bad count against the sum of bucket binomials at confidence
+// DefaultAlpha. Buckets arrive with Departures/Reads/Bad set; the
 // input slice is sorted and its bounds filled in place. Exported because
 // the load generator (internal/load) runs the same verdict over its own
 // depth buckets without materializing a History.
-func EvaluateTimed(groups []TimedGroup, tb TimedBound, alpha float64) *TimedResult {
-	if alpha == 0 {
-		alpha = DefaultAlpha
-	}
+func EvaluateTimed(groups []TimedGroup, tb TimedBound) *TimedResult {
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Departures < groups[j].Departures })
 	base0 := combin.TimedEpsilon(tb.N, tb.QW, tb.QR, 0)
 	res := &TimedResult{Groups: groups, PValue: 1}
@@ -510,7 +502,7 @@ func EvaluateTimed(groups []TimedGroup, tb TimedBound, alpha float64) *TimedResu
 	if totalBad > 0 {
 		res.PValue = combin.GroupedBinomialTailGE(ms, ps, totalBad)
 	}
-	res.Pass = res.PValue >= alpha
+	res.Pass = res.PValue >= DefaultAlpha
 	return res
 }
 

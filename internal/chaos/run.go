@@ -68,10 +68,9 @@ type Config struct {
 	Seed int64
 	// Schedule is the fault script, applied at pair boundaries.
 	Schedule Schedule
-	// Bound is the theorem's per-read ε for the system under test; Alpha
-	// the checker confidence (see CheckConfig).
+	// Bound is the theorem's per-read ε for the system under test, tested
+	// at confidence DefaultAlpha.
 	Bound float64
-	Alpha float64
 	// Timed enables the timed-quorum verdict: ops record the membership-
 	// view version (bumped by Leave/Join actions), and the checker buckets
 	// eligible reads by churn depth D, allowing each bucket the time-
@@ -114,11 +113,14 @@ type Config struct {
 	// (anti-entropy push-pull over the current membership) after every
 	// GossipEvery-th write/read pair — lazy propagation running
 	// concurrently with client traffic at operation granularity, which
-	// keeps the interleaving deterministic. GossipFanout is the peers
-	// contacted per engine per round (default 1).
-	GossipEvery  int
-	GossipFanout int
+	// keeps the interleaving deterministic. Each engine contacts
+	// gossipFanout peers per round.
+	GossipEvery int
 }
+
+// gossipFanout is the peers each diffusion engine contacts per round of a
+// GossipEvery run.
+const gossipFanout = 2
 
 // Report is the outcome of a chaos run.
 type Report struct {
@@ -263,16 +265,15 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	}
 
 	opts := register.Options{
-		System:     cfg.System,
-		Mode:       cfg.Mode,
-		K:          cfg.K,
-		Transport:  callTransport,
-		Rand:       rand.New(rand.NewSource(cfg.Seed + 1)),
-		Clock:      ts.NewClock(1),
-		Time:       netClk,
-		Tuning:     cfg.Tuning,
-		Cells:      cfg.Cells,
-		RingVnodes: cfg.CellVnodes,
+		System:    cfg.System,
+		Mode:      cfg.Mode,
+		K:         cfg.K,
+		Transport: callTransport,
+		Rand:      rand.New(rand.NewSource(cfg.Seed + 1)),
+		Clock:     ts.NewClock(1),
+		Time:      netClk,
+		Tuning:    cfg.Tuning,
+		Cells:     cfg.Cells,
 	}
 	var writerKey sv.KeyPair
 	if cfg.Mode == register.Dissemination {
@@ -305,10 +306,6 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		rt.byID[r.ID()] = r
 	}
 	if cfg.GossipEvery > 0 {
-		fanout := cfg.GossipFanout
-		if fanout <= 0 {
-			fanout = 1
-		}
 		gossipTr := transport.Transport(cluster.Net)
 		if tc != nil {
 			// Gossip rides the TCP data plane too, through per-source
@@ -316,7 +313,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 			// server-to-server links.
 			gossipTr = tc.GossipTransport()
 		}
-		group, err := diffusion.NewGroupClock(cluster.Replicas, gossipTr, fanout, nil, cfg.Seed+2, netClk)
+		group, err := diffusion.NewGroupClock(cluster.Replicas, gossipTr, gossipFanout, nil, cfg.Seed+2, netClk)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: diffusion group: %w", err)
 		}
@@ -408,7 +405,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	if transportName == "" {
 		transportName = sim.TransportMem
 	}
-	checkCfg := CheckConfig{Mode: cfg.Mode, Bound: cfg.Bound, Alpha: cfg.Alpha, Cells: cfg.Cells}
+	checkCfg := CheckConfig{Mode: cfg.Mode, Bound: cfg.Bound, Cells: cfg.Cells}
 	if cfg.Timed {
 		q := cfg.System.QuorumSize()
 		checkCfg.Timed = &TimedBound{N: cfg.System.N(), QW: q, QR: q, Base: cfg.Bound}
@@ -453,8 +450,6 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 			BreakerHalfOpens: st.BreakerHalfOpens,
 			BreakerCloses:    st.BreakerCloses,
 			BreakerFastFails: st.BreakerFastFails,
-			ConnsReaped:      st.ConnsReaped,
-			ProbesSent:       st.ProbesSent,
 		}
 	}
 	rep.StormCalls = rt.stormCalls.Load()
@@ -509,6 +504,4 @@ type LifecycleReport struct {
 	BreakerHalfOpens uint64 `json:"breaker_half_opens"`
 	BreakerCloses    uint64 `json:"breaker_closes"`
 	BreakerFastFails uint64 `json:"breaker_fast_fails"`
-	ConnsReaped      uint64 `json:"conns_reaped"`
-	ProbesSent       uint64 `json:"probes_sent"`
 }

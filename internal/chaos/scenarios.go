@@ -136,7 +136,7 @@ func Scenarios() []Scenario {
 				return Config{
 					Name: "benign/churn", System: sys, Mode: register.Benign,
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
-					GossipEvery: 5, GossipFanout: 2,
+					GossipEvery: 5,
 					Schedule: Schedule{
 						At(ops/3, Leave(churned...)),
 						At(2*ops/3, Join(churned...)),
@@ -274,7 +274,7 @@ func Scenarios() []Scenario {
 					Virtual:     true,
 					Topology:    config.Topology{LatencyMin: 2 * time.Millisecond, LatencyMax: 8 * time.Millisecond},
 					WireCodec:   transport.CodecBinaryFlate,
-					GossipEvery: 5, GossipFanout: 2,
+					GossipEvery: 5,
 					Schedule: Schedule{
 						At(0, ByteRate(256<<10)),
 						At(2*ops/5, ByteRate(64<<10)),
@@ -298,7 +298,7 @@ func Scenarios() []Scenario {
 					Virtual:     true,
 					Topology:    config.Topology{LatencyMin: 2 * time.Millisecond, LatencyMax: 8 * time.Millisecond},
 					WireCodec:   transport.CodecBinaryFlate,
-					GossipEvery: 5, GossipFanout: 2,
+					GossipEvery: 5,
 					Schedule: Schedule{
 						At(0, ByteRateAsym(256<<10, 32<<10)),
 						// Flip the asymmetry mid-run: now pushes (writes,
@@ -489,7 +489,7 @@ func Scenarios() []Scenario {
 						AdaptiveHedge: true,
 						EagerRead:     true,
 					},
-					GossipEvery: 3, GossipFanout: 2,
+					GossipEvery: 3,
 					Schedule: Schedule{
 						At(ops/5, BlockInbound(group...)),
 						At(2*ops/5, Heal()),

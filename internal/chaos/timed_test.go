@@ -59,7 +59,7 @@ func TestTimedBoundHasTeeth(t *testing.T) {
 	res := EvaluateTimed([]TimedGroup{
 		{Departures: 0, Reads: 2000, Bad: 40},
 		{Departures: 5, Reads: 500, Bad: 2},
-	}, tb, 0.001)
+	}, tb)
 	if res.Pass {
 		t.Fatalf("EvaluateTimed passed an overrun history (p=%.3g)", res.PValue)
 	}
@@ -79,7 +79,7 @@ func TestTimedBoundHasTeeth(t *testing.T) {
 	}
 	q := cfg.System.QuorumSize()
 	check := Check(blind, CheckConfig{
-		Mode: cfg.Mode, Bound: cfg.Bound, Alpha: cfg.Alpha,
+		Mode: cfg.Mode, Bound: cfg.Bound,
 		Timed: &TimedBound{N: cfg.System.N(), QW: q, QR: q, Base: cfg.Bound},
 	})
 	if check.Timed == nil {

@@ -52,7 +52,7 @@ type Tuning struct {
 	// AdaptiveHedge derives the hedge delay from an online latency
 	// estimate instead of the fixed HedgeDelay: the client keeps a pooled
 	// EWMA of reply latency (SRTT) and an EWMA of its deviation (RTTVAR,
-	// Jacobson/Karels gains) and hedges at SRTT + HedgeDeviations·RTTVAR —
+	// Jacobson/Karels gains) and hedges at SRTT + 4·RTTVAR —
 	// an upper-quantile estimate that tracks the cluster as it speeds up
 	// or degrades. Per-server EWMAs are kept for observability
 	// (ServerLatencies) but never steer the delay: the hedge timer stays a
@@ -61,10 +61,6 @@ type Tuning struct {
 	// identity-blind-timer premise of the ε argument above. Requires
 	// Spares > 0 and a positive HedgeDelay (the pre-warmup bootstrap).
 	AdaptiveHedge bool
-	// HedgeDeviations is the adaptive-hedge quantile knob: the number of
-	// deviations above the latency EWMA at which the hedge fires.
-	// 0 means the default (4, the classic RTO multiplier).
-	HedgeDeviations float64
 	// EagerRead makes Read return as soon as the mode's acceptance rule is
 	// decidable instead of waiting for every dispatched call:
 	//
@@ -102,11 +98,9 @@ type Tuning struct {
 // "single cell, mem plane, no injected latency".
 type Topology struct {
 	// Cells partitions the keyspace across this many quorum cells (0 or 1 =
-	// the classic single-cell layout).
+	// the classic single-cell layout), routed by a ring with
+	// ring.DefaultVnodes virtual nodes per cell.
 	Cells int
-	// CellVnodes is the per-cell virtual-node count on the routing ring
-	// (0 = the ring package default).
-	CellVnodes int
 	// Transport selects the data plane ("mem" or "tcp-virtual"; empty =
 	// mem).
 	Transport string

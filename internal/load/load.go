@@ -88,11 +88,11 @@ const MemberViewKey = "\x00pqs/member-view"
 type Config struct {
 	// Tuning is the access-tuning block. It is honored in full by the
 	// latency phase; the counting phase strips the latency-tolerance knobs
-	// (Spares/HedgeDelay/AdaptiveHedge/HedgeDeviations/EagerRead) and
-	// keeps the coverage knobs (W, ReadRepair) — see the package comment.
+	// (Spares/HedgeDelay/AdaptiveHedge/EagerRead) and keeps the coverage
+	// knobs (W, ReadRepair) — see the package comment.
 	config.Tuning
-	// Topology supplies Cells/CellVnodes, Transport and the latency model
-	// (used by the latency phase).
+	// Topology supplies Cells, Transport and the latency model (used by the
+	// latency phase).
 	config.Topology
 
 	// Name labels the scale point in reports and BENCH_epsilon.json.
@@ -101,33 +101,22 @@ type Config struct {
 	System quorum.System
 	// Clients is the number of concurrently simulated clients.
 	Clients int
-	// Arrivals is the number of arrival instants per client. In pair mode
-	// (ReadFraction == 0) each arrival issues a write plus — once the lag
-	// has primed — a lagged read; in fraction mode each arrival issues one
-	// operation, a read with probability ReadFraction.
+	// Arrivals is the number of arrival instants per client, arrivalMean
+	// apart on average. In pair mode (ReadFraction == 0) each arrival issues
+	// a write plus — once the lag has primed — the read readLag arrivals
+	// behind it; in fraction mode each arrival issues one operation, a read
+	// with probability ReadFraction.
 	Arrivals int
-	// Arrival is the mean inter-arrival time per client (default 1ms).
-	// Actual gaps are drawn uniformly from [Arrival/2, 3·Arrival/2) on a
-	// whole-microsecond grid, per client, from the run seed.
-	Arrival time.Duration
 	// ReadFraction > 0 selects fraction mode: each arrival is a read with
-	// this probability (of a uniformly chosen already-written key), else a
-	// write. 0 selects pair mode.
+	// this probability (of a uniformly chosen already-written key of the
+	// client's clientKeys), else a write. 0 selects pair mode.
 	ReadFraction float64
-	// Keys is the per-client rotating key-set size (default 4).
-	Keys int
-	// ReadLag is the pair-mode lag: the read at arrival t targets the key
-	// written at arrival t-ReadLag, so churn waves land between a key's
-	// write and its read and the depth buckets D > 0 are populated.
-	// Default 1; clamped below Keys.
-	ReadLag int
 	// Seed fixes every random choice. Equal Configs produce equal Results
 	// (Result.Digest is the replay contract).
 	Seed int64
-	// Bound is the flat per-read ε bound (a system's EpsilonBound); Alpha
-	// the checker confidence (default chaos.DefaultAlpha).
+	// Bound is the flat per-read ε bound (a system's EpsilonBound), tested
+	// at confidence chaos.DefaultAlpha.
 	Bound float64
-	Alpha float64
 
 	// Waves and WaveSize configure churn: Waves replacement waves, evenly
 	// spaced over the run (at off-grid +1ns instants), each replacing
@@ -230,6 +219,18 @@ type Result struct {
 // staleDepthCap is the histogram size; the last bucket absorbs deeper.
 const staleDepthCap = 16
 
+// The arrival process and key rotation of every client: gaps drawn
+// uniformly from [arrivalMean/2, 3·arrivalMean/2) on a whole-microsecond
+// grid, per client, from the run seed; clientKeys rotating keys per client;
+// and, in pair mode, the read at arrival t targets the key written at
+// arrival t-readLag, so churn waves land between a key's write and its read
+// and the depth buckets D > 0 are populated.
+const (
+	arrivalMean = time.Millisecond
+	clientKeys  = 4
+	readLag     = 1
+)
+
 // Run executes one load configuration under a fresh SimClock and returns
 // its scale-point record. Deterministic: equal cfg, equal *Result.
 func Run(cfg Config) (*Result, error) {
@@ -238,24 +239,6 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Clients <= 0 || cfg.Arrivals <= 0 {
 		return nil, errors.New("load: Clients and Arrivals must be positive")
-	}
-	if cfg.Keys == 0 {
-		cfg.Keys = 4
-	}
-	if cfg.Arrival == 0 {
-		cfg.Arrival = time.Millisecond
-	}
-	if cfg.Arrival < 2*time.Microsecond {
-		return nil, errors.New("load: Arrival must be at least 2us (arrivals live on a microsecond grid)")
-	}
-	if cfg.ReadLag == 0 {
-		cfg.ReadLag = 1
-	}
-	if cfg.ReadLag >= cfg.Keys {
-		return nil, fmt.Errorf("load: ReadLag %d must be below Keys %d", cfg.ReadLag, cfg.Keys)
-	}
-	if cfg.Alpha == 0 {
-		cfg.Alpha = chaos.DefaultAlpha
 	}
 	sc := vtime.NewSimClock()
 	var res *Result
@@ -293,7 +276,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 
 	e := &engine{cfg: c, sc: sc, net: cluster.Net, total: total}
 	e.churnSpan = total - c.CrashN
-	e.horizon = time.Duration(c.Arrivals) * c.Arrival
+	e.horizon = time.Duration(c.Arrivals) * arrivalMean
 
 	var callTr transport.Transport = cluster.Net
 	switch c.Topology.Transport {
@@ -418,15 +401,14 @@ func (e *engine) newClient(seed int64, writer uint32, fullTuning bool) (*registe
 		tuning = config.Tuning{W: tuning.W, ReadRepair: tuning.ReadRepair}
 	}
 	return register.NewClient(register.Options{
-		System:     e.cfg.System,
-		Mode:       register.Benign,
-		Transport:  e.callTr,
-		Rand:       rand.New(rand.NewSource(seed)),
-		Clock:      ts.NewClock(writer),
-		Time:       e.sc,
-		Tuning:     tuning,
-		Cells:      e.cfg.Cells,
-		RingVnodes: e.cfg.CellVnodes,
+		System:    e.cfg.System,
+		Mode:      register.Benign,
+		Transport: e.callTr,
+		Rand:      rand.New(rand.NewSource(seed)),
+		Clock:     ts.NewClock(writer),
+		Time:      e.sc,
+		Tuning:    tuning,
+		Cells:     e.cfg.Cells,
 	})
 }
 
@@ -439,9 +421,9 @@ func (e *engine) newClientState(i int) (*clientState, error) {
 		id:     i,
 		rng:    rand.New(rand.NewSource(e.cfg.Seed ^ (0x5DEECE66D * int64(i+1)))),
 		cl:     cl,
-		keys:   make([]string, e.cfg.Keys),
-		ctr:    make([]int, e.cfg.Keys),
-		viewAt: make([]uint64, e.cfg.Keys),
+		keys:   make([]string, clientKeys),
+		ctr:    make([]int, clientKeys),
+		viewAt: make([]uint64, clientKeys),
 		groups: map[int]*chaos.TimedGroup{},
 		digest: 14695981039346656037, // FNV-64a offset basis
 	}
@@ -476,10 +458,10 @@ func (e *engine) sleepUntil(t time.Duration) {
 	}
 }
 
-// draw returns the next inter-arrival gap: uniform in [Arrival/2,
-// 3·Arrival/2) on a whole-microsecond grid, at least 1us.
-func (c *clientState) draw(mean time.Duration) time.Duration {
-	us := int64(mean / time.Microsecond)
+// draw returns the next inter-arrival gap: uniform in [arrivalMean/2,
+// 3·arrivalMean/2) on a whole-microsecond grid, at least 1us.
+func (c *clientState) draw() time.Duration {
+	us := int64(arrivalMean / time.Microsecond)
 	gap := us/2 + c.rng.Int63n(us)
 	if gap < 1 {
 		gap = 1
@@ -521,7 +503,7 @@ func (h *arrivals) Pop() any {
 func (e *engine) drive(clients []*clientState) {
 	h := make(arrivals, len(clients))
 	for i, c := range clients {
-		h[i] = arrival{at: c.draw(e.cfg.Arrival), seq: uint64(i), c: c}
+		h[i] = arrival{at: c.draw(), seq: uint64(i), c: c}
 	}
 	heap.Init(&h)
 	seq := uint64(len(h))
@@ -531,7 +513,7 @@ func (e *engine) drive(clients []*clientState) {
 		c := a.c
 		t := c.arrived
 		c.arrived++
-		next := a.at + c.draw(e.cfg.Arrival)
+		next := a.at + c.draw()
 		e.step(c, t)
 		if c.arrived == e.cfg.Arrivals {
 			heap.Pop(&h)
@@ -546,20 +528,17 @@ func (e *engine) drive(clients []*clientState) {
 // step is client c's operation at its arrival t.
 func (e *engine) step(c *clientState, t int) {
 	if e.cfg.ReadFraction > 0 {
-		written := e.cfg.Keys
-		if c.writes < written {
-			written = c.writes
-		}
+		written := min(c.writes, clientKeys)
 		if written == 0 || c.rng.Float64() >= e.cfg.ReadFraction {
-			e.doWrite(c, c.writes%e.cfg.Keys)
+			e.doWrite(c, c.writes%clientKeys)
 		} else {
 			e.doRead(c, c.rng.Intn(written))
 		}
 		return
 	}
-	e.doWrite(c, t%e.cfg.Keys)
-	if t >= e.cfg.ReadLag {
-		e.doRead(c, (t-e.cfg.ReadLag)%e.cfg.Keys)
+	e.doWrite(c, t%clientKeys)
+	if t >= readLag {
+		e.doRead(c, (t-readLag)%clientKeys)
 	}
 }
 
@@ -730,7 +709,7 @@ func (e *engine) collect(clients []*clientState, n, q int) *Result {
 			gs = append(gs, *g)
 		}
 		sort.Slice(gs, func(i, j int) bool { return gs[i].Departures < gs[j].Departures })
-		res.Timed = chaos.EvaluateTimed(gs, chaos.TimedBound{N: n, QW: q, QR: q, Base: e.cfg.Bound}, e.cfg.Alpha)
+		res.Timed = chaos.EvaluateTimed(gs, chaos.TimedBound{N: n, QW: q, QR: q, Base: e.cfg.Bound})
 	}
 	res.Digest = fmt.Sprintf("%016x", h.Sum64())
 	return res
@@ -812,7 +791,7 @@ func (e *engine) verdict(res *Result) {
 		res.Pass = res.Timed.Pass
 		return
 	}
-	res.Pass = res.PValue >= e.cfg.Alpha
+	res.Pass = res.PValue >= chaos.DefaultAlpha
 }
 
 // combinTail is P(Binomial(m, p) >= k) — the flat gate statistic.

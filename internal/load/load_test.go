@@ -250,7 +250,9 @@ func TestScaleScenarioLibrary(t *testing.T) {
 		}
 		ops := cfg.Clients * cfg.Arrivals
 		if cfg.ReadFraction == 0 {
-			ops = cfg.Clients * (2*cfg.Arrivals - cfg.ReadLag - 1)
+			// Each client writes at every arrival and reads at all but
+			// the first readLag.
+			ops = cfg.Clients * (cfg.Arrivals + cfg.Arrivals - readLag)
 		}
 		totalOps += ops + cfg.LatencyOps
 		if n := cfg.System.N(); n > maxN {

@@ -419,7 +419,7 @@ type AccessStats struct {
 	// hedge latency estimator (zero unless Options.AdaptiveHedge is set):
 	// the number of reply latencies observed, the pooled latency EWMA and
 	// deviation EWMA, and the hedge delay currently in effect
-	// (SRTT + HedgeDeviations·RTTVAR once warmed up).
+	// (SRTT + 4·RTTVAR once warmed up).
 	LatencySamples uint64
 	SRTT           time.Duration
 	RTTVar         time.Duration

@@ -15,8 +15,8 @@ import (
 //
 // The estimator is the Jacobson/Karels RTT filter TCP retransmission
 // timers use: a latency EWMA (SRTT, gain 1/8) plus a deviation EWMA
-// (RTTVAR, gain 1/4), with the hedge firing at SRTT + k·RTTVAR (k =
-// Options.HedgeDeviations, default 4). For a roughly symmetric latency
+// (RTTVAR, gain 1/4), with the hedge firing at SRTT + 4·RTTVAR (the classic
+// RTO multiplier). For a roughly symmetric latency
 // distribution that sits past the far tail of normal replies, so hedges
 // fire for genuine stragglers, not for ordinary variance.
 //
@@ -35,9 +35,8 @@ const (
 	// gains (α = 1/8, β = 1/4).
 	srttGain   = 0.125
 	rttvarGain = 0.25
-	// defaultHedgeDeviations is k in SRTT + k·RTTVAR when
-	// Options.HedgeDeviations is zero — the classic RTO multiplier.
-	defaultHedgeDeviations = 4.0
+	// hedgeDeviations is k in SRTT + k·RTTVAR — the classic RTO multiplier.
+	hedgeDeviations = 4.0
 	// adaptiveWarmup is the number of latency samples required before the
 	// estimate replaces the bootstrap HedgeDelay.
 	adaptiveWarmup = 8
@@ -85,14 +84,14 @@ func (e *latencyEstimator) observe(id quorum.ServerID, d time.Duration) {
 }
 
 // delay returns the current hedge delay: the bootstrap fallback until
-// warmed up, then SRTT + k·RTTVAR floored at minAdaptiveDelay.
-func (e *latencyEstimator) delay(k float64, fallback time.Duration) time.Duration {
+// warmed up, then SRTT + hedgeDeviations·RTTVAR floored at minAdaptiveDelay.
+func (e *latencyEstimator) delay(fallback time.Duration) time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.samples < adaptiveWarmup {
 		return fallback
 	}
-	d := time.Duration(e.srtt + k*e.rttvar)
+	d := time.Duration(e.srtt + hedgeDeviations*e.rttvar)
 	if d < minAdaptiveDelay {
 		d = minAdaptiveDelay
 	}
@@ -112,7 +111,7 @@ func (c *cell) hedgeDelay() time.Duration {
 	if !c.opts.AdaptiveHedge {
 		return c.opts.HedgeDelay
 	}
-	return c.lat.delay(c.hedgeK, c.opts.HedgeDelay)
+	return c.lat.delay(c.opts.HedgeDelay)
 }
 
 // ServerLatencies returns a snapshot of the per-server reply-latency EWMAs

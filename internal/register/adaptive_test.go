@@ -194,7 +194,7 @@ func TestAdaptiveDelayIdentityBlind(t *testing.T) {
 		a.observe(quorum.ServerID(i%3), d)     // spread over servers 0-2
 		b.observe(quorum.ServerID(9-(i%4)), d) // entirely different ids
 	}
-	if da, db := a.delay(4, time.Second), b.delay(4, time.Second); da != db {
+	if da, db := a.delay(time.Second), b.delay(time.Second); da != db {
 		t.Fatalf("delay depends on server attribution: %v vs %v", da, db)
 	}
 }
@@ -267,11 +267,6 @@ func TestAdaptiveHedgeValidation(t *testing.T) {
 	o.Spares = 1
 	if _, err := NewClient(o); err == nil {
 		t.Fatal("AdaptiveHedge without a HedgeDelay bootstrap accepted")
-	}
-	o = base()
-	o.HedgeDeviations = -1
-	if _, err := NewClient(o); err == nil {
-		t.Fatal("negative HedgeDeviations accepted")
 	}
 	o = base()
 	o.AdaptiveHedge = true

@@ -162,10 +162,8 @@ type Options struct {
 	// hash ring (internal/ring) routes each key to one cell, and all
 	// protocol state — strategy, ε budget, hedging, stats — is per cell.
 	// 0 or 1 means the classic single-cell client over servers [0, n).
+	// The routing ring places ring.DefaultVnodes virtual nodes per cell.
 	Cells int
-	// RingVnodes is the virtual-node count per cell on the routing ring
-	// (0 = ring.DefaultVnodes). Only meaningful with Cells > 1.
-	RingVnodes int
 }
 
 // cell is the per-cell gather engine: it runs the paper's access protocols
@@ -192,10 +190,8 @@ type cell struct {
 	rng  *rand.Rand
 	free []*scratch // recycled per-operation memory (see access.go)
 
-	// lat is the adaptive-hedge latency estimator; hedgeK its quantile
-	// knob (Options.HedgeDeviations resolved).
-	lat    latencyEstimator
-	hedgeK float64
+	// lat is the adaptive-hedge latency estimator.
+	lat latencyEstimator
 
 	// health is non-nil when the transport reports per-server reachability
 	// (a breaker-enabled TCPClient): dispatch fails known-down members at
@@ -258,9 +254,6 @@ func newCell(opts Options) (*cell, error) {
 	if opts.W < 0 {
 		return nil, fmt.Errorf("register: W %d must be non-negative", opts.W)
 	}
-	if opts.HedgeDeviations < 0 {
-		return nil, fmt.Errorf("register: HedgeDeviations %v must be non-negative", opts.HedgeDeviations)
-	}
 	if opts.AdaptiveHedge {
 		if opts.Spares <= 0 {
 			return nil, errors.New("register: AdaptiveHedge requires Spares > 0")
@@ -270,16 +263,11 @@ func newCell(opts Options) (*cell, error) {
 		}
 	}
 	clk := vtime.Or(opts.Time)
-	k := opts.HedgeDeviations
-	if k == 0 {
-		k = defaultHedgeDeviations
-	}
 	c := &cell{
 		opts:    opts,
 		clock:   clk,
 		sched:   vtime.SchedOf(clk),
 		rng:     opts.Rand,
-		hedgeK:  k,
 		drainWG: vtime.NewWaitGroup(clk),
 	}
 	if hr, ok := opts.Transport.(transport.HealthReporter); ok {

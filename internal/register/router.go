@@ -63,9 +63,6 @@ func NewClient(opts Options) (*Client, error) {
 	if opts.Cells < 0 {
 		return nil, fmt.Errorf("register: Cells %d must be non-negative", opts.Cells)
 	}
-	if opts.RingVnodes < 0 {
-		return nil, fmt.Errorf("register: RingVnodes %d must be non-negative", opts.RingVnodes)
-	}
 	if opts.Cells <= 1 {
 		// Single-cell fast path: hand the engine the caller's options
 		// verbatim (same rng, same transport) so existing deployments,
@@ -87,7 +84,7 @@ func NewClient(opts Options) (*Client, error) {
 	members := make([]int, opts.Cells)
 	for i := 0; i < opts.Cells; i++ {
 		copt := opts
-		copt.Cells, copt.RingVnodes = 0, 0
+		copt.Cells = 0
 		copt.Transport = transport.Offset(opts.Transport, quorum.ServerID(i*n))
 		// Derive the cell rng from the caller's: deterministic under a
 		// fixed seed, yet independent streams per cell.
@@ -100,12 +97,13 @@ func NewClient(opts Options) (*Client, error) {
 		members[i] = i
 	}
 	c.clock = c.cells[0].clock
-	r, err := ring.New(members, opts.RingVnodes)
+	// Vnodes 0 is ring.DefaultVnodes.
+	c.view = ring.View{Version: 1, Members: members}
+	r, err := c.view.Ring()
 	if err != nil {
 		return nil, err
 	}
 	c.ring = r
-	c.view = ring.View{Version: 1, Members: members, Vnodes: opts.RingVnodes}
 	return c, nil
 }
 

@@ -34,8 +34,8 @@ import (
 // trivially cheap.
 const DefaultVnodes = 64
 
-// MaxVnodes caps the virtual-node count per cell, a configured CellVnodes
-// and a decoded view's alike: a ring of 16-byte points then costs at most
+// MaxVnodes caps the virtual-node count per cell a ring is built with, a
+// decoded view's included: a ring of 16-byte points then costs at most
 // 64 KiB per member, so a hostile view cannot make a client allocate
 // gigabytes.
 const MaxVnodes = 4096

@@ -1,24 +1,25 @@
 // Connection lifecycle management for TCPClient: bounded per-server
-// connection pools with idle reaping and health-check probes, dial
-// coalescing (singleflight) with clock-aware jittered exponential backoff,
-// and a per-server circuit breaker (closed/open/half-open).
+// connection pools, dial coalescing (singleflight) with clock-aware
+// jittered exponential backoff, and a per-server circuit breaker
+// (closed/open/half-open). None of it runs in the background: a client
+// starts no goroutine of its own, and a stalled peer behind an idle pooled
+// connection is found by the first call's CallTimeout, which evicts the
+// connection and counts against the breaker.
 //
-// Everything here runs on the client's vtime.Clock: timers, backoff
-// windows, breaker cooldowns and the maintenance loop all advance on
-// virtual time under a SimClock, and the backoff jitter is counter-hashed
-// (splitmix64 over seed, server id and attempt number), so the whole layer
-// is deterministic inside the simulation harnesses.
+// Everything here runs on the client's vtime.Clock: backoff windows and
+// breaker cooldowns advance on virtual time under a SimClock, and the
+// backoff jitter is counter-hashed (splitmix64 over seed, server id and
+// attempt number), so the whole layer is deterministic inside the simulation
+// harnesses.
 package transport
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"pqs/internal/quorum"
-	"pqs/internal/vtime"
 	"pqs/internal/wire"
 )
 
@@ -67,31 +68,18 @@ func IsPermanent(err error) bool {
 
 // LifecycleConfig tunes TCPClient's per-server connection lifecycle. The
 // zero value preserves the legacy behavior exactly: one connection per
-// server, re-dialed eagerly on every failure, no backoff, no breaker, no
-// background maintenance.
+// server, re-dialed eagerly on every failure, no backoff, no breaker.
 type LifecycleConfig struct {
 	// PoolSize caps the connections kept per server (minimum 1). The pool
 	// grows one connection at a time, only when every live connection has a
 	// call in flight.
 	PoolSize int
-	// IdleTimeout, when positive, lets the maintenance loop close pool
-	// connections that carried no call for at least this long.
-	IdleTimeout time.Duration
-	// ProbeEvery, when positive, makes the maintenance loop send a
-	// wire.PingRequest health-check frame on every idle pool connection at
-	// this period; a probe that fails or times out evicts the connection
-	// and counts as a breaker failure.
-	ProbeEvery time.Duration
-	// ProbeTimeout bounds each health-check probe (default 1s).
-	ProbeTimeout time.Duration
 	// DialBackoffBase, when positive, enables exponential backoff between
 	// redial attempts: after the n-th consecutive dial failure no new dial
-	// is attempted for base·2ⁿ⁻¹ (capped at DialBackoffMax, jittered into
-	// [d/2, d) by a counter-hashed draw). Calls landing inside the window
-	// fail fast with the last dial error.
+	// is attempted for base·2ⁿ⁻¹ (capped at 16×base, jittered into [d/2, d)
+	// by a draw hashed from Seed, the server id and the attempt). Calls landing
+	// inside the window fail fast with the last dial error.
 	DialBackoffBase time.Duration
-	// DialBackoffMax caps the backoff window (default 16×base).
-	DialBackoffMax time.Duration
 	// BreakerThreshold, when positive, enables the per-server circuit
 	// breaker: this many consecutive transport-level failures (failed
 	// dials, send errors, torn connections, call timeouts — never
@@ -109,32 +97,14 @@ type LifecycleConfig struct {
 // Enabled reports whether any lifecycle feature beyond the legacy
 // single-connection behavior is configured.
 func (c LifecycleConfig) Enabled() bool {
-	return c.PoolSize > 1 || c.IdleTimeout > 0 || c.ProbeEvery > 0 ||
-		c.DialBackoffBase > 0 || c.BreakerThreshold > 0
+	return c.PoolSize > 1 || c.DialBackoffBase > 0 || c.BreakerThreshold > 0
 }
-
-// maintenance reports whether a background maintenance loop is needed.
-func (c LifecycleConfig) maintenance() bool { return c.IdleTimeout > 0 || c.ProbeEvery > 0 }
 
 func (c LifecycleConfig) poolSize() int {
 	if c.PoolSize < 1 {
 		return 1
 	}
 	return c.PoolSize
-}
-
-func (c LifecycleConfig) probeTimeout() time.Duration {
-	if c.ProbeTimeout > 0 {
-		return c.ProbeTimeout
-	}
-	return time.Second
-}
-
-func (c LifecycleConfig) backoffMax() time.Duration {
-	if c.DialBackoffMax > 0 {
-		return c.DialBackoffMax
-	}
-	return 16 * c.DialBackoffBase
 }
 
 func (c LifecycleConfig) cooldown() time.Duration {
@@ -161,8 +131,8 @@ type dialResult struct {
 
 // serverState is one server's slice of the client: its connection pool,
 // singleflight dial, backoff window and circuit breaker. All fields below
-// mu are guarded by it; the pool's connections carry their own lease and
-// idle bookkeeping atomically.
+// mu are guarded by it; the pool's connections count their own leases
+// atomically.
 type serverState struct {
 	c    *TCPClient
 	id   quorum.ServerID
@@ -241,10 +211,10 @@ func (s *serverState) acquire(mayDial bool) (*tcpConn, error) {
 	if s.dialing {
 		// Singleflight: join the in-flight dial. The dialer counts us
 		// under s.mu, so its NoteSend/send pair cannot miss us, and it
-		// leases the new connection once on our behalf before publishing
-		// (so the maintenance loop cannot reap it in the hand-off gap) —
-		// the connection arrives already leased; leasing again here would
-		// leak a lease per waiter and pin the connection busy forever.
+		// leases the new connection once on our behalf before publishing,
+		// so it counts as busy from the start — the connection arrives
+		// already leased; leasing again here would leak a lease per waiter
+		// and pin the connection busy forever.
 		ch := make(chan dialResult, 1)
 		s.waiters = append(s.waiters, ch)
 		s.mu.Unlock()
@@ -308,7 +278,6 @@ func (s *serverState) dial(now time.Time) (*tcpConn, error) {
 	if err == nil {
 		c.stats.conns.Add(1)
 		conn = newTCPConn(raw, c.codec, &c.stats, c.sched, c.codecReg.open(), &c.codecReg)
-		conn.touch(now.UnixNano())
 	}
 
 	s.mu.Lock()
@@ -356,16 +325,16 @@ func (s *serverState) dial(now time.Time) (*tcpConn, error) {
 }
 
 // backoffDelayLocked computes the next backoff window: exponential in the
-// consecutive-failure count, capped, and jittered into [d/2, d) by a
-// counter-hashed draw (seed × server × attempt), so two runs from one seed
-// replay the same redial schedule.
+// consecutive-failure count, capped at 16×base, and jittered into [d/2, d)
+// by a counter-hashed draw (seed × server × attempt), so two runs from one
+// seed replay the same redial schedule and two servers do not redial in
+// lockstep.
 func (s *serverState) backoffDelayLocked() time.Duration {
-	lc := &s.c.lifecycle
-	base := lc.DialBackoffBase
+	base := s.c.lifecycle.DialBackoffBase
 	if base <= 0 {
 		return 0
 	}
-	max := lc.backoffMax()
+	max := 16 * base
 	shift := s.dialFails - 1
 	if shift > 20 {
 		shift = 20
@@ -374,7 +343,7 @@ func (s *serverState) backoffDelayLocked() time.Duration {
 	if d <= 0 || d > max {
 		d = max
 	}
-	h := splitmix64(uint64(lc.Seed) ^ 0x9E3779B97F4A7C15 ^ (uint64(s.id)+1)<<32 ^ uint64(s.dialFails))
+	h := splitmix64(uint64(s.c.lifecycle.Seed) ^ 0x9E3779B97F4A7C15 ^ (uint64(s.id)+1)<<32 ^ uint64(s.dialFails))
 	return d/2 + time.Duration(unitFloat(h)*float64(d/2))
 }
 
@@ -461,14 +430,6 @@ func (s *serverState) recordNeutral() {
 	s.mu.Unlock()
 }
 
-// release returns a leased connection to the pool, stamping its idle clock.
-func (s *serverState) release(conn *tcpConn) {
-	if s.c.lifecycle.maintenance() {
-		conn.touch(s.c.clock.Now().UnixNano())
-	}
-	conn.unlease()
-}
-
 // evict removes a failed connection from the pool and closes it.
 func (s *serverState) evict(conn *tcpConn) {
 	s.mu.Lock()
@@ -518,98 +479,4 @@ func (s *serverState) closeAll() {
 	for _, cn := range conns {
 		cn.failAll()
 	}
-}
-
-// maintainLoop is the client's background maintenance goroutine: on every
-// tick of the clock it reaps idle connections past IdleTimeout and sends
-// health-check probe frames on the idle survivors. Runs only when the
-// lifecycle config enables either feature; stops when the client closes.
-func (c *TCPClient) maintainLoop() {
-	defer func() {
-		c.sched.NoteSend() // pairs with Close's wait on maintStopped
-		close(c.maintStopped)
-	}()
-	tick := c.lifecycle.ProbeEvery
-	if tick <= 0 || (c.lifecycle.IdleTimeout > 0 && c.lifecycle.IdleTimeout < tick) {
-		tick = c.lifecycle.IdleTimeout
-	}
-	for {
-		t := c.clock.NewTimer(tick)
-		unpark := c.sched.Park()
-		select {
-		case <-t.C:
-			unpark()
-			c.sched.NoteRecv()
-			c.maintain()
-		case <-c.maintDone:
-			unpark()
-			c.sched.NoteRecv()
-			t.Stop()
-			return
-		}
-	}
-}
-
-// maintain runs one maintenance pass over every server's pool.
-func (c *TCPClient) maintain() {
-	now := c.clock.Now()
-	for _, s := range c.states {
-		s.maintain(now)
-	}
-}
-
-// maintain reaps this server's idle-expired connections and probes the
-// idle survivors with ping frames (concurrently; the pass waits for them).
-func (s *serverState) maintain(now time.Time) {
-	lc := &s.c.lifecycle
-	var reap, probe []*tcpConn
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	keep := s.conns[:0]
-	for _, cn := range s.conns {
-		switch {
-		case cn.isClosed():
-		case lc.IdleTimeout > 0 && cn.load() == 0 && now.UnixNano()-cn.idleSince() >= int64(lc.IdleTimeout):
-			reap = append(reap, cn)
-		default:
-			if lc.ProbeEvery > 0 && cn.load() == 0 {
-				cn.lease() // pin against concurrent reap decisions
-				probe = append(probe, cn)
-			}
-			keep = append(keep, cn)
-		}
-	}
-	s.conns = keep
-	s.mu.Unlock()
-	for _, cn := range reap {
-		s.c.stats.connsReaped.Add(1)
-		cn.failAll()
-	}
-	if len(probe) == 0 {
-		return
-	}
-	wg := vtime.NewWaitGroup(s.c.clock)
-	for _, cn := range probe {
-		cn := cn
-		wg.Add(1)
-		s.c.sched.Go(func() {
-			defer wg.Done()
-			defer cn.unlease()
-			s.probeConn(cn)
-		})
-	}
-	wg.Wait()
-}
-
-// probeConn sends one health-check ping on the connection and waits for it
-// to settle within the probe timeout. Failures evict the connection and
-// count against the breaker; replies (any reply — the server is alive) count
-// as successes (see tcpCall.complete).
-func (s *serverState) probeConn(cn *tcpConn) {
-	c := s.c
-	c.stats.probesSent.Add(1)
-	c.wait(context.Background(), s, cn, wire.PingRequest{}, c.lifecycle.probeTimeout(), true) //nolint:errcheck // the outcome is counted in tcpCall.complete
 }

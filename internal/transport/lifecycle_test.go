@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -143,8 +144,7 @@ func TestLifecycleDialCoalescing(t *testing.T) {
 		// Regression: the dialer leases once per waiter before the hand-off
 		// and the waiter must not lease again. A leaked lease per coalesced
 		// caller would pin load() above zero forever, so the connection
-		// would never be idle-reaped, never health-probed, and always count
-		// as busy for pool growth.
+		// would always count as busy for pool growth.
 		st := client.states[0]
 		st.mu.Lock()
 		if len(st.conns) == 0 {
@@ -162,27 +162,29 @@ func TestLifecycleDialCoalescing(t *testing.T) {
 	}
 }
 
-// TestLifecycleBackoffDeterminism replays a redial storm against a dead
-// server twice from one seed and requires the identical jittered backoff
+// TestLifecycleBackoffDeterminism runs a redial storm against two dead
+// servers twice and requires, per server, the identical jittered backoff
 // schedule: same dial-attempt timestamps, exponentially widening windows,
-// each jittered into [d/2, d).
+// each jittered into [d/2, d) and capped at 16×base. The jitter is hashed
+// from the server id, so the two servers' schedules must differ: they do
+// not redial in lockstep.
 func TestLifecycleBackoffDeterminism(t *testing.T) {
-	run := func() []time.Duration {
+	const (
+		base = 10 * time.Millisecond
+		poll = time.Millisecond
+	)
+	run := func() [2][]time.Duration {
 		sc := vtime.NewSimClock()
-		var stamps []time.Duration
+		var stamps [2][]time.Duration
 		sc.Run(func() {
 			vn := NewVirtualNet(sc, 17)
 			wrap := func(func(quorum.ServerID, string) (net.Conn, error)) func(quorum.ServerID, string) (net.Conn, error) {
-				return func(quorum.ServerID, string) (net.Conn, error) {
-					stamps = append(stamps, sc.Elapsed())
+				return func(to quorum.ServerID, _ string) (net.Conn, error) {
+					stamps[to] = append(stamps[to], sc.Elapsed())
 					return nil, errors.New("refused")
 				}
 			}
-			client, servers := lifecycleCluster(t, vn, sc, 1, LifecycleConfig{
-				DialBackoffBase: 10 * time.Millisecond,
-				DialBackoffMax:  80 * time.Millisecond,
-				Seed:            99,
-			}, wrap)
+			client, servers := lifecycleCluster(t, vn, sc, 2, LifecycleConfig{DialBackoffBase: base}, wrap)
 			defer func() {
 				client.Close()
 				for _, s := range servers {
@@ -190,41 +192,47 @@ func TestLifecycleBackoffDeterminism(t *testing.T) {
 				}
 			}()
 			ctx := context.Background()
-			for i := 0; i < 300; i++ {
-				if _, err := client.Call(ctx, 0, wire.ReadRequest{Key: "x"}); err == nil {
-					t.Fatal("call against a refusing dialer succeeded")
+			for i := 0; i < 600; i++ {
+				for id := range stamps {
+					if _, err := client.Call(ctx, quorum.ServerID(id), wire.ReadRequest{Key: "x"}); err == nil {
+						t.Fatal("call against a refusing dialer succeeded")
+					}
 				}
-				sc.Sleep(time.Millisecond)
+				sc.Sleep(poll)
 			}
 		})
 		return stamps
 	}
 	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("attempt counts diverged: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("attempt %d at %v vs %v: backoff schedule is not replaying", i, a[i], b[i])
+	var gaps [2][]time.Duration
+	for id := range a {
+		if !slices.Equal(a[id], b[id]) {
+			t.Fatalf("server %d: dial attempts at %v, then at %v: backoff schedule is not replaying", id, a[id], b[id])
+		}
+		if len(a[id]) < 4 {
+			t.Fatalf("server %d: only %d dial attempts in 600ms; backoff windows too wide", id, len(a[id]))
+		}
+		// Consecutive failures widen the window exponentially up to the cap:
+		// every gap lies in [base/2, 16×base + poll], and the run is long
+		// enough for the capped window's [8×base, 16×base) to show.
+		var widest time.Duration
+		for i := 1; i < len(a[id]); i++ {
+			gap := a[id][i] - a[id][i-1]
+			if gap < base/2 || gap > 16*base+poll {
+				t.Fatalf("server %d: gap %d = %v outside [base/2, 16×base+poll]", id, i, gap)
+			}
+			widest = max(widest, gap)
+			gaps[id] = append(gaps[id], gap)
+		}
+		if widest < 8*base {
+			t.Fatalf("server %d: widest gap %v; the 16×base cap was never reached", id, widest)
 		}
 	}
-	if len(a) < 4 {
-		t.Fatalf("only %d dial attempts in 300ms; backoff windows too wide", len(a))
+	n := min(len(gaps[0]), len(gaps[1]))
+	if slices.Equal(gaps[0][:n], gaps[1][:n]) {
+		t.Fatalf("servers 0 and 1 redial on the same schedule %v: jitter is not decorrelated across servers", gaps[0][:n])
 	}
-	// Consecutive failures must widen the window exponentially (jitter keeps
-	// each gap in [d/2, d), so gap i+1 / gap i stays below 4) and never
-	// exceed the cap.
-	for i := 1; i < len(a); i++ {
-		gap := a[i] - a[i-1]
-		if gap < 5*time.Millisecond {
-			t.Fatalf("gap %d = %v below base/2", i, gap)
-		}
-		if gap > 81*time.Millisecond {
-			t.Fatalf("gap %d = %v above DialBackoffMax+poll", i, gap)
-		}
-	}
-	t.Logf("replayed %d dial attempts identically; first gaps: %v %v %v",
-		len(a), a[1]-a[0], a[2]-a[1], a[3]-a[2])
+	t.Logf("replayed %d and %d dial attempts identically; gaps %v and %v", len(a[0]), len(a[1]), gaps[0], gaps[1])
 }
 
 // TestLifecycleBreakerStateMachine walks the breaker through its whole
@@ -310,61 +318,6 @@ func TestLifecycleBreakerStateMachine(t *testing.T) {
 		if err := call(); err != nil {
 			t.Fatalf("post-close call: %v", err)
 		}
-	})
-}
-
-// TestLifecycleIdleReapAndProbe runs the maintenance loop under a SimClock:
-// idle connections get health-check pings on the probe period, a crashed
-// server fails its probe (evicting the connection and counting a breaker
-// failure), and a connection idle past IdleTimeout is reaped.
-func TestLifecycleIdleReapAndProbe(t *testing.T) {
-	sc := vtime.NewSimClock()
-	sc.Run(func() {
-		vn := NewVirtualNet(sc, 29)
-		vn.SetLatency(time.Millisecond, 2*time.Millisecond)
-		client, servers := lifecycleCluster(t, vn, sc, 1, LifecycleConfig{
-			PoolSize:     2,
-			ProbeEvery:   20 * time.Millisecond,
-			ProbeTimeout: 10 * time.Millisecond,
-			IdleTimeout:  100 * time.Millisecond,
-		}, nil)
-		defer func() {
-			client.Close()
-			for _, s := range servers {
-				s.Close()
-			}
-		}()
-		ctx := context.Background()
-		if _, err := client.Call(ctx, 0, wire.ReadRequest{Key: "x"}); err != nil {
-			t.Fatal(err)
-		}
-
-		sc.Sleep(50 * time.Millisecond)
-		st := client.Stats()
-		if st.ProbesSent == 0 {
-			t.Fatal("no health probes sent while the connection idled")
-		}
-		if st.ProbeFailures != 0 {
-			t.Fatalf("%d probe failures against a healthy server", st.ProbeFailures)
-		}
-
-		sc.Sleep(200 * time.Millisecond)
-		if st := client.Stats(); st.ConnsReaped == 0 {
-			t.Fatal("idle connection was never reaped")
-		}
-
-		// A fresh connection against a server that hangs (stalled: chunks
-		// silently swallowed, the conn stays up): the next probe times out,
-		// counting a failure and evicting the connection.
-		if _, err := client.Call(ctx, 0, wire.ReadRequest{Key: "y"}); err != nil {
-			t.Fatal(err)
-		}
-		vn.Stall(0)
-		sc.Sleep(50 * time.Millisecond)
-		if st := client.Stats(); st.ProbeFailures == 0 {
-			t.Fatal("probe against a stalled server never failed")
-		}
-		vn.Unstall(0)
 	})
 }
 

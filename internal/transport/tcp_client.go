@@ -38,9 +38,10 @@ type TCPClientOptions struct {
 	// prompt error can surface — a corrupted length prefix, a reply whose
 	// id was flipped in flight — without wall-clock deadlines.
 	CallTimeout time.Duration
-	// Lifecycle tunes the per-server connection lifecycle: pool size, idle
-	// reaping, health probes, dial backoff and the circuit breaker. The
-	// zero value preserves the legacy single-connection behavior exactly.
+	// Lifecycle tunes the per-server connection lifecycle: pool size, dial
+	// backoff and the circuit breaker. The zero value preserves the legacy
+	// single-connection behavior exactly. Nothing probes an idle
+	// connection: a stalled peer is found by the first call's CallTimeout.
 	Lifecycle LifecycleConfig
 }
 
@@ -59,11 +60,6 @@ type TCPClient struct {
 
 	stats    tcpCounters
 	codecReg codecRegistry
-
-	// maintDone/maintStopped bracket the maintenance loop's lifetime; both
-	// are nil when the lifecycle config needs no background maintenance.
-	maintDone    chan struct{}
-	maintStopped chan struct{}
 
 	// states holds one entry per configured address, all built by the
 	// constructor: the map is never written afterwards, so Call's lookup
@@ -94,11 +90,6 @@ func NewTCPClientOpts(addrs map[quorum.ServerID]string, o TCPClientOptions) *TCP
 	for id, a := range addrs {
 		c.states[id] = &serverState{c: c, id: id, addr: a}
 	}
-	if c.lifecycle.maintenance() {
-		c.maintDone = make(chan struct{})
-		c.maintStopped = make(chan struct{})
-		c.sched.Go(c.maintainLoop)
-	}
 	return c
 }
 
@@ -127,7 +118,7 @@ func (c *TCPClient) Call(ctx context.Context, to quorum.ServerID, req any) (any,
 	if err != nil {
 		return nil, err
 	}
-	return c.wait(ctx, st, conn, req, c.callTimeout, false)
+	return c.wait(ctx, st, conn, req)
 }
 
 // Start implements Starter: Call on a connection already established, with
@@ -145,19 +136,19 @@ func (c *TCPClient) Start(ctx context.Context, to quorum.ServerID, req any, done
 	case conn == nil:
 		return false
 	default:
-		c.send(ctx, st, conn, req, c.callTimeout, false, done)
+		c.send(ctx, st, conn, req, done)
 	}
 	return true
 }
 
 // wait sends a call (see send) and parks until its completion has run.
-func (c *TCPClient) wait(ctx context.Context, st *serverState, conn *tcpConn, req any, timeout time.Duration, probe bool) (any, error) {
+func (c *TCPClient) wait(ctx context.Context, st *serverState, conn *tcpConn, req any) (any, error) {
 	type result struct {
 		resp any
 		err  error
 	}
 	ch := make(chan result, 1)
-	c.send(ctx, st, conn, req, timeout, probe, func(resp any, err error) {
+	c.send(ctx, st, conn, req, func(resp any, err error) {
 		c.sched.NoteSend()
 		ch <- result{resp, err}
 	})
@@ -181,19 +172,10 @@ func (c *TCPClient) ServerDown(id quorum.ServerID) bool {
 	return st.down(c.clock.Now(), &c.lifecycle)
 }
 
-// Close closes all connections and stops the maintenance loop. Subsequent
-// calls fail.
+// Close closes all connections. Subsequent calls fail.
 func (c *TCPClient) Close() error {
 	if c.closed.Swap(true) {
 		return nil
-	}
-	if c.maintDone != nil {
-		c.sched.NoteSend() // the done close is one tracked wake-up
-		close(c.maintDone)
-		unpark := c.sched.Park()
-		<-c.maintStopped
-		unpark()
-		c.sched.NoteRecv()
 	}
 	for _, st := range c.states {
 		st.closeAll()
@@ -224,8 +206,8 @@ func (c *TCPClient) acquire(to quorum.ServerID, mayDial bool) (*tcpConn, *server
 // and the lease release (see tcpCall.complete). The call timeout, when
 // positive, and a cancellable ctx each arm a completer; a request the codec
 // cannot encode fails permanently without registering anything.
-func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, req any, timeout time.Duration, probe bool, done func(any, error)) {
-	call := &tcpCall{st: st, conn: conn, id: c.nextID.Add(1), probe: probe, done: done}
+func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, req any, done func(any, error)) {
+	call := &tcpCall{st: st, conn: conn, id: c.nextID.Add(1), done: done}
 	bp := wire.GetBuffer()
 	frame, err := conn.encode(*bp, call.id, req)
 	if err != nil {
@@ -244,8 +226,8 @@ func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, re
 		return
 	}
 	conn.pending[call.id] = call
-	if timeout > 0 {
-		call.timer = c.clock.AfterFunc(timeout, func() {
+	if c.callTimeout > 0 {
+		call.timer = c.clock.AfterFunc(c.callTimeout, func() {
 			// The conn is suspect (slow, stalled, or its framing desynced by
 			// a corrupted prefix): the call is abandoned and the conn torn
 			// down, so the next call re-dials a clean stream.
@@ -281,7 +263,6 @@ type tcpCall struct {
 	st    *serverState
 	conn  *tcpConn
 	id    uint64
-	probe bool // a health check: its lease is the prober's, its failures are probe failures
 	done  func(resp any, err error)
 	timer *vtime.Timer // the call timeout; nil without one
 	stop  func() bool  // deregisters the ctx watcher; nil without one
@@ -309,17 +290,12 @@ func (t *tcpCall) complete(v verdict, resp any, err error) {
 	case answered:
 		t.st.recordSuccess()
 	case failed:
-		if t.probe {
-			t.st.c.stats.probeFailures.Add(1)
-		}
 		t.st.evict(t.conn)
 		t.st.recordFailure()
 	default:
 		t.st.recordNeutral()
 	}
-	if !t.probe {
-		t.st.release(t.conn)
-	}
+	t.conn.unlease()
 	t.done(resp, err)
 }
 
@@ -332,12 +308,9 @@ type tcpConn struct {
 	cc    *codecCounters
 	reg   *codecRegistry
 
-	// leases counts callers currently holding the connection (calls in
-	// flight plus health probes); lastUsed is the clock's UnixNano at the
-	// last release. The maintenance loop reaps only unleased connections
-	// idle past the configured timeout.
-	leases   atomic.Int64
-	lastUsed atomic.Int64
+	// leases counts callers currently holding the connection: calls in
+	// flight, and waiters a dial leased it for.
+	leases atomic.Int64
 
 	mu        sync.Mutex
 	pending   map[uint64]*tcpCall // calls in flight, by request id
@@ -351,10 +324,6 @@ func (c *tcpConn) unlease() { c.leases.Add(-1) }
 // load is the number of live leases (the pool grows only when every
 // connection has at least one).
 func (c *tcpConn) load() int64 { return c.leases.Load() }
-
-// touch stamps the idle clock; idleSince reads it.
-func (c *tcpConn) touch(nanos int64) { c.lastUsed.Store(nanos) }
-func (c *tcpConn) idleSince() int64  { return c.lastUsed.Load() }
 
 func (c *tcpConn) isClosed() bool {
 	c.mu.Lock()

@@ -202,8 +202,9 @@ type TCPStats struct {
 	// coalescing.
 	Flushes         uint64
 	WritesCoalesced uint64
-	// Connection-lifecycle counters, all zero unless the client was built
-	// with an active TCPClientOptions.Lifecycle. DialsCoalesced counts
+	// Connection-lifecycle counters: always zero on a server, and on a
+	// client unless it was built with an active
+	// TCPClientOptions.Lifecycle. DialsCoalesced counts
 	// callers that joined another caller's in-flight dial instead of
 	// dialing themselves (singleflight); BackoffFastFails counts calls
 	// failed immediately inside a redial-backoff window.
@@ -216,11 +217,6 @@ type TCPStats struct {
 	BreakerHalfOpens uint64
 	BreakerCloses    uint64
 	BreakerFastFails uint64
-	// ConnsReaped counts idle pool connections closed by the maintenance
-	// loop; ProbesSent/ProbeFailures count its health-check ping frames.
-	ConnsReaped   uint64
-	ProbesSent    uint64
-	ProbeFailures uint64
 	// Codec aggregates the per-connection message-codec counters (closed
 	// connections included). See ConnCodecStats.
 	Codec ConnCodecStats
@@ -231,10 +227,9 @@ type tcpCounters struct {
 	conns, framesRead, framesWritten, bytesRead, bytesWritten, flushes atomic.Uint64
 
 	// Lifecycle counters (client side only; see TCPStats).
-	dialsCoalesced, backoffFastFails       atomic.Uint64
-	breakerTrips, breakerHalfOpens         atomic.Uint64
-	breakerCloses, breakerFastFails        atomic.Uint64
-	connsReaped, probesSent, probeFailures atomic.Uint64
+	dialsCoalesced, backoffFastFails atomic.Uint64
+	breakerTrips, breakerHalfOpens   atomic.Uint64
+	breakerCloses, breakerFastFails  atomic.Uint64
 }
 
 func (c *tcpCounters) snapshot() TCPStats {
@@ -252,9 +247,6 @@ func (c *tcpCounters) snapshot() TCPStats {
 		BreakerHalfOpens: c.breakerHalfOpens.Load(),
 		BreakerCloses:    c.breakerCloses.Load(),
 		BreakerFastFails: c.breakerFastFails.Load(),
-		ConnsReaped:      c.connsReaped.Load(),
-		ProbesSent:       c.probesSent.Load(),
-		ProbeFailures:    c.probeFailures.Load(),
 	}
 	// Each flush carries at least one frame, so the difference is exactly
 	// the frames that rode along on another frame's Write. (The two loads

@@ -250,21 +250,11 @@ func (vn *VirtualNet) Recover(id quorum.ServerID) {
 // breaker exists for — as opposed to Crash, whose resets fail fast.
 // Existing connections stay up; dials still succeed.
 //
-//pqslint:allow deadexport seam: transport lifecycle_test and register degraded_test hang a server with it
+//pqslint:allow deadexport seam: register degraded_test hangs a server with it
 func (vn *VirtualNet) Stall(id quorum.ServerID) {
 	vn.mu.Lock()
 	defer vn.mu.Unlock()
 	vn.stalled[id] = true
-}
-
-// Unstall clears a server's stalled state. Chunks swallowed while stalled
-// are gone for good (their streams will look reset to any framing above).
-//
-//pqslint:allow deadexport seam: transport lifecycle_test revives a stalled server with it
-func (vn *VirtualNet) Unstall(id quorum.ServerID) {
-	vn.mu.Lock()
-	defer vn.mu.Unlock()
-	delete(vn.stalled, id)
 }
 
 // stallVerdict reports whether a chunk on the pair (client, server) should

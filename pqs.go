@@ -266,12 +266,12 @@ type Registry = sv.Registry
 func NewRegistry() *Registry { return sv.NewRegistry() }
 
 // Tuning is the access-tuning block — Spares, HedgeDelay, AdaptiveHedge,
-// HedgeDeviations, EagerRead, W, ReadRepair — embedded by ClientConfig (and
+// EagerRead, W, ReadRepair — embedded by ClientConfig (and
 // by the sim, chaos and load harness configs). Each knob is documented on
 // the type; the README section "Configuring access tuning" shows it in use.
 type Tuning = config.Tuning
 
-// Topology is the cluster-shape block — Cells, CellVnodes, Transport plane,
+// Topology is the cluster-shape block — Cells, Transport plane,
 // latency model — embedded by the same configs as Tuning. Fields a
 // config cannot honor are documented on that config.
 type Topology = config.Topology
@@ -280,14 +280,13 @@ type Topology = config.Topology
 type ClientConfig struct {
 	// Tuning holds the access-tuning knobs (see the Tuning type).
 	Tuning
-	// Topology holds the cluster-shape knobs. NewClient honors Cells and
-	// CellVnodes: Cells > 1 partitions the keyspace across that many
-	// independent quorum cells by consistent hashing, cell i being a full
-	// System-sized PQS over servers [i*N, (i+1)*N) of the Transport (see
-	// ClusterConfig.Cells) with its own strategy, ε budget and stats;
-	// CellVnodes is the virtual-node count per cell on the routing ring
-	// (0 = the ring package default). Transport and the latency fields are
-	// ignored here (the plane comes from the Transport field below).
+	// Topology holds the cluster-shape knobs. NewClient honors Cells:
+	// Cells > 1 partitions the keyspace across that many independent quorum
+	// cells by consistent hashing (64 virtual nodes per cell), cell i being
+	// a full System-sized PQS over servers [i*N, (i+1)*N) of the Transport
+	// (see ClusterConfig.Cells) with its own strategy, ε budget and stats.
+	// Transport and the latency fields are ignored here (the plane comes
+	// from the Transport field below).
 	Topology
 	// System is the quorum system to access (from New).
 	System *System
@@ -388,7 +387,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		RequireFullWrite: cfg.RequireFullWrite,
 		Tuning:           cfg.Tuning,
 		Cells:            cfg.Cells,
-		RingVnodes:       cfg.CellVnodes,
 	}
 	if cfg.Key.Private != nil {
 		opts.Signer = cfg.Key.Private

@@ -214,14 +214,16 @@ type DialOptions struct {
 	// transport.TCPClientOptions.CallTimeout).
 	CallTimeout time.Duration
 	// Lifecycle enables the connection lifecycle layer: a bounded
-	// health-checked connection pool per server, dial coalescing with
-	// jittered exponential backoff, and a per-server circuit breaker whose
-	// open state fails calls immediately with ErrServerDown (which the
-	// register layer uses to promote spares at dispatch time). The zero
-	// value keeps the legacy single-connection-per-server behavior.
+	// connection pool per server, dial coalescing with jittered exponential
+	// backoff, and a per-server circuit breaker whose open state fails
+	// calls immediately with ErrServerDown (which the register layer uses to
+	// promote spares at dispatch time). Nothing probes an idle connection:
+	// a stalled server is found by the first call's CallTimeout, which
+	// counts against the breaker. The zero value keeps the legacy
+	// single-connection-per-server behavior.
 	Lifecycle LifecycleConfig
-	// Clock drives the lifecycle timers (idle reaping, probes, backoff,
-	// breaker cooldown). Nil means the wall clock.
+	// Clock drives the call timeout, the redial backoff windows and the
+	// breaker cooldown. Nil means the wall clock.
 	Clock vtime.Clock
 }
 
@@ -268,8 +270,8 @@ const (
 func ParseCodec(s string) (Codec, error) { return transport.ParseCodec(s) }
 
 // LifecycleConfig tunes the per-server connection lifecycle
-// (DialOptions.Lifecycle): pool size, idle reaping, health probes, dial
-// backoff, and the circuit breaker.
+// (DialOptions.Lifecycle): pool size, dial backoff, and the circuit
+// breaker.
 type LifecycleConfig = transport.LifecycleConfig
 
 // ErrServerDown is returned by a lifecycle-enabled TCPClient while a
