@@ -363,8 +363,8 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	e.verdict(res)
 	// Read the clock here, on the run's own worker, before the deferred
 	// teardown: closing the TCP fixture starts a close → FIN → EOF →
-	// close-back chain per connection, and how many of its delivery timers
-	// fire before the last worker exits is up to the Go scheduler.
+	// close-back chain per connection, and how many of its chunks land
+	// before the last worker exits is up to the Go scheduler.
 	res.SimSeconds = sc.Elapsed().Seconds()
 	return res, nil
 }

@@ -44,7 +44,8 @@ import (
 // vtime.SimClock every completion is a tracked message, a worker is a
 // registered scheduler worker, and the gather loop parks around its select,
 // so hedge firing is part of the deterministic virtual-time order; a
-// started call's timers are armed by the gather, in dispatch order.
+// started call's timed events take their places in that order on the
+// gather, in dispatch order.
 
 // callReply carries one server's response through the gather loop. lat is
 // the call's round-trip latency, measured only when adaptive hedging needs

@@ -30,16 +30,12 @@ func nextGoid() uint64 {
 	return <-ch
 }
 
-// BenchmarkVirtualTCPRead prices one read through the whole TCP data plane
-// over a VirtualNet under a SimClock, in the bench workload sim-tcpv's
-// shape: n = 144, q = 24, zero latency, one operation at a time inside Run,
-// every connection up before the clock starts. Besides ns/op and allocs/op
-// it reports goroutines/op, the goroutines started per read, counted over
-// countReads further reads on one processor (see nextGoid): with every call
-// started on the caller and every request answered, and every reply
-// delivered, where its chunk lands, nothing is left that needs one.
-func BenchmarkVirtualTCPRead(b *testing.B) {
-	const n, q, countReads = 144, 24, 500
+// virtualTCPReads stands sim-tcpv's shape up — n = 144, q = 24, zero
+// latency, the whole TCP data plane over a VirtualNet under a SimClock, every
+// connection up and the key written before the clock starts — and runs body
+// inside the clock's Run with a read of the key, one operation at a time.
+func virtualTCPReads(tb testing.TB, body func(read func() error)) {
+	const n, q = 144, 24
 	sc := vtime.NewSimClock()
 	var failed error
 	sc.Run(func() {
@@ -73,11 +69,30 @@ func BenchmarkVirtualTCPRead(b *testing.B) {
 			failed = err
 			return
 		}
+		body(func() error {
+			_, err := cl.Read(ctx, "k")
+			return err
+		})
+	})
+	if failed != nil {
+		tb.Fatal(failed)
+	}
+}
+
+// BenchmarkVirtualTCPRead prices one read through the whole TCP data plane
+// in virtualTCPReads' shape. Besides ns/op and allocs/op it reports
+// goroutines/op, the goroutines started per read, counted over countReads
+// further reads on one processor (see nextGoid): with every call started on
+// the caller and every request answered, and every reply delivered, where
+// its chunk lands, nothing is left that needs one.
+func BenchmarkVirtualTCPRead(b *testing.B) {
+	const countReads = 500
+	virtualTCPReads(b, func(read func() error) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := cl.Read(ctx, "k"); err != nil {
-				failed = err
+			if err := read(); err != nil {
+				b.Error(err)
 				return
 			}
 		}
@@ -85,14 +100,34 @@ func BenchmarkVirtualTCPRead(b *testing.B) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 		first := nextGoid()
 		for i := 0; i < countReads; i++ {
-			if _, err := cl.Read(ctx, "k"); err != nil {
-				failed = err
+			if err := read(); err != nil {
+				b.Error(err)
 				return
 			}
 		}
 		b.ReportMetric(float64(nextGoid()-first-1)/countReads, "goroutines/op")
 	})
-	if failed != nil {
-		b.Fatal(failed)
-	}
+}
+
+// TestVirtualTCPReadAllocs: a read in sim-tcpv's shape allocates at most 7
+// objects per RPC. No timer is made per chunk or per call: a connection's
+// chunks land on one alarm per end, and its call deadlines share one alarm.
+// (Allocation counts differ under -race; the race targets leave it out.)
+func TestVirtualTCPReadAllocs(t *testing.T) {
+	const q, perRPC = 24, 7
+	virtualTCPReads(t, func(read func() error) {
+		var failed error
+		allocs := testing.AllocsPerRun(200, func() {
+			if err := read(); err != nil {
+				failed = err
+			}
+		})
+		if failed != nil {
+			t.Error(failed)
+			return
+		}
+		if allocs > q*perRPC {
+			t.Errorf("a read allocates %.1f objects, %.1f per RPC; want at most %d per RPC", allocs, allocs/q, perRPC)
+		}
+	})
 }

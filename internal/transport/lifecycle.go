@@ -277,7 +277,7 @@ func (s *serverState) dial(now time.Time) (*tcpConn, error) {
 	var conn *tcpConn
 	if err == nil {
 		c.stats.conns.Add(1)
-		conn = newTCPConn(raw, c.codec, &c.stats, c.sched, c.codecReg.open(), &c.codecReg)
+		conn = newTCPConn(raw, c, c.codecReg.open())
 	}
 
 	s.mu.Lock()

@@ -33,10 +33,13 @@ type TCPClientOptions struct {
 	// CallTimeout, when positive, bounds every Call on the client's clock:
 	// a call that has not completed within it fails with a transient
 	// timeout error and its connection is torn down (re-dialed on the next
-	// call). Under a SimClock the timer is part of the deterministic event
-	// order, which gives the harnesses bounded-liveness over faults no
-	// prompt error can surface — a corrupted length prefix, a reply whose
-	// id was flipped in flight — without wall-clock deadlines.
+	// call). A connection keeps one deadline alarm for all its calls, armed
+	// at the oldest live call's deadline: one value per client makes the
+	// deadlines monotone in send order. Under a SimClock each deadline is
+	// part of the deterministic event order, which gives the harnesses
+	// bounded-liveness over faults no prompt error can surface — a
+	// corrupted length prefix, a reply whose id was flipped in flight —
+	// without wall-clock deadlines.
 	CallTimeout time.Duration
 	// Lifecycle tunes the per-server connection lifecycle: pool size, dial
 	// backoff and the circuit breaker. The zero value preserves the legacy
@@ -126,8 +129,9 @@ func (c *TCPClient) Call(ctx context.Context, to quorum.ServerID, req any) (any,
 // dial; a breaker or backoff fast-fail completes at once. The frame is on
 // its way when Start returns (a frameWriter's leader never waits on a
 // socket); done runs where the connection's frames are read (its read loop
-// on a socket, the delivery timer on a VirtualNet) for a reply or a
-// failure, on the clock for the timeout, on ctx's watcher for a cancel.
+// on a socket, the delivery alarm on a VirtualNet) for a reply or a
+// failure, on the deadline alarm for the timeout, on ctx's watcher for a
+// cancel.
 func (c *TCPClient) Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool {
 	conn, st, err := c.acquire(to, false)
 	switch {
@@ -204,8 +208,9 @@ func (c *TCPClient) acquire(to quorum.ServerID, mayDial bool) (*tcpConn, *server
 // send registers a call on conn and writes its request frame. done runs
 // exactly once, possibly before send returns, after the breaker accounting
 // and the lease release (see tcpCall.complete). The call timeout, when
-// positive, and a cancellable ctx each arm a completer; a request the codec
-// cannot encode fails permanently without registering anything.
+// positive, queues the call's deadline on the connection, and a cancellable
+// ctx arms a completer; a request the codec cannot encode fails permanently
+// without registering anything.
 func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, req any, done func(any, error)) {
 	call := &tcpCall{st: st, conn: conn, id: c.nextID.Add(1), done: done}
 	bp := wire.GetBuffer()
@@ -226,15 +231,11 @@ func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, re
 		return
 	}
 	conn.pending[call.id] = call
-	if c.callTimeout > 0 {
-		call.timer = c.clock.AfterFunc(c.callTimeout, func() {
-			// The conn is suspect (slow, stalled, or its framing desynced by
-			// a corrupted prefix): the call is abandoned and the conn torn
-			// down, so the next call re-dials a clean stream.
-			if conn.claim(call.id, true) {
-				call.complete(failed, nil, fmt.Errorf("server %d: %w", st.id, errCallTimeout))
-			}
-		})
+	if conn.alarm != nil {
+		conn.deadlines.push(deadline{id: call.id, mark: c.clock.Mark(c.callTimeout)})
+		if !conn.alarmSet {
+			conn.rearmLocked()
+		}
 	}
 	if ctx.Done() != nil {
 		call.stop = context.AfterFunc(ctx, func() {
@@ -256,16 +257,15 @@ func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, re
 
 // tcpCall is one call in flight on a connection. Exactly one completer
 // claims it, by taking it out of the connection's pending table under
-// tcpConn.mu — deliver (its reply), failAll (the connection failed), its
-// timeout, its ctx watcher or its failed send — and then, with no lock held,
-// completes it.
+// tcpConn.mu — deliver (its reply), failAll (the connection failed), the
+// deadline alarm, its ctx watcher or its failed send — and then, with no
+// lock held, completes it.
 type tcpCall struct {
-	st    *serverState
-	conn  *tcpConn
-	id    uint64
-	done  func(resp any, err error)
-	timer *vtime.Timer // the call timeout; nil without one
-	stop  func() bool  // deregisters the ctx watcher; nil without one
+	st   *serverState
+	conn *tcpConn
+	id   uint64
+	done func(resp any, err error)
+	stop func() bool // deregisters the ctx watcher; nil without one
 }
 
 // verdict is what a call's outcome says about its server.
@@ -280,9 +280,6 @@ const (
 // complete settles a claimed call: it disarms its other completers, moves
 // the breaker, evicts a failed connection, returns the lease and runs done.
 func (t *tcpCall) complete(v verdict, resp any, err error) {
-	if t.timer != nil {
-		t.timer.Stop()
-	}
 	if t.stop != nil {
 		t.stop()
 	}
@@ -316,6 +313,20 @@ type tcpConn struct {
 	pending   map[uint64]*tcpCall // calls in flight, by request id
 	abandoned map[uint64]struct{} // timed-out or cancelled calls whose reply may still come
 	closed    bool
+
+	// With a call timeout: the calls in send order, each with the mark its
+	// timeout is due at (no call older than the oldest live one), and one
+	// alarm, armed at the oldest live call's mark whenever there is one.
+	alarm     *vtime.Alarm // nil without a call timeout
+	deadlines fifo[deadline]
+	armed     vtime.Mark // where the alarm is armed, if alarmSet
+	alarmSet  bool
+}
+
+// deadline is a call's place in its connection's deadline queue.
+type deadline struct {
+	id   uint64
+	mark vtime.Mark
 }
 
 func (c *tcpConn) lease()   { c.leases.Add(1) }
@@ -331,19 +342,22 @@ func (c *tcpConn) isClosed() bool {
 	return c.closed
 }
 
-func newTCPConn(raw net.Conn, codec Codec, stats *tcpCounters, sched vtime.Sched, cc *codecCounters, reg *codecRegistry) *tcpConn {
+func newTCPConn(raw net.Conn, cl *TCPClient, cc *codecCounters) *tcpConn {
 	c := &tcpConn{
 		raw:       raw,
-		codec:     codec,
-		w:         newFrameWriter(raw, stats),
-		stats:     stats,
+		codec:     cl.codec,
+		w:         newFrameWriter(raw, &cl.stats),
+		stats:     &cl.stats,
 		cc:        cc,
-		reg:       reg,
+		reg:       &cl.codecReg,
 		pending:   make(map[uint64]*tcpCall),
 		abandoned: make(map[uint64]struct{}),
 	}
-	c.w.sock, c.w.sched = newSockWriter(raw), sched
-	readFrames(raw, stats, sched, c.onFrame, c.failAll)
+	if cl.callTimeout > 0 {
+		c.alarm = vtime.NewAlarm(cl.clock, c.expire)
+	}
+	c.w.sock, c.w.sched = newSockWriter(raw), cl.sched
+	readFrames(raw, &cl.stats, cl.sched, c.onFrame, c.failAll)
 	return c
 }
 
@@ -362,8 +376,8 @@ func (c *tcpConn) encode(buf []byte, id uint64, req any) ([]byte, error) {
 
 // claim takes a pending call out of the table, reporting whether it was
 // there: false means another completer claimed it first. An abandoned call
-// (timeout, cancellation) may still be answered; its late reply is then
-// discarded silently instead of being treated as a protocol violation.
+// (cancellation) may still be answered; its late reply is then discarded
+// silently instead of being treated as a protocol violation.
 func (c *tcpConn) claim(id uint64, abandon bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -398,6 +412,7 @@ func (c *tcpConn) deliver(reply wire.ReplyEnvelope) bool {
 	c.mu.Lock()
 	if call, ok := c.pending[reply.ID]; ok {
 		delete(c.pending, reply.ID)
+		c.pruneLocked()
 		c.mu.Unlock()
 		if reply.Err != "" {
 			call.complete(answered, nil, &RPCError{Server: call.st.id, Kind: reply.ErrKind, Msg: reply.Err})
@@ -416,6 +431,51 @@ func (c *tcpConn) deliver(reply wire.ReplyEnvelope) bool {
 	return false
 }
 
+// pruneLocked drops settled calls from the head of the deadline queue, so a
+// queue never holds a call older than the oldest live one. c.mu must be held.
+func (c *tcpConn) pruneLocked() {
+	for c.deadlines.len() > 0 {
+		if _, live := c.pending[c.deadlines.front().id]; live {
+			return
+		}
+		c.deadlines.pop()
+	}
+}
+
+// rearmLocked arms the alarm at the oldest live call's mark, or leaves it
+// idle when no call is live. c.mu must be held.
+func (c *tcpConn) rearmLocked() {
+	c.pruneLocked()
+	if c.alarmSet = c.deadlines.len() > 0; c.alarmSet {
+		c.armed = c.deadlines.front().mark
+		c.alarm.ArmAt(c.armed)
+	}
+}
+
+// expire is the deadline alarm's callback. If the alarm went off at the
+// oldest live call's mark, that call times out: the connection is suspect
+// (slow, stalled, or its framing desynced by a corrupted prefix), so the
+// call is abandoned and the connection torn down, and the next call re-dials
+// a clean stream. Otherwise the call it was armed for has settled, and it
+// moves to the oldest live call's mark, which is later in the fire order:
+// a fire that finds nothing due does nothing else.
+func (c *tcpConn) expire() {
+	c.mu.Lock()
+	c.pruneLocked()
+	if c.deadlines.len() == 0 || c.deadlines.front().mark != c.armed {
+		c.rearmLocked()
+		c.mu.Unlock()
+		return
+	}
+	id := c.deadlines.pop().id
+	call := c.pending[id]
+	delete(c.pending, id)
+	c.abandoned[id] = struct{}{}
+	c.rearmLocked()
+	c.mu.Unlock()
+	call.complete(failed, nil, fmt.Errorf("server %d: %w", call.st.id, errCallTimeout))
+}
+
 // failAll closes the connection and fails every pending call.
 func (c *tcpConn) failAll() {
 	c.mu.Lock()
@@ -426,6 +486,10 @@ func (c *tcpConn) failAll() {
 	c.closed = true
 	calls := c.pending
 	c.pending, c.abandoned = nil, nil
+	if c.alarm != nil {
+		c.alarm.Stop()
+		c.deadlines, c.alarmSet = fifo[deadline]{}, false
+	}
 	c.raw.Close() // before w.close: unblocks a writer stuck in Write
 	c.w.close()
 	c.reg.close(c.cc)

@@ -10,7 +10,8 @@ package transport
 // inside the determinism contract: under a vtime.SimClock a whole chaos
 // scenario over "TCP" replays byte-for-byte from its seed and executes in
 // wall-clock milliseconds. Only the reading differs from a socket's: each
-// chunk is parsed where it lands (vconn.setSink), by no goroutine of its own.
+// chunk is parsed where it lands (vconn.setSink), by no goroutine of its own,
+// and each receiving end lands its chunks with one alarm of its own.
 //
 // Fault injection happens at the byte-stream layer, below framing, so the
 // adversary works against framed bytes rather than messages:
@@ -257,18 +258,6 @@ func (vn *VirtualNet) Stall(id quorum.ServerID) {
 	vn.stalled[id] = true
 }
 
-// stallVerdict reports whether a chunk on the pair (client, server) should
-// be swallowed, counting it when so.
-func (vn *VirtualNet) stallVerdict(server quorum.ServerID) bool {
-	vn.mu.Lock()
-	defer vn.mu.Unlock()
-	if !vn.stalled[server] {
-		return false
-	}
-	vn.stats.stalled++
-	return true
-}
-
 // Block severs the directed path from→to (either may be Anyone): new dials
 // whose request leg matches fail with ErrDropped, and existing connections
 // carrying a matching direction are reset. This is the prompt-failure
@@ -379,6 +368,7 @@ func (vn *VirtualNet) dial(from, to quorum.ServerID) (net.Conn, error) {
 	cl := &vconn{net: vn, client: from, server: to, toServer: true, pmu: pmu, readCh: make(chan struct{}, 1)}
 	sv := &vconn{net: vn, client: from, server: to, toServer: false, pmu: pmu, readCh: make(chan struct{}, 1)}
 	cl.peer, sv.peer = sv, cl
+	cl.alarm, sv.alarm = vtime.NewAlarm(vn.clock, cl.land), vtime.NewAlarm(vn.clock, sv.land)
 	vn.conns[cl] = struct{}{}
 	vn.stats.dials++
 	vn.mu.Unlock()
@@ -405,6 +395,7 @@ func (vn *VirtualNet) dropConn(c *vconn) {
 
 // chunkVerdict is the fault plane's decision on one written chunk.
 type chunkVerdict struct {
+	stalled    bool // an endpoint is stalled: swallow the chunk
 	drop       bool
 	corruptBit int64 // < 0: none; else bit index into the chunk
 	delay      time.Duration
@@ -414,9 +405,16 @@ type chunkVerdict struct {
 // and corruption, all counter-hashed from (seed, link, chunk sequence)
 // exactly like MemNetwork's per-call draws, so a run whose per-link chunk
 // sequence is deterministic replays its delivery schedule and fault pattern
-// from the seed.
+// from the seed. A stalled server's chunk is swallowed before any draw: it
+// consumes no chunkSeq, so stalling a server does not perturb the verdict
+// stream of other links.
 func (vn *VirtualNet) verdict(link vlinkKey, size int) chunkVerdict {
 	vn.mu.Lock()
+	if vn.stalled[link.server] {
+		vn.stats.stalled++
+		vn.mu.Unlock()
+		return chunkVerdict{stalled: true}
+	}
 	vn.chunkSeq[link]++
 	seq := vn.chunkSeq[link]
 	minLat, maxLat := vn.minLat, vn.maxLat
@@ -554,18 +552,23 @@ type vAddr string
 func (a vAddr) Network() string { return "virtual" }
 func (a vAddr) String() string  { return string(a) }
 
-// vchunk is one scheduled unit of stream data (or a FIN).
+// vchunk is one scheduled unit of stream data (or a FIN), with its place in
+// the clock's fire order.
 type vchunk struct {
-	seq  uint64
+	mark vtime.Mark
 	data []byte
 	fin  bool
 }
 
 // vconn is one endpoint of a virtual byte-stream pair. It implements
-// net.Conn. Writes never block — they copy the chunk, consult the fault
-// plane, and schedule delivery on the clock. The TCP stack reads through a
-// sink (setSink); Read blocks until delivery releases bytes (parked under a
-// SimClock).
+// net.Conn. Writes never block — they consult the fault plane, copy the
+// chunk, and queue it at the peer under a vtime.Mark taken where the write
+// happens. Marks of one direction are monotone, so the queue is in fire
+// order, and the receiving end keeps one alarm armed at its head: the
+// alarm's callback (land) releases the head chunk and re-arms at the next,
+// so a chunk costs no timer of its own and lands exactly where a timer made
+// for it would have fired. The TCP stack reads through a sink (setSink);
+// Read blocks until delivery releases bytes (parked under a SimClock).
 //
 // Both endpoints of a pair share one stream mutex (pmu): writes touch the
 // peer's pending queue and resets touch both ends, so a single lock keeps
@@ -578,20 +581,19 @@ type vconn struct {
 
 	pmu *sync.Mutex // shared stream mutex, guards everything below on BOTH ends
 
-	pending []vchunk // written by peer, not yet released by the clock
-	readBuf []byte   // released, readable
-	eof     bool     // peer's FIN released
-	closed  bool     // local Close
-	rstErr  error    // fault-plane reset
+	pending fifo[vchunk] // written by peer, not yet released by the clock
+	alarm   *vtime.Alarm // armed at pending's head while it is not empty
+	readBuf []byte       // released, readable
+	eof     bool         // peer's FIN released
+	closed  bool         // local Close
+	rstErr  error        // fault-plane reset
 	waiting bool
 	readCh  chan struct{}
 
 	sink    func(p []byte, err error) bool // see setSink; nil again once it is done
 	pumping bool                           // a goroutine is delivering to sink
 
-	// writer-side scheduling state.
-	sendSeq     uint64
-	nextDeliver time.Time
+	last vtime.Mark // writer side: the mark of the last chunk sent
 }
 
 var _ net.Conn = (*vconn)(nil)
@@ -644,7 +646,7 @@ func (c *vconn) wakeLocked() {
 }
 
 // setSink makes fn the reader in place of Read: released bytes at once,
-// then each chunk where it lands (arrive), in order, in Write's copy; the
+// then each chunk where it lands (land), in order, in Write's copy; the
 // terminal error (reset, net.ErrClosed, io.EOF after the data) exactly once;
 // nothing after it or after fn returns false. fn never runs under pmu nor
 // reentrantly (one deliverer at a time, pumping). A Close or reset outside a
@@ -694,30 +696,27 @@ func (c *vconn) pumpLocked() {
 }
 
 // Write implements net.Conn: consult the fault plane, copy the chunk, and
-// schedule its delivery at the peer. Delivery deadlines are monotone per
-// direction, so the stream never reorders internally even when jitter
-// varies across chunks.
+// send it to the peer. Delivery deadlines are monotone per direction, so the
+// stream never reorders internally even when jitter varies across chunks.
+// The stream mutex is held throughout, so a write takes it, the network's
+// lock and the clock's once each.
 func (c *vconn) Write(p []byte) (int, error) {
 	c.pmu.Lock()
 	if err := c.writeErrLocked(); err != nil {
 		c.pmu.Unlock()
 		return 0, err
 	}
-	c.pmu.Unlock()
-
-	// A stalled endpoint swallows the chunk before the fault plane sees it:
-	// the write reports success, no chunkSeq is consumed (so stalling a
-	// server does not perturb the deterministic verdict stream of other
-	// links), and nothing arrives at the peer.
-	if c.net.stallVerdict(c.server) {
-		return len(p), nil
-	}
-
 	v := c.net.verdict(vlinkKey{client: c.client, server: c.server, toServer: c.toServer}, len(p))
-	if v.drop {
+	switch {
+	case v.stalled:
+		// The write reports success and nothing arrives at the peer.
+		c.pmu.Unlock()
+		return len(p), nil
+	case v.drop:
 		// A gap in a byte stream is unrecoverable for the framing behind
 		// it: surface the loss as a connection reset, the stream-transport
 		// analogue of ErrDropped.
+		c.pmu.Unlock()
 		c.reset(errVConnReset)
 		return 0, errVConnReset
 	}
@@ -726,7 +725,8 @@ func (c *vconn) Write(p []byte) (int, error) {
 	if v.corruptBit >= 0 {
 		data[v.corruptBit/8] ^= 1 << (v.corruptBit % 8)
 	}
-	c.scheduleChunk(vchunk{data: data}, v.delay)
+	c.sendLocked(vchunk{data: data}, v.delay)
+	c.pmu.Unlock()
 	return len(p), nil
 }
 
@@ -740,37 +740,28 @@ func (c *vconn) writeErrLocked() error {
 	return nil
 }
 
-// scheduleChunk enqueues ch at the peer and arms its delivery timer.
-func (c *vconn) scheduleChunk(ch vchunk, delay time.Duration) {
-	now := c.net.clock.Now()
-	c.pmu.Lock()
-	if c.rstErr != nil { // reset raced the fault draw; nothing to deliver
-		c.pmu.Unlock()
-		return
-	}
-	c.sendSeq++
-	ch.seq = c.sendSeq
-	deliverAt := now.Add(delay)
-	if deliverAt.Before(c.nextDeliver) {
-		deliverAt = c.nextDeliver
-	}
-	c.nextDeliver = deliverAt
-	seq := ch.seq
+// sendLocked queues ch at the peer, due delay from now but not before the
+// chunk ahead of it, under a mark taken here, where a timer per chunk would
+// have been made; a chunk that finds the queue empty arms the peer's alarm.
+// pmu must be held.
+func (c *vconn) sendLocked(ch vchunk, delay time.Duration) {
+	ch.mark = c.net.clock.Mark(delay).NotBefore(c.last)
+	c.last = ch.mark
 	peer := c.peer
-	peer.pending = append(peer.pending, ch)
-	c.pmu.Unlock()
-	c.net.clock.AfterFunc(deliverAt.Sub(now), func() { peer.arrive(seq) })
+	peer.pending.push(ch)
+	if peer.pending.len() == 1 {
+		peer.alarm.ArmAt(ch.mark)
+	}
 }
 
-// arrive releases every pending chunk up to seq to the reader. Release by
-// sequence prefix keeps the stream ordered even if the underlying timers
-// fire out of order (wall clocks give no ordering guarantee for equal
-// deadlines).
-func (c *vconn) arrive(seq uint64) {
+// land is the delivery alarm's callback: it releases the head chunk to the
+// reader, re-arms at the next chunk's mark and hands the reader what it is
+// owed. The queue is empty only after a reset whose Stop came too late for a
+// wall-clock fire.
+func (c *vconn) land() {
 	c.pmu.Lock()
-	for len(c.pending) > 0 && c.pending[0].seq <= seq {
-		ch := c.pending[0]
-		c.pending = c.pending[1:]
+	if c.pending.len() > 0 {
+		ch := c.pending.pop()
 		switch {
 		case ch.fin:
 			c.eof = true
@@ -778,6 +769,9 @@ func (c *vconn) arrive(seq uint64) {
 			c.readBuf = ch.data // Write's copy: the chunk is the buffer
 		default:
 			c.readBuf = append(c.readBuf, ch.data...)
+		}
+		if c.pending.len() > 0 {
+			c.alarm.ArmAt(c.pending.front().mark)
 		}
 	}
 	c.pumpLocked()
@@ -794,7 +788,6 @@ func (c *vconn) Close() error {
 	}
 	c.closed = true
 	c.wakeLocked()
-	c.pmu.Unlock()
 	// The FIN rides the normal delivery schedule (minimum latency for its
 	// link, no fault draws: losing a FIN could only stall the peer's read
 	// loop forever, which no real stack allows — timeouts reap it).
@@ -802,7 +795,8 @@ func (c *vconn) Close() error {
 	vn.mu.Lock()
 	minLat := vn.minLat
 	vn.mu.Unlock()
-	c.scheduleChunk(vchunk{fin: true}, minLat)
+	c.sendLocked(vchunk{fin: true}, minLat)
+	c.pmu.Unlock()
 	c.net.dropConn(c)
 	return nil
 }
@@ -818,7 +812,8 @@ func (c *vconn) reset(err error) {
 	for _, e := range [2]*vconn{c, c.peer} {
 		if e.rstErr == nil {
 			e.rstErr = err
-			e.pending = nil
+			e.pending = fifo[vchunk]{}
+			e.alarm.Stop()
 			e.readBuf = nil
 			e.wakeLocked()
 		}
@@ -852,3 +847,32 @@ func (c *vconn) SetReadDeadline(time.Time) error { return nil }
 
 // SetWriteDeadline implements net.Conn.
 func (c *vconn) SetWriteDeadline(time.Time) error { return nil }
+
+// fifo is a queue whose storage is reused: pop advances a head index, and a
+// push into a full slice first slides what is left to the front.
+type fifo[T any] struct {
+	buf  []T
+	head int
+}
+
+func (q *fifo[T]) len() int { return len(q.buf) - q.head }
+func (q *fifo[T]) front() T { return q.buf[q.head] }
+
+func (q *fifo[T]) push(v T) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		n := copy(q.buf, q.buf[q.head:])
+		clear(q.buf[n:])
+		q.buf, q.head = q.buf[:n], 0
+	}
+	q.buf = append(q.buf, v)
+}
+
+func (q *fifo[T]) pop() T {
+	v := q.buf[q.head]
+	var zero T
+	q.buf[q.head] = zero
+	if q.head++; q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
+	return v
+}

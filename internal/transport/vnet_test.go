@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -48,37 +49,50 @@ func vpair(t *testing.T, vn *VirtualNet, id quorum.ServerID) (client, server net
 
 // TestVirtualConnSplitFrames writes one logical frame in several chunks and
 // reads it back through partial reads: the stream must reassemble exactly,
-// in order, regardless of chunk boundaries.
+// in order, regardless of chunk boundaries — and, on the wall clock, when
+// each chunk draws its own delay, so a later chunk may ask to land before an
+// earlier one.
 func TestVirtualConnSplitFrames(t *testing.T) {
-	vn := NewVirtualNet(nil, 1)
-	cl, sv := vpair(t, vn, 7)
-	defer cl.Close()
-	defer sv.Close()
+	for _, row := range []struct {
+		name   string
+		jitter time.Duration
+	}{
+		{"no delay", 0},
+		{"per-chunk jitter", 3 * time.Millisecond},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			vn := NewVirtualNet(nil, 1)
+			vn.SetJitter(row.jitter)
+			cl, sv := vpair(t, vn, 7)
+			defer cl.Close()
+			defer sv.Close()
 
-	payload := []byte("length-prefixed frame split across many writes")
-	go func() {
-		for i := 0; i < len(payload); i += 5 {
-			end := i + 5
-			if end > len(payload) {
-				end = len(payload)
+			payload := []byte("length-prefixed frame split across many writes")
+			go func() {
+				for i := 0; i < len(payload); i += 5 {
+					end := i + 5
+					if end > len(payload) {
+						end = len(payload)
+					}
+					if _, err := cl.Write(payload[i:end]); err != nil {
+						t.Errorf("write: %v", err)
+						return
+					}
+				}
+			}()
+			got := make([]byte, 0, len(payload))
+			buf := make([]byte, 3) // deliberately tiny reads
+			for len(got) < len(payload) {
+				n, err := sv.Read(buf)
+				if err != nil {
+					t.Fatalf("read after %d bytes: %v", len(got), err)
+				}
+				got = append(got, buf[:n]...)
 			}
-			if _, err := cl.Write(payload[i:end]); err != nil {
-				t.Errorf("write: %v", err)
-				return
+			if !bytes.Equal(got, payload) {
+				t.Fatalf("stream reassembled wrong:\n got %q\nwant %q", got, payload)
 			}
-		}
-	}()
-	got := make([]byte, 0, len(payload))
-	buf := make([]byte, 3) // deliberately tiny reads
-	for len(got) < len(payload) {
-		n, err := sv.Read(buf)
-		if err != nil {
-			t.Fatalf("read after %d bytes: %v", len(got), err)
-		}
-		got = append(got, buf[:n]...)
-	}
-	if !bytes.Equal(got, payload) {
-		t.Fatalf("stream reassembled wrong:\n got %q\nwant %q", got, payload)
+		})
 	}
 }
 
@@ -371,6 +385,117 @@ func TestVirtualTCPCallTimeout(t *testing.T) {
 	})
 	if elapsed != 50*time.Millisecond {
 		t.Fatalf("timeout fired after %v, want exactly the 50ms call timeout", elapsed)
+	}
+}
+
+// TestCallDeadlinesFireInSendOrder: three calls on one connection, sent
+// 10 ms apart with a 50 ms call timeout, to a server that answers only the
+// calls a row names. The oldest unanswered call times out at its own send +
+// 50 ms, however many replies came before it, and tears the connection down:
+// the calls behind it end then, with ErrClosed. Under a SimClock every
+// instant is exact; under the wall clock a call never ends before its due
+// time, and each ends the way the row says.
+func TestCallDeadlinesFireInSendOrder(t *testing.T) {
+	const gap, timeout = 10 * time.Millisecond, 50 * time.Millisecond
+	rows := []struct {
+		name   string
+		answer [3]bool
+		want   [3]string     // how each call ends: reply, timeout or closed
+		at     time.Duration // when the timeout fires, from the first send
+	}{
+		{"none answered", [3]bool{}, [3]string{"timeout", "closed", "closed"}, 50 * time.Millisecond},
+		{"middle answered", [3]bool{false, true, false}, [3]string{"timeout", "reply", "closed"}, 50 * time.Millisecond},
+		{"first answered", [3]bool{true, false, false}, [3]string{"reply", "timeout", "closed"}, 60 * time.Millisecond},
+		{"first two answered", [3]bool{true, true, false}, [3]string{"reply", "reply", "timeout"}, 70 * time.Millisecond},
+	}
+	kind := func(err error) string {
+		switch {
+		case err == nil:
+			return "reply"
+		case errors.Is(err, errCallTimeout):
+			return "timeout"
+		case errors.Is(err, ErrClosed):
+			return "closed"
+		}
+		return err.Error()
+	}
+	// run makes the row's three calls on clk (nil: the wall clock) and
+	// returns when each was sent and when it ended, and how.
+	run := func(t *testing.T, clk vtime.Clock, answer [3]bool) (sent, ended [3]time.Time, how [3]string) {
+		now := vtime.Or(clk).Now
+		vn := NewVirtualNet(clk, 1)
+		l, err := vn.Listen(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := ServeListener(l, HandlerFunc(func(ctx context.Context, req any) (any, error) {
+			if req.(wire.ReadRequest).Key == "hang" {
+				vtime.Or(clk).SleepCtx(ctx, time.Hour)
+				return nil, ctx.Err()
+			}
+			return wire.ReadReply{Found: true}, nil
+		}), TCPOptions{Clock: clk})
+		client := NewTCPClientOpts(map[quorum.ServerID]string{0: l.Addr().String()}, TCPClientOptions{
+			Clock: clk, Dial: vn.Dialer(ClientSource), CallTimeout: timeout,
+		})
+		ctx := context.Background()
+		if _, err := client.Call(ctx, 0, wire.ReadRequest{Key: "reply"}); err != nil {
+			t.Fatalf("establishing the connection: %v", err)
+		}
+		done := vtime.NewWaitGroup(clk)
+		for i := range answer {
+			if i > 0 {
+				vtime.Or(clk).Sleep(gap)
+			}
+			key := "hang"
+			if answer[i] {
+				key = "reply"
+			}
+			done.Add(1)
+			sent[i] = now()
+			if !client.Start(ctx, 0, wire.ReadRequest{Key: key}, func(_ any, err error) {
+				ended[i], how[i] = now(), kind(err)
+				done.Done()
+			}) {
+				t.Fatalf("call %d declined on an established connection", i)
+			}
+		}
+		done.Wait()
+		client.Close()
+		srv.Close()
+		return sent, ended, how
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			t.Run("SimClock", func(t *testing.T) {
+				sc := vtime.NewSimClock()
+				var sent, ended [3]time.Time
+				var how [3]string
+				sc.Run(func() { sent, ended, how = run(t, sc, row.answer) })
+				for i := range how {
+					want := sent[0].Add(row.at)
+					if row.want[i] == "reply" {
+						want = sent[i]
+					}
+					if how[i] != row.want[i] || !ended[i].Equal(want) {
+						t.Errorf("call %d (sent at +%v) ended by %s at +%v, want by %s at +%v",
+							i, sent[i].Sub(sent[0]), how[i], ended[i].Sub(sent[0]), row.want[i], want.Sub(sent[0]))
+					}
+				}
+			})
+			t.Run("wall clock", func(t *testing.T) {
+				sent, ended, how := run(t, nil, row.answer)
+				due := sent[slices.Index(row.want[:], "timeout")].Add(timeout)
+				for i := range how {
+					if how[i] != row.want[i] {
+						t.Errorf("call %d ended by %s, want by %s", i, how[i], row.want[i])
+					}
+					if row.want[i] != "reply" && ended[i].Before(due) {
+						t.Errorf("call %d ended %v before the timeout was due", i, due.Sub(ended[i]))
+					}
+				}
+			})
+		})
 	}
 }
 

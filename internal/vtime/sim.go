@@ -23,7 +23,7 @@ type SimClock struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	now     time.Time
+	now     int64  // virtual nanoseconds since simEpoch
 	seq     uint64 // timer creation sequence; the deadline tie-break
 	timers  timerHeap
 	workers int // registered worker goroutines
@@ -37,7 +37,7 @@ type SimClock struct {
 // NewSimClock returns a virtual clock at the simulation epoch. It is inert
 // until Run is called.
 func NewSimClock() *SimClock {
-	c := &SimClock{now: simEpoch}
+	c := &SimClock{}
 	c.cond = sync.NewCond(&c.mu)
 	c.unpark = func() {
 		c.mu.Lock()
@@ -142,7 +142,7 @@ func (c *SimClock) NoteRecv() {
 func (c *SimClock) Elapsed() time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.now.Sub(simEpoch)
+	return time.Duration(c.now)
 }
 
 // schedule is the event loop Run drives on the caller's goroutine: wait
@@ -164,9 +164,7 @@ func (c *SimClock) schedule() {
 			panic(msg)
 		}
 		t := heap.Pop(&c.timers).(*simTimer)
-		if t.when.After(c.now) {
-			c.now = t.when
-		}
+		c.now = max(c.now, t.at.at)
 		if t.fn != nil {
 			c.mu.Unlock()
 			t.fn()
@@ -178,7 +176,7 @@ func (c *SimClock) schedule() {
 		// fires, and a timer fires at most once per arming), so the send
 		// cannot block. Exactly one of c and wake is non-nil.
 		select {
-		case t.c <- c.now:
+		case t.c <- c.timeLocked():
 			c.pending++
 		case t.wake <- struct{}{}:
 			c.pending++
@@ -192,14 +190,17 @@ func (c *SimClock) schedule() {
 func (c *SimClock) Now() time.Time {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.now
+	return c.timeLocked()
 }
+
+// timeLocked is now as a time.Time. c.mu must be held.
+func (c *SimClock) timeLocked() time.Time { return simEpoch.Add(time.Duration(c.now)) }
 
 // Since implements Clock.
 func (c *SimClock) Since(t time.Time) time.Duration {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.now.Sub(t)
+	return c.timeLocked().Sub(t)
 }
 
 // Sleep implements Clock: it blocks the calling worker until virtual time
@@ -262,6 +263,20 @@ func (c *SimClock) AfterFunc(d time.Duration, fn func()) *Timer {
 	return &Timer{sim: c.arm(&simTimer{clk: c, fn: fn}, d)}
 }
 
+// Mark implements Clock: the instant d from now and the next creation
+// sequence number, the place scheduleLocked would give a timer armed here.
+func (c *SimClock) Mark(d time.Duration) Mark {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.markLocked(d)
+}
+
+// markLocked draws the next mark. c.mu must be held.
+func (c *SimClock) markLocked(d time.Duration) Mark {
+	c.seq++
+	return Mark{at: c.now + int64(max(d, 0)), seq: c.seq}
+}
+
 // arm schedules st for d from now and returns it.
 func (c *SimClock) arm(st *simTimer, d time.Duration) *simTimer {
 	c.mu.Lock()
@@ -272,12 +287,12 @@ func (c *SimClock) arm(st *simTimer, d time.Duration) *simTimer {
 
 // scheduleLocked arms st for d from now. c.mu must be held.
 func (c *SimClock) scheduleLocked(st *simTimer, d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	st.when = c.now.Add(d)
-	c.seq++
-	st.seq = c.seq
+	c.pushLocked(st, c.markLocked(d))
+}
+
+// pushLocked arms st at m. c.mu must be held.
+func (c *SimClock) pushLocked(st *simTimer, m Mark) {
+	st.at = m
 	heap.Push(&c.timers, st)
 	c.wakeLocked()
 }
@@ -285,14 +300,13 @@ func (c *SimClock) scheduleLocked(st *simTimer, d time.Duration) {
 // simTimer is a SimClock timer: a NewTimer's channel timer (c != nil), a
 // bare wait of the clock's own (wake != nil: no time value, so the channel
 // is one allocation, where a chan time.Time is two), or an AfterFunc timer
-// (fn != nil).
+// or Alarm (fn != nil).
 type simTimer struct {
 	clk  *SimClock
 	c    chan time.Time
 	wake chan struct{}
 	fn   func()
-	when time.Time
-	seq  uint64
+	at   Mark
 	idx  int // heap index; -1 when not scheduled
 }
 
@@ -342,10 +356,8 @@ type timerHeap []*simTimer
 
 func (h timerHeap) Len() int { return len(h) }
 func (h timerHeap) Less(i, j int) bool {
-	if !h[i].when.Equal(h[j].when) {
-		return h[i].when.Before(h[j].when)
-	}
-	return h[i].seq < h[j].seq
+	a, b := h[i].at, h[j].at
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 func (h timerHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]

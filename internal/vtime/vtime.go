@@ -24,7 +24,11 @@
 //
 //  1. Timers fire in nondecreasing virtual-time order. Two timers with the
 //     same deadline fire in the order they were created (sequence-number
-//     tie-break). Creation order — and therefore the fire order of
+//     tie-break). A Mark reserves that place when it is taken, not when an
+//     Alarm is armed at it: the sequence number is drawn by Clock.Mark, so
+//     an owner that queues its events and keeps one Alarm on the oldest
+//     fires each where an AfterFunc made at the mark's program point would
+//     have fired. Creation order — and therefore the fire order of
 //     equal-deadline timers — is deterministic when the creations are
 //     ordered by the program itself: issued by a single worker, or
 //     separated by a quiescence point. Equal-deadline timers created by
@@ -96,6 +100,7 @@
 package vtime
 
 import (
+	"container/heap"
 	"context"
 	"time"
 )
@@ -120,6 +125,9 @@ type Clock interface {
 	// at quiescence, so it must not block or park; it may Go, send tracked
 	// messages and arm timers (see the package doc's rule 3).
 	AfterFunc(d time.Duration, fn func()) *Timer
+	// Mark reserves the place in the fire order a timer armed for d from
+	// now would take, for an Alarm to be armed at later (see rule 1).
+	Mark(d time.Duration) Mark
 }
 
 // Timer is the clock-agnostic timer handle. Exactly one of the backing
@@ -149,4 +157,72 @@ func (t *Timer) Reset(d time.Duration) bool {
 		return t.wall.Reset(d)
 	}
 	return t.sim.reset(d)
+}
+
+// Mark is a reserved place in a clock's fire order: an instant, in
+// nanoseconds on the clock's own scale, and under a SimClock the creation
+// sequence number that breaks ties at it. Marks of one clock compare as
+// (instant, sequence); a Mark means nothing to another clock.
+type Mark struct {
+	at  int64
+	seq uint64
+}
+
+// NotBefore returns m moved to o's instant if it is earlier, keeping m's
+// sequence number: a stream's next event never lands before its last.
+func (m Mark) NotBefore(o Mark) Mark {
+	if m.at < o.at {
+		m.at = o.at
+	}
+	return m
+}
+
+// Alarm is a callback timer its owner makes once and re-arms at Marks, so an
+// owner with a queue of events pays one timer for all of them. Under a
+// SimClock the callback runs on the scheduler (rule 3). ArmAt and Stop must
+// be serialized by the owner; under the WallClock a fire may still run after
+// Stop, so the callback must check what it is owed.
+type Alarm struct {
+	sim  simTimer    // under a SimClock: its heap entry, owned
+	wall *time.Timer // under the WallClock
+}
+
+// NewAlarm returns an idle alarm on clk that runs fn when it goes off.
+func NewAlarm(clk Clock, fn func()) *Alarm {
+	if sc, ok := clk.(*SimClock); ok {
+		return &Alarm{sim: simTimer{clk: sc, fn: fn, idx: -1}}
+	}
+	t := time.AfterFunc(time.Hour, fn)
+	t.Stop()
+	return &Alarm{wall: t}
+}
+
+// ArmAt arms the alarm to go off at m, in m's place in the fire order,
+// replacing any arming not yet fired. A mark already past goes off at once.
+func (a *Alarm) ArmAt(m Mark) {
+	if a.wall != nil {
+		a.wall.Reset(time.Duration(m.at) - time.Since(wallBase))
+		return
+	}
+	c := a.sim.clk
+	c.mu.Lock()
+	if a.sim.idx >= 0 {
+		heap.Remove(&c.timers, a.sim.idx)
+	}
+	c.pushLocked(&a.sim, m)
+	c.mu.Unlock()
+}
+
+// Stop disarms the alarm; an idle alarm is left as it is.
+func (a *Alarm) Stop() {
+	if a.wall != nil {
+		a.wall.Stop()
+		return
+	}
+	c := a.sim.clk
+	c.mu.Lock()
+	if a.sim.idx >= 0 {
+		heap.Remove(&c.timers, a.sim.idx)
+	}
+	c.mu.Unlock()
 }

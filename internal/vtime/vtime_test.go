@@ -451,3 +451,223 @@ func TestSimWaitAllocs(t *testing.T) {
 		t.Errorf("Sleep allocates %v objects, want <= 2", sleep)
 	}
 }
+
+// fireScript is what TestMarkKeepsTheFireOrder plays: events on two
+// streams (FIFO, each due no earlier than the one before it), on one
+// deadline queue (a fixed delay, so due in creation order, and cancellable)
+// and plain timers.
+type fireScript interface {
+	stream(i int, label string, d time.Duration)
+	deadline(label string)
+	cancel(label string)
+	plain(label string, d time.Duration)
+	stopIdle() // Stop an alarm that was never armed
+}
+
+// scriptDeadline is the deadline queue's fixed delay.
+const scriptDeadline = 4 * time.Millisecond
+
+// playFireScript is the script: at 5 ms both streams, the deadline queue and
+// two plain timers tie, a cancelled deadline at the head of its queue leaves
+// a no-op fire behind, a cancelled one in the middle is pruned when it comes
+// up, a stream event asked for before its predecessor's instant lands at it,
+// and the first event to fire adds three more at its own instant.
+func playFireScript(clk *SimClock, s fireScript) {
+	ms := time.Millisecond
+	s.stream(0, "a", 5*ms)
+	s.plain("x", 5*ms)
+	s.stopIdle()
+	s.stream(1, "b", 5*ms)
+	s.stream(0, "c", 3*ms) // lands at a's 5 ms, after it
+	s.stream(0, "e", 8*ms)
+	clk.Sleep(ms)
+	s.deadline("d1")
+	s.plain("y", 4*ms)
+	s.deadline("d2")
+	clk.Sleep(ms)
+	s.cancel("d1") // the head: pruned, and its fire is a no-op
+	s.deadline("d3")
+	s.deadline("d4")
+	s.plain("z", 6*ms)
+	clk.Sleep(ms)
+	s.cancel("d3") // behind the live d2: pruned once d2 has fired
+	clk.Sleep(time.Second)
+}
+
+// then is what an event does when it fires, besides being logged.
+func then(s fireScript, label string) {
+	if label == "a" {
+		s.stream(1, "a1", 0)
+		s.plain("a2", 0)
+		s.deadline("a3")
+	}
+}
+
+// timerScript plays the script with a timer per event.
+type timerScript struct {
+	clk    *SimClock
+	log    []string
+	last   [2]time.Duration
+	timers map[string]*Timer
+}
+
+func (s *timerScript) fire(label string) func() {
+	return func() {
+		s.log = append(s.log, fmt.Sprintf("%s@%v", label, s.clk.Elapsed()))
+		then(s, label)
+	}
+}
+
+func (s *timerScript) stream(i int, label string, d time.Duration) {
+	now := s.clk.Elapsed()
+	s.last[i] = max(now+d, s.last[i])
+	s.clk.AfterFunc(s.last[i]-now, s.fire(label))
+}
+func (s *timerScript) deadline(label string) {
+	s.timers[label] = s.clk.AfterFunc(scriptDeadline, s.fire(label))
+}
+func (s *timerScript) cancel(label string)                 { s.timers[label].Stop() }
+func (s *timerScript) plain(label string, d time.Duration) { s.clk.AfterFunc(d, s.fire(label)) }
+func (s *timerScript) stopIdle()                           {}
+
+// markEntry is a queued event and its reserved place.
+type markEntry struct {
+	label string
+	m     Mark
+}
+
+// markScript plays the script with marks: one alarm per stream and one for
+// the deadline queue, each armed at its oldest entry.
+type markScript struct {
+	t       *testing.T
+	clk     *SimClock
+	log     []string
+	streams [2]struct {
+		q     []markEntry
+		last  Mark
+		alarm *Alarm
+	}
+	dq      []markEntry
+	settled map[string]bool
+	armed   Mark
+	set     bool
+	dalarm  *Alarm
+	noops   int
+}
+
+func newMarkScript(t *testing.T, clk *SimClock) *markScript {
+	s := &markScript{t: t, clk: clk, settled: map[string]bool{}}
+	for i := range s.streams {
+		st := &s.streams[i]
+		st.alarm = NewAlarm(clk, func() {
+			e := st.q[0]
+			st.q = st.q[1:]
+			if len(st.q) > 0 {
+				st.alarm.ArmAt(st.q[0].m)
+			}
+			s.fire(e.label)
+		})
+	}
+	s.dalarm = NewAlarm(clk, s.expire)
+	return s
+}
+
+func (s *markScript) fire(label string) {
+	s.log = append(s.log, fmt.Sprintf("%s@%v", label, s.clk.Elapsed()))
+	then(s, label)
+}
+
+func (s *markScript) stream(i int, label string, d time.Duration) {
+	st := &s.streams[i]
+	st.last = s.clk.Mark(d).NotBefore(st.last)
+	st.q = append(st.q, markEntry{label, st.last})
+	if len(st.q) == 1 {
+		st.alarm.ArmAt(st.last)
+	}
+}
+
+func (s *markScript) deadline(label string) {
+	m := s.clk.Mark(scriptDeadline)
+	s.dq = append(s.dq, markEntry{label, m})
+	if !s.set {
+		s.set, s.armed = true, m
+		s.dalarm.ArmAt(m)
+	}
+}
+
+func (s *markScript) cancel(label string) {
+	s.settled[label] = true
+	s.prune()
+}
+
+func (s *markScript) prune() {
+	for len(s.dq) > 0 && s.settled[s.dq[0].label] {
+		s.dq = s.dq[1:]
+	}
+}
+
+// expire is the deadline alarm's callback: the oldest live entry fires if
+// the alarm was armed at its mark; otherwise the alarm moves there.
+func (s *markScript) expire() {
+	s.prune()
+	if len(s.dq) == 0 {
+		s.set = false
+		s.noops++
+		return
+	}
+	e := s.dq[0]
+	if e.m != s.armed {
+		s.noops++
+		s.armed = e.m
+		s.dalarm.ArmAt(e.m)
+		return
+	}
+	s.dq = s.dq[1:]
+	s.prune()
+	if s.set = len(s.dq) > 0; s.set {
+		s.armed = s.dq[0].m
+		s.dalarm.ArmAt(s.armed)
+	}
+	s.fire(e.label)
+}
+
+func (s *markScript) plain(label string, d time.Duration) {
+	s.clk.AfterFunc(d, func() { s.fire(label) })
+}
+
+func (s *markScript) stopIdle() {
+	s.clk.mu.Lock()
+	before := len(s.clk.timers)
+	s.clk.mu.Unlock()
+	NewAlarm(s.clk, func() { s.t.Error("a never-armed alarm went off") }).Stop()
+	s.clk.mu.Lock()
+	after := len(s.clk.timers)
+	s.clk.mu.Unlock()
+	if after != before {
+		s.t.Errorf("Stop on a never-armed alarm changed the heap from %d timers to %d", before, after)
+	}
+}
+
+// TestMarkKeepsTheFireOrder: one script, played with a timer per event and
+// with marks and alarms (one per queue, re-armed from inside its callback,
+// left to go off once for an entry pruned from the head), logs the same
+// events at the same instants in the same order.
+func TestMarkKeepsTheFireOrder(t *testing.T) {
+	ref := NewSimClock()
+	byTimer := &timerScript{clk: ref, timers: map[string]*Timer{}}
+	ref.Run(func() { playFireScript(ref, byTimer) })
+
+	clk := NewSimClock()
+	byMark := newMarkScript(t, clk)
+	clk.Run(func() { playFireScript(clk, byMark) })
+
+	if got, want := fmt.Sprint(byMark.log), fmt.Sprint(byTimer.log); got != want {
+		t.Errorf("marks fired\n %s\ntimers fired\n %s", got, want)
+	}
+	if len(byTimer.log) != 12 {
+		t.Errorf("the script fired %d events, want 12: %v", len(byTimer.log), byTimer.log)
+	}
+	if byMark.noops == 0 {
+		t.Error("the deadline alarm never went off for a pruned entry")
+	}
+}

@@ -17,6 +17,10 @@ var wall = &WallClock{}
 // Wall returns the process-wide wall clock.
 func Wall() *WallClock { return wall }
 
+// wallBase is the origin of the wall clock's marks: a Mark's instant is its
+// monotonic distance from here, so a wall-clock step cannot move an Alarm.
+var wallBase = time.Now()
+
 // Or returns c, or the wall clock when c is nil — the idiom option structs
 // use to make the wall clock their zero-value default.
 func Or(c Clock) Clock {
@@ -46,6 +50,10 @@ func (*WallClock) AfterFunc(d time.Duration, fn func()) *Timer {
 	t := time.AfterFunc(d, fn)
 	return &Timer{wall: t}
 }
+
+// Mark implements Clock. Wall timers carry no sequence number: equal
+// instants fire in whatever order the runtime picks.
+func (*WallClock) Mark(d time.Duration) Mark { return Mark{at: int64(time.Since(wallBase) + d)} }
 
 // timerPool recycles SleepCtx timers: allocating a time.Timer (plus its
 // runtime timer) per simulated-latency call dominated MemNetwork profiles,
