@@ -23,10 +23,11 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The determinism lint wall (internal/lint): wallclock, rawgo, globalrand,
-# lockspan, epsblind plus the bundled vet-lite passes, with mandatory-reason
-# //pqslint:allow suppressions. Must exit 0 on the whole tree; see the
-# "Static analysis & determinism invariants" section of README.md.
+# The determinism lint wall (internal/lint): six analyzers (wallclock, rawgo,
+# globalrand, lockspan, epsblind, deadexport) plus the bundled vet-lite
+# passes, with mandatory-reason //pqslint:allow suppressions. Must exit 0 on
+# the whole tree; see the "Static analysis & determinism invariants" section
+# of README.md.
 lint:
 	$(GO) run ./cmd/pqs-lint ./...
 

@@ -10,8 +10,9 @@
 //   - globalrand: no process-global or wall-clock-seeded randomness in
 //     deterministic packages — randomness must be seed-derived so a run is
 //     a function of its seed.
-//   - lockspan: no blocking operations (channel handoffs, clock sleeps,
-//     transport calls) while a sync mutex is held.
+//   - lockspan: no blocking operations (channel handoffs, vtime.Chan
+//     sends and receives, clock sleeps, transport calls) while a sync
+//     mutex is held.
 //   - epsblind: the hedge-delay and spare-promotion paths of
 //     internal/register must not branch on server identities, mechanizing
 //     the ε-preservation argument (hedging conditioned only on time and

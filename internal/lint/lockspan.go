@@ -8,7 +8,8 @@ import (
 
 // Lockspan flags blocking operations performed while a sync.Mutex or
 // sync.RWMutex is held: channel sends and receives, selects without a
-// default, clock sleeps, sync.WaitGroup/Cond waits, and transport calls.
+// default, clock sleeps, sync.WaitGroup/Cond waits, tracked channel
+// (vtime.Chan) sends and receives, and transport calls.
 // Blocking under a lock serializes the data plane at best; under a
 // SimClock it is worse — a worker parked on a channel while holding a lock
 // that another worker needs stalls quiescence in ways that depend on
@@ -19,7 +20,7 @@ import (
 var Lockspan = &Analyzer{
 	Name: "lockspan",
 	Doc: "flag blocking operations (channel send/recv, blocking select, clock sleeps, " +
-		"WaitGroup waits, transport calls) while a sync.Mutex/RWMutex is held",
+		"WaitGroup waits, vtime.Chan send/recv, transport calls) while a sync.Mutex/RWMutex is held",
 	Run: runLockspan,
 }
 
@@ -253,7 +254,8 @@ func namedOf(t types.Type) *types.Named {
 }
 
 // blockingCall classifies calls that can block indefinitely: wall or
-// virtual clock sleeps, WaitGroup/Cond waits, and transport RPCs.
+// virtual clock sleeps, WaitGroup/Cond waits, tracked channel (vtime.Chan)
+// sends and receives, and transport RPCs.
 func blockingCall(info *types.Info, call *ast.CallExpr) string {
 	fn := funcOf(info, call.Fun)
 	if fn == nil || fn.Pkg() == nil {
@@ -274,6 +276,8 @@ func blockingCall(info *types.Info, call *ast.CallExpr) string {
 		return "sync " + exprString(call.Fun)
 	case pathHasSuffix(path, "internal/vtime") && (name == "Sleep" || name == "SleepCtx" || name == "Wait"):
 		return "clock " + name
+	case pathHasSuffix(path, "internal/vtime") && (name == "Send" || name == "Recv" || name == "RecvCtx"):
+		return "tracked channel " + name
 	case (pathHasSuffix(path, "internal/transport") || pathHasSuffix(path, "internal/diffusion")) &&
 		(name == "Call" || name == "Gossip"):
 		sig, _ := fn.Type().(*types.Signature)

@@ -3,8 +3,11 @@
 package fixture
 
 import (
+	"context"
 	"sync"
 	"time"
+
+	"fixture.example/internal/vtime"
 )
 
 var mu sync.Mutex
@@ -40,6 +43,16 @@ func waitUnderLock(wg *sync.WaitGroup) {
 	mu.Lock()
 	defer mu.Unlock()
 	wg.Wait() // want "sync wg.Wait while mu is held"
+}
+
+// trackedUnderLock hands off through a tracked channel: its Send and
+// receives block as a bare channel's do.
+func trackedUnderLock(ctx context.Context, ch vtime.Chan[int]) {
+	mu.Lock()
+	defer mu.Unlock()
+	ch.Send(1)      // want "tracked channel Send while mu is held"
+	_ = ch.Recv()   // want "tracked channel Recv while mu is held"
+	ch.RecvCtx(ctx) // want "tracked channel RecvCtx while mu is held"
 }
 
 // condWait is the one Wait that REQUIRES the lock: sync.Cond releases it

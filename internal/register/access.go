@@ -16,7 +16,8 @@ import (
 // as the caller's completion rule is decidable, leaving stragglers to a
 // background drain that can never leak goroutines (every call in flight
 // completes exactly once, and the reply channel is buffered for every call
-// that can ever be dispatched, so a completion never blocks).
+// that can ever be dispatched and one hedge fire, so a completion never
+// blocks).
 //
 // How a call runs is for the layers below to say, per call, and dispatch
 // asks them in order; the rule is the same under both clocks and is not an
@@ -35,39 +36,50 @@ import (
 //
 // Promotion preserves the attempt-level ε argument documented on
 // RetryingClient and quorum.SpareSampler: a spare is dispatched only when a
-// member has observably failed or when a hedge timer — independent of server
+// member has observably failed or when a hedge alarm — independent of server
 // identity — fires, so the access set that completes is the strategy's
 // sample conditioned on liveness, the same conditioning a full re-sample
 // performs, at a fraction of the latency.
 //
-// All timers and spawns go through the client's vtime.Clock. Under a
+// All timers and spawns go through the client's vtime.Clock. Replies and
+// the hedge alarm's fires arrive on one vtime.Chan, so under a
 // vtime.SimClock every completion is a tracked message, a worker is a
-// registered scheduler worker, and the gather loop parks around its select,
+// registered scheduler worker, and the gather loop parks in its receive,
 // so hedge firing is part of the deterministic virtual-time order; a
 // started call's timed events take their places in that order on the
 // gather, in dispatch order.
 
-// callReply carries one server's response through the gather loop. lat is
-// the call's round-trip latency, measured only when adaptive hedging needs
-// it.
+// callReply carries one server's response through the gather loop, or the
+// hedge alarm's fire (hedge set, nothing else). lat is the call's round-trip
+// latency, measured only when adaptive hedging needs it.
 type callReply struct {
-	id   quorum.ServerID
-	resp any
-	err  error
-	lat  time.Duration
+	id    quorum.ServerID
+	resp  any
+	err   error
+	lat   time.Duration
+	hedge bool
 }
 
 // replyQueue is where one gather's replies arrive. A reply produced on the
 // caller — a call TryCall completed, or a member failed at dispatch — is
 // appended to local (storage borrowed from the operation's scratch) and
 // consumed from there by the same goroutine; ch carries the replies of
-// started and handed-off calls and is made when the first such call is
-// dispatched, so an operation that waits on nothing makes no channel.
+// started and handed-off calls and the hedge's fires, and is made when the
+// first of them is armed or dispatched, so an operation that waits on
+// nothing makes no channel.
 type replyQueue struct {
 	local []callReply
 	next  int // local[next:] is unconsumed
-	ch    chan callReply
-	total int // every call this gather can ever dispatch: ch's buffer
+	ch    vtime.Chan[callReply]
+	total int // every call this gather can ever dispatch, plus one hedge fire: ch's buffer
+}
+
+// channel returns ch, making it on first use.
+func (q *replyQueue) channel(s vtime.Sched) vtime.Chan[callReply] {
+	if q.ch == (vtime.Chan[callReply]{}) {
+		q.ch = vtime.NewChan[callReply](s, q.total)
+	}
+	return q.ch
 }
 
 // pop takes the next locally queued reply, if there is one.
@@ -112,17 +124,13 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 			return
 		}
 	}
-	if q.ch == nil {
-		q.ch = make(chan callReply, q.total)
-	}
-	ch := q.ch
+	ch := q.channel(c.sched)
 	done := func(resp any, err error) {
 		r := callReply{id: id, resp: resp, err: err}
 		if timed {
 			r.lat = c.clock.Since(start)
 		}
-		c.sched.NoteSend()
-		ch <- r
+		ch.Send(r)
 	}
 	if c.start != nil && c.start.Start(ctx, id, req, done) {
 		return
@@ -159,12 +167,12 @@ type gatherOutcome struct {
 }
 
 // gather runs the access engine: req to every member of spec.quorum, then
-// to spares as members fail or the hedge timer fires. It returns when the
+// to spares as members fail or the hedge alarm fires. It returns when the
 // completion rule is decidable, when every dispatched call has resolved, or
 // when ctx is done.
 func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gatherOutcome) {
 	q := &out.replies
-	q.total = len(spec.quorum) + len(spec.spares)
+	q.total = len(spec.quorum) + len(spec.spares) + 1
 	q.local = spec.scratch.local[:0]
 	defer func() {
 		// The queue's storage goes back to the scratch (grown, perhaps)
@@ -195,13 +203,17 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 	// it is the estimator's current quantile, a function of pooled latency
 	// history from past operations only — never of this operation's access
 	// set — so hedge firing stays independent of server identity.
+	// Its alarm is re-armed only once its fire has been taken, so at most
+	// one fire is ever outstanding and ch's extra slot holds it: the
+	// callback never blocks. One that races Stop under the wall clock is
+	// left to the drain, which skips it.
 	hedgeDelay := c.hedgeDelay()
-	var hedge *vtime.Timer
-	var hedgeC <-chan time.Time
+	var hedge *vtime.Alarm
 	if hedgeDelay > 0 && len(spec.spares) > 0 {
-		hedge = c.clock.NewTimer(hedgeDelay)
+		ch := q.channel(c.sched)
+		hedge = vtime.NewAlarm(c.clock, func() { ch.Send(callReply{hedge: true}) })
+		hedge.ArmAt(c.clock.Mark(hedgeDelay))
 		defer hedge.Stop()
-		hedgeC = hedge.C
 	}
 	// handle consumes one reply; a true return means the completion rule
 	// decided and the gather is done.
@@ -238,37 +250,25 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 		// Replies produced on the caller first, including those of spares a
 		// promote() just ran: they are already here. Once local is empty
 		// every outstanding call was started or handed off, so q.ch exists.
-		if r, ok := q.pop(); ok {
-			if handle(r) {
+		r, ok := q.pop()
+		if !ok {
+			var err error
+			if r, err = q.ch.RecvCtx(ctx); err != nil {
+				out.leftover = outstanding
+				out.ctxErr = err
 				return out
 			}
-			continue
 		}
-		unpark := c.sched.Park()
-		select {
-		case r := <-q.ch:
-			unpark()
-			c.sched.NoteRecv()
-			if handle(r) {
-				return out
+		if r.hedge {
+			if promote() { // once spares run out, hedging stops
+				hedge.ArmAt(c.clock.Mark(hedgeDelay))
 			}
-		case <-hedgeC:
-			unpark()
-			c.sched.NoteRecv()
-			if promote() {
-				hedge.Reset(hedgeDelay)
-			} else {
-				hedgeC = nil // spares exhausted; stop hedging
-			}
-		case <-ctx.Done():
-			unpark()
-			out.leftover = outstanding
-			out.ctxErr = ctx.Err()
+		} else if handle(r) {
 			return out
 		}
 	}
 	// Everything resolved, nothing decided. Calls run on the caller never
-	// reach the select above, so a dead context shows here or nowhere: an
+	// reach the receive above, so a dead context shows here or nowhere: an
 	// operation that got no replies reports it, not the failures it caused.
 	out.ctxErr = ctx.Err()
 	return out
@@ -280,7 +280,8 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 // calls run on the operation's context: a caller that cancels it after the
 // operation returns also aborts the stragglers (normal cancellation
 // semantics), in which case there is nothing to drain but errors — only
-// successful late replies count toward AccessStats.LateReplies.
+// successful late replies count toward AccessStats.LateReplies. A hedge
+// fire among them (one that raced the gather's Stop) is taken and skipped.
 //
 // Late replies deliberately do NOT feed the adaptive-hedge latency
 // estimator: the estimator measures the population of replies that
@@ -303,11 +304,8 @@ func (c *cell) drain(out gatherOutcome, onLate func(callReply)) {
 		defer c.drainWG.Done()
 		for i := 0; i < leftover; i++ {
 			r, ok := replies.pop()
-			if !ok {
-				unpark := c.sched.Park()
-				r = <-replies.ch
-				unpark()
-				c.sched.NoteRecv()
+			for !ok || r.hedge { // a stray hedge fire is not a reply
+				r, ok = replies.ch.Recv(), true
 			}
 			if r.err == nil {
 				c.statLate.Add(1)
@@ -406,7 +404,7 @@ type AccessStats struct {
 	// ServerDownFastFails counts access-set members failed at dispatch
 	// because the transport's circuit breaker reported them down
 	// (transport.ErrServerDown): each such member's slot fails at t=0,
-	// promoting a spare immediately instead of waiting out the hedge timer.
+	// promoting a spare immediately instead of waiting out the hedge delay.
 	ServerDownFastFails uint64
 	// SigChecks and SigReused count the verdicts of dissemination reads on
 	// signatures of the right length under a registered writer: SigChecks

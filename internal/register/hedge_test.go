@@ -3,6 +3,7 @@ package register
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -404,5 +405,44 @@ func TestSpareRequiresSampler(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("Spares accepted for a system without SpareSampler")
+	}
+}
+
+// TestDrainSkipsAStrayHedgeFire: under the wall clock a hedge alarm's fire
+// can race the gather's Stop and land among the leftover replies. The drain
+// takes it without counting it as a reply: it consumes exactly the
+// leftovers (one queued on the caller, three on the channel), counts only
+// the successful ones as late, and finishes.
+func TestDrainSkipsAStrayHedgeFire(t *testing.T) {
+	c := newCluster(t, 5)
+	cl, err := newCell(Options{
+		System:    uniformSystem(t, 5, 3),
+		Mode:      Benign,
+		Transport: c.net,
+		Rand:      rand.New(rand.NewSource(1)),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := gatherOutcome{leftover: 4}
+	out.replies.total = 6
+	out.replies.local = []callReply{{id: 0}}
+	ch := out.replies.channel(cl.sched)
+	for _, r := range []callReply{{id: 1}, {hedge: true}, {id: 2, err: errors.New("down")}, {id: 3}, {id: 4}} {
+		ch.Send(r)
+	}
+	var seen []quorum.ServerID
+	cl.drain(out, func(r callReply) { seen = append(seen, r.id) })
+	cl.WaitDrained()
+	if got := fmt.Sprint(seen); got != "[0 1 2 3]" {
+		t.Errorf("drain saw %s, want [0 1 2 3]", got)
+	}
+	if got := cl.Stats().LateReplies; got != 3 {
+		t.Errorf("LateReplies = %d, want 3 (the failed reply and the hedge fire do not count)", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if r, err := ch.RecvCtx(ctx); err != nil || r.id != 4 {
+		t.Errorf("after the drain the channel gave %+v, %v; want the reply from 4, not a leftover's", r, err)
 	}
 }

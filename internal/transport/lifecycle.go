@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"pqs/internal/quorum"
+	"pqs/internal/vtime"
 	"pqs/internal/wire"
 )
 
@@ -146,7 +147,7 @@ type serverState struct {
 	// Singleflight: at most one dial per server is in flight; racing
 	// callers park on a waiter channel and share its outcome.
 	dialing bool
-	waiters []chan dialResult
+	waiters []vtime.Chan[dialResult]
 
 	// Backoff: consecutive dial failures widen a window during which
 	// callers fail fast with the last dial error instead of re-dialing.
@@ -209,20 +210,17 @@ func (s *serverState) acquire(mayDial bool) (*tcpConn, error) {
 		return conn, nil
 	}
 	if s.dialing {
-		// Singleflight: join the in-flight dial. The dialer counts us
-		// under s.mu, so its NoteSend/send pair cannot miss us, and it
+		// Singleflight: join the in-flight dial. The dialer takes the
+		// waiters under s.mu, so its send cannot miss us, and it
 		// leases the new connection once on our behalf before publishing,
 		// so it counts as busy from the start — the connection arrives
 		// already leased; leasing again here would leak a lease per waiter
 		// and pin the connection busy forever.
-		ch := make(chan dialResult, 1)
+		ch := vtime.NewChan[dialResult](s.c.sched, 1)
 		s.waiters = append(s.waiters, ch)
 		s.mu.Unlock()
 		s.c.stats.dialsCoalesced.Add(1)
-		unpark := s.c.sched.Park()
-		r := <-ch
-		unpark()
-		s.c.sched.NoteRecv()
+		r := ch.Recv()
 		if r.err != nil {
 			return nil, r.err
 		}
@@ -314,8 +312,7 @@ func (s *serverState) dial(now time.Time) (*tcpConn, error) {
 		werr = fmt.Errorf("server %d: %w", s.id, werr)
 	}
 	for _, ch := range waiters {
-		c.sched.NoteSend()
-		ch <- dialResult{conn: conn, err: werr}
+		ch.Send(dialResult{conn: conn, err: werr})
 	}
 	if err != nil {
 		s.recordFailure()

@@ -101,14 +101,11 @@ func TestLifecycleDialCoalescing(t *testing.T) {
 	sc.Run(func() {
 		vn := NewVirtualNet(sc, 13)
 		sched := vtime.SchedOf(sc)
-		gate := make(chan struct{})
+		gate := vtime.NewChan[struct{}](sched, 1)
 		wrap := func(inner func(quorum.ServerID, string) (net.Conn, error)) func(quorum.ServerID, string) (net.Conn, error) {
 			return func(to quorum.ServerID, addr string) (net.Conn, error) {
 				dials.Add(1)
-				unpark := sched.Park()
-				<-gate
-				unpark()
-				sched.NoteRecv()
+				gate.Recv()
 				return inner(to, addr)
 			}
 		}
@@ -137,8 +134,7 @@ func TestLifecycleDialCoalescing(t *testing.T) {
 		if got := client.Stats().DialsCoalesced; got != 7 {
 			t.Errorf("before gate open: %d coalesced, want 7", got)
 		}
-		sched.NoteSend()
-		gate <- struct{}{}
+		gate.Send(struct{}{})
 		wg.Wait()
 
 		// Regression: the dialer leases once per waiter before the hand-off

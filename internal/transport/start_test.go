@@ -116,18 +116,14 @@ func TestMemNetworkStartContract(t *testing.T) {
 							resp any
 							err  error
 						}
-						ch := make(chan result, 2)
+						ch := vtime.NewChan[result](vtime.SchedOf(sc), 1)
 						done := func(resp any, err error) {
 							if atomic.AddInt64(&runs, 1) == 1 {
-								sc.NoteSend()
-								ch <- result{resp, err}
+								ch.Send(result{resp, err})
 							}
 						}
 						if taken = n.Start(ctx, dest, req, done); taken {
-							unpark := sc.Park()
-							r := <-ch
-							unpark()
-							sc.NoteRecv()
+							r := ch.Recv()
 							o.resp, o.err = r.resp, errString(r.err)
 						}
 					}

@@ -151,15 +151,9 @@ func (c *TCPClient) wait(ctx context.Context, st *serverState, conn *tcpConn, re
 		resp any
 		err  error
 	}
-	ch := make(chan result, 1)
-	c.send(ctx, st, conn, req, func(resp any, err error) {
-		c.sched.NoteSend()
-		ch <- result{resp, err}
-	})
-	unpark := c.sched.Park()
-	r := <-ch
-	unpark()
-	c.sched.NoteRecv()
+	ch := vtime.NewChan[result](c.sched, 1)
+	c.send(ctx, st, conn, req, func(resp any, err error) { ch.Send(result{resp, err}) })
+	r := ch.Recv()
 	return r.resp, r.err
 }
 

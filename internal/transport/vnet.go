@@ -334,7 +334,7 @@ func (vn *VirtualNet) Listen(id quorum.ServerID) (*VListener, error) {
 	if _, ok := vn.listeners[id]; ok {
 		return nil, fmt.Errorf("transport: virtual address %d already bound", id)
 	}
-	l := &VListener{net: vn, id: id, ch: make(chan struct{}, 1)}
+	l := &VListener{net: vn, id: id, ch: vtime.NewChan[struct{}](vn.sched, 1)}
 	vn.listeners[id] = l
 	return l, nil
 }
@@ -365,8 +365,8 @@ func (vn *VirtualNet) dial(from, to quorum.ServerID) (net.Conn, error) {
 		return nil, ErrUnknownServer
 	}
 	pmu := new(sync.Mutex)
-	cl := &vconn{net: vn, client: from, server: to, toServer: true, pmu: pmu, readCh: make(chan struct{}, 1)}
-	sv := &vconn{net: vn, client: from, server: to, toServer: false, pmu: pmu, readCh: make(chan struct{}, 1)}
+	cl := &vconn{net: vn, client: from, server: to, toServer: true, pmu: pmu, readCh: vtime.NewChan[struct{}](vn.sched, 1)}
+	sv := &vconn{net: vn, client: from, server: to, toServer: false, pmu: pmu, readCh: vtime.NewChan[struct{}](vn.sched, 1)}
 	cl.peer, sv.peer = sv, cl
 	cl.alarm, sv.alarm = vtime.NewAlarm(vn.clock, cl.land), vtime.NewAlarm(vn.clock, sv.land)
 	vn.conns[cl] = struct{}{}
@@ -466,7 +466,7 @@ type VListener struct {
 	mu      sync.Mutex
 	queue   []*vconn
 	waiting bool
-	ch      chan struct{}
+	ch      vtime.Chan[struct{}]
 	closed  bool
 }
 
@@ -490,8 +490,7 @@ func (l *VListener) enqueue(c *vconn) bool {
 func (l *VListener) wakeLocked() {
 	if l.waiting {
 		l.waiting = false
-		l.net.sched.NoteSend()
-		l.ch <- struct{}{}
+		l.ch.Send(struct{}{})
 	}
 }
 
@@ -511,10 +510,7 @@ func (l *VListener) Accept() (net.Conn, error) {
 		}
 		l.waiting = true
 		l.mu.Unlock()
-		unpark := l.net.sched.Park()
-		<-l.ch
-		unpark()
-		l.net.sched.NoteRecv()
+		l.ch.Recv()
 	}
 }
 
@@ -588,7 +584,7 @@ type vconn struct {
 	closed  bool         // local Close
 	rstErr  error        // fault-plane reset
 	waiting bool
-	readCh  chan struct{}
+	readCh  vtime.Chan[struct{}]
 
 	sink    func(p []byte, err error) bool // see setSink; nil again once it is done
 	pumping bool                           // a goroutine is delivering to sink
@@ -622,10 +618,7 @@ func (c *vconn) Read(p []byte) (int, error) {
 		}
 		c.waiting = true
 		c.pmu.Unlock()
-		unpark := c.net.sched.Park()
-		<-c.readCh
-		unpark()
-		c.net.sched.NoteRecv()
+		c.readCh.Recv()
 	}
 }
 
@@ -634,8 +627,7 @@ func (c *vconn) Read(p []byte) (int, error) {
 func (c *vconn) wakeLocked() {
 	if c.waiting {
 		c.waiting = false
-		c.net.sched.NoteSend()
-		c.readCh <- struct{}{}
+		c.readCh.Send(struct{}{})
 	}
 	if c.sink != nil && !c.pumping {
 		c.net.sched.Go(func() {

@@ -317,22 +317,16 @@ func TestVirtualTCPServerCloseWithCallInFlight(t *testing.T) {
 		// Close the server immediately after issuing a call; wherever its
 		// frames are (request in flight, reply written or not), teardown
 		// must converge and the call must resolve with an error or a reply.
-		done := make(chan struct{})
+		done := vtime.NewChan[struct{}](vtime.SchedOf(sc), 1)
 		sc.Go(func() {
-			defer func() {
-				sc.NoteSend()
-				close(done)
-			}()
+			defer done.Send(struct{}{})
 			_, err := client.Call(ctx, 0, wire.ReadRequest{Key: "racing"})
 			if err != nil && !IsTransient(err) {
 				t.Errorf("racing call failed non-transiently: %v", err)
 			}
 		})
 		servers[0].Close()
-		unpark := sc.Park()
-		<-done
-		unpark()
-		sc.NoteRecv()
+		done.Recv()
 		client.Close()
 	})
 	deadline := time.Now().Add(2 * time.Second)

@@ -1,27 +1,17 @@
 package vtime
 
-// Sched exposes the SimClock worker primitives (Go, Park, NoteSend,
-// NoteRecv) behind a value that is safe to use under any Clock: built from
-// a WallClock it is inert — Go is a plain go statement, Park a no-op, the
-// note methods free — so code threaded through it behaves identically in
-// production. Built from a SimClock it enrolls every spawn in the
-// scheduler's worker registry and every channel handoff in the tracked-
-// message accounting, which is what lets a subsystem full of long-lived
-// goroutines (the TCP data plane: accept loops, read loops, one goroutine
-// per request that may park) join the virtual-time determinism contract.
-//
-// The discipline for a tracked handoff over a channel ch:
-//
-//	sender:                         receiver:
-//	  s.NoteSend()                    unpark := s.Park()
-//	  ch <- v                         v := <-ch
-//	                                  unpark()
-//	                                  s.NoteRecv()
-//
-// A close(ch) that wakes a parked receiver must be preceded by one
-// NoteSend per receiver that will observe it, because the receiver's
-// NoteRecv is unconditional. See the SimClock package doc for why: the
-// scheduler must never advance virtual time while a wake-up is in flight.
+import "context"
+
+// Sched exposes the SimClock worker primitives behind a value that is safe
+// to use under any Clock: built from a WallClock it is inert — Go is a plain
+// go statement and a Chan is a bare buffered channel — so code threaded
+// through it behaves identically in production. Built from a SimClock it
+// enrolls every spawn in the scheduler's worker registry and every Chan
+// message in the tracked-message accounting, which is what lets a subsystem
+// full of long-lived goroutines (the TCP data plane: accept loops, read
+// loops, one goroutine per request that may park) join the virtual-time
+// determinism contract: the scheduler must never advance virtual time while
+// a wake-up is in flight (see the SimClock package doc).
 type Sched struct {
 	sim *SimClock
 }
@@ -43,28 +33,62 @@ func (s Sched) Go(fn func()) {
 	go fn()
 }
 
-// noopUnpark keeps Park allocation-free in wall mode.
-func noopUnpark() {}
-
-// Park marks the calling worker blocked on a tracked handoff; call the
-// returned function the moment the blocking operation returns.
-func (s Sched) Park() func() {
-	if s.sim == nil {
-		return noopUnpark
-	}
-	return s.sim.Park()
+// Chan is a buffered channel whose messages hold virtual time: under a
+// SimClock a message sent and not yet received counts as pending, and a
+// receiver waiting for one is parked, so the scheduler cannot advance past
+// a wake-up in flight. Under the WallClock it is the bare channel. A Chan
+// is a small value; copies share the channel. Every message sent must be
+// received (a Recv or a RecvCtx that returns it), or virtual time stops.
+type Chan[T any] struct {
+	sim *SimClock
+	ch  chan T
 }
 
-// NoteSend records that a tracked message is about to be sent.
-func (s Sched) NoteSend() {
-	if s.sim != nil {
-		s.sim.NoteSend()
-	}
+// NewChan returns a Chan of capacity n under s's discipline.
+func NewChan[T any](s Sched, n int) Chan[T] {
+	return Chan[T]{sim: s.sim, ch: make(chan T, n)}
 }
 
-// NoteRecv records consumption of a tracked message (after unparking).
-func (s Sched) NoteRecv() {
-	if s.sim != nil {
-		s.sim.NoteRecv()
+// Send queues v, blocking while the buffer is full. It may be called from
+// a worker or from a callback on the scheduler, whose sends must never
+// block (rule 3): size the buffer for every message.
+func (c Chan[T]) Send(v T) {
+	if c.sim != nil {
+		c.sim.noteSend()
+	}
+	c.ch <- v
+}
+
+// Recv parks the calling worker until a message is there, and takes it.
+func (c Chan[T]) Recv() T {
+	if c.sim == nil {
+		return <-c.ch
+	}
+	c.sim.park()
+	v := <-c.ch
+	c.sim.unparkRecv()
+	return v
+}
+
+// RecvCtx is Recv, abandoned when ctx is done: it then returns ctx.Err()
+// and takes nothing, so a message sent later is left for the next receive.
+// A cancellation is outside the determinism contract unless it originates
+// inside the simulated world (as SleepCtx's).
+func (c Chan[T]) RecvCtx(ctx context.Context) (T, error) {
+	if c.sim != nil {
+		c.sim.park()
+	}
+	select {
+	case v := <-c.ch:
+		if c.sim != nil {
+			c.sim.unparkRecv()
+		}
+		return v, nil
+	case <-ctx.Done():
+		if c.sim != nil {
+			c.sim.unpark()
+		}
+		var zero T
+		return zero, ctx.Err()
 	}
 }

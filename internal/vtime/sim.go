@@ -30,8 +30,6 @@ type SimClock struct {
 	parked  int // workers blocked in a clock wait
 	pending int // tracked messages sent but not yet consumed
 	running bool
-
-	unpark func() // what Park returns: one closure, made by NewSimClock
 }
 
 // NewSimClock returns a virtual clock at the simulation epoch. It is inert
@@ -39,11 +37,6 @@ type SimClock struct {
 func NewSimClock() *SimClock {
 	c := &SimClock{}
 	c.cond = sync.NewCond(&c.mu)
-	c.unpark = func() {
-		c.mu.Lock()
-		c.parked--
-		c.mu.Unlock()
-	}
 	return c
 }
 
@@ -92,7 +85,7 @@ func (c *SimClock) workerDone() {
 // every worker parked and no tracked message in flight — currently holds.
 // The scheduler re-checks the full condition on every wake anyway, so
 // skipping a broadcast while some worker is still runnable is safe (that
-// worker's own Park or exit performs the next guarded wake); what the guard
+// worker's own park or exit performs the next guarded wake); what the guard
 // buys is not waking the sleeping scheduler thread on every tracked
 // message receipt, which at population scale (tens of replies per
 // operation, hundreds of thousands of operations) is millions of futex
@@ -103,11 +96,10 @@ func (c *SimClock) wakeLocked() {
 	}
 }
 
-// Park marks the calling worker as blocked on an event outside the clock
-// (a tracked channel receive, a WaitGroup). It returns the unpark function
-// the worker must call as soon as the blocking operation returns, before
-// consuming what woke it (NoteRecv comes after unpark).
-func (c *SimClock) Park() func() {
+// park marks the calling worker as blocked on a tracked wake-up (a Chan
+// receive, a clock wait); unpark, or unparkRecv when the wake-up is taken,
+// undoes it the moment the blocking operation returns.
+func (c *SimClock) park() {
 	c.mu.Lock()
 	if !c.running {
 		c.mu.Unlock()
@@ -116,24 +108,30 @@ func (c *SimClock) Park() func() {
 	c.parked++
 	c.wakeLocked()
 	c.mu.Unlock()
-	return c.unpark
 }
 
-// NoteSend records that a tracked message is about to be sent: the system
-// cannot be quiescent until a NoteRecv consumes it. Call immediately
-// before the channel send.
-func (c *SimClock) NoteSend() {
+// unpark marks a parked worker running again.
+func (c *SimClock) unpark() {
 	c.mu.Lock()
-	c.pending++
+	c.parked--
 	c.mu.Unlock()
 }
 
-// NoteRecv records consumption of a tracked message. Call after the
-// receive (and after unparking).
-func (c *SimClock) NoteRecv() {
+// unparkRecv is unpark plus the consumption of the tracked message that
+// woke the worker.
+func (c *SimClock) unparkRecv() {
 	c.mu.Lock()
+	c.parked--
 	c.pending--
 	c.wakeLocked()
+	c.mu.Unlock()
+}
+
+// noteSend records that a tracked message is about to be sent: the system
+// cannot be quiescent until a receive consumes it.
+func (c *SimClock) noteSend() {
+	c.mu.Lock()
+	c.pending++
 	c.mu.Unlock()
 }
 
@@ -147,8 +145,9 @@ func (c *SimClock) Elapsed() time.Duration {
 
 // schedule is the event loop Run drives on the caller's goroutine: wait
 // for quiescence, fire the earliest timer, repeat; return when every
-// worker has finished. An AfterFunc callback runs here, with c.mu released:
-// every worker is parked, so nothing else runs until the callback wakes it.
+// worker has finished. A callback (AfterFunc, Alarm) runs here, with c.mu
+// released: every worker is parked, so nothing else runs until the callback
+// wakes it.
 func (c *SimClock) schedule() {
 	c.mu.Lock()
 	for c.workers > 0 {
@@ -171,17 +170,10 @@ func (c *SimClock) schedule() {
 			c.mu.Lock()
 			continue
 		}
-		// Channel timer: the fire is a tracked message. The channel has
-		// capacity 1 and is empty here (Stop/Reset discard undelivered
-		// fires, and a timer fires at most once per arming), so the send
-		// cannot block. Exactly one of c and wake is non-nil.
-		select {
-		case t.c <- c.timeLocked():
-			c.pending++
-		case t.wake <- struct{}{}:
-			c.pending++
-		default:
-		}
+		// A clock wait: the fire is a tracked message on a channel of
+		// capacity 1 that is armed once, so the send cannot block.
+		t.wake.ch <- struct{}{}
+		c.pending++
 	}
 	c.mu.Unlock()
 }
@@ -220,11 +212,12 @@ func (c *SimClock) Settle() { c.waitTimer(0) }
 
 // waitTimer parks the calling worker until a timer of d fires.
 func (c *SimClock) waitTimer(d time.Duration) {
-	t := c.arm(&simTimer{clk: c, wake: make(chan struct{}, 1)}, d)
-	unpark := c.Park()
-	<-t.wake
-	unpark()
-	c.NoteRecv()
+	c.arm(c.newWait(), d).wake.Recv()
+}
+
+// newWait returns an unarmed wait of the clock's own.
+func (c *SimClock) newWait() *simTimer {
+	return &simTimer{clk: c, wake: NewChan[struct{}](Sched{c}, 1)}
 }
 
 // SleepCtx implements Clock: Sleep, abandoned early if ctx is done. The
@@ -234,37 +227,30 @@ func (c *SimClock) SleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
 	}
-	t := c.arm(&simTimer{clk: c, wake: make(chan struct{}, 1)}, d)
-	unpark := c.Park()
-	select {
-	case <-t.wake:
-		unpark()
-		c.NoteRecv()
-		// A cancellation that raced the timer fire still reports as a
-		// cancellation, so the caller's outcome does not depend on which
-		// wake-up won.
-		return ctx.Err()
-	case <-ctx.Done():
-		unpark()
-		t.stop()
-		return ctx.Err()
+	t := c.arm(c.newWait(), d)
+	if _, err := t.wake.RecvCtx(ctx); err != nil {
+		c.mu.Lock()
+		armed := t.removeLocked()
+		c.mu.Unlock()
+		if !armed {
+			t.wake.Recv() // it fired: the scheduler sent the wake-up as it popped it
+		}
+		return err
 	}
-}
-
-// NewTimer implements Clock.
-func (c *SimClock) NewTimer(d time.Duration) *Timer {
-	st := c.arm(&simTimer{clk: c, c: make(chan time.Time, 1)}, d)
-	return &Timer{C: st.c, sim: st}
+	// A cancellation that raced the timer fire still reports as a
+	// cancellation, so the caller's outcome does not depend on which
+	// wake-up won.
+	return ctx.Err()
 }
 
 // AfterFunc implements Clock: fn runs on the scheduler when the timer
 // fires (see the package doc's rule 3).
-func (c *SimClock) AfterFunc(d time.Duration, fn func()) *Timer {
-	return &Timer{sim: c.arm(&simTimer{clk: c, fn: fn}, d)}
+func (c *SimClock) AfterFunc(d time.Duration, fn func()) {
+	c.arm(&simTimer{clk: c, fn: fn}, d)
 }
 
 // Mark implements Clock: the instant d from now and the next creation
-// sequence number, the place scheduleLocked would give a timer armed here.
+// sequence number, the place arm would give a timer armed here.
 func (c *SimClock) Mark(d time.Duration) Mark {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -280,14 +266,9 @@ func (c *SimClock) markLocked(d time.Duration) Mark {
 // arm schedules st for d from now and returns it.
 func (c *SimClock) arm(st *simTimer, d time.Duration) *simTimer {
 	c.mu.Lock()
-	c.scheduleLocked(st, d)
+	c.pushLocked(st, c.markLocked(d))
 	c.mu.Unlock()
 	return st
-}
-
-// scheduleLocked arms st for d from now. c.mu must be held.
-func (c *SimClock) scheduleLocked(st *simTimer, d time.Duration) {
-	c.pushLocked(st, c.markLocked(d))
 }
 
 // pushLocked arms st at m. c.mu must be held.
@@ -297,58 +278,24 @@ func (c *SimClock) pushLocked(st *simTimer, m Mark) {
 	c.wakeLocked()
 }
 
-// simTimer is a SimClock timer: a NewTimer's channel timer (c != nil), a
-// bare wait of the clock's own (wake != nil: no time value, so the channel
-// is one allocation, where a chan time.Time is two), or an AfterFunc timer
-// or Alarm (fn != nil).
+// simTimer is a SimClock timer: a wait of the clock's own, whose fire is a
+// tracked message on wake, or a callback (fn != nil: AfterFunc, Alarm).
 type simTimer struct {
 	clk  *SimClock
-	c    chan time.Time
-	wake chan struct{}
+	wake Chan[struct{}]
 	fn   func()
 	at   Mark
 	idx  int // heap index; -1 when not scheduled
 }
 
-// stop implements Timer.Stop: cancel if pending, and discard an
-// undelivered fire (Go 1.23 semantics).
-func (t *simTimer) stop() bool {
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	if t.idx >= 0 {
-		heap.Remove(&t.clk.timers, t.idx)
-		return true
-	}
-	t.drainLocked()
-	return false
-}
-
-// reset implements Timer.Reset: re-arm for d from now, discarding any
-// undelivered fire first.
-func (t *simTimer) reset(d time.Duration) bool {
-	t.clk.mu.Lock()
-	defer t.clk.mu.Unlock()
-	active := t.idx >= 0
-	if active {
-		heap.Remove(&t.clk.timers, t.idx)
-	} else {
-		t.drainLocked()
-	}
-	t.clk.scheduleLocked(t, d)
-	return active
-}
-
-// drainLocked discards an undelivered fire, balancing its pending count.
+// removeLocked takes t off the heap, reporting whether it was armed.
 // clk.mu must be held.
-func (t *simTimer) drainLocked() {
-	select {
-	case <-t.c:
-	case <-t.wake:
-	default:
-		return
+func (t *simTimer) removeLocked() bool {
+	if t.idx < 0 {
+		return false
 	}
-	t.clk.pending--
-	t.clk.wakeLocked()
+	heap.Remove(&t.clk.timers, t.idx)
+	return true
 }
 
 // timerHeap orders timers by (deadline, creation sequence).
@@ -392,7 +339,7 @@ type WaitGroup struct {
 
 	mu      sync.Mutex // sim mode
 	n       int
-	waiters []chan struct{}
+	waiters []Chan[struct{}]
 }
 
 // NewWaitGroup returns a WaitGroup bound to c's scheduling discipline.
@@ -427,8 +374,7 @@ func (w *WaitGroup) Done() { w.Add(-1) }
 // held.
 func (w *WaitGroup) releaseLocked() {
 	for _, ch := range w.waiters {
-		w.sim.NoteSend()
-		ch <- struct{}{}
+		ch.Send(struct{}{})
 	}
 	w.waiters = nil
 }
@@ -444,12 +390,8 @@ func (w *WaitGroup) Wait() {
 		w.mu.Unlock()
 		return
 	}
-	ch := make(chan struct{}, 1)
+	ch := NewChan[struct{}](Sched{w.sim}, 1)
 	w.waiters = append(w.waiters, ch)
 	w.mu.Unlock()
-
-	unpark := w.sim.Park()
-	<-ch
-	unpark()
-	w.sim.NoteRecv()
+	ch.Recv()
 }

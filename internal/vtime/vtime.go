@@ -42,20 +42,21 @@
 //     same-instant reordering never changes a recorded history, which is
 //     what the determinism regressions assert.
 //  2. Virtual time advances only at quiescence: every registered worker
-//     goroutine is parked (blocked in a clock sleep, a tracked channel
-//     receive, or a vtime.WaitGroup wait) and every tracked message has
-//     been consumed (see NoteSend/NoteRecv). The scheduler then pops the
-//     earliest timer, advances now to its deadline instantly, and fires it
-//     — exactly one event at a time, each fully processed (the system
-//     re-quiesces) before the next fires.
-//  3. A fired timer either delivers on its channel (counting as a tracked
-//     message until received) or runs its AfterFunc callback on the
-//     scheduler's own goroutine, at the quiescent point it fires at: no
-//     worker is spawned or counted for it. So the callback must not block
-//     or park (no Sleep, no Park, no WaitGroup wait, no lock a parked
-//     worker could hold); it may spawn workers with Go, send tracked
-//     messages and arm timers, and the scheduler waits for whatever it
-//     woke to park again before it fires the next timer.
+//     goroutine is parked (blocked in a clock sleep, a Chan receive, or a
+//     vtime.WaitGroup wait) and every message sent on a Chan has been
+//     received. The scheduler then pops the earliest timer, advances now
+//     to its deadline instantly, and fires it — exactly one event at a
+//     time, each fully processed (the system re-quiesces) before the next
+//     fires.
+//  3. A fired timer either wakes a clock wait (Sleep, SleepCtx, Settle),
+//     its wake-up counting as a tracked message until taken, or runs its
+//     callback (AfterFunc, Alarm) on the scheduler's own goroutine, at the
+//     quiescent point it fires at: no worker is spawned or counted for it.
+//     So the callback must not block or park (no Sleep, no Chan receive or
+//     full-buffer send, no WaitGroup wait, no lock a parked worker could
+//     hold); it may spawn workers with Go, Send on a Chan with room and
+//     arm timers, and the scheduler waits for whatever it woke to park
+//     again before it fires the next timer.
 //
 // Together 1-3 make every recorded outcome under a SimClock a
 // deterministic function of the program's inputs: with seeded randomness,
@@ -70,21 +71,18 @@
 //   - Enter the simulation through Run (or spawn with Go); plain go
 //     statements are invisible to the scheduler and will deadlock or race
 //     the clock.
-//   - Block only through the clock: Sleep/SleepCtx, a Timer channel
-//     consumed with NoteRecv, a tracked channel (NoteSend before send,
-//     NoteRecv after receive, Park around the blocking receive), or a
-//     vtime.WaitGroup.
-//   - Timer channel values follow Go 1.23 semantics: Stop and Reset
-//     discard an undelivered fire, so callers never drain stale values.
-//   - A channel timer must have a consumer selecting on its channel
-//     whenever it can fire (the hedge-timer pattern: the timer's channel is
-//     a case of the same select that consumes tracked messages). A fire
-//     nobody consumes counts as pending forever and stalls the scheduler.
+//   - Block only through the clock: Sleep/SleepCtx, a Chan's Recv/RecvCtx,
+//     or a vtime.WaitGroup. There is no other way to park: the tracked-
+//     message counts are kept by Chan alone.
+//   - Every message sent on a Chan must be received. One nobody takes
+//     counts as pending forever and stalls the scheduler; a timer whose
+//     fire a worker must see is an Alarm whose callback Sends on the Chan
+//     the worker receives from (the register's hedge).
 //
-// Context cancellation (SleepCtx) is honored — the sleeper returns ctx.Err()
-// promptly and never deadlocks — but a cancellation's wake-up is invisible
-// to the scheduler, so it is excluded from the determinism contract. The
-// shipped harnesses never cancel inside a virtual run.
+// Context cancellation (SleepCtx, RecvCtx) is honored — the waiter returns
+// ctx.Err() promptly and never deadlocks — but a cancellation's wake-up is
+// invisible to the scheduler, so it is excluded from the determinism
+// contract. The shipped harnesses never cancel inside a virtual run.
 //
 // Run panics on deadlock (all workers parked, nothing pending, no timer to
 // fire): in a simulation that situation means a goroutine is blocked on an
@@ -100,7 +98,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"context"
 	"time"
 )
@@ -119,44 +116,14 @@ type Clock interface {
 	// the latter case. It is the context-aware sleep the transport's
 	// latency simulation runs on.
 	SleepCtx(ctx context.Context, d time.Duration) error
-	// NewTimer returns a timer that delivers the clock's now on C after d.
-	NewTimer(d time.Duration) *Timer
 	// AfterFunc runs fn after d. Under a SimClock fn runs on the scheduler
-	// at quiescence, so it must not block or park; it may Go, send tracked
-	// messages and arm timers (see the package doc's rule 3).
-	AfterFunc(d time.Duration, fn func()) *Timer
+	// at quiescence, so it must not block or park; it may Go, Send on a
+	// Chan and arm timers (see the package doc's rule 3). A timer that may
+	// be cancelled is an Alarm.
+	AfterFunc(d time.Duration, fn func())
 	// Mark reserves the place in the fire order a timer armed for d from
 	// now would take, for an Alarm to be armed at later (see rule 1).
 	Mark(d time.Duration) Mark
-}
-
-// Timer is the clock-agnostic timer handle. Exactly one of the backing
-// fields is set. Stop and Reset follow Go 1.23 time.Timer semantics: an
-// undelivered fire is discarded, so the channel never holds a stale value
-// after either call.
-type Timer struct {
-	// C delivers the fire time.
-	C <-chan time.Time
-
-	wall *time.Timer
-	sim  *simTimer
-}
-
-// Stop cancels the timer, reporting whether it was still pending.
-func (t *Timer) Stop() bool {
-	if t.wall != nil {
-		return t.wall.Stop()
-	}
-	return t.sim.stop()
-}
-
-// Reset re-arms the timer for d from now, reporting whether it was still
-// pending.
-func (t *Timer) Reset(d time.Duration) bool {
-	if t.wall != nil {
-		return t.wall.Reset(d)
-	}
-	return t.sim.reset(d)
 }
 
 // Mark is a reserved place in a clock's fire order: an instant, in
@@ -206,9 +173,7 @@ func (a *Alarm) ArmAt(m Mark) {
 	}
 	c := a.sim.clk
 	c.mu.Lock()
-	if a.sim.idx >= 0 {
-		heap.Remove(&c.timers, a.sim.idx)
-	}
+	a.sim.removeLocked()
 	c.pushLocked(&a.sim, m)
 	c.mu.Unlock()
 }
@@ -221,8 +186,6 @@ func (a *Alarm) Stop() {
 	}
 	c := a.sim.clk
 	c.mu.Lock()
-	if a.sim.idx >= 0 {
-		heap.Remove(&c.timers, a.sim.idx)
-	}
+	a.sim.removeLocked()
 	c.mu.Unlock()
 }

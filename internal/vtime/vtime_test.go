@@ -95,25 +95,20 @@ func TestSimSettle(t *testing.T) {
 	clk.Run(func() {
 		clk.Sleep(3 * time.Millisecond)
 		var later atomic.Bool
-		tm := clk.AfterFunc(time.Millisecond, func() { later.Store(true) })
+		clk.AfterFunc(time.Millisecond, func() { later.Store(true) })
 		const hops = 20
 		var reached atomic.Int64
-		ch := make(chan int)
+		ch := NewChan[int](SchedOf(clk), 1)
 		for i := 0; i < hops; i++ {
 			clk.Go(func() {
-				unpark := clk.Park()
-				n := <-ch
-				unpark()
-				clk.NoteRecv()
+				n := ch.Recv()
 				reached.Add(1)
 				if n+1 < hops {
-					clk.NoteSend()
-					ch <- n + 1
+					ch.Send(n + 1)
 				}
 			})
 		}
-		clk.NoteSend()
-		ch <- 0
+		ch.Send(0)
 		clk.Settle()
 		if got := reached.Load(); got != hops {
 			t.Errorf("Settle returned with the handoff chain at hop %d of %d", got, hops)
@@ -121,14 +116,13 @@ func TestSimSettle(t *testing.T) {
 		if later.Load() || clk.Elapsed() != 3*time.Millisecond {
 			t.Errorf("Settle moved the clock: elapsed %v, later timer fired %v", clk.Elapsed(), later.Load())
 		}
-		tm.Stop()
 	})
 }
 
-// TestSimTrackedChannelHandoff exercises the NoteSend/Park/NoteRecv
-// protocol gather-style loops use: a producer sleeping virtual latency
-// hands results to a parked consumer, and the hedge-style timer fires only
-// when the producer is slower than the hedge deadline.
+// TestSimTrackedChannelHandoff exercises the Chan protocol gather-style
+// loops use: a producer sleeping virtual latency hands results to a parked
+// consumer, and a hedge-style alarm, whose fire is one more message on the
+// same Chan, fires only when the producer is slower than the hedge deadline.
 func TestSimTrackedChannelHandoff(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -142,28 +136,23 @@ func TestSimTrackedChannelHandoff(t *testing.T) {
 			clk := NewSimClock()
 			hedged := false
 			clk.Run(func() {
-				ch := make(chan int, 1)
+				ch := NewChan[int](SchedOf(clk), 2)
 				clk.Go(func() {
 					clk.Sleep(tc.latency)
-					clk.NoteSend()
-					ch <- 42
+					ch.Send(42)
 				})
-				hedge := clk.NewTimer(10 * time.Millisecond)
+				hedge := NewAlarm(clk, func() { ch.Send(-1) })
+				hedge.ArmAt(clk.Mark(10 * time.Millisecond))
 				defer hedge.Stop()
 				for {
-					unpark := clk.Park()
-					select {
-					case v := <-ch:
-						unpark()
-						clk.NoteRecv()
-						if v != 42 {
-							t.Errorf("got %d", v)
-						}
-						return
-					case <-hedge.C:
-						unpark()
-						clk.NoteRecv()
+					switch v := ch.Recv(); v {
+					case -1:
 						hedged = true
+					case 42:
+						return
+					default:
+						t.Errorf("got %d", v)
+						return
 					}
 				}
 			})
@@ -172,6 +161,75 @@ func TestSimTrackedChannelHandoff(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestChanHoldsTheClock: a message on a Chan holds virtual time until it is
+// taken; a cancelled RecvCtx takes nothing; the wall clock's Chan is the
+// bare channel.
+func TestChanHoldsTheClock(t *testing.T) {
+	t.Run("in-flight", func(t *testing.T) {
+		clk := NewSimClock()
+		gate := make(chan struct{})
+		var fired atomic.Bool
+		var sawFired bool
+		var tookAt time.Duration
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			clk.Run(func() {
+				ch := NewChan[int](SchedOf(clk), 1)
+				clk.AfterFunc(time.Millisecond, func() { fired.Store(true) })
+				clk.Go(func() {
+					// Parked as the scheduler sees it, and not receiving: only
+					// the message in flight keeps the clock where it is.
+					clk.park()
+					<-gate
+					clk.unpark()
+					sawFired = fired.Load()
+					ch.Recv()
+					tookAt = clk.Elapsed()
+				})
+				ch.Send(1)
+				clk.Sleep(2 * time.Millisecond)
+			})
+		}()
+		time.Sleep(20 * time.Millisecond) // wall time for a wrong scheduler to fire
+		close(gate)
+		<-done
+		if sawFired || tookAt != 0 || !fired.Load() {
+			t.Fatalf("fired before the receive %v, received at %v, fired at all %v; want false, 0s, true",
+				sawFired, tookAt, fired.Load())
+		}
+	})
+	t.Run("cancelled", func(t *testing.T) {
+		clk := NewSimClock()
+		var err error
+		var got int
+		clk.Run(func() {
+			s := SchedOf(clk)
+			ch, ack := NewChan[int](s, 1), NewChan[struct{}](s, 1)
+			ctx, cancel := context.WithCancel(context.Background())
+			// The ack holds the clock until the cancelled receiver is back.
+			clk.AfterFunc(time.Millisecond, func() {
+				cancel()
+				ack.Send(struct{}{})
+			})
+			_, err = ch.RecvCtx(ctx)
+			ack.Recv()
+			clk.Go(func() { ch.Send(7) })
+			got = ch.Recv()
+			clk.Settle()
+		})
+		if err != context.Canceled || got != 7 || clk.Elapsed() != time.Millisecond {
+			t.Fatalf("RecvCtx = %v, next Recv = %d, elapsed %v; want context.Canceled, 7, 1ms", err, got, clk.Elapsed())
+		}
+	})
+	t.Run("wall-allocs", func(t *testing.T) {
+		ch := NewChan[int](SchedOf(Wall()), 1)
+		if n := testing.AllocsPerRun(100, func() { ch.Send(1); ch.Recv() }); n != 0 {
+			t.Fatalf("a WallClock Send + Recv allocates %v objects, want 0", n)
+		}
+	})
 }
 
 // TestSimSleepCtxCancel checks that a context cancelled from inside the
@@ -191,30 +249,25 @@ func TestSimSleepCtxCancel(t *testing.T) {
 	}
 }
 
-// TestSimTimerStopReset checks Stop cancels a pending timer for good and
-// Reset moves a pending timer to its new deadline.
+// TestSimTimerStopReset checks an alarm's Stop cancels a pending arming for
+// good and a second ArmAt moves a pending arming to its new mark.
 func TestSimTimerStopReset(t *testing.T) {
 	clk := NewSimClock()
+	var fired []time.Duration
 	clk.Run(func() {
-		tm := clk.NewTimer(time.Millisecond)
-		if !tm.Stop() {
-			t.Error("Stop on pending timer = false")
-		}
-		// The stopped timer must not fire: sleep past its old deadline.
+		a := NewAlarm(clk, func() { fired = append(fired, clk.Elapsed()) })
+		a.ArmAt(clk.Mark(time.Millisecond))
+		a.Stop()
+		// The stopped alarm must not go off: sleep past its old mark.
 		clk.Sleep(2 * time.Millisecond)
 
-		tm2 := clk.NewTimer(time.Millisecond)
-		if !tm2.Reset(3 * time.Millisecond) {
-			t.Error("Reset on pending timer = false")
-		}
-		unpark := clk.Park()
-		<-tm2.C
-		unpark()
-		clk.NoteRecv()
-		if got := clk.Elapsed(); got != 5*time.Millisecond {
-			t.Errorf("reset timer fired at %v, want 5ms (2ms + reset 3ms)", got)
-		}
+		a.ArmAt(clk.Mark(time.Millisecond))
+		a.ArmAt(clk.Mark(3 * time.Millisecond))
+		clk.Sleep(time.Hour)
 	})
+	if fmt.Sprint(fired) != "[5ms]" {
+		t.Errorf("alarm went off at %v, want [5ms] (2ms + re-armed 3ms)", fired)
+	}
 }
 
 // TestSimDeadlockPanics locks in the failure mode: a worker blocked on an
@@ -227,9 +280,7 @@ func TestSimDeadlockPanics(t *testing.T) {
 	}()
 	clk := NewSimClock()
 	clk.Run(func() {
-		unpark := clk.Park()
-		defer unpark()
-		<-make(chan struct{}) // never satisfied, no timer pending
+		NewChan[struct{}](SchedOf(clk), 1).Recv() // never satisfied, no timer pending
 	})
 }
 
@@ -246,8 +297,9 @@ func TestSimWaitGroupReleaseOrdering(t *testing.T) {
 			clk.Sleep(3 * time.Millisecond)
 			wg.Done()
 		})
-		// A later timer the scheduler could wrongly jump to.
-		lure := clk.NewTimer(time.Hour)
+		// A later alarm the scheduler could wrongly jump to.
+		lure := NewAlarm(clk, func() { t.Error("the lure went off") })
+		lure.ArmAt(clk.Mark(time.Hour))
 		defer lure.Stop()
 		wg.Wait()
 		at = clk.Elapsed()
@@ -277,8 +329,7 @@ func TestWallClockBasics(t *testing.T) {
 		t.Fatalf("cancelled SleepCtx: %v", err)
 	}
 	var fired atomic.Bool
-	tm := c.AfterFunc(time.Millisecond, func() { fired.Store(true) })
-	defer tm.Stop()
+	c.AfterFunc(time.Millisecond, func() { fired.Store(true) })
 	deadline := time.Now().Add(5 * time.Second)
 	for !fired.Load() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -297,23 +348,18 @@ func TestSimDeterministicReplay(t *testing.T) {
 		var trace []time.Duration
 		clk.Run(func() {
 			wg := NewWaitGroup(clk)
-			ch := make(chan time.Duration, 16)
+			ch := NewChan[time.Duration](SchedOf(clk), 16)
 			for i := 0; i < 5; i++ {
 				i := i
 				wg.Add(1)
 				clk.Go(func() {
 					defer wg.Done()
 					clk.Sleep(time.Duration(7*i%5+1) * time.Millisecond)
-					clk.NoteSend()
-					ch <- clk.Elapsed()
+					ch.Send(clk.Elapsed())
 				})
 			}
 			for n := 0; n < 5; n++ {
-				unpark := clk.Park()
-				d := <-ch
-				unpark()
-				clk.NoteRecv()
-				trace = append(trace, d)
+				trace = append(trace, ch.Recv())
 			}
 			wg.Wait()
 		})
@@ -362,21 +408,17 @@ func TestSimCallbackSpawnsAndSends(t *testing.T) {
 	go func() {
 		defer close(returned)
 		clk.Run(func() {
-			ch := make(chan int, 1)
+			ch := NewChan[int](SchedOf(clk), 1)
 			done := NewWaitGroup(clk)
 			done.Add(1)
 			clk.AfterFunc(time.Millisecond, func() {
 				clk.Go(func() {
 					defer done.Done()
-					unpark := clk.Park()
-					v := <-ch
-					unpark()
-					clk.NoteRecv()
+					v := ch.Recv()
 					clk.Sleep(time.Millisecond)
 					got, at = v, clk.Elapsed()
 				})
-				clk.NoteSend()
-				ch <- 7
+				ch.Send(7)
 			})
 			done.Wait()
 		})
@@ -391,9 +433,10 @@ func TestSimCallbackSpawnsAndSends(t *testing.T) {
 	}
 }
 
-// TestSimFireOrderWithCallbacks: callbacks and channel timers share one
-// (deadline, seq) order, and a timer a callback arms for "now" fires after
-// the timers already due at that instant, not before.
+// TestSimFireOrderWithCallbacks: callbacks and alarms share one (deadline,
+// seq) order, and a timer a callback arms for "now" fires after the timers
+// already due at that instant, not before — also after an alarm whose fire
+// is a message a worker takes before the scheduler moves on.
 func TestSimFireOrderWithCallbacks(t *testing.T) {
 	clk := NewSimClock()
 	var order []string
@@ -412,12 +455,10 @@ func TestSimFireOrderWithCallbacks(t *testing.T) {
 			clk.AfterFunc(0, zero)
 		})
 		clk.AfterFunc(10*time.Millisecond, note("b"))
-		tm := clk.NewTimer(10 * time.Millisecond)
+		ch := NewChan[struct{}](SchedOf(clk), 1)
+		NewAlarm(clk, func() { ch.Send(struct{}{}) }).ArmAt(clk.Mark(10 * time.Millisecond))
 		clk.AfterFunc(5*time.Millisecond, note("early"))
-		unpark := clk.Park()
-		<-tm.C
-		unpark()
-		clk.NoteRecv()
+		ch.Recv()
 		order = append(order, "chan")
 		done.Wait()
 	})
@@ -438,14 +479,14 @@ func TestSimWaitAllocs(t *testing.T) {
 		hold := make(chan struct{})
 		clk.Go(func() { <-hold })
 		park = testing.AllocsPerRun(100, func() {
-			unpark := clk.Park()
-			unpark()
+			clk.park()
+			clk.unpark()
 		})
 		close(hold)
 		sleep = testing.AllocsPerRun(100, func() { clk.Sleep(time.Millisecond) })
 	})
 	if park != 0 {
-		t.Errorf("Park + unpark allocates %v objects, want 0", park)
+		t.Errorf("park + unpark allocates %v objects, want 0", park)
 	}
 	if sleep > 2 {
 		t.Errorf("Sleep allocates %v objects, want <= 2", sleep)
@@ -503,12 +544,13 @@ func then(s fireScript, label string) {
 	}
 }
 
-// timerScript plays the script with a timer per event.
+// timerScript plays the script with a timer per event: an AfterFunc, or
+// for a cancellable deadline an Alarm of its own, armed at once.
 type timerScript struct {
 	clk    *SimClock
 	log    []string
 	last   [2]time.Duration
-	timers map[string]*Timer
+	timers map[string]*Alarm
 }
 
 func (s *timerScript) fire(label string) func() {
@@ -524,7 +566,8 @@ func (s *timerScript) stream(i int, label string, d time.Duration) {
 	s.clk.AfterFunc(s.last[i]-now, s.fire(label))
 }
 func (s *timerScript) deadline(label string) {
-	s.timers[label] = s.clk.AfterFunc(scriptDeadline, s.fire(label))
+	s.timers[label] = NewAlarm(s.clk, s.fire(label))
+	s.timers[label].ArmAt(s.clk.Mark(scriptDeadline))
 }
 func (s *timerScript) cancel(label string)                 { s.timers[label].Stop() }
 func (s *timerScript) plain(label string, d time.Duration) { s.clk.AfterFunc(d, s.fire(label)) }
@@ -654,7 +697,7 @@ func (s *markScript) stopIdle() {
 // events at the same instants in the same order.
 func TestMarkKeepsTheFireOrder(t *testing.T) {
 	ref := NewSimClock()
-	byTimer := &timerScript{clk: ref, timers: map[string]*Timer{}}
+	byTimer := &timerScript{clk: ref, timers: map[string]*Alarm{}}
 	ref.Run(func() { playFireScript(ref, byTimer) })
 
 	clk := NewSimClock()

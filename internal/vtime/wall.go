@@ -39,17 +39,8 @@ func (*WallClock) Since(t time.Time) time.Duration { return time.Since(t) }
 // Sleep implements Clock.
 func (*WallClock) Sleep(d time.Duration) { time.Sleep(d) }
 
-// NewTimer implements Clock.
-func (*WallClock) NewTimer(d time.Duration) *Timer {
-	t := time.NewTimer(d)
-	return &Timer{C: t.C, wall: t}
-}
-
 // AfterFunc implements Clock.
-func (*WallClock) AfterFunc(d time.Duration, fn func()) *Timer {
-	t := time.AfterFunc(d, fn)
-	return &Timer{wall: t}
-}
+func (*WallClock) AfterFunc(d time.Duration, fn func()) { time.AfterFunc(d, fn) }
 
 // Mark implements Clock. Wall timers carry no sequence number: equal
 // instants fire in whatever order the runtime picks.
