@@ -57,13 +57,14 @@ paper:
 		$(GO) run ./cmd/pqs-experiments; } > EXPERIMENTS.md.tmp
 	@mv EXPERIMENTS.md.tmp EXPERIMENTS.md
 
-# vtime runs whole: under a SimClock, timer callbacks run on the scheduler's
-# own goroutine, beside the workers they wake. The sim line runs one
-# structure, not the package: swapHandler is the only state sim owns that
-# requests and a reconfiguration reach concurrently; the package's
-# determinism suites run under -race in the flake gate. The chaos package
-# runs whole, in one process (under 1 GB of RSS since its virtual
-# connections stopped holding a parked reader each).
+# vtime runs whole: under a SimClock, timer callbacks run on whichever
+# parked worker drives the clock (or Run's caller), beside the workers they
+# wake, and the driving flag alone keeps them one at a time. The sim line
+# runs one structure, not the package: swapHandler is the only state sim
+# owns that requests and a reconfiguration reach concurrently; the
+# package's determinism suites run under -race in the flake gate. The
+# chaos package runs whole, in one process (under 1 GB of RSS since its
+# virtual connections stopped holding a parked reader each).
 race:
 	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/diffusion/ ./internal/sv/ ./internal/vtime/
 	$(GO) test -race -run 'TestSwapHandler' ./internal/sim/
@@ -87,10 +88,12 @@ race:
 # produce the recorded drop verdicts and latency draws on every run. So do
 # the pinned load digests and chaos history fingerprints (TestGoldenDigests,
 # TestGoldenHistories): equal to each other twice is not enough, they must
-# equal the recorded values on every run.
+# equal the recorded values on every run. So do vtime's replay and
+# TestTheParkerDrivesTheClock: whichever parked worker drives the clock,
+# callbacks must run one at a time and on the driver.
 FLAKE_COUNT ?= 20
 flake: flake-tcp
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TestLoadTCPVirtual|TestGoldenDigests|TestInlineMatchesPoolDifferential|TestParkingCallsNeverRunOnTheCaller|TestMemNetworkGoldenReplay' . ./internal/load/ ./internal/transport/ ./internal/register/
+	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TheParkerDrivesTheClock|TestLoadTCPVirtual|TestGoldenDigests|TestInlineMatchesPoolDifferential|TestParkingCallsNeverRunOnTheCaller|TestMemNetworkGoldenReplay' . ./internal/vtime/ ./internal/load/ ./internal/transport/ ./internal/register/
 	$(GO) test -race -count=$(FLAKE_COUNT) -run 'TestChaosDeterminism(Hedged)?$$|TestGoldenHistories' ./internal/chaos/
 
 # The tcp-virtual half of the flake gate, and the CI chaos-tcp job:

@@ -26,11 +26,11 @@ import (
 )
 
 // pathCounter is a MemNetwork that counts which way each call went, and
-// records on which goroutines calls were started and completed.
+// records on which goroutine calls were started.
 type pathCounter struct {
 	*transport.MemNetwork
 	onCaller, started, handedOff atomic.Int64
-	startedOn, doneOn            atomic.Uint64
+	startedOn                    atomic.Uint64
 }
 
 func (p *pathCounter) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
@@ -47,10 +47,7 @@ func (p *pathCounter) TryCall(ctx context.Context, to quorum.ServerID, req any) 
 }
 
 func (p *pathCounter) Start(ctx context.Context, to quorum.ServerID, req any, done func(any, error)) bool {
-	ok := p.MemNetwork.Start(ctx, to, req, func(resp any, err error) {
-		p.doneOn.Store(goid())
-		done(resp, err)
-	})
+	ok := p.MemNetwork.Start(ctx, to, req, done)
 	if ok {
 		p.started.Add(1)
 		p.startedOn.Store(goid())
@@ -77,11 +74,12 @@ func (n napper) OnRead(key string, correct wire.ReadReply) (wire.ReadReply, erro
 // with latency — one spare, a 2 ms hedge, eager reads. The 22 that cannot
 // park run on the caller. The one that can is handed to a worker when its
 // replica may sleep, and when only latency delays it, it is started on the
-// caller and completed by the clock, with no worker at all. Either way the
-// gather goroutine is free when the hedge timer fires: the read promotes
-// the spare (which runs on the caller too) and completes at exactly the
-// hedge delay. Had the parking call run on the caller, the timer could not
-// have been served before it returned and the read would end at 50 ms.
+// caller and completed by the clock, with no worker at all (on whichever
+// parked goroutine drives the clock then). Either way the gather goroutine
+// is free when the hedge timer fires: the read promotes the spare (which
+// runs on the caller too) and completes at exactly the hedge delay. Had the
+// parking call run on the caller, the timer could not have been served
+// before it returned and the read would end at 50 ms.
 func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 	const (
 		q          = 23
@@ -114,7 +112,6 @@ func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 				stats   AccessStats
 				caller  uint64
 			)
-			scheduler := goid() // Run's caller runs the scheduler
 			clk.Run(func() {
 				caller = goid()
 				net.SetClock(clk)
@@ -161,9 +158,8 @@ func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 			if on, st, off := net.onCaller.Load(), net.started.Load(), net.handedOff.Load(); on != q || [2]int64{st, off} != want {
 				t.Errorf("%d calls ran on the caller, %d were started and %d handed off; want %d (22 members and the spare), %d and %d", on, st, off, q, want[0], want[1])
 			}
-			if c.started && (net.startedOn.Load() != caller || net.doneOn.Load() != scheduler) {
-				t.Errorf("the parking call was started on goroutine %d and completed on %d; want the caller's (%d) and the scheduler's (%d)",
-					net.startedOn.Load(), net.doneOn.Load(), caller, scheduler)
+			if c.started && net.startedOn.Load() != caller {
+				t.Errorf("the parking call was started on goroutine %d, want the caller's (%d)", net.startedOn.Load(), caller)
 			}
 			if stats.LateReplies != 1 {
 				t.Errorf("%d late replies, want the straggler's", stats.LateReplies)

@@ -618,9 +618,10 @@ func (n *MemNetwork) TryCall(ctx context.Context, to quorum.ServerID, req any) (
 // a timer for the latency and, when that fires, one for the hook's delay —
 // the chain Call's two sleeps make, so each timer keeps its (deadline,
 // sequence) place. The handler then runs where the timer fires (under a
-// SimClock, on the scheduler) if TryHandle accepts and the call is not
-// duplicated, and on a worker otherwise. A call cancelled in flight ends
-// with ctx.Err() when its timer fires, without reaching the handler.
+// SimClock, on the goroutine driving the clock) if TryHandle accepts and
+// the call is not duplicated, and on a worker otherwise. A call cancelled
+// in flight ends with ctx.Err() when its timer fires, without reaching the
+// handler.
 func (n *MemNetwork) Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool {
 	a := new(admission)
 	ok, err := n.admit(ctx, to, req, clockOnly, a)

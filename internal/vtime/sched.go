@@ -50,8 +50,9 @@ func NewChan[T any](s Sched, n int) Chan[T] {
 }
 
 // Send queues v, blocking while the buffer is full. It may be called from
-// a worker or from a callback on the scheduler, whose sends must never
-// block (rule 3): size the buffer for every message.
+// a worker or from a timer callback, whose sends must never block (rule 3):
+// size the buffer for every message. When the callback's driver is the
+// receiver, the message is in its buffer before it leaves its park.
 func (c Chan[T]) Send(v T) {
 	if c.sim != nil {
 		c.sim.noteSend()

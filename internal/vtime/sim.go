@@ -30,6 +30,7 @@ type SimClock struct {
 	parked  int // workers blocked in a clock wait
 	pending int // tracked messages sent but not yet consumed
 	running bool
+	driving bool // a goroutine is firing timers: one event at a time
 }
 
 // NewSimClock returns a virtual clock at the simulation epoch. It is inert
@@ -40,10 +41,12 @@ func NewSimClock() *SimClock {
 	return c
 }
 
-// Run executes fn as the root worker of the simulated world and drives the
-// scheduler until fn and every worker it spawned have finished. It panics
-// if the simulation deadlocks: every worker parked, no undelivered message,
-// and no timer left to fire.
+// Run executes fn as the root worker of the simulated world and returns
+// when fn and every worker it spawned have finished. Timers are fired by
+// the worker whose park quiets the world (see driveLocked), and by Run's
+// goroutine when a worker's exit does. It panics if the simulation
+// deadlocks: every worker parked, no undelivered message, and no timer left
+// to fire.
 func (c *SimClock) Run(fn func()) {
 	c.mu.Lock()
 	if c.running {
@@ -81,24 +84,31 @@ func (c *SimClock) workerDone() {
 	c.mu.Unlock()
 }
 
-// wakeLocked wakes the scheduler, but only when its actionable condition —
-// every worker parked and no tracked message in flight — currently holds.
-// The scheduler re-checks the full condition on every wake anyway, so
-// skipping a broadcast while some worker is still runnable is safe (that
-// worker's own park or exit performs the next guarded wake); what the guard
-// buys is not waking the sleeping scheduler thread on every tracked
-// message receipt, which at population scale (tens of replies per
+// quiescentLocked reports whether every worker is parked and no tracked
+// message is in flight: the only state in which a timer may fire. A world
+// whose last worker has exited is over, not quiescent. c.mu must be held.
+func (c *SimClock) quiescentLocked() bool {
+	return c.workers > 0 && c.parked == c.workers && c.pending == 0
+}
+
+// wakeLocked wakes Run's goroutine, but only when it could act: the world
+// is quiescent and nobody is driving. Run re-checks on every wake anyway,
+// so skipping a broadcast while some worker is still runnable is safe (that
+// worker's own park or exit acts next); what the guard buys is not waking
+// the sleeping thread on every tracked message receipt, nor on every timer
+// a callback arms, which at population scale (tens of replies per
 // operation, hundreds of thousands of operations) is millions of futex
 // round-trips. c.mu must be held.
 func (c *SimClock) wakeLocked() {
-	if c.parked == c.workers && c.pending == 0 {
+	if !c.driving && c.quiescentLocked() {
 		c.cond.Broadcast()
 	}
 }
 
 // park marks the calling worker as blocked on a tracked wake-up (a Chan
 // receive, a clock wait); unpark, or unparkRecv when the wake-up is taken,
-// undoes it the moment the blocking operation returns.
+// undoes it the moment the blocking operation returns. A park that quiets
+// the world drives the clock before the worker blocks.
 func (c *SimClock) park() {
 	c.mu.Lock()
 	if !c.running {
@@ -106,8 +116,30 @@ func (c *SimClock) park() {
 		panic("vtime: SimClock used outside Run")
 	}
 	c.parked++
-	c.wakeLocked()
+	c.driveLocked()
 	c.mu.Unlock()
+}
+
+// driveLocked fires timers on the calling goroutine while the world stays
+// quiescent and timers remain, unless somebody is already driving. The
+// caller is Run's goroutine or a parked worker, typically the one whose
+// park made the world quiescent: when a fire wakes that worker itself (a
+// gather's reply, its own Sleep), the message is already in its buffer as
+// it leaves park, and the hand-off costs no goroutine switch. The driving
+// flag keeps it one event at a time: a worker that a callback wakes and
+// that parks again before the callback returns does not start a second
+// loop. A driver that stops at quiescence with no timer left wakes Run,
+// which raises the deadlock panic. c.mu must be held.
+func (c *SimClock) driveLocked() {
+	if c.driving || !c.quiescentLocked() {
+		return
+	}
+	c.driving = true
+	for c.quiescentLocked() && len(c.timers) > 0 {
+		c.fireLocked()
+	}
+	c.driving = false
+	c.wakeLocked()
 }
 
 // unpark marks a parked worker running again.
@@ -143,15 +175,14 @@ func (c *SimClock) Elapsed() time.Duration {
 	return time.Duration(c.now)
 }
 
-// schedule is the event loop Run drives on the caller's goroutine: wait
-// for quiescence, fire the earliest timer, repeat; return when every
-// worker has finished. A callback (AfterFunc, Alarm) runs here, with c.mu
-// released: every worker is parked, so nothing else runs until the callback
-// wakes it.
+// schedule is Run's fallback loop on the caller's goroutine: wait until
+// the world is quiescent and nobody drives, then drive; return when every
+// worker has finished. It acts when a worker's exit, not its park, quiets
+// the world, and it raises the deadlock panic.
 func (c *SimClock) schedule() {
 	c.mu.Lock()
 	for c.workers > 0 {
-		if c.parked < c.workers || c.pending > 0 {
+		if c.driving || !c.quiescentLocked() {
 			c.cond.Wait()
 			continue
 		}
@@ -162,20 +193,28 @@ func (c *SimClock) schedule() {
 			c.mu.Unlock()
 			panic(msg)
 		}
-		t := heap.Pop(&c.timers).(*simTimer)
-		c.now = max(c.now, t.at.at)
-		if t.fn != nil {
-			c.mu.Unlock()
-			t.fn()
-			c.mu.Lock()
-			continue
-		}
-		// A clock wait: the fire is a tracked message on a channel of
-		// capacity 1 that is armed once, so the send cannot block.
-		t.wake.ch <- struct{}{}
-		c.pending++
+		c.driveLocked()
 	}
 	c.mu.Unlock()
+}
+
+// fireLocked pops the earliest timer, advances now to its deadline and
+// fires it. A callback (AfterFunc, Alarm) runs with c.mu released: every
+// worker is parked, so nothing else runs until the callback wakes it. c.mu
+// must be held, and the caller must be driving.
+func (c *SimClock) fireLocked() {
+	t := heap.Pop(&c.timers).(*simTimer)
+	c.now = max(c.now, t.at.at)
+	if t.fn != nil {
+		c.mu.Unlock()
+		t.fn()
+		c.mu.Lock()
+		return
+	}
+	// A clock wait: the fire is a tracked message on a channel of capacity
+	// 1 that is armed once, so the send cannot block.
+	t.wake.ch <- struct{}{}
+	c.pending++
 }
 
 // Now implements Clock.
@@ -233,7 +272,7 @@ func (c *SimClock) SleepCtx(ctx context.Context, d time.Duration) error {
 		armed := t.removeLocked()
 		c.mu.Unlock()
 		if !armed {
-			t.wake.Recv() // it fired: the scheduler sent the wake-up as it popped it
+			t.wake.Recv() // it fired: the driver sent the wake-up as it popped it
 		}
 		return err
 	}
@@ -243,8 +282,8 @@ func (c *SimClock) SleepCtx(ctx context.Context, d time.Duration) error {
 	return ctx.Err()
 }
 
-// AfterFunc implements Clock: fn runs on the scheduler when the timer
-// fires (see the package doc's rule 3).
+// AfterFunc implements Clock: fn runs on the goroutine driving the clock
+// when the timer fires (see the package doc's rule 3).
 func (c *SimClock) AfterFunc(d time.Duration, fn func()) {
 	c.arm(&simTimer{clk: c, fn: fn}, d)
 }

@@ -47,16 +47,20 @@
 //     received. The scheduler then pops the earliest timer, advances now
 //     to its deadline instantly, and fires it — exactly one event at a
 //     time, each fully processed (the system re-quiesces) before the next
-//     fires.
+//     fires. The goroutine that does this is the driver: the worker whose
+//     park made the world quiescent, or Run's caller when a worker's exit
+//     did.
 //  3. A fired timer either wakes a clock wait (Sleep, SleepCtx, Settle),
 //     its wake-up counting as a tracked message until taken, or runs its
-//     callback (AfterFunc, Alarm) on the scheduler's own goroutine, at the
+//     callback (AfterFunc, Alarm) on the driver's goroutine, at the
 //     quiescent point it fires at: no worker is spawned or counted for it.
 //     So the callback must not block or park (no Sleep, no Chan receive or
 //     full-buffer send, no WaitGroup wait, no lock a parked worker could
-//     hold); it may spawn workers with Go, Send on a Chan with room and
-//     arm timers, and the scheduler waits for whatever it woke to park
-//     again before it fires the next timer.
+//     hold), nor wait on any worker, which may be the driver itself and
+//     then never runs; it may spawn workers with Go, Send on a Chan with
+//     room and arm timers, and the driver waits for whatever it woke to
+//     park again before it fires the next timer. A panic in a callback
+//     unwinds the driver: a worker's goroutine, unless it is Run's caller.
 //
 // Together 1-3 make every recorded outcome under a SimClock a
 // deterministic function of the program's inputs: with seeded randomness,
@@ -116,10 +120,10 @@ type Clock interface {
 	// the latter case. It is the context-aware sleep the transport's
 	// latency simulation runs on.
 	SleepCtx(ctx context.Context, d time.Duration) error
-	// AfterFunc runs fn after d. Under a SimClock fn runs on the scheduler
-	// at quiescence, so it must not block or park; it may Go, Send on a
-	// Chan and arm timers (see the package doc's rule 3). A timer that may
-	// be cancelled is an Alarm.
+	// AfterFunc runs fn after d. Under a SimClock fn runs at quiescence on
+	// the goroutine driving the clock, so it must not block or park; it may
+	// Go, Send on a Chan and arm timers (see the package doc's rule 3). A
+	// timer that may be cancelled is an Alarm.
 	AfterFunc(d time.Duration, fn func())
 	// Mark reserves the place in the fire order a timer armed for d from
 	// now would take, for an Alarm to be armed at later (see rule 1).
@@ -146,9 +150,9 @@ func (m Mark) NotBefore(o Mark) Mark {
 
 // Alarm is a callback timer its owner makes once and re-arms at Marks, so an
 // owner with a queue of events pays one timer for all of them. Under a
-// SimClock the callback runs on the scheduler (rule 3). ArmAt and Stop must
-// be serialized by the owner; under the WallClock a fire may still run after
-// Stop, so the callback must check what it is owed.
+// SimClock the callback runs on the goroutine driving the clock (rule 3).
+// ArmAt and Stop must be serialized by the owner; under the WallClock a fire
+// may still run after Stop, so the callback must check what it is owed.
 type Alarm struct {
 	sim  simTimer    // under a SimClock: its heap entry, owned
 	wall *time.Timer // under the WallClock
