@@ -102,12 +102,13 @@ func warmBenignClient(t *testing.T, n, q int) *Client {
 // TestBenignReadAllocs pins what a benign read allocates on a warm client at
 // n=100, q=23 on MemNetwork: 3 objects — the result's Quorum, the boxed
 // request, one captured variable — and none per member: a correct replica
-// answers with the reply its store boxed when it adopted the write. Every
-// call runs on the caller, so there is no reply channel; the reply queue and
-// the kept replies are the operation's recycled scratch; the error map is
-// made by the first error; the gather's callbacks stay on the stack. (It was
-// 26 when each replica boxed its reply per read, 31 when each call was
-// handed to a pool worker, 38 before the kept replies were one slice.)
+// answers with the reply box its store holds for the write it adopted,
+// which every member that adopted that write shares. Every call runs on the
+// caller, so there is no reply channel; the reply queue and the kept
+// replies are the operation's recycled scratch; the error map is made by
+// the first error; the gather's callbacks stay on the stack. (It was 26
+// when each replica boxed its reply per read, 31 when each call was handed
+// to a pool worker, 38 before the kept replies were one slice.)
 func TestBenignReadAllocs(t *testing.T) {
 	const n, q, want = 100, 23, 3
 	c := warmBenignClient(t, n, q)
@@ -122,15 +123,16 @@ func TestBenignReadAllocs(t *testing.T) {
 	}
 }
 
-// TestBenignWriteAllocs is the write twin: 5 + q objects a write. The 5 are
-// the client's — the value's copy, the boxed request, the result with its
-// Quorum and Acked. The q are the members' stores, each boxing the read
-// reply it will serve for this version when it adopts the write (the box a
-// read used to make). The write replies themselves are one of two pre-boxed
-// values. It was 5 when reads boxed, 15 on the pool.
+// TestBenignWriteAllocs is the write twin: 6 objects a write, none per
+// member. 5 are the client's — the value's copy, the boxed request, the
+// result with its Quorum and Acked. The sixth is the read reply the members
+// will serve for this version: on MemNetwork the q members adopt one request
+// value back to back, and the first to adopt it boxes the reply that all q
+// stores then hold (replica.boxed). The write replies themselves are one of
+// two pre-boxed values. It was 5 + q with a box per member, 5 when reads
+// boxed, 15 on the pool.
 func TestBenignWriteAllocs(t *testing.T) {
-	const n, q = 100, 23
-	const want = 5 + q
+	const n, q, want = 100, 23, 6
 	c := warmBenignClient(t, n, q)
 	ctx := context.Background()
 	val := []byte("v")

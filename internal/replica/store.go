@@ -66,13 +66,16 @@ type shard struct {
 // key's hash tag, the entry's stamp counter capped at 2^32-1, and the entry
 // itself, boxed as the wire.ReadReply an honest read returns. The words a
 // probe reads — seq, tag, the key's header — come first and together. The
-// box is made once, when apply adopts the entry, and every read of that
-// version returns it as it is: boxing per read was an allocation on every
-// read RPC (runtime.convT, 10 % of mem-fanout, and as much again in the
-// malloc and GC it fed). An adoption pays the box instead, and a slot is 48
-// bytes plus an 80-byte box, not 96 inline; at population scale that
-// measured less, not more: sim-mem's peak RSS and CPU per op both fell 13 %.
-// The box is a second miss behind the slot's, which a read pays in the
+// box is made when a write is adopted, and every read of that version
+// returns it as it is: boxing per read was an allocation on every read RPC
+// (runtime.convT, 10 % of mem-fanout, and as much again in the malloc and
+// GC it fed). It is made once per write per process, not once per slot:
+// the replicas of one process that adopt the same write share its box (see
+// boxed), and only a separate copy of the value, as each server decodes
+// over TCP, gets a box of its own. A slot is 48 bytes plus its share of an
+// 80-byte box, not 96 inline; at population scale that measured less, not
+// more: sim-mem's peak RSS and CPU per op both fell 13 % with a box per
+// slot. The box is a second miss behind the slot's, which a read pays in the
 // client and a write would pay comparing stamps; ctr settles that comparison
 // unless the counters tie or pass 32 bits (see older).
 type slot struct {
@@ -91,9 +94,40 @@ func (sl *slot) older(st ts.Stamp) bool {
 	return sl.reply.(wire.ReadReply).Stamp.Less(st)
 }
 
-// boxed is e as the reply an honest read of it returns.
+// lastBox holds the box boxed made last, a wire.ReadReply in an any. It is
+// one per process, like a sync.Pool: what it holds cannot be observed, and
+// one per cluster would be a constructor argument to every New.
+var lastBox atomic.Value
+
+// boxed is e as the reply an honest read of it returns. When e is the write
+// boxed was last given — an equal stamp, and a Value and Sig that are the
+// same slices — it hands back that box again: on MemNetwork a write's q
+// adoptions run back to back on the caller's goroutine, one request value
+// handed to each member, so one write makes one box, not q. A box is
+// immutable and its content is a function of exactly those fields, so no
+// reader can tell a shared box from a fresh one. Where every adoption is its
+// own copy of the value (over TCP each server decodes one) every call
+// misses and boxes, at the cost of one atomic load and store. The cache is
+// the box itself, not a struct around it: a miss allocates only the box.
 func boxed(e Entry) any {
-	return wire.ReadReply{Found: true, Value: e.Value, Stamp: e.Stamp, Sig: e.Sig}
+	if b := lastBox.Load(); b != nil {
+		if r := b.(wire.ReadReply); r.Stamp == e.Stamp && sameSlice(r.Value, e.Value) && sameSlice(r.Sig, e.Sig) {
+			return b
+		}
+	}
+	b := any(wire.ReadReply{Found: true, Value: e.Value, Stamp: e.Stamp, Sig: e.Sig})
+	lastBox.Store(b)
+	return b
+}
+
+// sameSlice reports whether a and b are one slice: the same array, length
+// and capacity, nil kept apart from empty. (Non-nil slices of capacity 0
+// hold nothing a reader could tell apart.)
+func sameSlice(a, b []byte) bool {
+	if len(a) != len(b) || cap(a) != cap(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	return cap(a) == 0 || &a[:cap(a)][0] == &b[:cap(b)][0]
 }
 
 // entryOf is boxed's inverse (the zero Entry for the absent-key reply).

@@ -13,15 +13,19 @@ import (
 )
 
 // benchStores builds n stores holding names, all sharing the key strings and
-// one value, so that what the stores allocate is their tables and nothing
-// else.
+// one value, so that what the stores allocate is their tables and their
+// reply boxes and nothing else. Every Apply carries its own stamp (its own
+// writer, at counter 1): distinct keys never share a write in real use, so
+// no slot here may share another's box (see boxed).
 func benchStores(n int, names []string) []*Store {
 	val := make([]byte, 36)
 	stores := make([]*Store, n)
+	w := uint32(0)
 	for i := range stores {
 		stores[i] = NewStore()
 		for _, k := range names {
-			stores[i].Apply(k, Entry{Value: val, Stamp: ts.Stamp{Counter: 1, Writer: 1}})
+			w++
+			stores[i].Apply(k, Entry{Value: val, Stamp: ts.Stamp{Counter: 1, Writer: w}})
 		}
 	}
 	return stores
@@ -137,7 +141,11 @@ func BenchmarkStoreApplyAdopt(b *testing.B) {
 // themselves, against what this same test measured at e990225, where a shard
 // was a Go map from key to record: 654, 185 and 163. The flat table of
 // 48-byte slots, each entry boxed as its read reply, measures 277, 174 and
-// 168 (324, 187 and 161 with 96-byte records inline), and is allowed 5 %
+// 168 (324, 187 and 161 with 96-byte records inline). Each key here is its
+// own write and so has its own 80-byte box, as distinct keys do in use:
+// with one write stamped on every key, all the slots would share one box
+// and measure 196, 94 and 88, which is a fixture's saving, not the
+// store's. The table is allowed 5 %
 // over: the runs differ by about 1 % with the process's hash seed, and the
 // 400-key point is the doubling's worst case against a map — a shard of 8 to
 // 14 keys takes 16 slots (768 bytes plus the 8-byte malloc header of a
