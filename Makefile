@@ -10,7 +10,7 @@ GO ?= go
 # bench-smoke passes 1x to guard against bit-rot without timing flakiness).
 BENCHTIME ?= 1s
 
-.PHONY: all build test vet lint loc paper race flake flake-tcp tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale e2e-smoke
+.PHONY: all build test vet lint loc deadcode paper race flake flake-tcp tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale e2e-smoke
 
 all: ci
 
@@ -45,6 +45,16 @@ loc:
 		END { \
 			for (i = 1; i <= dirs; i++) { d = order[i]; printf "%7d %s\n", n[d], d; if (d != "bench") total += n[d] } \
 			printf "%7d total outside bench/\n", total }'
+
+# Code that is referenced but never runs (ROADMAP 7(b)): the whole suite
+# under one coverage profile of the product packages, then every function
+# it leaves at 0 %. A test failure fails the target (its coverage would be
+# short). Staged in a temp dir that is removed on exit.
+deadcode:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) test -count=1 -coverpkg=./internal/...,pqs -coverprofile="$$d/cover.out" ./... > "$$d/test.log" 2>&1 \
+		|| { grep -v '^ok\|no test files' "$$d/test.log"; exit 1; }; \
+	$(GO) tool cover -func="$$d/cover.out" | awk '$$NF == "0.0%"'
 
 # The paper's evaluation, regenerated: every table and figure (Tables 1-4,
 # Figures 1-3) plus the ablation and validation studies, as cmd/pqs-experiments
@@ -117,9 +127,10 @@ tier1: build test
 # bench-smoke, bench-e2e-smoke).
 ci: vet lint tier1 race bench-smoke bench-e2e-smoke
 
-# ci-full runs every CI job locally (flake includes flake-tcp), then fails if
-# `make paper` moved a number in the committed EXPERIMENTS.md.
-ci-full: ci flake chaos-short sim-fast sim-scale fuzz-smoke bench-regress paper
+# ci-full runs every CI job locally (flake includes flake-tcp), prints the
+# 0 % coverage list (deadcode), then fails if `make paper` moved a number in
+# the committed EXPERIMENTS.md.
+ci-full: ci flake chaos-short sim-fast sim-scale fuzz-smoke bench-regress deadcode paper
 	git diff --exit-code EXPERIMENTS.md
 
 bench:

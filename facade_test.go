@@ -166,3 +166,71 @@ func TestFacadeDialConfigLifecycle(t *testing.T) {
 		t.Fatal("breaker tripped but BreakerTrips == 0")
 	}
 }
+
+// TestFacadeServerMakeCorrect: over real sockets, a benign client reads the
+// forged value while every replica forges, and the written value again
+// once MakeCorrect restores each of them.
+func TestFacadeServerMakeCorrect(t *testing.T) {
+	const n = 3
+	servers := make([]*Server, n)
+	addrs := make(map[int]string, n)
+	for i := range servers {
+		srv, err := ListenAndServe(i, "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		servers[i], addrs[i] = srv, srv.Addr()
+	}
+	tc, err := Dial(addrs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tc.Close()
+	sys, err := New(Config{N: n, Q: n})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := NewClient(ClientConfig{System: sys, Transport: tc, WriterID: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if _, err := client.Write(ctx, "x", []byte("genuine")); err != nil {
+		t.Fatal(err)
+	}
+	read := func() string {
+		t.Helper()
+		r, err := client.Read(ctx, "x")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(r.Value)
+	}
+	for _, srv := range servers {
+		srv.MakeByzantine([]byte("forged"))
+	}
+	if got := read(); got != "forged" {
+		t.Fatalf("with every replica forging, read %q", got)
+	}
+	for _, srv := range servers {
+		srv.MakeCorrect()
+	}
+	if got := read(); got != "genuine" {
+		t.Errorf("after MakeCorrect, read %q, want the written value", got)
+	}
+}
+
+// TestFacadeParseCodec: the flag-level codec names map to the codecs, and
+// anything else is refused.
+func TestFacadeParseCodec(t *testing.T) {
+	for name, want := range map[string]Codec{"binary": CodecBinary, "binary-flate": CodecBinaryFlate} {
+		if got, err := ParseCodec(name); err != nil || got != want {
+			t.Errorf("ParseCodec(%q) = %v, %v; want %v", name, got, err, want)
+		}
+	}
+	if _, err := ParseCodec("gob"); err == nil {
+		t.Error(`ParseCodec("gob") accepted`)
+	}
+}

@@ -16,11 +16,11 @@
 //     operation and re-inserts it at its next arrival. This phase runs at
 //     zero simulated latency, so every operation completes at its arrival
 //     instant on both planes; on the mem plane, with no fault hook either,
-//     the network itself reports that no call can park
-//     (transport.TryCaller) and register runs every call on the driver — no
-//     option asks for it. Clients share no key, and the only shared mutable
-//     state (the membership-view counter) changes only at churn-wave
-//     instants deliberately placed off the arrival grid (+1ns), so the
+//     the network itself completes every call inline (MemNetwork.Start)
+//     and register consumes it on the driver — no option asks for it.
+//     Clients share no key, and the only shared mutable state (the
+//     membership-view counter) changes only at churn-wave instants
+//     deliberately placed off the arrival grid (+1ns), so the
 //     order in which same-instant arrivals run changes no outcome and the
 //     run replays byte-for-byte from its seed (Result.Digest pins it). The
 //     latency-tolerance knobs of the embedded Tuning block are stripped

@@ -2,6 +2,7 @@ package register
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -19,20 +20,18 @@ import (
 // that can ever be dispatched and one hedge fire, so a completion never
 // blocks).
 //
-// How a call runs is for the layers below to say, per call, and dispatch
-// asks them in order; the rule is the same under both clocks and is not an
-// option. First TryCall (a transport.TryCaller): a call that cannot park —
-// MemNetwork, on a link with no latency, hook or concurrency cap, to a
-// handler that does not wait — runs on the caller and its reply is queued
-// locally and consumed by the same goroutine, with no channel or wake-up.
-// Then Start (a transport.Starter): a call that waits only for a peer or
-// the clock — TCPClient on an established connection, MemNetwork on a
-// link whose only wait is time — is started on the caller, and its
-// completion pushes the reply straight into the gather's channel from
-// whatever goroutine settles it (where its reply is read, a timer). Only a
-// call both decline gets a worker of its own. None of it looks at anything
-// the engine branches on, and the access set is sampled before any of it
-// runs.
+// How a call runs is for the transport to say, per call: dispatch makes one
+// Start (transport.Starter; a Call-only transport is adapted once, by
+// transport.StarterOf) and the rule is the same under both clocks and is
+// not an option. A call that nothing can park — MemNetwork, on a link with
+// no latency, hook or concurrency cap, to a handler that does not wait —
+// completes before Start returns, and its reply is queued locally and
+// consumed by the same goroutine, with no channel or wake-up. Any other
+// call is pending: its reply reaches the operation's reply queue, the
+// transport.Sink, which pushes it into the gather's channel from whatever
+// goroutine settles it (where its reply is read, a timer, a worker the
+// transport started). None of it looks at anything the engine branches on,
+// and the access set is sampled before any of it runs.
 //
 // Promotion preserves the attempt-level ε argument documented on
 // RetryingClient and quorum.SpareSampler: a spare is dispatched only when a
@@ -60,26 +59,57 @@ type callReply struct {
 	hedge bool
 }
 
-// replyQueue is where one gather's replies arrive. A reply produced on the
-// caller — a call TryCall completed, or a member failed at dispatch — is
-// appended to local (storage borrowed from the operation's scratch) and
-// consumed from there by the same goroutine; ch carries the replies of
-// started and handed-off calls and the hedge's fires, and is made when the
-// first of them is armed or dispatched, so an operation that waits on
-// nothing makes no channel.
+// replyQueue is where one gather's replies arrive, and the sink of its
+// pending calls. A reply produced on the caller — a call Start completed, or
+// a member failed at dispatch — is appended to local and consumed there by
+// the same goroutine; ch carries pending calls' replies and the hedge's
+// fires, made by whichever needs it first. Tag i is the call to the i-th
+// of quorum then spares. What Complete reads is written before the first
+// dispatch and not again until the drain is done.
 type replyQueue struct {
-	local []callReply
-	next  int // local[next:] is unconsumed
-	ch    vtime.Chan[callReply]
-	total int // every call this gather can ever dispatch, plus one hedge fire: ch's buffer
+	local          []callReply
+	next           int // local[next:] is unconsumed
+	quorum, spares []quorum.ServerID
+	starts         []time.Time // by tag, dispatch times; nil unless adaptive hedging times calls
+	clock          vtime.Clock
+	sched          vtime.Sched
+
+	mu   sync.Mutex // guards making ch
+	ch   vtime.Chan[callReply]
+	size int // ch's buffer (every call, plus one hedge fire); 0: ch is not reused
+}
+
+// member is the server the call with tag goes to.
+func (q *replyQueue) member(tag int) quorum.ServerID {
+	if tag < len(q.quorum) {
+		return q.quorum[tag]
+	}
+	return q.spares[tag-len(q.quorum)]
+}
+
+// since is how long ago the call with tag was dispatched, if calls are timed.
+func (q *replyQueue) since(tag int) time.Duration {
+	if q.starts == nil {
+		return 0
+	}
+	return q.clock.Since(q.starts[tag])
 }
 
 // channel returns ch, making it on first use.
-func (q *replyQueue) channel(s vtime.Sched) vtime.Chan[callReply] {
+func (q *replyQueue) channel() vtime.Chan[callReply] {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	if q.ch == (vtime.Chan[callReply]{}) {
-		q.ch = vtime.NewChan[callReply](s, q.total)
+		q.ch = vtime.NewChan[callReply](q.sched, q.size)
 	}
 	return q.ch
+}
+
+// Complete implements transport.Sink: a pending call's reply goes to the
+// channel, whose buffer holds every call the gather can make, so it never
+// blocks.
+func (q *replyQueue) Complete(tag int, resp any, err error) {
+	q.channel().Send(callReply{id: q.member(tag), resp: resp, err: err, lat: q.since(tag)})
 }
 
 // pop takes the next locally queued reply, if there is one.
@@ -92,10 +122,11 @@ func (q *replyQueue) pop() (callReply, bool) {
 	return r, true
 }
 
-// dispatch issues one call: a member the transport already knows is down
-// fails here; otherwise TryCall, then Start, then a worker (see the file
+// dispatch issues the call with tag: a member the transport already knows
+// is down fails here; otherwise the transport starts it (see the file
 // comment).
-func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *replyQueue, timed bool) {
+func (c *cell) dispatch(ctx context.Context, req any, q *replyQueue, tag int) {
+	id := q.member(tag)
 	if c.health != nil && c.health.ServerDown(id) {
 		// The transport's circuit breaker already proved this member
 		// unreachable: deliver the failure at t=0 so the gather promotes a
@@ -107,44 +138,21 @@ func (c *cell) dispatch(ctx context.Context, id quorum.ServerID, req any, q *rep
 		q.local = append(q.local, callReply{id: id, err: transport.ErrServerDown})
 		return
 	}
-	var start time.Time
-	if timed {
-		start = c.clock.Now()
+	if q.starts != nil {
+		q.starts[tag] = c.clock.Now()
 	}
-	if c.try != nil {
-		// The id is passed down, never looked at: whether this call runs
-		// here is the link's and the handler's answer.
-		r := callReply{id: id}
-		var ok bool
-		if r.resp, ok, r.err = c.try.TryCall(ctx, id, req); ok {
-			if timed {
-				r.lat = c.clock.Since(start)
-			}
-			q.local = append(q.local, r)
-			return
-		}
+	// The id is passed down, never looked at: whether this call completes
+	// here is the link's and the handler's answer.
+	if resp, err, pending := c.start.Start(ctx, id, req, q, tag); !pending {
+		q.local = append(q.local, callReply{id: id, resp: resp, err: err, lat: q.since(tag)})
 	}
-	ch := q.channel(c.sched)
-	done := func(resp any, err error) {
-		r := callReply{id: id, resp: resp, err: err}
-		if timed {
-			r.lat = c.clock.Since(start)
-		}
-		ch.Send(r)
-	}
-	if c.start != nil && c.start.Start(ctx, id, req, done) {
-		return
-	}
-	c.sched.Go(func() { done(c.opts.Transport.Call(ctx, id, req)) })
 }
 
-// gatherSpec parameterizes one gather run. The request is gather's own
-// argument, not a field: it travels to workers and so to the heap, and the
-// callbacks here would follow it.
+// gatherSpec parameterizes one gather run. The request and the scratch,
+// which holds the access set, are gather's own arguments, not fields: they
+// travel to the transport and so to the heap, and the callbacks here would
+// follow them.
 type gatherSpec struct {
-	quorum  []quorum.ServerID
-	spares  []quorum.ServerID
-	scratch *scratch // the operation's (see pickWithSpares)
 	// onOK consumes a successful reply in arrival order (called from the
 	// gather goroutine, so no locking is needed). Returning a non-nil error
 	// reclassifies the reply as a failure, triggering spare promotion.
@@ -163,36 +171,24 @@ type gatherOutcome struct {
 	early    bool
 	leftover int
 	ctxErr   error
-	replies  replyQueue // where the leftover replies are (see drain)
 }
 
-// gather runs the access engine: req to every member of spec.quorum, then
-// to spares as members fail or the hedge alarm fires. It returns when the
+// gather runs the access engine: req to every member of s's access set,
+// then to its spares as members fail or the hedge alarm fires. It returns when the
 // completion rule is decidable, when every dispatched call has resolved, or
 // when ctx is done.
-func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gatherOutcome) {
-	q := &out.replies
-	q.total = len(spec.quorum) + len(spec.spares) + 1
-	q.local = spec.scratch.local[:0]
-	defer func() {
-		// The queue's storage goes back to the scratch (grown, perhaps)
-		// unless replies are left in it: then the drain owns it.
-		spec.scratch.local = nil
-		if out.leftover == 0 {
-			spec.scratch.local = q.local
-		}
-	}()
-	timed := c.opts.AdaptiveHedge
-	for _, id := range spec.quorum {
-		c.dispatch(ctx, id, req, q, timed)
+func (c *cell) gather(ctx context.Context, req any, s *scratch, spec gatherSpec) (out gatherOutcome) {
+	q := s.queue(c)
+	for i := range q.quorum {
+		c.dispatch(ctx, req, q, i)
 	}
-	outstanding := len(spec.quorum)
+	outstanding := len(q.quorum)
 	next := 0
 	promote := func() bool {
-		if next >= len(spec.spares) {
+		if next >= len(q.spares) {
 			return false
 		}
-		c.dispatch(ctx, spec.spares[next], req, q, timed)
+		c.dispatch(ctx, req, q, len(q.quorum)+next)
 		next++
 		outstanding++
 		out.promoted++
@@ -206,11 +202,13 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 	// Its alarm is re-armed only once its fire has been taken, so at most
 	// one fire is ever outstanding and ch's extra slot holds it: the
 	// callback never blocks. One that races Stop under the wall clock is
-	// left to the drain, which skips it.
+	// left to the drain, which skips it, or lands later on a channel no
+	// other operation gets (size 0).
 	hedgeDelay := c.hedgeDelay()
 	var hedge *vtime.Alarm
-	if hedgeDelay > 0 && len(spec.spares) > 0 {
-		ch := q.channel(c.sched)
+	if hedgeDelay > 0 && len(q.spares) > 0 {
+		ch := q.channel()
+		q.size = 0
 		hedge = vtime.NewAlarm(c.clock, func() { ch.Send(callReply{hedge: true}) })
 		hedge.ArmAt(c.clock.Mark(hedgeDelay))
 		defer hedge.Stop()
@@ -220,7 +218,7 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 	handle := func(r callReply) bool {
 		outstanding--
 		if r.err == nil {
-			if timed {
+			if q.starts != nil {
 				c.lat.observe(r.id, r.lat)
 			}
 			if spec.onOK != nil {
@@ -249,11 +247,11 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 	for outstanding > 0 {
 		// Replies produced on the caller first, including those of spares a
 		// promote() just ran: they are already here. Once local is empty
-		// every outstanding call was started or handed off, so q.ch exists.
+		// every outstanding call is pending.
 		r, ok := q.pop()
 		if !ok {
 			var err error
-			if r, err = q.ch.RecvCtx(ctx); err != nil {
+			if r, err = q.channel().RecvCtx(ctx); err != nil {
 				out.leftover = outstanding
 				out.ctxErr = err
 				return out
@@ -275,13 +273,15 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 }
 
 // drain consumes the replies still in flight when a gather completed early,
-// from a background worker tracked by WaitDrained. onLate, when non-nil,
-// sees each late reply (successful or failed) in arrival order. The late
-// calls run on the operation's context: a caller that cancels it after the
-// operation returns also aborts the stragglers (normal cancellation
-// semantics), in which case there is nothing to drain but errors — only
-// successful late replies count toward AccessStats.LateReplies. A hedge
-// fire among them (one that raced the gather's Stop) is taken and skipped.
+// from a background worker tracked by WaitDrained, then recycles s (at
+// once, with nothing in flight); it is the operation's last use of s.
+// onLate, when non-nil, sees each late reply (successful or failed) in
+// arrival order. The late calls run on the operation's context: a caller
+// that cancels it after the operation returns also aborts the stragglers
+// (normal cancellation semantics), in which case there is nothing to drain
+// but errors — only successful late replies count toward
+// AccessStats.LateReplies. A hedge fire among them (one that raced the
+// gather's Stop) is taken and skipped.
 //
 // Late replies deliberately do NOT feed the adaptive-hedge latency
 // estimator: the estimator measures the population of replies that
@@ -292,20 +292,20 @@ func (c *cell) gather(ctx context.Context, req any, spec gatherSpec) (out gather
 // because a gather can never finish before quorum-size replies arrive: if
 // the whole cluster slows down, the in-gather samples slow down with it
 // and the delay rises.
-func (c *cell) drain(out gatherOutcome, onLate func(callReply)) {
+func (c *cell) drain(s *scratch, out gatherOutcome, onLate func(callReply)) {
 	if out.leftover == 0 {
+		c.recycle(s)
 		return
 	}
-	// Copies, so that only an operation that does leave replies behind pays
-	// for moving them to the heap.
-	leftover, replies := out.leftover, out.replies
+	leftover := out.leftover
 	c.drainWG.Add(1)
 	c.sched.Go(func() {
 		defer c.drainWG.Done()
+		q := &s.q
 		for i := 0; i < leftover; i++ {
-			r, ok := replies.pop()
+			r, ok := q.pop()
 			for !ok || r.hedge { // a stray hedge fire is not a reply
-				r, ok = replies.ch.Recv(), true
+				r, ok = q.channel().Recv(), true
 			}
 			if r.err == nil {
 				c.statLate.Add(1)
@@ -314,31 +314,47 @@ func (c *cell) drain(out gatherOutcome, onLate func(callReply)) {
 				onLate(r)
 			}
 		}
+		c.recycle(s)
 	})
 }
 
 // scratch is the memory one operation borrows from its cell and gives back
-// when it completes: the buffer its access set is sampled into, the queue
-// of replies produced on the caller, and a read's kept replies. Nothing in
-// it escapes the operation — Read and Write copy the access set into the
-// result's Quorum field and a result's Value points at the replica's bytes,
-// not into here — so recycling cannot rewrite anything a caller holds.
+// when it and its drain complete: the buffer its access set is sampled
+// into, its reply queue and a read's kept replies. Nothing in it escapes
+// the operation — Read and Write copy the access set into the result's
+// Quorum field and a result's Value points at the replica's bytes, not into
+// here — so recycling cannot rewrite anything a caller holds.
 type scratch struct {
 	pick    []quorum.ServerID
-	local   []callReply
+	q       replyQueue
 	replies []readReply
+}
+
+// queue readies the scratch's reply queue for a gather. It keeps the last
+// channel if large enough and no hedge alarm was armed on it.
+func (s *scratch) queue(c *cell) *replyQueue {
+	q := &s.q
+	calls := len(q.quorum) + len(q.spares)
+	if q.size < calls+1 {
+		q.size, q.ch = calls+1, vtime.Chan[callReply]{}
+	}
+	if c.opts.AdaptiveHedge { // starts stays nil otherwise
+		q.starts = append(q.starts[:0], make([]time.Time, calls)...)
+	}
+	q.local, q.next = q.local[:0], 0
+	return q
 }
 
 // maxScratchFree bounds the scratch freelist; beyond the steady concurrency
 // level extra buffers are garbage, not cache.
 const maxScratchFree = 8
 
-// pickWithSpares samples one access set plus the configured number of
-// spares under the client's strategy, and lends the operation a scratch,
-// which it returns with recycle when it completes. Spare-free picks from an
+// pickWithSpares lends the operation a scratch holding one access set plus
+// the configured number of spares, sampled under the client's strategy
+// (s.q.quorum, s.q.spares); its drain recycles it. Spare-free picks from an
 // InplacePicker-capable system sample into the scratch, so steady-state
 // sampling performs zero allocations.
-func (c *cell) pickWithSpares() (s *scratch, q, spares []quorum.ServerID) {
+func (c *cell) pickWithSpares() (s *scratch) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if n := len(c.free); n > 0 {
@@ -348,29 +364,29 @@ func (c *cell) pickWithSpares() (s *scratch, q, spares []quorum.ServerID) {
 		// Sized for every call the operation can make, so a short-lived
 		// client does not grow its first scratch by doubling.
 		k := c.opts.System.QuorumSize() + c.opts.Spares
-		s = &scratch{local: make([]callReply, 0, k), replies: make([]readReply, 0, k)}
+		s = &scratch{q: replyQueue{local: make([]callReply, 0, k), clock: c.clock, sched: c.sched}, replies: make([]readReply, 0, k)}
 	}
-	if c.opts.Spares > 0 {
-		if ss, ok := c.opts.System.(quorum.SpareSampler); ok {
-			q, spares = ss.PickWithSpares(c.rng, c.opts.Spares)
-			return s, q, spares
-		}
-	}
-	if ip, ok := c.opts.System.(quorum.InplacePicker); ok {
+	q := &s.q
+	q.spares = nil
+	if ss, ok := c.opts.System.(quorum.SpareSampler); ok && c.opts.Spares > 0 {
+		q.quorum, q.spares = ss.PickWithSpares(c.rng, c.opts.Spares)
+	} else if ip, ok := c.opts.System.(quorum.InplacePicker); ok {
 		if s.pick == nil {
 			s.pick = make([]quorum.ServerID, 0, c.opts.System.QuorumSize())
 		}
 		s.pick = ip.PickInto(c.rng, s.pick[:0])
-		return s, s.pick, nil
+		q.quorum = s.pick
+	} else {
+		q.quorum = c.opts.System.Pick(c.rng)
 	}
-	return s, c.opts.System.Pick(c.rng), nil
+	return s
 }
 
 // recycle returns a completed operation's scratch to the freelist, dropping
 // what its reply buffers point at (boxed replies, value bytes) so the
 // freelist retains none of it.
 func (c *cell) recycle(s *scratch) {
-	clear(s.local)
+	clear(s.q.local)
 	clear(s.replies)
 	c.mu.Lock()
 	if len(c.free) < maxScratchFree {

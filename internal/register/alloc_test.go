@@ -32,13 +32,14 @@ func TestSteadyStateSamplingZeroAlloc(t *testing.T) {
 	}
 	eng := c.cells[0]
 	// Warm the freelist with one pick, as the first operation would.
-	s, q, spares := eng.pickWithSpares()
+	s := eng.pickWithSpares()
+	q, spares := s.q.quorum, s.q.spares
 	if len(q) != 23 || spares != nil {
 		t.Fatalf("pick: %d members, %d spares", len(q), len(spares))
 	}
 	eng.recycle(s)
 	allocs := testing.AllocsPerRun(500, func() {
-		s, _, _ := eng.pickWithSpares()
+		s := eng.pickWithSpares()
 		eng.recycle(s)
 	})
 	if allocs != 0 {
@@ -152,15 +153,15 @@ func TestBenignWriteAllocs(t *testing.T) {
 func TestFirstScratchHoldsEveryCall(t *testing.T) {
 	const n, q, spares = 100, 23, 2
 	c := hedgedClient(t, newCluster(t, n), uniformSystem(t, n, q), Options{Tuning: config.Tuning{Spares: spares}})
-	s, _, _ := c.cells[0].pickWithSpares()
-	if cap(s.local) != q+spares || cap(s.replies) != q+spares {
-		t.Errorf("first scratch holds %d queued and %d kept replies, want %d each", cap(s.local), cap(s.replies), q+spares)
+	s := c.cells[0].pickWithSpares()
+	if cap(s.q.local) != q+spares || cap(s.replies) != q+spares {
+		t.Errorf("first scratch holds %d queued and %d kept replies, want %d each", cap(s.q.local), cap(s.replies), q+spares)
 	}
 	if _, err := c.Read(context.Background(), "k"); err != nil {
 		t.Fatal(err)
 	}
-	s, _, _ = c.cells[0].pickWithSpares()
-	if cap(s.local) != q+spares || cap(s.replies) != q+spares {
-		t.Errorf("after a read the scratch holds %d and %d, want %d each: it grew", cap(s.local), cap(s.replies), q+spares)
+	s = c.cells[0].pickWithSpares()
+	if cap(s.q.local) != q+spares || cap(s.replies) != q+spares {
+		t.Errorf("after a read the scratch holds %d and %d, want %d each: it grew", cap(s.q.local), cap(s.replies), q+spares)
 	}
 }

@@ -424,15 +424,15 @@ func TestDrainSkipsAStrayHedgeFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out := gatherOutcome{leftover: 4}
-	out.replies.total = 6
-	out.replies.local = []callReply{{id: 0}}
-	ch := out.replies.channel(cl.sched)
+	s := &scratch{q: replyQueue{quorum: []quorum.ServerID{0, 1, 2, 3, 4}, sched: cl.sched}}
+	q := s.queue(cl)
+	q.local = append(q.local, callReply{id: 0})
+	ch := q.channel()
 	for _, r := range []callReply{{id: 1}, {hedge: true}, {id: 2, err: errors.New("down")}, {id: 3}, {id: 4}} {
 		ch.Send(r)
 	}
 	var seen []quorum.ServerID
-	cl.drain(out, func(r callReply) { seen = append(seen, r.id) })
+	cl.drain(s, gatherOutcome{leftover: 4}, func(r callReply) { seen = append(seen, r.id) })
 	cl.WaitDrained()
 	if got := fmt.Sprint(seen); got != "[0 1 2 3]" {
 		t.Errorf("drain saw %s, want [0 1 2 3]", got)

@@ -25,34 +25,24 @@ import (
 	"pqs/internal/wire"
 )
 
-// pathCounter is a MemNetwork that counts which way each call went, and
-// records on which goroutine calls were started.
+// pathCounter is a MemNetwork that counts how its calls went — completed
+// on the caller or left pending — and records on which goroutine a pending
+// call was started.
 type pathCounter struct {
 	*transport.MemNetwork
-	onCaller, started, handedOff atomic.Int64
-	startedOn                    atomic.Uint64
+	onCaller, pending atomic.Int64
+	pendingOn         atomic.Uint64
 }
 
-func (p *pathCounter) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
-	p.handedOff.Add(1)
-	return p.MemNetwork.Call(ctx, to, req)
-}
-
-func (p *pathCounter) TryCall(ctx context.Context, to quorum.ServerID, req any) (any, bool, error) {
-	resp, ok, err := p.MemNetwork.TryCall(ctx, to, req)
-	if ok {
+func (p *pathCounter) Start(ctx context.Context, to quorum.ServerID, req any, sink transport.Sink, tag int) (any, error, bool) {
+	resp, err, pending := p.MemNetwork.Start(ctx, to, req, sink, tag)
+	if pending {
+		p.pending.Add(1)
+		p.pendingOn.Store(goid())
+	} else {
 		p.onCaller.Add(1)
 	}
-	return resp, ok, err
-}
-
-func (p *pathCounter) Start(ctx context.Context, to quorum.ServerID, req any, done func(any, error)) bool {
-	ok := p.MemNetwork.Start(ctx, to, req, done)
-	if ok {
-		p.started.Add(1)
-		p.startedOn.Store(goid())
-	}
-	return ok
+	return resp, err, pending
 }
 
 // napper is a Behavior this package's replicas know nothing about: correct,
@@ -72,14 +62,14 @@ func (n napper) OnRead(key string, correct wire.ReadReply) (wire.ReadReply, erro
 // SimClock, an access set of 23 of which one member can park for 50 ms — a
 // Delayed replica, a replica with a foreign Behavior that sleeps, or a link
 // with latency — one spare, a 2 ms hedge, eager reads. The 22 that cannot
-// park run on the caller. The one that can is handed to a worker when its
-// replica may sleep, and when only latency delays it, it is started on the
-// caller and completed by the clock, with no worker at all (on whichever
-// parked goroutine drives the clock then). Either way the gather goroutine
-// is free when the hedge timer fires: the read promotes the spare (which
-// runs on the caller too) and completes at exactly the hedge delay. Had the
-// parking call run on the caller, the timer could not have been served
-// before it returned and the read would end at 50 ms.
+// park complete on the caller. The one that can is started on the caller
+// and left pending: the network hands it to a worker when its replica may
+// sleep, and completes it by the clock when only latency delays it. Either
+// way the gather goroutine is free when the hedge timer fires: the read
+// promotes the spare (which completes on the caller too) and completes at
+// exactly the hedge delay. Had the parking call run on the caller, the timer
+// could not have been served before it returned and the read would end at
+// 50 ms.
 func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 	const (
 		q          = 23
@@ -88,19 +78,18 @@ func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 		hedgeDelay = 2 * time.Millisecond
 	)
 	for _, c := range []struct {
-		name    string
-		park    func(clk *vtime.SimClock, net *transport.MemNetwork, rep *replica.Replica)
-		started bool // the clock, not a worker, completes the parking call
+		name string
+		park func(clk *vtime.SimClock, net *transport.MemNetwork, rep *replica.Replica)
 	}{
 		{"Delayed", func(clk *vtime.SimClock, _ *transport.MemNetwork, rep *replica.Replica) {
 			rep.SetBehavior(replica.Delayed{Delay: stall, Clock: clk})
-		}, false},
+		}},
 		{"foreign Behavior", func(clk *vtime.SimClock, _ *transport.MemNetwork, rep *replica.Replica) {
 			rep.SetBehavior(napper{clk: clk, nap: stall})
-		}, false},
+		}},
 		{"server latency", func(_ *vtime.SimClock, net *transport.MemNetwork, _ *replica.Replica) {
 			net.SetServerLatency(straggler, stall, stall)
-		}, true},
+		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			clk := vtime.NewSimClock()
@@ -151,15 +140,11 @@ func TestParkingCallsNeverRunOnTheCaller(t *testing.T) {
 			if !rr.Found || string(rr.Value) != "v" || rr.Promoted != 1 || rr.Replies != q || !rr.Early {
 				t.Errorf("read returned %+v; want the value from %d replies, one spare promoted, early", rr, q)
 			}
-			want := [2]int64{0, 1} // started, handed off
-			if c.started {
-				want = [2]int64{1, 0}
+			if on, pending := net.onCaller.Load(), net.pending.Load(); on != q || pending != 1 {
+				t.Errorf("%d calls completed on the caller and %d were left pending; want %d (22 members and the spare) and 1", on, pending, q)
 			}
-			if on, st, off := net.onCaller.Load(), net.started.Load(), net.handedOff.Load(); on != q || [2]int64{st, off} != want {
-				t.Errorf("%d calls ran on the caller, %d were started and %d handed off; want %d (22 members and the spare), %d and %d", on, st, off, q, want[0], want[1])
-			}
-			if c.started && net.startedOn.Load() != caller {
-				t.Errorf("the parking call was started on goroutine %d, want the caller's (%d)", net.startedOn.Load(), caller)
+			if net.pendingOn.Load() != caller {
+				t.Errorf("the parking call was started on goroutine %d, want the caller's (%d)", net.pendingOn.Load(), caller)
 			}
 			if stats.LateReplies != 1 {
 				t.Errorf("%d late replies, want the straggler's", stats.LateReplies)
@@ -266,8 +251,8 @@ func differentialRun(t *testing.T, dc differentialCase, direct bool) (outcomes [
 		opts.Transport = callOnly{c.net}
 	}
 	cl := hedgedClient(t, c, uniformSystem(t, dc.n, dc.q), opts)
-	if got := cl.cells[0].try != nil; got != direct {
-		t.Fatalf("client sees a TryCaller: %v, want %v", got, direct)
+	if _, own := cl.cells[0].start.(*pathCounter); own != direct {
+		t.Fatalf("client starts calls with the network's own Start: %v, want %v", own, direct)
 	}
 	ctx := context.Background()
 	for k := 0; k < keys; k++ {
@@ -308,8 +293,8 @@ func differentialRun(t *testing.T, dc differentialCase, direct bool) (outcomes [
 		// order — and with it the drop pattern — is the stream's own.
 		cl.WaitDrained()
 	}
-	if st, off := paths.started.Load(), paths.handedOff.Load(); direct && st+off != 0 {
-		t.Errorf("the direct client started %d calls and handed %d to workers; nothing on this network can park", st, off)
+	if pending := paths.pending.Load(); direct && pending != 0 {
+		t.Errorf("the direct client left %d calls pending; nothing on this network can park", pending)
 	}
 
 	for _, r := range c.reps {
@@ -334,8 +319,8 @@ func differentialRun(t *testing.T, dc differentialCase, direct bool) (outcomes [
 // over a lossy network with a crashed member, gives the same results, sends
 // every server the same number of calls (so loses the same ones) and
 // leaves the same bytes on every replica whether its calls run on the
-// caller (MemNetwork as a TryCaller) or on pool workers (the same network
-// behind callOnly) — in each protocol, with spares, with W < q, with read
+// caller (MemNetwork's Start) or on pool workers (the same network behind
+// callOnly) — in each protocol, with spares, with W < q, with read
 // repair. (Spares and W < q are not combined: whether a failure is seen
 // before the W-th acknowledgement, and so whether a spare receives the
 // write, is a race between replies on the pool, by design.) Run under -race.

@@ -24,17 +24,15 @@
 // that has never verified here runs ed25519 (AccessStats.SigChecks and
 // SigReused count the two).
 //
-// Where a call runs is not the client's to configure. A call that cannot
-// park — the transport is a transport.TryCaller and says so for this call,
-// as MemNetwork does on a link with no latency, fault hook or concurrency
-// cap to a replica whose behaviour never waits — runs on the goroutine that
-// issued the operation and its reply is consumed there, with no worker, no
-// channel and no wake-up. A call that waits only for a peer or the clock —
-// the transport is a transport.Starter that accepts it, as TCPClient does
-// on an established connection — is started there and its completion
-// delivers the reply to the operation's channel. Only a call both decline
-// gets a worker of its own (a registered scheduler worker under a
-// SimClock). One rule, both clocks; see access.go.
+// Where a call runs is not the client's to configure: every call is one
+// transport.Starter Start. A call that cannot park — MemNetwork, on a link
+// with no latency, fault hook or concurrency cap, to a replica whose
+// behaviour never waits — completes on the goroutine that issued the
+// operation, with no worker, channel or wake-up. Any other call is pending,
+// and whatever settles it (a connection's reply, a timer, a worker the
+// transport started) delivers its reply to the operation's channel; a
+// Call-only transport gets a worker per call (transport.StarterOf). One
+// rule, both clocks; see access.go.
 package register
 
 import (
@@ -198,12 +196,8 @@ type cell struct {
 	// t=0 so the gather promotes spares immediately (see access.go).
 	health transport.HealthReporter
 
-	// try and start are the transport's optional ways to make a call
-	// without a worker (a transport.TryCaller — MemNetwork — and a
-	// transport.Starter — MemNetwork, TCPClient), nil when it lacks them:
-	// dispatch offers each call to try, then to start, and hands only a
-	// call both decline to a worker.
-	try   transport.TryCaller
+	// start makes every call: the transport's own Start, or Call on a
+	// worker (transport.StarterOf).
 	start transport.Starter
 
 	accessCounters
@@ -273,8 +267,7 @@ func newCell(opts Options) (*cell, error) {
 	if hr, ok := opts.Transport.(transport.HealthReporter); ok {
 		c.health = hr
 	}
-	c.try, _ = opts.Transport.(transport.TryCaller)
-	c.start, _ = opts.Transport.(transport.Starter)
+	c.start = transport.StarterOf(opts.Transport, c.sched)
 	return c, nil
 }
 
@@ -301,12 +294,6 @@ func checkSigner(opts Options) error {
 	}
 	return nil
 }
-
-// Mode returns the client's protocol mode.
-func (c *cell) Mode() Mode { return c.opts.Mode }
-
-// System returns the client's quorum system.
-func (c *cell) System() quorum.System { return c.opts.System }
 
 // WriteResult reports the outcome of a write.
 type WriteResult struct {
@@ -337,8 +324,10 @@ func (c *cell) Write(ctx context.Context, key string, value []byte) (WriteResult
 	if c.opts.Clock == nil {
 		return WriteResult{}, errors.New("register: client has no clock; cannot write")
 	}
-	scratch, q, spares := c.pickWithSpares()
-	defer c.recycle(scratch)
+	scratch := c.pickWithSpares()
+	q := scratch.q.quorum
+	var out gatherOutcome
+	defer func() { c.drain(scratch, out, nil) }() // late acks still improve durability; count them
 	stamp := c.opts.Clock.Next()
 	val := make([]byte, len(value))
 	copy(val, value)
@@ -359,10 +348,7 @@ func (c *cell) Write(ctx context.Context, key string, value []byte) (WriteResult
 	if !c.opts.RequireFullWrite && c.opts.W > 0 && c.opts.W < target {
 		target = c.opts.W
 	}
-	out := c.gather(ctx, req, gatherSpec{
-		quorum:  q,
-		spares:  spares,
-		scratch: scratch,
+	out = c.gather(ctx, req, scratch, gatherSpec{
 		onOK: func(id quorum.ServerID, _ any) error {
 			res.Acked = append(res.Acked, id)
 			return nil
@@ -372,7 +358,6 @@ func (c *cell) Write(ctx context.Context, key string, value []byte) (WriteResult
 	res.Errs = out.errs
 	res.Promoted = out.promoted
 	res.Early = out.early
-	c.drain(out, nil) // late acks still improve durability; count them
 	if len(res.Acked) == 0 {
 		if out.ctxErr != nil {
 			return res, out.ctxErr
@@ -474,11 +459,14 @@ type readReply struct {
 // as the acceptance rule is decidable; with Options.Spares, failed or
 // lagging members are hedged with spare servers.
 func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
-	scratch, q, spares := c.pickWithSpares()
+	scratch := c.pickWithSpares()
+	q := scratch.q.quorum
 	replies := scratch.replies[:0]
+	var out gatherOutcome
+	var onLate func(callReply)
 	defer func() {
 		scratch.replies = replies
-		c.recycle(scratch)
+		c.drain(scratch, out, onLate)
 	}()
 	req := wire.ReadRequest{Key: key}
 
@@ -504,10 +492,7 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 			return false
 		}
 	}
-	out := c.gather(ctx, req, gatherSpec{
-		quorum:  q,
-		spares:  spares,
-		scratch: scratch,
+	out = c.gather(ctx, req, scratch, gatherSpec{
 		onOK: func(id quorum.ServerID, resp any) error {
 			msg, ok := resp.(wire.ReadReply)
 			if !ok {
@@ -525,7 +510,6 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 	res.Promoted = out.promoted
 	res.Early = out.early
 	if res.Replies == 0 {
-		c.drain(out, nil)
 		if out.ctxErr != nil {
 			return res, out.ctxErr
 		}
@@ -558,13 +542,11 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 		// A writer that also reads keeps its clock ahead of what it saw.
 		c.opts.Clock.Witness(res.Stamp)
 	}
-	var onLate func(callReply)
 	if c.opts.ReadRepair && res.Found {
 		push := wire.WriteRequest{Key: key, Value: res.Value, Stamp: res.Stamp, Sig: sig}
 		c.repair(ctx, push, &res, replies, out.errs, out.leftover > 0)
 		onLate = c.lateRepair(ctx, push)
 	}
-	c.drain(out, onLate)
 	return res, nil
 }
 

@@ -18,10 +18,10 @@ type cluster struct {
 	reps []*replica.Replica
 }
 
-// callOnly hides a transport's optional capabilities, TryCaller above all:
+// callOnly hides a transport's optional capabilities, Start above all:
 // what is left is a transport any of whose calls might park, as far as the
-// engine can tell, so every call is handed to a worker — the path a socket
-// transport takes.
+// engine can tell, so every call is handed to a worker
+// (transport.StarterOf) — the path bench's tracing decorators take.
 type callOnly struct{ transport.Transport }
 
 func newCluster(t *testing.T, n int) *cluster {

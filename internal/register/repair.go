@@ -32,22 +32,22 @@ func (c *cell) repair(ctx context.Context, push wire.WriteRequest, res *ReadResu
 	wg := vtime.NewWaitGroup(c.clock)
 	for _, id := range targets {
 		// Best effort either way: a failed repair changes nothing. As in
-		// dispatch, a push that cannot park runs here.
-		if c.try != nil {
-			if _, ok, _ := c.try.TryCall(ctx, id, req); ok {
-				continue
-			}
-		}
-		id := id
+		// dispatch, a push that cannot park completes here; the count is
+		// taken first, as a pending push may complete before Start returns.
 		wg.Add(1)
-		c.sched.Go(func() {
-			defer wg.Done()
-			_, _ = c.opts.Transport.Call(ctx, id, req)
-		})
+		if _, _, pending := c.start.Start(ctx, id, req, repairWait{wg}, 0); !pending {
+			wg.Done()
+		}
 	}
 	wg.Wait()
 	res.Repaired = len(targets)
 }
+
+// repairWait is the sink of a repair's pending pushes: each is one Done.
+type repairWait struct{ wg *vtime.WaitGroup }
+
+// Complete implements transport.Sink.
+func (w repairWait) Complete(int, any, error) { w.wg.Done() }
 
 // repairTargets lists the servers the synchronous repair pass pushes to:
 // access-set members that answered stale (or nothing, if their call already

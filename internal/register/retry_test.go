@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +15,7 @@ import (
 	"pqs/internal/transport"
 	"pqs/internal/ts"
 	"pqs/internal/vtime"
+	"pqs/internal/wire"
 )
 
 func TestRetryingClientValidation(t *testing.T) {
@@ -375,5 +377,68 @@ func TestRetryingUpdateRetriesTransientFailure(t *testing.T) {
 	}
 	if string(rr.Value) != "42" {
 		t.Errorf("counter = %s, want 42 (RMW did not complete through retries)", rr.Value)
+	}
+}
+
+// TestPermanentNoRepliesStopsRetrying: when every member fails with a
+// permanent error the operation's error is ErrNoReplies and permanent, and
+// RetryingClient makes one attempt; one member failing transiently makes
+// the error transient, and every attempt is spent.
+func TestPermanentNoRepliesStopsRetrying(t *testing.T) {
+	const n, attempts = 5, 3
+	for _, c := range []struct {
+		name      string
+		permanent bool
+	}{{"all permanent", true}, {"one transient", false}} {
+		t.Run(c.name, func(t *testing.T) {
+			net := transport.NewMemNetwork(1)
+			var calls atomic.Int64
+			refuse := transport.HandlerFunc(func(context.Context, any) (any, error) {
+				calls.Add(1)
+				return nil, wire.PermanentError(errors.New("unsupported payload"))
+			})
+			for i := 0; i < n; i++ {
+				net.Register(quorum.ServerID(i), refuse)
+			}
+			perAttempt := int64(n) // the access set is every server
+			if !c.permanent {
+				net.Crash(2) // transient: ErrCrashed, before the handler
+				perAttempt--
+			}
+			base, err := NewClient(Options{
+				System: uniformSystem(t, n, n), Mode: Benign, Transport: net,
+				Rand: rand.New(rand.NewSource(1)), Clock: ts.NewClock(1),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rc, err := NewRetryingClient(base, attempts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			for _, op := range []struct {
+				name string
+				do   func() error
+			}{
+				{"read", func() error { _, err := rc.Read(ctx, "k"); return err }},
+				{"write", func() error { _, err := rc.Write(ctx, "k", []byte("v")); return err }},
+			} {
+				before := calls.Load()
+				err := op.do()
+				if !errors.Is(err, ErrNoReplies) || transport.IsPermanent(err) != c.permanent {
+					t.Errorf("%s: err %v, permanent %v; want ErrNoReplies, permanent %v", op.name, err, transport.IsPermanent(err), c.permanent)
+				} else if c.permanent && err.Error() != errors.Unwrap(err).Error() {
+					t.Errorf("%s: the permanent error reads %q, the error it marks %q", op.name, err, errors.Unwrap(err))
+				}
+				wantAttempts := int64(attempts)
+				if c.permanent {
+					wantAttempts = 1
+				}
+				if got := calls.Load() - before; got != wantAttempts*perAttempt {
+					t.Errorf("%s: %d calls reached a handler, want %d attempts' worth", op.name, got, wantAttempts)
+				}
+			}
+		})
 	}
 }

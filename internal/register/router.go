@@ -136,12 +136,6 @@ func (c *Client) CellFor(key string) int {
 // Cells returns the number of quorum cells the client routes across.
 func (c *Client) Cells() int { return len(c.cells) }
 
-// Mode returns the client's protocol mode (identical across cells).
-func (c *Client) Mode() Mode { return c.cells[0].Mode() }
-
-// System returns the per-cell quorum system.
-func (c *Client) System() quorum.System { return c.cells[0].System() }
-
 // Write routes key to its cell and runs the Section 3.1 write protocol
 // there; see the cell Write for the protocol contract.
 func (c *Client) Write(ctx context.Context, key string, value []byte) (WriteResult, error) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pqs/internal/config"
 	"pqs/internal/quorum"
 	"pqs/internal/replica"
 	"pqs/internal/ring"
@@ -246,5 +247,64 @@ func TestApplyViewChecksVersionFirst(t *testing.T) {
 	}
 	if got := c.View().Version; got != 5 {
 		t.Errorf("routing by view %d, want 5", got)
+	}
+}
+
+// TestCellStatsSumToStats: on a multi-cell client every operation is
+// counted by the cell its key routes to, so the per-cell counters add up to
+// the client's.
+func TestCellStatsSumToStats(t *testing.T) {
+	const cells, n, q = 3, 10, 5
+	net := transport.NewMemNetwork(4)
+	for i := 0; i < cells*n; i++ {
+		net.Register(quorum.ServerID(i), replica.New(quorum.ServerID(i)))
+	}
+	for i := 0; i < cells; i++ {
+		net.Crash(quorum.ServerID(i * n)) // a failed member promotes a spare
+	}
+	u, err := quorum.NewUniform(n, q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewClient(Options{
+		System: u, Mode: Benign, Transport: net,
+		Rand: rand.New(rand.NewSource(4)), Clock: ts.NewClock(1), Cells: cells,
+		Tuning: config.Tuning{Spares: 2, W: q - 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for i := 0; i < 60; i++ {
+		key := fmt.Sprintf("k-%d", i)
+		if _, err := c.Write(ctx, key, []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Read(ctx, key); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.WaitDrained()
+	var sum AccessStats
+	busy := 0
+	for i := 0; i < cells; i++ {
+		s := c.CellStats(i)
+		if s.SparesPromoted > 0 {
+			busy++
+		}
+		sum.SparesPromoted += s.SparesPromoted
+		sum.EarlyCompletions += s.EarlyCompletions
+		sum.LateReplies += s.LateReplies
+		sum.LateRepairs += s.LateRepairs
+		sum.ServerDownFastFails += s.ServerDownFastFails
+		sum.SigChecks += s.SigChecks
+		sum.SigReused += s.SigReused
+		sum.LatencySamples += s.LatencySamples
+	}
+	if busy < 2 {
+		t.Fatalf("%d cells promoted a spare: the keys did not spread over the cells", busy)
+	}
+	if got := c.Stats(); got != sum || got.EarlyCompletions == 0 {
+		t.Errorf("Stats() = %+v, the cells sum to %+v (early completions must be counted)", got, sum)
 	}
 }

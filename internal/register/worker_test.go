@@ -1,9 +1,9 @@
 package register
 
-// Regressions for calls that leave the caller: a call the transport starts
-// (transport.Starter) completes into the gather's channel with no goroutine
-// of its own, and a call nothing will start gets a worker that lives exactly
-// as long as the call. Run under -race.
+// Regressions for calls that leave the caller: a pending call the clock
+// completes (transport.Starter) reaches the gather's channel with no
+// goroutine of its own, and a call on a Call-only transport gets a worker
+// that lives exactly as long as the call. Run under -race.
 
 import (
 	"bytes"
@@ -113,12 +113,12 @@ func goid() uint64 {
 	return id
 }
 
-// startProbe forwards calls to a MemNetwork, counting how many were
-// started, how many were made with Call (each on a worker of its own), and
-// the most goroutines the process had when one was started or completed.
+// startProbe forwards calls to a MemNetwork, counting how many were left
+// pending, how many were made with Call, and the most goroutines the
+// process had when one was started or completed.
 type startProbe struct {
 	net            *transport.MemNetwork
-	started, calls atomic.Int64
+	pending, calls atomic.Int64
 
 	mu   sync.Mutex
 	peak int
@@ -136,23 +136,31 @@ func (p *startProbe) Call(ctx context.Context, to quorum.ServerID, req any) (any
 	return p.net.Call(ctx, to, req)
 }
 
-func (p *startProbe) Start(ctx context.Context, to quorum.ServerID, req any, done func(any, error)) bool {
+func (p *startProbe) Start(ctx context.Context, to quorum.ServerID, req any, sink transport.Sink, tag int) (any, error, bool) {
 	p.sample()
-	ok := p.net.Start(ctx, to, req, func(resp any, err error) {
-		p.sample()
-		done(resp, err)
-	})
-	if ok {
-		p.started.Add(1)
+	resp, err, pending := p.net.Start(ctx, to, req, probeSink{p, sink}, tag)
+	if pending {
+		p.pending.Add(1)
 	}
-	return ok
+	return resp, err, pending
+}
+
+// probeSink samples the goroutine count as a pending call completes.
+type probeSink struct {
+	p    *startProbe
+	sink transport.Sink
+}
+
+func (s probeSink) Complete(tag int, resp any, err error) {
+	s.p.sample()
+	s.sink.Complete(tag, resp, err)
 }
 
 // TestHedgedVirtualReadStartsNoWorker: under a SimClock, a call whose only
 // wait is latency is started by the gather and completed by the clock. Over
-// 50 sequential hedged reads every call, spares included, is started; none
-// reaches Call, which is what a worker would make; and the process never
-// holds a goroutine more than it had before the first read.
+// 50 sequential hedged reads every call, spares included, is pending; none
+// is made with Call; and the process never holds a goroutine more than it
+// had before the first read.
 func TestHedgedVirtualReadStartsNoWorker(t *testing.T) {
 	const reads = 50
 	clk := vtime.NewSimClock()
@@ -185,11 +193,11 @@ func TestHedgedVirtualReadStartsNoWorker(t *testing.T) {
 	if promoted == 0 {
 		t.Fatal("no read promoted a spare: the test no longer exercises hedging")
 	}
-	if got := probe.started.Load(); got != int64(rpcs) {
-		t.Errorf("%d calls started, want all %d the reads made", got, rpcs)
+	if got := probe.pending.Load(); got != int64(rpcs) {
+		t.Errorf("%d calls pending, want all %d the reads made", got, rpcs)
 	}
 	if got := probe.calls.Load(); got != 0 {
-		t.Errorf("%d calls made with Call, each on a worker; want 0", got)
+		t.Errorf("%d calls made with Call; want 0", got)
 	}
 	if probe.peak > baseline {
 		t.Errorf("%d goroutines at peak, %d before the first read: a started call ran on a goroutine of its own", probe.peak, baseline)

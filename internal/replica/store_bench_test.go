@@ -57,7 +57,7 @@ func coldFixture() ([]*Store, []string, []uint32) {
 // BenchmarkStoreGetCold prices the read RPC's store access as mem-fanout
 // pays for it. One iteration is a sweep of 4 096 pairs — testing.PB's
 // per-iteration counter is then a four-thousandth of what is measured (two
-// PBs can share a cache line; see BenchmarkMemNetworkTryCallParallel). Read
+// PBs can share a cache line; see BenchmarkMemNetworkStartParallel). Read
 // ns/get; run with -cpu 1,2.
 func BenchmarkStoreGetCold(b *testing.B) {
 	const sweep = 4096

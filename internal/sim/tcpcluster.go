@@ -41,7 +41,7 @@ const DefaultCallTimeout = time.Second
 // (membership rejoin installs a fresh, empty replica) without tearing the
 // TCP server down: the server holds the indirection, not the replica. It
 // keeps the wrapped handler's TryHandler side (the way transport.Offset
-// keeps TryCaller), so the server still answers a replica that cannot park
+// keeps Start), so the server still answers a replica that cannot park
 // where its request is read. The side is asserted once, in set, as
 // MemNetwork.Register does it; a request loads the pair and takes no lock.
 type swapHandler struct{ cur atomic.Pointer[swapTarget] }

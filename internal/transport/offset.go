@@ -14,17 +14,17 @@ import (
 // identity-blindness invariant (and the epsblind analyzer that mechanizes
 // it) applies per cell unchanged.
 //
-// The view always offers TryCall, Start and ServerDown, translated into the
-// same local id space. Each forwards to t's capability when t has it — a
-// MemNetwork's TryCall and Start, a TCPClient's Start and breaker-fed
-// ServerDown — and otherwise declines, or reports the server up. Declining
-// is always a legal answer, so one type serves every transport.
+// The view forwards Start when t is a Starter (a MemNetwork, a TCPClient),
+// tags untouched, and is Call-only otherwise, for StarterOf to adapt. It
+// always offers ServerDown, which reports the server up when t reports no
+// health (a TCPClient's breaker does).
 func Offset(t Transport, base quorum.ServerID) Transport {
-	o := &offset{inner: t, base: base}
+	o := offset{inner: t, base: base}
 	o.health, _ = t.(HealthReporter)
-	o.try, _ = t.(TryCaller)
-	o.start, _ = t.(Starter)
-	return o
+	if st, ok := t.(Starter); ok {
+		return &startOffset{o, st}
+	}
+	return &o
 }
 
 // offset shifts server ids on the way down.
@@ -32,8 +32,12 @@ type offset struct {
 	inner  Transport
 	base   quorum.ServerID
 	health HealthReporter // nil: t reports no per-server health
-	try    TryCaller      // nil: t has no TryCall
-	start  Starter        // nil: t has no Start
+}
+
+// startOffset is an offset over a Starter.
+type startOffset struct {
+	offset
+	start Starter
 }
 
 // Call implements Transport.
@@ -41,20 +45,12 @@ func (o *offset) Call(ctx context.Context, to quorum.ServerID, req any) (any, er
 	return o.inner.Call(ctx, o.base+to, req)
 }
 
-// TryCall implements TryCaller.
-func (o *offset) TryCall(ctx context.Context, to quorum.ServerID, req any) (any, bool, error) {
-	if o.try == nil {
-		return nil, false, nil
-	}
-	return o.try.TryCall(ctx, o.base+to, req)
-}
-
-// Start implements Starter.
-func (o *offset) Start(ctx context.Context, to quorum.ServerID, req any, done func(any, error)) bool {
-	return o.start != nil && o.start.Start(ctx, o.base+to, req, done)
-}
-
 // ServerDown implements HealthReporter.
 func (o *offset) ServerDown(id quorum.ServerID) bool {
 	return o.health != nil && o.health.ServerDown(o.base+id)
+}
+
+// Start implements Starter.
+func (o *startOffset) Start(ctx context.Context, to quorum.ServerID, req any, sink Sink, tag int) (any, error, bool) {
+	return o.start.Start(ctx, o.base+to, req, sink, tag)
 }

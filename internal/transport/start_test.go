@@ -1,9 +1,10 @@
 package transport
 
-// The Starter contract, for both transports that implement it: a Start that
-// declines leaves no trace; a Start that is taken runs done exactly once,
-// with what Call would have returned, and leaves the transport in the state
-// Call would have left it in.
+// The Starter contract, for both transports that implement it: Start takes
+// every call; one it completes inline returns what Call would have, and a
+// pending one reports to its sink exactly once, with what Call would have
+// returned; either way the transport is left in the state Call would have
+// left it in.
 
 import (
 	"context"
@@ -20,11 +21,13 @@ import (
 	"pqs/internal/wire"
 )
 
-// callOutcome is what one call did, in the terms Start and Call are
-// compared in.
+// callOutcome is what a row's calls did, in the terms Start and Call are
+// compared in: the last call's reply or error, how many were dropped, and
+// what they left behind.
 type callOutcome struct {
 	resp    any
 	err     string
+	dropped int
 	took    time.Duration // virtual
 	handled int64         // deliveries to the echo handler
 	seq     uint64        // the destination's call counter afterwards
@@ -38,49 +41,61 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// TestMemNetworkStartContract: one row per kind of link. A taken Start and a
-// Call on a same-seed twin network give the same reply or error after the
-// same virtual time, deliver to the handler as often, number the call the
-// same and consult the hook as often; done runs once. A declined Start
-// touches nothing: no call number, no hook, no slot.
+// TestMemNetworkStartContract: one row per kind of link. Start and Call on
+// a same-seed twin network give the same reply or error after the same
+// virtual time, drop the same calls, deliver to the handler as often,
+// number the calls the same and consult the hook as often. Start completes
+// inline exactly the calls nothing on the way can park — no latency, hook
+// or concurrency cap, to a handler that is a TryHandler and accepts — and
+// reports every other one to its sink exactly once.
 func TestMemNetworkStartContract(t *testing.T) {
 	const to = quorum.ServerID(1)
 	ms := time.Millisecond
 	latency := func(_ *vtime.SimClock, n *MemNetwork) { n.SetLatency(ms, 3*ms) }
+	delayed := func(sc *vtime.SimClock, n *MemNetwork) {
+		rep := replica.New(to)
+		rep.SetBehavior(replica.Delayed{Delay: 4 * ms, Clock: sc})
+		n.Register(to, rep)
+	}
 	rows := []struct {
-		name  string
-		setup func(*vtime.SimClock, *MemNetwork)
-		hook  *CallFault // installs a recording hook with this verdict
-		to    quorum.ServerID
-		taken bool
+		name    string
+		setup   func(*vtime.SimClock, *MemNetwork)
+		hook    *CallFault // installs a recording hook with this verdict
+		to      quorum.ServerID
+		calls   int  // sequential calls (default 1)
+		cancel  bool // on a context already cancelled
+		pending bool
 	}{
-		{name: "latency", setup: latency, taken: true},
-		{name: "hook drop", hook: &CallFault{Drop: true}, taken: true},
-		{name: "hook delay", hook: &CallFault{Delay: 5 * ms}, taken: true},
+		{name: "nothing to wait for"},
+		{name: "latency on another server", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.SetServerLatency(2, ms, ms) }},
+		{name: "crashed, nothing to wait for", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.Crash(to) }},
+		{name: "partitioned, nothing to wait for", setup: func(_ *vtime.SimClock, n *MemNetwork) {
+			n.SetPartition(map[quorum.ServerID]int{to: 1})
+		}},
+		{name: "unknown id, nothing to wait for", to: 9},
+		{name: "cancelled context", cancel: true},
+		{name: "drop verdict", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.SetDropProb(0.3) }, calls: 400},
+		{name: "latency", setup: latency, pending: true},
+		{name: "hook drop", hook: &CallFault{Drop: true}, pending: true},
+		{name: "hook delay", hook: &CallFault{Delay: 5 * ms}, pending: true},
 		{name: "hook delay behind fixed latency", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.SetLatency(2*ms, 2*ms) },
-			hook: &CallFault{Delay: 3 * ms}, taken: true},
-		{name: "hook duplicate", hook: &CallFault{Duplicate: true}, taken: true},
-		{name: "hook replace", hook: &CallFault{ReplaceReq: wire.ReadRequest{Key: "y"}}, taken: true},
-		{name: "hook mutate", hook: &CallFault{MutateReply: func(any, error) (any, error) { return "mutated", nil }}, taken: true},
-		{name: "crashed", setup: func(sc *vtime.SimClock, n *MemNetwork) { latency(sc, n); n.Crash(to) }, taken: true},
+			hook: &CallFault{Delay: 3 * ms}, pending: true},
+		{name: "hook duplicate", hook: &CallFault{Duplicate: true}, pending: true},
+		{name: "hook replace", hook: &CallFault{ReplaceReq: wire.ReadRequest{Key: "y"}}, pending: true},
+		{name: "hook mutate", hook: &CallFault{MutateReply: func(any, error) (any, error) { return "mutated", nil }}, pending: true},
+		{name: "crashed", setup: func(sc *vtime.SimClock, n *MemNetwork) { latency(sc, n); n.Crash(to) }, pending: true},
 		{name: "partitioned", setup: func(sc *vtime.SimClock, n *MemNetwork) {
 			latency(sc, n)
 			n.SetPartition(map[quorum.ServerID]int{to: 1})
-		}, taken: true},
-		{name: "unknown id", setup: latency, to: 9, taken: true},
-		{name: "Delayed replica behind latency", setup: func(sc *vtime.SimClock, n *MemNetwork) {
-			latency(sc, n)
-			rep := replica.New(to)
-			rep.SetBehavior(replica.Delayed{Delay: 4 * ms, Clock: sc})
-			n.Register(to, rep)
-		}, taken: true},
-		{name: "capped", setup: func(sc *vtime.SimClock, n *MemNetwork) { latency(sc, n); n.SetServerConcurrency(1) }, hook: &CallFault{}},
-		{name: "Delayed replica, nothing else to wait for", setup: func(sc *vtime.SimClock, n *MemNetwork) {
-			rep := replica.New(to)
-			rep.SetBehavior(replica.Delayed{Delay: 4 * ms, Clock: sc})
-			n.Register(to, rep)
-		}},
-		{name: "not a TryHandler", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.Register(to, plainEcho()) }, hook: &CallFault{}},
+		}, pending: true},
+		{name: "unknown id", setup: latency, to: 9, pending: true},
+		{name: "Delayed replica behind latency", setup: func(sc *vtime.SimClock, n *MemNetwork) { latency(sc, n); delayed(sc, n) }, pending: true},
+		{name: "capped", setup: func(sc *vtime.SimClock, n *MemNetwork) { latency(sc, n); n.SetServerConcurrency(1) }, hook: &CallFault{}, pending: true},
+		{name: "capped, nothing else to wait for", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.SetServerConcurrency(1) }, pending: true},
+		{name: "Delayed replica, nothing else to wait for", setup: delayed, pending: true},
+		{name: "TryHandle declines", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.Register(to, new(tryEcho)) }, pending: true},
+		{name: "not a TryHandler", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.Register(to, plainEcho()) }, hook: &CallFault{}, pending: true},
+		{name: "not a TryHandler, nothing else to wait for", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.Register(to, plainEcho()) }, pending: true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -88,9 +103,12 @@ func TestMemNetworkStartContract(t *testing.T) {
 			if row.to != 0 {
 				dest = row.to
 			}
-			// run builds the row's network on a fresh SimClock and makes one
-			// call to it, with Start or with Call.
-			run := func(start bool) (o callOutcome, taken bool, runs int64, slots int) {
+			calls := max(row.calls, 1)
+			// run builds the row's network on a fresh SimClock and makes the
+			// row's calls to it, with Start or with Call. It reports how many
+			// Starts were pending, how many sink reports they made and how
+			// many concurrency slots are held afterwards.
+			run := func(start bool) (o callOutcome, pending, runs int64, slots int) {
 				sc := vtime.NewSimClock()
 				sc.Run(func() {
 					n := NewMemNetwork(1)
@@ -106,30 +124,48 @@ func TestMemNetworkStartContract(t *testing.T) {
 					if row.setup != nil {
 						row.setup(sc, n)
 					}
-					ctx := context.Background()
+					ctx, cancel := context.WithCancel(context.Background())
+					if row.cancel {
+						cancel()
+					}
+					defer cancel()
 					req := wire.ReadRequest{Key: "x"}
-					if !start {
-						taken = true
-						o.resp, o.err = wrapCall(n.Call(ctx, dest, req))
-					} else {
-						type result struct {
-							resp any
-							err  error
-						}
-						ch := vtime.NewChan[result](vtime.SchedOf(sc), 1)
-						done := func(resp any, err error) {
-							if atomic.AddInt64(&runs, 1) == 1 {
-								ch.Send(result{resp, err})
+					type result struct {
+						resp any
+						err  error
+					}
+					ch := vtime.NewChan[result](vtime.SchedOf(sc), 1)
+					for i := 0; i < calls; i++ {
+						var resp any
+						var err error
+						if !start {
+							resp, err = n.Call(ctx, dest, req)
+						} else {
+							var reports int64
+							sink := sinkFunc(func(_ int, resp any, err error) {
+								atomic.AddInt64(&runs, 1)
+								if atomic.AddInt64(&reports, 1) == 1 {
+									ch.Send(result{resp, err})
+								}
+							})
+							var p bool
+							if resp, err, p = n.Start(ctx, dest, req, sink, i); p {
+								pending++
+								r := ch.Recv()
+								resp, err = r.resp, r.err
 							}
 						}
-						if taken = n.Start(ctx, dest, req, done); taken {
-							r := ch.Recv()
-							o.resp, o.err = r.resp, errString(r.err)
+						if errors.Is(err, ErrDropped) {
+							o.dropped++
 						}
+						o.resp, o.err = resp, errString(err)
 					}
 					o.took = sc.Elapsed()
-					sc.Sleep(time.Hour) // every timer the call armed has fired
+					sc.Sleep(time.Hour) // every timer the calls armed has fired
 					o.handled, o.seq, o.hooked = echo.handled.Load(), seqOf(n, to), hook.calls.Load()
+					if h, ok := n.servers[to].handler.(*tryEcho); ok {
+						o.handled = h.handled.Load()
+					}
 					if rep, ok := n.servers[to].handler.(*replica.Replica); ok {
 						o.handled = int64(rep.Store().Stats().Gets)
 					}
@@ -137,21 +173,24 @@ func TestMemNetworkStartContract(t *testing.T) {
 						slots = len(sem)
 					}
 				})
-				return o, taken, runs, slots
+				return o, pending, runs, slots
 			}
-			viaStart, taken, runs, slots := run(true)
-			if taken != row.taken {
-				t.Fatalf("Start taken %v, want %v", taken, row.taken)
+			viaStart, pending, runs, slots := run(true)
+			want := int64(0)
+			if row.pending {
+				want = int64(calls)
 			}
-			if !taken {
-				if viaStart.seq != 0 || viaStart.hooked != 0 || viaStart.handled != 0 || slots != 0 || runs != 0 {
-					t.Errorf("declined Start left a trace: call number %d, hook consulted %d times, handled %d times, %d slots held, done ran %d times",
-						viaStart.seq, viaStart.hooked, viaStart.handled, slots, runs)
-				}
-				return
+			if pending != want {
+				t.Errorf("%d of %d Starts pending, want %d", pending, calls, want)
 			}
-			if runs != 1 {
-				t.Errorf("done ran %d times", runs)
+			if runs != pending {
+				t.Errorf("the sink heard %d reports for %d pending calls", runs, pending)
+			}
+			if slots != 0 {
+				t.Errorf("%d concurrency slots held after every call completed", slots)
+			}
+			if row.calls > 1 && (viaStart.dropped == 0 || viaStart.dropped == calls) {
+				t.Errorf("%d of %d calls dropped: the row exercised nothing", viaStart.dropped, calls)
 			}
 			viaCall, _, _, _ := run(false)
 			if fmt.Sprint(viaStart) != fmt.Sprint(viaCall) {
@@ -258,11 +297,11 @@ func clientState(c *TCPClient, err error) tcpState {
 }
 
 // TestTCPClientStartContract: over a VirtualNet and over loopback, one row
-// per way a call ends. On an established connection Start is taken, runs
-// done exactly once — a late timer or watcher finds the call claimed — and
-// leaves the error, the connection pool, the leases, the pending table and
-// the breaker exactly as Call does on a twin client. A Start that would have
-// to dial declines and leaves no trace.
+// per way a call ends. Every Start is pending. On an established connection
+// it reports to its sink exactly once — a late timer or watcher finds the
+// call claimed — and leaves the error, the connection pool, the leases, the
+// pending table and the breaker exactly as Call does on a twin client. A
+// Start that would have to dial is Call, on a worker.
 func TestTCPClientStartContract(t *testing.T) {
 	const settle = 150 * time.Millisecond // past every row's call timeout
 	is := func(target error) func(error) bool { return func(err error) bool { return errors.Is(err, target) } }
@@ -300,15 +339,26 @@ func TestTCPClientStartContract(t *testing.T) {
 				return c, got, dials
 			}
 
-			t.Run("declined", func(t *testing.T) {
+			t.Run("would dial", func(t *testing.T) {
 				c, _, dials := client(t, time.Second, 100)
-				ran := false
-				if c.Start(context.Background(), 0, wire.ReadRequest{Key: "reply"}, func(any, error) { ran = true }) {
-					t.Fatal("Start taken with no connection established")
+				result := make(chan string, 2)
+				_, _, pending := c.Start(context.Background(), 0, wire.ReadRequest{Key: "reply"}, sinkFunc(func(tag int, resp any, err error) {
+					result <- fmt.Sprint(tag, resp, err)
+				}), 5)
+				if !pending {
+					t.Fatal("Start that must dial completed inline")
 				}
-				if ran || c.nextID.Load() != 0 || dials() != 0 || len(c.states[0].conns) != 0 {
-					t.Errorf("declined Start left a trace: done ran %v, %d request ids used, %d dials, %d connections",
-						ran, c.nextID.Load(), dials(), len(c.states[0].conns))
+				want := fmt.Sprint(5, wire.ReadReply{Found: true, Value: []byte("reply")}, nil)
+				if got := <-result; got != want {
+					t.Errorf("the worker's call ended with %s, want %s", got, want)
+				}
+				if st := clientState(c, nil); dials() != 1 || st.conns != 1 || st.leases != 0 || st.calls != 0 {
+					t.Errorf("after the call: %d dials, %+v; want one dial, one idle connection", dials(), st)
+				}
+				select {
+				case again := <-result:
+					t.Errorf("the sink heard a second report: %s", again)
+				default:
 				}
 			})
 
@@ -337,11 +387,11 @@ func TestTCPClientStartContract(t *testing.T) {
 						var runs atomic.Int64
 						result := make(chan error, 2)
 						if start {
-							if !c.Start(ctx, 0, row.req, func(_ any, err error) {
+							if _, _, pending := c.Start(ctx, 0, row.req, sinkFunc(func(_ int, _ any, err error) {
 								runs.Add(1)
 								result <- err
-							}) {
-								t.Fatal("Start declined on an established connection")
+							}), 0); !pending {
+								t.Fatal("Start completed inline")
 							}
 						} else {
 							go func() {
@@ -368,7 +418,7 @@ func TestTCPClientStartContract(t *testing.T) {
 					}
 					viaStart, runs := run(true)
 					if runs != 1 {
-						t.Errorf("done ran %d times", runs)
+						t.Errorf("the sink heard %d reports", runs)
 					}
 					if viaStart.leases != 0 || viaStart.calls != 0 {
 						t.Errorf("%d leases held and %d calls pending after the call completed", viaStart.leases, viaStart.calls)

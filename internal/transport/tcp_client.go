@@ -106,10 +106,6 @@ func (c *TCPClient) Stats() TCPStats {
 	return st
 }
 
-// ConnStats returns per-connection codec counters for the client's live
-// connections.
-func (c *TCPClient) ConnStats() []ConnCodecStats { return c.codecReg.perConn() }
-
 // Call implements Transport. Transport-level outcomes (dial failures, write
 // errors, torn connections, timeouts) feed the server's circuit breaker;
 // server-answered RPC errors count as reachability successes and surface
@@ -124,38 +120,45 @@ func (c *TCPClient) Call(ctx context.Context, to quorum.ServerID, req any) (any,
 	return c.wait(ctx, st, conn, req)
 }
 
-// Start implements Starter: Call on a connection already established, with
-// done in place of the wait. It declines a call that would dial or join a
-// dial; a breaker or backoff fast-fail completes at once. The frame is on
-// its way when Start returns (a frameWriter's leader never waits on a
-// socket); done runs where the connection's frames are read (its read loop
+// Start implements Starter: Call with the sink in place of the wait. Every
+// call is pending. On a connection already established the frame is on its
+// way when Start returns (a frameWriter's leader never waits on a socket),
+// and the sink hears where the connection's frames are read (its read loop
 // on a socket, the delivery alarm on a VirtualNet) for a reply or a
 // failure, on the deadline alarm for the timeout, on ctx's watcher for a
-// cancel.
-func (c *TCPClient) Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool {
+// cancel. A breaker or backoff fast-fail completes before Start returns. A
+// call that would dial or join a dial is Call on a worker.
+func (c *TCPClient) Start(ctx context.Context, to quorum.ServerID, req any, sink Sink, tag int) (any, error, bool) {
 	conn, st, err := c.acquire(to, false)
 	switch {
 	case err != nil:
-		done(nil, err)
+		sink.Complete(tag, nil, err)
 	case conn == nil:
-		return false
+		return callWorker{c, c.sched}.Start(ctx, to, req, sink, tag)
 	default:
-		c.send(ctx, st, conn, req, done)
+		c.send(ctx, st, conn, req, sink, tag)
 	}
-	return true
+	return nil, nil, true
 }
 
 // wait sends a call (see send) and parks until its completion has run.
 func (c *TCPClient) wait(ctx context.Context, st *serverState, conn *tcpConn, req any) (any, error) {
-	type result struct {
-		resp any
-		err  error
-	}
-	ch := vtime.NewChan[result](c.sched, 1)
-	c.send(ctx, st, conn, req, func(resp any, err error) { ch.Send(result{resp, err}) })
-	r := ch.Recv()
+	w := &waiter{vtime.NewChan[callResult](c.sched, 1)}
+	c.send(ctx, st, conn, req, w, 0)
+	r := w.ch.Recv()
 	return r.resp, r.err
 }
+
+// waiter is the sink of a call Call waits for.
+type waiter struct{ ch vtime.Chan[callResult] }
+
+type callResult struct {
+	resp any
+	err  error
+}
+
+// Complete implements Sink.
+func (w *waiter) Complete(_ int, resp any, err error) { w.ch.Send(callResult{resp, err}) }
 
 // ServerDown implements HealthReporter: true when the server's circuit
 // breaker would reject a call right now with ErrServerDown.
@@ -199,14 +202,14 @@ func (c *TCPClient) acquire(to quorum.ServerID, mayDial bool) (*tcpConn, *server
 	return conn, st, nil
 }
 
-// send registers a call on conn and writes its request frame. done runs
-// exactly once, possibly before send returns, after the breaker accounting
+// send registers a call on conn and writes its request frame. The sink
+// hears exactly once, possibly before send returns, after the breaker accounting
 // and the lease release (see tcpCall.complete). The call timeout, when
 // positive, queues the call's deadline on the connection, and a cancellable
 // ctx arms a completer; a request the codec cannot encode fails permanently
 // without registering anything.
-func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, req any, done func(any, error)) {
-	call := &tcpCall{st: st, conn: conn, id: c.nextID.Add(1), done: done}
+func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, req any, sink Sink, tag int) {
+	call := &tcpCall{st: st, conn: conn, id: c.nextID.Add(1), sink: sink, tag: tag}
 	bp := wire.GetBuffer()
 	frame, err := conn.encode(*bp, call.id, req)
 	if err != nil {
@@ -258,7 +261,8 @@ type tcpCall struct {
 	st   *serverState
 	conn *tcpConn
 	id   uint64
-	done func(resp any, err error)
+	sink Sink
+	tag  int
 	stop func() bool // deregisters the ctx watcher; nil without one
 }
 
@@ -272,7 +276,8 @@ const (
 )
 
 // complete settles a claimed call: it disarms its other completers, moves
-// the breaker, evicts a failed connection, returns the lease and runs done.
+// the breaker, evicts a failed connection, returns the lease and reports
+// the outcome to the sink.
 func (t *tcpCall) complete(v verdict, resp any, err error) {
 	if t.stop != nil {
 		t.stop()
@@ -287,7 +292,7 @@ func (t *tcpCall) complete(v verdict, resp any, err error) {
 		t.st.recordNeutral()
 	}
 	t.conn.unlease()
-	t.done(resp, err)
+	t.sink.Complete(t.tag, resp, err)
 }
 
 // tcpConn is one multiplexed client connection.

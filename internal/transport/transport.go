@@ -68,29 +68,47 @@ type Transport interface {
 	Call(ctx context.Context, to quorum.ServerID, req any) (any, error)
 }
 
-// TryCaller is an optional capability of a Transport: TryCall completes the
-// call exactly as Call would — same errors, same effects — iff it can do so
-// without parking the calling goroutine. ok=false means "this would have to
-// wait": nothing happened (no fault hook consulted, no slot taken, no
-// sequence number consumed), and a Call made next is indistinguishable from
-// a Call made instead. Whether a call can park is something the link and
-// the handler know and a caller can only guess, so the layers that know say
-// so per call; a caller that fans out (register's gather) runs an accepted
-// call on its own goroutine and hands only declined ones to a worker.
-// Transports that always wait on a socket simply do not implement it.
-type TryCaller interface {
-	TryCall(ctx context.Context, to quorum.ServerID, req any) (resp any, ok bool, err error)
+// Starter is a Transport's way to fan out: Start takes every call and never
+// parks on a peer. A call nothing on the way can park completes on the
+// caller, returning what Call would have (same effects) with pending false.
+// Otherwise pending is true and the outcome goes to sink, under tag, exactly
+// once, from whatever settles the call (a timer, where its reply's frame is
+// read, a worker the transport started), possibly before Start returns.
+// StarterOf adapts a transport that has only Call.
+type Starter interface {
+	Start(ctx context.Context, to quorum.ServerID, req any, sink Sink, tag int) (resp any, err error, pending bool)
 }
 
-// Starter is an optional capability of a Transport: Start begins the call
-// without waiting on any peer. false means it declined and did nothing, as a
-// declined TryCall does. true means done runs exactly once, with what Call
-// would have returned, possibly before Start returns, on whatever goroutine
-// settles the call (where its reply's frame is read, a clock's timer); done must
-// not block. So a call in flight is a registered completion — register's
-// gather pushes it into the reply channel it selects on — not a goroutine.
-type Starter interface {
-	Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool
+// Sink receives the outcome of a call Start left pending. tag is the value
+// the caller passed to Start, so one sink serves every call of a fan-out.
+// Complete may run on the goroutine driving a SimClock or on a
+// connection's read loop: it must not block.
+type Sink interface {
+	Complete(tag int, resp any, err error)
+}
+
+// StarterOf returns t's own Start, or, for a transport that has only Call,
+// one that runs every call on a worker of s and reports it to the sink.
+func StarterOf(t Transport, s vtime.Sched) Starter {
+	if st, ok := t.(Starter); ok {
+		return st
+	}
+	return callWorker{t, s}
+}
+
+// callWorker is a Call-only transport seen as a Starter.
+type callWorker struct {
+	t Transport
+	s vtime.Sched
+}
+
+// Start implements Starter: every call is pending, on a worker of its own.
+func (w callWorker) Start(ctx context.Context, to quorum.ServerID, req any, sink Sink, tag int) (any, error, bool) {
+	w.s.Go(func() {
+		resp, err := w.t.Call(ctx, to, req)
+		sink.Complete(tag, resp, err)
+	})
+	return nil, nil, true
 }
 
 // ClientSource is the source id MemNetwork attributes to direct callers
@@ -442,16 +460,6 @@ func (n *MemNetwork) SetPartition(groups map[quorum.ServerID]int) {
 // ClearPartition heals all partitions.
 func (n *MemNetwork) ClearPartition() { n.SetPartition(nil) }
 
-// callMode is what a call may wait for: Call parks wherever it must, TryCall
-// waits for nothing, Start waits only on the clock.
-type callMode int8
-
-const (
-	parks callMode = iota
-	noWait
-	clockOnly
-)
-
 // admission is a call the network let through to its destination: the link,
 // the request as the hook left it, the hook's verdict, the latency it waits
 // before its handler runs, and the concurrency slot it holds, if any.
@@ -462,16 +470,18 @@ type admission struct {
 	clock vtime.Clock
 	lat   time.Duration
 	slot  chan struct{} // the caller releases it
-	drop  bool          // the call drew a number (see TryCall)
+	drop  bool          // the call drew a number (see Start)
+	timed bool          // latency or a hook: time stands before the handler
 }
 
-// admit is the one way into the network for Call, TryCall and Start. It
-// observes, in order: partition state, crash state, the installed LinkHook
-// (if any), the destination's concurrency slot, simulated loss and
-// simulated latency. ok is false when mode cannot take this link or handler;
-// that is decided before the hook, the slot or the sequence counter is
-// touched, so nothing happened. Otherwise a non-nil err ends the call.
-func (n *MemNetwork) admit(ctx context.Context, to quorum.ServerID, req any, mode callMode, a *admission) (ok bool, err error) {
+// admit is the one way into the network for Call and Start. It observes, in
+// order: partition state, crash state, the installed LinkHook (if any), the
+// destination's concurrency slot, simulated loss and simulated latency.
+// With start set, ok is false for a call that may wait on more than time (a
+// capped server, a handler that is no TryHandler), decided before the hook,
+// the slot or the sequence counter is touched. Otherwise a non-nil err ends
+// the call.
+func (n *MemNetwork) admit(ctx context.Context, to quorum.ServerID, req any, start bool, a *admission) (ok bool, err error) {
 	v := n.view.Load()
 	if v == nil {
 		v = n.rebuild()
@@ -485,10 +495,9 @@ func (n *MemNetwork) admit(ctx context.Context, to quorum.ServerID, req any, mod
 		minLat, maxLat = srv.lat.min, srv.lat.max
 	}
 	// Only time stands between a call on a link with latency or a hook and
-	// its handler; a call on any other link is TryCall's, and a slot of a
-	// capped server may have to be waited for.
-	timed := v.hook != nil || maxLat > 0
-	if mode != parks && (srv.sem != nil || timed != (mode == clockOnly)) {
+	// its handler; a slot of a capped server may have to be waited for.
+	*a = admission{link: srv, req: req, clock: v.clock, lat: minLat, timed: v.hook != nil || maxLat > 0}
+	if start && srv.sem != nil {
 		return false, nil
 	}
 	if srv.handler == nil {
@@ -500,10 +509,9 @@ func (n *MemNetwork) admit(ctx context.Context, to quorum.ServerID, req any, mod
 	if srv.crashed {
 		return true, fmt.Errorf("server %d: %w", to, ErrCrashed)
 	}
-	if mode != parks && srv.try == nil {
+	if start && srv.try == nil {
 		return false, nil
 	}
-	*a = admission{link: srv, req: req, clock: v.clock, lat: minLat}
 	if v.hook != nil {
 		a.fault = v.hook.FilterCall(SourceFromContext(ctx), to, req)
 		if a.fault.Drop {
@@ -566,7 +574,7 @@ func (f *CallFault) reply(resp any, err error) (any, error) {
 // production callers treat ErrDropped like a timeout.
 func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any, error) {
 	var a admission
-	_, err := n.admit(ctx, to, req, parks, &a)
+	_, err := n.admit(ctx, to, req, false, &a)
 	if a.slot != nil {
 		defer func() { <-a.slot }()
 	}
@@ -586,79 +594,75 @@ func (n *MemNetwork) Call(ctx context.Context, to quorum.ServerID, req any) (any
 	return a.handle(ctx)
 }
 
-// TryCall implements TryCaller: it is Call, on the caller's goroutine, for
-// a call that nothing on the way can park — the link has no latency (global
-// or per-server), no LinkHook (a hook may delay) and no concurrency slot to
-// wait for, and the handler is a TryHandler that accepts. Everything else
-// declines. A completed call saw the same partition, crash and
-// unknown-server checks and the same counter-hashed drop verdict Call would
-// have applied; a declined one leaves no trace.
-func (n *MemNetwork) TryCall(ctx context.Context, to quorum.ServerID, req any) (any, bool, error) {
-	var a admission
-	if ok, err := n.admit(ctx, to, req, noWait, &a); !ok || err != nil {
-		return nil, ok, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, true, err
-	}
-	resp, ok, err := a.link.try.TryHandle(ctx, a.req)
-	if !ok && a.drop {
-		// The handler would have to wait, and its call was already numbered
-		// (it survived the drop verdict): hand the number back, so the Call
-		// that follows draws the same one.
-		a.link.callSeq.Add(^uint64(0))
-	}
-	return resp, ok, err
-}
-
-// Start implements Starter for exactly the calls whose only wait is time: a
-// link with latency or a LinkHook, to a TryHandler, on a server with no
-// concurrency cap (TryCall takes the links with nothing to wait for, a
-// worker the capped ones). It runs Call's admission on the caller, then arms
+// Start implements Starter. A call nothing on the way can park — no
+// latency (global or per-server), no LinkHook (a hook may delay), no
+// concurrency cap, and a TryHandler that accepts — is Call on the caller's
+// goroutine. A call whose only wait is time (latency or a hook, to a
+// TryHandler, on an uncapped server) is admitted on the caller, then arms
 // a timer for the latency and, when that fires, one for the hook's delay —
 // the chain Call's two sleeps make, so each timer keeps its (deadline,
-// sequence) place. The handler then runs where the timer fires (under a
+// sequence) place; the handler runs where the last fires (under a
 // SimClock, on the goroutine driving the clock) if TryHandle accepts and
-// the call is not duplicated, and on a worker otherwise. A call cancelled
-// in flight ends with ctx.Err() when its timer fires, without reaching the
-// handler.
-func (n *MemNetwork) Start(ctx context.Context, to quorum.ServerID, req any, done func(resp any, err error)) bool {
-	a := new(admission)
-	ok, err := n.admit(ctx, to, req, clockOnly, a)
-	if !ok {
-		return false
+// the call is not duplicated, on a worker otherwise, and a call cancelled
+// in flight ends there with ctx.Err(). Anything else is Call on a worker.
+func (n *MemNetwork) Start(ctx context.Context, to quorum.ServerID, req any, sink Sink, tag int) (any, error, bool) {
+	var a admission
+	ok, err := n.admit(ctx, to, req, true, &a)
+	switch {
+	case !ok:
+		return callWorker{n, vtime.SchedOf(a.clock)}.Start(ctx, to, req, sink, tag)
+	case !a.timed:
+		if err == nil {
+			err = ctx.Err()
+		}
+		if err != nil {
+			return nil, err, false
+		}
+		if resp, handled, herr := a.link.try.TryHandle(ctx, a.req); handled {
+			return resp, herr, false
+		}
+		if a.drop {
+			// The handler would have to wait, and its call was already
+			// numbered (it survived the drop verdict): hand the number
+			// back, so the Call that follows draws the same one.
+			a.link.callSeq.Add(^uint64(0))
+		}
+		return callWorker{n, vtime.SchedOf(a.clock)}.Start(ctx, to, req, sink, tag)
+	case err != nil:
+		sink.Complete(tag, nil, err)
+		return nil, nil, true
 	}
-	if err != nil {
-		done(nil, err)
-		return true
-	}
+	t := a // the timers' copy: only a timed call moves its admission to the heap
 	after := func(d time.Duration, fn func()) {
 		if d > 0 {
-			a.clock.AfterFunc(d, fn)
+			t.clock.AfterFunc(d, fn)
 		} else {
 			fn()
 		}
 	}
-	after(a.lat, func() {
-		after(a.fault.Delay, func() {
+	after(t.lat, func() {
+		after(t.fault.Delay, func() {
 			if err := ctx.Err(); err != nil {
-				done(nil, err)
+				sink.Complete(tag, nil, err)
 				return
 			}
-			if !a.fault.Duplicate {
-				if resp, ok, err := a.link.try.TryHandle(ctx, a.req); ok {
-					done(a.fault.reply(resp, err))
+			if !t.fault.Duplicate {
+				if resp, ok, err := t.link.try.TryHandle(ctx, t.req); ok {
+					resp, err = t.fault.reply(resp, err)
+					sink.Complete(tag, resp, err)
 					return
 				}
 			}
-			vtime.SchedOf(a.clock).Go(func() { done(a.handle(ctx)) })
+			vtime.SchedOf(t.clock).Go(func() {
+				resp, err := t.handle(ctx)
+				sink.Complete(tag, resp, err)
+			})
 		})
 	})
-	return true
+	return nil, nil, true
 }
 
 var (
 	_ Transport = (*MemNetwork)(nil)
-	_ TryCaller = (*MemNetwork)(nil)
 	_ Starter   = (*MemNetwork)(nil)
 )

@@ -76,38 +76,34 @@ func newViewFixture(t *testing.T) *viewFixture {
 	return f
 }
 
-// next makes the next TryCall, Call and Start to a server and requires all
-// three to observe the same configuration: TryCall declines iff declines,
-// Start takes what TryCall declines unless a slot may have to be waited for
-// (slotted), and whichever completes ends with want (nil: a reply,
-// returned). It leaves a published view behind, so the setter that follows
-// is seen only if it invalidates.
-func (f *viewFixture) next(to quorum.ServerID, want error, declines bool, slotted ...bool) any {
+// next makes the next Call and Start to a server and requires both to
+// observe the same configuration: Start is pending iff pending (something
+// other than the handler stands in the way), and both end with want (nil: a
+// reply, returned). It leaves a published view behind, so the setter that
+// follows is seen only if it invalidates.
+func (f *viewFixture) next(to quorum.ServerID, want error, pending bool) any {
 	f.t.Helper()
-	tryResp, ok, tryErr := f.n.TryCall(context.Background(), to, "x")
 	resp, err := f.n.Call(context.Background(), to, "x")
 	type result struct {
 		resp any
 		err  error
 	}
 	started := make(chan result, 1)
-	startOK := f.n.Start(context.Background(), to, "x", func(resp any, err error) { started <- result{resp, err} })
-	if ok == declines {
-		f.t.Errorf("TryCall to %d: completed %v, want declined %v", to, ok, declines)
+	startResp, startErr, startPending := f.n.Start(context.Background(), to, "x", sinkFunc(func(_ int, resp any, err error) {
+		started <- result{resp, err}
+	}), 0)
+	if startPending != pending {
+		f.t.Errorf("Start to %d: pending %v, want %v", to, startPending, pending)
 	}
-	if startOK != (declines && len(slotted) == 0) {
-		f.t.Errorf("Start to %d: taken %v, want %v", to, startOK, declines && len(slotted) == 0)
+	if startPending {
+		r := <-started
+		startResp, startErr = r.resp, r.err
 	}
 	if !errors.Is(err, want) {
 		f.t.Errorf("Call to %d: err %v, want %v", to, err, want)
 	}
-	if ok && (!errors.Is(tryErr, want) || tryResp != resp) {
-		f.t.Errorf("TryCall to %d: %v, %v; Call: %v, %v", to, tryResp, tryErr, resp, err)
-	}
-	if startOK {
-		if r := <-started; !errors.Is(r.err, want) || r.resp != resp {
-			f.t.Errorf("Start to %d: %v, %v; Call: %v, %v", to, r.resp, r.err, resp, err)
-		}
+	if !errors.Is(startErr, want) || startResp != resp {
+		f.t.Errorf("Start to %d: %v, %v; Call: %v, %v", to, startResp, startErr, resp, err)
 	}
 	if f.n.view.Load() == nil {
 		f.t.Errorf("no view published after a call")
@@ -172,7 +168,7 @@ func TestMemNetworkSetterIsSeenByTheNextCall(t *testing.T) {
 			f.n.mu.Lock()
 			probe.sem = f.n.servers[1].sem
 			f.n.mu.Unlock()
-			f.next(1, nil, true, true)
+			f.next(1, nil, true)
 			if probe.held != 1 {
 				f.t.Errorf("the handler ran with %d slots held, want 1", probe.held)
 			}
@@ -192,7 +188,7 @@ func TestMemNetworkSetterIsSeenByTheNextCall(t *testing.T) {
 			f.n.SetLinkHook(hook)
 			f.next(1, ErrDropped, true)
 			if got := hook.calls.Load(); got != 2 {
-				f.t.Errorf("hook consulted %d times by one declined TryCall, one Call and one Start", got)
+				f.t.Errorf("hook consulted %d times by one Call and one Start", got)
 			}
 		},
 		"SetClock": func(f *viewFixture) {
@@ -210,7 +206,7 @@ func TestMemNetworkSetterIsSeenByTheNextCall(t *testing.T) {
 		t.Run(name, func(t *testing.T) { row(newViewFixture(t)) })
 	}
 
-	readers := map[string]bool{"Call": true, "TryCall": true, "Start": true, "CrashedCount": true}
+	readers := map[string]bool{"Call": true, "Start": true, "CrashedCount": true}
 	typ := reflect.TypeOf((*MemNetwork)(nil))
 	methods := make(map[string]bool)
 	for i := 0; i < typ.NumMethod(); i++ {
@@ -279,7 +275,7 @@ func TestMemNetworkGoldenReplay(t *testing.T) {
 	})
 }
 
-// TestMemNetworkReconfigurationHammer: callers mixing Call and TryCall over
+// TestMemNetworkReconfigurationHammer: callers mixing Call and Start over
 // 16 servers while one goroutine walks every server through register →
 // crash → straggle → recover → leave, again and again. Every setter
 // replaces a whole configuration, so whatever a call observes must be the
@@ -315,25 +311,14 @@ func TestMemNetworkReconfigurationHammer(t *testing.T) {
 	}
 	// consistent reports whether a result is what the state after s setters
 	// on id produces.
-	consistent := func(id quorum.ServerID, s int64, try bool, resp any, ok bool, err error) bool {
-		alive := ok && err == nil && resp == genEcho{int(id), int(s / 5)}
+	consistent := func(id quorum.ServerID, s int64, resp any, err error) bool {
 		switch s % 5 {
 		case 0:
-			return ok && errors.Is(err, ErrUnknownServer)
-		case 1:
-			return alive
-		case 2:
-			return ok && errors.Is(err, ErrCrashed)
-		case 3: // crashed, and a straggler: TryCall declines on the link alone
-			if try {
-				return !ok
-			}
+			return errors.Is(err, ErrUnknownServer)
+		case 2, 3: // crashed; then a straggler too
 			return errors.Is(err, ErrCrashed)
 		default:
-			if try {
-				return !ok
-			}
-			return alive
+			return err == nil && resp == genEcho{int(id), int(s / 5)}
 		}
 	}
 
@@ -344,27 +329,36 @@ func TestMemNetworkReconfigurationHammer(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			ctx := context.Background()
+			type result struct {
+				resp any
+				err  error
+			}
+			done := make(chan result, 1)
+			sink := sinkFunc(func(_ int, resp any, err error) { done <- result{resp, err} })
 			for i := g; !stop.Load(); i++ {
 				id := quorum.ServerID(i * 7 % servers)
-				try := i/servers%2 == 0
+				start := i/servers%2 == 0
 				lo := finished[id].Load()
 				var (
-					resp any
-					ok   = true
-					err  error
+					resp    any
+					err     error
+					pending bool
 				)
-				if try {
-					resp, ok, err = n.TryCall(ctx, id, "x")
+				if start {
+					if resp, err, pending = n.Start(ctx, id, "x", sink, 0); pending {
+						r := <-done
+						resp, err = r.resp, r.err
+					}
 				} else {
 					resp, err = n.Call(ctx, id, "x")
 				}
 				hi := started[id].Load()
 				seen := false
 				for s := lo; s <= hi && !seen; s++ {
-					seen = consistent(id, s, try, resp, ok, err)
+					seen = consistent(id, s, resp, err)
 				}
 				if !seen {
-					t.Errorf("server %d, try %v: %v, %v, %v matches no state between setter %d and %d", id, try, resp, ok, err, lo, hi)
+					t.Errorf("server %d, Start %v: %v, %v matches no state between setter %d and %d", id, start, resp, err, lo, hi)
 					return
 				}
 			}
@@ -397,23 +391,23 @@ func TestRegisterThousandRebuildsOnce(t *testing.T) {
 	}
 	ctx := context.Background()
 	for id := quorum.ServerID(0); id < 1000; id++ {
-		if resp, ok, err := n.TryCall(ctx, id, "x"); !ok || err != nil || resp != "x" {
-			t.Fatalf("server %d: %v, %v, %v", id, resp, ok, err)
+		if resp, err, pending := n.Start(ctx, id, "x", nil, 0); pending || err != nil || resp != "x" {
+			t.Fatalf("server %d: %v, %v, pending %v", id, resp, err, pending)
 		}
 	}
 	if got := builds(); got != 1 {
 		t.Errorf("%d views built for 1000 Registers and 1000 calls, want 1", got)
 	}
 	var req any = "x"
-	if allocs := testing.AllocsPerRun(1000, func() { n.TryCall(ctx, 7, req) }); allocs != 0 { //nolint:errcheck // counting allocations
-		t.Errorf("steady-state TryCall allocates %v times, want 0", allocs)
+	if allocs := testing.AllocsPerRun(1000, func() { n.Start(ctx, 7, req, nil, 0) }); allocs != 0 { //nolint:errcheck // counting allocations
+		t.Errorf("steady-state inline Start allocates %v times, want 0", allocs)
 	}
 }
 
 // TestMemNetworkSparseIDs: a view's links are a slice indexed by id, as long
 // as the highest id mentioned. Registered ids on either side of a gap
 // answer; an id in the gap, past the end or negative is unknown to Call and
-// TryCall alike, and finding that out allocates nothing. A negative id
+// Start alike, and finding that out allocates nothing. A negative id
 // cannot be registered.
 func TestMemNetworkSparseIDs(t *testing.T) {
 	n := NewMemNetwork(1)
@@ -427,8 +421,8 @@ func TestMemNetworkSparseIDs(t *testing.T) {
 	ctx := context.Background()
 	var req any = "x"
 	for _, id := range registered {
-		if resp, ok, err := n.TryCall(ctx, id, req); !ok || err != nil || resp != "x" {
-			t.Fatalf("server %d: %v, %v, %v", id, resp, ok, err)
+		if resp, err, pending := n.Start(ctx, id, req, nil, 0); pending || err != nil || resp != "x" {
+			t.Fatalf("server %d: %v, %v, pending %v", id, resp, err, pending)
 		}
 	}
 	if got := len(n.view.Load().links); got != 100 {
@@ -438,12 +432,12 @@ func TestMemNetworkSparseIDs(t *testing.T) {
 		if _, err := n.Call(ctx, id, req); !errors.Is(err, ErrUnknownServer) {
 			t.Errorf("Call(%d): %v, want ErrUnknownServer", id, err)
 		}
-		if _, ok, err := n.TryCall(ctx, id, req); !ok || !errors.Is(err, ErrUnknownServer) {
-			t.Errorf("TryCall(%d): ok %v, %v; want ErrUnknownServer", id, ok, err)
+		if _, err, pending := n.Start(ctx, id, req, nil, 0); pending || !errors.Is(err, ErrUnknownServer) {
+			t.Errorf("Start(%d): pending %v, %v; want ErrUnknownServer inline", id, pending, err)
 		}
 		allocs := testing.AllocsPerRun(100, func() {
-			n.Call(ctx, id, req)    //nolint:errcheck // counting allocations
-			n.TryCall(ctx, id, req) //nolint:errcheck // counting allocations
+			n.Call(ctx, id, req)          //nolint:errcheck // counting allocations
+			n.Start(ctx, id, req, nil, 0) //nolint:errcheck // counting allocations
 		})
 		if allocs != 0 {
 			t.Errorf("a call to unknown id %d allocates %v times, want 0", id, allocs)
@@ -480,13 +474,13 @@ func TestDeregisterKeepsCallSeq(t *testing.T) {
 	}
 }
 
-// BenchmarkMemNetworkTryCallParallel prices one visit of a fan-out: run it
+// BenchmarkMemNetworkStartParallel prices one visit of a fan-out: run it
 // with -cpu 1,2 and read ns/call. A call that writes a shared cache line (a
 // reader count) costs more per call on two processors than on one; a call
 // that only loads must not. One iteration is a sweep of all 100 servers, so
 // testing.PB's own per-iteration counter — two PBs can share a cache line —
 // is a hundredth of what is measured, not a third.
-func BenchmarkMemNetworkTryCallParallel(b *testing.B) {
+func BenchmarkMemNetworkStartParallel(b *testing.B) {
 	const servers = 100
 	n := NewMemNetwork(1)
 	for id := quorum.ServerID(0); id < servers; id++ {
@@ -498,8 +492,8 @@ func BenchmarkMemNetworkTryCallParallel(b *testing.B) {
 	b.RunParallel(func(pb *testing.PB) {
 		for pb.Next() {
 			for id := quorum.ServerID(0); id < servers; id++ {
-				if _, ok, err := n.TryCall(ctx, id, req); !ok || err != nil {
-					b.Errorf("server %d: ok %v, err %v", id, ok, err)
+				if _, err, pending := n.Start(ctx, id, req, nil, 0); pending || err != nil {
+					b.Errorf("server %d: pending %v, err %v", id, pending, err)
 					return
 				}
 			}
