@@ -76,6 +76,7 @@ func TestMemNetworkStartContract(t *testing.T) {
 		{name: "cancelled context", cancel: true},
 		{name: "drop verdict", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.SetDropProb(0.3) }, calls: 400},
 		{name: "latency", setup: latency, pending: true},
+		{name: "link hook", hook: &CallFault{}, pending: true},
 		{name: "hook drop", hook: &CallFault{Drop: true}, pending: true},
 		{name: "hook delay", hook: &CallFault{Delay: 5 * ms}, pending: true},
 		{name: "hook delay behind fixed latency", setup: func(_ *vtime.SimClock, n *MemNetwork) { n.SetLatency(2*ms, 2*ms) },
