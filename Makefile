@@ -157,14 +157,15 @@ bench-json:
 # CI bit-rot guard: run every throughput/codec benchmark, the store's and
 # the replica's cold-read benchmarks (their ns/get and ns/read are one more
 # value-unit pair each to benchjson), the register's hedged read under a
-# SimClock (every call started, completed by the clock) and a read through
-# the whole TCP stack over a VirtualNet (sim-tcpv's shape; goroutines/op),
-# for one iteration and verify the JSON pipeline still produces a well-formed
+# SimClock (every call started, completed by the clock), a read through
+# the whole TCP stack over a VirtualNet (sim-tcpv's shape; goroutines/op)
+# and a fire of SimClock's timer queue with 512 alarms armed, for one
+# iteration and verify the JSON pipeline still produces a well-formed
 # document. Staged through a scratch file so the committed
 # BENCH_throughput.json — the bench-regress baseline — is never clobbered
 # with 1-iteration rates.
 bench-smoke:
-	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold|BenchmarkReplicaReadCold|BenchmarkVirtualHedgedRead|BenchmarkVirtualTCPRead)' -benchmem -benchtime 1x . ./internal/replica/ ./internal/register/ ./internal/sim/ > BENCH_smoke.out
+	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold|BenchmarkReplicaReadCold|BenchmarkVirtualHedgedRead|BenchmarkVirtualTCPRead|BenchmarkSimTimerQueue)' -benchmem -benchtime 1x . ./internal/replica/ ./internal/register/ ./internal/sim/ ./internal/vtime/ > BENCH_smoke.out
 	$(GO) run ./cmd/benchjson < BENCH_smoke.out > BENCH_smoke.json
 	@rm -f BENCH_smoke.out
 	$(GO) run ./cmd/benchjson -check BENCH_smoke.json

@@ -460,8 +460,9 @@ func (c *cell) Stats() AccessStats {
 }
 
 // WaitDrained blocks until every background drain spawned by completed
-// operations has finished. Call it with no operations in flight (e.g. at
-// shutdown, or in tests that assert on Stats or goroutine counts).
+// operations has finished, with the late repair pushes it started. Call it
+// with no operations in flight (e.g. at shutdown, or in tests that assert on
+// Stats or goroutine counts).
 func (c *cell) WaitDrained() { c.drainWG.Wait() }
 
 // counters live on Client (register.go); typed here for proximity to the

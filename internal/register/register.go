@@ -463,10 +463,11 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 	q := scratch.q.quorum
 	replies := scratch.replies[:0]
 	var out gatherOutcome
-	var onLate func(callReply)
 	defer func() {
-		scratch.replies = replies
-		c.drain(scratch, out, onLate)
+		if scratch != nil { // not yet handed to the drain
+			scratch.replies = replies
+			c.drain(scratch, out, nil)
+		}
 	}()
 	req := wire.ReadRequest{Key: key}
 
@@ -544,8 +545,16 @@ func (c *cell) Read(ctx context.Context, key string) (ReadResult, error) {
 	}
 	if c.opts.ReadRepair && res.Found {
 		push := wire.WriteRequest{Key: key, Value: res.Value, Stamp: res.Stamp, Sig: sig}
-		c.repair(ctx, push, &res, replies, out.errs, out.leftover > 0)
-		onLate = c.lateRepair(ctx, push)
+		targets := repairTargets(&res, replies, out.errs, out.leftover > 0)
+		// The drain starts before the synchronous pushes: under a SimClock a
+		// late reply nobody takes holds virtual time, so a push that waits
+		// on latency would never complete. The drain recycles the scratch,
+		// so replies is not read from here on.
+		scratch.replies = replies
+		c.drain(scratch, out, c.lateRepair(ctx, push))
+		scratch = nil
+		c.repair(ctx, push, targets)
+		res.Repaired = len(targets)
 	}
 	return res, nil
 }

@@ -8,11 +8,11 @@ import (
 	"pqs/internal/wire"
 )
 
-// repair pushes the accepted value-timestamp pair back to the read quorum
-// members that reported something older or nothing. Read repair is the
-// classical complement to lazy diffusion: it heals exactly the servers a
-// read just observed to be stale, shrinking the window in which a second
-// read can miss the value.
+// repair pushes the accepted value-timestamp pair back to targets, the read
+// quorum members that reported something older or nothing (repairTargets).
+// Read repair is the classical complement to lazy diffusion: it heals
+// exactly the servers a read just observed to be stale, shrinking the window
+// in which a second read can miss the value.
 //
 // push carries the signature of the accepted reply itself — in
 // dissemination mode the one that verified, never that of another reply
@@ -26,8 +26,13 @@ import (
 // there a read that was fooled by k colluders would write the fabricated
 // value into correct servers, converting a transient inconsistency into a
 // persistent one. NewClient enforces this.
-func (c *cell) repair(ctx context.Context, push wire.WriteRequest, res *ReadResult, replies []readReply, errs map[quorum.ServerID]error, inFlight bool) {
-	targets := repairTargets(res, replies, errs, inFlight)
+//
+// The read's drain runs beside these pushes, and its lateRepair may push to
+// a member too. repairTargets leaves every member still in flight to the
+// drain, so the two do not meet; were they to, both push the same entry and
+// a replica keeps the highest stamp, so neither push wins over the other:
+// whichever lands second changes nothing.
+func (c *cell) repair(ctx context.Context, push wire.WriteRequest, targets []quorum.ServerID) {
 	var req any = push
 	wg := vtime.NewWaitGroup(c.clock)
 	for _, id := range targets {
@@ -40,7 +45,6 @@ func (c *cell) repair(ctx context.Context, push wire.WriteRequest, res *ReadResu
 		}
 	}
 	wg.Wait()
-	res.Repaired = len(targets)
 }
 
 // repairWait is the sink of a repair's pending pushes: each is one Done.
@@ -91,10 +95,13 @@ func repairTargets(res *ReadResult, replies []readReply, errs map[quorum.ServerI
 // operation's context (cancelling it aborts the straggler and there is
 // nothing to repair); only the repair write is detached, so a reply that
 // does arrive is healed even if the caller cancels between the reply and
-// the repair. The drain goroutine remains bounded by the late calls already
-// in flight.
+// the repair. A push is started, not waited for: a drain parked on one
+// could not take the read's next late reply, and under a SimClock that reply
+// would hold virtual time, so the push would never land. WaitDrained waits
+// for the pushes too.
 func (c *cell) lateRepair(ctx context.Context, push wire.WriteRequest) func(callReply) {
 	rctx := context.WithoutCancel(ctx)
+	var req any = push
 	return func(r callReply) {
 		if r.err != nil {
 			return
@@ -106,8 +113,21 @@ func (c *cell) lateRepair(ctx context.Context, push wire.WriteRequest) func(call
 		if msg.Found && !msg.Stamp.Less(push.Stamp) {
 			return // already current
 		}
-		if _, err := c.opts.Transport.Call(rctx, r.id, push); err == nil {
-			c.statLateRepairs.Add(1)
+		c.drainWG.Add(1)
+		if _, err, pending := c.start.Start(rctx, r.id, req, lateRepairDone{c}, 0); !pending {
+			lateRepairDone{c}.Complete(0, nil, err)
 		}
 	}
+}
+
+// lateRepairDone is the sink of a late repair push: a success is counted,
+// and the push leaves the drain's wait group.
+type lateRepairDone struct{ c *cell }
+
+// Complete implements transport.Sink.
+func (d lateRepairDone) Complete(_ int, _ any, err error) {
+	if err == nil {
+		d.c.statLateRepairs.Add(1)
+	}
+	d.c.drainWG.Done()
 }

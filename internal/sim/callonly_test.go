@@ -35,11 +35,11 @@ func (d *callOnlyDecorator) Call(ctx context.Context, to quorum.ServerID, req an
 
 // callOnlyRun plays a seeded stream of write-then-read pairs under a
 // SimClock, with latency, a crashed member, spares, hedging, writes that
-// complete at W < q and read repair, on plane, through the client's
-// transport bare or behind callOnlyDecorator. It returns the history, the
-// virtual time the stream took, the client's counters and how many calls
-// went through the decorator.
-func callOnlyRun(t *testing.T, plane string, decorate bool) (h chaos.History, took time.Duration, stats register.AccessStats, calls int64) {
+// complete at W < q and read repair, reads returning early if eager, on
+// plane, through the client's transport bare or behind callOnlyDecorator.
+// It returns the history, the virtual time the stream took, the client's
+// counters and how many calls went through the decorator.
+func callOnlyRun(t *testing.T, plane string, eager, decorate bool) (h chaos.History, took time.Duration, stats register.AccessStats, calls int64) {
 	t.Helper()
 	const n, q, pairs, keys = 30, 8, 120, 6
 	sc := vtime.NewSimClock()
@@ -76,7 +76,7 @@ func callOnlyRun(t *testing.T, plane string, decorate bool) (h chaos.History, to
 		cl, err := register.NewClient(register.Options{
 			System: sys, Mode: register.Benign, Transport: tr, Time: sc,
 			Rand: rand.New(rand.NewSource(5)), Clock: ts.NewClock(1),
-			Tuning: config.Tuning{Spares: 2, HedgeDelay: time.Millisecond, W: q - 2, ReadRepair: true},
+			Tuning: config.Tuning{Spares: 2, HedgeDelay: time.Millisecond, W: q - 2, ReadRepair: true, EagerRead: eager},
 		})
 		if err != nil {
 			failed = err
@@ -116,35 +116,48 @@ func callOnlyRun(t *testing.T, plane string, decorate bool) (h chaos.History, to
 // the history the same client records over the bare transport, whose calls
 // complete on timers and on the connection's delivery alarm, byte for byte,
 // in the same virtual time, promoting and repairing as often. On the memory
-// plane with latency and on tcp-virtual.
+// plane with latency and on tcp-virtual; the -eager rows also return reads
+// early, whose repair pushes then wait on latency while late replies are in
+// flight.
 func TestCallOnlyDecoratorKeepsTheHistory(t *testing.T) {
 	for _, plane := range []string{sim.TransportMem, sim.TransportTCPVirtual} {
-		t.Run(plane, func(t *testing.T) {
-			bare, bareTook, bareStats, _ := callOnlyRun(t, plane, false)
-			decorated, decoratedTook, decoratedStats, calls := callOnlyRun(t, plane, true)
-			if calls == 0 {
-				t.Fatal("no call went through the decorator")
+		for _, eager := range []bool{false, true} {
+			name := plane
+			if eager {
+				name += "-eager"
 			}
-			if bareStats.SparesPromoted == 0 || bareStats.LateReplies == 0 {
-				t.Fatalf("no spare promoted or no late reply drained (%+v): the stream exercised neither", bareStats)
-			}
-			if d := bare.Diff(decorated); d != "" {
-				t.Fatalf("the decorated client's history differs: %s", d)
-			}
-			a, err := json.Marshal(bare)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, err := json.Marshal(decorated)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(a, b) {
-				t.Error("the histories are equal op by op but not byte for byte")
-			}
-			if bareTook != decoratedTook || bareStats != decoratedStats {
-				t.Errorf("the stream took %v bare and %v decorated; counters\n bare      %+v\n decorated %+v", bareTook, decoratedTook, bareStats, decoratedStats)
-			}
-		})
+			t.Run(name, func(t *testing.T) { testCallOnlyKeepsTheHistory(t, plane, eager) })
+		}
+	}
+}
+
+func testCallOnlyKeepsTheHistory(t *testing.T, plane string, eager bool) {
+	bare, bareTook, bareStats, _ := callOnlyRun(t, plane, eager, false)
+	decorated, decoratedTook, decoratedStats, calls := callOnlyRun(t, plane, eager, true)
+	if calls == 0 {
+		t.Fatal("no call went through the decorator")
+	}
+	if bareStats.SparesPromoted == 0 || bareStats.LateReplies == 0 {
+		t.Fatalf("no spare promoted or no late reply drained (%+v): the stream exercised neither", bareStats)
+	}
+	if eager && bareStats.LateRepairs == 0 {
+		t.Fatalf("no late reply repaired (%+v): the eager stream never repaired from the drain", bareStats)
+	}
+	if d := bare.Diff(decorated); d != "" {
+		t.Fatalf("the decorated client's history differs: %s", d)
+	}
+	a, err := json.Marshal(bare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(decorated)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Error("the histories are equal op by op but not byte for byte")
+	}
+	if bareTook != decoratedTook || bareStats != decoratedStats {
+		t.Errorf("the stream took %v bare and %v decorated; counters\n bare      %+v\n decorated %+v", bareTook, decoratedTook, bareStats, decoratedStats)
 	}
 }

@@ -9,6 +9,7 @@ package ts
 
 import (
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -51,6 +52,12 @@ func (s Stamp) String() string { return fmt.Sprintf("%d@%d", s.Counter, s.Writer
 
 // Clock issues strictly increasing stamps for one writer. The zero value is
 // not usable; construct with NewClock. Clock is safe for concurrent use.
+//
+// Witness ignores a counter above witnessCap (MaxUint64 − 2^32): no honest
+// writer reaches one, and adopting it would leave too little headroom before
+// the counter wraps to 0, after which every write of this writer would lose
+// to its earlier ones. A clock therefore never passes witnessCap by
+// witnessing, and has 2^32 Next calls left from there.
 type Clock struct {
 	mu     sync.Mutex
 	writer uint32
@@ -76,13 +83,17 @@ func (c *Clock) Next() Stamp {
 	return Stamp{Counter: c.last, Writer: c.writer}
 }
 
+// witnessCap is the highest counter Witness adopts (see Clock).
+const witnessCap = math.MaxUint64 - 1<<32
+
 // Witness advances the clock past an observed stamp, so that subsequent
 // Next calls dominate it. Required when a writer recovers its state by
-// reading, or when extending the protocol to multiple writers.
+// reading, or when extending the protocol to multiple writers. A counter
+// above witnessCap is ignored.
 func (c *Clock) Witness(s Stamp) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if s.Counter > c.last {
+	if s.Counter > c.last && s.Counter <= witnessCap {
 		c.last = s.Counter
 	}
 }

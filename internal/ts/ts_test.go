@@ -1,6 +1,7 @@
 package ts
 
 import (
+	"math"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -103,6 +104,24 @@ func TestClockWitness(t *testing.T) {
 	c.Witness(Stamp{Counter: 5, Writer: 9})
 	if s := c.Next(); s.Counter != 102 {
 		t.Errorf("after stale witness, Next = %v, want counter 102", s)
+	}
+}
+
+// TestClockWitnessNeverWraps: a witnessed counter near MaxUint64 cannot wrap
+// the clock to 0, which would make every later write of the writer lose; a
+// counter at the cap is still adopted.
+func TestClockWitnessNeverWraps(t *testing.T) {
+	c := NewClock(1)
+	first := c.Next()
+	for _, counter := range []uint64{math.MaxUint64, math.MaxUint64 - 1, witnessCap + 1} {
+		c.Witness(Stamp{Counter: counter, Writer: 2})
+		if s := c.Next(); !first.Less(s) {
+			t.Fatalf("after witnessing counter %d, Next = %v, not after %v", counter, s, first)
+		}
+	}
+	c.Witness(Stamp{Counter: witnessCap, Writer: 2})
+	if s := c.Next(); s.Counter != witnessCap+1 {
+		t.Errorf("after witnessing the cap, Next = %v, want counter %d", s, uint64(witnessCap)+1)
 	}
 }
 

@@ -1,10 +1,10 @@
 package vtime
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -23,8 +23,11 @@ type SimClock struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	now     int64  // virtual nanoseconds since simEpoch
-	seq     uint64 // timer creation sequence; the deadline tie-break
+	// now and seq are read without mu: now moves only at quiescence, when
+	// no worker runs to read it, and two marks drawn at once race each other
+	// under a lock as much as without one.
+	now     atomic.Int64  // virtual nanoseconds since simEpoch; stored under mu
+	seq     atomic.Uint64 // timer creation sequence; the deadline tie-break
 	timers  timerHeap
 	workers int // registered worker goroutines
 	parked  int // workers blocked in a clock wait
@@ -169,11 +172,7 @@ func (c *SimClock) noteSend() {
 
 // Elapsed returns the virtual time consumed since construction — the
 // "simulated seconds" a speedup measurement compares against wall time.
-func (c *SimClock) Elapsed() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return time.Duration(c.now)
-}
+func (c *SimClock) Elapsed() time.Duration { return time.Duration(c.now.Load()) }
 
 // schedule is Run's fallback loop on the caller's goroutine: wait until
 // the world is quiescent and nobody drives, then drive; return when every
@@ -198,41 +197,40 @@ func (c *SimClock) schedule() {
 	c.mu.Unlock()
 }
 
-// fireLocked pops the earliest timer, advances now to its deadline and
+// fireLocked takes the earliest timer, advances now to its deadline and
 // fires it. A callback (AfterFunc, Alarm) runs with c.mu released: every
-// worker is parked, so nothing else runs until the callback wakes it. c.mu
-// must be held, and the caller must be driving.
+// worker is parked, so nothing else runs until the callback wakes it. Its
+// timer stays in the heap while it runs, marked firing, and leaves after
+// unless it was re-armed or stopped meanwhile: an Alarm that re-arms itself
+// from its callback is re-keyed where it stands, one sift where a pop and a
+// push would make two. c.mu must be held, and the caller must be driving.
 func (c *SimClock) fireLocked() {
-	t := heap.Pop(&c.timers).(*simTimer)
-	c.now = max(c.now, t.at.at)
+	e := c.timers[0]
+	c.now.Store(max(c.now.Load(), e.at))
+	t := e.t
 	if t.fn != nil {
+		t.firing = true
 		c.mu.Unlock()
 		t.fn()
 		c.mu.Lock()
+		if t.firing {
+			t.firing = false
+			c.timers.remove(t.idx)
+		}
 		return
 	}
 	// A clock wait: the fire is a tracked message on a channel of capacity
 	// 1 that is armed once, so the send cannot block.
+	c.timers.remove(0)
 	t.wake.ch <- struct{}{}
 	c.pending++
 }
 
 // Now implements Clock.
-func (c *SimClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.timeLocked()
-}
-
-// timeLocked is now as a time.Time. c.mu must be held.
-func (c *SimClock) timeLocked() time.Time { return simEpoch.Add(time.Duration(c.now)) }
+func (c *SimClock) Now() time.Time { return simEpoch.Add(c.Elapsed()) }
 
 // Since implements Clock.
-func (c *SimClock) Since(t time.Time) time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.timeLocked().Sub(t)
-}
+func (c *SimClock) Since(t time.Time) time.Duration { return c.Now().Sub(t) }
 
 // Sleep implements Clock: it blocks the calling worker until virtual time
 // has advanced by d.
@@ -291,77 +289,142 @@ func (c *SimClock) AfterFunc(d time.Duration, fn func()) {
 // Mark implements Clock: the instant d from now and the next creation
 // sequence number, the place arm would give a timer armed here.
 func (c *SimClock) Mark(d time.Duration) Mark {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.markLocked(d)
+	return Mark{at: c.now.Load() + int64(max(d, 0)), seq: c.seq.Add(1)}
 }
 
-// markLocked draws the next mark. c.mu must be held.
-func (c *SimClock) markLocked(d time.Duration) Mark {
-	c.seq++
-	return Mark{at: c.now + int64(max(d, 0)), seq: c.seq}
-}
-
-// arm schedules st for d from now and returns it.
+// arm schedules st, a timer armed once, for d from now and returns it.
 func (c *SimClock) arm(st *simTimer, d time.Duration) *simTimer {
 	c.mu.Lock()
-	c.pushLocked(st, c.markLocked(d))
+	c.timers.push(st, c.Mark(d))
+	c.wakeLocked()
 	c.mu.Unlock()
 	return st
 }
 
-// pushLocked arms st at m. c.mu must be held.
-func (c *SimClock) pushLocked(st *simTimer, m Mark) {
-	st.at = m
-	heap.Push(&c.timers, st)
-	c.wakeLocked()
-}
-
 // simTimer is a SimClock timer: a wait of the clock's own, whose fire is a
-// tracked message on wake, or a callback (fn != nil: AfterFunc, Alarm).
+// tracked message on wake, or a callback (fn != nil: AfterFunc, Alarm). Its
+// key lives in its heap entry, not here.
 type simTimer struct {
-	clk  *SimClock
-	wake Chan[struct{}]
-	fn   func()
-	at   Mark
-	idx  int // heap index; -1 when not scheduled
+	clk    *SimClock
+	wake   Chan[struct{}]
+	fn     func()
+	idx    int  // heap index; -1 when not scheduled
+	firing bool // its callback is running, and it is still in the heap
 }
 
 // removeLocked takes t off the heap, reporting whether it was armed.
 // clk.mu must be held.
 func (t *simTimer) removeLocked() bool {
+	t.firing = false
 	if t.idx < 0 {
 		return false
 	}
-	heap.Remove(&t.clk.timers, t.idx)
+	t.clk.timers.remove(t.idx)
 	return true
 }
 
-// timerHeap orders timers by (deadline, creation sequence).
-type timerHeap []*simTimer
+// timerEntry is one armed timer: its key, stored inline so that a sift
+// compares entries of the heap array without following the timer pointer.
+type timerEntry struct {
+	at  int64  // deadline, virtual nanoseconds since simEpoch
+	seq uint64 // the deadline's creation sequence number (Mark.seq)
+	t   *simTimer
+}
 
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	a, b := h[i].at, h[j].at
-	return a.at < b.at || a.at == b.at && a.seq < b.seq
+// before orders entries by (deadline, creation sequence). Over armed timers
+// that order is total: every Mark's sequence number is drawn once, by
+// markLocked, and a Mark is armed on one timer at a time. NotBefore moves a
+// mark's instant but keeps its number, and its one user (a virtual
+// connection's chunk queue) arms each chunk's mark only on that
+// connection's single delivery alarm, so no two armed entries share a seq.
+// One Mark armed on two alarms (which ArmAt rules out) would tie; the heap
+// would still order the pair as a function of its operation sequence, which
+// a deterministic run replays, but not by any rule a caller could name.
+func (e *timerEntry) before(o *timerEntry) bool {
+	return e.at < o.at || e.at == o.at && e.seq < o.seq
 }
-func (h timerHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].idx, h[j].idx = i, j
+
+// timerHeap is a 4-ary min-heap of timers, earliest first: entry i's
+// children are 4i+1..4i+4. Its sifts keep every moved timer's idx, which
+// Stop, a cancelled SleepCtx and an Alarm's re-key use to find it.
+type timerHeap []timerEntry
+
+// push arms t, which is not armed, at m.
+func (h *timerHeap) push(t *simTimer, m Mark) {
+	*h = append(*h, timerEntry{at: m.at, seq: m.seq, t: t})
+	h.up(len(*h) - 1)
 }
-func (h *timerHeap) Push(x any) {
-	t := x.(*simTimer)
-	t.idx = len(*h)
-	*h = append(*h, t)
+
+// remove takes the entry at i off the heap: the last entry fills the hole
+// and sifts from there.
+func (h *timerHeap) remove(i int) {
+	s := *h
+	s[i].t.idx = -1
+	n := len(s) - 1
+	s[i] = s[n]
+	s[n] = timerEntry{}
+	*h = s[:n]
+	if i < n {
+		h.fix(i)
+	}
 }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	t := old[n-1]
-	old[n-1] = nil
-	t.idx = -1
-	*h = old[:n-1]
-	return t
+
+// rekey moves the armed entry at i to m in place: one sift, where a removal
+// and a push would make two.
+func (h timerHeap) rekey(i int, m Mark) {
+	h[i].at, h[i].seq = m.at, m.seq
+	h.fix(i)
+}
+
+// fix restores the heap order around i after its entry changed.
+func (h timerHeap) fix(i int) {
+	if i > 0 && h[i].before(&h[(i-1)/4]) {
+		h.up(i)
+	} else {
+		h.down(i)
+	}
+}
+
+// up sifts the entry at i toward the root past every later parent.
+func (h timerHeap) up(i int) {
+	e := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !e.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].t.idx = i
+		i = p
+	}
+	h[i] = e
+	e.t.idx = i
+}
+
+// down sifts the entry at i toward the leaves past every earlier child.
+func (h timerHeap) down(i int) {
+	e := h[i]
+	n := len(h)
+	for {
+		first := 4*i + 1
+		if first >= n {
+			break
+		}
+		c := first
+		for j := first + 1; j < min(first+4, n); j++ {
+			if h[j].before(&h[c]) {
+				c = j
+			}
+		}
+		if !h[c].before(&e) {
+			break
+		}
+		h[i] = h[c]
+		h[i].t.idx = i
+		i = c
+	}
+	h[i] = e
+	e.t.idx = i
 }
 
 var _ Clock = (*SimClock)(nil)

@@ -19,8 +19,10 @@
 //
 // # SimClock ordering guarantees
 //
-// The SimClock scheduler maintains a single virtual now and a heap of
-// pending timers ordered by (deadline, creation sequence number):
+// The SimClock scheduler maintains a single virtual now and a 4-ary heap of
+// pending timers ordered by (deadline, creation sequence number), both keys
+// stored inline in the heap array; re-arming an armed Alarm re-keys its
+// entry in place:
 //
 //  1. Timers fire in nondecreasing virtual-time order. Two timers with the
 //     same deadline fire in the order they were created (sequence-number
@@ -153,8 +155,10 @@ func (m Mark) NotBefore(o Mark) Mark {
 // SimClock the callback runs on the goroutine driving the clock (rule 3).
 // ArmAt and Stop must be serialized by the owner; under the WallClock a fire
 // may still run after Stop, so the callback must check what it is owed.
+// Under a SimClock an armed alarm is one entry of the clock's timer heap, and
+// re-arming it before it fires moves that entry in place.
 type Alarm struct {
-	sim  simTimer    // under a SimClock: its heap entry, owned
+	sim  simTimer    // under a SimClock: the timer its heap entry points at
 	wall *time.Timer // under the WallClock
 }
 
@@ -170,6 +174,8 @@ func NewAlarm(clk Clock, fn func()) *Alarm {
 
 // ArmAt arms the alarm to go off at m, in m's place in the fire order,
 // replacing any arming not yet fired. A mark already past goes off at once.
+// Arm each Mark on one alarm at a time: two armed timers at one Mark would
+// tie in the fire order.
 func (a *Alarm) ArmAt(m Mark) {
 	if a.wall != nil {
 		a.wall.Reset(time.Duration(m.at) - time.Since(wallBase))
@@ -177,8 +183,13 @@ func (a *Alarm) ArmAt(m Mark) {
 	}
 	c := a.sim.clk
 	c.mu.Lock()
-	a.sim.removeLocked()
-	c.pushLocked(&a.sim, m)
+	a.sim.firing = false
+	if a.sim.idx >= 0 {
+		c.timers.rekey(a.sim.idx, m)
+	} else {
+		c.timers.push(&a.sim, m)
+	}
+	c.wakeLocked()
 	c.mu.Unlock()
 }
 

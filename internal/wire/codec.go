@@ -116,7 +116,8 @@ func appendBytes(b, p []byte) []byte {
 }
 
 // decodeBytes reads a length-prefixed field, copying it out of b (the read
-// buffer is reused for the next frame, decoded values escape). A zero length
+// buffer is reused for the next frame, decoded values escape) into a slice
+// of its exact length, so a consumer's append reallocates. A zero length
 // decodes to nil.
 func decodeBytes(b []byte) ([]byte, []byte, error) {
 	n, rest, err := decodeUvarint(b)
@@ -129,8 +130,11 @@ func decodeBytes(b []byte) ([]byte, []byte, error) {
 	if n == 0 {
 		return nil, rest, nil
 	}
-	out := make([]byte, n)
-	copy(out, rest[:n])
+	// make(len(src)) then copy(src) is the form the compiler fuses into one
+	// allocation that skips zeroing the bytes the copy overwrites.
+	src := rest[:n]
+	out := make([]byte, len(src))
+	copy(out, src)
 	return out, rest[n:], nil
 }
 

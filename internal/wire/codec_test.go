@@ -149,6 +149,39 @@ func TestBinaryEnvelopeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodedBytesAreExactCopies: a decoded Value or Sig is a copy of the
+// frame's bytes with cap == len, so neither a later frame read into the same
+// buffer nor a consumer's append can reach the other's memory.
+func TestDecodedBytesAreExactCopies(t *testing.T) {
+	for _, size := range []int{1, 5, 33, 1000, 16 << 10} {
+		value := bytes.Repeat([]byte{'v'}, size)
+		sig := bytes.Repeat([]byte{'s'}, size+3)
+		b, err := AppendMessage(nil, WriteRequest{Key: "k", Value: value, Stamp: ts.Stamp{Counter: 1}, Sig: sig})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, _, err := DecodeMessage(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := out.(WriteRequest)
+		for i := range b {
+			b[i] = 0
+		}
+		for _, f := range []struct {
+			name      string
+			got, want []byte
+		}{{"Value", got.Value, value}, {"Sig", got.Sig, sig}} {
+			if !bytes.Equal(f.got, f.want) {
+				t.Errorf("size %d: %s changed with the frame buffer", size, f.name)
+			}
+			if cap(f.got) != len(f.got) {
+				t.Errorf("size %d: %s has cap %d, len %d", size, f.name, cap(f.got), len(f.got))
+			}
+		}
+	}
+}
+
 func TestBinaryReplyEnvelopeRoundTrip(t *testing.T) {
 	cases := []ReplyEnvelope{
 		{ID: 1, Payload: WriteReply{Stored: true}},
