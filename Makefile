@@ -223,7 +223,9 @@ bench-e2e-smoke:
 
 # The adversarial regression gate: the full chaos scenario matrix at small
 # trial counts (seconds, deterministic in CHAOS_SEED), plus the negative
-# scenario demonstrating the checker fails when ε exceeds the bound. A
+# scenario demonstrating the checker fails when ε exceeds the bound. Every
+# row is its own SimClock world; rows run on a pool of half the cores (at
+# most 4) and are reported in matrix order. A
 # failing seed replays locally with the same command or with
 # `go test ./internal/chaos -run TestChaos -chaos.seed=N`. -json records
 # the per-scenario ε trend to BENCH_epsilon.json (uploaded as a CI
@@ -235,8 +237,8 @@ chaos-short:
 # The real-wire chaos gate: the same scenario matrix over BOTH data planes
 # (MemNetwork and the virtual-time TCP stack), each scenario run TWICE per
 # plane with one seed — the run fails unless the histories replay
-# byte-for-byte, which is the determinism contract for the data plane
-# production actually runs. BENCH_epsilon.json gains one section per
+# byte-for-byte and the simulated durations (sim_seconds) match, which is
+# the determinism contract for the data plane production actually runs. BENCH_epsilon.json gains one section per
 # transport. Replay a CI failure locally with the same command and
 # CHAOS_SEED=N, or `go test ./internal/chaos -run TCPVirtual -chaos.seed=N`.
 chaos-tcp:
@@ -263,8 +265,8 @@ sim-fast:
 # target if simulation ever gets slow enough to blow the wall-clock
 # budget. -json records per-scale-point ε / staleness-depth / tail-latency
 # metrics to BENCH_epsilon.json (the CI artifact). Scale points are
-# independent simulations, so they run on a bounded worker pool
-# (-load-parallel, default half the cores) without affecting any digest.
+# independent simulations, so they run on the chaos matrix's worker pool
+# (half the cores, at most 4) without affecting any digest.
 # A failing seed replays locally with the same command and CHAOS_SEED=N.
 sim-scale:
 	$(GO) run ./cmd/pqs-chaos -load -seed $(CHAOS_SEED) -negative -verify-determinism -json -budget 5m -o /dev/null

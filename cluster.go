@@ -9,6 +9,7 @@ import (
 	"pqs/internal/diffusion"
 	"pqs/internal/quorum"
 	"pqs/internal/replica"
+	"pqs/internal/sim"
 	"pqs/internal/transport"
 	"pqs/internal/ts"
 )
@@ -45,15 +46,8 @@ func NewCluster(cfg ClusterConfig) (*LocalCluster, error) {
 	if cfg.Cells < 0 {
 		return nil, fmt.Errorf("pqs: cell count %d must not be negative", cfg.Cells)
 	}
-	total := cfg.Total()
-	c := &LocalCluster{net: transport.NewMemNetwork(cfg.Seed), cellN: cfg.N}
-	c.net.SetClock(cfg.Clock)
-	for i := 0; i < total; i++ {
-		r := replica.New(quorum.ServerID(i))
-		c.reps = append(c.reps, r)
-		c.net.Register(quorum.ServerID(i), r)
-	}
-	return c, nil
+	sc := sim.NewCluster(cfg)
+	return &LocalCluster{net: sc.Net, reps: sc.Replicas, cellN: cfg.N}, nil
 }
 
 // N returns the cluster size (total replicas across all cells).
@@ -139,7 +133,7 @@ func (c *LocalCluster) Replicas() []*replica.Replica { return c.reps }
 // value-timestamp pairs to every server and driving the effective ε toward
 // zero for updates dispersed in time.
 func (c *LocalCluster) EnableDiffusion(fanout int, seed int64) error {
-	g, err := diffusion.NewGroup(c.reps, c.net, fanout, nil, seed)
+	g, err := diffusion.NewGroup(c.reps, c.net, fanout, nil, seed, nil)
 	if err != nil {
 		return err
 	}

@@ -18,35 +18,38 @@
 //	                               # streams; comma-separate to run several
 //	                               # planes in one invocation, e.g.
 //	                               # -transport mem,tcp-virtual
-//	pqs-chaos -verify-determinism  # run every scenario TWICE per transport
-//	                               # and fail unless the histories replay
-//	                               # byte-for-byte (the CI determinism gate)
-//	pqs-chaos -json                # also write per-scenario ε metrics to
+//	pqs-chaos -verify-determinism  # run every row TWICE and fail unless the
+//	                               # replay matches: a chaos row's history
+//	                               # byte-for-byte and its sim_seconds, a
+//	                               # load row's whole result (the CI
+//	                               # determinism gate)
+//	pqs-chaos -json                # also write per-row ε metrics to
 //	                               # BENCH_epsilon.json (the CI artifact
 //	                               # tracking the ε trend across PRs, like
 //	                               # BENCH_throughput.json), with one section
 //	                               # per transport
 //	pqs-chaos -negative            # also run the intentionally failing
-//	                               # negative scenario (its failure is
-//	                               # expected and does not affect the exit
-//	                               # code; it demonstrates the checker)
+//	                               # negative configuration (it demonstrates
+//	                               # the checker: its failure is expected,
+//	                               # and it passing fails the invocation)
 //	pqs-chaos -load                # run the population-scale load matrix
 //	                               # (internal/load's scale/ scenarios: 10k+
 //	                               # clients against n>=1000 universes, over
 //	                               # a million operations) instead of the
 //	                               # chaos matrix; -seed, -scenario, -list,
-//	                               # -negative, -verify-determinism (digest
-//	                               # replay) and -json (per-scale-point
-//	                               # BENCH_epsilon.json entries) compose
-//	pqs-chaos -load -budget 5m     # fail unless the whole scale matrix
-//	                               # (including the determinism re-runs)
-//	                               # finishes inside the wall-clock budget —
-//	                               # the CI guard keeping population-scale
-//	                               # simulation CI-affordable (0 disables)
+//	                               # -negative, -verify-determinism and -json
+//	                               # compose
+//	pqs-chaos -load -budget 5m     # fail unless the whole matrix (including
+//	                               # the determinism re-runs) finishes inside
+//	                               # the wall-clock budget — the CI guard
+//	                               # keeping population-scale simulation
+//	                               # CI-affordable (0 disables)
 //
-// Every run is deterministic in -seed: a failing seed from CI reproduces
-// the identical history locally (see also: go test ./internal/chaos -run
-// TestChaos -chaos.seed=N).
+// Every row is its own virtual-time world (a vtime.SimClock), deterministic
+// in -seed: a failing seed from CI reproduces the identical history locally
+// (see also: go test ./internal/chaos -run TestChaos -chaos.seed=N). Rows
+// therefore run side by side on a pool of half the cores (at least 1, at
+// most 4), and are printed and reported in matrix order.
 package main
 
 import (
@@ -64,18 +67,208 @@ import (
 	"pqs/internal/sim"
 )
 
-// scenarioReport is one matrix entry of the JSON report.
-type scenarioReport struct {
-	chaos.Report
-	// Expected distinguishes the negative demo (expected to fail) from
-	// shipped scenarios (expected to pass).
+// A row is one entry of the matrix: a chaos scenario on one transport, a
+// load scale point, or a negative configuration, which is expected to fail.
+// run builds the row's configuration afresh and runs it once; name labels
+// the row's errors.
+type row struct {
+	name       string
+	expectFail bool
+	run        func() (outcome, error)
+}
+
+// An outcome is one run of a row: a chaos report or a load result.
+type outcome interface {
+	// label is the row's name and transport, as the outcome reports them.
+	label() (name, transport string)
+	passed() bool
+	// replayDiff says how a replay of the same row differs ("" = it does
+	// not).
+	replayDiff(replay outcome) string
+	// summary is the row's stderr line after its status.
+	summary() string
+	// metrics is the row's BENCH_epsilon.json entry; wall is the seconds
+	// the run took.
+	metrics(wall float64) map[string]float64
+}
+
+type chaosOutcome struct{ *chaos.Report }
+
+func (o chaosOutcome) label() (string, string) { return o.Name, o.Transport }
+func (o chaosOutcome) passed() bool            { return o.Check.Pass }
+
+func (o chaosOutcome) replayDiff(replay outcome) string {
+	r := replay.(chaosOutcome)
+	if d := o.History.Diff(r.History); d != "" {
+		return d
+	}
+	if o.SimSeconds != r.SimSeconds {
+		return fmt.Sprintf("equal histories, sim_seconds %v vs %v", o.SimSeconds, r.SimSeconds)
+	}
+	return ""
+}
+
+func (o chaosOutcome) summary() string {
+	c := o.Check
+	cells := ""
+	if n := len(c.Cells); n > 0 {
+		worst := c.Cells[0]
+		for _, cell := range c.Cells[1:] {
+			if cell.EligibleEpsilon > worst.EligibleEpsilon {
+				worst = cell
+			}
+		}
+		cells = fmt.Sprintf("  [%d cells; worst cell %d ε=%.5f p=%.3g]",
+			n, worst.Cell, worst.EligibleEpsilon, worst.PValue)
+	}
+	return fmt.Sprintf("ε=%.5f (eligible %d/%d) bound=%.3g p=%.3g%s  [%.1fs sim]",
+		c.EligibleEpsilon, c.EligibleBad, c.EligibleReads, c.Bound, c.PValue, cells, o.SimSeconds)
+}
+
+func (o chaosOutcome) metrics(wall float64) map[string]float64 {
+	c := o.Check
+	m := map[string]float64{
+		"epsilon":          c.Epsilon,
+		"eligible_epsilon": c.EligibleEpsilon,
+		"eligible_reads":   float64(c.EligibleReads),
+		"eligible_bad":     float64(c.EligibleBad),
+		"bound":            c.Bound,
+		"p_value":          c.PValue,
+		"pass":             boolMetric(c.Pass),
+		"sim_seconds":      o.SimSeconds,
+	}
+	if wall > 0 {
+		m["speedup"] = o.SimSeconds / wall
+	}
+	if o.GossipRounds > 0 {
+		m["gossip_rounds"] = float64(o.GossipRounds)
+		m["gossip_merged"] = float64(o.GossipMerged)
+	}
+	// Multi-cell scenarios carry one ε section per quorum cell: the checker
+	// enforces the theorem bound per cell (a hot cell fails the run even
+	// when the global average passes), and the trend document records each
+	// cell's measured ε so a cell-local drift is visible across PRs.
+	for _, cell := range c.Cells {
+		p := fmt.Sprintf("cell_%d_", cell.Cell)
+		m[p+"epsilon"] = cell.EligibleEpsilon
+		m[p+"eligible_reads"] = float64(cell.EligibleReads)
+		m[p+"eligible_bad"] = float64(cell.EligibleBad)
+		m[p+"p_value"] = cell.PValue
+		m[p+"pass"] = boolMetric(cell.Pass)
+	}
+	return m
+}
+
+type loadOutcome struct{ *load.Result }
+
+func (o loadOutcome) label() (string, string) { return o.Name, o.Transport }
+func (o loadOutcome) passed() bool            { return o.Pass }
+
+func (o loadOutcome) replayDiff(replay outcome) string {
+	r := replay.(loadOutcome)
+	if reflect.DeepEqual(o.Result, r.Result) {
+		return ""
+	}
+	return fmt.Sprintf("digests %s vs %s, sim_seconds %v vs %v", o.Digest, r.Digest, o.SimSeconds, r.SimSeconds)
+}
+
+func (o loadOutcome) summary() string {
+	timed := ""
+	if o.Timed != nil {
+		timed = fmt.Sprintf("  [timed: %d depth buckets, max bound %.3g, p=%.3g; %d departures]",
+			len(o.Timed.Groups), o.Timed.MaxBound, o.Timed.PValue, o.Departures)
+	}
+	return fmt.Sprintf("n=%d clients=%d ops=%d ε=%.5f bound=%.3g p=%.3g p50=%.2fms p99=%.2fms p999=%.2fms  [%.1fs sim]%s",
+		o.N, o.Clients, o.Ops, o.Epsilon, o.Bound, o.PValue, o.P50Ms, o.P99Ms, o.P999Ms, o.SimSeconds, timed)
+}
+
+func (o loadOutcome) metrics(float64) map[string]float64 {
+	m := map[string]float64{
+		"epsilon":     o.Epsilon,
+		"bound":       o.Bound,
+		"p_value":     o.PValue,
+		"pass":        boolMetric(o.Pass),
+		"n":           float64(o.N),
+		"q":           float64(o.Q),
+		"clients":     float64(o.Clients),
+		"ops":         float64(o.Ops),
+		"reads":       float64(o.Reads),
+		"stale":       float64(o.Stale),
+		"sim_seconds": o.SimSeconds,
+	}
+	if o.LatencyOps > 0 {
+		m["p50_ms"] = o.P50Ms
+		m["p99_ms"] = o.P99Ms
+		m["p999_ms"] = o.P999Ms
+	}
+	if o.Departures > 0 {
+		m["departures"] = float64(o.Departures)
+	}
+	if o.Timed != nil {
+		m["timed_p_value"] = o.Timed.PValue
+		m["timed_max_bound"] = o.Timed.MaxBound
+		m["timed_pass"] = boolMetric(o.Timed.Pass)
+		m["timed_depth_buckets"] = float64(len(o.Timed.Groups))
+	}
+	for d, cnt := range o.StaleDepth {
+		if cnt > 0 {
+			m[fmt.Sprintf("stale_depth_%d", d+1)] = float64(cnt)
+		}
+	}
+	return m
+}
+
+func boolMetric(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// entry is one row of the JSON report: the outcome's own fields, then the
+// row's.
+type entry struct {
+	outcome
+	rowFields
+}
+
+type rowFields struct {
+	// Expected distinguishes a negative configuration ("fail") from the
+	// shipped rows ("pass").
 	Expected string `json:"expected"`
-	// WallSeconds is how long the scenario took to execute. For virtual
-	// scenarios the interesting ratio is Report.SimSeconds/WallSeconds.
+	// WallSeconds is how long the row's first run took; the run's
+	// sim_seconds over it is the simulation's speed-up.
 	WallSeconds float64 `json:"wall_seconds"`
-	// Deterministic is set when -verify-determinism re-ran the scenario:
-	// true means the second run's history replayed byte-for-byte.
+	// Deterministic is set when -verify-determinism re-ran the row: true
+	// means the replay matched (see outcome.replayDiff).
 	Deterministic *bool `json:"deterministic,omitempty"`
+}
+
+// MarshalJSON flattens the outcome's fields and the row's into one object.
+func (e entry) MarshalJSON() ([]byte, error) {
+	o, err := json.Marshal(e.outcome)
+	if err != nil {
+		return nil, err
+	}
+	r, err := json.Marshal(e.rowFields)
+	if err != nil {
+		return nil, err
+	}
+	return append(append(o[:len(o)-1], ','), r[1:]...), nil
+}
+
+// matrixReport is the top-level JSON document.
+type matrixReport struct {
+	// mode is "chaos" or "load"; Scale and Transports describe a chaos
+	// matrix.
+	mode          string
+	Seed          int64    `json:"seed"`
+	Scale         int      `json:"scale,omitempty"`
+	Transports    []string `json:"transports,omitempty"`
+	BudgetSeconds float64  `json:"budget_seconds,omitempty"`
+	WallSeconds   float64  `json:"wall_seconds"`
+	Scenarios     []entry  `json:"scenarios"`
+	AllPass       bool     `json:"all_pass"`
 }
 
 // epsilonDoc is the BENCH_epsilon.json layout, mirroring
@@ -99,77 +292,43 @@ const epsilonFile = "BENCH_epsilon.json"
 
 // buildEpsilonDoc flattens the matrix into the trend document.
 func buildEpsilonDoc(rep matrixReport) epsilonDoc {
-	doc := epsilonDoc{Context: map[string]any{
-		"goos":       runtime.GOOS,
-		"goarch":     runtime.GOARCH,
-		"pkg":        "pqs",
-		"seed":       rep.Seed,
-		"scale":      rep.Scale,
-		"transports": rep.Transports,
-	}}
-	for _, sc := range rep.Scenarios {
-		if sc.Expected == "fail" {
+	ctx := map[string]any{
+		"goos":   runtime.GOOS,
+		"goarch": runtime.GOARCH,
+		"pkg":    "pqs",
+		"mode":   rep.mode,
+		"seed":   rep.Seed,
+	}
+	if rep.mode == "chaos" {
+		ctx["scale"] = rep.Scale
+		ctx["transports"] = rep.Transports
+	}
+	doc := epsilonDoc{Context: ctx}
+	for _, e := range rep.Scenarios {
+		if e.Expected == "fail" {
 			// The negative demo exists to prove the checker has teeth; a
 			// permanently "failing" row would poison the trend document
 			// (every cross-PR diff would flag it as a regression).
 			continue
 		}
-		c := sc.Check
-		m := map[string]float64{
-			"epsilon":          c.Epsilon,
-			"eligible_epsilon": c.EligibleEpsilon,
-			"eligible_reads":   float64(c.EligibleReads),
-			"eligible_bad":     float64(c.EligibleBad),
-			"bound":            c.Bound,
-			"p_value":          c.PValue,
-			"pass":             boolMetric(c.Pass),
-			"wall_seconds":     sc.WallSeconds,
+		m := e.metrics(e.WallSeconds)
+		m["wall_seconds"] = e.WallSeconds
+		if e.Deterministic != nil {
+			m["deterministic"] = boolMetric(*e.Deterministic)
 		}
-		if sc.Virtual {
-			m["sim_seconds"] = sc.SimSeconds
-			if sc.WallSeconds > 0 {
-				m["speedup"] = sc.SimSeconds / sc.WallSeconds
-			}
-		}
-		if sc.GossipRounds > 0 {
-			m["gossip_rounds"] = float64(sc.GossipRounds)
-			m["gossip_merged"] = float64(sc.GossipMerged)
-		}
-		if sc.Deterministic != nil {
-			m["deterministic"] = boolMetric(*sc.Deterministic)
-		}
-		// Multi-cell scenarios carry one ε section per quorum cell: the
-		// checker enforces the theorem bound per cell (a hot cell fails the
-		// run even when the global average passes), and the trend document
-		// records each cell's measured ε so a cell-local drift is visible
-		// across PRs.
-		for _, cell := range c.Cells {
-			p := fmt.Sprintf("cell_%d_", cell.Cell)
-			m[p+"epsilon"] = cell.EligibleEpsilon
-			m[p+"eligible_reads"] = float64(cell.EligibleReads)
-			m[p+"eligible_bad"] = float64(cell.EligibleBad)
-			m[p+"p_value"] = cell.PValue
-			m[p+"pass"] = boolMetric(cell.Pass)
-		}
-		doc.Scenarios = append(doc.Scenarios, epsilonEntry{Name: sc.Name, Transport: sc.Transport, Metrics: m})
+		name, transport := e.label()
+		doc.Scenarios = append(doc.Scenarios, epsilonEntry{Name: name, Transport: transport, Metrics: m})
 	}
 	return doc
 }
 
-func boolMetric(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// matrixReport is the top-level JSON document.
-type matrixReport struct {
-	Seed       int64            `json:"seed"`
-	Scale      int              `json:"scale"`
-	Transports []string         `json:"transports"`
-	Scenarios  []scenarioReport `json:"scenarios"`
-	AllPass    bool             `json:"all_pass"`
+// options are the flags the matrix loop reads.
+type options struct {
+	verifyDet bool
+	parallel  int
+	budget    time.Duration
+	out       string // -o ("" = stdout)
+	epsJSON   bool
 }
 
 func main() {
@@ -184,13 +343,11 @@ func main() {
 		transport = flag.String("transport", sim.TransportMem,
 			"comma-separated data planes to run the matrix over: mem, tcp-virtual")
 		verifyDet = flag.Bool("verify-determinism", false,
-			"run each scenario twice and fail unless the histories replay byte-for-byte")
+			"run each scenario twice and fail unless the replay matches")
 		loadMode = flag.Bool("load", false,
 			"run the population-scale load matrix (internal/load) instead of the chaos matrix")
 		budget = flag.Duration("budget", 0,
-			"with -load: fail unless the whole matrix finishes inside this wall-clock budget (0 disables)")
-		loadPar = flag.Int("load-parallel", 0,
-			"with -load: scale points run concurrently on this many workers (0 = half the cores, capped at 4)")
+			"fail unless the whole matrix finishes inside this wall-clock budget (0 disables)")
 	)
 	flag.Parse()
 
@@ -207,13 +364,29 @@ func main() {
 		return
 	}
 
+	var (
+		rep  matrixReport
+		rows []row
+	)
 	if *loadMode {
-		runLoadMatrix(*seed, *match, *negative, *verifyDet, *epsJSON, *out, *budget, *loadPar)
-		return
+		rep = matrixReport{mode: "load", Seed: *seed}
+		rows = loadRows(*seed, *match, *negative)
+	} else {
+		transports := parseTransports(*transport)
+		rep = matrixReport{mode: "chaos", Seed: *seed, Scale: *scale, Transports: transports}
+		rows = chaosRows(transports, *scale, *seed, *match, *negative)
 	}
+	// A row is one SimClock worker plus GC, so a 4-vCPU runner fits two
+	// side by side.
+	parallel := min(max(runtime.NumCPU()/2, 1), 4)
+	os.Exit(runMatrix(rep, rows, options{
+		verifyDet: *verifyDet, parallel: parallel, budget: *budget, out: *out, epsJSON: *epsJSON,
+	}))
+}
 
+func parseTransports(list string) []string {
 	var transports []string
-	for _, tr := range strings.Split(*transport, ",") {
+	for _, tr := range strings.Split(list, ",") {
 		tr = strings.TrimSpace(tr)
 		if tr == "" {
 			continue
@@ -226,386 +399,193 @@ func main() {
 	if len(transports) == 0 {
 		fatalf("no transport selected")
 	}
+	return transports
+}
 
-	report := matrixReport{Seed: *seed, Scale: *scale, Transports: transports, AllPass: true}
-	ran := 0
+// chaosRows is the chaos matrix: every matching scenario on each transport
+// in turn, then the negative configuration on each.
+func chaosRows(transports []string, scale int, seed int64, match string, negative bool) []row {
+	var rows []row
+	add := func(name, tr string, expectFail bool, build func(int, int64) (chaos.Config, error)) {
+		rows = append(rows, row{name: name + " [" + tr + "]", expectFail: expectFail, run: func() (outcome, error) {
+			cfg, err := build(scale, seed)
+			if err != nil {
+				return nil, err
+			}
+			cfg.Transport = tr
+			rep, err := chaos.Run(cfg)
+			if err != nil {
+				return nil, err
+			}
+			return chaosOutcome{rep}, nil
+		}})
+	}
 	for _, tr := range transports {
 		for _, sc := range chaos.Scenarios() {
-			if *match != "" && !strings.Contains(sc.Name, *match) {
-				continue
+			if match == "" || strings.Contains(sc.Name, match) {
+				add(sc.Name, tr, false, sc.Build)
 			}
-			ran++
-			cfg, err := sc.Build(*scale, *seed)
-			if err != nil {
-				fatalf("build %s: %v", sc.Name, err)
-			}
-			cfg.Transport = tr
-			start := time.Now()
-			rep, err := chaos.Run(cfg)
-			wall := time.Since(start).Seconds()
-			if err != nil {
-				fatalf("run %s [%s]: %v", sc.Name, tr, err)
-			}
-			entry := scenarioReport{Report: *rep, Expected: "pass", WallSeconds: wall}
-			status := "PASS"
-			if !rep.Check.Pass {
-				status = "FAIL"
-				report.AllPass = false
-			}
-			if *verifyDet {
-				cfg2, err := sc.Build(*scale, *seed)
-				if err != nil {
-					fatalf("rebuild %s: %v", sc.Name, err)
-				}
-				cfg2.Transport = tr
-				rep2, err := chaos.Run(cfg2)
-				if err != nil {
-					fatalf("replay %s [%s]: %v", sc.Name, tr, err)
-				}
-				det := rep.History.Diff(rep2.History) == ""
-				entry.Deterministic = &det
-				if !det {
-					status = "NONDETERMINISTIC"
-					report.AllPass = false
-					fmt.Fprintf(os.Stderr, "determinism violation in %s [%s]:\n%s\n",
-						sc.Name, tr, rep.History.Diff(rep2.History))
-				}
-			}
-			report.Scenarios = append(report.Scenarios, entry)
-			virtual := ""
-			if rep.Virtual {
-				virtual = fmt.Sprintf("  [virtual: %.1fs simulated in %.2fs]", rep.SimSeconds, wall)
-			}
-			cells := ""
-			if n := len(rep.Check.Cells); n > 0 {
-				worst := rep.Check.Cells[0]
-				for _, c := range rep.Check.Cells[1:] {
-					if c.EligibleEpsilon > worst.EligibleEpsilon {
-						worst = c
-					}
-				}
-				cells = fmt.Sprintf("  [%d cells; worst cell %d ε=%.5f p=%.3g]",
-					n, worst.Cell, worst.EligibleEpsilon, worst.PValue)
-			}
-			fmt.Fprintf(os.Stderr, "%-28s %-11s %s  ε=%.5f (eligible %d/%d) bound=%.3g p=%.3g%s%s\n",
-				sc.Name, tr, status, rep.Check.EligibleEpsilon, rep.Check.EligibleBad,
-				rep.Check.EligibleReads, rep.Check.Bound, rep.Check.PValue, cells, virtual)
 		}
 	}
-	if ran == 0 {
-		fatalf("no scenario matches %q", *match)
+	if len(rows) == 0 {
+		fatalf("no scenario matches %q", match)
 	}
-
-	if *negative {
+	if negative {
 		for _, tr := range transports {
-			cfg, err := chaos.NegativeConfig(*scale, *seed)
+			add("negative", tr, true, chaos.NegativeConfig)
+		}
+	}
+	return rows
+}
+
+// loadRows is the load matrix: every matching scale point, then the
+// negative configuration.
+func loadRows(seed int64, match string, negative bool) []row {
+	var rows []row
+	add := func(name string, expectFail bool, build func(int64) (load.Config, error)) {
+		rows = append(rows, row{name: name, expectFail: expectFail, run: func() (outcome, error) {
+			cfg, err := build(seed)
 			if err != nil {
-				fatalf("build negative: %v", err)
+				return nil, err
 			}
-			cfg.Transport = tr
-			start := time.Now()
-			rep, err := chaos.Run(cfg)
-			wall := time.Since(start).Seconds()
+			res, err := load.Run(cfg)
 			if err != nil {
-				fatalf("run negative [%s]: %v", tr, err)
+				return nil, err
 			}
-			report.Scenarios = append(report.Scenarios, scenarioReport{Report: *rep, Expected: "fail", WallSeconds: wall})
-			fmt.Fprintf(os.Stderr, "%-28s %-11s %s  ε=%.5f vs configured bound %.3g (failure expected)\n",
-				rep.Name, tr, map[bool]string{true: "PASS(?)", false: "FAIL(expected)"}[rep.Check.Pass],
-				rep.Check.EligibleEpsilon, rep.Check.Bound)
-			if rep.Check.Pass {
-				// The demo exists to show the checker has teeth; it passing is
-				// a harness regression.
-				report.AllPass = false
+			return loadOutcome{res}, nil
+		}})
+	}
+	for _, sc := range load.Scenarios() {
+		if match == "" || strings.Contains(sc.Name, match) {
+			add(sc.Name, false, sc.Build)
+		}
+	}
+	if len(rows) == 0 {
+		fatalf("no scale scenario matches %q", match)
+	}
+	if negative {
+		add("negative/view-blind", true, load.NegativeConfig)
+	}
+	return rows
+}
+
+// runMatrix is the one matrix loop. Every row is an independent SimClock
+// world, so rows run on a pool of o.parallel workers; each runs (twice under
+// o.verifyDet, comparing the replay), and the outcomes are printed and
+// collected in matrix order. It writes the report to o.out (or stdout) and,
+// with o.epsJSON, the trend document, and returns the exit code: 1 if a
+// shipped row failed or did not replay, an expected failure passed, or the
+// matrix blew o.budget.
+func runMatrix(rep matrixReport, rows []row, o options) int {
+	type result struct {
+		out    outcome
+		wall   float64
+		replay string
+		err    error
+	}
+	results := make([]result, len(rows))
+	done := make([]chan struct{}, len(rows))
+	for i := range done {
+		done[i] = make(chan struct{})
+	}
+	sem := make(chan struct{}, max(o.parallel, 1))
+	start := time.Now()
+	for i, r := range rows {
+		go func() {
+			sem <- struct{}{}
+			defer func() { <-sem; close(done[i]) }()
+			res := &results[i]
+			t := time.Now()
+			res.out, res.err = r.run()
+			res.wall = time.Since(t).Seconds()
+			// A negative row is an expected failure, not a replay subject;
+			// verifying it would double its cost for no signal.
+			if res.err != nil || !o.verifyDet || r.expectFail {
+				return
 			}
+			replay, err := r.run()
+			if err != nil {
+				res.err = fmt.Errorf("replay: %w", err)
+				return
+			}
+			res.replay = res.out.replayDiff(replay)
+		}()
+	}
+
+	rep.AllPass = true
+	for i, r := range rows {
+		<-done[i]
+		res := results[i]
+		if res.err != nil {
+			fatalf("run %s: %v", r.name, res.err)
+		}
+		e := entry{outcome: res.out, rowFields: rowFields{Expected: "pass", WallSeconds: res.wall}}
+		status := "PASS"
+		if r.expectFail {
+			e.Expected = "fail"
+			status = "FAIL(expected)"
+			if res.out.passed() {
+				// The demo exists to show the checker has teeth; it
+				// passing is a harness regression.
+				status = "PASS(?)"
+				rep.AllPass = false
+			}
+		} else if !res.out.passed() {
+			status = "FAIL"
+			rep.AllPass = false
+		}
+		name, transport := res.out.label()
+		if o.verifyDet && !r.expectFail {
+			det := res.replay == ""
+			e.Deterministic = &det
+			if !det {
+				status = "NONDETERMINISTIC"
+				rep.AllPass = false
+				fmt.Fprintf(os.Stderr, "determinism violation in %s [%s]:\n%s\n", name, transport, res.replay)
+			}
+		}
+		rep.Scenarios = append(rep.Scenarios, e)
+		fmt.Fprintf(os.Stderr, "%-28s %-11s %s  %s  [%.2fs wall]\n", name, transport, status, res.out.summary(), res.wall)
+	}
+
+	rep.WallSeconds = time.Since(start).Seconds()
+	if o.budget > 0 {
+		rep.BudgetSeconds = o.budget.Seconds()
+		if rep.WallSeconds > rep.BudgetSeconds {
+			fmt.Fprintf(os.Stderr, "pqs-chaos: matrix blew its wall-clock budget: %.1fs > %s\n", rep.WallSeconds, o.budget)
+			rep.AllPass = false
 		}
 	}
 
-	enc, err := json.MarshalIndent(report, "", "  ")
+	writeJSON(o.out, rep)
+	if o.epsJSON {
+		doc := buildEpsilonDoc(rep)
+		writeJSON(epsilonFile, doc)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", epsilonFile, len(doc.Scenarios))
+	}
+	if !rep.AllPass {
+		return 1
+	}
+	return 0
+}
+
+// writeJSON writes v, indented, to path ("" = stdout).
+func writeJSON(path string, v any) {
+	enc, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		fatalf("marshal: %v", err)
 	}
 	enc = append(enc, '\n')
-	if *out != "" {
-		if err := os.WriteFile(*out, enc, 0o644); err != nil {
-			fatalf("write %s: %v", *out, err)
-		}
-	} else {
+	if path == "" {
 		os.Stdout.Write(enc)
+		return
 	}
-	if *epsJSON {
-		doc := buildEpsilonDoc(report)
-		enc, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fatalf("marshal %s: %v", epsilonFile, err)
-		}
-		enc = append(enc, '\n')
-		if err := os.WriteFile(epsilonFile, enc, 0o644); err != nil {
-			fatalf("write %s: %v", epsilonFile, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d scenarios)\n", epsilonFile, len(doc.Scenarios))
-	}
-	if !report.AllPass {
-		os.Exit(1)
+	if err := os.WriteFile(path, enc, 0o644); err != nil {
+		fatalf("write %s: %v", path, err)
 	}
 }
 
 func fatalf(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "pqs-chaos: "+format+"\n", args...)
 	os.Exit(1)
-}
-
-// loadScenarioReport is one scale point of the -load JSON report.
-type loadScenarioReport struct {
-	load.Result
-	Expected    string  `json:"expected"`
-	WallSeconds float64 `json:"wall_seconds"`
-	// Deterministic is set by -verify-determinism: true means the replay
-	// produced an identical Result (digest included).
-	Deterministic *bool `json:"deterministic,omitempty"`
-}
-
-// loadMatrixReport is the -load top-level JSON document.
-type loadMatrixReport struct {
-	Seed          int64                `json:"seed"`
-	BudgetSeconds float64              `json:"budget_seconds,omitempty"`
-	WallSeconds   float64              `json:"wall_seconds"`
-	Scenarios     []loadScenarioReport `json:"scenarios"`
-	AllPass       bool                 `json:"all_pass"`
-}
-
-// loadJob is one pool entry of the -load matrix: a scale point or the
-// negative configuration.
-type loadJob struct {
-	name       string
-	build      func() (load.Config, error)
-	expectFail bool
-}
-
-// runLoadJob executes one scale point (twice under verifyDet, comparing
-// full Results) and returns its report entry plus the replay digest when a
-// determinism violation was detected.
-func runLoadJob(job loadJob, verifyDet bool) (loadScenarioReport, string, error) {
-	cfg, err := job.build()
-	if err != nil {
-		return loadScenarioReport{}, "", fmt.Errorf("build: %w", err)
-	}
-	start := time.Now()
-	res, err := load.Run(cfg)
-	wall := time.Since(start).Seconds()
-	if err != nil {
-		return loadScenarioReport{}, "", fmt.Errorf("run: %w", err)
-	}
-	expected := "pass"
-	if job.expectFail {
-		expected = "fail"
-	}
-	entry := loadScenarioReport{Result: *res, Expected: expected, WallSeconds: wall}
-	if verifyDet {
-		cfg2, err := job.build()
-		if err != nil {
-			return loadScenarioReport{}, "", fmt.Errorf("rebuild: %w", err)
-		}
-		res2, err := load.Run(cfg2)
-		if err != nil {
-			return loadScenarioReport{}, "", fmt.Errorf("replay: %w", err)
-		}
-		det := reflect.DeepEqual(res, res2)
-		entry.Deterministic = &det
-		if !det {
-			return entry, res2.Digest, nil
-		}
-	}
-	return entry, "", nil
-}
-
-// runLoadMatrix executes the scale/ matrix: every point runs (twice under
-// verifyDet, comparing full Results), the budget gate is enforced over the
-// whole invocation, and -json writes one BENCH_epsilon.json entry per
-// scale point. The points are independent — each owns its SimClock and
-// cluster — so they run on a bounded worker pool (parallel; 0 picks half
-// the cores, capped at 4); results are collected and printed in matrix
-// order, so everything but the wall timings stays deterministic.
-func runLoadMatrix(seed int64, match string, negative, verifyDet, epsJSON bool, out string, budget time.Duration, parallel int) {
-	var jobs []loadJob
-	for _, sc := range load.Scenarios() {
-		if match != "" && !strings.Contains(sc.Name, match) {
-			continue
-		}
-		build := sc.Build
-		jobs = append(jobs, loadJob{name: sc.Name, build: func() (load.Config, error) { return build(seed) }})
-	}
-	if len(jobs) == 0 {
-		fatalf("no scale scenario matches %q", match)
-	}
-	if negative {
-		jobs = append(jobs, loadJob{
-			name:       "negative/view-blind",
-			build:      func() (load.Config, error) { return load.NegativeConfig(seed) },
-			expectFail: true,
-		})
-	}
-	if parallel <= 0 {
-		// Auto: half the cores, capped — a point is one SimClock worker
-		// plus GC, so a 4-vCPU CI runner fits two side by side.
-		parallel = runtime.NumCPU() / 2
-	}
-	if parallel < 1 {
-		parallel = 1
-	}
-	if parallel > 4 {
-		parallel = 4
-	}
-
-	report := loadMatrixReport{Seed: seed, BudgetSeconds: budget.Seconds(), AllPass: true}
-	matrixStart := time.Now()
-
-	entries := make([]loadScenarioReport, len(jobs))
-	replays := make([]string, len(jobs))
-	errs := make([]error, len(jobs))
-	done := make([]chan struct{}, len(jobs))
-	sem := make(chan struct{}, parallel)
-	for i := range jobs {
-		done[i] = make(chan struct{})
-	}
-	for i := range jobs {
-		i := i
-		go func() {
-			sem <- struct{}{}
-			defer func() { <-sem; close(done[i]) }()
-			// The negative run is an expected failure, not a replay
-			// subject; verifying it would double its cost for no signal.
-			entries[i], replays[i], errs[i] = runLoadJob(jobs[i], verifyDet && !jobs[i].expectFail)
-		}()
-	}
-
-	for i, job := range jobs {
-		<-done[i]
-		if errs[i] != nil {
-			fatalf("%s: %v", job.name, errs[i])
-		}
-		entry := entries[i]
-		res := entry.Result
-		report.Scenarios = append(report.Scenarios, entry)
-		if job.expectFail {
-			fmt.Fprintf(os.Stderr, "%-18s %-16s %s  ε=%.5f vs bound %.3g (failure expected)\n",
-				res.Name, res.Transport,
-				map[bool]string{true: "PASS(?)", false: "FAIL(expected)"}[res.Pass],
-				res.Epsilon, res.Bound)
-			if res.Pass {
-				report.AllPass = false
-			}
-			continue
-		}
-		status := "PASS"
-		if !res.Pass {
-			status = "FAIL"
-			report.AllPass = false
-		}
-		if entry.Deterministic != nil && !*entry.Deterministic {
-			status = "NONDETERMINISTIC"
-			report.AllPass = false
-			fmt.Fprintf(os.Stderr, "determinism violation in %s: digests %s vs %s\n",
-				job.name, res.Digest, replays[i])
-		}
-		timed := ""
-		if res.Timed != nil {
-			timed = fmt.Sprintf("  [timed: %d depth buckets, max bound %.3g, p=%.3g; %d departures]",
-				len(res.Timed.Groups), res.Timed.MaxBound, res.Timed.PValue, res.Departures)
-		}
-		fmt.Fprintf(os.Stderr, "%-18s %-16s %s  n=%d clients=%d ops=%d ε=%.5f bound=%.3g p=%.3g p50=%.2fms p99=%.2fms p999=%.2fms [%.1fs sim in %.1fs]%s\n",
-			job.name, res.Transport, status, res.N, res.Clients, res.Ops, res.Epsilon,
-			res.Bound, res.PValue, res.P50Ms, res.P99Ms, res.P999Ms, res.SimSeconds, entry.WallSeconds, timed)
-	}
-
-	report.WallSeconds = time.Since(matrixStart).Seconds()
-	if budget > 0 && report.WallSeconds > budget.Seconds() {
-		fmt.Fprintf(os.Stderr, "pqs-chaos: load matrix blew its wall-clock budget: %.1fs > %s\n",
-			report.WallSeconds, budget)
-		report.AllPass = false
-	}
-
-	enc, err := json.MarshalIndent(report, "", "  ")
-	if err != nil {
-		fatalf("marshal: %v", err)
-	}
-	enc = append(enc, '\n')
-	if out != "" {
-		if err := os.WriteFile(out, enc, 0o644); err != nil {
-			fatalf("write %s: %v", out, err)
-		}
-	} else {
-		os.Stdout.Write(enc)
-	}
-	if epsJSON {
-		doc := buildLoadEpsilonDoc(report)
-		enc, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			fatalf("marshal %s: %v", epsilonFile, err)
-		}
-		enc = append(enc, '\n')
-		if err := os.WriteFile(epsilonFile, enc, 0o644); err != nil {
-			fatalf("write %s: %v", epsilonFile, err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %s (%d scale points)\n", epsilonFile, len(doc.Scenarios))
-	}
-	if !report.AllPass {
-		os.Exit(1)
-	}
-}
-
-// buildLoadEpsilonDoc flattens the scale matrix into the same trend-doc
-// layout the chaos matrix uses, one entry per scale point: ε against its
-// bound, the timed verdict, staleness depth mass, and the tail.
-func buildLoadEpsilonDoc(rep loadMatrixReport) epsilonDoc {
-	doc := epsilonDoc{Context: map[string]any{
-		"goos":   runtime.GOOS,
-		"goarch": runtime.GOARCH,
-		"pkg":    "pqs",
-		"mode":   "load",
-		"seed":   rep.Seed,
-	}}
-	for _, sc := range rep.Scenarios {
-		if sc.Expected == "fail" {
-			continue
-		}
-		m := map[string]float64{
-			"epsilon":      sc.Epsilon,
-			"bound":        sc.Bound,
-			"p_value":      sc.PValue,
-			"pass":         boolMetric(sc.Pass),
-			"n":            float64(sc.N),
-			"q":            float64(sc.Q),
-			"clients":      float64(sc.Clients),
-			"ops":          float64(sc.Ops),
-			"reads":        float64(sc.Reads),
-			"stale":        float64(sc.Stale),
-			"sim_seconds":  sc.SimSeconds,
-			"wall_seconds": sc.WallSeconds,
-		}
-		if sc.LatencyOps > 0 {
-			m["p50_ms"] = sc.P50Ms
-			m["p99_ms"] = sc.P99Ms
-			m["p999_ms"] = sc.P999Ms
-		}
-		if sc.Departures > 0 {
-			m["departures"] = float64(sc.Departures)
-		}
-		if sc.Timed != nil {
-			m["timed_p_value"] = sc.Timed.PValue
-			m["timed_max_bound"] = sc.Timed.MaxBound
-			m["timed_pass"] = boolMetric(sc.Timed.Pass)
-			m["timed_depth_buckets"] = float64(len(sc.Timed.Groups))
-		}
-		for d, cnt := range sc.StaleDepth {
-			if cnt > 0 {
-				m[fmt.Sprintf("stale_depth_%d", d+1)] = float64(cnt)
-			}
-		}
-		if sc.Deterministic != nil {
-			m["deterministic"] = boolMetric(*sc.Deterministic)
-		}
-		doc.Scenarios = append(doc.Scenarios, epsilonEntry{Name: sc.Name, Transport: sc.Transport, Metrics: m})
-	}
-	return doc
 }

@@ -54,9 +54,9 @@ func (e *Equivocator) OnWrite(wire.WriteRequest) (bool, error) { return false, n
 // delayed i*Step, capped at Max. It models a server that degrades under
 // load instead of failing, the adversary that latency hedging (PR 1) is
 // designed to absorb; in the chaos harness it demonstrates that slowness
-// alone can never affect safety, only latency. A nil Clock sleeps on the
-// wall clock; virtual runs inject the run's SimClock (SlowDown does this
-// automatically), making the degradation instant to simulate.
+// alone can never affect safety, only latency. SlowDown builds it on the
+// run's SimClock, so the degradation takes virtual time, not wall time (a
+// nil Clock sleeps on the wall clock).
 type SlowLorris struct {
 	Step  time.Duration
 	Max   time.Duration

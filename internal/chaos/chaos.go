@@ -24,9 +24,10 @@
 // Determinism contract: operations are issued sequentially, every random
 // choice (quorum sampling, fault decisions, adversary replies) is derived
 // from the run seed through per-link or per-replica counters, and no
-// decision depends on reply arrival order. Wall-clock time never enters a
-// decision, so the recorded History is identical across runs — the
-// determinism regression test locks this in.
+// decision depends on reply arrival order. Every run executes in its own
+// vtime.SimClock, so wall-clock time never enters a decision: the recorded
+// History and the virtual time it covered are identical across runs — the
+// determinism regression tests lock this in.
 package chaos
 
 import (

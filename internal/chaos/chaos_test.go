@@ -260,8 +260,8 @@ func TestGossipUnderFireExercisesTheMachinery(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if !rep.Virtual || rep.SimSeconds <= 0 {
-		t.Errorf("run did not record virtual time: virtual=%v sim_seconds=%v", rep.Virtual, rep.SimSeconds)
+	if rep.SimSeconds <= 0 {
+		t.Errorf("run did not record virtual time: sim_seconds=%v", rep.SimSeconds)
 	}
 	if rep.GossipRounds == 0 {
 		t.Error("no diffusion rounds ran")

@@ -13,10 +13,9 @@ import (
 // TestChaosDeterminismHedged replays the access-path configurations the
 // scenario matrix leaves out — hedge timers racing stragglers, spare
 // promotion under loss, eager reads against forgers — twice each from one
-// seed: the histories must be byte-identical. Under a SimClock hedge timers
-// join the replayable event order, so even runs whose spare promotion is
-// timer-driven must replay; on the wall clock, promotion driven only by
-// failures must too (drop verdicts are counter-hashed per link).
+// seed: the histories and the virtual time must be identical. Under the
+// run's SimClock hedge timers join the replayable event order, so even runs
+// whose spare promotion is timer-driven must replay.
 func TestChaosDeterminismHedged(t *testing.T) {
 	sys, err := core.NewEpsilonIntersectingEll(60, 2.5)
 	if err != nil {
@@ -41,14 +40,14 @@ func TestChaosDeterminismHedged(t *testing.T) {
 			Tuning:   config.Tuning{EagerRead: true},
 			Schedule: Schedule{At(0, Collude("forged", ids(0, 4)...))}},
 		{Name: "virtual-hedged", System: sys, Mode: register.Benign, Ops: 120, Seed: 16,
-			Virtual: true, Topology: lat,
+			Topology: lat,
 			Tuning:   config.Tuning{Spares: 2, HedgeDelay: 5 * time.Millisecond, EagerRead: true},
 			Schedule: Schedule{At(0, slow(3, 25*time.Millisecond))}},
 		{Name: "virtual-adaptive-hedged-lossy", System: sys, Mode: register.Benign, Ops: 120, Seed: 17,
-			Virtual: true, Topology: lat, Tuning: adaptive(3, 5*time.Millisecond),
+			Topology: lat, Tuning: adaptive(3, 5*time.Millisecond),
 			Schedule: Schedule{At(0, slow(3, 25*time.Millisecond), Drop(0.05))}},
-		{Name: "virtual-masking-byz-hedged", System: mask, Mode: register.Masking, K: mask.K(), Ops: 100, Seed: 18,
-			Virtual: true, Topology: lat, Tuning: adaptive(2, 4*time.Millisecond),
+		{Name: "virtual-masking-byz-hedged", System: mask, Mode: register.Masking, Ops: 100, Seed: 18,
+			Topology: lat, Tuning: adaptive(2, 4*time.Millisecond),
 			Schedule: Schedule{At(0, slow(2, 20*time.Millisecond), Collude("forged", ids(2, mask.B())...))}},
 		{Name: "tcp-virtual-lossy-hedged", System: sys, Mode: register.Benign, Ops: 100, Seed: 20,
 			Topology: tcpLat, Tuning: adaptive(3, 8*time.Millisecond),

@@ -33,21 +33,20 @@ type Config struct {
 	// cells or crash a whole cell.
 	//
 	// On sim.TransportMem the chaos engine is the MemNetwork's link hook;
-	// on sim.TransportTCPVirtual (implies Virtual) the schedule's faults are
-	// reimplemented at the byte-stream layer: drops reset connections,
-	// corruption flips bits in framed chunks, blocks refuse dials and reset
-	// streams, and duplication is a deliberate no-op — TCP sequence numbers
-	// preclude it. Latency is meaningful mainly with Virtual (wall runs
-	// would really sleep).
+	// on sim.TransportTCPVirtual the schedule's faults are reimplemented at
+	// the byte-stream layer: drops reset connections, corruption flips bits
+	// in framed chunks, blocks refuse dials and reset streams, and
+	// duplication is a deliberate no-op — TCP sequence numbers preclude it.
+	// Latency is virtual on both planes: it costs no wall time.
 	config.Topology
 
 	// Name labels the run in reports.
 	Name string
 	// System is the quorum system under test.
 	System quorum.System
-	// Mode selects the access protocol; K is the masking threshold.
+	// Mode selects the access protocol. In Masking mode the read threshold
+	// is System's K().
 	Mode register.Mode
-	K    int
 	// Ops is the number of write-then-read pairs. Each pair writes a fresh
 	// version of a key from a rotating set of Keys keys (default 8) and
 	// reads it back, so staleness has measurable depth (the PBS-style
@@ -79,11 +78,6 @@ type Config struct {
 	// ReadLag, so reads actually observe D > 0.
 	Timed bool
 
-	// Virtual runs the whole scenario under a vtime.SimClock: simulated
-	// latency, hedge timers and slow-lorris delays execute in virtual time
-	// — instantly, and deterministically enough to join the byte-for-byte
-	// replay contract that previously had to exclude hedged runs.
-	Virtual bool
 	// WireCodec selects the TCP serialization under tcp-virtual (zero value
 	// = CodecBinary, the production default; the wan/ scenarios run
 	// CodecBinaryFlate). Ignored on the mem plane.
@@ -133,10 +127,9 @@ type Report struct {
 	// Transport is the data plane the run used ("mem" or "tcp-virtual").
 	Transport string      `json:"transport"`
 	Check     CheckResult `json:"check"`
-	// Virtual and SimSeconds report virtual-time runs: the simulated
-	// duration the scenario covered (wall time spent is the caller's to
-	// measure — the run itself never reads the wall clock).
-	Virtual    bool    `json:"virtual,omitempty"`
+	// SimSeconds is the virtual time the scenario covered (wall time spent
+	// is the caller's to measure — the run itself never reads the wall
+	// clock).
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
 	// GossipRounds and GossipMerged summarize the diffusion group when
 	// Config.GossipEvery is set: synchronized rounds run and entries
@@ -155,9 +148,7 @@ type Report struct {
 	// at the end of a dissemination run (register.AccessStats): verdicts
 	// that ran ed25519 and verdicts reused from an earlier check or from the
 	// client's own signing. StoredAudited counts the stored entries
-	// Config.SigAudit verified. Aggregates, not part of History: on the mem
-	// plane under the wall clock, which of two equal-stamped replies is
-	// looked at first is the Go scheduler's choice.
+	// Config.SigAudit verified. Aggregates, not part of History.
 	SigChecks     uint64 `json:"sig_checks,omitempty"`
 	SigReused     uint64 `json:"sig_reused,omitempty"`
 	StoredAudited int    `json:"stored_audited,omitempty"`
@@ -187,18 +178,11 @@ type Report struct {
 // engine, plays the schedule while driving write-then-read pairs, records
 // every operation, and checks the resulting history. The returned report's
 // Check field carries the verdict; Run itself errors only on setup or
-// harness failures, never on consistency violations. With cfg.Virtual the
-// whole scenario executes inside a vtime.SimClock scheduler.
+// harness failures, never on consistency violations. The whole scenario
+// executes inside its own vtime.SimClock scheduler: latency, hedge timers
+// and slow-lorris delays take virtual time, and two runs of one Config
+// record equal Histories and equal SimSeconds.
 func Run(cfg Config) (*Report, error) {
-	if cfg.Transport == sim.TransportTCPVirtual {
-		// The byte-stream data plane schedules every chunk on the clock;
-		// running it against the wall clock would really wait out the
-		// latency, so tcp-virtual implies a virtual run.
-		cfg.Virtual = true
-	}
-	if !cfg.Virtual {
-		return run(cfg, nil)
-	}
 	sc := vtime.NewSimClock()
 	var rep *Report
 	var err error
@@ -208,7 +192,7 @@ func Run(cfg Config) (*Report, error) {
 	return rep, err
 }
 
-// run is the scenario body, on clk (nil = wall).
+// run is the scenario body, on clk.
 func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	if cfg.System == nil {
 		return nil, errors.New("chaos: Config.System is required")
@@ -224,11 +208,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		keys = cfg.Ops
 	}
 
-	var netClk vtime.Clock // avoid a typed-nil *SimClock inside the interface
-	if clk != nil {
-		netClk = clk
-	}
-	cluster := sim.NewCluster(config.Cluster{Cells: cfg.Cells, N: cfg.System.N(), Seed: cfg.Seed, Clock: netClk})
+	cluster := sim.NewCluster(config.Cluster{Cells: cfg.Cells, N: cfg.System.N(), Seed: cfg.Seed, Clock: clk})
 	var (
 		eng           *Engine
 		tc            *sim.TCPCluster
@@ -267,11 +247,10 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	opts := register.Options{
 		System:    cfg.System,
 		Mode:      cfg.Mode,
-		K:         cfg.K,
 		Transport: callTransport,
 		Rand:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		Clock:     ts.NewClock(1),
-		Time:      netClk,
+		Time:      clk,
 		Tuning:    cfg.Tuning,
 		Cells:     cfg.Cells,
 	}
@@ -299,7 +278,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		eng:       eng,
 		tcp:       tc,
 		byID:      make(map[quorum.ServerID]*replica.Replica),
-		clock:     vtime.Or(netClk),
+		clock:     clk,
 		lifecycle: cfg.Lifecycle,
 	}
 	for _, r := range cluster.Replicas {
@@ -313,7 +292,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 			// server-to-server links.
 			gossipTr = tc.GossipTransport()
 		}
-		group, err := diffusion.NewGroupClock(cluster.Replicas, gossipTr, gossipFanout, nil, cfg.Seed+2, netClk)
+		group, err := diffusion.NewGroup(cluster.Replicas, gossipTr, gossipFanout, nil, cfg.Seed+2, clk)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: diffusion group: %w", err)
 		}
@@ -336,7 +315,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 			}
 			next++
 		}
-		if clk != nil && next > applied {
+		if next > applied {
 			// An action's consequences run on other workers at this same
 			// virtual instant (a reset notifies the client's connections, which
 			// fail their connections, which the next acquire prunes). Let
@@ -456,14 +435,11 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	rep.StormErrors = rt.stormErrors.Load()
 	rep.StormCoalesced = rt.stormCoalesced.Load()
 	rep.StormFastFails = rt.stormFastFails.Load()
-	if clk != nil {
-		// Read the clock here, on the run's own worker, before the deferred
-		// teardown: how many of the close → FIN → EOF chain's delivery
-		// timers fire before the last worker exits is up to the Go
-		// scheduler (see load.run).
-		rep.Virtual = true
-		rep.SimSeconds = clk.Elapsed().Seconds()
-	}
+	// Read the clock here, on the run's own worker, before the deferred
+	// teardown: how many of the close → FIN → EOF chain's delivery timers
+	// fire before the last worker exits is up to the Go scheduler (see
+	// load.run).
+	rep.SimSeconds = clk.Elapsed().Seconds()
 	return rep, nil
 }
 

@@ -202,10 +202,9 @@ func Scenarios() []Scenario {
 				return Config{
 					Name: "benign/dial-storm", System: sys, Mode: register.Benign,
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
-					// Virtual with zero latency: every storm call resolves at
-					// one virtual instant, so storm-side scheduling races can
-					// never leak into the main client's timing.
-					Virtual: true,
+					// Zero latency: every storm call resolves at one virtual
+					// instant, so storm-side scheduling races can never leak
+					// into the main client's timing.
 					Lifecycle: transport.LifecycleConfig{
 						PoolSize:         4,
 						DialBackoffBase:  time.Millisecond,
@@ -235,7 +234,6 @@ func Scenarios() []Scenario {
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
 					// Nonzero latency makes virtual time advance, so breaker
 					// cooldowns genuinely elapse and half-open trials run.
-					Virtual:  true,
 					Topology: config.Topology{LatencyMin: 200 * time.Microsecond, LatencyMax: 800 * time.Microsecond},
 					Tuning:   config.Tuning{Spares: 2, HedgeDelay: 2 * time.Millisecond, EagerRead: true},
 					Lifecycle: transport.LifecycleConfig{
@@ -267,11 +265,9 @@ func Scenarios() []Scenario {
 				return Config{
 					Name: "wan/slow-link", System: sys, Mode: register.Benign,
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
-					// Byte rates only exist on the byte-stream plane, so the
-					// scenario runs virtual; on mem the ByteRate actions are
-					// documented no-ops and the run degrades to a latency
-					// scenario (the determinism contract still holds).
-					Virtual:     true,
+					// Byte rates only exist on the byte-stream plane: on mem
+					// the ByteRate actions are documented no-ops and the run
+					// degrades to a latency scenario.
 					Topology:    config.Topology{LatencyMin: 2 * time.Millisecond, LatencyMax: 8 * time.Millisecond},
 					WireCodec:   transport.CodecBinaryFlate,
 					GossipEvery: 5,
@@ -295,7 +291,6 @@ func Scenarios() []Scenario {
 				return Config{
 					Name: "wan/asym-bandwidth", System: sys, Mode: register.Benign,
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
-					Virtual:     true,
 					Topology:    config.Topology{LatencyMin: 2 * time.Millisecond, LatencyMax: 8 * time.Millisecond},
 					WireCodec:   transport.CodecBinaryFlate,
 					GossipEvery: 5,
@@ -439,7 +434,7 @@ func Scenarios() []Scenario {
 				}
 				targets := MostSampled(sys, sys.B(), 2000, seed+7)
 				return Config{
-					Name: "masking/colluders", System: sys, Mode: register.Masking, K: sys.K(),
+					Name: "masking/colluders", System: sys, Mode: register.Masking,
 					Ops: 120 * scale, Seed: seed, Bound: sys.EpsilonBound(),
 					Schedule: Schedule{
 						At(0, Collude("forged:mask", targets...)),
@@ -456,7 +451,7 @@ func Scenarios() []Scenario {
 					return Config{}, err
 				}
 				return Config{
-					Name: "masking/equivocate", System: sys, Mode: register.Masking, K: sys.K(),
+					Name: "masking/equivocate", System: sys, Mode: register.Masking,
 					Ops: 120 * scale, Seed: seed, Bound: sys.EpsilonBound(),
 					Schedule: Schedule{
 						At(0, Equivocate(ids(0, sys.B())...)),
@@ -475,13 +470,11 @@ func Scenarios() []Scenario {
 				ops := 150 * scale
 				group := ids(70, 8)
 				return Config{
-					Name: "masking/gossip-under-fire", System: sys, Mode: register.Masking, K: sys.K(),
+					Name: "masking/gossip-under-fire", System: sys, Mode: register.Masking,
 					Ops: ops, Seed: seed, Bound: sys.EpsilonBound(),
-					// The whole scenario runs in virtual time: per-call
-					// latency, hedge timers and the diffusion cadence are
-					// deterministic and instant to execute — the hedged
-					// configuration PR 3 could not cover.
-					Virtual:  true,
+					// Per-call latency, hedge timers and the diffusion
+					// cadence all take virtual time: deterministic, and
+					// instant to execute.
 					Topology: config.Topology{LatencyMin: 200 * time.Microsecond, LatencyMax: 800 * time.Microsecond},
 					Tuning: config.Tuning{
 						Spares:        2,
@@ -508,7 +501,7 @@ func Scenarios() []Scenario {
 					return Config{}, err
 				}
 				return Config{
-					Name: "masking/stale-echo", System: sys, Mode: register.Masking, K: sys.K(),
+					Name: "masking/stale-echo", System: sys, Mode: register.Masking,
 					Ops: 120 * scale, Seed: seed, Bound: sys.EpsilonBound(),
 					Schedule: Schedule{
 						At(0, StaleEchoes(ids(0, sys.B())...)),
@@ -530,7 +523,7 @@ func NegativeConfig(scale int, seed int64) (Config, error) {
 		return Config{}, err
 	}
 	return Config{
-		Name: "negative/masking-overrun", System: sys, Mode: register.Masking, K: sys.K(),
+		Name: "negative/masking-overrun", System: sys, Mode: register.Masking,
 		Ops: 40 * scale, Seed: seed, Bound: 1e-9,
 		Schedule: Schedule{
 			At(0, Collude("forged:overrun", ids(0, sys.B())...)),

@@ -66,8 +66,8 @@ type runtime struct {
 	eng     *Engine         // mem runs; nil under tcp-virtual
 	tcp     *sim.TCPCluster // tcp-virtual runs; nil under mem
 	byID    map[quorum.ServerID]*replica.Replica
-	// clock is the run's time source (the SimClock under Config.Virtual);
-	// behaviors with delays are built against it.
+	// clock is the run's SimClock; behaviors with delays are built against
+	// it.
 	clock vtime.Clock
 	// gossip is the diffusion group stepped between operation pairs when
 	// Config.GossipEvery is set; Leave and Join keep its membership
@@ -405,8 +405,7 @@ func StaleEchoes(ids ...quorum.ServerID) Action {
 }
 
 // SlowDown turns the listed replicas into slow lorrises (per-replica
-// escalating delay, capped at max, slept on the run's clock — virtual
-// under Config.Virtual).
+// escalating delay, capped at max, slept on the run's SimClock).
 func SlowDown(step, max time.Duration, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave-each%v", ids), func(rt *runtime) {
 		InstallEach(rt.cluster, func(quorum.ServerID) replica.Behavior {

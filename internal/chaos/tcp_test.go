@@ -36,9 +36,6 @@ func TestChaosScenariosTCPVirtual(t *testing.T) {
 			if err != nil {
 				t.Fatalf("run: %v", err)
 			}
-			if !rep.Virtual {
-				t.Fatalf("tcp-virtual run did not report Virtual")
-			}
 			if rep.Transport != sim.TransportTCPVirtual {
 				t.Fatalf("report transport %q", rep.Transport)
 			}

@@ -109,8 +109,9 @@ type Topology struct {
 	LatencyMin, LatencyMax time.Duration
 }
 
-// Cluster describes a replica-cluster layout. pqs.NewCluster and
-// sim.NewCluster both take it; they differ only in return type.
+// Cluster describes a replica-cluster layout. sim.NewCluster builds it;
+// pqs.NewCluster validates it (N positive, Cells not negative) and wraps
+// sim.NewCluster's replicas and network in a pqs.LocalCluster.
 type Cluster struct {
 	// Cells is the quorum-cell count (0 or 1 = single cell).
 	Cells int

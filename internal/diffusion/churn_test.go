@@ -40,7 +40,7 @@ func TestGossipConvergesUnderChurn(t *testing.T) {
 		reps[i] = replica.New(quorum.ServerID(i))
 		net.Register(quorum.ServerID(i), reps[i])
 	}
-	g, err := NewGroup(reps, net, 2, nil, 7)
+	g, err := NewGroup(reps, net, 2, nil, 7, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestGossipChurnWhileLeaving(t *testing.T) {
 		reps[i] = replica.New(quorum.ServerID(i))
 		net.Register(quorum.ServerID(i), reps[i])
 	}
-	g, err := NewGroup(reps, net, 1, nil, 3)
+	g, err := NewGroup(reps, net, 1, nil, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestGroupReplaceAndStepOnly(t *testing.T) {
 		reps[i] = replica.New(quorum.ServerID(i))
 		net.Register(quorum.ServerID(i), reps[i])
 	}
-	g, err := NewGroup(reps, net, 2, nil, 3)
+	g, err := NewGroup(reps, net, 2, nil, 3, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

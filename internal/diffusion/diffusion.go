@@ -411,17 +411,13 @@ type Group struct {
 }
 
 // NewGroup builds engines for every replica in reps over the given
-// transport. Seed derives per-engine randomness deterministically.
-func NewGroup(reps []*replica.Replica, tr transport.Transport, fanout int, verifier replica.Verifier, seed int64) (*Group, error) {
-	return NewGroupClock(reps, tr, fanout, verifier, seed, nil)
-}
-
-// NewGroupClock is NewGroup with an explicit clock. Under a vtime.SimClock
-// the engines' parallel fanout workers enroll in the virtual-time
-// scheduler; a plain goroutine there would be invisible to the quiescence
-// detector and deadlock the simulation the moment a worker blocks on a
-// virtual-network call. Pass nil (or a WallClock) outside simulation.
-func NewGroupClock(reps []*replica.Replica, tr transport.Transport, fanout int, verifier replica.Verifier, seed int64, clk vtime.Clock) (*Group, error) {
+// transport. Seed derives per-engine randomness deterministically. Under a
+// vtime.SimClock clk the engines' parallel fanout workers enroll in the
+// virtual-time scheduler; a plain goroutine there would be invisible to the
+// quiescence detector and deadlock the simulation the moment a worker
+// blocks on a virtual-network call. Pass nil (the wall clock) outside
+// simulation.
+func NewGroup(reps []*replica.Replica, tr transport.Transport, fanout int, verifier replica.Verifier, seed int64, clk vtime.Clock) (*Group, error) {
 	g := &Group{tr: tr, fanout: fanout, verifier: verifier, seed: seed, clock: clk}
 	for _, r := range reps {
 		if err := g.Add(r); err != nil {

@@ -84,7 +84,7 @@ func TestGroupConvergence(t *testing.T) {
 	net, reps := buildCluster(t, 24)
 	// Seed one replica with the update.
 	reps[3].Store().Apply("x", replica.Entry{Value: []byte("v"), Stamp: ts.Stamp{Counter: 1, Writer: 1}})
-	g, err := NewGroup(reps, net, 2, nil, 99)
+	g, err := NewGroup(reps, net, 2, nil, 99, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestRoundsToConvergeAlreadyConverged(t *testing.T) {
 	for _, r := range reps {
 		r.Store().Apply("x", replica.Entry{Value: []byte("v"), Stamp: ts.Stamp{Counter: 1, Writer: 1}})
 	}
-	g, err := NewGroup(reps, net, 1, nil, 1)
+	g, err := NewGroup(reps, net, 1, nil, 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

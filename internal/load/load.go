@@ -31,9 +31,11 @@
 //     against the same cluster with the Topology latency model installed
 //     and the FULL Tuning block (spares, hedging, eager reads) in effect,
 //     and records per-operation virtual-time durations into p50/p99/p999.
-//     With latency installed every call declines the caller path and runs
-//     on the issuer's pooled dispatch workers (registered scheduler
-//     workers), so hedge timers fire while calls are in flight.
+//     With latency installed every call is started, not run
+//     (transport.Starter): on mem a call is a MemNetwork.Start timer, over
+//     tcp-virtual an entry in its connection's pending table that the reply
+//     frame completes, and either completes on the worker driving the clock
+//     — no worker per call — so hedge timers fire while calls are in flight.
 //
 // Churn runs as replacement waves: WaveSize servers are deregistered and
 // replaced by empty replicas (their copies are destroyed — a departure in
@@ -300,7 +302,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	e.callTr = callTr
 
 	if c.Waves > 0 && c.GossipWaveRounds > 0 {
-		g, err := diffusion.NewGroupClock(cluster.Replicas, cluster.Net, 1, nil, c.Seed+0x60551, sc)
+		g, err := diffusion.NewGroup(cluster.Replicas, cluster.Net, 1, nil, c.Seed+0x60551, sc)
 		if err != nil {
 			return nil, err
 		}

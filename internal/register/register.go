@@ -123,8 +123,8 @@ type Options struct {
 	System quorum.System
 	// Mode selects the access protocol.
 	Mode Mode
-	// K is the masking read threshold (required when Mode == Masking;
-	// use the K() of a core.Masking system).
+	// K is the masking read threshold. Zero in Masking mode takes it from
+	// System when System has a K() int method (core.Masking does).
 	K int
 	// Transport delivers RPCs.
 	Transport transport.Transport
@@ -224,6 +224,9 @@ func newCell(opts Options) (*cell, error) {
 			return nil, errors.New("register: dissemination mode requires Options.Registry")
 		}
 	case Masking:
+		if m, ok := opts.System.(interface{ K() int }); ok && opts.K == 0 {
+			opts.K = m.K()
+		}
 		if opts.K < 1 {
 			return nil, fmt.Errorf("register: masking mode requires K >= 1, got %d", opts.K)
 		}

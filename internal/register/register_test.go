@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"pqs/internal/core"
 	"pqs/internal/quorum"
 	"pqs/internal/replica"
 	"pqs/internal/sv"
@@ -77,6 +78,28 @@ func TestNewClientValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := NewClient(tc.opts); err == nil {
 			t.Errorf("%s: expected error", tc.name)
+		}
+	}
+}
+
+// TestMaskingTakesKFromTheSystem: in Masking mode a zero Options.K is the
+// System's K() (core.Masking carries its threshold), and an explicit K wins.
+func TestMaskingTakesKFromTheSystem(t *testing.T) {
+	c := newCluster(t, 10)
+	sys, err := core.NewMaskingWithK(10, 6, 2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ k, want int }{{0, 4}, {3, 3}} {
+		cl, err := NewClient(Options{
+			System: sys, Mode: Masking, K: tc.k, Transport: c.net,
+			Rand: rand.New(rand.NewSource(1)), Clock: ts.NewClock(1),
+		})
+		if err != nil {
+			t.Fatalf("K=%d: %v", tc.k, err)
+		}
+		if got := cl.cells[0].opts.K; got != tc.want {
+			t.Errorf("Options.K %d: client threshold %d, want %d", tc.k, got, tc.want)
 		}
 	}
 }

@@ -53,7 +53,7 @@ func MeasureDiffusionConsistency(sys quorum.System, rounds, fanout, trials int, 
 		if err != nil {
 			return res, err
 		}
-		group, err := diffusion.NewGroup(cluster.Replicas, cluster.Net, fanout, nil, seed+int64(i)*19)
+		group, err := diffusion.NewGroup(cluster.Replicas, cluster.Net, fanout, nil, seed+int64(i)*19, nil)
 		if err != nil {
 			return res, err
 		}

@@ -104,7 +104,7 @@ func TestEmpiricalEpsilonMasking(t *testing.T) {
 		t.Fatalf("test parameters degenerate: exact eps = %v (k=%d)", exact, m.K())
 	}
 	const ops = 4000
-	c := run(t, chaos.Config{System: m, Mode: register.Masking, K: m.K(), Ops: ops, Seed: 3, Schedule: forgers(b)}).Check
+	c := run(t, chaos.Config{System: m, Mode: register.Masking, Ops: ops, Seed: 3, Schedule: forgers(b)}).Check
 	if diff := math.Abs(c.Epsilon - exact); diff > band(exact, ops) {
 		t.Errorf("empirical rate %v vs exact eps %v (diff %v)", c.Epsilon, exact, diff)
 	}
@@ -125,7 +125,7 @@ func TestMaskingFooledMatchesHypergeometricTail(t *testing.T) {
 	}
 	exact := combin.HypergeomTailGE(n, b, q, m.K())
 	const ops = 4000
-	c := run(t, chaos.Config{System: m, Mode: register.Masking, K: m.K(), Ops: ops, Seed: 4, Schedule: forgers(b)}).Check
+	c := run(t, chaos.Config{System: m, Mode: register.Masking, Ops: ops, Seed: 4, Schedule: forgers(b)}).Check
 	fooledRate := float64(c.Fooled) / float64(c.Reads)
 	if diff := math.Abs(fooledRate - exact); diff > band(exact, ops) {
 		t.Errorf("fooled rate %v vs P(X>=k) %v", fooledRate, exact)

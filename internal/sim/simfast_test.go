@@ -46,7 +46,6 @@ func TestSimFastLongFormEpsilon(t *testing.T) {
 	}
 	cfg := chaos.Config{
 		System: sys, Mode: register.Benign, Ops: 400, Seed: 42, Bound: sys.EpsilonBound(),
-		Virtual:  true,
 		Topology: config.Topology{LatencyMin: 20 * time.Millisecond, LatencyMax: 60 * time.Millisecond},
 		Tuning: config.Tuning{
 			Spares:        2,
@@ -133,7 +132,6 @@ func TestAdaptiveHedgeEpsilonPreserved(t *testing.T) {
 	}
 	base := chaos.Config{
 		System: sys, Mode: register.Benign, Ops: 500, Seed: 23,
-		Virtual:  true,
 		Topology: config.Topology{LatencyMin: time.Millisecond, LatencyMax: 3 * time.Millisecond},
 		Schedule: chaos.Schedule{chaos.At(0, stragglers(4, 25*time.Millisecond), chaos.Drop(0.08))},
 	}

@@ -379,7 +379,6 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 	opts := register.Options{
 		System:           cfg.System,
 		Mode:             cfg.System.Mode(),
-		K:                cfg.System.K(),
 		Transport:        cfg.Transport,
 		Rand:             rand.New(rand.NewSource(seed)),
 		Clock:            ts.NewClock(cfg.WriterID),
