@@ -70,14 +70,15 @@ paper:
 # vtime runs whole: under a SimClock, timer callbacks run on whichever
 # parked worker drives the clock (or Run's caller), beside the workers they
 # wake, and the driving flag alone keeps them one at a time. The sim line
-# runs one structure, not the package: swapHandler is the only state sim
-# owns that requests and a reconfiguration reach concurrently; the
+# runs the state sim owns that requests and a reconfiguration reach
+# concurrently, not the package: swapHandler, and World's view counter and
+# membership changes against the calls they reset (on both planes); the
 # package's determinism suites run under -race in the flake gate. The
 # chaos package runs whole, in one process (under 1 GB of RSS since its
 # virtual connections stopped holding a parked reader each).
 race:
 	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/diffusion/ ./internal/sv/ ./internal/vtime/
-	$(GO) test -race -run 'TestSwapHandler' ./internal/sim/
+	$(GO) test -race -run 'TestSwapHandler|TestWorldContract' ./internal/sim/
 	$(GO) test -race ./internal/chaos/
 
 # The flake gate: every same-seed-twice determinism suite, twenty times

@@ -32,11 +32,14 @@ type Config struct {
 	// keep addressing global server ids, so scenarios can partition between
 	// cells or crash a whole cell.
 	//
-	// On sim.TransportMem the chaos engine is the MemNetwork's link hook;
-	// on sim.TransportTCPVirtual the schedule's faults are reimplemented at
-	// the byte-stream layer: drops reset connections, corruption flips bits
-	// in framed chunks, blocks refuse dials and reset streams, and
-	// duplication is a deliberate no-op — TCP sequence numbers preclude it.
+	// Transport picks the plane of the run's sim.World, which carries the
+	// schedule's crashes, recoveries, leaves and joins on either plane. The
+	// link faults go to the Engine, the MemNetwork's link hook, on
+	// sim.TransportMem, and to the VirtualNet on sim.TransportTCPVirtual,
+	// which reimplements them at the byte-stream layer: drops reset
+	// connections, corruption flips bits in framed chunks, blocks refuse
+	// dials and reset streams, and duplication is a deliberate no-op — TCP
+	// sequence numbers preclude it (as bandwidth limits are on mem).
 	// Latency is virtual on both planes: it costs no wall time.
 	config.Topology
 
@@ -208,46 +211,33 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		keys = cfg.Ops
 	}
 
-	cluster := sim.NewCluster(config.Cluster{Cells: cfg.Cells, N: cfg.System.N(), Seed: cfg.Seed, Clock: clk})
-	var (
-		eng           *Engine
-		tc            *sim.TCPCluster
-		callTransport transport.Transport
-	)
-	switch cfg.Transport {
-	case "", sim.TransportMem:
+	// One seed fixes the link faults on either plane: the Engine's on mem,
+	// the VirtualNet's under tcp-virtual.
+	faultSeed := cfg.Seed + 0x9E3779B9
+	world, err := sim.NewWorld(config.Cluster{Cells: cfg.Cells, N: cfg.System.N(), Seed: cfg.Seed, Clock: clk},
+		cfg.Transport, faultSeed, sim.TCPOptions{Codec: cfg.WireCodec, Lifecycle: cfg.Lifecycle})
+	if err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	defer world.Close()
+	rt := &runtime{world: world, clock: clk, lifecycle: cfg.Lifecycle}
+	if world.VNet != nil {
+		rt.faults = world.VNet
+	} else {
 		// The chaos engine is the MemNetwork's link hook: message-level
 		// fault injection.
-		eng = NewEngine(cfg.Seed + 0x9E3779B9)
-		cluster.Net.SetLinkHook(eng)
-		if cfg.LatencyMax > 0 {
-			cluster.Net.SetLatency(cfg.LatencyMin, cfg.LatencyMax)
-		}
-		callTransport = cluster.Net
-	case sim.TransportTCPVirtual:
-		// The fault plane is the byte-stream network itself: the schedule's
-		// actions reconfigure it, and every framed chunk consults it.
-		var err error
-		tc, err = sim.NewTCPCluster(cluster, clk, cfg.Seed+0x9E3779B9, sim.TCPClusterOptions{
-			Codec:     cfg.WireCodec,
-			Lifecycle: cfg.Lifecycle,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("chaos: tcp cluster: %w", err)
-		}
-		defer tc.Close()
-		if cfg.LatencyMax > 0 {
-			tc.Net.SetLatency(cfg.LatencyMin, cfg.LatencyMax)
-		}
-		callTransport = tc.Client
-	default:
-		return nil, fmt.Errorf("chaos: unknown Transport %q", cfg.Transport)
+		rt.eng = NewEngine(faultSeed)
+		world.Cluster.Net.SetLinkHook(rt.eng)
+		rt.faults = rt.eng
+	}
+	if cfg.LatencyMax > 0 {
+		world.SetLatency(cfg.LatencyMin, cfg.LatencyMax)
 	}
 
 	opts := register.Options{
 		System:    cfg.System,
 		Mode:      cfg.Mode,
-		Transport: callTransport,
+		Transport: world.Caller(),
 		Rand:      rand.New(rand.NewSource(cfg.Seed + 1)),
 		Clock:     ts.NewClock(1),
 		Time:      clk,
@@ -273,26 +263,8 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		return nil, fmt.Errorf("chaos: client: %w", err)
 	}
 
-	rt := &runtime{
-		cluster:   cluster,
-		eng:       eng,
-		tcp:       tc,
-		byID:      make(map[quorum.ServerID]*replica.Replica),
-		clock:     clk,
-		lifecycle: cfg.Lifecycle,
-	}
-	for _, r := range cluster.Replicas {
-		rt.byID[r.ID()] = r
-	}
 	if cfg.GossipEvery > 0 {
-		gossipTr := transport.Transport(cluster.Net)
-		if tc != nil {
-			// Gossip rides the TCP data plane too, through per-source
-			// clients so the byte-level fault plane sees true
-			// server-to-server links.
-			gossipTr = tc.GossipTransport()
-		}
-		group, err := diffusion.NewGroup(cluster.Replicas, gossipTr, gossipFanout, nil, cfg.Seed+2, clk)
+		group, err := diffusion.NewGroup(world.Cluster.Replicas, world.GossipTransport(), gossipFanout, nil, cfg.Seed+2, clk)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: diffusion group: %w", err)
 		}
@@ -336,7 +308,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		key := fmt.Sprintf("k%d", t%keys)
 		value := fmt.Sprintf("v%d", t)
 		opCell := client.CellFor(key)
-		view := rt.view
+		view := rt.world.View()
 
 		wr, werr := client.Write(ctx, key, []byte(value))
 		wop := Op{
@@ -380,10 +352,6 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	}
 	client.WaitDrained()
 
-	transportName := cfg.Transport
-	if transportName == "" {
-		transportName = sim.TransportMem
-	}
 	checkCfg := CheckConfig{Mode: cfg.Mode, Bound: cfg.Bound, Cells: cfg.Cells}
 	if cfg.Timed {
 		q := cfg.System.QuorumSize()
@@ -396,7 +364,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		Mode:      cfg.Mode.String(),
 		Ops:       cfg.Ops,
 		Schedule:  cfg.Schedule.String(),
-		Transport: transportName,
+		Transport: world.Plane(),
 		History:   hist,
 		Check:     Check(hist, checkCfg),
 
@@ -406,7 +374,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		st := client.Stats()
 		rep.SigChecks, rep.SigReused = st.SigChecks, st.SigReused
 		if cfg.SigAudit {
-			rep.auditSignatures(cluster.Replicas, writerKey.Public)
+			rep.auditSignatures(world.Cluster.Replicas, writerKey.Public)
 		}
 	}
 	if rt.gossip != nil {
@@ -419,8 +387,8 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 			rep.GossipFullSyncs += st.FullSyncs
 		}
 	}
-	if tc != nil && cfg.Lifecycle.Enabled() {
-		st := tc.Client.Stats()
+	if tc, ok := world.Caller().(*transport.TCPClient); ok && cfg.Lifecycle.Enabled() {
+		st := tc.Stats()
 		rep.Lifecycle = &LifecycleReport{
 			Conns:            st.Conns,
 			DialsCoalesced:   st.DialsCoalesced,

@@ -56,16 +56,20 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// runtime is the mutable state actions operate on. Exactly one fault plane
-// is live: eng (message-level, on the MemNetwork) for mem runs, tcp (byte-
-// stream-level, on the VirtualNet) for tcp-virtual runs. Actions go through
-// the dispatch methods below so every scenario drives either plane
-// unchanged.
+// runtime is the mutable state actions operate on: the run's World, which
+// crashes, recovers and churns servers on either data plane and counts the
+// membership views (the run loop stamps World.View into each Op.View, which
+// is what the timed-quorum checker buckets reads by), and the live plane's
+// link faults.
 type runtime struct {
-	cluster *sim.Cluster
-	eng     *Engine         // mem runs; nil under tcp-virtual
-	tcp     *sim.TCPCluster // tcp-virtual runs; nil under mem
-	byID    map[quorum.ServerID]*replica.Replica
+	world *sim.World
+	// faults is the live plane's link-fault injector: the Engine hooked
+	// into the MemNetwork (message level) on mem, the VirtualNet itself
+	// (byte-stream level) on tcp-virtual.
+	faults linkFaults
+	// eng is the mem plane's Engine, nil under tcp-virtual; only
+	// duplication needs it by name.
+	eng *Engine
 	// clock is the run's SimClock; behaviors with delays are built against
 	// it.
 	clock vtime.Clock
@@ -82,149 +86,26 @@ type runtime struct {
 	// storm fleet's lifecycle counters before the fleet is torn down.
 	// Aggregates only — never part of History.
 	stormCalls, stormErrors, stormCoalesced, stormFastFails atomic.Uint64
-	// view is the membership-view version: bumped once per server whose
-	// store is destroyed by churn — a Leave, or a Join that replaces a
-	// still-live replica in place (a Join refilling a departed slot with an
-	// empty store does not bump again; its Leave already did). Crash and
-	// Recover are not membership churn — a crashed server keeps its store.
-	// The run loop stamps view into each Op.View, which is what the timed-
-	// quorum checker buckets reads by.
-	view     uint64
-	departed map[quorum.ServerID]bool
 }
 
-// noteLeave counts one copy-destroying departure.
-func (rt *runtime) noteLeave(id quorum.ServerID) {
-	rt.view++
-	if rt.departed == nil {
-		rt.departed = make(map[quorum.ServerID]bool)
-	}
-	rt.departed[id] = true
+// linkFaults is the link-fault surface the two planes share. On the
+// byte-stream plane a drop resets the connection (a stream cannot survive a
+// gap), corruption flips a bit inside a framed chunk (which may break the
+// length prefix, the body, or land in a payload byte the end-to-end
+// defenses must absorb), and a block refuses dials and resets streams; the
+// wildcards of Block agree by construction (see Any).
+type linkFaults interface {
+	Block(from, to quorum.ServerID)
+	Heal()
+	SetDrop(p float64)
+	SetCorrupt(p float64)
+	SetReorder(max time.Duration)
 }
 
-// noteJoin counts a join: a fresh empty replica over a live one destroys
-// that store (a departure in timed-quorum terms); refilling an already-
-// departed slot does not destroy anything further.
-func (rt *runtime) noteJoin(id quorum.ServerID) {
-	if rt.departed[id] {
-		delete(rt.departed, id)
-		return
-	}
-	rt.view++
-}
-
-// crash marks a server crashed on the live plane. On the byte-stream plane
-// this also resets every connection touching the server (a crashed host's
-// sockets die; clients re-dial after recovery).
-func (rt *runtime) crash(id quorum.ServerID) {
-	if rt.tcp != nil {
-		rt.tcp.Net.Crash(id)
-		return
-	}
-	rt.cluster.Net.Crash(id)
-}
-
-func (rt *runtime) recoverServer(id quorum.ServerID) {
-	if rt.tcp != nil {
-		rt.tcp.Net.Recover(id)
-		return
-	}
-	rt.cluster.Net.Recover(id)
-}
-
-// leave departs a server from the membership on the live plane.
-func (rt *runtime) leave(id quorum.ServerID) {
-	if rt.tcp != nil {
-		rt.tcp.Net.Deregister(id)
-		return
-	}
-	rt.cluster.Net.Deregister(id)
-}
-
-// installReplica wires a fresh replica behind id's endpoint on the live
-// plane (a membership rejoin).
-func (rt *runtime) installReplica(id quorum.ServerID, r *replica.Replica) {
-	if rt.tcp != nil {
-		if err := rt.tcp.SetHandler(id, r); err != nil {
-			panic(fmt.Sprintf("chaos: rejoin tcp %d: %v", id, err))
-		}
-		return
-	}
-	rt.cluster.Net.Register(id, r)
-}
-
-// block severs a directed link on the live plane (wildcards allowed; the
-// chaos Any and transport.Anyone wildcards share a value by construction).
-func (rt *runtime) block(from, to quorum.ServerID) {
-	if rt.tcp != nil {
-		rt.tcp.Net.Block(from, to)
-		return
-	}
-	rt.eng.Block(from, to)
-}
-
-func (rt *runtime) heal() {
-	if rt.tcp != nil {
-		rt.tcp.Net.Heal()
-		return
-	}
-	rt.eng.Heal()
-}
-
-// setDrop sets the loss probability: per call on the message plane, per
-// framed chunk on the byte-stream plane (where a loss resets the
-// connection — a stream cannot survive a gap).
-func (rt *runtime) setDrop(p float64) {
-	if rt.tcp != nil {
-		rt.tcp.Net.SetDrop(p)
-		return
-	}
-	rt.eng.SetDrop(p)
-}
-
-// setDuplicate sets the duplication probability. On the byte-stream plane
-// this is a deliberate no-op: TCP sequence numbers deduplicate segments,
-// so at-least-once delivery is a fault class the stream transport provably
-// rules out (the scenario still runs; the fault simply cannot manifest).
-func (rt *runtime) setDuplicate(p float64) {
-	if rt.tcp != nil {
-		return
-	}
-	rt.eng.SetDuplicate(p)
-}
-
-// setCorrupt sets the corruption probability: message re-encode + bit flip
-// on the message plane, a bit flip inside a framed chunk on the
-// byte-stream plane (which may break the length prefix, the body, or land
-// in a payload byte the end-to-end defenses must absorb).
-func (rt *runtime) setCorrupt(p float64) {
-	if rt.tcp != nil {
-		rt.tcp.Net.SetCorrupt(p)
-		return
-	}
-	rt.eng.SetCorrupt(p)
-}
-
-// setReorder sets the maximum extra delivery delay (jitter).
-func (rt *runtime) setReorder(d time.Duration) {
-	if rt.tcp != nil {
-		rt.tcp.Net.SetJitter(d)
-		return
-	}
-	rt.eng.SetReorder(d)
-}
-
-// setByteRate limits link bandwidth per direction (bytes/sec; 0 = infinite;
-// toServer paces request legs and gossip pushes, toClient paces replies).
-// On the message plane this is a deliberate no-op: bandwidth is a property
-// of a byte stream, and the MemNetwork carries messages, not bytes (the
-// scenario still runs there; the fault simply cannot manifest — the same
-// contract as Duplicate on the stream plane).
-func (rt *runtime) setByteRate(toServer, toClient int64) {
-	if rt.tcp != nil {
-		rt.tcp.Net.SetByteRateAsym(toServer, toClient)
-	}
-}
+var (
+	_ linkFaults = (*Engine)(nil)
+	_ linkFaults = (*transport.VirtualNet)(nil)
+)
 
 // actionFunc adapts a closure to Action.
 type actionFunc struct {
@@ -240,7 +121,7 @@ func (a actionFunc) String() string    { return a.name }
 func Crash(ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("crash%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			rt.crash(id)
+			rt.world.Crash(id)
 		}
 	}}
 }
@@ -249,7 +130,7 @@ func Crash(ids ...quorum.ServerID) Action {
 func Recover(ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("recover%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			rt.recoverServer(id)
+			rt.world.Recover(id)
 		}
 	}}
 }
@@ -260,10 +141,11 @@ func Recover(ids ...quorum.ServerID) Action {
 func Leave(ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("leave%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			rt.leave(id)
-			rt.noteLeave(id)
+			rt.world.Leave(id)
 			if rt.gossip != nil {
-				rt.gossip.Remove(id)
+				if err := rt.gossip.Replace([]quorum.ServerID{id}, nil); err != nil {
+					panic(fmt.Sprintf("chaos: leave gossip %d: %v", id, err))
+				}
 			}
 		}
 	}}
@@ -274,24 +156,13 @@ func Leave(ids ...quorum.ServerID) Action {
 func Join(ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("join%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			r := replica.New(id)
-			if _, ok := rt.byID[id]; ok {
-				for i, old := range rt.cluster.Replicas {
-					if old.ID() == id {
-						rt.cluster.Replicas[i] = r
-					}
-				}
-			} else {
-				rt.cluster.Replicas = append(rt.cluster.Replicas, r)
+			r, err := rt.world.Join(id)
+			if err == nil && rt.gossip != nil {
+				// Departing id first tolerates a Join without a prior Leave.
+				err = rt.gossip.Replace([]quorum.ServerID{id}, []*replica.Replica{r})
 			}
-			rt.byID[id] = r
-			rt.installReplica(id, r)
-			rt.noteJoin(id)
-			if rt.gossip != nil {
-				rt.gossip.Remove(id) // tolerate a Join without a prior Leave
-				if err := rt.gossip.Add(r); err != nil {
-					panic(fmt.Sprintf("chaos: rejoin gossip %d: %v", id, err))
-				}
+			if err != nil {
+				panic(fmt.Sprintf("chaos: rejoin %d: %v", id, err))
 			}
 		}
 	}}
@@ -303,71 +174,88 @@ func Join(ids ...quorum.ServerID) Action {
 func BlockInbound(ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("block-in%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			rt.block(Any, id)
+			rt.faults.Block(Any, id)
 		}
 	}}
 }
 
 // Heal removes every block and zeroes every link-fault probability.
 func Heal() Action {
-	return actionFunc{"heal", func(rt *runtime) { rt.heal() }}
+	return actionFunc{"heal", func(rt *runtime) { rt.faults.Heal() }}
 }
 
 // Drop sets the deterministic per-call (mem) or per-chunk (tcp-virtual)
 // loss probability.
 func Drop(p float64) Action {
-	return actionFunc{fmt.Sprintf("drop(%g)", p), func(rt *runtime) { rt.setDrop(p) }}
+	return actionFunc{fmt.Sprintf("drop(%g)", p), func(rt *runtime) { rt.faults.SetDrop(p) }}
 }
 
-// Duplicate sets the per-call duplication probability (no-op over a stream
-// transport; see runtime.setDuplicate).
+// Duplicate sets the per-call duplication probability. On the byte-stream
+// plane this is a deliberate no-op: TCP sequence numbers deduplicate
+// segments, so at-least-once delivery is a fault class the stream transport
+// provably rules out (the scenario still runs; the fault simply cannot
+// manifest).
 func Duplicate(p float64) Action {
-	return actionFunc{fmt.Sprintf("dup(%g)", p), func(rt *runtime) { rt.setDuplicate(p) }}
+	return actionFunc{fmt.Sprintf("dup(%g)", p), func(rt *runtime) {
+		if rt.eng != nil {
+			rt.eng.SetDuplicate(p)
+		}
+	}}
 }
 
 // Corrupt sets the per-call (mem) or per-chunk (tcp-virtual) corruption
 // probability.
 func Corrupt(p float64) Action {
-	return actionFunc{fmt.Sprintf("corrupt(%g)", p), func(rt *runtime) { rt.setCorrupt(p) }}
+	return actionFunc{fmt.Sprintf("corrupt(%g)", p), func(rt *runtime) { rt.faults.SetCorrupt(p) }}
 }
 
 // Reorder sets the maximum extra per-call (mem) or per-chunk (tcp-virtual)
 // delivery delay.
 func Reorder(max time.Duration) Action {
-	return actionFunc{fmt.Sprintf("reorder(%v)", max), func(rt *runtime) { rt.setReorder(max) }}
+	return actionFunc{fmt.Sprintf("reorder(%v)", max), func(rt *runtime) { rt.faults.SetReorder(max) }}
 }
 
 // ByteRate limits every virtual link to bytesPerSec in both directions
 // (0 restores infinite bandwidth). Chunks queue behind their serialization
 // delay, so large frames — uncompressed gossip pushes above all — stretch
-// op latency. No-op on the message plane (see runtime.setByteRate).
+// op latency. No-op on the message plane (see ByteRateAsym).
 func ByteRate(bytesPerSec int64) Action {
 	return actionFunc{fmt.Sprintf("byterate(%d)", bytesPerSec), func(rt *runtime) {
-		rt.setByteRate(bytesPerSec, bytesPerSec)
+		setByteRate(rt, bytesPerSec, bytesPerSec)
 	}}
 }
 
 // ByteRateAsym limits virtual-link bandwidth per direction: toServer paces
 // client→server chunks (request legs, gossip pushes), toClient the reply
-// legs. Models asymmetric WAN access links. No-op on the message plane.
+// legs. Models asymmetric WAN access links. On the message plane this is a
+// deliberate no-op: bandwidth is a property of a byte stream, and the
+// MemNetwork carries messages, not bytes (the scenario still runs there;
+// the fault simply cannot manifest — the same contract as Duplicate on the
+// stream plane).
 func ByteRateAsym(toServer, toClient int64) Action {
 	return actionFunc{fmt.Sprintf("byterate(%d/%d)", toServer, toClient), func(rt *runtime) {
-		rt.setByteRate(toServer, toClient)
+		setByteRate(rt, toServer, toClient)
 	}}
+}
+
+func setByteRate(rt *runtime, toServer, toClient int64) {
+	if rt.world.VNet != nil {
+		rt.world.VNet.SetByteRateAsym(toServer, toClient)
+	}
 }
 
 // Behave installs a behavior on the listed replicas (shared instance; use
 // BehaveEach for stateful behaviors).
 func Behave(b replica.Behavior, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave%v", ids), func(rt *runtime) {
-		Install(rt.cluster, b, ids...)
+		Install(rt.world.Cluster, b, ids...)
 	}}
 }
 
 // BehaveEach installs a freshly built behavior per listed replica.
 func BehaveEach(mk func(id quorum.ServerID) replica.Behavior, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave-each%v", ids), func(rt *runtime) {
-		InstallEach(rt.cluster, mk, ids...)
+		InstallEach(rt.world.Cluster, mk, ids...)
 	}}
 }
 
@@ -393,7 +281,7 @@ func BadSigEchoes(replay bool, ids ...quorum.ServerID) Action {
 		flavour = "replay"
 	}
 	return actionFunc{fmt.Sprintf("bad-sig-echo(%s)%v", flavour, ids), func(rt *runtime) {
-		InstallEach(rt.cluster, func(id quorum.ServerID) replica.Behavior {
+		InstallEach(rt.world.Cluster, func(id quorum.ServerID) replica.Behavior {
 			return &replica.BadSigEcho{Bit: int(id), Replay: replay}
 		}, ids...)
 	}}
@@ -408,7 +296,7 @@ func StaleEchoes(ids ...quorum.ServerID) Action {
 // escalating delay, capped at max, slept on the run's SimClock).
 func SlowDown(step, max time.Duration, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave-each%v", ids), func(rt *runtime) {
-		InstallEach(rt.cluster, func(quorum.ServerID) replica.Behavior {
+		InstallEach(rt.world.Cluster, func(quorum.ServerID) replica.Behavior {
 			return &SlowLorris{Step: step, Max: max, Clock: rt.clock}
 		}, ids...)
 	}}

@@ -49,14 +49,14 @@ func (rt *runtime) storm(target quorum.ServerID, workers, calls int) {
 	sched := vtime.SchedOf(rt.clock)
 
 	var fleet []*transport.TCPClient
-	if rt.tcp != nil {
+	if rt.world.VNet != nil {
 		n := stormFleet
 		if workers < n {
 			n = workers
 		}
 		fleet = make([]*transport.TCPClient, n)
 		for i := range fleet {
-			fleet[i] = rt.tcp.NewSourceClient(stormSourceBase+quorum.ServerID(i), rt.lifecycle)
+			fleet[i] = rt.world.NewSourceClient(stormSourceBase+quorum.ServerID(i), rt.lifecycle)
 		}
 	}
 
@@ -71,7 +71,7 @@ func (rt *runtime) storm(target quorum.ServerID, workers, calls int) {
 				if fleet != nil {
 					_, err = fleet[w%len(fleet)].Call(ctx, target, wire.PingRequest{})
 				} else {
-					_, err = rt.cluster.Net.Call(ctx, target, wire.PingRequest{})
+					_, err = rt.world.Caller().Call(ctx, target, wire.PingRequest{})
 				}
 				rt.stormCalls.Add(1)
 				if err != nil {

@@ -54,20 +54,22 @@ func TestGossipConvergesUnderChurn(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, id := range []quorum.ServerID{3, 4} {
-		if !g.Remove(id) {
-			t.Fatalf("Remove(%d) found no member", id)
-		}
-		net.Deregister(id)
+	if err := g.Replace([]quorum.ServerID{3, 4}, nil); err != nil {
+		t.Fatal(err)
 	}
+	if got := len(g.Engines()); got != n-2 {
+		t.Fatalf("membership after two leaves = %d engines, want %d", got, n-2)
+	}
+	net.Deregister(3)
+	net.Deregister(4)
 	joined := make([]*replica.Replica, 0, 2)
 	for _, id := range []quorum.ServerID{10, 11} {
 		r := replica.New(id)
 		net.Register(id, r)
-		if err := g.Add(r); err != nil {
-			t.Fatal(err)
-		}
 		joined = append(joined, r)
+	}
+	if err := g.Replace(nil, joined); err != nil {
+		t.Fatal(err)
 	}
 	if got := len(g.Engines()); got != n {
 		t.Fatalf("membership after churn = %d engines, want %d", got, n)
@@ -151,8 +153,11 @@ func TestGossipChurnWhileLeaving(t *testing.T) {
 	}
 	// Now the membership catches up; convergence over the remaining 7 must
 	// complete.
-	if !g.Remove(7) {
-		t.Fatal("Remove(7) found no member")
+	if err := g.Replace([]quorum.ServerID{7}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(g.Engines()); got != n-1 {
+		t.Fatalf("membership after the leave = %d engines, want %d", got, n-1)
 	}
 	for round := 0; round < 40 && !storesConverged(g, "k", 1); round++ {
 		if err := g.Step(ctx); err != nil {
@@ -246,6 +251,48 @@ func TestGroupReplaceAndStepOnly(t *testing.T) {
 		target := e.Self() == 1 || e.Self() == 2
 		if stepped != target {
 			t.Fatalf("engine %d stepped=%v, want %v (StepOnly must touch only the named ids)", e.Self(), stepped, target)
+		}
+	}
+}
+
+// TestReplaceRejoinIsFirstContact: an id that departs and rejoins in one
+// Replace is a new store, so every remaining engine forgets its watermarks
+// for it — the next push to it is a full one, not a delta past what the
+// destroyed store had acknowledged.
+func TestReplaceRejoinIsFirstContact(t *testing.T) {
+	const n = 4
+	net := transport.NewMemNetwork(5)
+	reps := make([]*replica.Replica, n)
+	for i := range reps {
+		reps[i] = replica.New(quorum.ServerID(i))
+		net.Register(quorum.ServerID(i), reps[i])
+	}
+	// Fanout n-1: every round contacts every peer.
+	g, err := NewGroup(reps, net, n-1, nil, 5, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seedEntry(reps[0], "k", 1)
+	if err := g.Step(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	watermarked := func(e *Engine, id quorum.ServerID) bool {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		_, ok := e.sync[id]
+		return ok
+	}
+	if !watermarked(g.Engines()[0], 2) {
+		t.Fatal("engine 0 holds no watermarks for peer 2 after a full round")
+	}
+	fresh := replica.New(2)
+	net.Register(2, fresh)
+	if err := g.Replace([]quorum.ServerID{2}, []*replica.Replica{fresh}); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range g.Engines() {
+		if e.Self() != 2 && watermarked(e, 2) {
+			t.Errorf("engine %d kept its watermarks for the rejoined server 2", e.Self())
 		}
 	}
 }

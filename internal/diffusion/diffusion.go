@@ -398,9 +398,9 @@ func (e *Engine) merge(items []wire.Item) {
 }
 
 // Group runs one engine per replica and steps them together, which is how
-// the experiment harness models synchronized gossip rounds. Add and Remove
-// change the membership mid-diffusion (churn): every remaining engine's
-// peer set is updated, so gossip keeps converging over the current members.
+// the experiment harness models synchronized gossip rounds. Replace is its
+// one membership change (churn mid-diffusion): every engine's peer set is
+// updated, so gossip keeps converging over the current members.
 type Group struct {
 	engines  []*Engine
 	tr       transport.Transport
@@ -419,10 +419,8 @@ type Group struct {
 // simulation.
 func NewGroup(reps []*replica.Replica, tr transport.Transport, fanout int, verifier replica.Verifier, seed int64, clk vtime.Clock) (*Group, error) {
 	g := &Group{tr: tr, fanout: fanout, verifier: verifier, seed: seed, clock: clk}
-	for _, r := range reps {
-		if err := g.Add(r); err != nil {
-			return nil, err
-		}
+	if err := g.Replace(nil, reps); err != nil {
+		return nil, err
 	}
 	return g, nil
 }
@@ -447,49 +445,6 @@ func (g *Group) refreshPeers() {
 	}
 }
 
-// Add joins a replica to the group mid-diffusion: a new engine is built for
-// it (randomness derived from the group seed and the replica id, so churn
-// stays deterministic) and every engine's peer set is refreshed. Rejoining
-// an id requires removing it first. Not safe for concurrent use with Step.
-func (g *Group) Add(r *replica.Replica) error {
-	for _, e := range g.engines {
-		if e.Self() == r.ID() {
-			return fmt.Errorf("diffusion: server %d is already a group member", r.ID())
-		}
-	}
-	eng, err := NewEngine(Config{
-		Self:      r.ID(),
-		Peers:     append(g.ids(), r.ID()),
-		Transport: g.tr,
-		Store:     r.Store(),
-		Fanout:    g.fanout,
-		Verifier:  g.verifier,
-		Clock:     g.clock,
-		Rand:      rand.New(rand.NewSource(g.seed + int64(r.ID())*7919)),
-	})
-	if err != nil {
-		return fmt.Errorf("diffusion: engine %d: %w", r.ID(), err)
-	}
-	g.engines = append(g.engines, eng)
-	g.refreshPeers()
-	return nil
-}
-
-// Remove departs a server from the group mid-diffusion: its engine stops
-// being stepped and every remaining engine's peer set is refreshed. It
-// reports whether the id was a member. Not safe for concurrent use with
-// Step.
-func (g *Group) Remove(id quorum.ServerID) bool {
-	for i, e := range g.engines {
-		if e.Self() == id {
-			g.engines = append(g.engines[:i], g.engines[i+1:]...)
-			g.refreshPeers()
-			return true
-		}
-	}
-	return false
-}
-
 // Step runs one synchronized round across all engines.
 func (g *Group) Step(ctx context.Context) error {
 	for _, e := range g.engines {
@@ -500,24 +455,30 @@ func (g *Group) Step(ctx context.Context) error {
 	return nil
 }
 
-// Replace applies one churn wave atomically: the departed ids leave, the
-// joined replicas enter, and every engine's peer set refreshes ONCE at the
-// end. Calling Add/Remove per server refreshes every peer set per call —
-// O(n²) ids copied per wave — which dominates wall time at population
-// scale (n in the thousands, tens of replacements per wave). Not safe for
-// concurrent use with Step.
+// Replace changes the membership mid-diffusion: the departed ids leave
+// (ids that are not members are ignored), then the joined replicas enter,
+// each with a new engine whose randomness derives from the group seed and
+// the replica id, so churn stays deterministic. A whole churn wave is one
+// call: the remaining engines forget the departed peers' watermarks once,
+// so an id that rejoins is first contact again (its store is new), and
+// every peer set refreshes once at the end — per-server calls would copy
+// O(n²) ids per wave, which dominates wall time at population scale. A
+// joined id must not be a member. Not safe for concurrent use with Step.
 func (g *Group) Replace(departed []quorum.ServerID, joined []*replica.Replica) error {
-	gone := make(map[quorum.ServerID]bool, len(departed))
-	for _, id := range departed {
-		gone[id] = true
-	}
-	kept := g.engines[:0]
-	for _, e := range g.engines {
-		if !gone[e.Self()] {
-			kept = append(kept, e)
+	if len(departed) > 0 {
+		gone := make(map[quorum.ServerID]bool, len(departed))
+		for _, id := range departed {
+			gone[id] = true
 		}
+		kept := g.engines[:0]
+		for _, e := range g.engines {
+			if !gone[e.Self()] {
+				kept = append(kept, e)
+			}
+		}
+		g.engines = kept
+		g.refreshPeers()
 	}
-	g.engines = kept
 	for _, r := range joined {
 		for _, e := range g.engines {
 			if e.Self() == r.ID() {
@@ -526,7 +487,6 @@ func (g *Group) Replace(departed []quorum.ServerID, joined []*replica.Replica) e
 		}
 		eng, err := NewEngine(Config{
 			Self:      r.ID(),
-			Peers:     []quorum.ServerID{r.ID()}, // placeholder; refreshed below
 			Transport: g.tr,
 			Store:     r.Store(),
 			Fanout:    g.fanout,

@@ -9,10 +9,11 @@ import (
 	"pqs/internal/sim"
 )
 
-// TestGoldenDigests pins what four small scale points record: the digest of
+// TestGoldenDigests pins what five small scale points record: the digest of
 // every client's operation stream, the virtual time the run covered and the
 // latency phase's median. Together they cover both planes, pair and fraction
-// mode, crashes, churn with rejoin gossip under the timed verdict, and a
+// mode, crashes, churn with rejoin gossip under the timed verdict (on
+// tcp-virtual too, where a churn wave and a crash reset connections), and a
 // hedged latency phase. A change to how the simulation is scheduled (which
 // goroutine runs what) must leave all of them equal; a change that moves one
 // changed behaviour, and must say so and re-pin.
@@ -48,6 +49,10 @@ func TestGoldenDigests(t *testing.T) {
 		{cfg: Config{Name: "golden/tcp", System: tcpSys, Clients: 8, Arrivals: 30,
 			Seed: 14, Bound: tcpSys.EpsilonBound(), Tuning: hedged, Topology: tcpLatency, LatencyOps: 100},
 			digest: "e92dae42a2f51c65", simSec: 0.173231439, p50Ms: 1.435185},
+		{cfg: Config{Name: "golden/tcp-churn", System: tcpSys, Clients: 8, Arrivals: 30,
+			CrashN: 4, Waves: 3, WaveSize: 4, GossipWaveRounds: 1, Timed: true,
+			Seed: 15, Bound: tcpSys.EpsilonBound(), Tuning: hedged, Topology: tcpLatency, LatencyOps: 100},
+			digest: "19b05f33ccbd0ad7", simSec: 0.172688896, p50Ms: 1.434618},
 	} {
 		t.Run(g.cfg.Name, func(t *testing.T) {
 			res, err := Run(g.cfg)

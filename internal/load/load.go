@@ -37,18 +37,21 @@
 //     frame completes, and either completes on the worker driving the clock
 //     — no worker per call — so hedge timers fire while calls are in flight.
 //
-// Churn runs as replacement waves: WaveSize servers are deregistered and
-// replaced by empty replicas (their copies are destroyed — a departure in
-// the timed-quorum sense), the membership-view counter advances by the
-// number of destroyed copies, and the new view version is re-advertised
+// The cluster is a sim.World on either plane, and churn and crashes run on
+// both. Churn runs as replacement waves: each of WaveSize servers leaves
+// and rejoins with an empty replica (World.Leave and World.Join: its copy
+// is destroyed — a departure in the timed-quorum sense — and the World's
+// membership-view counter advances by one), the clock settles (over
+// tcp-virtual a departure resets connections, and those resets must be
+// over before the wave writes), and the new view version is re-advertised
 // through the data plane itself — a quorum write of MemberViewKey by the
 // churn driver — while the replacements run rejoin anti-entropy
 // (GossipWaveRounds targeted gossip steps), exactly how a real deployment
 // brings a fresh server up. Clients stamp every operation with the view
-// they currently observe (the engine mirrors the advertised version in an
-// atomic, as a deployment would cache its last-seen membership), and the
-// checker buckets reads by view distance D and applies the time-decayed
-// Gramoli-Raynal bound ε(D) via chaos.EvaluateTimed. Config.ViewBlind
+// they currently observe (the World's counter, as a deployment would cache
+// its last-seen membership), and the checker buckets reads by view
+// distance D and applies the time-decayed Gramoli-Raynal bound ε(D) via
+// chaos.EvaluateTimed. Config.ViewBlind
 // (the negative configuration) breaks exactly this link — ops stamp view
 // 0 while churn still destroys copies — and must fail the timed gate,
 // proving it has teeth.
@@ -64,7 +67,6 @@ import (
 	"math/rand"
 	"sort"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"pqs/internal/chaos"
@@ -75,7 +77,6 @@ import (
 	"pqs/internal/register"
 	"pqs/internal/replica"
 	"pqs/internal/sim"
-	"pqs/internal/transport"
 	"pqs/internal/ts"
 	"pqs/internal/vtime"
 )
@@ -120,17 +121,20 @@ type Config struct {
 	// at confidence chaos.DefaultAlpha.
 	Bound float64
 
-	// Waves and WaveSize configure churn: Waves replacement waves, evenly
-	// spaced over the run (at off-grid +1ns instants), each replacing
-	// WaveSize servers (round-robin over the universe) with empty
-	// replicas.
+	// Waves and WaveSize configure churn on either plane: Waves
+	// replacement waves, evenly spaced over the run (at off-grid +1ns
+	// instants), each replacing WaveSize servers (round-robin over the
+	// Cells·N − CrashN servers that never crash) with empty replicas, and
+	// settling the clock before it writes. Run refuses negative values, and
+	// a WaveSize the rotation cannot cover.
 	Waves    int
 	WaveSize int
 	// CrashN, when positive, crashes the CrashN highest-numbered servers
 	// (which the churn rotation never touches) a third into the run and
-	// recovers them at two thirds — fail-stop pressure on top of churn.
-	// Crashes are not departures: the stores survive, so the view counter
-	// does not move.
+	// recovers them at two thirds, settling the clock after each — fail-stop
+	// pressure on top of churn, on either plane. Crashes are not
+	// departures: the stores survive, so the view counter does not move.
+	// Run refuses a CrashN outside [0, Cells·N].
 	CrashN int
 	// GossipWaveRounds, when positive, runs that many rejoin anti-entropy
 	// rounds after each churn wave: only the freshly replaced servers step
@@ -242,6 +246,15 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Clients <= 0 || cfg.Arrivals <= 0 {
 		return nil, errors.New("load: Clients and Arrivals must be positive")
 	}
+	total := config.Cluster{Cells: cfg.Cells, N: cfg.System.N()}.Total()
+	switch {
+	case cfg.CrashN < 0 || cfg.CrashN > total:
+		return nil, fmt.Errorf("load: CrashN %d outside [0, %d]", cfg.CrashN, total)
+	case cfg.Waves < 0 || cfg.WaveSize < 0:
+		return nil, errors.New("load: Waves and WaveSize must not be negative")
+	case cfg.Waves > 0 && cfg.WaveSize > total-cfg.CrashN:
+		return nil, fmt.Errorf("load: WaveSize %d exceeds the %d servers the churn rotation covers", cfg.WaveSize, total-cfg.CrashN)
+	}
 	sc := vtime.NewSimClock()
 	var res *Result
 	var err error
@@ -255,17 +268,13 @@ func Run(cfg Config) (*Result, error) {
 type engine struct {
 	cfg     cfg
 	sc      *vtime.SimClock
-	net     *transport.MemNetwork
-	vnet    *transport.VirtualNet // tcp-virtual byte streams (nil on mem)
-	callTr  transport.Transport
+	world   *sim.World
 	gossip  *diffusion.Group
-	view    atomic.Uint64
 	horizon time.Duration
 	// nextChurn rotates the replacement targets over [0, churnSpan).
 	nextChurn int
 	churnSpan int
 	total     int
-	departed  int
 }
 
 type cfg = Config
@@ -273,36 +282,19 @@ type cfg = Config
 func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	n := c.System.N()
 	q := c.System.QuorumSize()
-	cluster := sim.NewCluster(config.Cluster{Cells: c.Topology.Cells, N: n, Seed: c.Seed, Clock: sc})
-	total := len(cluster.Replicas)
-
-	e := &engine{cfg: c, sc: sc, net: cluster.Net, total: total}
+	world, err := sim.NewWorld(config.Cluster{Cells: c.Topology.Cells, N: n, Seed: c.Seed, Clock: sc},
+		c.Topology.Transport, c.Seed+0x7C9, sim.TCPOptions{})
+	if err != nil {
+		return nil, fmt.Errorf("load: %w", err)
+	}
+	defer world.Close()
+	total := len(world.Cluster.Replicas)
+	e := &engine{cfg: c, sc: sc, world: world, total: total}
 	e.churnSpan = total - c.CrashN
 	e.horizon = time.Duration(c.Arrivals) * arrivalMean
 
-	var callTr transport.Transport = cluster.Net
-	switch c.Topology.Transport {
-	case "", sim.TransportMem:
-		// Zero latency during counting; clients dispatch inline (see
-		// newClient), so each operation completes at its arrival instant.
-	case sim.TransportTCPVirtual:
-		if c.Waves > 0 || c.CrashN > 0 {
-			return nil, errors.New("load: churn and crashes require the mem plane")
-		}
-		tc, err := sim.NewTCPCluster(cluster, sc, c.Seed+0x7C9, sim.TCPClusterOptions{})
-		if err != nil {
-			return nil, err
-		}
-		defer tc.Close()
-		callTr = tc.Client
-		e.vnet = tc.Net
-	default:
-		return nil, fmt.Errorf("load: unknown Transport %q", c.Topology.Transport)
-	}
-	e.callTr = callTr
-
 	if c.Waves > 0 && c.GossipWaveRounds > 0 {
-		g, err := diffusion.NewGroup(cluster.Replicas, cluster.Net, 1, nil, c.Seed+0x60551, sc)
+		g, err := diffusion.NewGroup(world.Cluster.Replicas, world.GossipTransport(), 1, nil, c.Seed+0x60551, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -364,7 +356,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 
 	e.verdict(res)
 	// Read the clock here, on the run's own worker, before the deferred
-	// teardown: closing the TCP fixture starts a close → FIN → EOF →
+	// teardown: closing a tcp-virtual World starts a close → FIN → EOF →
 	// close-back chain per connection, and how many of its chunks land
 	// before the last worker exits is up to the Go scheduler.
 	res.SimSeconds = sc.Elapsed().Seconds()
@@ -405,7 +397,7 @@ func (e *engine) newClient(seed int64, writer uint32, fullTuning bool) (*registe
 	return register.NewClient(register.Options{
 		System:    e.cfg.System,
 		Mode:      register.Benign,
-		Transport: e.callTr,
+		Transport: e.world.Caller(),
 		Rand:      rand.New(rand.NewSource(seed)),
 		Clock:     ts.NewClock(writer),
 		Time:      e.sc,
@@ -441,7 +433,7 @@ func (e *engine) curView() uint64 {
 	if e.cfg.ViewBlind {
 		return 0
 	}
-	return e.view.Load()
+	return e.world.View()
 }
 
 // mix folds v into the client's FNV-64a digest.
@@ -618,28 +610,32 @@ func (e *engine) churnLoop() {
 		for j := 0; j < e.cfg.WaveSize; j++ {
 			id := quorum.ServerID(e.nextChurn % e.churnSpan)
 			e.nextChurn++
-			e.net.Deregister(id)
-			r := replica.New(id)
-			e.net.Register(id, r)
+			e.world.Leave(id)
+			r, err := e.world.Join(id)
+			if err != nil {
+				panic(fmt.Sprintf("load: rejoin %d: %v", id, err))
+			}
 			replaced[j], joined[j] = id, r
 		}
+		// A departure's consequences run on other workers at this instant
+		// (over tcp-virtual, the reset connections fail); let them finish
+		// before the advertisement leases a connection.
+		e.sc.Settle()
 		if e.gossip != nil {
-			// One batched swap: per-server Add/Remove would refresh every
-			// engine's peer set per call — O(n²) id copies per wave, which
+			// One batched swap: a Replace per server would refresh every
+			// engine's peer set per call — O(n²) id copies per server, which
 			// dominates wall time at n=1000.
 			if err := e.gossip.Replace(replaced, joined); err != nil {
 				panic(fmt.Sprintf("load: rejoin gossip: %v", err))
 			}
 		}
-		e.view.Add(uint64(e.cfg.WaveSize))
-		e.departed += e.cfg.WaveSize
 		// Re-advertise the new membership version through the data plane
 		// (quorum write) and let the replacements anti-entropy themselves
 		// back in. Only the rejoining servers step: a global round at
 		// population scale is n full-store first-contact exchanges, and the
 		// replacements are the only stores churn emptied.
 		var buf [8]byte
-		binary.BigEndian.PutUint64(buf[:], e.view.Load())
+		binary.BigEndian.PutUint64(buf[:], e.world.View())
 		if _, err := adv.Write(ctx, MemberViewKey, buf[:]); err != nil {
 			panic(fmt.Sprintf("load: view advertisement: %v", err))
 		}
@@ -657,22 +653,24 @@ func (e *engine) churnLoop() {
 func (e *engine) crashLoop() {
 	e.sleepUntil(e.horizon/3 + 2*time.Nanosecond)
 	for j := 0; j < e.cfg.CrashN; j++ {
-		e.net.Crash(quorum.ServerID(e.total - 1 - j))
+		e.world.Crash(quorum.ServerID(e.total - 1 - j))
 	}
+	e.sc.Settle()
 	e.sleepUntil(2*e.horizon/3 + 2*time.Nanosecond)
 	for j := 0; j < e.cfg.CrashN; j++ {
-		e.net.Recover(quorum.ServerID(e.total - 1 - j))
+		e.world.Recover(quorum.ServerID(e.total - 1 - j))
 	}
+	e.sc.Settle()
 }
 
 // collect folds the per-client records, in client order, into the Result.
 func (e *engine) collect(clients []*clientState, n, q int) *Result {
 	res := &Result{
 		Name: e.cfg.Name, Seed: e.cfg.Seed, N: n, Q: q,
-		Clients: e.cfg.Clients, Transport: e.planeName(),
+		Clients: e.cfg.Clients, Transport: e.world.Plane(),
 		Bound:      e.cfg.Bound,
-		Departures: e.departed,
-		MemberView: e.view.Load(),
+		Departures: int(e.world.View()),
+		MemberView: e.world.View(),
 		StaleDepth: make([]int, staleDepthCap),
 	}
 	groups := map[int]*chaos.TimedGroup{}
@@ -717,25 +715,11 @@ func (e *engine) collect(clients []*clientState, n, q int) *Result {
 	return res
 }
 
-func (e *engine) planeName() string {
-	if e.cfg.Topology.Transport == "" {
-		return sim.TransportMem
-	}
-	return e.cfg.Topology.Transport
-}
-
 // latencyPhase runs the sequential tail-latency issuer: the Topology
 // latency model goes live on the plane and the full Tuning block (spares,
 // hedging, eager reads) steers the client.
 func (e *engine) latencyPhase(res *Result) error {
-	min, max := e.cfg.Topology.LatencyMin, e.cfg.Topology.LatencyMax
-	if e.vnet != nil {
-		// TCP traffic rides the virtual byte streams, not the mem network:
-		// the chunk-delivery latency lives on the VirtualNet.
-		e.vnet.SetLatency(min, max)
-	} else {
-		e.net.SetLatency(min, max)
-	}
+	e.world.SetLatency(e.cfg.Topology.LatencyMin, e.cfg.Topology.LatencyMax)
 	issuer, err := e.newClient(e.cfg.Seed+0x1A7E4C, uint32(e.cfg.Clients+4), true)
 	if err != nil {
 		return err

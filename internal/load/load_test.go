@@ -281,3 +281,44 @@ func TestScaleScenarioLibrary(t *testing.T) {
 		t.Errorf("matrix must cover churn (%v) and tcp (%v)", churn, tcp)
 	}
 }
+
+// TestRunRejectsOutOfRangeChurn: churn and crash inputs the run cannot
+// honour are an error from Run, never a panic on a SimClock worker (which
+// no caller could recover); the inputs at the edge of the range run.
+func TestRunRejectsOutOfRangeChurn(t *testing.T) {
+	sys, err := core.NewEpsilonIntersectingEll(64, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 64
+	for _, row := range []struct {
+		name                    string
+		crashN, waves, waveSize int
+		gossip, ok              bool
+	}{
+		{name: "negative CrashN", crashN: -1},
+		{name: "CrashN above the replica count", crashN: total + 1},
+		{name: "every server crashed, with churn", crashN: total, waves: 1, waveSize: 1},
+		{name: "negative Waves", waves: -1},
+		{name: "negative WaveSize", waves: 1, waveSize: -1},
+		{name: "a wave larger than the rotation, with rejoin gossip", waves: 1, waveSize: total + 1, gossip: true},
+		{name: "a wave larger than the servers left uncrashed", crashN: 4, waves: 1, waveSize: total - 3},
+		{name: "every server crashed", crashN: total, ok: true},
+		{name: "a wave the size of the rotation, with rejoin gossip", crashN: 4, waves: 1, waveSize: total - 4, gossip: true, ok: true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			cfg := Config{Name: "edge", System: sys, Clients: 2, Arrivals: 4, Seed: 1, Bound: sys.EpsilonBound(),
+				CrashN: row.crashN, Waves: row.waves, WaveSize: row.waveSize}
+			if row.gossip {
+				cfg.GossipWaveRounds = 1
+			}
+			_, err := Run(cfg)
+			if row.ok && err != nil {
+				t.Fatalf("Run refused an input in range: %v", err)
+			}
+			if !row.ok && err == nil {
+				t.Fatal("Run accepted an input out of range")
+			}
+		})
+	}
+}

@@ -43,8 +43,7 @@ func TestBreakerBeatsHedgeOnStalledServer(t *testing.T) {
 		sc := vtime.NewSimClock()
 		var durs []time.Duration
 		sc.Run(func() {
-			cluster := sim.NewCluster(config.Cluster{N: n, Seed: 7, Clock: sc})
-			tc, err := sim.NewTCPCluster(cluster, sc, 7, sim.TCPClusterOptions{
+			w, err := sim.NewWorld(config.Cluster{N: n, Seed: 7, Clock: sc}, sim.TransportTCPVirtual, 7, sim.TCPOptions{
 				CallTimeout: 50 * time.Millisecond,
 				Lifecycle:   lc,
 			})
@@ -52,8 +51,8 @@ func TestBreakerBeatsHedgeOnStalledServer(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			defer tc.Close()
-			tc.Net.SetLatency(200*time.Microsecond, 800*time.Microsecond)
+			defer w.Close()
+			w.SetLatency(200*time.Microsecond, 800*time.Microsecond)
 
 			sys, err := quorum.NewUniform(n, q)
 			if err != nil {
@@ -63,7 +62,7 @@ func TestBreakerBeatsHedgeOnStalledServer(t *testing.T) {
 			client, err := register.NewClient(register.Options{
 				System:    sys,
 				Mode:      register.Benign,
-				Transport: tc.Client,
+				Transport: w.Caller(),
 				Rand:      rand.New(rand.NewSource(21)),
 				Clock:     ts.NewClock(1),
 				Time:      sc,
@@ -82,7 +81,7 @@ func TestBreakerBeatsHedgeOnStalledServer(t *testing.T) {
 				}
 			}
 
-			tc.Net.Stall(stalled)
+			w.VNet.Stall(stalled)
 			for i := 0; i < reads; i++ {
 				start := sc.Elapsed()
 				if _, err := client.Read(ctx, key(i%keys)); err != nil {

@@ -45,24 +45,15 @@ func callOnlyRun(t *testing.T, plane string, eager, decorate bool) (h chaos.Hist
 	sc := vtime.NewSimClock()
 	var failed error
 	sc.Run(func() {
-		cluster := sim.NewCluster(config.Cluster{N: n, Seed: 3, Clock: sc})
-		var tr transport.Transport
-		switch plane {
-		case sim.TransportMem:
-			cluster.Net.SetLatency(200*time.Microsecond, 2*time.Millisecond)
-			cluster.Net.Crash(4)
-			tr = cluster.Net
-		case sim.TransportTCPVirtual:
-			tc, err := sim.NewTCPCluster(cluster, sc, 3, sim.TCPClusterOptions{})
-			if err != nil {
-				failed = err
-				return
-			}
-			defer tc.Close()
-			tc.Net.SetLatency(200*time.Microsecond, 2*time.Millisecond)
-			tc.Net.Crash(4)
-			tr = tc.Client
+		w, err := sim.NewWorld(config.Cluster{N: n, Seed: 3, Clock: sc}, plane, 3, sim.TCPOptions{})
+		if err != nil {
+			failed = err
+			return
 		}
+		defer w.Close()
+		w.SetLatency(200*time.Microsecond, 2*time.Millisecond)
+		w.Crash(4)
+		tr := w.Caller()
 		var d *callOnlyDecorator
 		if decorate {
 			d = &callOnlyDecorator{inner: tr}

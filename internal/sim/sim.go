@@ -1,7 +1,9 @@
 // Package sim stands up the simulated clusters the harnesses run on —
-// replicas on an in-process MemNetwork (Cluster), or behind the real TCP
-// stack over virtual-time byte streams (TCPCluster) — and measures what
-// needs no operation history:
+// replicas on an in-process MemNetwork (Cluster), and World, the one way
+// chaos and load build, fault and churn such a cluster under a SimClock on
+// either data plane (the MemNetwork, or the real TCP stack over
+// virtual-time byte streams) and count its membership views — and measures
+// what needs no operation history:
 //
 //   - empirical per-server load (Definition 2.4),
 //   - empirical availability (failure probability, Definition 2.6), and
@@ -37,8 +39,9 @@ type Cluster struct {
 // partitioned client with register.Options.Cells = Cells expects) on one
 // simulated network, with the network's latency on cfg.Clock (nil = wall
 // clock; the harnesses pass a vtime.SimClock so simulated latency is
-// virtual: instant to execute, deterministic to replay). NewTCPCluster
-// wraps the whole Cluster, so every cell's replicas get byte streams.
+// virtual: instant to execute, deterministic to replay). NewWorld builds
+// one on either plane; on tcp-virtual every cell's replicas get byte
+// streams.
 func NewCluster(cfg config.Cluster) *Cluster {
 	c := &Cluster{Net: transport.NewMemNetwork(cfg.Seed)}
 	c.Net.SetClock(cfg.Clock)

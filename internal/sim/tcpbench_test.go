@@ -39,19 +39,19 @@ func virtualTCPReads(tb testing.TB, body func(read func() error)) {
 	sc := vtime.NewSimClock()
 	var failed error
 	sc.Run(func() {
-		tc, err := NewTCPCluster(NewCluster(config.Cluster{N: n, Seed: 1, Clock: sc}), sc, 1, TCPClusterOptions{})
+		w, err := NewWorld(config.Cluster{N: n, Seed: 1, Clock: sc}, TransportTCPVirtual, 1, TCPOptions{})
 		if err != nil {
 			failed = err
 			return
 		}
-		defer tc.Close()
+		defer w.Close()
 		sys, err := quorum.NewUniform(n, q)
 		if err != nil {
 			failed = err
 			return
 		}
 		cl, err := register.NewClient(register.Options{
-			System: sys, Mode: register.Benign, Transport: tc.Client, Time: sc,
+			System: sys, Mode: register.Benign, Transport: w.Caller(), Time: sc,
 			Rand: rand.New(rand.NewSource(1)), Clock: ts.NewClock(1),
 		})
 		if err != nil {
@@ -60,7 +60,7 @@ func virtualTCPReads(tb testing.TB, body func(read func() error)) {
 		}
 		ctx := context.Background()
 		for id := quorum.ServerID(0); id < n; id++ {
-			if _, err := tc.Client.Call(ctx, id, wire.ReadRequest{Key: "k"}); err != nil {
+			if _, err := w.Caller().Call(ctx, id, wire.ReadRequest{Key: "k"}); err != nil {
 				failed = err
 				return
 			}

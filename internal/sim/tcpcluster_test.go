@@ -14,29 +14,28 @@ import (
 )
 
 // TestSwapHandlerKeepsTryHandle: the handler indirection in front of every
-// fixture server forwards TryHandle to whatever it currently wraps and
+// tcp-virtual server forwards TryHandle to whatever it currently wraps and
 // declines for a handler that has no such side (or whose replica may wait),
-// across SetHandler — and in every state the call over the wire is answered,
-// on the read loop or off it.
+// across every swap — and in every state the call over the wire is
+// answered, on the read loop or off it.
 func TestSwapHandlerKeepsTryHandle(t *testing.T) {
 	sc := vtime.NewSimClock()
 	sc.Run(func() {
-		c := NewCluster(config.Cluster{N: 1, Seed: 1, Clock: sc})
-		tc, err := NewTCPCluster(c, sc, 1, TCPClusterOptions{})
+		w, err := NewWorld(config.Cluster{N: 1, Seed: 1, Clock: sc}, TransportTCPVirtual, 1, TCPOptions{})
 		if err != nil {
 			t.Error(err)
 			return
 		}
-		defer tc.Close()
+		defer w.Close()
 		ctx := context.Background()
-		sh := tc.handlers[0]
+		sh := w.handlers[0]
 		slow := replica.New(0)
 		slow.SetBehavior(replica.Delayed{Delay: 50 * time.Millisecond, Clock: sc})
 		plain := transport.HandlerFunc(func(context.Context, any) (any, error) { return wire.PingReply{ServerID: 7}, nil })
 
 		for _, step := range []struct {
 			name   string
-			h      transport.Handler // nil: the replica NewTCPCluster installed
+			h      transport.Handler // nil: the replica NewWorld installed
 			accept bool
 			id     int
 		}{
@@ -46,9 +45,7 @@ func TestSwapHandlerKeepsTryHandle(t *testing.T) {
 			{"a fresh replica", replica.New(0), true, 0},
 		} {
 			if step.h != nil {
-				if err := tc.SetHandler(0, step.h); err != nil {
-					t.Errorf("%s: SetHandler: %v", step.name, err)
-				}
+				sh.set(step.h)
 			}
 			resp, ok, err := sh.TryHandle(ctx, wire.PingRequest{})
 			if ok != step.accept || err != nil {
@@ -57,7 +54,7 @@ func TestSwapHandlerKeepsTryHandle(t *testing.T) {
 			if ok && resp != (wire.PingReply{ServerID: step.id}) {
 				t.Errorf("%s: TryHandle answered %v", step.name, resp)
 			}
-			if resp, err := tc.Client.Call(ctx, 0, wire.PingRequest{}); err != nil || resp != (wire.PingReply{ServerID: step.id}) {
+			if resp, err := w.Caller().Call(ctx, 0, wire.PingRequest{}); err != nil || resp != (wire.PingReply{ServerID: step.id}) {
 				t.Errorf("%s: call over the wire = %v, %v", step.name, resp, err)
 			}
 		}

@@ -218,9 +218,10 @@ func (vn *VirtualNet) SetCorrupt(p float64) {
 	vn.corruptP = p
 }
 
-// SetJitter sets the maximum extra per-chunk delivery delay (reordering
-// across connections; within one stream delivery stays monotone).
-func (vn *VirtualNet) SetJitter(max time.Duration) {
+// SetReorder sets the maximum extra per-chunk delivery delay (jitter: it
+// reorders delivery across connections; within one stream delivery stays
+// monotone).
+func (vn *VirtualNet) SetReorder(max time.Duration) {
 	vn.mu.Lock()
 	defer vn.mu.Unlock()
 	vn.jitterMax = max

@@ -62,7 +62,7 @@ func TestVirtualConnSplitFrames(t *testing.T) {
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			vn := NewVirtualNet(nil, 1)
-			vn.SetJitter(row.jitter)
+			vn.SetReorder(row.jitter)
 			cl, sv := vpair(t, vn, 7)
 			defer cl.Close()
 			defer sv.Close()
@@ -249,7 +249,7 @@ func TestVirtualTCPDeterminism(t *testing.T) {
 		sc.Run(func() {
 			vn := NewVirtualNet(sc, 7)
 			vn.SetLatency(time.Millisecond, 9*time.Millisecond)
-			vn.SetJitter(500 * time.Microsecond)
+			vn.SetReorder(500 * time.Microsecond)
 			client, srvs := startVirtualCluster(t, vn, sc, servers, time.Second)
 			ctx := context.Background()
 			call := func(i int, id quorum.ServerID) {
