@@ -279,11 +279,12 @@ sim-scale:
 # read's selection over the registry's verified set (differential, against
 # plain sv.Verify), the replica store's flat tables (differential, against
 # a plain map, under the real hash and under hashes that force one shard and
-# one slot), the replica's delta-gossip responder (against a last-writer-wins
-# model, with watermarks ahead of its sequence, duplicate and out-of-order
-# stamps, and batches up to a cap) and the ring-view decoder a refreshing
-# client feeds whatever ViewKey holds, so the fuzz targets actually execute
-# in CI rather than only replaying their seed corpora.
+# one slot), the replica's delta-gossip and full-snapshot gossip responders
+# (against one last-writer-wins model, with watermarks ahead of its sequence,
+# duplicate and out-of-order stamps, and batches up to a cap) and the
+# ring-view decoder a refreshing client feeds whatever ViewKey holds, so the
+# fuzz targets actually execute in CI rather than only replaying their seed
+# corpora.
 fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzVNetFaultInjector -fuzztime 10s ./internal/transport
@@ -291,6 +292,7 @@ fuzz-smoke:
 	$(GO) test -run XXX -fuzz FuzzSelectDissemination -fuzztime 10s ./internal/register
 	$(GO) test -run XXX -fuzz FuzzStoreAgainstModel -fuzztime 10s ./internal/replica
 	$(GO) test -run XXX -fuzz FuzzGossipDelta -fuzztime 10s ./internal/replica
+	$(GO) test -run XXX -fuzz FuzzGossipFull -fuzztime 10s ./internal/replica
 	$(GO) test -run XXX -fuzz FuzzDecodeView -fuzztime 10s ./internal/ring
 
 # The end-to-end smoke gate: build the real pqsd/pqs-cli binaries, stand a

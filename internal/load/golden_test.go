@@ -9,16 +9,24 @@ import (
 	"pqs/internal/sim"
 )
 
-// TestGoldenDigests pins what five small scale points record: the digest of
+// TestGoldenDigests pins what six small scale points record: the digest of
 // every client's operation stream, the virtual time the run covered and the
 // latency phase's median. Together they cover both planes, pair and fraction
 // mode, crashes, churn with rejoin gossip under the timed verdict (on
-// tcp-virtual too, where a churn wave and a crash reset connections), and a
-// hedged latency phase. A change to how the simulation is scheduled (which
+// tcp-virtual too, where a churn wave and a crash reset connections), a
+// hedged latency phase, and a population of many clients with few
+// operations each. A change to how the simulation is scheduled (which
 // goroutine runs what) must leave all of them equal; a change that moves one
-// changed behaviour, and must say so and re-pin.
+// changed behaviour, and must say so and re-pin. The rows run in parallel,
+// so worlds under different SimClocks borrow operation scratch from the
+// register's one pool at once: what a row records must not depend on which
+// scratch it was lent.
 func TestGoldenDigests(t *testing.T) {
 	sys, err := core.NewEpsilonIntersectingEll(150, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	popSys, err := core.NewEpsilonIntersectingEll(300, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +61,12 @@ func TestGoldenDigests(t *testing.T) {
 			CrashN: 4, Waves: 3, WaveSize: 4, GossipWaveRounds: 1, Timed: true,
 			Seed: 15, Bound: tcpSys.EpsilonBound(), Tuning: hedged, Topology: tcpLatency, LatencyOps: 100},
 			digest: "19b05f33ccbd0ad7", simSec: 0.172688896, p50Ms: 1.434618},
+		{cfg: Config{Name: "golden/mem-population", System: popSys, Clients: 600, Arrivals: 3, CrashN: 3,
+			Seed: 16, Bound: popSys.EpsilonBound(), Tuning: hedged, Topology: latency, LatencyOps: 100},
+			digest: "14c91e4069b3b7cd", simSec: 0.082691482, p50Ms: 0.789844},
 	} {
 		t.Run(g.cfg.Name, func(t *testing.T) {
+			t.Parallel()
 			res, err := Run(g.cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -273,8 +273,9 @@ func (c *cell) gather(ctx context.Context, req any, s *scratch, spec gatherSpec)
 }
 
 // drain consumes the replies still in flight when a gather completed early,
-// from a background worker tracked by WaitDrained, then recycles s (at
-// once, with nothing in flight); it is the operation's last use of s.
+// from a background worker tracked by WaitDrained, then returns s to the
+// pool (at once, with nothing in flight); it is the operation's last use
+// of s.
 // onLate, when non-nil, sees each late reply (successful or failed) in
 // arrival order. The late calls run on the operation's context: a caller
 // that cancels it after the operation returns also aborts the stragglers
@@ -294,7 +295,7 @@ func (c *cell) gather(ctx context.Context, req any, s *scratch, spec gatherSpec)
 // and the delay rises.
 func (c *cell) drain(s *scratch, out gatherOutcome, onLate func(callReply)) {
 	if out.leftover == 0 {
-		c.recycle(s)
+		recycle(s)
 		return
 	}
 	leftover := out.leftover
@@ -314,65 +315,70 @@ func (c *cell) drain(s *scratch, out gatherOutcome, onLate func(callReply)) {
 				onLate(r)
 			}
 		}
-		c.recycle(s)
+		recycle(s)
 	})
 }
 
-// scratch is the memory one operation borrows from its cell and gives back
-// when it and its drain complete: the buffer its access set is sampled
-// into, its reply queue and a read's kept replies. Nothing in it escapes
-// the operation — Read and Write copy the access set into the result's
-// Quorum field and a result's Value points at the replica's bytes, not into
-// here — so recycling cannot rewrite anything a caller holds.
+// scratch is the memory one operation borrows from scratchPool and gives
+// back when it and its drain complete: the buffer its access set is
+// sampled into, its reply queue and a read's kept replies. Nothing in it
+// escapes the operation — Read and Write copy the access set into the
+// result's Quorum field and a result's Value points at the replica's bytes,
+// not into here — so recycling cannot rewrite anything a caller holds.
 type scratch struct {
 	pick    []quorum.ServerID
 	q       replyQueue
 	replies []readReply
 }
 
-// queue readies the scratch's reply queue for a gather. It keeps the last
-// channel if large enough and no hedge alarm was armed on it.
+// scratchPool holds the scratch of completed operations for every cell in
+// the process, so a client that has finished holds none. A scratch moves
+// between cells, and so between quorum sizes, hedging rules and clocks:
+// pickWithSpares and queue reset what belonged to its last borrower.
+var scratchPool = &sync.Pool{New: func() any { return new(scratch) }}
+
+// queue readies the scratch's reply queue for c's gather, resetting what
+// belonged to its last borrower. It keeps the last channel if large enough,
+// made under c's scheduler, and no hedge alarm was armed on it; dispatch
+// times are kept only for adaptive hedging.
 func (s *scratch) queue(c *cell) *replyQueue {
 	q := &s.q
 	calls := len(q.quorum) + len(q.spares)
-	if q.size < calls+1 {
+	if q.size < calls+1 || q.sched != c.sched {
 		q.size, q.ch = calls+1, vtime.Chan[callReply]{}
 	}
-	if c.opts.AdaptiveHedge { // starts stays nil otherwise
+	q.clock, q.sched = c.clock, c.sched
+	if c.opts.AdaptiveHedge {
 		q.starts = append(q.starts[:0], make([]time.Time, calls)...)
+	} else {
+		q.starts = nil
 	}
 	q.local, q.next = q.local[:0], 0
 	return q
 }
 
-// maxScratchFree bounds the scratch freelist; beyond the steady concurrency
-// level extra buffers are garbage, not cache.
-const maxScratchFree = 8
-
-// pickWithSpares lends the operation a scratch holding one access set plus
-// the configured number of spares, sampled under the client's strategy
-// (s.q.quorum, s.q.spares); its drain recycles it. Spare-free picks from an
-// InplacePicker-capable system sample into the scratch, so steady-state
+// pickWithSpares lends the operation a scratch from the pool holding one
+// access set plus the configured number of spares, sampled under the
+// client's strategy (s.q.quorum, s.q.spares); its drain recycles it. Its
+// buffers are grown once for every call the operation can make, so a
+// short-lived client does not grow them by doubling. Spare-free picks from
+// an InplacePicker-capable system sample into the scratch, so steady-state
 // sampling performs zero allocations.
-func (c *cell) pickWithSpares() (s *scratch) {
+func (c *cell) pickWithSpares() *scratch {
+	s := scratchPool.Get().(*scratch)
+	q := &s.q
+	qs := c.opts.System.QuorumSize()
+	if k := qs + c.opts.Spares; cap(q.local) < k || cap(s.replies) < k {
+		q.local, s.replies = make([]callReply, 0, k), make([]readReply, 0, k)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if n := len(c.free); n > 0 {
-		s, c.free[n-1] = c.free[n-1], nil
-		c.free = c.free[:n-1]
-	} else {
-		// Sized for every call the operation can make, so a short-lived
-		// client does not grow its first scratch by doubling.
-		k := c.opts.System.QuorumSize() + c.opts.Spares
-		s = &scratch{q: replyQueue{local: make([]callReply, 0, k), clock: c.clock, sched: c.sched}, replies: make([]readReply, 0, k)}
-	}
-	q := &s.q
 	q.spares = nil
 	if ss, ok := c.opts.System.(quorum.SpareSampler); ok && c.opts.Spares > 0 {
 		q.quorum, q.spares = ss.PickWithSpares(c.rng, c.opts.Spares)
 	} else if ip, ok := c.opts.System.(quorum.InplacePicker); ok {
-		if s.pick == nil {
-			s.pick = make([]quorum.ServerID, 0, c.opts.System.QuorumSize())
+		if cap(s.pick) < qs {
+			s.pick = make([]quorum.ServerID, 0, qs)
 		}
 		s.pick = ip.PickInto(c.rng, s.pick[:0])
 		q.quorum = s.pick
@@ -382,23 +388,13 @@ func (c *cell) pickWithSpares() (s *scratch) {
 	return s
 }
 
-// recycle returns a completed operation's scratch to the freelist, dropping
-// what its reply buffers point at (boxed replies, value bytes) so the
-// freelist retains none of it.
-func (c *cell) recycle(s *scratch) {
+// recycle returns a completed operation's scratch to the pool, dropping
+// what its reply buffers point at (boxed replies, value bytes) so the pool
+// retains none of it.
+func recycle(s *scratch) {
 	clear(s.q.local)
 	clear(s.replies)
-	c.mu.Lock()
-	if len(c.free) < maxScratchFree {
-		c.free = append(c.free, s)
-	}
-	c.mu.Unlock()
-}
-
-// spareCapable reports whether sys can supply spares.
-func spareCapable(sys quorum.System) bool {
-	_, ok := sys.(quorum.SpareSampler)
-	return ok
+	scratchPool.Put(s)
 }
 
 // AccessStats counts straggler-tolerance events over a client's lifetime.

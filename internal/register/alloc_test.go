@@ -3,6 +3,7 @@ package register
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pqs/internal/config"
@@ -12,11 +13,41 @@ import (
 	"pqs/internal/ts"
 )
 
+// lendOneScratch makes every operation borrow one scratch until the test
+// ends and returns it. The allocation gates count through it rather than
+// the process pool: under the race detector sync.Pool drops a random
+// quarter of what is put back, and an operation would now and then make
+// its scratch anew.
+func lendOneScratch(t *testing.T) *scratch {
+	t.Helper()
+	s := new(scratch)
+	lendOnly(t, s)
+	return s
+}
+
+// requireReturned fails unless c's last operation gave s back: recycle
+// clears the reply buffers, so none of them still holds a reply.
+func requireReturned(t *testing.T, c *Client, s *scratch) {
+	t.Helper()
+	c.WaitDrained()
+	for _, r := range s.q.local {
+		if !reflect.ValueOf(r).IsZero() {
+			t.Fatalf("an operation kept its scratch: queued reply %+v", r)
+		}
+	}
+	for _, r := range s.replies {
+		if !reflect.ValueOf(r).IsZero() {
+			t.Fatalf("an operation kept its scratch: kept reply %+v", r)
+		}
+	}
+}
+
 // TestSteadyStateSamplingZeroAlloc is the acceptance gate for the O(k)
-// sampling fast path: once the client's buffer freelist is warm, picking a
+// sampling fast path: once the operation's scratch is grown, picking a
 // quorum allocates nothing. This is the sampling component of a steady-state
-// Read/Write (each operation recycles its buffer on completion).
+// Read/Write (each operation returns its scratch on completion).
 func TestSteadyStateSamplingZeroAlloc(t *testing.T) {
+	lendOneScratch(t)
 	u, err := quorum.NewUniform(100, 23)
 	if err != nil {
 		t.Fatal(err)
@@ -31,16 +62,15 @@ func TestSteadyStateSamplingZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	eng := c.cells[0]
-	// Warm the freelist with one pick, as the first operation would.
+	// Grow the scratch with one pick, as the first operation would.
 	s := eng.pickWithSpares()
 	q, spares := s.q.quorum, s.q.spares
 	if len(q) != 23 || spares != nil {
 		t.Fatalf("pick: %d members, %d spares", len(q), len(spares))
 	}
-	eng.recycle(s)
+	recycle(s)
 	allocs := testing.AllocsPerRun(500, func() {
-		s := eng.pickWithSpares()
-		eng.recycle(s)
+		recycle(eng.pickWithSpares())
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state quorum sampling: %v allocs/op, want 0", allocs)
@@ -113,6 +143,7 @@ func warmBenignClient(t *testing.T, n, q int) *Client {
 func TestBenignReadAllocs(t *testing.T) {
 	const n, q, want = 100, 23, 3
 	c := warmBenignClient(t, n, q)
+	s := lendOneScratch(t)
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(300, func() {
 		if _, err := c.Read(ctx, "k"); err != nil {
@@ -122,6 +153,7 @@ func TestBenignReadAllocs(t *testing.T) {
 	if allocs > want {
 		t.Errorf("benign read: %v allocs, want at most %d", allocs, want)
 	}
+	requireReturned(t, c, s)
 }
 
 // TestBenignWriteAllocs is the write twin: 6 objects a write, none per
@@ -135,6 +167,7 @@ func TestBenignReadAllocs(t *testing.T) {
 func TestBenignWriteAllocs(t *testing.T) {
 	const n, q, want = 100, 23, 6
 	c := warmBenignClient(t, n, q)
+	s := lendOneScratch(t)
 	ctx := context.Background()
 	val := []byte("v")
 	allocs := testing.AllocsPerRun(300, func() {
@@ -145,23 +178,42 @@ func TestBenignWriteAllocs(t *testing.T) {
 	if allocs > want {
 		t.Errorf("benign write: %v allocs, want at most %d", allocs, want)
 	}
+	requireReturned(t, c, s)
 }
 
-// TestFirstScratchHoldsEveryCall: the first scratch a cell lends is sized
-// for q + spares calls, so a short-lived client's first operation never
-// grows its reply queue or its kept replies by doubling.
+// TestFirstScratchHoldsEveryCall: a lent scratch holds at least q + spares
+// calls, so a short-lived client's first operation never grows its reply
+// queue or its kept replies by doubling, and a read does not grow it. A
+// fresh scratch is grown to exactly q + spares; one last lent to a larger
+// cell keeps what it has.
 func TestFirstScratchHoldsEveryCall(t *testing.T) {
 	const n, q, spares = 100, 23, 2
 	c := hedgedClient(t, newCluster(t, n), uniformSystem(t, n, q), Options{Tuning: config.Tuning{Spares: spares}})
-	s := c.cells[0].pickWithSpares()
-	if cap(s.q.local) != q+spares || cap(s.replies) != q+spares {
-		t.Errorf("first scratch holds %d queued and %d kept replies, want %d each", cap(s.q.local), cap(s.replies), q+spares)
+	larger := &scratch{
+		q:       replyQueue{local: make([]callReply, 0, 2*(q+spares))},
+		replies: make([]readReply, 0, 2*(q+spares)),
 	}
-	if _, err := c.Read(context.Background(), "k"); err != nil {
-		t.Fatal(err)
-	}
-	s = c.cells[0].pickWithSpares()
-	if cap(s.q.local) != q+spares || cap(s.replies) != q+spares {
-		t.Errorf("after a read the scratch holds %d and %d, want %d each: it grew", cap(s.q.local), cap(s.replies), q+spares)
+	for _, row := range []struct {
+		name string
+		s    *scratch
+		want int
+	}{
+		{"fresh", new(scratch), q + spares},
+		{"larger", larger, 2 * (q + spares)},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			s := row.s
+			lendOnly(t, s)
+			recycle(c.cells[0].pickWithSpares())
+			if cap(s.q.local) != row.want || cap(s.replies) != row.want {
+				t.Errorf("a lent scratch holds %d queued and %d kept replies, want %d each", cap(s.q.local), cap(s.replies), row.want)
+			}
+			if _, err := c.Read(context.Background(), "k"); err != nil {
+				t.Fatal(err)
+			}
+			if cap(s.q.local) != row.want || cap(s.replies) != row.want {
+				t.Errorf("after a read the scratch holds %d and %d, want %d: it grew", cap(s.q.local), cap(s.replies), row.want)
+			}
+		})
 	}
 }

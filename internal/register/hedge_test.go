@@ -424,7 +424,7 @@ func TestDrainSkipsAStrayHedgeFire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := &scratch{q: replyQueue{quorum: []quorum.ServerID{0, 1, 2, 3, 4}, sched: cl.sched}}
+	s := &scratch{q: replyQueue{quorum: []quorum.ServerID{0, 1, 2, 3, 4}}}
 	q := s.queue(cl)
 	q.local = append(q.local, callReply{id: 0})
 	ch := q.channel()

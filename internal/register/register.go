@@ -184,9 +184,8 @@ type cell struct {
 	clock vtime.Clock
 	sched vtime.Sched
 
-	mu   sync.Mutex // guards rng (not goroutine safe) and free
-	rng  *rand.Rand
-	free []*scratch // recycled per-operation memory (see access.go)
+	mu  sync.Mutex // guards rng (not goroutine safe)
+	rng *rand.Rand
 
 	// lat is the adaptive-hedge latency estimator.
 	lat latencyEstimator
@@ -242,7 +241,7 @@ func newCell(opts Options) (*cell, error) {
 	if opts.Spares < 0 {
 		return nil, fmt.Errorf("register: Spares %d must be non-negative", opts.Spares)
 	}
-	if opts.Spares > 0 && !spareCapable(opts.System) {
+	if _, ok := opts.System.(quorum.SpareSampler); opts.Spares > 0 && !ok {
 		return nil, fmt.Errorf("register: system %s cannot supply spares (no quorum.SpareSampler)", opts.System.Name())
 	}
 	if opts.HedgeDelay < 0 {

@@ -327,13 +327,16 @@ func (r *Replica) handle(behavior Behavior, verifier Verifier, req any) (any, er
 }
 
 // handleGossip merges the initiator's entries into the local store (subject
-// to the verifier) and returns entries where the local copy dominates or
-// the initiator mentioned nothing, in adoption order: the same merged state
-// gives the same reply bytes whatever the store's layout.
+// to the verifier) and returns entries where the local copy dominates the
+// newest stamp the initiator offered for the key, or the initiator
+// mentioned nothing, in adoption order: the same merged state gives the
+// same reply bytes whatever the store's layout.
 func (r *Replica) handleGossip(m wire.GossipRequest, verify Verifier) wire.GossipReply {
 	offered := make(map[string]ts.Stamp, len(m.Entries))
 	for _, e := range m.Entries {
-		offered[e.Key] = e.Stamp
+		if st, ok := offered[e.Key]; !ok || st.Less(e.Stamp) {
+			offered[e.Key] = e.Stamp
+		}
 		if verify != nil && !verify(e.Key, e.Value, e.Stamp, e.Sig) {
 			continue
 		}
