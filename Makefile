@@ -84,10 +84,13 @@ race:
 # The flake gate: every same-seed-twice determinism suite, twenty times
 # over under the race detector. A determinism test that passes most runs is
 # a simulator bug (ROADMAP aim 1); one run of `go test ./...` cannot tell
-# "deterministic" from "usually equal", twenty can. About twelve minutes on
-# two cores; FLAKE_COUNT=N to vary. The chaos matrix over tcp-virtual rides
-# along as flake-tcp, below, and the hedged, straggler and lossy runs the
-# matrix leaves out as TestChaosDeterminismHedged. The chaos suites compare
+# "deterministic" from "usually equal", twenty can. About thirteen minutes
+# on two cores, nine of them the chaos line (about 27 s a count under
+# -race), which sets -timeout 40m: twenty counts come within a minute of
+# go test's ten-minute default. FLAKE_COUNT=N to vary. The chaos matrix
+# over tcp-virtual rides along as flake-tcp, below, and the hedged,
+# straggler and lossy runs the matrix leaves out as
+# TestChaosDeterminismHedged. The chaos suites compare
 # the virtual time a run covered (SimSeconds) as well as its history, so a
 # clock read that races fixture teardown shows up here. The
 # register's caller-path tests ride along: the same stream of operations
@@ -105,7 +108,7 @@ race:
 FLAKE_COUNT ?= 20
 flake: flake-tcp
 	$(GO) test -race -count=$(FLAKE_COUNT) -run 'Determinis|TheParkerDrivesTheClock|TestLoadTCPVirtual|TestGoldenDigests|TestInlineMatchesPoolDifferential|TestParkingCallsNeverRunOnTheCaller|TestMemNetworkGoldenReplay' . ./internal/vtime/ ./internal/load/ ./internal/transport/ ./internal/register/
-	$(GO) test -race -count=$(FLAKE_COUNT) -run 'TestChaosDeterminism(Hedged)?$$|TestGoldenHistories' ./internal/chaos/
+	$(GO) test -race -count=$(FLAKE_COUNT) -timeout 40m -run 'TestChaosDeterminism(Hedged)?$$|TestGoldenHistories' ./internal/chaos/
 
 # The tcp-virtual half of the flake gate, and the CI chaos-tcp job:
 # chaos-tcp (every scenario twice per plane, byte-for-byte) FLAKE_TCP times
@@ -229,21 +232,22 @@ bench-e2e-smoke:
 # most 4) and are reported in matrix order. A
 # failing seed replays locally with the same command or with
 # `go test ./internal/chaos -run TestChaos -chaos.seed=N`. -json records
-# the per-scenario ε trend to BENCH_epsilon.json (uploaded as a CI
-# artifact, like BENCH_throughput.json for throughput).
+# the per-scenario ε trend to BENCH_epsilon.out (uploaded as a CI
+# artifact, like BENCH_throughput.json for throughput; ignored by git, so
+# a gate run leaves the committed BENCH_epsilon.json as it is).
 CHAOS_SEED ?= 1
 chaos-short:
-	$(GO) run ./cmd/pqs-chaos -scale 1 -seed $(CHAOS_SEED) -negative -json -o /dev/null
+	$(GO) run ./cmd/pqs-chaos -scale 1 -seed $(CHAOS_SEED) -negative -json BENCH_epsilon.out -o /dev/null
 
 # The real-wire chaos gate: the same scenario matrix over BOTH data planes
 # (MemNetwork and the virtual-time TCP stack), each scenario run TWICE per
 # plane with one seed — the run fails unless the histories replay
 # byte-for-byte and the simulated durations (sim_seconds) match, which is
-# the determinism contract for the data plane production actually runs. BENCH_epsilon.json gains one section per
+# the determinism contract for the data plane production actually runs. BENCH_epsilon.out gains one section per
 # transport. Replay a CI failure locally with the same command and
 # CHAOS_SEED=N, or `go test ./internal/chaos -run TCPVirtual -chaos.seed=N`.
 chaos-tcp:
-	$(GO) run ./cmd/pqs-chaos -scale 1 -seed $(CHAOS_SEED) -transport mem,tcp-virtual -verify-determinism -json -o /dev/null
+	$(GO) run ./cmd/pqs-chaos -scale 1 -seed $(CHAOS_SEED) -transport mem,tcp-virtual -verify-determinism -json BENCH_epsilon.out -o /dev/null
 
 # The virtual-time gate: the long-form ε measurements (hundreds of
 # write-then-read pairs through chaos.Run over sim's 100-server clusters,
@@ -265,21 +269,21 @@ sim-fast:
 # storm; -budget 5m keeps the whole matrix CI-affordable, failing the
 # target if simulation ever gets slow enough to blow the wall-clock
 # budget. -json records per-scale-point ε / staleness-depth / tail-latency
-# metrics to BENCH_epsilon.json (the CI artifact). Scale points are
+# metrics to BENCH_epsilon.out (the CI artifact). Scale points are
 # independent simulations, so they run on the chaos matrix's worker pool
 # (half the cores, at most 4) without affecting any digest.
 # A failing seed replays locally with the same command and CHAOS_SEED=N.
 sim-scale:
-	$(GO) run ./cmd/pqs-chaos -load -seed $(CHAOS_SEED) -negative -verify-determinism -json -budget 5m -o /dev/null
+	$(GO) run ./cmd/pqs-chaos -load -seed $(CHAOS_SEED) -negative -verify-determinism -json BENCH_epsilon.out -budget 5m -o /dev/null
 
 # Ten seconds of coverage-guided fuzzing each for the binary codec's decode
 # surface, the virtual byte-stream fault injector, the frame feed both
 # transports read through (any chunking of a stream must cut the same
 # frames and reach the same verdict as the whole stream), the dissemination
 # read's selection over the registry's verified set (differential, against
-# plain sv.Verify), the replica store's flat tables (differential, against
-# a plain map, under the real hash and under hashes that force one shard and
-# one slot), the replica's delta-gossip and full-snapshot gossip responders
+# plain sv.Verify), the replica store's flat table (differential, against
+# a plain map, under the real hash, under another seed and under a hash that
+# forces one slot), the replica's delta-gossip and full-snapshot gossip responders
 # (against one last-writer-wins model, with watermarks ahead of its sequence,
 # duplicate and out-of-order stamps, and batches up to a cap) and the
 # ring-view decoder a refreshing client feeds whatever ViewKey holds, so the

@@ -9,7 +9,7 @@ import (
 )
 
 // ServerStats is the observability snapshot a replica server exposes over
-// its admin endpoint (pqsd -admin): store shape and shard counters, the TCP
+// its admin endpoint (pqsd -admin): the store's key count and counters, the TCP
 // endpoint's frame/flush counters (including how many writes the flush
 // coalescing batched), and the per-connection binary codec counters.
 type ServerStats struct {
@@ -20,8 +20,8 @@ type ServerStats struct {
 	Codec string `json:"codec"`
 	// UptimeSeconds counts from ListenAndServe.
 	UptimeSeconds float64 `json:"uptime_seconds"`
-	// Store reports the sharded store: key counts, shard skew, get/apply
-	// counters.
+	// Store reports the store: its key count, get/apply/adoption counters
+	// and adoption sequence.
 	Store replica.StoreStats `json:"store"`
 	// Transport reports the server's TCP counters: connections, frames,
 	// bytes, flushes, coalesced writes, and the aggregated message-codec

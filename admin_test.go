@@ -58,7 +58,7 @@ func TestAdminStatsEndpoint(t *testing.T) {
 	if st.ID != 0 || st.Addr != srv.Addr() || st.Codec != "binary" {
 		t.Errorf("identity: %+v", st)
 	}
-	if st.Store.Keys != 1 || st.Store.Applies == 0 || st.Store.Gets == 0 || st.Store.Shards == 0 {
+	if st.Store.Keys != 1 || st.Store.Applies == 0 || st.Store.Gets == 0 {
 		t.Errorf("store stats missing traffic: %+v", st.Store)
 	}
 	if st.Transport.FramesRead < 2 || st.Transport.FramesWritten < 2 || st.Transport.Conns != 1 {

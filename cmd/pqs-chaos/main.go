@@ -23,10 +23,12 @@
 //	                               # byte-for-byte and its sim_seconds, a
 //	                               # load row's whole result (the CI
 //	                               # determinism gate)
-//	pqs-chaos -json                # also write per-row ε metrics to
-//	                               # BENCH_epsilon.json (the CI artifact
-//	                               # tracking the ε trend across PRs, like
-//	                               # BENCH_throughput.json), with one section
+//	pqs-chaos -json FILE           # also write per-row ε metrics to FILE
+//	                               # (the make targets and CI write
+//	                               # BENCH_epsilon.out, the artifact tracking
+//	                               # the ε trend across PRs; -json
+//	                               # BENCH_epsilon.json refreshes the
+//	                               # committed document), with one section
 //	                               # per transport
 //	pqs-chaos -negative            # also run the intentionally failing
 //	                               # negative configuration (it demonstrates
@@ -87,8 +89,8 @@ type outcome interface {
 	replayDiff(replay outcome) string
 	// summary is the row's stderr line after its status.
 	summary() string
-	// metrics is the row's BENCH_epsilon.json entry; wall is the seconds
-	// the run took.
+	// metrics is the row's entry in the -json trend document; wall is the
+	// seconds the run took.
 	metrics(wall float64) map[string]float64
 }
 
@@ -271,11 +273,11 @@ type matrixReport struct {
 	AllPass       bool     `json:"all_pass"`
 }
 
-// epsilonDoc is the BENCH_epsilon.json layout, mirroring
-// BENCH_throughput.json: a context block plus named entries with a flat
-// metrics map, so the same tooling can diff either file across PRs.
-// Entries carry their transport, giving the document one section per data
-// plane when several run in one invocation.
+// epsilonDoc is the layout of the -json trend document (the committed
+// BENCH_epsilon.json), mirroring BENCH_throughput.json: a context block plus
+// named entries with a flat metrics map, so the same tooling can diff either
+// file across PRs. Entries carry their transport, giving the document one
+// section per data plane when several run in one invocation.
 type epsilonDoc struct {
 	Context   map[string]any `json:"context"`
 	Scenarios []epsilonEntry `json:"scenarios"`
@@ -286,9 +288,6 @@ type epsilonEntry struct {
 	Transport string             `json:"transport"`
 	Metrics   map[string]float64 `json:"metrics"`
 }
-
-// epsilonFile is where -json writes the ε trend document.
-const epsilonFile = "BENCH_epsilon.json"
 
 // buildEpsilonDoc flattens the matrix into the trend document.
 func buildEpsilonDoc(rep matrixReport) epsilonDoc {
@@ -328,7 +327,7 @@ type options struct {
 	parallel  int
 	budget    time.Duration
 	out       string // -o ("" = stdout)
-	epsJSON   bool
+	epsJSON   string // -json ("" = none)
 }
 
 func main() {
@@ -339,7 +338,7 @@ func main() {
 		list      = flag.Bool("list", false, "list scenario names and exit")
 		negative  = flag.Bool("negative", false, "also run the intentionally failing negative scenario")
 		out       = flag.String("o", "", "write the JSON report to this file instead of stdout")
-		epsJSON   = flag.Bool("json", false, "also write per-scenario ε metrics to "+epsilonFile)
+		epsJSON   = flag.String("json", "", "also write per-scenario ε metrics to this file")
 		transport = flag.String("transport", sim.TransportMem,
 			"comma-separated data planes to run the matrix over: mem, tcp-virtual")
 		verifyDet = flag.Bool("verify-determinism", false,
@@ -473,7 +472,7 @@ func loadRows(seed int64, match string, negative bool) []row {
 // world, so rows run on a pool of o.parallel workers; each runs (twice under
 // o.verifyDet, comparing the replay), and the outcomes are printed and
 // collected in matrix order. It writes the report to o.out (or stdout) and,
-// with o.epsJSON, the trend document, and returns the exit code: 1 if a
+// to o.epsJSON, if set, the trend document, and returns the exit code: 1 if a
 // shipped row failed or did not replay, an expected failure passed, or the
 // matrix blew o.budget.
 func runMatrix(rep matrixReport, rows []row, o options) int {
@@ -558,10 +557,10 @@ func runMatrix(rep matrixReport, rows []row, o options) int {
 	}
 
 	writeJSON(o.out, rep)
-	if o.epsJSON {
+	if o.epsJSON != "" {
 		doc := buildEpsilonDoc(rep)
-		writeJSON(epsilonFile, doc)
-		fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", epsilonFile, len(doc.Scenarios))
+		writeJSON(o.epsJSON, doc)
+		fmt.Fprintf(os.Stderr, "wrote %s (%d rows)\n", o.epsJSON, len(doc.Scenarios))
 	}
 	if !rep.AllPass {
 		return 1

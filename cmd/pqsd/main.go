@@ -14,7 +14,7 @@
 //	                               # multi-cell layout: global id 53
 //
 // With -admin, the replica serves an HTTP observability endpoint:
-// GET /stats returns store shard counters, TCP frame/flush-coalescing
+// GET /stats returns the store's key count and counters, TCP frame/flush-coalescing
 // counters and binary codec counters as JSON; GET /healthz returns 200.
 // (Client-side access counters — spares promoted, early completions, late
 // repairs — live on clients; pqs-cli prints them with -stats.)

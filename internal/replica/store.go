@@ -25,19 +25,26 @@ type Entry struct {
 	Sig   []byte
 }
 
-// numShards is the store's shard count. The load analysis puts ~l*sqrt(n)
-// concurrent accesses on a busy replica; 64 shards keep the probability of
-// two concurrent distinct-key operations colliding on a shard's lock small,
-// and a shard is one 64-byte line, so an empty store is 4 KiB and NewStore
-// allocates nothing else. Must be a power of two.
-const shardBits = 6
-const numShards = 1 << shardBits
-
-// Store is a replica's local key-value state, sharded by key hash so that
-// operations on distinct keys proceed without contending on a single lock.
-// It is safe for concurrent use.
+// Store is a replica's local key-value state: one open-addressed table
+// (linear probing, length a power of two or zero, no deletions: the store
+// never deletes) under one lock. The lock, the table's header, its occupied
+// count, the operation counts and the adoption sequence fill the store's one
+// 64-byte line, so a read RPC touches that line, the key's slot and the
+// slot's reply box, and a process hosting a thousand replicas keeps all of
+// their lines in cache: 64 KB, where 64 locked shards a store would make
+// 4 MB, more than a core's L2, and nearly every call would miss on its
+// shard's line. The counts are kept under the lock, where a counter line of their
+// own would cost every call a second miss; a Mutex, not an RWMutex, makes
+// room for them, and a read holds it for one probe. Growth is a whole-table
+// rehash under the lock: while a store of 2^20 keys doubles, its callers
+// wait over a tenth of a second; the fullest store any workload builds holds
+// a few thousand keys, which rehash in well under a millisecond. It is safe
+// for concurrent use.
 type Store struct {
-	shards [numShards]shard
+	mu            sync.Mutex
+	slots         []slot
+	n             int    // occupied slots
+	gets, applies uint64 // cumulative; see Stats
 
 	// seq is the store-wide adoption sequence: every Apply that wins the
 	// last-writer-wins merge draws the next number and records it against
@@ -47,21 +54,7 @@ type Store struct {
 	seq atomic.Uint64
 }
 
-// shard is one lock, one open-addressed table (linear probing, length a
-// power of two or zero, no deletions: the store never deletes) and the
-// shard's operation counts, in one 64-byte line: a read RPC touches it, the
-// key's slot and the slot's reply box. The counts are kept under the lock,
-// where a store-wide counter line cost every call a second miss. A Mutex,
-// not an RWMutex: that makes room for them, and a read holds it for a probe.
-type shard struct {
-	mu            sync.Mutex
-	slots         []slot
-	n             int     // occupied slots
-	gets, applies uint64  // cumulative; see Stats
-	_             [8]byte // to the line's end
-}
-
-// slot is a shard's record for one key: its adoption sequence number (see
+// slot is the store's record for one key: its adoption sequence number (see
 // Store.seq; 0 marks an empty slot, adoption sequences start at 1), the
 // key's hash tag, the entry's stamp counter capped at 2^32-1, and the entry
 // itself, boxed as the wire.ReadReply an honest read returns. The words a
@@ -142,25 +135,25 @@ func NewStore() *Store { return &Store{} }
 // hashSeed keys hash. Clients choose the keys, so the hash must be one they
 // cannot compute: the Go map this table replaced was seeded too, and under a
 // public hash a writer picking colliding keys would turn every probe of a
-// shard into a scan of it. One seed per process, not per store: a store's
+// table into a scan of it. One seed per process, not per store: a store's
 // own seed is a line to load before the hash can start; it cost mem-fanout 8 %.
 var hashSeed = maphash.MakeSeed()
 
-// hash is the one hash taken of a key: its low shardBits bits pick the
-// shard and the 32 above them are the tag a slot keeps. The tag's low bits
-// are the home slot, so growing a table re-homes from tags and hashes
-// nothing; a key's bytes are compared only where the whole tag matches.
+// hash is the one hash taken of a key: its low 32 bits are the tag a slot
+// keeps, and the tag's low bits are the home slot, so growing the table
+// re-homes from tags and hashes nothing; a key's bytes are compared only
+// where the whole tag matches.
 func hash(key string) uint64 { return maphash.String(hashSeed, key) }
 
 // find returns the index of key's slot, or of the empty slot that ends its
 // probe run: apply keeps every allocated table at most 7/8 full.
-func (sh *shard) find(key string, h uint64) (int, bool) {
-	if len(sh.slots) == 0 {
+func (s *Store) find(key string, h uint64) (int, bool) {
+	if len(s.slots) == 0 {
 		return 0, false
 	}
-	tag, mask := uint32(h>>shardBits), len(sh.slots)-1
+	tag, mask := uint32(h), len(s.slots)-1
 	for i := int(tag) & mask; ; i = (i + 1) & mask {
-		if sl := &sh.slots[i]; sl.seq == 0 {
+		if sl := &s.slots[i]; sl.seq == 0 {
 			return i, false
 		} else if sl.tag == tag && sl.key == key {
 			return i, true
@@ -168,21 +161,20 @@ func (sh *shard) find(key string, h uint64) (int, bool) {
 	}
 }
 
-// grow doubles the table (4 slots at first: most shards of a replica hold a
-// handful of keys) and re-homes every record.
-func (sh *shard) grow() {
-	old := sh.slots
-	sh.slots = make([]slot, max(4, 2*len(old)))
-	mask := len(sh.slots) - 1
+// grow doubles the table (4 slots at first) and re-homes every record.
+func (s *Store) grow() {
+	old := s.slots
+	s.slots = make([]slot, max(4, 2*len(old)))
+	mask := len(s.slots) - 1
 	for _, sl := range old {
 		if sl.seq == 0 {
 			continue
 		}
 		i := int(sl.tag) & mask
-		for sh.slots[i].seq != 0 {
+		for s.slots[i].seq != 0 {
 			i = (i + 1) & mask
 		}
-		sh.slots[i] = sl
+		s.slots[i] = sl
 	}
 }
 
@@ -203,15 +195,14 @@ func (s *Store) reply(key string) any {
 
 // lookup is the one read path: it counts a get and returns key's reply box.
 func (s *Store) lookup(key string, h uint64) (any, bool) {
-	sh := &s.shards[h&(numShards-1)]
-	sh.mu.Lock()
-	sh.gets++
+	s.mu.Lock()
+	s.gets++
 	r := readReplyAbsent
-	i, ok := sh.find(key, h)
+	i, ok := s.find(key, h)
 	if ok {
-		r = sh.slots[i].reply
+		r = s.slots[i].reply
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return r, ok
 }
 
@@ -222,30 +213,29 @@ func (s *Store) Apply(key string, e Entry) bool { return s.apply(key, e, hash(ke
 
 // apply is Apply under a given hash (see get).
 func (s *Store) apply(key string, e Entry, h uint64) bool {
-	sh := &s.shards[h&(numShards-1)]
-	sh.mu.Lock()
-	sh.applies++
-	i, ok := sh.find(key, h)
-	if ok && !sh.slots[i].older(e.Stamp) {
-		sh.mu.Unlock()
+	s.mu.Lock()
+	s.applies++
+	i, ok := s.find(key, h)
+	if ok && !s.slots[i].older(e.Stamp) {
+		s.mu.Unlock()
 		return false
 	}
 	if !ok {
 		// Grow above 7/8 full, where a stored key still sits 3.5 slots from
 		// home in the mean and the table costs what the map it replaced did
 		// (TestStoreFootprint); growing at 3/4 costs 13 to 23 % more heap.
-		if sh.n++; sh.n*8 > len(sh.slots)*7 {
-			sh.grow()
-			i, _ = sh.find(key, h)
+		if s.n++; s.n*8 > len(s.slots)*7 {
+			s.grow()
+			i, _ = s.find(key, h)
 		}
-		sh.slots[i].tag, sh.slots[i].key = uint32(h>>shardBits), key
+		s.slots[i].tag, s.slots[i].key = uint32(h), key
 	}
-	// The sequence number is drawn under the shard lock so that any
-	// number at or below a Seq() observation is visible to a subsequent
-	// Changes scan of this shard (the scan serializes on the same lock).
-	sl := &sh.slots[i]
+	// The sequence number is drawn under the lock so that any number at or
+	// below a Seq() observation is visible to a subsequent Changes scan
+	// (the scan serializes on the same lock).
+	sl := &s.slots[i]
 	sl.reply, sl.seq, sl.ctr = boxed(e), s.seq.Add(1), uint32(min(e.Stamp.Counter, math.MaxUint32))
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return true
 }
 
@@ -298,30 +288,22 @@ func (s *Store) Changes(since, upTo uint64) []Change {
 	return out
 }
 
-// each calls fn on every occupied slot, shard by shard under the shard's
-// lock, in table order.
+// each calls fn on every occupied slot under the lock, in table order.
 func (s *Store) each(fn func(*slot)) {
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for j := range sh.slots {
-			if sl := &sh.slots[j]; sl.seq != 0 {
-				fn(sl)
-			}
+	s.mu.Lock()
+	for i := range s.slots {
+		if sl := &s.slots[i]; sl.seq != 0 {
+			fn(sl)
 		}
-		sh.mu.Unlock()
 	}
+	s.mu.Unlock()
 }
 
 // Len returns the number of stored keys.
 func (s *Store) Len() int {
-	n := 0
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		n += sh.n
-		sh.mu.Unlock()
-	}
+	s.mu.Lock()
+	n := s.n
+	s.mu.Unlock()
 	return n
 }
 
@@ -334,11 +316,8 @@ func (s *Store) Keys() []string {
 
 // Snapshot returns a copy of the full key-entry map. Entries share the
 // underlying value slices, which callers must treat as immutable (every
-// write path in this library stores fresh slices). The snapshot is
-// per-shard-consistent, not point-in-time across shards: concurrent writes
-// may appear in some shards and not others, which is harmless to the gossip
-// path (anti-entropy converges regardless of which rounds see which
-// entries).
+// write path in this library stores fresh slices). The snapshot is taken
+// under the lock, so it is the store at one instant.
 //
 //pqslint:allow deadexport seam: replica and register tests compare whole stores against a model
 func (s *Store) Snapshot() map[string]Entry {
@@ -349,11 +328,8 @@ func (s *Store) Snapshot() map[string]Entry {
 
 // StoreStats reports a store's shape and cumulative operation counters.
 type StoreStats struct {
-	// Keys is the number of stored keys; Shards the shard count.
-	Keys   int
-	Shards int
-	// MaxShardKeys is the most keys held by one shard (skew indicator).
-	MaxShardKeys int
+	// Keys is the number of stored keys.
+	Keys int
 	// Gets and Applies count operations; Adopted counts the Applies whose
 	// entry won the last-writer-wins merge, which is what Seq counts too.
 	Gets    uint64
@@ -365,14 +341,9 @@ type StoreStats struct {
 
 // Stats returns a snapshot of the store's counters.
 func (s *Store) Stats() StoreStats {
+	s.mu.Lock()
 	seq := s.seq.Load()
-	st := StoreStats{Shards: numShards, Adopted: seq, Seq: seq}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		st.Keys, st.MaxShardKeys = st.Keys+sh.n, max(st.MaxShardKeys, sh.n)
-		st.Gets, st.Applies = st.Gets+sh.gets, st.Applies+sh.applies
-		sh.mu.Unlock()
-	}
+	st := StoreStats{Keys: s.n, Gets: s.gets, Applies: s.applies, Adopted: seq, Seq: seq}
+	s.mu.Unlock()
 	return st
 }

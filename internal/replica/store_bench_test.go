@@ -32,20 +32,27 @@ func benchStores(n int, names []string) []*Store {
 }
 
 // The memory plane's shape: a process hosting 100 replicas of 1 024 keys,
-// every call at a different replica than the last, so an access arrives at
-// a store none of whose lines are in cache (16 MB of tables).
+// every call at a different replica than the last, so an access finds the
+// store's own line in cache (100 of them are 6.4 KB) and the key's slot and
+// box out of it (16 MB of tables).
 const (
 	coldStores = 100
 	coldKeys   = 1024
 )
 
-// coldFixture returns the stores, their key names and a fixed random
-// sequence of (store<<16 | key) pairs to visit.
-func coldFixture() ([]*Store, []string, []uint32) {
-	names := make([]string, coldKeys)
+// keyNames returns n distinct key names.
+func keyNames(n int) []string {
+	names := make([]string, n)
 	for i := range names {
 		names[i] = fmt.Sprintf("key-%06d", i)
 	}
+	return names
+}
+
+// coldFixture returns the stores, their key names and a fixed random
+// sequence of (store<<16 | key) pairs to visit.
+func coldFixture() ([]*Store, []string, []uint32) {
+	names := keyNames(coldKeys)
 	rng := rand.New(rand.NewSource(1))
 	pairs := make([]uint32, 1<<16)
 	for i := range pairs {
@@ -55,7 +62,8 @@ func coldFixture() ([]*Store, []string, []uint32) {
 }
 
 // BenchmarkStoreGetCold prices the read RPC's store access as mem-fanout
-// pays for it. One iteration is a sweep of 4 096 pairs — testing.PB's
+// pays for it: a miss on the key's slot and one on its box, the store's lock
+// taken uncontended. One iteration is a sweep of 4 096 pairs — testing.PB's
 // per-iteration counter is then a four-thousandth of what is measured (two
 // PBs can share a cache line; see BenchmarkMemNetworkStartParallel). Read
 // ns/get; run with -cpu 1,2.
@@ -79,6 +87,28 @@ func BenchmarkStoreGetCold(b *testing.B) {
 		}
 	})
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*sweep), "ns/get")
+}
+
+// BenchmarkStoreGetHot prices what one lock per store costs where it costs
+// most: every goroutine reads one store of 1 024 keys, all in cache, so
+// under -cpu 2 the callers take turns on its lock and pass its line between
+// cores. Read ns/op; run with -cpu 1,2.
+func BenchmarkStoreGetHot(b *testing.B) {
+	names := keyNames(coldKeys)
+	s := benchStores(1, names)[0]
+	var entry atomic.Uint32 // each goroutine starts at its own key
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := int(entry.Add(7919))
+		for pb.Next() {
+			if _, ok := s.Get(names[i%coldKeys]); !ok {
+				b.Errorf("store lost %s", names[i%coldKeys])
+				return
+			}
+			i++
+		}
+	})
 }
 
 // BenchmarkReplicaReadCold prices what a read RPC costs at its replica, as
@@ -138,22 +168,19 @@ func BenchmarkStoreApplyAdopt(b *testing.B) {
 
 // TestStoreFootprint gates what a store costs to keep: 100 stores of 64, 400
 // and 1 600 keys, heap bytes per key over and above the keys and values
-// themselves, against what this same test measured at e990225, where a shard
-// was a Go map from key to record: 654, 185 and 163. The flat table of
-// 48-byte slots, each entry boxed as its read reply, measures 277, 174 and
-// 168 (324, 187 and 161 with 96-byte records inline). Each key here is its
-// own write and so has its own 80-byte box, as distinct keys do in use:
-// with one write stamped on every key, all the slots would share one box
-// and measure 196, 94 and 88, which is a fixture's saving, not the
-// store's. The table is allowed 5 %
-// over: the runs differ by about 1 % with the process's hash seed, and the
-// 400-key point is the doubling's worst case against a map — a shard of 8 to
-// 14 keys takes 16 slots (768 bytes plus the 8-byte malloc header of a
-// pointerful object above 512 bytes: an 896-byte size class) while the map
-// still sits in its first group of eight. Population-scale runs (sim-mem: 1 000 stores, peak RSS) hold 64 to
-// 200 keys a store, the table's good side. Key names are random: e990225
-// chose the shard by unkeyed FNV-1a, which deals sequential names out almost
-// evenly and would flatter it.
+// themselves, against what this same test measured at e990225, where a store
+// was 64 shards, each a Go map from key to record: 654, 185 and 163. One
+// flat table of 48-byte slots per store (64 keys take 128 slots, 400 take
+// 512 and 1 600 take 2 048), each entry boxed as its read reply, measures
+// 178, 148 and 142. Each key here is its own write and so has its own
+// 80-byte box, as distinct keys do in use: with one write stamped on every
+// key, all the slots would share one box and measure about 80 bytes less,
+// which is a fixture's saving, not the store's. The table is allowed 5 %
+// over: the runs differ by about 1 % with the process's hash seed.
+// Population-scale runs (sim-mem: 1 000 stores, peak RSS) hold 64 to 200
+// keys a store. Key names are random: e990225 chose the shard by unkeyed
+// FNV-1a, which deals sequential names out almost evenly and would flatter
+// it.
 func TestStoreFootprint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocates ~30 MB")

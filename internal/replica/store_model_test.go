@@ -73,31 +73,25 @@ func (m *storeModel) agrees(s *Store, hash func(string) uint64, since, upTo uint
 		return fmt.Errorf("Changes(%d, %d) = %v, want %v", since, upTo, s.Changes(since, upTo), m.changes(since, upTo))
 	}
 	st := s.Stats()
-	st.MaxShardKeys = 0
-	if want := (StoreStats{Keys: len(m.m), Shards: numShards, Gets: m.gets, Applies: m.applies, Adopted: m.seq, Seq: m.seq}); st != want {
+	if want := (StoreStats{Keys: len(m.m), Gets: m.gets, Applies: m.applies, Adopted: m.seq, Seq: m.seq}); st != want {
 		return fmt.Errorf("Stats = %+v, want %+v", st, want)
 	}
 	return nil
 }
 
-// The hashes a model run can put under the store. oneShard is the real hash
-// with the shard bits cleared, so a few hundred keys take one table through
-// every growth step; oneSlot sends every key to the same shard, home slot and
+// The hashes a model run can put under the store: the real one, one under
+// another seed, and oneSlot, which sends every key to the same home slot and
 // tag, so nothing but the comparison of key bytes tells two keys apart.
 var (
 	otherSeed = maphash.MakeSeed()
 	modelHash = []func(string) uint64{
 		hash,
 		func(k string) uint64 { return maphash.String(otherSeed, k) },
-		func(k string) uint64 { return hash(k) &^ (numShards - 1) },
-		func(string) uint64 { return 5<<shardBits | 3 },
+		func(string) uint64 { return 5 },
 	}
 )
 
-const (
-	hashOneShard = 2
-	hashOneSlot  = 3
-)
+const hashOneSlot = 2
 
 // modelCounters are the stamp counters a model run draws from, in order:
 // four small ones and four on either side of 2^32-1, where a slot's ctr
@@ -143,15 +137,15 @@ func checkStoreAgainstModel(t testing.TB, prog []byte, nKeys int, hash func(stri
 }
 
 // TestStoreMatchesModel is the store's functional contract, held against a
-// map: seeded random streams under each hash. The one-shard runs take a
-// single table 0 → 4 → 8 → … → 256 slots (checked at the end), so every
+// map: seeded random streams under each hash. The runs of a few hundred keys
+// take the table 0 → 4 → 8 → … → 256 slots (checked at the end), so every
 // growth step and every re-homing happens under comparison.
 func TestStoreMatchesModel(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 48 {
 		t.Errorf("a slot is %d bytes, want 48: probe words, the key and the reply box", got)
 	}
-	if got := unsafe.Sizeof(shard{}); got != 64 {
-		t.Errorf("a shard is %d bytes, want one 64-byte line", got)
+	if got := unsafe.Sizeof(Store{}); got != 64 {
+		t.Errorf("a store is %d bytes, want one 64-byte line", got)
 	}
 	for h, hash := range modelHash {
 		for seed := int64(1); seed <= 2; seed++ {
@@ -162,8 +156,8 @@ func TestStoreMatchesModel(t *testing.T) {
 			prog := make([]byte, 3*steps)
 			rand.New(rand.NewSource(seed)).Read(prog)
 			s := checkStoreAgainstModel(t, prog, nKeys, hash)
-			if got := len(s.shards[0].slots); h == hashOneShard && got < 256 {
-				t.Errorf("hash %d seed %d: the one shard grew to %d slots, want ≥ 256", h, seed, got)
+			if got := len(s.slots); h != hashOneSlot && got < 256 {
+				t.Errorf("hash %d seed %d: the table grew to %d slots, want ≥ 256", h, seed, got)
 			}
 		}
 	}
@@ -203,9 +197,7 @@ func TestStoreSeedIndependence(t *testing.T) {
 	if a.WireSize() != b.WireSize() || !reflect.DeepEqual(a.Snapshot(), b.Snapshot()) {
 		t.Error("WireSize or Snapshot differ between seeds")
 	}
-	sa, sb := a.Stats(), b.Stats()
-	sa.MaxShardKeys, sb.MaxShardKeys = 0, 0
-	if sa != sb {
+	if sa, sb := a.Stats(), b.Stats(); sa != sb {
 		t.Errorf("Stats differ between seeds: %+v, %+v", sa, sb)
 	}
 
@@ -216,15 +208,11 @@ func TestStoreSeedIndependence(t *testing.T) {
 			k := fmt.Sprintf("user/%d/profile", i)
 			s.apply(k, Entry{Stamp: ts.Stamp{Counter: 1}}, hash(k))
 		}
-		worst, sum, slots := 0, 0, 0
-		for i := range s.shards {
-			sh := &s.shards[i]
-			slots += len(sh.slots)
-			for j := range sh.slots {
-				if sl := &sh.slots[j]; sl.seq != 0 {
-					d := (j - int(sl.tag)) & (len(sh.slots) - 1)
-					worst, sum = max(worst, d), sum+d
-				}
+		worst, sum, slots := 0, 0, len(s.slots)
+		for i := range s.slots {
+			if sl := &s.slots[i]; sl.seq != 0 {
+				d := (i - int(sl.tag)) & (slots - 1)
+				worst, sum = max(worst, d), sum+d
 			}
 		}
 		if limit := int(32 * math.Log2(n)); worst > limit || sum > 4*n {
