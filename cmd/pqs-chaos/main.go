@@ -79,39 +79,32 @@ type row struct {
 	run        func() (outcome, error)
 }
 
-// An outcome is one run of a row: a chaos report or a load result.
+// An outcome is one run of a row: a chaos report or a load result. Either
+// carries one verdict, the checker's, which verdictSummary and
+// verdictMetrics render the same way for both.
 type outcome interface {
 	// label is the row's name and transport, as the outcome reports them.
 	label() (name, transport string)
-	passed() bool
+	check() chaos.CheckResult
 	// replayDiff says how a replay of the same row differs ("" = it does
 	// not).
 	replayDiff(replay outcome) string
-	// summary is the row's stderr line after its status.
-	summary() string
-	// metrics is the row's entry in the -json trend document; wall is the
-	// seconds the run took.
-	metrics(wall float64) map[string]float64
+	// detail is the row's own part of its stderr line, after the verdict.
+	detail() string
+	// addMetrics adds the row's own entries to its metrics in the -json
+	// trend document; wall is the seconds the run took.
+	addMetrics(m map[string]float64, wall float64)
 }
 
-type chaosOutcome struct{ *chaos.Report }
-
-func (o chaosOutcome) label() (string, string) { return o.Name, o.Transport }
-func (o chaosOutcome) passed() bool            { return o.Check.Pass }
-
-func (o chaosOutcome) replayDiff(replay outcome) string {
-	r := replay.(chaosOutcome)
-	if d := o.History.Diff(r.History); d != "" {
-		return d
+// verdictSummary renders a verdict: ε over the eligible reads, the bound,
+// and the p-value that decided Pass — the timed one when the run churned,
+// with the flat one beside it — then the worst cell of a multi-cell run.
+func verdictSummary(c chaos.CheckResult) string {
+	p := fmt.Sprintf("p=%.3g", c.PValue)
+	if t := c.Timed; t != nil {
+		p = fmt.Sprintf("timed p=%.3g (%d depth buckets, max bound %.3g; flat p=%.3g)",
+			t.PValue, len(t.Groups), t.MaxBound, c.PValue)
 	}
-	if o.SimSeconds != r.SimSeconds {
-		return fmt.Sprintf("equal histories, sim_seconds %v vs %v", o.SimSeconds, r.SimSeconds)
-	}
-	return ""
-}
-
-func (o chaosOutcome) summary() string {
-	c := o.Check
 	cells := ""
 	if n := len(c.Cells); n > 0 {
 		worst := c.Cells[0]
@@ -123,28 +116,33 @@ func (o chaosOutcome) summary() string {
 		cells = fmt.Sprintf("  [%d cells; worst cell %d ε=%.5f p=%.3g]",
 			n, worst.Cell, worst.EligibleEpsilon, worst.PValue)
 	}
-	return fmt.Sprintf("ε=%.5f (eligible %d/%d) bound=%.3g p=%.3g%s  [%.1fs sim]",
-		c.EligibleEpsilon, c.EligibleBad, c.EligibleReads, c.Bound, c.PValue, cells, o.SimSeconds)
+	return fmt.Sprintf("ε=%.5f (eligible %d/%d) bound=%.3g %s%s",
+		c.EligibleEpsilon, c.EligibleBad, c.EligibleReads, c.Bound, p, cells)
 }
 
-func (o chaosOutcome) metrics(wall float64) map[string]float64 {
-	c := o.Check
+// verdictMetrics is a verdict's part of the trend document: the flat test,
+// the timed one when the run churned, the staleness depths and, in a
+// multi-cell run, each cell's section.
+func verdictMetrics(c chaos.CheckResult) map[string]float64 {
 	m := map[string]float64{
 		"epsilon":          c.Epsilon,
 		"eligible_epsilon": c.EligibleEpsilon,
 		"eligible_reads":   float64(c.EligibleReads),
 		"eligible_bad":     float64(c.EligibleBad),
+		"reads":            float64(c.Reads),
+		"stale":            float64(c.Stale),
 		"bound":            c.Bound,
 		"p_value":          c.PValue,
 		"pass":             boolMetric(c.Pass),
-		"sim_seconds":      o.SimSeconds,
 	}
-	if wall > 0 {
-		m["speedup"] = o.SimSeconds / wall
+	if t := c.Timed; t != nil {
+		m["timed_p_value"] = t.PValue
+		m["timed_max_bound"] = t.MaxBound
+		m["timed_pass"] = boolMetric(t.Pass)
+		m["timed_depth_buckets"] = float64(len(t.Groups))
 	}
-	if o.GossipRounds > 0 {
-		m["gossip_rounds"] = float64(o.GossipRounds)
-		m["gossip_merged"] = float64(o.GossipMerged)
+	for d, cnt := range c.StaleDepth {
+		m[fmt.Sprintf("stale_depth_%d", d)] = float64(cnt)
 	}
 	// Multi-cell scenarios carry one ε section per quorum cell: the checker
 	// enforces the theorem bound per cell (a hot cell fails the run even
@@ -161,10 +159,39 @@ func (o chaosOutcome) metrics(wall float64) map[string]float64 {
 	return m
 }
 
+type chaosOutcome struct{ *chaos.Report }
+
+func (o chaosOutcome) label() (string, string)  { return o.Name, o.Transport }
+func (o chaosOutcome) check() chaos.CheckResult { return o.Check }
+
+func (o chaosOutcome) replayDiff(replay outcome) string {
+	r := replay.(chaosOutcome)
+	if d := o.History.Diff(r.History); d != "" {
+		return d
+	}
+	if o.SimSeconds != r.SimSeconds {
+		return fmt.Sprintf("equal histories, sim_seconds %v vs %v", o.SimSeconds, r.SimSeconds)
+	}
+	return ""
+}
+
+func (o chaosOutcome) detail() string { return fmt.Sprintf("  [%.1fs sim]", o.SimSeconds) }
+
+func (o chaosOutcome) addMetrics(m map[string]float64, wall float64) {
+	m["sim_seconds"] = o.SimSeconds
+	if wall > 0 {
+		m["speedup"] = o.SimSeconds / wall
+	}
+	if o.GossipRounds > 0 {
+		m["gossip_rounds"] = float64(o.GossipRounds)
+		m["gossip_merged"] = float64(o.GossipMerged)
+	}
+}
+
 type loadOutcome struct{ *load.Result }
 
-func (o loadOutcome) label() (string, string) { return o.Name, o.Transport }
-func (o loadOutcome) passed() bool            { return o.Pass }
+func (o loadOutcome) label() (string, string)  { return o.Name, o.Transport }
+func (o loadOutcome) check() chaos.CheckResult { return o.CheckResult }
 
 func (o loadOutcome) replayDiff(replay outcome) string {
 	r := replay.(loadOutcome)
@@ -174,30 +201,21 @@ func (o loadOutcome) replayDiff(replay outcome) string {
 	return fmt.Sprintf("digests %s vs %s, sim_seconds %v vs %v", o.Digest, r.Digest, o.SimSeconds, r.SimSeconds)
 }
 
-func (o loadOutcome) summary() string {
-	timed := ""
-	if o.Timed != nil {
-		timed = fmt.Sprintf("  [timed: %d depth buckets, max bound %.3g, p=%.3g; %d departures]",
-			len(o.Timed.Groups), o.Timed.MaxBound, o.Timed.PValue, o.Departures)
+func (o loadOutcome) detail() string {
+	churn := ""
+	if o.Departures > 0 {
+		churn = fmt.Sprintf("; %d departures", o.Departures)
 	}
-	return fmt.Sprintf("n=%d clients=%d ops=%d ε=%.5f bound=%.3g p=%.3g p50=%.2fms p99=%.2fms p999=%.2fms  [%.1fs sim]%s",
-		o.N, o.Clients, o.Ops, o.Epsilon, o.Bound, o.PValue, o.P50Ms, o.P99Ms, o.P999Ms, o.SimSeconds, timed)
+	return fmt.Sprintf("  n=%d clients=%d ops=%d p50=%.2fms p99=%.2fms p999=%.2fms  [%.1fs sim%s]",
+		o.N, o.Clients, o.Ops, o.P50Ms, o.P99Ms, o.P999Ms, o.SimSeconds, churn)
 }
 
-func (o loadOutcome) metrics(float64) map[string]float64 {
-	m := map[string]float64{
-		"epsilon":     o.Epsilon,
-		"bound":       o.Bound,
-		"p_value":     o.PValue,
-		"pass":        boolMetric(o.Pass),
-		"n":           float64(o.N),
-		"q":           float64(o.Q),
-		"clients":     float64(o.Clients),
-		"ops":         float64(o.Ops),
-		"reads":       float64(o.Reads),
-		"stale":       float64(o.Stale),
-		"sim_seconds": o.SimSeconds,
-	}
+func (o loadOutcome) addMetrics(m map[string]float64, _ float64) {
+	m["sim_seconds"] = o.SimSeconds
+	m["n"] = float64(o.N)
+	m["q"] = float64(o.Q)
+	m["clients"] = float64(o.Clients)
+	m["ops"] = float64(o.Ops)
 	if o.LatencyOps > 0 {
 		m["p50_ms"] = o.P50Ms
 		m["p99_ms"] = o.P99Ms
@@ -206,18 +224,6 @@ func (o loadOutcome) metrics(float64) map[string]float64 {
 	if o.Departures > 0 {
 		m["departures"] = float64(o.Departures)
 	}
-	if o.Timed != nil {
-		m["timed_p_value"] = o.Timed.PValue
-		m["timed_max_bound"] = o.Timed.MaxBound
-		m["timed_pass"] = boolMetric(o.Timed.Pass)
-		m["timed_depth_buckets"] = float64(len(o.Timed.Groups))
-	}
-	for d, cnt := range o.StaleDepth {
-		if cnt > 0 {
-			m[fmt.Sprintf("stale_depth_%d", d+1)] = float64(cnt)
-		}
-	}
-	return m
 }
 
 func boolMetric(b bool) float64 {
@@ -310,7 +316,8 @@ func buildEpsilonDoc(rep matrixReport) epsilonDoc {
 			// (every cross-PR diff would flag it as a regression).
 			continue
 		}
-		m := e.metrics(e.WallSeconds)
+		m := verdictMetrics(e.check())
+		e.addMetrics(m, e.WallSeconds)
 		m["wall_seconds"] = e.WallSeconds
 		if e.Deterministic != nil {
 			m["deterministic"] = boolMetric(*e.Deterministic)
@@ -523,13 +530,13 @@ func runMatrix(rep matrixReport, rows []row, o options) int {
 		if r.expectFail {
 			e.Expected = "fail"
 			status = "FAIL(expected)"
-			if res.out.passed() {
+			if res.out.check().Pass {
 				// The demo exists to show the checker has teeth; it
 				// passing is a harness regression.
 				status = "PASS(?)"
 				rep.AllPass = false
 			}
-		} else if !res.out.passed() {
+		} else if !res.out.check().Pass {
 			status = "FAIL"
 			rep.AllPass = false
 		}
@@ -544,7 +551,7 @@ func runMatrix(rep matrixReport, rows []row, o options) int {
 			}
 		}
 		rep.Scenarios = append(rep.Scenarios, e)
-		fmt.Fprintf(os.Stderr, "%-28s %-11s %s  %s  [%.2fs wall]\n", name, transport, status, res.out.summary(), res.wall)
+		fmt.Fprintf(os.Stderr, "%-28s %-11s %s  %s  [%.2fs wall]\n", name, transport, status, verdictSummary(res.out.check())+res.out.detail(), res.wall)
 	}
 
 	rep.WallSeconds = time.Since(start).Seconds()

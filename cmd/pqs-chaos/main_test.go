@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"pqs/internal/chaos"
+	"pqs/internal/load"
 )
 
 // fakeRow is a chaos row whose n-th run (0-based) reports what report(n)
@@ -144,5 +146,34 @@ func TestExpectedFailureThatPassesFails(t *testing.T) {
 				t.Fatalf("negative row reported expected %q, deterministic %v", sc.Expected, sc.Deterministic)
 			}
 		})
+	}
+}
+
+// TestTimedVerdictIsTheOneReported: a row whose verdict is timed — a chaos
+// row as much as a load row — prints the timed p-value that decided Pass,
+// not the flat one, and records the timed verdict in the trend document.
+func TestTimedVerdictIsTheOneReported(t *testing.T) {
+	c := chaos.CheckResult{
+		EligibleReads: 150, EligibleBad: 3, Bound: 1e-3, PValue: 4e-7,
+		StaleDepth: map[int]int{2: 3},
+		Timed:      &chaos.TimedResult{Groups: make([]chaos.TimedGroup, 2), MaxBound: 0.03, PValue: 0.25, Pass: true},
+		Pass:       true,
+	}
+	for _, o := range []outcome{
+		chaosOutcome{&chaos.Report{Check: c}},
+		loadOutcome{&load.Result{CheckResult: c}},
+	} {
+		if s := verdictSummary(o.check()); !strings.Contains(s, "timed p=0.25 ") {
+			t.Errorf("%T: summary %q does not lead with the deciding timed p", o, s)
+		}
+		m := verdictMetrics(o.check())
+		o.addMetrics(m, 1)
+		want := map[string]float64{"p_value": 4e-7, "timed_p_value": 0.25, "timed_max_bound": 0.03,
+			"timed_pass": 1, "timed_depth_buckets": 2, "stale_depth_2": 3}
+		for k, v := range want {
+			if m[k] != v {
+				t.Errorf("%T: metric %s = %v, want %v", o, k, m[k], v)
+			}
+		}
 	}
 }

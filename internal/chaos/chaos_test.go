@@ -357,6 +357,25 @@ func TestCheckClassification(t *testing.T) {
 	}
 }
 
+// TestCheckerCapsViolations streams more fooled benign reads than a check
+// lists: every one is counted and fails the run, only the first few are
+// kept as strings.
+func TestCheckerCapsViolations(t *testing.T) {
+	c := NewChecker(CheckConfig{Mode: register.Benign, Bound: 1})
+	c.Add(Op{Seq: 0, Kind: OpWrite, Key: "a", Value: "v", Stamp: ts.Stamp{Counter: 1, Writer: 1}, Full: true})
+	const fooled = 3 * maxViolations
+	for i := 1; i <= fooled; i++ {
+		c.Add(Op{Seq: i, Kind: OpRead, Key: "a", Value: "forged", Stamp: ts.Stamp{Counter: 99, Writer: 1}, Found: true})
+	}
+	res := c.Result()
+	if res.Fooled != fooled || len(res.Violations) != maxViolations {
+		t.Fatalf("fooled %d, %d violations listed; want %d and %d", res.Fooled, len(res.Violations), fooled, maxViolations)
+	}
+	if res.Pass {
+		t.Fatal("checker passed a stream of fooled benign reads")
+	}
+}
+
 // TestHistoryDiff checks the divergence reporting the determinism test
 // relies on.
 func TestHistoryDiff(t *testing.T) {

@@ -1,8 +1,8 @@
 // History recording and the consistency checker: classify every read of a
-// recorded run against regular-register semantics per protocol mode,
-// compute the empirical ε of Theorems 3.2/4.2/5.2 and a PBS-style
-// staleness-depth distribution, and test the measured ε against the
-// theorem bound at a configured confidence.
+// run, recorded or streamed, against regular-register semantics per
+// protocol mode, compute the empirical ε of Theorems 3.2/4.2/5.2 and a
+// PBS-style staleness-depth distribution, and test the measured ε against
+// the theorem bound at a configured confidence.
 package chaos
 
 import (
@@ -179,6 +179,19 @@ type CheckConfig struct {
 	Timed *TimedBound
 }
 
+// RunCheckConfig is the checker configuration of a simulated run of sys in
+// mode over cells quorum cells, tested against bound: the time-decayed
+// verdict when timed (the run churns its membership), else the flat one.
+// Both simulated runners, chaos's and the load generator's, judge through it.
+func RunCheckConfig(mode register.Mode, sys quorum.System, bound float64, cells int, timed bool) CheckConfig {
+	cfg := CheckConfig{Mode: mode, Bound: bound, Cells: cells}
+	if timed {
+		q := sys.QuorumSize()
+		cfg.Timed = &TimedBound{N: sys.N(), QW: q, QR: q, Base: bound}
+	}
+	return cfg
+}
+
 // TimedBound parameterizes the timed-quorum (time-decayed ε) test: the
 // quorum geometry and the static per-read theorem bound it decays from.
 type TimedBound struct {
@@ -243,7 +256,8 @@ type CheckResult struct {
 	// Violations lists hard safety violations: reads that returned a
 	// fabricated pair in a mode whose acceptance rule rules them out
 	// entirely (benign with no Byzantine faults modeled, and
-	// dissemination, where signatures must reject every forgery).
+	// dissemination, where signatures must reject every forgery). Only
+	// the first maxViolations are listed; Fooled counts them all.
 	// Masking reads may be fooled with probability ε, so there fooled
 	// reads count toward the bound instead.
 	Violations []string `json:"violations,omitempty"`
@@ -290,161 +304,193 @@ type writeRec struct {
 	full      bool // every access-set member acknowledged
 }
 
-// Check classifies every read in h against the writes that preceded it and
-// tests the empirical ε against cfg.Bound at confidence DefaultAlpha.
-func Check(h History, cfg CheckConfig) CheckResult {
+// maxViolations caps the violations a check lists: one names the fault, and
+// a population-scale run would otherwise hold one string per fooled read.
+const maxViolations = 16
+
+// keyRec is what the checker knows of one key: its write attempts in issue
+// order, how many of them completed, and the view of the latest attempt.
+type keyRec struct {
+	writes    []writeRec
+	completed int
+	view      uint64
+}
+
+// Checker is the consistency checker as a stream: Add classifies each op
+// against the writes Added before it, and Result tests the empirical ε
+// against cfg.Bound at confidence DefaultAlpha. Check runs one over a
+// recorded History; the load generator feeds one as it runs, so it judges
+// population-scale runs without recording them.
+type Checker struct {
+	cfg   CheckConfig
+	res   CheckResult
+	keys  map[string]*keyRec
+	timed map[int]*TimedGroup // eligible reads by churn depth, when cfg.Timed
+	cells []CellResult        // per-cell sections, when cfg.Cells > 1
+}
+
+// NewChecker returns a checker with no ops added.
+func NewChecker(cfg CheckConfig) *Checker {
 	if cfg.Bound == 0 {
 		cfg.Bound = 1
 	}
-	res := CheckResult{StaleDepth: make(map[int]int), Bound: cfg.Bound}
-	writes := make(map[string][]writeRec)
-	completed := make(map[string]int) // completed-write count per key
-	var lastView map[string]uint64    // view of each key's latest write attempt
-	var timedGroups map[int]*TimedGroup
+	c := &Checker{
+		cfg:  cfg,
+		res:  CheckResult{StaleDepth: make(map[int]int), Bound: cfg.Bound},
+		keys: make(map[string]*keyRec),
+	}
 	if cfg.Timed != nil {
-		lastView = make(map[string]uint64)
-		timedGroups = make(map[int]*TimedGroup)
+		c.timed = make(map[int]*TimedGroup)
 	}
-	var cells []CellResult
 	if cfg.Cells > 1 {
-		cells = make([]CellResult, cfg.Cells)
-		for i := range cells {
-			cells[i] = CellResult{Cell: i, Bound: cfg.Bound}
+		c.cells = make([]CellResult, cfg.Cells)
+		for i := range c.cells {
+			c.cells[i] = CellResult{Cell: i, Bound: cfg.Bound}
 		}
 	}
-	// perCell resolves an op's cell section, tolerating out-of-range ids
-	// (a malformed history) by dropping the attribution rather than
-	// panicking mid-check.
-	perCell := func(op Op) *CellResult {
-		if cells == nil || op.Cell < 0 || op.Cell >= len(cells) {
-			return nil
-		}
-		return &cells[op.Cell]
-	}
+	return c
+}
 
+// Check classifies every read in h against the writes that preceded it and
+// tests the empirical ε against cfg.Bound at confidence DefaultAlpha.
+func Check(h History, cfg CheckConfig) CheckResult {
+	c := NewChecker(cfg)
 	for _, op := range h {
-		switch op.Kind {
-		case OpWrite:
-			rec := writeRec{value: op.Value, stamp: op.Stamp, completed: op.Err == "", full: op.Err == "" && op.Full}
-			writes[op.Key] = append(writes[op.Key], rec)
-			if rec.completed {
-				completed[op.Key]++
-			}
-			if lastView != nil {
-				lastView[op.Key] = op.View
-			}
-		case OpRead:
-			res.Reads++
-			cell := perCell(op)
-			if cell != nil {
-				cell.Reads++
-			}
-			eligible := false
-			if ws := writes[op.Key]; len(ws) > 0 {
-				last := ws[len(ws)-1]
-				eligible = last.completed && last.full
-			} else {
-				eligible = true // reads before any write trivially satisfy the premise
-			}
-			if eligible {
-				res.EligibleReads++
-				if cell != nil {
-					cell.EligibleReads++
-				}
-			}
-			class, depth := classifyRead(op, writes[op.Key], completed[op.Key])
-			switch class {
-			case readUnavailable:
-				res.Unavailable++
-				if eligible {
-					res.EligibleReads-- // errored reads carry no consistency verdict
-					if cell != nil {
-						cell.EligibleReads--
-					}
-				}
-				continue
-			case readCorrect:
-				res.Correct++
-			case readStale:
-				res.Stale++
-				res.StaleDepth[depth]++
-			case readFooled:
-				res.Fooled++
-				if cfg.Mode != register.Masking {
-					res.Violations = append(res.Violations, fmt.Sprintf(
-						"op #%d: %s mode read of %q returned fabricated pair (%q, %v)",
-						op.Seq, cfg.Mode, op.Key, op.Value, op.Stamp))
-				}
-			}
-			if eligible {
-				if class != readCorrect {
-					res.EligibleBad++
-					if cell != nil {
-						cell.EligibleBad++
-					}
-				}
-				if timedGroups != nil {
-					d := 0
-					if lv := lastView[op.Key]; op.View > lv {
-						d = int(op.View - lv)
-					}
-					tg := timedGroups[d]
-					if tg == nil {
-						tg = &TimedGroup{Departures: d}
-						timedGroups[d] = tg
-					}
-					tg.Reads++
-					if class != readCorrect {
-						tg.Bad++
-					}
-				}
-			}
+		c.Add(op)
+	}
+	return c.Result()
+}
+
+// Add records a write or classifies a read. Ops must arrive in the order
+// they were issued.
+func (c *Checker) Add(op Op) {
+	k := c.keys[op.Key]
+	if k == nil {
+		k = &keyRec{}
+		c.keys[op.Key] = k
+	}
+	switch op.Kind {
+	case OpWrite:
+		rec := writeRec{value: op.Value, stamp: op.Stamp, completed: op.Err == "", full: op.Err == "" && op.Full}
+		k.writes = append(k.writes, rec)
+		if rec.completed {
+			k.completed++
+		}
+		k.view = op.View
+	case OpRead:
+		c.read(op, k)
+	}
+}
+
+func (c *Checker) read(op Op, k *keyRec) {
+	res := &c.res
+	res.Reads++
+	// A malformed history's out-of-range cell id drops the attribution
+	// rather than panicking mid-check.
+	var cell *CellResult
+	if op.Cell >= 0 && op.Cell < len(c.cells) {
+		cell = &c.cells[op.Cell]
+		cell.Reads++
+	}
+	class, depth := classifyRead(op, k.writes, k.completed)
+	switch class {
+	case readUnavailable:
+		res.Unavailable++
+		return // errored reads carry no consistency verdict
+	case readCorrect:
+		res.Correct++
+	case readStale:
+		res.Stale++
+		res.StaleDepth[depth]++
+	case readFooled:
+		res.Fooled++
+		if c.cfg.Mode != register.Masking && len(res.Violations) < maxViolations {
+			res.Violations = append(res.Violations, fmt.Sprintf(
+				"op #%d: %s mode read of %q returned fabricated pair (%q, %v)",
+				op.Seq, c.cfg.Mode, op.Key, op.Value, op.Stamp))
 		}
 	}
+	// Reads before any write trivially satisfy the theorems' premise.
+	if n := len(k.writes); n > 0 && !k.writes[n-1].full {
+		return
+	}
+	bad := class != readCorrect
+	res.EligibleReads++
+	if cell != nil {
+		cell.EligibleReads++
+	}
+	if bad {
+		res.EligibleBad++
+		if cell != nil {
+			cell.EligibleBad++
+		}
+	}
+	if c.timed != nil {
+		d := 0
+		if op.View > k.view {
+			d = int(op.View - k.view)
+		}
+		g := c.timed[d]
+		if g == nil {
+			g = &TimedGroup{Departures: d}
+			c.timed[d] = g
+		}
+		g.Reads++
+		if bad {
+			g.Bad++
+		}
+	}
+}
+
+// Result is the verdict over the ops added so far.
+func (c *Checker) Result() CheckResult {
+	res := c.res
 	if cl := res.Correct + res.Stale + res.Fooled; cl > 0 {
 		res.Epsilon = float64(res.Stale+res.Fooled) / float64(cl)
 	}
-	if res.EligibleReads > 0 {
-		res.EligibleEpsilon = float64(res.EligibleBad) / float64(res.EligibleReads)
-	}
-	res.PValue = 1
-	if res.EligibleBad > 0 && cfg.Bound < 1 {
-		res.PValue = combin.BinomialTailGE(res.EligibleReads, cfg.Bound, res.EligibleBad)
-	}
+	res.EligibleEpsilon, res.PValue = binomialTest(res.EligibleReads, res.EligibleBad, c.cfg.Bound)
 	res.Pass = len(res.Violations) == 0 && res.PValue >= DefaultAlpha
-	if cfg.Timed != nil {
-		gs := make([]TimedGroup, 0, len(timedGroups))
-		for _, g := range timedGroups {
+	if c.cfg.Timed != nil {
+		gs := make([]TimedGroup, 0, len(c.timed))
+		for _, g := range c.timed {
 			gs = append(gs, *g)
 		}
-		res.Timed = EvaluateTimed(gs, *cfg.Timed)
+		res.Timed = evaluateTimed(gs, *c.cfg.Timed)
 		// Under churn the flat bound is the wrong null hypothesis — the
 		// timed verdict replaces it (violations and per-cell sections still
 		// veto below).
 		res.Pass = len(res.Violations) == 0 && res.Timed.Pass
 	}
-	for i := range cells {
-		c := &cells[i]
-		if c.EligibleReads > 0 {
-			c.EligibleEpsilon = float64(c.EligibleBad) / float64(c.EligibleReads)
-		}
-		c.PValue = 1
-		if c.EligibleBad > 0 && cfg.Bound < 1 {
-			c.PValue = combin.BinomialTailGE(c.EligibleReads, cfg.Bound, c.EligibleBad)
-		}
-		c.Pass = c.PValue >= DefaultAlpha
-		if !c.Pass {
-			res.Pass = false
+	if c.cells != nil {
+		res.Cells = make([]CellResult, len(c.cells))
+		for i, cell := range c.cells {
+			cell.EligibleEpsilon, cell.PValue = binomialTest(cell.EligibleReads, cell.EligibleBad, c.cfg.Bound)
+			cell.Pass = cell.PValue >= DefaultAlpha
+			res.Pass = res.Pass && cell.Pass
+			res.Cells[i] = cell
 		}
 	}
-	res.Cells = cells
 	return res
+}
+
+// binomialTest is the flat bound test of bad failures in reads: their ratio,
+// and the probability of at least that many if each read failed with
+// probability bound (1 when bound is 1, which disables the test).
+func binomialTest(reads, bad int, bound float64) (eps, p float64) {
+	if reads > 0 {
+		eps = float64(bad) / float64(reads)
+	}
+	p = 1
+	if bad > 0 && bound < 1 {
+		p = combin.BinomialTailGE(reads, bound, bad)
+	}
+	return eps, p
 }
 
 // TimedGroup is one churn-depth bucket of the timed-quorum test: Reads
 // eligible reads issued D membership departures after their key's latest
 // write, of which Bad were stale or fooled, allowed the per-read bound
-// Bound (filled in by EvaluateTimed).
+// Bound (filled in by the timed test).
 type TimedGroup struct {
 	Departures int     `json:"departures"`
 	Reads      int     `json:"reads"`
@@ -468,13 +514,11 @@ type TimedResult struct {
 	Pass bool `json:"pass"`
 }
 
-// EvaluateTimed computes each bucket's time-decayed bound and tests the
+// evaluateTimed computes each bucket's time-decayed bound and tests the
 // total bad count against the sum of bucket binomials at confidence
 // DefaultAlpha. Buckets arrive with Departures/Reads/Bad set; the
-// input slice is sorted and its bounds filled in place. Exported because
-// the load generator (internal/load) runs the same verdict over its own
-// depth buckets without materializing a History.
-func EvaluateTimed(groups []TimedGroup, tb TimedBound) *TimedResult {
+// input slice is sorted and its bounds filled in place.
+func evaluateTimed(groups []TimedGroup, tb TimedBound) *TimedResult {
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Departures < groups[j].Departures })
 	base0 := combin.TimedEpsilon(tb.N, tb.QW, tb.QR, 0)
 	res := &TimedResult{Groups: groups, PValue: 1}

@@ -352,11 +352,6 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	}
 	client.WaitDrained()
 
-	checkCfg := CheckConfig{Mode: cfg.Mode, Bound: cfg.Bound, Cells: cfg.Cells}
-	if cfg.Timed {
-		q := cfg.System.QuorumSize()
-		checkCfg.Timed = &TimedBound{N: cfg.System.N(), QW: q, QR: q, Base: cfg.Bound}
-	}
 	rep := &Report{
 		Name:      cfg.Name,
 		Seed:      cfg.Seed,
@@ -366,7 +361,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		Schedule:  cfg.Schedule.String(),
 		Transport: world.Plane(),
 		History:   hist,
-		Check:     Check(hist, checkCfg),
+		Check:     Check(hist, RunCheckConfig(cfg.Mode, cfg.System, cfg.Bound, cfg.Cells, cfg.Timed)),
 
 		HistorySHA256: hist.sha256(),
 	}

@@ -49,19 +49,19 @@ func TestTimedChurnScenario(t *testing.T) {
 
 // TestTimedBoundHasTeeth is the negative test for the timed gate: an
 // observed bad-read count far above what the decayed bounds admit must
-// fail EvaluateTimed, and a view-blind history (all ops stamped with view
+// fail evaluateTimed, and a view-blind history (all ops stamped with view
 // 0, as a broken harness would produce) re-checked under the same timed
 // config must not be granted the churn allowance.
 func TestTimedBoundHasTeeth(t *testing.T) {
 	// Synthetic gate check: 2000 reads at depth 0 with 40 bad is a ~2%
 	// empirical ε against a 1e-3-ish decayed bound — hopeless at any alpha.
 	tb := TimedBound{N: 100, QW: 25, QR: 25, Base: 1e-3}
-	res := EvaluateTimed([]TimedGroup{
+	res := evaluateTimed([]TimedGroup{
 		{Departures: 0, Reads: 2000, Bad: 40},
 		{Departures: 5, Reads: 500, Bad: 2},
 	}, tb)
 	if res.Pass {
-		t.Fatalf("EvaluateTimed passed an overrun history (p=%.3g)", res.PValue)
+		t.Fatalf("evaluateTimed passed an overrun history (p=%.3g)", res.PValue)
 	}
 
 	// View-blind replay: run a churn storm harsh enough that depth

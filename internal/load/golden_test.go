@@ -10,8 +10,10 @@ import (
 )
 
 // TestGoldenDigests pins what six small scale points record: the digest of
-// every client's operation stream, the virtual time the run covered and the
-// latency phase's median. Together they cover both planes, pair and fraction
+// every client's operation stream, the virtual time the run covered, the
+// latency phase's median, and the checker's reads, eligible reads, eligible
+// bad reads and verdict, so a change to the judge shows here the way a
+// change to the run does. Together they cover both planes, pair and fraction
 // mode, crashes, churn with rejoin gossip under the timed verdict (on
 // tcp-virtual too, where a churn wave and a crash reset connections), a
 // hedged latency phase, and a population of many clients with few
@@ -43,27 +45,37 @@ func TestGoldenDigests(t *testing.T) {
 		digest string
 		simSec float64
 		p50Ms  float64
+		// reads, eligible and bad are CheckResult's Reads, EligibleReads
+		// and EligibleBad.
+		reads, eligible, bad int
+		pass                 bool
 	}{
 		{cfg: Config{Name: "golden/mem-crash", System: sys, Clients: 120, Arrivals: 8, CrashN: 6,
 			Seed: 11, Bound: sys.EpsilonBound(), Tuning: hedged, Topology: latency, LatencyOps: 200},
-			digest: "2178e16d5383c2b6", simSec: 0.16505395, p50Ms: 0.781424},
+			digest: "2178e16d5383c2b6", simSec: 0.16505395, p50Ms: 0.781424,
+			reads: 840, eligible: 635, bad: 6, pass: true},
 		{cfg: Config{Name: "golden/mem-fraction", System: sys, Clients: 100, Arrivals: 16, ReadFraction: 0.7,
 			Seed: 12, Bound: sys.EpsilonBound()},
-			digest: "732e3c85741501fc", simSec: 0.018619, p50Ms: 0},
+			digest: "732e3c85741501fc", simSec: 0.018619, p50Ms: 0,
+			reads: 1045, eligible: 1045, bad: 16, pass: true},
 		{cfg: Config{Name: "golden/mem-churn", System: sys, Clients: 100, Arrivals: 10,
-			Waves: 4, WaveSize: 10, GossipWaveRounds: 1, Timed: true,
+			Waves: 4, WaveSize: 10, GossipWaveRounds: 1,
 			Seed: 13, Bound: sys.EpsilonBound()},
-			digest: "4c7464d1c109a56d", simSec: 0.011749, p50Ms: 0},
+			digest: "4c7464d1c109a56d", simSec: 0.011749, p50Ms: 0,
+			reads: 900, eligible: 900, bad: 10, pass: true},
 		{cfg: Config{Name: "golden/tcp", System: tcpSys, Clients: 8, Arrivals: 30,
 			Seed: 14, Bound: tcpSys.EpsilonBound(), Tuning: hedged, Topology: tcpLatency, LatencyOps: 100},
-			digest: "e92dae42a2f51c65", simSec: 0.173231439, p50Ms: 1.435185},
+			digest: "e92dae42a2f51c65", simSec: 0.173231439, p50Ms: 1.435185,
+			reads: 232, eligible: 232, bad: 0, pass: true},
 		{cfg: Config{Name: "golden/tcp-churn", System: tcpSys, Clients: 8, Arrivals: 30,
-			CrashN: 4, Waves: 3, WaveSize: 4, GossipWaveRounds: 1, Timed: true,
+			CrashN: 4, Waves: 3, WaveSize: 4, GossipWaveRounds: 1,
 			Seed: 15, Bound: tcpSys.EpsilonBound(), Tuning: hedged, Topology: tcpLatency, LatencyOps: 100},
-			digest: "19b05f33ccbd0ad7", simSec: 0.172688896, p50Ms: 1.434618},
+			digest: "19b05f33ccbd0ad7", simSec: 0.172688896, p50Ms: 1.434618,
+			reads: 232, eligible: 173, bad: 2, pass: true},
 		{cfg: Config{Name: "golden/mem-population", System: popSys, Clients: 600, Arrivals: 3, CrashN: 3,
 			Seed: 16, Bound: popSys.EpsilonBound(), Tuning: hedged, Topology: latency, LatencyOps: 100},
-			digest: "14c91e4069b3b7cd", simSec: 0.082691482, p50Ms: 0.789844},
+			digest: "14c91e4069b3b7cd", simSec: 0.082691482, p50Ms: 0.789844,
+			reads: 1200, eligible: 1012, bad: 15, pass: true},
 	} {
 		t.Run(g.cfg.Name, func(t *testing.T) {
 			t.Parallel()
@@ -74,6 +86,10 @@ func TestGoldenDigests(t *testing.T) {
 			if res.Digest != g.digest || res.SimSeconds != g.simSec || res.P50Ms != g.p50Ms {
 				t.Errorf("digest %s, sim_seconds %v, p50 %v ms; pinned %s, %v, %v",
 					res.Digest, res.SimSeconds, res.P50Ms, g.digest, g.simSec, g.p50Ms)
+			}
+			if res.Reads != g.reads || res.EligibleReads != g.eligible || res.EligibleBad != g.bad || res.Pass != g.pass {
+				t.Errorf("reads %d, eligible %d, eligible bad %d, pass %v; pinned %d, %d, %d, %v",
+					res.Reads, res.EligibleReads, res.EligibleBad, res.Pass, g.reads, g.eligible, g.bad, g.pass)
 			}
 		})
 	}

@@ -3,7 +3,10 @@
 // clients at configured arrival rates against universes of a thousand or
 // more replicas, with membership churn as a first-class scenario
 // dimension, and records the empirical ε, the PBS-style staleness depth
-// distribution, and tail-latency percentiles per scale point.
+// distribution, and tail-latency percentiles per scale point. The ε verdict
+// is chaos's: every counting-phase write and read goes, in the order the
+// driver steps them, into one chaos.Checker, the judge of chaos histories
+// too, and no history is stored.
 //
 // The engine runs two phases under one vtime.SimClock:
 //
@@ -49,12 +52,12 @@
 // (GossipWaveRounds targeted gossip steps), exactly how a real deployment
 // brings a fresh server up. Clients stamp every operation with the view
 // they currently observe (the World's counter, as a deployment would cache
-// its last-seen membership), and the checker buckets reads by view
-// distance D and applies the time-decayed Gramoli-Raynal bound ε(D) via
-// chaos.EvaluateTimed. Config.ViewBlind
-// (the negative configuration) breaks exactly this link — ops stamp view
-// 0 while churn still destroys copies — and must fail the timed gate,
-// proving it has teeth.
+// its last-seen membership). A run's verdict is timed exactly when it
+// churns (Waves > 0): the checker buckets eligible reads by view distance D
+// and applies the time-decayed Gramoli-Raynal bound ε(D) in place of the
+// flat one. Config.ViewBlind (the negative configuration) breaks exactly
+// this link — ops stamp view 0 while churn still destroys copies — and
+// must fail the timed gate, proving it has teeth.
 package load
 
 import (
@@ -70,7 +73,6 @@ import (
 	"time"
 
 	"pqs/internal/chaos"
-	"pqs/internal/combin"
 	"pqs/internal/config"
 	"pqs/internal/diffusion"
 	"pqs/internal/quorum"
@@ -117,16 +119,18 @@ type Config struct {
 	// Seed fixes every random choice. Equal Configs produce equal Results
 	// (Result.Digest is the replay contract).
 	Seed int64
-	// Bound is the flat per-read ε bound (a system's EpsilonBound), tested
-	// at confidence chaos.DefaultAlpha.
+	// Bound is the per-read ε bound (a system's EpsilonBound) the checker
+	// tests at confidence chaos.DefaultAlpha: flat, or the base the timed
+	// bound decays from when the run churns.
 	Bound float64
 
 	// Waves and WaveSize configure churn on either plane: Waves
 	// replacement waves, evenly spaced over the run (at off-grid +1ns
 	// instants), each replacing WaveSize servers (round-robin over the
 	// Cells·N − CrashN servers that never crash) with empty replicas, and
-	// settling the clock before it writes. Run refuses negative values, and
-	// a WaveSize the rotation cannot cover.
+	// settling the clock before it writes. Waves > 0 makes the verdict the
+	// time-decayed one (chaos.CheckConfig.Timed). Run refuses negative
+	// values, and a WaveSize the rotation cannot cover.
 	Waves    int
 	WaveSize int
 	// CrashN, when positive, crashes the CrashN highest-numbered servers
@@ -146,11 +150,8 @@ type Config struct {
 	// advertisement itself always goes through the data plane's quorum
 	// write regardless.
 	GossipWaveRounds int
-	// Timed enables the time-decayed verdict (chaos.EvaluateTimed over the
-	// per-depth read buckets) instead of the flat bound test.
-	Timed bool
 	// ViewBlind is the negative knob: ops are stamped with view 0 while
-	// churn still destroys copies. A Timed run with ViewBlind set must
+	// churn still destroys copies. A churning run with ViewBlind set must
 	// FAIL (all reads collapse into the D=0 bucket, which has no churn
 	// allowance) — the scale gate's proof of teeth.
 	ViewBlind bool
@@ -171,40 +172,26 @@ type Result struct {
 	Clients   int    `json:"clients"`
 	Transport string `json:"transport"`
 
-	// Ops is the grand total (counting + latency phases); the remaining
-	// counters cover the counting phase, whose reads the ε gate judges.
-	Ops         int `json:"ops"`
-	Writes      int `json:"writes"`
-	Reads       int `json:"reads"`
-	Correct     int `json:"correct"`
-	Stale       int `json:"stale"`
-	Unavailable int `json:"unavailable,omitempty"`
-	WriteErrs   int `json:"write_errs,omitempty"`
+	// Ops is the grand total (counting + latency phases); Writes and
+	// WriteErrs count the counting phase's writes and how many of them
+	// failed.
+	Ops       int `json:"ops"`
+	Writes    int `json:"writes"`
+	WriteErrs int `json:"write_errs,omitempty"`
 
-	// Epsilon is the empirical per-read miss rate over eligible reads
-	// (reads that got an answer), tested against Bound.
-	Epsilon float64 `json:"epsilon"`
-	Bound   float64 `json:"bound"`
-	// PValue is the flat binomial gate; with Timed set the timed verdict
-	// below decides Pass instead and PValue is informational.
-	PValue float64 `json:"p_value"`
+	// CheckResult is the checker's verdict over the counting phase: its
+	// reads and their classes, ε, the staleness depths, the flat p-value,
+	// the timed verdict when the run churned, and Pass, which a run with
+	// no eligible read also fails.
+	chaos.CheckResult
 
-	// Departures is the total number of copy-destroying replacements;
-	// MemberView the final view-counter value; AdvertisedView what a
-	// FRESH client read back from MemberViewKey after the run (0 when no
-	// churn ran) — the end-to-end check that diffusion re-advertised the
-	// membership view through the data plane.
+	// Departures is the total number of copy-destroying replacements (the
+	// final view-counter value); AdvertisedView what a FRESH client read
+	// back from MemberViewKey after the run (0 when no churn ran) — the
+	// end-to-end check that diffusion re-advertised the membership view
+	// through the data plane.
 	Departures     int    `json:"departures,omitempty"`
-	MemberView     uint64 `json:"member_view,omitempty"`
 	AdvertisedView uint64 `json:"advertised_view,omitempty"`
-
-	// Timed is the time-decayed verdict (present when Config.Timed).
-	Timed *chaos.TimedResult `json:"timed,omitempty"`
-
-	// StaleDepth[d-1] counts stale reads that were d writes behind the
-	// freshest value (the PBS staleness-depth distribution); the last
-	// bucket absorbs deeper misses.
-	StaleDepth []int `json:"stale_depth,omitempty"`
 
 	// Latency-phase percentiles, in milliseconds of virtual time.
 	LatencyOps int     `json:"latency_ops,omitempty"`
@@ -219,11 +206,7 @@ type Result struct {
 	// included.
 	SimSeconds float64 `json:"sim_seconds"`
 	Digest     string  `json:"digest"`
-	Pass       bool    `json:"pass"`
 }
-
-// staleDepthCap is the histogram size; the last bucket absorbs deeper.
-const staleDepthCap = 16
 
 // The arrival process and key rotation of every client: gaps drawn
 // uniformly from [arrivalMean/2, 3·arrivalMean/2) on a whole-microsecond
@@ -275,6 +258,10 @@ type engine struct {
 	nextChurn int
 	churnSpan int
 	total     int
+	// check judges the counting phase; seq numbers the ops it is handed.
+	check     *chaos.Checker
+	seq       int
+	writeErrs int
 }
 
 type cfg = Config
@@ -291,6 +278,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	total := len(world.Cluster.Replicas)
 	e := &engine{cfg: c, sc: sc, world: world, total: total}
 	e.churnSpan = total - c.CrashN
+	e.check = chaos.NewChecker(chaos.RunCheckConfig(register.Benign, c.System, c.Bound, c.Cells, c.Waves > 0))
 	e.horizon = time.Duration(c.Arrivals) * arrivalMean
 
 	if c.Waves > 0 && c.GossipWaveRounds > 0 {
@@ -354,7 +342,6 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 		}
 	}
 
-	e.verdict(res)
 	// Read the clock here, on the run's own worker, before the deferred
 	// teardown: closing a tcp-virtual World starts a close → FIN → EOF →
 	// close-back chain per connection, and how many of its chunks land
@@ -364,7 +351,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 }
 
 // clientState is one simulated client's private world: its own register
-// client, rng, per-key write records and result counters. Clients share
+// client, rng, per-key write records and digest. Clients share
 // only the replicas (on disjoint keys) and the view counter, so the
 // interleaving of same-instant arrivals cannot change any outcome.
 type clientState struct {
@@ -378,12 +365,8 @@ type clientState struct {
 	ctr    []int
 	viewAt []uint64
 
-	writes, reads          int
-	correct, stale         int
-	unavailable, writeErrs int
-	depth                  [staleDepthCap]int
-	groups                 map[int]*chaos.TimedGroup
-	digest                 uint64
+	writes int
+	digest uint64
 }
 
 // newClient builds a register client for this engine's plane. Counting
@@ -418,7 +401,6 @@ func (e *engine) newClientState(i int) (*clientState, error) {
 		keys:   make([]string, clientKeys),
 		ctr:    make([]int, clientKeys),
 		viewAt: make([]uint64, clientKeys),
-		groups: map[int]*chaos.TimedGroup{},
 		digest: 14695981039346656037, // FNV-64a offset basis
 	}
 	for k := range cs.keys {
@@ -539,9 +521,12 @@ func (e *engine) step(c *clientState, t int) {
 func (e *engine) doWrite(c *clientState, k int) {
 	c.ctr[k]++
 	c.viewAt[k] = e.curView()
-	val := []byte(strconv.Itoa(c.ctr[k]))
-	if _, err := c.cl.Write(context.Background(), c.keys[k], val); err != nil {
-		c.writeErrs++
+	val := strconv.Itoa(c.ctr[k])
+	wr, err := c.cl.Write(context.Background(), c.keys[k], []byte(val))
+	e.judge(c, chaos.Op{Kind: chaos.OpWrite, Key: c.keys[k], Value: val, Stamp: wr.Stamp,
+		Full: err == nil && len(wr.Acked) == len(wr.Quorum), View: c.viewAt[k]}, err)
+	if err != nil {
+		e.writeErrs++
 	}
 	c.writes++
 	c.mix(1)
@@ -553,45 +538,38 @@ func (e *engine) doWrite(c *clientState, k int) {
 func (e *engine) doRead(c *clientState, k int) {
 	view := e.curView()
 	rr, err := c.cl.Read(context.Background(), c.keys[k])
-	c.reads++
-	exp := c.ctr[k]
-	var got int
-	switch {
-	case err != nil:
-		c.unavailable++
-		c.mix(2)
-		c.mix(uint64(k))
+	value := string(rr.Value)
+	e.judge(c, chaos.Op{Kind: chaos.OpRead, Key: c.keys[k], Value: value, Stamp: rr.Stamp,
+		Found: rr.Found, View: view}, err)
+	c.mix(2)
+	c.mix(uint64(k))
+	if err != nil {
 		c.mix(^uint64(0))
 		return
-	case rr.Found:
-		got, _ = strconv.Atoi(string(rr.Value))
+	}
+	var got int
+	if rr.Found {
+		got, _ = strconv.Atoi(value)
 	}
 	d := 0
 	if view > c.viewAt[k] {
 		d = int(view - c.viewAt[k])
 	}
-	g := c.groups[d]
-	if g == nil {
-		g = &chaos.TimedGroup{Departures: d}
-		c.groups[d] = g
-	}
-	g.Reads++
-	if got >= exp {
-		c.correct++
-	} else {
-		c.stale++
-		g.Bad++
-		depth := exp - got
-		if depth > staleDepthCap {
-			depth = staleDepthCap
-		}
-		c.depth[depth-1]++
-	}
-	c.mix(2)
-	c.mix(uint64(k))
-	c.mix(uint64(exp))
+	c.mix(uint64(c.ctr[k]))
 	c.mix(uint64(got))
 	c.mix(uint64(d))
+}
+
+// judge hands op, client c's operation, to the run's checker: the driver
+// steps one client at a time, so ops arrive in the order they ran.
+func (e *engine) judge(c *clientState, op chaos.Op, err error) {
+	op.Seq = e.seq
+	e.seq++
+	op.Cell = c.cl.CellFor(op.Key)
+	if err != nil {
+		op.Err = err.Error()
+	}
+	e.check.Add(op)
 }
 
 // churnLoop fires the replacement waves at off-grid instants (+1ns past
@@ -663,54 +641,29 @@ func (e *engine) crashLoop() {
 	e.sc.Settle()
 }
 
-// collect folds the per-client records, in client order, into the Result.
+// collect takes the checker's verdict and folds the per-client write
+// counts and digests, in client order, into the Result.
 func (e *engine) collect(clients []*clientState, n, q int) *Result {
 	res := &Result{
 		Name: e.cfg.Name, Seed: e.cfg.Seed, N: n, Q: q,
 		Clients: e.cfg.Clients, Transport: e.world.Plane(),
-		Bound:      e.cfg.Bound,
-		Departures: int(e.world.View()),
-		MemberView: e.world.View(),
-		StaleDepth: make([]int, staleDepthCap),
+		WriteErrs:   e.writeErrs,
+		CheckResult: e.check.Result(),
+		Departures:  int(e.world.View()),
 	}
-	groups := map[int]*chaos.TimedGroup{}
+	// A run that judged no read tested nothing: every read errored, or
+	// every write it followed was partial.
+	if res.EligibleReads == 0 {
+		res.Pass = false
+	}
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, c := range clients {
 		res.Writes += c.writes
-		res.Reads += c.reads
-		res.Correct += c.correct
-		res.Stale += c.stale
-		res.Unavailable += c.unavailable
-		res.WriteErrs += c.writeErrs
-		for d, g := range c.groups {
-			t := groups[d]
-			if t == nil {
-				t = &chaos.TimedGroup{Departures: d}
-				groups[d] = t
-			}
-			t.Reads += g.Reads
-			t.Bad += g.Bad
-		}
-		for i, v := range c.depth {
-			res.StaleDepth[i] += v
-		}
 		binary.BigEndian.PutUint64(buf[:], c.digest)
 		h.Write(buf[:])
 	}
 	res.Ops = res.Writes + res.Reads
-	eligible := res.Reads - res.Unavailable
-	if eligible > 0 {
-		res.Epsilon = float64(res.Stale) / float64(eligible)
-	}
-	if e.cfg.Timed {
-		gs := make([]chaos.TimedGroup, 0, len(groups))
-		for _, g := range groups {
-			gs = append(gs, *g)
-		}
-		sort.Slice(gs, func(i, j int) bool { return gs[i].Departures < gs[j].Departures })
-		res.Timed = chaos.EvaluateTimed(gs, chaos.TimedBound{N: n, QW: q, QR: q, Base: e.cfg.Bound})
-	}
 	res.Digest = fmt.Sprintf("%016x", h.Sum64())
 	return res
 }
@@ -759,28 +712,4 @@ func quantileMs(sorted []time.Duration, num, den int) float64 {
 		i = len(sorted) - 1
 	}
 	return float64(sorted[i]) / float64(time.Millisecond)
-}
-
-// verdict applies the gate: the timed verdict when Config.Timed, else the
-// flat binomial bound test (same statistic as the chaos checker's).
-func (e *engine) verdict(res *Result) {
-	eligible := res.Reads - res.Unavailable
-	if eligible <= 0 {
-		res.Pass = false
-		return
-	}
-	res.PValue = 1
-	if res.Stale > 0 {
-		res.PValue = combinTail(eligible, e.cfg.Bound, res.Stale)
-	}
-	if res.Timed != nil {
-		res.Pass = res.Timed.Pass
-		return
-	}
-	res.Pass = res.PValue >= chaos.DefaultAlpha
-}
-
-// combinTail is P(Binomial(m, p) >= k) — the flat gate statistic.
-func combinTail(m int, p float64, k int) float64 {
-	return combin.GroupedBinomialTailGE([]int{m}, []float64{p}, k)
 }

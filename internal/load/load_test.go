@@ -86,7 +86,6 @@ func churnSmokeConfig(t *testing.T, seed int64) Config {
 	cfg.Waves = 6
 	cfg.WaveSize = 15
 	cfg.GossipWaveRounds = 1
-	cfg.Timed = true
 	cfg.LatencyOps = 0
 	return cfg
 }
@@ -101,7 +100,7 @@ func TestLoadChurnSmoke(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Timed == nil {
-		t.Fatal("Timed config produced no timed verdict")
+		t.Fatal("a churning run produced no timed verdict")
 	}
 	deep := 0
 	for _, g := range res.Timed.Groups {
@@ -113,12 +112,12 @@ func TestLoadChurnSmoke(t *testing.T) {
 	if deep == 0 {
 		t.Error("no reads landed in D>0 buckets; the view stamping or wave placement is broken")
 	}
-	if want := 6 * 15; res.Departures != want || res.MemberView != uint64(want) {
-		t.Errorf("departures=%d view=%d, want %d", res.Departures, res.MemberView, want)
+	if want := 6 * 15; res.Departures != want {
+		t.Errorf("departures=%d, want %d", res.Departures, want)
 	}
-	if res.AdvertisedView != res.MemberView {
+	if res.AdvertisedView != uint64(res.Departures) {
 		t.Errorf("fresh reader observed advertised view %d, want %d: the diffusion re-advertisement is broken",
-			res.AdvertisedView, res.MemberView)
+			res.AdvertisedView, res.Departures)
 	}
 	if !res.Pass {
 		t.Errorf("churn smoke failed its decayed bound: ε=%.5f p=%.3g", res.Epsilon, res.Timed.PValue)
@@ -164,6 +163,28 @@ func TestLoadNegativeViewBlind(t *testing.T) {
 	}
 	if !res2.Pass {
 		t.Errorf("the negative storm fails even WITH views (p=%.3g): it does not isolate view-blindness", res2.Timed.PValue)
+	}
+}
+
+// TestLoadFailsWithNoEligibleRead: a run whose every write is partial (W=1
+// returns on the first ack, so no read meets the theorems' premise), and a
+// run too short to read at all, judged nothing and must FAIL.
+func TestLoadFailsWithNoEligibleRead(t *testing.T) {
+	partial := smokeConfig(t, 1)
+	partial.LatencyOps = 0
+	partial.Tuning = config.Tuning{W: 1}
+	unread := smokeConfig(t, 1)
+	unread.LatencyOps = 0
+	unread.Arrivals = readLag
+	for _, cfg := range []Config{partial, unread} {
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.EligibleReads != 0 || res.Pass {
+			t.Errorf("W=%d arrivals=%d: %d reads, %d eligible, pass %v; want 0 eligible and FAIL",
+				cfg.W, cfg.Arrivals, res.Reads, res.EligibleReads, res.Pass)
+		}
 	}
 }
 

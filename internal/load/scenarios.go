@@ -87,7 +87,7 @@ func Scenarios() []Scenario {
 				return Config{
 					Name: "scale/churn", System: sys,
 					Clients: 10000, Arrivals: 12,
-					Waves: 12, WaveSize: 25, Timed: true,
+					Waves: 12, WaveSize: 25,
 					GossipWaveRounds: 1,
 					Seed:             seed, Bound: sys.EpsilonBound(),
 					Tuning: scaleTuning, Topology: scaleLatency,
@@ -106,7 +106,7 @@ func Scenarios() []Scenario {
 				return Config{
 					Name: "scale/churn-storm", System: sys,
 					Clients: 10000, Arrivals: 12,
-					Waves: 16, WaveSize: 50, CrashN: 10, Timed: true,
+					Waves: 16, WaveSize: 50, CrashN: 10,
 					Seed: seed, Bound: sys.EpsilonBound(),
 					Tuning: scaleTuning, Topology: scaleLatency,
 					LatencyOps: 4000,
@@ -170,7 +170,7 @@ func NegativeConfig(seed int64) (Config, error) {
 	return Config{
 		Name: "negative/view-blind", System: sys,
 		Clients: 2000, Arrivals: 12,
-		Waves: 10, WaveSize: 120, Timed: true, ViewBlind: true,
+		Waves: 10, WaveSize: 120, ViewBlind: true,
 		Seed: seed, Bound: sys.EpsilonBound(),
 	}, nil
 }
