@@ -10,7 +10,7 @@ GO ?= go
 # bench-smoke passes 1x to guard against bit-rot without timing flakiness).
 BENCHTIME ?= 1s
 
-.PHONY: all build test vet lint loc deadcode paper race flake flake-tcp tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale e2e-smoke
+.PHONY: all build test vet lint loc deadcode paper race flake flake-tcp tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale epsilon-json e2e-smoke
 
 all: ci
 
@@ -75,11 +75,13 @@ paper:
 # membership changes against the calls they reset (on both planes); the
 # package's determinism suites run under -race in the flake gate. The
 # chaos package runs whole, in one process (under 1 GB of RSS since its
-# virtual connections stopped holding a parked reader each).
+# virtual connections stopped holding a parked reader each). The load line
+# holds a client's build cost to its bound under the detector too.
 race:
 	$(GO) test -race ./internal/register/ ./internal/transport/ ./internal/quorum/ ./internal/replica/ ./internal/diffusion/ ./internal/sv/ ./internal/vtime/
 	$(GO) test -race -run 'TestSwapHandler|TestWorldContract' ./internal/sim/
 	$(GO) test -race ./internal/chaos/
+	$(GO) test -race -run 'TestClientFootprint' ./internal/load/
 
 # The flake gate: every same-seed-twice determinism suite, twenty times
 # over under the race detector. A determinism test that passes most runs is
@@ -275,6 +277,12 @@ sim-fast:
 # A failing seed replays locally with the same command and CHAOS_SEED=N.
 sim-scale:
 	$(GO) run ./cmd/pqs-chaos -load -seed $(CHAOS_SEED) -negative -verify-determinism -json BENCH_epsilon.out -budget 5m -o /dev/null
+
+# The committed ε record: the six scale/ points at seed 1, each run twice
+# and replayed, written to BENCH_epsilon.json. Rerun it when a change moves
+# a load outcome, and commit the file with the change.
+epsilon-json:
+	$(GO) run ./cmd/pqs-chaos -load -seed 1 -verify-determinism -json BENCH_epsilon.json -o /dev/null
 
 # Ten seconds of coverage-guided fuzzing each for the binary codec's decode
 # surface, the virtual byte-stream fault injector, the frame feed both

@@ -12,15 +12,18 @@
 //
 //   - The COUNTING phase measures ε at population scale. Every client has
 //     its own register.Client, rng, writer clock and disjoint keyspace
-//     ("c<id>/k<j>"), and issues operations on an open-loop arrival grid
-//     (whole microseconds). The clients are not workers: one driver worker
-//     keeps every client's next arrival in a heap ordered by (instant,
-//     insertion sequence), sleeps to the earliest, runs that client's
-//     operation and re-inserts it at its next arrival. This phase runs at
-//     zero simulated latency, so every operation completes at its arrival
-//     instant on both planes; on the mem plane, with no fault hook either,
-//     the network itself completes every call inline (MemNetwork.Start)
-//     and register consumes it on the driver — no option asks for it.
+//     ("c<id>/k<j>"); its two random sources (newRand: quorum sampling and
+//     arrivals) are ChaCha8 streams keyed by seed, 320 B each, so a client
+//     costs about 1.6 KB to build. It issues operations on an open-loop
+//     arrival grid (whole microseconds). The clients are not workers: one
+//     driver worker keeps every client's next arrival in a heap ordered by
+//     (instant, insertion sequence), sleeps to the earliest, runs that
+//     client's operation and re-inserts it at its next arrival. This phase
+//     runs at zero simulated latency, so every operation completes at its
+//     arrival instant on both planes; on the mem plane, with no fault hook
+//     either, the network itself completes every call inline
+//     (MemNetwork.Start) and register consumes it on the driver — no
+//     option asks for it.
 //     Clients share no key, and the only shared mutable state (the
 //     membership-view counter) changes only at churn-wave instants
 //     deliberately placed off the arrival grid (+1ns), so the
@@ -68,6 +71,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sort"
 	"strconv"
 	"time"
@@ -114,7 +118,8 @@ type Config struct {
 	Arrivals int
 	// ReadFraction > 0 selects fraction mode: each arrival is a read with
 	// this probability (of a uniformly chosen already-written key of the
-	// client's clientKeys), else a write. 0 selects pair mode.
+	// client's clientKeys), else a write. 0 selects pair mode. Run refuses
+	// a value outside [0, 1], NaN included.
 	ReadFraction float64
 	// Seed fixes every random choice. Equal Configs produce equal Results
 	// (Result.Digest is the replay contract).
@@ -158,7 +163,8 @@ type Config struct {
 
 	// LatencyOps is the number of sequential operations the latency phase
 	// issues (0 skips the phase; it also requires Topology.LatencyMax >
-	// 0). The phase runs after counting, on the same cluster.
+	// 0). The phase runs after counting, on the same cluster. Run refuses
+	// a negative value.
 	LatencyOps int
 }
 
@@ -237,6 +243,10 @@ func Run(cfg Config) (*Result, error) {
 		return nil, errors.New("load: Waves and WaveSize must not be negative")
 	case cfg.Waves > 0 && cfg.WaveSize > total-cfg.CrashN:
 		return nil, fmt.Errorf("load: WaveSize %d exceeds the %d servers the churn rotation covers", cfg.WaveSize, total-cfg.CrashN)
+	case !(cfg.ReadFraction >= 0 && cfg.ReadFraction <= 1):
+		return nil, fmt.Errorf("load: ReadFraction %v outside [0, 1]", cfg.ReadFraction)
+	case cfg.LatencyOps < 0:
+		return nil, errors.New("load: LatencyOps must not be negative")
 	}
 	sc := vtime.NewSimClock()
 	var res *Result
@@ -351,7 +361,9 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 }
 
 // clientState is one simulated client's private world: its own register
-// client, rng, per-key write records and digest. Clients share
+// client, rng, per-key write records and digest. Its rng and its register
+// client's sampler are newRand sources, 368 B each with their Rand, and
+// the whole state is about 1.6 KB. Clients share
 // only the replicas (on disjoint keys) and the view counter, so the
 // interleaving of same-instant arrivals cannot change any outcome.
 type clientState struct {
@@ -381,12 +393,38 @@ func (e *engine) newClient(seed int64, writer uint32, fullTuning bool) (*registe
 		System:    e.cfg.System,
 		Mode:      register.Benign,
 		Transport: e.world.Caller(),
-		Rand:      rand.New(rand.NewSource(seed)),
+		Rand:      newRand(seed),
 		Clock:     ts.NewClock(writer),
 		Time:      e.sc,
 		Tuning:    tuning,
 		Cells:     e.cfg.Cells,
 	})
+}
+
+// chacha8 adapts math/rand/v2's ChaCha8 to the math/rand Source64 that
+// register and quorum's samplers take. The state is embedded, so a source is
+// one 320 B allocation, where math/rand's own is a 607-word table (5 KB)
+// seeded by 1 841 chained steps — most of what a client would otherwise
+// cost. Distinct seeds key independent streams.
+type chacha8 struct{ randv2.ChaCha8 }
+
+func (c *chacha8) Int63() int64 { return int64(c.Uint64() >> 1) }
+
+// Seed keys the generator with seed, little-endian, in bytes 0–7 of its
+// 32-byte key; the rest are zero.
+func (c *chacha8) Seed(seed int64) {
+	var key [32]byte
+	binary.LittleEndian.PutUint64(key[:], uint64(seed))
+	c.ChaCha8.Seed(key)
+}
+
+// newRand builds every random source load makes: each client's register
+// sampler and arrival process, the churn advertiser, the fresh reader and
+// the latency issuer.
+func newRand(seed int64) *rand.Rand {
+	src := new(chacha8)
+	src.Seed(seed)
+	return rand.New(src)
 }
 
 func (e *engine) newClientState(i int) (*clientState, error) {
@@ -396,7 +434,7 @@ func (e *engine) newClientState(i int) (*clientState, error) {
 	}
 	cs := &clientState{
 		id:     i,
-		rng:    rand.New(rand.NewSource(e.cfg.Seed ^ (0x5DEECE66D * int64(i+1)))),
+		rng:    newRand(e.cfg.Seed ^ (0x5DEECE66D * int64(i+1))),
 		cl:     cl,
 		keys:   make([]string, clientKeys),
 		ctr:    make([]int, clientKeys),
@@ -435,14 +473,10 @@ func (e *engine) sleepUntil(t time.Duration) {
 }
 
 // draw returns the next inter-arrival gap: uniform in [arrivalMean/2,
-// 3·arrivalMean/2) on a whole-microsecond grid, at least 1us.
+// 3·arrivalMean/2) on a whole-microsecond grid.
 func (c *clientState) draw() time.Duration {
 	us := int64(arrivalMean / time.Microsecond)
-	gap := us/2 + c.rng.Int63n(us)
-	if gap < 1 {
-		gap = 1
-	}
-	return time.Duration(gap) * time.Microsecond
+	return time.Duration(us/2+c.rng.Int63n(us)) * time.Microsecond
 }
 
 // arrival is one client's next arrival instant in the driver's heap.

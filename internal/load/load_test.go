@@ -2,6 +2,7 @@ package load
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -305,7 +306,10 @@ func TestScaleScenarioLibrary(t *testing.T) {
 
 // TestRunRejectsOutOfRangeChurn: churn and crash inputs the run cannot
 // honour are an error from Run, never a panic on a SimClock worker (which
-// no caller could recover); the inputs at the edge of the range run.
+// no caller could recover); the inputs at the edge of the range run. So are
+// a ReadFraction outside [0, 1] or NaN (which would quietly pick pair mode,
+// or read always) and a negative LatencyOps (which would quietly skip the
+// latency phase).
 func TestRunRejectsOutOfRangeChurn(t *testing.T) {
 	sys, err := core.NewEpsilonIntersectingEll(64, 2)
 	if err != nil {
@@ -315,6 +319,8 @@ func TestRunRejectsOutOfRangeChurn(t *testing.T) {
 	for _, row := range []struct {
 		name                    string
 		crashN, waves, waveSize int
+		readFraction            float64
+		latencyOps              int
 		gossip, ok              bool
 	}{
 		{name: "negative CrashN", crashN: -1},
@@ -326,10 +332,17 @@ func TestRunRejectsOutOfRangeChurn(t *testing.T) {
 		{name: "a wave larger than the servers left uncrashed", crashN: 4, waves: 1, waveSize: total - 3},
 		{name: "every server crashed", crashN: total, ok: true},
 		{name: "a wave the size of the rotation, with rejoin gossip", crashN: 4, waves: 1, waveSize: total - 4, gossip: true, ok: true},
+		{name: "negative ReadFraction", readFraction: -0.1},
+		{name: "ReadFraction above 1", readFraction: 1.5},
+		{name: "NaN ReadFraction", readFraction: math.NaN()},
+		{name: "ReadFraction 0", readFraction: 0, ok: true},
+		{name: "ReadFraction 1", readFraction: 1, ok: true},
+		{name: "negative LatencyOps", latencyOps: -1},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			cfg := Config{Name: "edge", System: sys, Clients: 2, Arrivals: 4, Seed: 1, Bound: sys.EpsilonBound(),
-				CrashN: row.crashN, Waves: row.waves, WaveSize: row.waveSize}
+				CrashN: row.crashN, Waves: row.waves, WaveSize: row.waveSize,
+				ReadFraction: row.readFraction, LatencyOps: row.latencyOps}
 			if row.gossip {
 				cfg.GossipWaveRounds = 1
 			}
