@@ -10,7 +10,7 @@ GO ?= go
 # bench-smoke passes 1x to guard against bit-rot without timing flakiness).
 BENCHTIME ?= 1s
 
-.PHONY: all build test vet lint loc deadcode paper race flake flake-tcp tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale epsilon-json e2e-smoke
+.PHONY: all build test vet lint loc deadcode paper golden race flake flake-tcp tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale epsilon-json e2e-smoke
 
 all: ci
 
@@ -66,6 +66,31 @@ paper:
 	@{ echo '<!-- Generated by `make paper` (go run ./cmd/pqs-experiments); do not edit. -->'; echo; \
 		$(GO) run ./cmd/pqs-experiments; } > EXPERIMENTS.md.tmp
 	@mv EXPERIMENTS.md.tmp EXPERIMENTS.md
+
+# The behaviour ledger, regenerated: testdata/golden.json holds every value
+# a seeded run pins. Its "chaos" rows are the 44 rows of `pqs-chaos -scale 1
+# -seed 1 -negative -transport mem,tcp-virtual` (history fingerprint,
+# virtual time, verdict), its "load" rows the 7 rows of `pqs-chaos -load
+# -seed 1 -negative`, and its "digests" rows the six configs
+# TestGoldenDigests runs, read back from the "golden row" lines it logs
+# (digest, virtual time, latency p50, reads, eligible reads, eligible bad,
+# verdict). TestGoldenHistories and TestGoldenDigests pin against it, so a
+# change that moves behaviour reruns this and commits the file: its diff is
+# the record of every moved value. A moved value fails those tests, and a
+# row may fail its bound, so their exit status is not this target's; a row
+# that is missing is. Needs jq. Staged through a temp file, as paper is.
+golden_jq = def row: {name, transport, digest, sim_seconds, p50_ms: (.p50_ms // 0), reads, eligible_reads, eligible_bad, pass}; \
+	if ($$g | length) == 0 then error("TestGoldenDigests logged no rows") else . end | \
+	{chaos: [$$c[0].scenarios[] | {name, transport, history_sha256, sim_seconds: (.sim_seconds // 0), pass: .check.pass}], \
+	 load: [$$l[0].scenarios[] | row], \
+	 digests: ($$g | sort_by(.name) | map(row))}
+golden:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run ./cmd/pqs-chaos -scale 1 -seed 1 -negative -transport mem,tcp-virtual -o "$$d/chaos.json" 2>/dev/null; \
+	$(GO) run ./cmd/pqs-chaos -load -seed 1 -negative -o "$$d/load.json" 2>/dev/null; \
+	$(GO) test -count=1 -v -run '^TestGoldenDigests$$' ./internal/load | sed -n 's/^.*golden row: //p' > "$$d/digests.json"; \
+	jq -n --slurpfile c "$$d/chaos.json" --slurpfile l "$$d/load.json" --slurpfile g "$$d/digests.json" '$(golden_jq)' > testdata/golden.json.tmp
+	@mv testdata/golden.json.tmp testdata/golden.json
 
 # vtime runs whole: under a SimClock, timer callbacks run on whichever
 # parked worker drives the clock (or Run's caller), beside the workers they
@@ -135,9 +160,10 @@ ci: vet lint tier1 race bench-smoke bench-e2e-smoke
 
 # ci-full runs every CI job locally (flake includes flake-tcp), prints the
 # 0 % coverage list (deadcode), then fails if `make paper` moved a number in
-# the committed EXPERIMENTS.md.
-ci-full: ci flake chaos-short sim-fast sim-scale fuzz-smoke bench-regress deadcode paper
-	git diff --exit-code EXPERIMENTS.md
+# the committed EXPERIMENTS.md or `make golden` a value in the committed
+# ledger.
+ci-full: ci flake chaos-short sim-fast sim-scale fuzz-smoke bench-regress deadcode paper golden
+	git diff --exit-code EXPERIMENTS.md testdata/golden.json
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
