@@ -69,7 +69,6 @@ type TCPClient struct {
 	// takes no lock.
 	states map[quorum.ServerID]*serverState
 	closed atomic.Bool
-	nextID atomic.Uint64
 }
 
 // NewTCPClientOpts returns a client that reaches server id at addrs[id],
@@ -209,7 +208,7 @@ func (c *TCPClient) acquire(to quorum.ServerID, mayDial bool) (*tcpConn, *server
 // ctx arms a completer; a request the codec cannot encode fails permanently
 // without registering anything.
 func (c *TCPClient) send(ctx context.Context, st *serverState, conn *tcpConn, req any, sink Sink, tag int) {
-	call := &tcpCall{st: st, conn: conn, id: c.nextID.Add(1), sink: sink, tag: tag}
+	call := &tcpCall{st: st, conn: conn, id: conn.nextID.Add(1), sink: sink, tag: tag}
 	bp := wire.GetBuffer()
 	frame, err := conn.encode(*bp, call.id, req)
 	if err != nil {
@@ -307,6 +306,12 @@ type tcpConn struct {
 	// leases counts callers currently holding the connection: calls in
 	// flight, and waiters a dial leased it for.
 	leases atomic.Int64
+
+	// nextID numbers the connection's requests. A client-wide counter would
+	// number concurrent dispatches to different servers in the order the
+	// scheduler ran them, and an id's varint length is part of the frame a
+	// fault plane sizes and corrupts: tcp-virtual runs then did not replay.
+	nextID atomic.Uint64
 
 	mu        sync.Mutex
 	pending   map[uint64]*tcpCall // calls in flight, by request id
