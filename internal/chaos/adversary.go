@@ -6,7 +6,6 @@ package chaos
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -103,34 +102,26 @@ func Colluders(value string) replica.Behavior {
 	}
 }
 
-// MostSampled empirically ranks servers by how often the system's access
-// strategy samples them and returns the b most-sampled ids (ties broken by
+// MostSampled ranks servers by sim.MeasureLoad's per-server access rate
+// over trials quorums and returns the b most-sampled ids (ties broken by
 // id, so the placement is deterministic given the seed). For the uniform
 // strategy every placement is equivalent; for structured or weighted
 // strategies this is where a colluding B-set does the most damage, since
 // P(|Q ∩ B| >= k) grows with the members' access frequency.
-func MostSampled(sys quorum.System, b, trials int, seed int64) []quorum.ServerID {
-	rng := rand.New(rand.NewSource(seed))
-	counts := make([]int, sys.N())
-	for i := 0; i < trials; i++ {
-		for _, id := range sys.Pick(rng) {
-			counts[id]++
-		}
+func MostSampled(sys quorum.System, b, trials int, seed int64) ([]quorum.ServerID, error) {
+	load, err := sim.MeasureLoad(sys, trials, seed)
+	if err != nil {
+		return nil, err
 	}
+	rate := load.PerServer
 	ids := make([]quorum.ServerID, sys.N())
 	for i := range ids {
 		ids[i] = quorum.ServerID(i)
 	}
-	sort.SliceStable(ids, func(i, j int) bool {
-		if counts[ids[i]] != counts[ids[j]] {
-			return counts[ids[i]] > counts[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	if b > len(ids) {
-		b = len(ids)
-	}
-	return ids[:b:b]
+	// ids start in order, so the stable sort breaks ties by id.
+	sort.SliceStable(ids, func(i, j int) bool { return rate[ids[i]] > rate[ids[j]] })
+	b = min(b, len(ids))
+	return ids[:b:b], nil
 }
 
 // Install sets the behavior of every listed replica in the cluster,

@@ -437,8 +437,11 @@ func TestMostSampledDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := MostSampled(cfg.System, 5, 500, 42)
-	b := MostSampled(cfg.System, 5, 500, 42)
+	a, err := MostSampled(cfg.System, 5, 500, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := MostSampled(cfg.System, 5, 500, 42)
 	if len(a) != 5 {
 		t.Fatalf("MostSampled returned %d ids, want 5", len(a))
 	}

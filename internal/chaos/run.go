@@ -5,7 +5,6 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 
 	"pqs/internal/config"
@@ -238,7 +237,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 		System:    cfg.System,
 		Mode:      cfg.Mode,
 		Transport: world.Caller(),
-		Rand:      rand.New(rand.NewSource(cfg.Seed + 1)),
+		Rand:      quorum.NewRand(cfg.Seed, quorum.StreamClient, 0),
 		Clock:     ts.NewClock(1),
 		Time:      clk,
 		Tuning:    cfg.Tuning,
@@ -246,7 +245,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	}
 	var writerKey sv.KeyPair
 	if cfg.Mode == register.Dissemination {
-		kp, err := sv.GenerateKey(sim.SeededReader(cfg.Seed + 2))
+		kp, err := sv.GenerateKey(quorum.NewRand(cfg.Seed, quorum.StreamSigningKey, 0))
 		if err != nil {
 			return nil, fmt.Errorf("chaos: generate key: %w", err)
 		}
@@ -264,7 +263,7 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	}
 
 	if cfg.GossipEvery > 0 {
-		group, err := diffusion.NewGroup(world.Cluster.Replicas, world.GossipTransport(), gossipFanout, nil, cfg.Seed+2, clk)
+		group, err := diffusion.NewGroup(world.Cluster.Replicas, world.GossipTransport(), gossipFanout, nil, cfg.Seed, clk)
 		if err != nil {
 			return nil, fmt.Errorf("chaos: diffusion group: %w", err)
 		}

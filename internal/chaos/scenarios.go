@@ -432,7 +432,10 @@ func Scenarios() []Scenario {
 				if err != nil {
 					return Config{}, err
 				}
-				targets := MostSampled(sys, sys.B(), 2000, seed+7)
+				targets, err := MostSampled(sys, sys.B(), 2000, seed)
+				if err != nil {
+					return Config{}, err
+				}
 				return Config{
 					Name: "masking/colluders", System: sys, Mode: register.Masking,
 					Ops: 120 * scale, Seed: seed, Bound: sys.EpsilonBound(),

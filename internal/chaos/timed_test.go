@@ -70,7 +70,10 @@ func TestTimedBoundHasTeeth(t *testing.T) {
 	// writes so most depth-reads straddle a wave. With views the decayed
 	// bounds absorb the misses; with the view stamps stripped every read
 	// collapses into the D=0 bucket, whose bound has no churn allowance,
-	// and the same history must fail.
+	// and the same history must fail. The storm's length is what gives
+	// this half its power: at 600 pairs and 19 waves it failed to reject on
+	// 10 of -chaos.seed 1–20 (p from 2.8e-5 to 6.7e-3 against α = 1e-6);
+	// at 2 400 pairs and 79 waves it rejects on all twenty.
 	cfg, rep := timedStormRun(t)
 	blind := make(History, len(rep.History))
 	copy(blind, rep.History)
@@ -90,13 +93,15 @@ func TestTimedBoundHasTeeth(t *testing.T) {
 			t.Errorf("view-blind history produced depth bucket D=%d", g.Departures)
 		}
 	}
+	t.Logf("view-blind: timed p=%.3g, %d bad of %d reads", check.Timed.PValue, check.EligibleBad, check.EligibleReads)
 	if check.Timed.Pass {
 		t.Errorf("view-blind history passed the timed gate (p=%.3g): the depth bucketing is not load-bearing", check.Timed.PValue)
 	}
 }
 
 // timedStormRun runs the harsh replacement-storm config the teeth tests
-// share: n=100, q=25, half the universe replaced empty every 30 pairs.
+// share: n=100, q=25, 2 400 pairs, half the universe replaced empty every
+// 30 pairs (79 waves).
 func timedStormRun(t *testing.T) (Config, *Report) {
 	t.Helper()
 	sys, err := core.NewEpsilonIntersectingEll(100, 2.5)
@@ -104,7 +109,7 @@ func timedStormRun(t *testing.T) (Config, *Report) {
 		t.Fatal(err)
 	}
 	sched := Schedule{}
-	for w := 1; w < 20; w++ {
+	for w := 1; w < 80; w++ {
 		half := ids(0, 50)
 		if w%2 == 0 {
 			half = ids(50, 50)
@@ -113,7 +118,7 @@ func timedStormRun(t *testing.T) (Config, *Report) {
 	}
 	cfg := Config{
 		Name: "timed/storm", System: sys, Mode: register.Benign,
-		Ops: 600, Keys: 24, ReadLag: 20,
+		Ops: 2400, Keys: 24, ReadLag: 20,
 		Seed: *chaosSeed, Bound: sys.EpsilonBound(), Timed: true,
 		Schedule: sched,
 	}

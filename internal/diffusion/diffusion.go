@@ -411,12 +411,12 @@ type Group struct {
 }
 
 // NewGroup builds engines for every replica in reps over the given
-// transport. Seed derives per-engine randomness deterministically. Under a
-// vtime.SimClock clk the engines' parallel fanout workers enroll in the
-// virtual-time scheduler; a plain goroutine there would be invisible to the
-// quiescence detector and deadlock the simulation the moment a worker
-// blocks on a virtual-network call. Pass nil (the wall clock) outside
-// simulation.
+// transport; an engine picks peers from the stream (seed, StreamDiffusion,
+// its id). Under a vtime.SimClock clk the engines' parallel fanout workers
+// enroll in the virtual-time scheduler; a plain goroutine there would be
+// invisible to the quiescence detector and deadlock the simulation the
+// moment a worker blocks on a virtual-network call. Pass nil (the wall
+// clock) outside simulation.
 func NewGroup(reps []*replica.Replica, tr transport.Transport, fanout int, verifier replica.Verifier, seed int64, clk vtime.Clock) (*Group, error) {
 	g := &Group{tr: tr, fanout: fanout, verifier: verifier, seed: seed, clock: clk}
 	if err := g.Replace(nil, reps); err != nil {
@@ -492,7 +492,7 @@ func (g *Group) Replace(departed []quorum.ServerID, joined []*replica.Replica) e
 			Fanout:    g.fanout,
 			Verifier:  g.verifier,
 			Clock:     g.clock,
-			Rand:      rand.New(rand.NewSource(g.seed + int64(r.ID())*7919)),
+			Rand:      quorum.NewRand(g.seed, quorum.StreamDiffusion, uint64(r.ID())),
 		})
 		if err != nil {
 			return fmt.Errorf("diffusion: engine %d: %w", r.ID(), err)

@@ -9,12 +9,14 @@ import (
 // of configured seeds: every draw from the process-global math/rand source
 // (shared, racy, seeded who-knows-when) or from a wall-clock-derived seed
 // makes a recorded history unreproducible, even when every timer is
-// virtual. The set is the rawgo scope plus the sampling/data layers and
-// the module root package (the facade constructs the diffusion RNG).
+// virtual. The set is the rawgo scope plus the sampling/data layers, the
+// load harness and the module root package (the facade constructs the
+// diffusion RNG).
 var globalrandScoped = append([]string{
 	"internal/quorum",
 	"internal/replica",
 	"internal/wire",
+	"internal/load",
 }, rawgoScoped...)
 
 // globalrandFuncs are the package-level math/rand (and v2) functions that
@@ -30,15 +32,18 @@ var globalrandFuncs = map[string]bool{
 }
 
 // Globalrand forbids process-global and wall-clock-seeded randomness in the
-// deterministic packages. Randomness there must be seed-derived (a
-// *rand.Rand built from configuration, like chaos.Config.Seed) or
+// deterministic packages. Randomness there must be seed-derived or
 // counter-hashed (the transport's per-link draws) so that a run is a pure
-// function of its seed. Production entropy defaults belong in main
-// packages or crypto/rand, not in the deterministic core.
+// function of its seed, and a seeded stream has one constructor:
+// quorum.NewRand(seed, kind, index), which keys streams apart by
+// construction. Building a source any other way (rand.NewSource, v2's
+// NewPCG or NewChaCha8, or keying a ChaCha8 by hand) is a finding outside
+// internal/quorum. Production entropy defaults belong in main packages or
+// crypto/rand, not in the deterministic core.
 var Globalrand = &Analyzer{
 	Name: "globalrand",
-	Doc: "forbid package-level math/rand functions and wall-clock-seeded rand.NewSource " +
-		"in deterministic packages; randomness must be seed-derived or counter-hashed",
+	Doc: "forbid package-level math/rand functions, wall-clock-seeded sources and sources " +
+		"built outside quorum.NewRand in deterministic packages",
 	Run: runGlobalrand,
 }
 
@@ -56,6 +61,7 @@ func runGlobalrand(pass *Pass) error {
 	if !scoped {
 		return nil
 	}
+	inQuorum := pathHasSuffix(pass.Pkg.PkgPath, "internal/quorum")
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
@@ -71,7 +77,13 @@ func runGlobalrand(pass *Pass) error {
 				return true
 			}
 			sig, _ := fn.Type().(*types.Signature)
-			if sig == nil || sig.Recv() != nil {
+			if sig == nil {
+				return true
+			}
+			if sig.Recv() != nil {
+				if !inQuorum && fn.FullName() == "(*math/rand/v2.ChaCha8).Seed" {
+					pass.Reportf(sel.Pos(), "math/rand/v2.ChaCha8.Seed keys a stream by hand: use quorum.NewRand")
+				}
 				return true
 			}
 			switch {
@@ -84,6 +96,8 @@ func runGlobalrand(pass *Pass) error {
 					pass.Reportf(sel.Pos(),
 						"%s.%s seeded from the wall clock: derive the seed from configuration (crypto/rand for production defaults) so the run replays",
 						path, fn.Name())
+				} else if !inQuorum {
+					pass.Reportf(sel.Pos(), "%s.%s builds a stream outside internal/quorum: use quorum.NewRand", path, fn.Name())
 				}
 			}
 			return true

@@ -12,9 +12,9 @@
 //
 //   - The COUNTING phase measures ε at population scale. Every client has
 //     its own register.Client, rng, writer clock and disjoint keyspace
-//     ("c<id>/k<j>"); its two random sources (newRand: quorum sampling and
-//     arrivals) are ChaCha8 streams keyed by seed, 320 B each, so a client
-//     costs about 1.6 KB to build. It issues operations on an open-loop
+//     ("c<id>/k<j>"); its two random sources (quorum sampling, arrivals)
+//     are quorum.NewRand streams, 320 B each, so a client costs about
+//     1.6 KB to build. It issues operations on an open-loop
 //     arrival grid (whole microseconds). The clients are not workers: one
 //     driver worker keeps every client's next arrival in a heap ordered by
 //     (instant, insertion sequence), sleeps to the earliest, runs that
@@ -71,7 +71,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	randv2 "math/rand/v2"
 	"sort"
 	"strconv"
 	"time"
@@ -292,7 +291,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	e.horizon = time.Duration(c.Arrivals) * arrivalMean
 
 	if c.Waves > 0 && c.GossipWaveRounds > 0 {
-		g, err := diffusion.NewGroup(world.Cluster.Replicas, world.GossipTransport(), 1, nil, c.Seed+0x60551, sc)
+		g, err := diffusion.NewGroup(world.Cluster.Replicas, world.GossipTransport(), 1, nil, c.Seed, sc)
 		if err != nil {
 			return nil, err
 		}
@@ -335,7 +334,7 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 	// End-to-end advertisement check: a FRESH client (new rng, new view of
 	// the world) must read back the latest advertised membership version.
 	if c.Waves > 0 && !c.ViewBlind {
-		fresh, err := e.newClient(c.Seed+0x4EAD, uint32(c.Clients+3), false)
+		fresh, err := e.newClient(uint32(c.Clients+3), false)
 		if err != nil {
 			return nil, err
 		}
@@ -361,11 +360,11 @@ func run(c Config, sc *vtime.SimClock) (*Result, error) {
 }
 
 // clientState is one simulated client's private world: its own register
-// client, rng, per-key write records and digest. Its rng and its register
-// client's sampler are newRand sources, 368 B each with their Rand, and
-// the whole state is about 1.6 KB. Clients share
-// only the replicas (on disjoint keys) and the view counter, so the
-// interleaving of same-instant arrivals cannot change any outcome.
+// client, rng, per-key write records and digest. Its rng and sampler are
+// the streams (Seed, StreamArrival, id) and (Seed, StreamClient, id+1), 368
+// B each with their Rand; the state is about 1.6 KB. Clients share only the
+// replicas (on disjoint keys) and the view counter, so the interleaving of
+// same-instant arrivals cannot change any outcome.
 type clientState struct {
 	id      int
 	rng     *rand.Rand
@@ -381,10 +380,11 @@ type clientState struct {
 	digest uint64
 }
 
-// newClient builds a register client for this engine's plane. Counting
-// clients strip the latency-tolerance knobs (see the package comment);
-// the latency-phase issuer and the churn driver's advertiser keep them.
-func (e *engine) newClient(seed int64, writer uint32, fullTuning bool) (*register.Client, error) {
+// newClient builds writer's register client for this engine's plane.
+// Counting clients strip the latency-tolerance knobs (see the package
+// comment); the latency-phase issuer and the churn driver's advertiser
+// keep them.
+func (e *engine) newClient(writer uint32, fullTuning bool) (*register.Client, error) {
 	tuning := e.cfg.Tuning
 	if !fullTuning {
 		tuning = config.Tuning{W: tuning.W, ReadRepair: tuning.ReadRepair}
@@ -393,7 +393,7 @@ func (e *engine) newClient(seed int64, writer uint32, fullTuning bool) (*registe
 		System:    e.cfg.System,
 		Mode:      register.Benign,
 		Transport: e.world.Caller(),
-		Rand:      newRand(seed),
+		Rand:      quorum.NewRand(e.cfg.Seed, quorum.StreamClient, uint64(writer)),
 		Clock:     ts.NewClock(writer),
 		Time:      e.sc,
 		Tuning:    tuning,
@@ -401,40 +401,14 @@ func (e *engine) newClient(seed int64, writer uint32, fullTuning bool) (*registe
 	})
 }
 
-// chacha8 adapts math/rand/v2's ChaCha8 to the math/rand Source64 that
-// register and quorum's samplers take. The state is embedded, so a source is
-// one 320 B allocation, where math/rand's own is a 607-word table (5 KB)
-// seeded by 1 841 chained steps — most of what a client would otherwise
-// cost. Distinct seeds key independent streams.
-type chacha8 struct{ randv2.ChaCha8 }
-
-func (c *chacha8) Int63() int64 { return int64(c.Uint64() >> 1) }
-
-// Seed keys the generator with seed, little-endian, in bytes 0–7 of its
-// 32-byte key; the rest are zero.
-func (c *chacha8) Seed(seed int64) {
-	var key [32]byte
-	binary.LittleEndian.PutUint64(key[:], uint64(seed))
-	c.ChaCha8.Seed(key)
-}
-
-// newRand builds every random source load makes: each client's register
-// sampler and arrival process, the churn advertiser, the fresh reader and
-// the latency issuer.
-func newRand(seed int64) *rand.Rand {
-	src := new(chacha8)
-	src.Seed(seed)
-	return rand.New(src)
-}
-
 func (e *engine) newClientState(i int) (*clientState, error) {
-	cl, err := e.newClient(e.cfg.Seed+0x9E3779B9*int64(i+1), uint32(i+1), false)
+	cl, err := e.newClient(uint32(i+1), false)
 	if err != nil {
 		return nil, err
 	}
 	cs := &clientState{
 		id:     i,
-		rng:    newRand(e.cfg.Seed ^ (0x5DEECE66D * int64(i+1))),
+		rng:    quorum.NewRand(e.cfg.Seed, quorum.StreamArrival, uint64(i)),
 		cl:     cl,
 		keys:   make([]string, clientKeys),
 		ctr:    make([]int, clientKeys),
@@ -611,7 +585,7 @@ func (e *engine) judge(c *clientState, op chaos.Op, err error) {
 // arrival timer and every client observes a consistent before/after view.
 func (e *engine) churnLoop() {
 	ctx := context.Background()
-	adv, err := e.newClient(e.cfg.Seed+0xAD7E7, uint32(e.cfg.Clients+2), false)
+	adv, err := e.newClient(uint32(e.cfg.Clients+2), false)
 	if err != nil {
 		panic(fmt.Sprintf("load: churn advertiser: %v", err))
 	}
@@ -707,7 +681,7 @@ func (e *engine) collect(clients []*clientState, n, q int) *Result {
 // hedging, eager reads) steers the client.
 func (e *engine) latencyPhase(res *Result) error {
 	e.world.SetLatency(e.cfg.Topology.LatencyMin, e.cfg.Topology.LatencyMax)
-	issuer, err := e.newClient(e.cfg.Seed+0x1A7E4C, uint32(e.cfg.Clients+4), true)
+	issuer, err := e.newClient(uint32(e.cfg.Clients+4), true)
 	if err != nil {
 		return err
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -86,9 +85,10 @@ func NewClient(opts Options) (*Client, error) {
 		copt := opts
 		copt.Cells = 0
 		copt.Transport = transport.Offset(opts.Transport, quorum.ServerID(i*n))
-		// Derive the cell rng from the caller's: deterministic under a
-		// fixed seed, yet independent streams per cell.
-		copt.Rand = rand.New(rand.NewSource(opts.Rand.Int63()))
+		// Key the cell's stream by a draw from the caller's and the cell's
+		// index: deterministic under a fixed seed, yet a distinct stream per
+		// cell.
+		copt.Rand = quorum.NewRand(opts.Rand.Int63(), quorum.StreamCell, uint64(i))
 		eng, err := newCell(copt)
 		if err != nil {
 			return nil, fmt.Errorf("register: cell %d: %w", i, err)

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 
 	"pqs/internal/config"
 	"pqs/internal/diffusion"
@@ -43,17 +42,19 @@ func MeasureDiffusionConsistency(sys quorum.System, rounds, fanout, trials int, 
 	ctx := context.Background()
 	for i := 0; i < trials; i++ {
 		cluster := NewCluster(config.Cluster{N: sys.N(), Seed: seed + int64(i)*13})
+		// Trial i's gossip group is keyed by a draw from its client's stream.
+		rng := quorum.NewRand(seed, quorum.StreamClient, uint64(i))
 		client, err := register.NewClient(register.Options{
 			System:    sys,
 			Mode:      register.Benign,
 			Transport: cluster.Net,
-			Rand:      rand.New(rand.NewSource(seed + int64(i)*17 + 1)),
+			Rand:      rng,
 			Clock:     ts.NewClock(1),
 		})
 		if err != nil {
 			return res, err
 		}
-		group, err := diffusion.NewGroup(cluster.Replicas, cluster.Net, fanout, nil, seed+int64(i)*19, nil)
+		group, err := diffusion.NewGroup(cluster.Replicas, cluster.Net, fanout, nil, rng.Int63(), nil)
 		if err != nil {
 			return res, err
 		}

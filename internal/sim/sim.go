@@ -18,8 +18,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 
 	"pqs/internal/config"
 	"pqs/internal/quorum"
@@ -57,22 +55,6 @@ func NewCluster(cfg config.Cluster) *Cluster {
 // N returns the cluster size.
 func (c *Cluster) N() int { return len(c.Replicas) }
 
-// SeededReader returns a deterministic entropy source for reproducible
-// signing keys (shared by the sim and chaos harnesses). The stream
-// advances across Reads like a real entropy source.
-func SeededReader(seed int64) io.Reader {
-	return &seededReader{rng: rand.New(rand.NewSource(seed))}
-}
-
-type seededReader struct{ rng *rand.Rand }
-
-func (s *seededReader) Read(p []byte) (int, error) {
-	for i := range p {
-		p[i] = byte(s.rng.Intn(256))
-	}
-	return len(p), nil
-}
-
 // LoadResult summarizes an empirical load measurement.
 type LoadResult struct {
 	// Trials is the number of quorums sampled.
@@ -92,7 +74,7 @@ func MeasureLoad(sys quorum.System, trials int, seed int64) (LoadResult, error) 
 	if trials <= 0 {
 		return LoadResult{}, errors.New("sim: trials must be positive")
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := quorum.NewRand(seed, quorum.StreamPicks, 0)
 	counts := make([]int, sys.N())
 	for i := 0; i < trials; i++ {
 		for _, id := range sys.Pick(rng) {
@@ -127,7 +109,7 @@ func MeasureAvailability(sys quorum.System, p float64, trials int, seed int64) (
 	if p < 0 || p > 1 {
 		return 0, fmt.Errorf("sim: crash probability %v outside [0,1]", p)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := quorum.NewRand(seed, quorum.StreamCrashes, 0)
 	n := sys.N()
 	crashed := make([]bool, n)
 	failures := 0

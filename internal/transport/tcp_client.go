@@ -306,11 +306,8 @@ type tcpConn struct {
 	// leases counts callers currently holding the connection: calls in
 	// flight, and waiters a dial leased it for.
 	leases atomic.Int64
-
-	// nextID numbers the connection's requests. A client-wide counter would
-	// number concurrent dispatches to different servers in the order the
-	// scheduler ran them, and an id's varint length is part of the frame a
-	// fault plane sizes and corrupts: tcp-virtual runs then did not replay.
+	// nextID numbers this connection's requests, so an id (and the frame's
+	// length) does not depend on the order concurrent calls were sent in.
 	nextID atomic.Uint64
 
 	mu        sync.Mutex

@@ -380,7 +380,7 @@ func NewClient(cfg ClientConfig) (*Client, error) {
 		System:           cfg.System,
 		Mode:             cfg.System.Mode(),
 		Transport:        cfg.Transport,
-		Rand:             rand.New(rand.NewSource(seed)),
+		Rand:             quorum.NewRand(seed, quorum.StreamClient, 0),
 		Clock:            ts.NewClock(cfg.WriterID),
 		Registry:         cfg.Registry,
 		RequireFullWrite: cfg.RequireFullWrite,

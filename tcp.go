@@ -5,7 +5,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -130,9 +129,10 @@ func (s *Server) SetReplyDelay(d time.Duration) {
 // server: every interval it push-pulls state with fanout random peers over
 // TCP (Section 1.1's lazy update propagation, as a deployment would run it
 // inside each pqsd). peers maps server ids (including possibly this one,
-// which is skipped) to addresses. Peer selection draws from a RNG seeded
-// by ServerConfig.DiffusionSeed (crypto/rand when unset), derived per
-// server id, so a configured seed makes gossip over real TCP replayable.
+// which is skipped) to addresses. Peer selection draws from the stream
+// (ServerConfig.DiffusionSeed, diffusion, server id) of quorum.NewRand
+// (crypto/rand seeds it when unset), so a configured seed makes gossip over
+// real TCP replayable.
 // Stop with StopDiffusion or Close.
 func (s *Server) StartDiffusion(peers map[int]string, fanout int, interval time.Duration) error {
 	s.mu.Lock()
@@ -161,7 +161,7 @@ func (s *Server) StartDiffusion(peers map[int]string, fanout int, interval time.
 		Store:     s.rep.Store(),
 		Fanout:    fanout,
 		Interval:  interval,
-		Rand:      rand.New(rand.NewSource(s.diffSeed + int64(s.rep.ID())*7919)),
+		Rand:      quorum.NewRand(s.diffSeed, quorum.StreamDiffusion, uint64(s.rep.ID())),
 	})
 	if err != nil {
 		tc.Close()
