@@ -111,10 +111,11 @@ race:
 # The flake gate: every same-seed-twice determinism suite, twenty times
 # over under the race detector. A determinism test that passes most runs is
 # a simulator bug (ROADMAP aim 1); one run of `go test ./...` cannot tell
-# "deterministic" from "usually equal", twenty can. About thirteen minutes
-# on two cores, nine of them the chaos line (about 27 s a count under
-# -race), which sets -timeout 40m: twenty counts come within a minute of
-# go test's ten-minute default. FLAKE_COUNT=N to vary. The chaos matrix
+# "deterministic" from "usually equal", twenty can. About seventeen
+# minutes on two cores, thirteen of them the chaos line (about 38 s a count
+# under -race, TestGoldenHistories replaying all 44 ledger rows), which sets
+# -timeout 40m: twenty counts exceed go test's ten-minute default.
+# FLAKE_COUNT=N to vary. The chaos matrix
 # over tcp-virtual rides along as flake-tcp, below, and the hedged,
 # straggler and lossy runs the matrix leaves out as
 # TestChaosDeterminismHedged. The chaos suites compare
