@@ -10,7 +10,7 @@ GO ?= go
 # bench-smoke passes 1x to guard against bit-rot without timing flakiness).
 BENCHTIME ?= 1s
 
-.PHONY: all build test vet lint loc deadcode paper golden race flake flake-tcp tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale epsilon-json e2e-smoke
+.PHONY: all build test vet lint loc deadcode paper golden race flake flake-tcp tier1 ci ci-full bench bench-tail bench-json bench-smoke bench-regress bench-e2e bench-e2e-smoke bench-compare chaos-short chaos-tcp fuzz-smoke sim-fast sim-scale epsilon-json e2e-smoke golden-load
 
 all: ci
 
@@ -79,7 +79,8 @@ paper:
 # the record of every moved value. A moved value fails those tests, and a
 # row may fail its bound, so their exit status is not this target's; a row
 # that is missing is. Needs jq. Staged through a temp file, as paper is.
-golden_jq = def row: {name, transport, digest, sim_seconds, p50_ms: (.p50_ms // 0), reads, eligible_reads, eligible_bad, pass}; \
+golden_row = {name, transport, digest, sim_seconds, p50_ms: (.p50_ms // 0), reads, eligible_reads, eligible_bad, pass}
+golden_jq = def row: $(golden_row); \
 	if ($$g | length) == 0 then error("TestGoldenDigests logged no rows") else . end | \
 	{chaos: [$$c[0].scenarios[] | {name, transport, history_sha256, sim_seconds: (.sim_seconds // 0), pass: .check.pass}], \
 	 load: [$$l[0].scenarios[] | row], \
@@ -91,6 +92,19 @@ golden:
 	$(GO) test -count=1 -v -run '^TestGoldenDigests$$' ./internal/load | sed -n 's/^.*golden row: //p' > "$$d/digests.json"; \
 	jq -n --slurpfile c "$$d/chaos.json" --slurpfile l "$$d/load.json" --slurpfile g "$$d/digests.json" '$(golden_jq)' > testdata/golden.json.tmp
 	@mv testdata/golden.json.tmp testdata/golden.json
+
+# The ledger's 7 load rows, checked without rewriting it: make ci reruns
+# `pqs-chaos -load -seed 1 -negative` (about a minute on two cores) and
+# fails on any row whose digest, virtual time, latency p50, read counts or
+# verdict differs from testdata/golden.json, printing the diff. The load
+# rows are the ones a change to the store, the register or the harness's
+# scheduling reaches first; the chaos and digest rows run in go test.
+golden-load:
+	@d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) run ./cmd/pqs-chaos -load -seed 1 -negative -o "$$d/load.json" 2>/dev/null; \
+	jq '.load' testdata/golden.json > "$$d/want.json" && \
+	jq '[.scenarios[] | $(golden_row)]' "$$d/load.json" > "$$d/got.json" && \
+	diff "$$d/want.json" "$$d/got.json" && echo "golden-load: the ledger's load rows hold"
 
 # vtime runs whole: under a SimClock, timer callbacks run on whichever
 # parked worker drives the clock (or Run's caller), beside the workers they
@@ -156,8 +170,8 @@ flake-tcp:
 tier1: build test
 
 # ci mirrors the CI tier1 job exactly (vet, lint, build, test, race,
-# bench-smoke, bench-e2e-smoke).
-ci: vet lint tier1 race bench-smoke bench-e2e-smoke
+# bench-smoke, bench-e2e-smoke, golden-load).
+ci: vet lint tier1 race bench-smoke bench-e2e-smoke golden-load
 
 # ci-full runs every CI job locally (flake includes flake-tcp), prints the
 # 0 % coverage list (deadcode), then fails if `make paper` moved a number in
@@ -193,12 +207,14 @@ bench-json:
 # SimClock (every call started, completed by the clock), a read through
 # the whole TCP stack over a VirtualNet (sim-tcpv's shape; goroutines/op)
 # and a fire of SimClock's timer queue with 512 alarms armed, for one
-# iteration and verify the JSON pipeline still produces a well-formed
-# document. Staged through a scratch file so the committed
+# iteration, then one store's growth pause at its smallest size (2^14 keys;
+# worst-ms and worst-gc-ms), and verify the JSON pipeline still produces a
+# well-formed document. Staged through a scratch file so the committed
 # BENCH_throughput.json — the bench-regress baseline — is never clobbered
 # with 1-iteration rates.
 bench-smoke:
 	$(GO) test -run 'XXX' -bench '^(BenchmarkThroughput|BenchmarkCodec|BenchmarkHighFanIn|BenchmarkStoreGetCold|BenchmarkReplicaReadCold|BenchmarkVirtualHedgedRead|BenchmarkVirtualTCPRead|BenchmarkSimTimerQueue)' -benchmem -benchtime 1x . ./internal/replica/ ./internal/register/ ./internal/sim/ ./internal/vtime/ > BENCH_smoke.out
+	$(GO) test -run 'XXX' -bench '^BenchmarkStoreGrowPause$$/^keys=16384$$' -benchtime 1x ./internal/replica/ >> BENCH_smoke.out
 	$(GO) run ./cmd/benchjson < BENCH_smoke.out > BENCH_smoke.json
 	@rm -f BENCH_smoke.out
 	$(GO) run ./cmd/benchjson -check BENCH_smoke.json

@@ -105,12 +105,15 @@ func GroupedBinomialTailGE(ms []int, ps []float64, k int) float64 {
 }
 
 // groupedTailExact computes P(Σ_g Binomial(ms[g], ps[g]) ≥ k) by truncated
-// convolution: probs[i] tracks P(X = i) for i < k; mass at or above k is
-// 1 - Σ probs.
+// convolution: probs[i] tracks P(X = i) for i < k, and tail the mass at or
+// above k, which a group adds to as Σ_i probs[i]·P(Y_g ≥ k-i). Every term is
+// a sum of non-negative ones, so a tail far below 1e-16 keeps its digits;
+// 1 - Σ probs would read every tail below about 1e-13 as rounding error.
 func groupedTailExact(ms []int, ps []float64, k int) float64 {
 	probs := make([]float64, k)
 	probs[0] = 1
 	scratch := make([]float64, k)
+	var tail float64
 	for g, m := range ms {
 		p := ps[g]
 		if p == 0 || m == 0 {
@@ -124,7 +127,18 @@ func groupedTailExact(ms []int, ps []float64, k int) float64 {
 		for j := 0; j <= jmax; j++ {
 			pmf[j] = math.Exp(BinomialLnPMF(m, p, j))
 		}
+		// above[t] = P(Y_g ≥ t) for t = 1..k, summed upwards from the
+		// group's own tail at k.
+		above := make([]float64, k+1)
+		above[k] = BinomialTailGE(m, p, k)
+		for t := k - 1; t >= 1; t-- {
+			above[t] = above[t+1]
+			if t <= jmax {
+				above[t] += pmf[t]
+			}
+		}
 		for i := 0; i < k; i++ {
+			tail += probs[i] * above[k-i]
 			var s float64
 			hi := i
 			if hi > jmax {
@@ -137,9 +151,5 @@ func groupedTailExact(ms []int, ps []float64, k int) float64 {
 		}
 		probs, scratch = scratch, probs
 	}
-	var below float64
-	for _, v := range probs {
-		below += v
-	}
-	return clampProb(1 - below)
+	return clampProb(tail)
 }

@@ -65,6 +65,19 @@ func TestGroupedBinomialTailGESingleGroupMatchesBinomial(t *testing.T) {
 			t.Fatalf("k=%d: grouped = %g, single binomial = %g", k, got, want)
 		}
 	}
+	// Tails far below what 1 - P(X < k) can resolve keep their digits:
+	// 2 400 reads at ε = 0.005 with 56 stale is a p-value of 2e-20.
+	n, p = 2400, 0.005
+	for _, k := range []int{12, 20, 30, 40, 48, 56} {
+		want := BinomialTailGE(n, p, k)
+		got := GroupedBinomialTailGE([]int{n}, []float64{p}, k)
+		if math.Abs(got-want) > 1e-9*want {
+			t.Fatalf("k=%d: grouped = %g, single binomial = %g", k, got, want)
+		}
+		if k == 56 && want > 1e-19 {
+			t.Fatalf("k=56: the tail is %g, want about 2e-20", want)
+		}
+	}
 }
 
 func TestGroupedBinomialTailGEConvolution(t *testing.T) {

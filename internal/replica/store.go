@@ -9,9 +9,11 @@ package replica
 import (
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"pqs/internal/ts"
 	"pqs/internal/wire"
@@ -25,25 +27,42 @@ type Entry struct {
 	Sig   []byte
 }
 
-// Store is a replica's local key-value state: one open-addressed table
-// (linear probing, length a power of two or zero, no deletions: the store
-// never deletes) under one lock. The lock, the table's header, its occupied
+// Store is a replica's local key-value state under one lock. Its keys live
+// in open-addressed tables (linear probing, lengths powers of two, no
+// deletions: the store never deletes). A store starts as one table of 4
+// slots that doubles, whole, up to 128 slots; past that it is a directory of
+// 128-slot tables indexed by the top bits of each key's tag: extendible
+// hashing, the scheme Go's own maps grow by (internal/runtime/maps), with a
+// much smaller table. A full table splits in place into itself and one new
+// table, doubling the directory first only if the table is the only one
+// under its entries, so no Apply moves more than one table's records or
+// doubles the directory more than once, and growth leaves no copy of the
+// store behind. While one store fills to 2^20 keys its worst Apply fell
+// from 35 ms, when growth rehashed the whole table under the lock, to about
+// 1 ms (BenchmarkStoreGrowPause, collector off); and where a thousand stores grow at once (sim-mem), whole-table
+// doubling allocated each store about twice over. A lookup pays one load
+// more once the store has split, the directory entry before the slot.
+//
+// The lock, the table or directory pointer, its length and depth, the key
 // count, the operation counts and the adoption sequence fill the store's one
-// 64-byte line, so a read RPC touches that line, the key's slot and the
-// slot's reply box, and a process hosting a thousand replicas keeps all of
-// their lines in cache: 64 KB, where 64 locked shards a store would make
-// 4 MB, more than a core's L2, and nearly every call would miss on its
-// shard's line. The counts are kept under the lock, where a counter line of their
-// own would cost every call a second miss; a Mutex, not an RWMutex, makes
-// room for them, and a read holds it for one probe. Growth is a whole-table
-// rehash under the lock: while a store of 2^20 keys doubles, its callers
-// wait over a tenth of a second; the fullest store any workload builds holds
-// a few thousand keys, which rehash in well under a millisecond. It is safe
-// for concurrent use.
+// 64-byte line, so a read RPC touches that line, the directory entry, the
+// key's slot and the slot's reply box, and a process hosting a thousand
+// replicas keeps all of their lines in cache: 64 KB, where 64 locked shards
+// a store would make 4 MB, more than a core's L2, and nearly every call
+// would miss on its shard's line. The counts are kept under the lock, where
+// a counter line of their own would cost every call a second miss; a Mutex,
+// not an RWMutex, makes room for them, and a read holds it for one probe.
+// It is safe for concurrent use.
 type Store struct {
-	mu            sync.Mutex
-	slots         []slot
-	n             int    // occupied slots
+	mu sync.Mutex
+	// tab is the store's one table while depth is 0: nil, or the first of
+	// size slots. Once the store has split it is the first of the
+	// directory's size = 1<<depth entries (see dir). One pointer for
+	// both, as Go's maps keep theirs, keeps the store in its line.
+	tab           unsafe.Pointer
+	size          int
+	depth         uint   // the directory's global depth; 0: one table
+	n             int    // stored keys
 	gets, applies uint64 // cumulative; see Stats
 
 	// seq is the store-wide adoption sequence: every Apply that wins the
@@ -52,6 +71,34 @@ type Store struct {
 	// (Changes). Sequence numbers are store-local bookkeeping — they are
 	// never serialized and two replicas' sequences are unrelated.
 	seq atomic.Uint64
+}
+
+// tableSlots is the size at which a store's table stops doubling and
+// splits. At 128 slots, 6 KB, a split moves at most 112 records; smaller
+// tables split more often and spread a store over more directory entries,
+// and at 1 024, the bound Go's maps use, no sim-mem store (225 to 448 keys)
+// would ever split.
+const tableSlots = 128
+
+// table is one directory entry, 16 bytes: the entries of one table are
+// 1<<(global depth - depth) consecutive ones, all with the same slots, size
+// (1<<lg) and depth: the keys whose tags agree in their top depth bits.
+// used, the table's occupied slot count, is kept in the first of them (see
+// head). Entries twice the size, a []slot each, cost mem-fanout 4 % more CPU
+// per operation: its 100 stores of 1 024 keys read their directories on
+// every call, and half the bytes stay in cache.
+type table struct {
+	slots     *slot
+	used      int32
+	lg, depth uint8
+}
+
+// at returns the entry's table.
+func (e *table) at() []slot { return unsafe.Slice(e.slots, 1<<e.lg) }
+
+// set points the entry at t.
+func (e *table) set(t []slot) {
+	e.slots, e.lg = unsafe.SliceData(t), uint8(bits.TrailingZeros(uint(len(t))))
 }
 
 // slot is the store's record for one key: its adoption sequence number (see
@@ -140,42 +187,161 @@ func NewStore() *Store { return &Store{} }
 var hashSeed = maphash.MakeSeed()
 
 // hash is the one hash taken of a key: its low 32 bits are the tag a slot
-// keeps, and the tag's low bits are the home slot, so growing the table
-// re-homes from tags and hashes nothing; a key's bytes are compared only
-// where the whole tag matches.
+// keeps, the tag's top bits choose the key's table and its low bits the home
+// slot there, so growing or splitting a table re-homes from tags and hashes
+// nothing; a key's bytes are compared only where the whole tag matches.
 func hash(key string) uint64 { return maphash.String(hashSeed, key) }
 
-// find returns the index of key's slot, or of the empty slot that ends its
-// probe run: apply keeps every allocated table at most 7/8 full.
-func (s *Store) find(key string, h uint64) (int, bool) {
-	if len(s.slots) == 0 {
-		return 0, false
+// dir is the directory (depth > 0).
+func (s *Store) dir() []table { return unsafe.Slice((*table)(s.tab), s.size) }
+
+// find returns key's slot, or the empty slot that ends its probe run (nil
+// while the store has no table), and the size of the table it is in: apply
+// keeps every allocated table at most 7/8 full. It is every call's path, so
+// it indexes the directory and the table by address, as Go's maps do, with
+// no bounds or overflow checks: the index is below the length by
+// construction (a directory holds 1<<depth entries, a table's mask keeps a
+// probe inside it).
+func (s *Store) find(key string, tag uint32) (*slot, int, bool) {
+	base, size := s.tab, s.size
+	if s.depth != 0 {
+		e := (*table)(unsafe.Add(base, uintptr(tag>>((32-s.depth)&31))*unsafe.Sizeof(table{})))
+		base, size = unsafe.Pointer(e.slots), 1<<e.lg
 	}
-	tag, mask := uint32(h), len(s.slots)-1
-	for i := int(tag) & mask; ; i = (i + 1) & mask {
-		if sl := &s.slots[i]; sl.seq == 0 {
-			return i, false
+	if size == 0 {
+		return nil, 0, false
+	}
+	mask := uintptr(size - 1)
+	for i := uintptr(tag) & mask; ; i = (i + 1) & mask {
+		if sl := (*slot)(unsafe.Add(base, i*unsafe.Sizeof(slot{}))); sl.seq == 0 {
+			return sl, size, false
 		} else if sl.tag == tag && sl.key == key {
-			return i, true
+			return sl, size, true
 		}
 	}
 }
 
-// grow doubles the table (4 slots at first) and re-homes every record.
-func (s *Store) grow() {
-	old := s.slots
-	s.slots = make([]slot, max(4, 2*len(old)))
-	mask := len(s.slots) - 1
-	for _, sl := range old {
-		if sl.seq == 0 {
-			continue
+// head is the first directory entry of tag's table, the one that keeps its
+// count (depth > 0).
+func (s *Store) head(tag uint32) *table {
+	dir := s.dir()
+	i := tag >> (32 - s.depth)
+	return &dir[i&^(1<<(s.depth-uint(dir[i].depth))-1)]
+}
+
+// grow makes room in tag's table, which one more key would take past 7/8
+// full. While the store is one table of fewer than 128 slots, or where the
+// table's keys all agree on the bit it would split on (a hash no seed can
+// spread: tests pin one), the table doubles. Otherwise it splits in two on
+// that bit, the directory doubling first if the table is the only one under
+// its entries.
+func (s *Store) grow(tag uint32) {
+	if s.depth == 0 {
+		t := unsafe.Slice((*slot)(s.tab), s.size)
+		if len(t) < tableSlots || !splits(t, 1<<31) {
+			t = doubled(t)
+			s.tab, s.size = unsafe.Pointer(unsafe.SliceData(t)), len(t)
+			return
 		}
-		i := int(sl.tag) & mask
-		for s.slots[i].seq != 0 {
-			i = (i + 1) & mask
-		}
-		s.slots[i] = sl
+		// The one table, as a directory of one entry that now doubles.
+		dir := []table{{used: int32(s.n), depth: 1}, {depth: 1}}
+		dir[0].set(t)
+		s.tab, s.size, s.depth = unsafe.Pointer(&dir[0]), 2, 1
+		split(dir, 0, 2)
+		return
 	}
+	dir, i := s.dir(), tag>>(32-s.depth)
+	d := uint(dir[i].depth)
+	span := 1 << (s.depth - d)
+	first := int(i) &^ (span - 1)
+	if t := dir[first].at(); d == 32 || !splits(t, 1<<(31-d)) {
+		t = doubled(t)
+		for j := first; j < first+span; j++ {
+			dir[j].set(t)
+		}
+		return
+	}
+	if span == 1 {
+		bigger := make([]table, 2*len(dir))
+		for j, e := range dir {
+			bigger[2*j], bigger[2*j+1] = e, e
+		}
+		dir, first, span = bigger, 2*first, 2
+		s.tab, s.size, s.depth = unsafe.Pointer(&dir[0]), len(dir), s.depth+1
+	}
+	for j := first; j < first+span; j++ {
+		dir[j].depth++
+	}
+	split(dir, first, span)
+}
+
+// split divides the table under dir[first:first+span], whose entries'
+// depths already count the bit it splits on: the records with that bit set
+// move to a new table of the same size under the upper half of the entries,
+// and the rest are re-homed in place. It walks the table once, from just
+// past a slot that was empty before anything moved, so no probe run crosses
+// the start: each record taken out goes back at the first free slot from its
+// home, which is at or before the slot it left, in a run the walk has
+// already re-made; a record that stays and sits at its home is left there.
+func split(dir []table, first, span int) {
+	t := dir[first].at()
+	u, bit := make([]slot, len(t)), uint32(1)<<(32-dir[first].depth)
+	mask, start, moved := len(t)-1, 0, int32(0)
+	for t[start].seq != 0 {
+		start++
+	}
+	for k := 1; k <= mask; k++ {
+		i := (start + k) & mask
+		if t[i].seq == 0 || t[i].tag&bit == 0 && int(t[i].tag)&mask == i {
+			continue // empty, or staying at its home, where put would leave it
+		}
+		sl := t[i]
+		t[i] = slot{}
+		if sl.tag&bit != 0 {
+			put(u, sl)
+			moved++
+		} else {
+			put(t, sl)
+		}
+	}
+	upper := first + span/2
+	for j := upper; j < first+span; j++ {
+		dir[j].set(u)
+	}
+	dir[upper].used = moved
+	dir[first].used -= moved
+}
+
+// splits reports whether t's records disagree on the tag bit.
+func splits(t []slot, bit uint32) bool {
+	var seen [2]bool
+	for i := range t {
+		if t[i].seq != 0 {
+			seen[min(t[i].tag&bit, 1)] = true
+		}
+	}
+	return seen[0] && seen[1]
+}
+
+// doubled is t re-homed into a table twice its size (4 slots at first).
+func doubled(t []slot) []slot {
+	u := make([]slot, max(4, 2*len(t)))
+	for _, sl := range t {
+		if sl.seq != 0 {
+			put(u, sl)
+		}
+	}
+	return u
+}
+
+// put stores sl at the first free slot from its home in t.
+func put(t []slot, sl slot) {
+	mask := len(t) - 1
+	i := int(sl.tag) & mask
+	for t[i].seq != 0 {
+		i = (i + 1) & mask
+	}
+	t[i] = sl
 }
 
 // Get returns the entry for key, if any.
@@ -198,9 +364,9 @@ func (s *Store) lookup(key string, h uint64) (any, bool) {
 	s.mu.Lock()
 	s.gets++
 	r := readReplyAbsent
-	i, ok := s.find(key, h)
+	sl, _, ok := s.find(key, uint32(h))
 	if ok {
-		r = s.slots[i].reply
+		r = sl.reply
 	}
 	s.mu.Unlock()
 	return r, ok
@@ -215,8 +381,9 @@ func (s *Store) Apply(key string, e Entry) bool { return s.apply(key, e, hash(ke
 func (s *Store) apply(key string, e Entry, h uint64) bool {
 	s.mu.Lock()
 	s.applies++
-	i, ok := s.find(key, h)
-	if ok && !s.slots[i].older(e.Stamp) {
+	tag := uint32(h)
+	sl, size, ok := s.find(key, tag)
+	if ok && !sl.older(e.Stamp) {
 		s.mu.Unlock()
 		return false
 	}
@@ -224,16 +391,23 @@ func (s *Store) apply(key string, e Entry, h uint64) bool {
 		// Grow above 7/8 full, where a stored key still sits 3.5 slots from
 		// home in the mean and the table costs what the map it replaced did
 		// (TestStoreFootprint); growing at 3/4 costs 13 to 23 % more heap.
-		if s.n++; s.n*8 > len(s.slots)*7 {
-			s.grow()
-			i, _ = s.find(key, h)
+		used := s.n
+		if s.depth > 0 {
+			used = int(s.head(tag).used)
 		}
-		s.slots[i].tag, s.slots[i].key = uint32(h), key
+		if (used+1)*8 > size*7 {
+			s.grow(tag)
+			sl, _, _ = s.find(key, tag)
+		}
+		if s.depth > 0 {
+			s.head(tag).used++
+		}
+		s.n++
+		sl.tag, sl.key = tag, key
 	}
 	// The sequence number is drawn under the lock so that any number at or
 	// below a Seq() observation is visible to a subsequent Changes scan
 	// (the scan serializes on the same lock).
-	sl := &s.slots[i]
 	sl.reply, sl.seq, sl.ctr = boxed(e), s.seq.Add(1), uint32(min(e.Stamp.Counter, math.MaxUint32))
 	s.mu.Unlock()
 	return true
@@ -291,12 +465,26 @@ func (s *Store) Changes(since, upTo uint64) []Change {
 // each calls fn on every occupied slot under the lock, in table order.
 func (s *Store) each(fn func(*slot)) {
 	s.mu.Lock()
-	for i := range s.slots {
-		if sl := &s.slots[i]; sl.seq != 0 {
-			fn(sl)
+	s.tables(func(t []slot) {
+		for i := range t {
+			if sl := &t[i]; sl.seq != 0 {
+				fn(sl)
+			}
 		}
-	}
+	})
 	s.mu.Unlock()
+}
+
+// tables calls fn on each of the store's tables once, in directory order.
+func (s *Store) tables(fn func([]slot)) {
+	if s.depth == 0 {
+		fn(unsafe.Slice((*slot)(s.tab), s.size))
+		return
+	}
+	dir := s.dir()
+	for i := 0; i < len(dir); i += 1 << (s.depth - uint(dir[i].depth)) {
+		fn(dir[i].at())
+	}
 }
 
 // Len returns the number of stored keys.

@@ -80,18 +80,25 @@ func (m *storeModel) agrees(s *Store, hash func(string) uint64, since, upTo uint
 }
 
 // The hashes a model run can put under the store: the real one, one under
-// another seed, and oneSlot, which sends every key to the same home slot and
-// tag, so nothing but the comparison of key bytes tells two keys apart.
+// another seed, oneSlot, which sends every key to the same home slot and
+// tag, so nothing but the comparison of key bytes tells two keys apart (and
+// the one table can never split, only grow), and noBit30, another seed's
+// tags with their second-highest bit cleared, so the store splits once, on
+// the top bit, and its two tables can only grow.
 var (
 	otherSeed = maphash.MakeSeed()
 	modelHash = []func(string) uint64{
 		hash,
 		func(k string) uint64 { return maphash.String(otherSeed, k) },
 		func(string) uint64 { return 5 },
+		func(k string) uint64 { return maphash.String(otherSeed, k) &^ (1 << 30) },
 	}
 )
 
-const hashOneSlot = 2
+const (
+	hashOneSlot = 2
+	hashNoBit30 = 3
+)
 
 // modelCounters are the stamp counters a model run draws from, in order:
 // four small ones and four on either side of 2^32-1, where a slot's ctr
@@ -137,9 +144,12 @@ func checkStoreAgainstModel(t testing.TB, prog []byte, nKeys int, hash func(stri
 }
 
 // TestStoreMatchesModel is the store's functional contract, held against a
-// map: seeded random streams under each hash. The runs of a few hundred keys
-// take the table 0 → 4 → 8 → … → 256 slots (checked at the end), so every
-// growth step and every re-homing happens under comparison.
+// map: seeded random streams under each hash, comparing every answer after
+// every step. Under the two seeded hashes the runs of a few hundred keys
+// take the store's one table 0 → 4 → … → 128 slots, split it, and go on
+// splitting tables and doubling the directory; under oneSlot the one table
+// grows past 128 slots instead; under noBit30 the store splits once and its
+// tables then grow (each checked at the end).
 func TestStoreMatchesModel(t *testing.T) {
 	if got := unsafe.Sizeof(slot{}); got != 48 {
 		t.Errorf("a slot is %d bytes, want 48: probe words, the key and the reply box", got)
@@ -149,15 +159,27 @@ func TestStoreMatchesModel(t *testing.T) {
 	}
 	for h, hash := range modelHash {
 		for seed := int64(1); seed <= 2; seed++ {
-			nKeys, steps := 300, 700
+			nKeys, steps := 400, 800
 			if h == hashOneSlot { // every probe walks the whole run
-				nKeys, steps = 40, 300
+				nKeys, steps = 300, 500 // the fuzz target's key space
 			}
 			prog := make([]byte, 3*steps)
 			rand.New(rand.NewSource(seed)).Read(prog)
 			s := checkStoreAgainstModel(t, prog, nKeys, hash)
-			if got := len(s.slots); h != hashOneSlot && got < 256 {
-				t.Errorf("hash %d seed %d: the table grew to %d slots, want ≥ 256", h, seed, got)
+			tables, biggest := 0, 0
+			s.tables(func(t []slot) { tables, biggest = tables+1, max(biggest, len(t)) })
+			var want string
+			var ok bool
+			switch h {
+			case hashOneSlot:
+				want, ok = "one table grown past 128 slots", s.depth == 0 && biggest > tableSlots
+			case hashNoBit30:
+				want, ok = "directory depth 1 over tables grown past 128 slots", s.depth == 1 && biggest > tableSlots
+			default:
+				want, ok = "directory depth ≥ 2 over 128-slot tables", s.depth >= 2 && biggest == tableSlots
+			}
+			if !ok {
+				t.Errorf("hash %d seed %d: directory depth %d, %d tables of at most %d slots; want %s", h, seed, s.depth, tables, biggest, want)
 			}
 		}
 	}
@@ -176,16 +198,21 @@ func FuzzStoreAgainstModel(f *testing.F) {
 	})
 }
 
-// TestStoreSeedIndependence: the table's layout — which the hash seed
+// TestStoreSeedIndependence: the tables' layout — which the hash seed
 // decides — reaches no output. Two stores fed one stream under differently
 // seeded hashes give the same answers in the same order (Keys apart, which
 // promises none), and no worse a probe for it: under either seed 100 000
-// keys sharing a long prefix sit 4 slots from home in the mean and
-// 32·log2(n) at worst. Linear probing at load a puts a stored key
-// (1/(1-a) - 1)/2 slots out — 3.5 at the 7/8 ceiling, 1.6 at the 0.76 this n
-// lands on — and its longest run grows as ln n/(a - 1 - ln a), about 160
-// here, with a tail that makes 32·log2(n) = 531 a one-in-10^5 event. A hash
-// that let the shared prefix through would put keys thousands of slots out.
+// keys sharing a long prefix split into 128-slot tables, none of which had
+// to grow instead, and sit 4 slots from home in the mean, and each table's
+// farthest key 40 slots out in the mean over tables. Linear probing at load
+// a puts a stored key (1/(1-a) - 1)/2 slots out, 3.5 at the 7/8 ceiling; at
+// that ceiling (112 keys in 128 slots) a table's farthest key sits 35.6
+// slots out in the mean, with a standard deviation of 15.7, so over the
+// thousand-odd tables here 40 is nine standard errors above what even full
+// tables would give. A table's farthest key can sit no more than 111 slots
+// out, so that is bounded whatever the hash; a hash that let the shared
+// prefix through would cluster the tags, and the tables would grow instead
+// of splitting or their keys would queue behind each other.
 func TestStoreSeedIndependence(t *testing.T) {
 	prog := make([]byte, 3*600)
 	rand.New(rand.NewSource(7)).Read(prog)
@@ -208,15 +235,24 @@ func TestStoreSeedIndependence(t *testing.T) {
 			k := fmt.Sprintf("user/%d/profile", i)
 			s.apply(k, Entry{Stamp: ts.Stamp{Counter: 1}}, hash(k))
 		}
-		worst, sum, slots := 0, 0, len(s.slots)
-		for i := range s.slots {
-			if sl := &s.slots[i]; sl.seq != 0 {
-				d := (i - int(sl.tag)) & (slots - 1)
-				worst, sum = max(worst, d), sum+d
+		sum, worsts, slots, tables := 0, 0, 0, 0
+		s.tables(func(tb []slot) {
+			worst := 0
+			for i := range tb {
+				if sl := &tb[i]; sl.seq != 0 {
+					d := (i - int(sl.tag)) & (len(tb) - 1)
+					worst, sum = max(worst, d), sum+d
+				}
 			}
-		}
-		if limit := int(32 * math.Log2(n)); worst > limit || sum > 4*n {
-			t.Errorf("hash %d: keys sit %.1f slots from home in the mean and %d at worst, want ≤ 4 and ≤ %d", h, float64(sum)/n, worst, limit)
+			if len(tb) != tableSlots {
+				t.Errorf("hash %d: a table of %d slots", h, len(tb))
+			}
+			tables, slots, worsts = tables+1, slots+len(tb), worsts+worst
+		})
+		mean, worst := float64(sum)/n, float64(worsts)/float64(tables)
+		t.Logf("hash %d: %d tables at directory depth %d; keys %.2f slots from home in the mean, each table's farthest %.1f in the mean", h, tables, s.depth, mean, worst)
+		if mean > 4 || worst > 40 {
+			t.Errorf("hash %d: keys sit %.1f slots from home in the mean and each table's farthest %.1f, want ≤ 4 and ≤ 40", h, mean, worst)
 		}
 		if s.Len() != n || slots*7 < n*8 || slots > 4*n {
 			t.Errorf("hash %d: %d keys in %d slots", h, s.Len(), slots)

@@ -388,7 +388,9 @@ func TestVirtualTCPCallTimeout(t *testing.T) {
 // 50 ms, however many replies came before it, and tears the connection down:
 // the calls behind it end then, with ErrClosed. Under a SimClock every
 // instant is exact; under the wall clock a call never ends before its due
-// time, and each ends the way the row says.
+// time, and each ends the way the row says, except that a call the row
+// closes may time out, never before its own deadline, where a busy machine
+// runs the 10 ms sleeps or the 50 ms alarm late (see the subtest).
 func TestCallDeadlinesFireInSendOrder(t *testing.T) {
 	const gap, timeout = 10 * time.Millisecond, 50 * time.Millisecond
 	rows := []struct {
@@ -478,12 +480,31 @@ func TestCallDeadlinesFireInSendOrder(t *testing.T) {
 			t.Run("wall clock", func(t *testing.T) {
 				sent, ended, how := run(t, nil, row.answer)
 				due := sent[slices.Index(row.want[:], "timeout")].Add(timeout)
+				// A call the row closes may time out instead, at or after its
+				// own deadline, where a wall clock cannot promise the row's
+				// order: if it was sent after the first timeout was due (a
+				// late sleep; it may find the connection gone and dial a new
+				// one), or if its own deadline had passed when the first
+				// timeout ended (a late alarm finds it due too).
+				var first time.Time
 				for i := range how {
-					if how[i] != row.want[i] {
-						t.Errorf("call %d ended by %s, want by %s", i, how[i], row.want[i])
+					if how[i] == "timeout" && (first.IsZero() || ended[i].Before(first)) {
+						first = ended[i]
+					}
+				}
+				for i := range how {
+					own := sent[i].Add(timeout)
+					late := row.want[i] == "closed" && how[i] == "timeout" &&
+						(!sent[i].Before(due) || !own.After(first))
+					if how[i] != row.want[i] && !late {
+						t.Errorf("call %d (sent at +%v) ended by %s at +%v, want by %s; the first timeout ended at +%v",
+							i, sent[i].Sub(sent[0]), how[i], ended[i].Sub(sent[0]), row.want[i], first.Sub(sent[0]))
 					}
 					if row.want[i] != "reply" && ended[i].Before(due) {
 						t.Errorf("call %d ended %v before the timeout was due", i, due.Sub(ended[i]))
+					}
+					if late && ended[i].Before(own) {
+						t.Errorf("call %d timed out %v before its own deadline", i, own.Sub(ended[i]))
 					}
 				}
 			})
