@@ -339,16 +339,18 @@ epsilon-json:
 # duplicate and out-of-order stamps, and batches up to a cap) and the
 # ring-view decoder a refreshing client feeds whatever ViewKey holds, so the
 # fuzz targets actually execute in CI rather than only replaying their seed
-# corpora.
+# corpora. Each input that finds new coverage is minimized for at most 10
+# runs (-fuzzminimizetime 10x): at the default of 60 s a target spends its
+# budget minimizing and shows "0/sec", executing only in its first seconds.
 fuzz-smoke:
-	$(GO) test -run XXX -fuzz FuzzDecodeMessage -fuzztime 10s ./internal/wire
-	$(GO) test -run XXX -fuzz FuzzVNetFaultInjector -fuzztime 10s ./internal/transport
-	$(GO) test -run XXX -fuzz FuzzFrameFeed -fuzztime 10s ./internal/transport
-	$(GO) test -run XXX -fuzz FuzzSelectDissemination -fuzztime 10s ./internal/register
-	$(GO) test -run XXX -fuzz FuzzStoreAgainstModel -fuzztime 10s ./internal/replica
-	$(GO) test -run XXX -fuzz FuzzGossipDelta -fuzztime 10s ./internal/replica
-	$(GO) test -run XXX -fuzz FuzzGossipFull -fuzztime 10s ./internal/replica
-	$(GO) test -run XXX -fuzz FuzzDecodeView -fuzztime 10s ./internal/ring
+	$(GO) test -run XXX -fuzz FuzzDecodeMessage -fuzztime 10s -fuzzminimizetime 10x ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzVNetFaultInjector -fuzztime 10s -fuzzminimizetime 10x ./internal/transport
+	$(GO) test -run XXX -fuzz FuzzFrameFeed -fuzztime 10s -fuzzminimizetime 10x ./internal/transport
+	$(GO) test -run XXX -fuzz FuzzSelectDissemination -fuzztime 10s -fuzzminimizetime 10x ./internal/register
+	$(GO) test -run XXX -fuzz FuzzStoreAgainstModel -fuzztime 10s -fuzzminimizetime 10x ./internal/replica
+	$(GO) test -run XXX -fuzz FuzzGossipDelta -fuzztime 10s -fuzzminimizetime 10x ./internal/replica
+	$(GO) test -run XXX -fuzz FuzzGossipFull -fuzztime 10s -fuzzminimizetime 10x ./internal/replica
+	$(GO) test -run XXX -fuzz FuzzDecodeView -fuzztime 10s -fuzzminimizetime 10x ./internal/ring
 
 # The end-to-end smoke gate: build the real pqsd/pqs-cli binaries, stand a
 # 5-replica cluster up on loopback TCP, write and read through the CLI, kill

@@ -1,57 +1,38 @@
-// Command pqs-chaos runs the chaos scenario matrix from the command line
-// and emits a JSON report: one entry per scenario (and per transport) with
-// the empirical ε, the theorem bound, the checker's p-value and the
-// PBS-style staleness-depth distribution. The process exits non-zero if any
-// shipped scenario fails its bound, which is what makes it a CI gate
-// (make chaos-short, make chaos-tcp).
+// Command pqs-chaos runs the chaos scenario matrix, or with -load the
+// population-scale load matrix, and emits a JSON report: one entry per row
+// (a scenario on a transport, or a scale point) with the empirical ε, the
+// theorem bound, the checker's p-value and the PBS-style staleness depths.
+// It exits non-zero if a shipped row fails its bound, which makes it a CI
+// gate (make chaos-short, chaos-tcp, sim-scale).
 //
 // Usage:
 //
-//	pqs-chaos                      # full matrix, scale 1, seed 1, JSON to stdout
+//	pqs-chaos                      # the chaos matrix, scale 1, seed 1, JSON to stdout
 //	pqs-chaos -scale 5 -seed 7     # longer runs from another seed
-//	pqs-chaos -scenario 'masking/' # subset by substring
-//	pqs-chaos -list                # print scenario names and docs
-//	pqs-chaos -transport tcp-virtual
-//	                               # run the matrix over the REAL TCP stack
-//	                               # (binary codec, group-commit frame writer,
-//	                               # read-loop dispatch) on virtual-time byte
-//	                               # streams; comma-separate to run several
-//	                               # planes in one invocation, e.g.
-//	                               # -transport mem,tcp-virtual
-//	pqs-chaos -verify-determinism  # run every row TWICE and fail unless the
-//	                               # replay matches: a chaos row's history
-//	                               # byte-for-byte and its sim_seconds, a
-//	                               # load row's whole result (the CI
-//	                               # determinism gate)
-//	pqs-chaos -json FILE           # also write per-row ε metrics to FILE
-//	                               # (the make targets and CI write
-//	                               # BENCH_epsilon.out, the artifact tracking
-//	                               # the ε trend across PRs; -json
-//	                               # BENCH_epsilon.json refreshes the
-//	                               # committed document), with one section
-//	                               # per transport
-//	pqs-chaos -negative            # also run the intentionally failing
-//	                               # negative configuration (it demonstrates
-//	                               # the checker: its failure is expected,
-//	                               # and it passing fails the invocation)
-//	pqs-chaos -load                # run the population-scale load matrix
-//	                               # (internal/load's scale/ scenarios: 10k+
-//	                               # clients against n>=1000 universes, over
-//	                               # a million operations) instead of the
-//	                               # chaos matrix; -seed, -scenario, -list,
-//	                               # -negative, -verify-determinism and -json
-//	                               # compose
-//	pqs-chaos -load -budget 5m     # fail unless the whole matrix (including
-//	                               # the determinism re-runs) finishes inside
-//	                               # the wall-clock budget — the CI guard
-//	                               # keeping population-scale simulation
-//	                               # CI-affordable (0 disables)
+//	pqs-chaos -scenario 'masking/' # the rows whose name holds the substring
+//	pqs-chaos -list                # scenario names and docs
+//	pqs-chaos -transport mem,tcp-virtual
+//	                               # the matrix on each plane; tcp-virtual is the REAL
+//	                               # TCP stack on virtual-time byte streams
+//	pqs-chaos -verify-determinism  # run every row twice and fail unless the replay
+//	                               # matches: a chaos history op for op and its
+//	                               # sim_seconds, a load result whole (the CI gate)
+//	pqs-chaos -json FILE           # also write the per-row ε trend document, one
+//	                               # section per transport (BENCH_epsilon.out in CI;
+//	                               # BENCH_epsilon.json is the committed one)
+//	pqs-chaos -negative            # also run the negative configuration: its failure
+//	                               # is expected, and its passing fails the invocation
+//	pqs-chaos -load                # the load matrix (internal/load's scale/ points);
+//	                               # -seed, -scenario, -list, -negative,
+//	                               # -verify-determinism and -json compose
+//	pqs-chaos -load -budget 5m     # fail unless the whole matrix, replays included,
+//	                               # finishes inside the wall-clock budget
 //
 // Every row is its own virtual-time world (a vtime.SimClock), deterministic
-// in -seed: a failing seed from CI reproduces the identical history locally
-// (see also: go test ./internal/chaos -run TestChaos -chaos.seed=N). Rows
-// therefore run side by side on a pool of half the cores (at least 1, at
-// most 4), and are printed and reported in matrix order.
+// in -seed: a failing CI seed reproduces the identical history locally (see
+// also go test ./internal/chaos -run TestChaos -chaos.seed=N). Rows run side
+// by side on a pool of half the cores (1 to 4) and are reported in matrix
+// order.
 package main
 
 import (
@@ -70,30 +51,74 @@ import (
 )
 
 // A row is one entry of the matrix: a chaos scenario on one transport, a
-// load scale point, or a negative configuration, which is expected to fail.
-// run builds the row's configuration afresh and runs it once; name labels
-// the row's errors.
+// load scale point (transport "": it names its own), or a negative
+// configuration, which is expected to fail. run builds the row's
+// configuration afresh and runs it once on transport.
 type row struct {
-	name       string
-	expectFail bool
-	run        func() (outcome, error)
+	name, doc, transport string
+	expectFail           bool
+	run                  func(transport string) (outcome, error)
 }
 
-// An outcome is one run of a row: a chaos report or a load result. Either
-// carries one verdict, the checker's, which verdictSummary and
-// verdictMetrics render the same way for both.
-type outcome interface {
-	// label is the row's name and transport, as the outcome reports them.
-	label() (name, transport string)
-	check() chaos.CheckResult
-	// replayDiff says how a replay of the same row differs ("" = it does
-	// not).
-	replayDiff(replay outcome) string
-	// detail is the row's own part of its stderr line, after the verdict.
-	detail() string
-	// addMetrics adds the row's own entries to its metrics in the -json
-	// trend document; wall is the seconds the run took.
-	addMetrics(m map[string]float64, wall float64)
+// An outcome is one run of a row, a chaos report or a load result alike:
+// its JSON fields, label and verdict, and what a replay must reproduce.
+type outcome struct {
+	report          any // the *chaos.Report or *load.Result, reported as it marshals
+	name, transport string
+	check           chaos.CheckResult
+	simSeconds      float64
+	// What a replay of the row must reproduce: history op for op (a chaos
+	// run's; a load run keeps none), simSeconds, and same (a load run's
+	// whole result; nil for a chaos run, whose aggregate counters are not
+	// pinned). fingerprint (the history's SHA-256 or a load run's digest)
+	// names a run in a replay's diff.
+	history     chaos.History
+	fingerprint string
+	same        any
+	// detail is the row's own part of its stderr line, after the verdict;
+	// metrics its own entries in the -json trend document.
+	detail  string
+	metrics map[string]float64
+}
+
+func chaosOutcome(r *chaos.Report) outcome {
+	m := map[string]float64{}
+	if r.GossipRounds > 0 {
+		m["gossip_rounds"] = float64(r.GossipRounds)
+		m["gossip_merged"] = float64(r.GossipMerged)
+	}
+	return outcome{report: r, name: r.Name, transport: r.Transport, check: r.Check, simSeconds: r.SimSeconds,
+		history: r.History, fingerprint: r.HistorySHA256,
+		detail: fmt.Sprintf("  [%.1fs sim]", r.SimSeconds), metrics: m}
+}
+
+func loadOutcome(r *load.Result) outcome {
+	m := map[string]float64{"n": float64(r.N), "q": float64(r.Q), "clients": float64(r.Clients), "ops": float64(r.Ops)}
+	if r.LatencyOps > 0 {
+		m["p50_ms"], m["p99_ms"], m["p999_ms"] = r.P50Ms, r.P99Ms, r.P999Ms
+	}
+	churn := ""
+	if r.Departures > 0 {
+		m["departures"] = float64(r.Departures)
+		churn = fmt.Sprintf("; %d departures", r.Departures)
+	}
+	return outcome{report: r, name: r.Name, transport: r.Transport, check: r.CheckResult, simSeconds: r.SimSeconds,
+		fingerprint: r.Digest, same: r,
+		detail: fmt.Sprintf("  n=%d clients=%d ops=%d p50=%.2fms p99=%.2fms p999=%.2fms  [%.1fs sim%s]",
+			r.N, r.Clients, r.Ops, r.P50Ms, r.P99Ms, r.P999Ms, r.SimSeconds, churn),
+		metrics: m}
+}
+
+// replayDiff says how replay, a second run of the same row, differs from
+// o ("" = it does not).
+func (o outcome) replayDiff(replay outcome) string {
+	if d := o.history.Diff(replay.history); d != "" {
+		return d
+	}
+	if o.simSeconds != replay.simSeconds || !reflect.DeepEqual(o.same, replay.same) {
+		return fmt.Sprintf("fingerprints %s vs %s, sim_seconds %v vs %v", o.fingerprint, replay.fingerprint, o.simSeconds, replay.simSeconds)
+	}
+	return ""
 }
 
 // verdictSummary renders a verdict: ε over the eligible reads, the bound,
@@ -144,10 +169,8 @@ func verdictMetrics(c chaos.CheckResult) map[string]float64 {
 	for d, cnt := range c.StaleDepth {
 		m[fmt.Sprintf("stale_depth_%d", d)] = float64(cnt)
 	}
-	// Multi-cell scenarios carry one ε section per quorum cell: the checker
-	// enforces the theorem bound per cell (a hot cell fails the run even
-	// when the global average passes), and the trend document records each
-	// cell's measured ε so a cell-local drift is visible across PRs.
+	// One ε section per quorum cell, so a cell-local drift shows across PRs
+	// even when the global average holds.
 	for _, cell := range c.Cells {
 		p := fmt.Sprintf("cell_%d_", cell.Cell)
 		m[p+"epsilon"] = cell.EligibleEpsilon
@@ -159,71 +182,18 @@ func verdictMetrics(c chaos.CheckResult) map[string]float64 {
 	return m
 }
 
-type chaosOutcome struct{ *chaos.Report }
-
-func (o chaosOutcome) label() (string, string)  { return o.Name, o.Transport }
-func (o chaosOutcome) check() chaos.CheckResult { return o.Check }
-
-func (o chaosOutcome) replayDiff(replay outcome) string {
-	r := replay.(chaosOutcome)
-	if d := o.History.Diff(r.History); d != "" {
-		return d
+// rowMetrics is a row's entry in the trend document: its verdict's
+// metrics, its own, its virtual time and, over wall, its speed-up.
+func rowMetrics(o outcome, wall float64) map[string]float64 {
+	m := verdictMetrics(o.check)
+	for k, v := range o.metrics {
+		m[k] = v
 	}
-	if o.SimSeconds != r.SimSeconds {
-		return fmt.Sprintf("equal histories, sim_seconds %v vs %v", o.SimSeconds, r.SimSeconds)
-	}
-	return ""
-}
-
-func (o chaosOutcome) detail() string { return fmt.Sprintf("  [%.1fs sim]", o.SimSeconds) }
-
-func (o chaosOutcome) addMetrics(m map[string]float64, wall float64) {
-	m["sim_seconds"] = o.SimSeconds
+	m["sim_seconds"] = o.simSeconds
 	if wall > 0 {
-		m["speedup"] = o.SimSeconds / wall
+		m["speedup"] = o.simSeconds / wall
 	}
-	if o.GossipRounds > 0 {
-		m["gossip_rounds"] = float64(o.GossipRounds)
-		m["gossip_merged"] = float64(o.GossipMerged)
-	}
-}
-
-type loadOutcome struct{ *load.Result }
-
-func (o loadOutcome) label() (string, string)  { return o.Name, o.Transport }
-func (o loadOutcome) check() chaos.CheckResult { return o.CheckResult }
-
-func (o loadOutcome) replayDiff(replay outcome) string {
-	r := replay.(loadOutcome)
-	if reflect.DeepEqual(o.Result, r.Result) {
-		return ""
-	}
-	return fmt.Sprintf("digests %s vs %s, sim_seconds %v vs %v", o.Digest, r.Digest, o.SimSeconds, r.SimSeconds)
-}
-
-func (o loadOutcome) detail() string {
-	churn := ""
-	if o.Departures > 0 {
-		churn = fmt.Sprintf("; %d departures", o.Departures)
-	}
-	return fmt.Sprintf("  n=%d clients=%d ops=%d p50=%.2fms p99=%.2fms p999=%.2fms  [%.1fs sim%s]",
-		o.N, o.Clients, o.Ops, o.P50Ms, o.P99Ms, o.P999Ms, o.SimSeconds, churn)
-}
-
-func (o loadOutcome) addMetrics(m map[string]float64, _ float64) {
-	m["sim_seconds"] = o.SimSeconds
-	m["n"] = float64(o.N)
-	m["q"] = float64(o.Q)
-	m["clients"] = float64(o.Clients)
-	m["ops"] = float64(o.Ops)
-	if o.LatencyOps > 0 {
-		m["p50_ms"] = o.P50Ms
-		m["p99_ms"] = o.P99Ms
-		m["p999_ms"] = o.P999Ms
-	}
-	if o.Departures > 0 {
-		m["departures"] = float64(o.Departures)
-	}
+	return m
 }
 
 func boolMetric(b bool) float64 {
@@ -233,7 +203,7 @@ func boolMetric(b bool) float64 {
 	return 0
 }
 
-// entry is one row of the JSON report: the outcome's own fields, then the
+// entry is one row of the JSON report: the run's own fields, then the
 // row's.
 type entry struct {
 	outcome
@@ -252,9 +222,9 @@ type rowFields struct {
 	Deterministic *bool `json:"deterministic,omitempty"`
 }
 
-// MarshalJSON flattens the outcome's fields and the row's into one object.
+// MarshalJSON flattens the run's fields and the row's into one object.
 func (e entry) MarshalJSON() ([]byte, error) {
-	o, err := json.Marshal(e.outcome)
+	o, err := json.Marshal(e.report)
 	if err != nil {
 		return nil, err
 	}
@@ -267,9 +237,9 @@ func (e entry) MarshalJSON() ([]byte, error) {
 
 // matrixReport is the top-level JSON document.
 type matrixReport struct {
-	// mode is "chaos" or "load"; Scale and Transports describe a chaos
-	// matrix.
-	mode          string
+	// context is the matrix's part of the trend document's context block;
+	// Scale and Transports describe a chaos matrix.
+	context       map[string]any
 	Seed          int64    `json:"seed"`
 	Scale         int      `json:"scale,omitempty"`
 	Transports    []string `json:"transports,omitempty"`
@@ -280,10 +250,9 @@ type matrixReport struct {
 }
 
 // epsilonDoc is the layout of the -json trend document (the committed
-// BENCH_epsilon.json), mirroring BENCH_throughput.json: a context block plus
-// named entries with a flat metrics map, so the same tooling can diff either
-// file across PRs. Entries carry their transport, giving the document one
-// section per data plane when several run in one invocation.
+// BENCH_epsilon.json), mirroring BENCH_throughput.json so one tool diffs
+// either: a context block plus named entries, each with its transport and
+// a flat metrics map.
 type epsilonDoc struct {
 	Context   map[string]any `json:"context"`
 	Scenarios []epsilonEntry `json:"scenarios"`
@@ -301,12 +270,10 @@ func buildEpsilonDoc(rep matrixReport) epsilonDoc {
 		"goos":   runtime.GOOS,
 		"goarch": runtime.GOARCH,
 		"pkg":    "pqs",
-		"mode":   rep.mode,
 		"seed":   rep.Seed,
 	}
-	if rep.mode == "chaos" {
-		ctx["scale"] = rep.Scale
-		ctx["transports"] = rep.Transports
+	for k, v := range rep.context {
+		ctx[k] = v
 	}
 	doc := epsilonDoc{Context: ctx}
 	for _, e := range rep.Scenarios {
@@ -316,14 +283,12 @@ func buildEpsilonDoc(rep matrixReport) epsilonDoc {
 			// (every cross-PR diff would flag it as a regression).
 			continue
 		}
-		m := verdictMetrics(e.check())
-		e.addMetrics(m, e.WallSeconds)
+		m := rowMetrics(e.outcome, e.WallSeconds)
 		m["wall_seconds"] = e.WallSeconds
 		if e.Deterministic != nil {
 			m["deterministic"] = boolMetric(*e.Deterministic)
 		}
-		name, transport := e.label()
-		doc.Scenarios = append(doc.Scenarios, epsilonEntry{Name: name, Transport: transport, Metrics: m})
+		doc.Scenarios = append(doc.Scenarios, epsilonEntry{Name: e.name, Transport: e.transport, Metrics: m})
 	}
 	return doc
 }
@@ -357,30 +322,38 @@ func main() {
 	)
 	flag.Parse()
 
-	if *list {
-		if *loadMode {
-			for _, sc := range load.Scenarios() {
-				fmt.Printf("%-28s %s\n", sc.Name, sc.Doc)
-			}
-			return
+	// The matrix is a library of scenarios run on each of transports (one
+	// pass, on the transport each scale point names, for -load), then the
+	// negative configurations.
+	var (
+		rep        = matrixReport{Seed: *seed}
+		lib, neg   []row
+		transports = []string{""}
+	)
+	if *loadMode {
+		rep.context = map[string]any{"mode": "load"}
+		for _, sc := range load.Scenarios() {
+			lib = append(lib, loadScenario(sc.Name, sc.Doc, sc.Build, *seed))
 		}
+		neg = append(neg, loadScenario("negative/view-blind", "", load.NegativeConfig, *seed))
+	} else {
+		transports = parseTransports(*transport)
+		rep.Scale, rep.Transports = *scale, transports
+		rep.context = map[string]any{"mode": "chaos", "scale": *scale, "transports": transports}
 		for _, sc := range chaos.Scenarios() {
-			fmt.Printf("%-28s %s\n", sc.Name, sc.Doc)
+			lib = append(lib, chaosScenario(sc.Name, sc.Doc, sc.Build, *scale, *seed))
+		}
+		neg = append(neg, chaosScenario("negative", "", chaos.NegativeConfig, *scale, *seed))
+	}
+	if *list {
+		for _, sc := range lib {
+			fmt.Printf("%-28s %s\n", sc.name, sc.doc)
 		}
 		return
 	}
-
-	var (
-		rep  matrixReport
-		rows []row
-	)
-	if *loadMode {
-		rep = matrixReport{mode: "load", Seed: *seed}
-		rows = loadRows(*seed, *match, *negative)
-	} else {
-		transports := parseTransports(*transport)
-		rep = matrixReport{mode: "chaos", Seed: *seed, Scale: *scale, Transports: transports}
-		rows = chaosRows(transports, *scale, *seed, *match, *negative)
+	rows := matrixRows(lib, transports, *match, false)
+	if *negative {
+		rows = append(rows, matrixRows(neg, transports, "", true)...)
 	}
 	// A row is one SimClock worker plus GC, so a 4-vCPU runner fits two
 	// side by side.
@@ -390,17 +363,15 @@ func main() {
 	}))
 }
 
-func parseTransports(list string) []string {
-	var transports []string
+func parseTransports(list string) (transports []string) {
 	for _, tr := range strings.Split(list, ",") {
-		tr = strings.TrimSpace(tr)
-		if tr == "" {
-			continue
-		}
-		if tr != sim.TransportMem && tr != sim.TransportTCPVirtual {
+		switch tr = strings.TrimSpace(tr); tr {
+		case "":
+		case sim.TransportMem, sim.TransportTCPVirtual:
+			transports = append(transports, tr)
+		default:
 			fatalf("unknown transport %q (want %s or %s)", tr, sim.TransportMem, sim.TransportTCPVirtual)
 		}
-		transports = append(transports, tr)
 	}
 	if len(transports) == 0 {
 		fatalf("no transport selected")
@@ -408,80 +379,59 @@ func parseTransports(list string) []string {
 	return transports
 }
 
-// chaosRows is the chaos matrix: every matching scenario on each transport
-// in turn, then the negative configuration on each.
-func chaosRows(transports []string, scale int, seed int64, match string, negative bool) []row {
+func chaosScenario(name, doc string, build func(int, int64) (chaos.Config, error), scale int, seed int64) row {
+	return row{name: name, doc: doc, run: func(tr string) (outcome, error) {
+		cfg, err := build(scale, seed)
+		if err != nil {
+			return outcome{}, err
+		}
+		cfg.Transport = tr
+		rep, err := chaos.Run(cfg)
+		if err != nil {
+			return outcome{}, err
+		}
+		return chaosOutcome(rep), nil
+	}}
+}
+
+func loadScenario(name, doc string, build func(int64) (load.Config, error), seed int64) row {
+	return row{name: name, doc: doc, run: func(string) (outcome, error) {
+		cfg, err := build(seed)
+		if err != nil {
+			return outcome{}, err
+		}
+		res, err := load.Run(cfg)
+		if err != nil {
+			return outcome{}, err
+		}
+		return loadOutcome(res), nil
+	}}
+}
+
+// matrixRows is every row of lib whose name contains match, on each
+// transport in turn.
+func matrixRows(lib []row, transports []string, match string, expectFail bool) []row {
 	var rows []row
-	add := func(name, tr string, expectFail bool, build func(int, int64) (chaos.Config, error)) {
-		rows = append(rows, row{name: name + " [" + tr + "]", expectFail: expectFail, run: func() (outcome, error) {
-			cfg, err := build(scale, seed)
-			if err != nil {
-				return nil, err
-			}
-			cfg.Transport = tr
-			rep, err := chaos.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return chaosOutcome{rep}, nil
-		}})
-	}
 	for _, tr := range transports {
-		for _, sc := range chaos.Scenarios() {
-			if match == "" || strings.Contains(sc.Name, match) {
-				add(sc.Name, tr, false, sc.Build)
+		for _, r := range lib {
+			if strings.Contains(r.name, match) {
+				r.transport, r.expectFail = tr, expectFail
+				rows = append(rows, r)
 			}
 		}
 	}
 	if len(rows) == 0 {
 		fatalf("no scenario matches %q", match)
 	}
-	if negative {
-		for _, tr := range transports {
-			add("negative", tr, true, chaos.NegativeConfig)
-		}
-	}
 	return rows
 }
 
-// loadRows is the load matrix: every matching scale point, then the
-// negative configuration.
-func loadRows(seed int64, match string, negative bool) []row {
-	var rows []row
-	add := func(name string, expectFail bool, build func(int64) (load.Config, error)) {
-		rows = append(rows, row{name: name, expectFail: expectFail, run: func() (outcome, error) {
-			cfg, err := build(seed)
-			if err != nil {
-				return nil, err
-			}
-			res, err := load.Run(cfg)
-			if err != nil {
-				return nil, err
-			}
-			return loadOutcome{res}, nil
-		}})
-	}
-	for _, sc := range load.Scenarios() {
-		if match == "" || strings.Contains(sc.Name, match) {
-			add(sc.Name, false, sc.Build)
-		}
-	}
-	if len(rows) == 0 {
-		fatalf("no scale scenario matches %q", match)
-	}
-	if negative {
-		add("negative/view-blind", true, load.NegativeConfig)
-	}
-	return rows
-}
-
-// runMatrix is the one matrix loop. Every row is an independent SimClock
-// world, so rows run on a pool of o.parallel workers; each runs (twice under
-// o.verifyDet, comparing the replay), and the outcomes are printed and
-// collected in matrix order. It writes the report to o.out (or stdout) and,
-// to o.epsJSON, if set, the trend document, and returns the exit code: 1 if a
-// shipped row failed or did not replay, an expected failure passed, or the
-// matrix blew o.budget.
+// runMatrix runs rows on a pool of o.parallel workers (twice under
+// o.verifyDet, comparing the replay), prints and collects the outcomes in
+// matrix order, writes the report to o.out (or stdout) and the trend
+// document to o.epsJSON, if set, and returns the exit code: 1 if a shipped
+// row failed or did not replay, an expected failure passed, or the matrix
+// blew o.budget.
 func runMatrix(rep matrixReport, rows []row, o options) int {
 	type result struct {
 		out    outcome
@@ -502,14 +452,14 @@ func runMatrix(rep matrixReport, rows []row, o options) int {
 			defer func() { <-sem; close(done[i]) }()
 			res := &results[i]
 			t := time.Now()
-			res.out, res.err = r.run()
+			res.out, res.err = r.run(r.transport)
 			res.wall = time.Since(t).Seconds()
 			// A negative row is an expected failure, not a replay subject;
 			// verifying it would double its cost for no signal.
 			if res.err != nil || !o.verifyDet || r.expectFail {
 				return
 			}
-			replay, err := r.run()
+			replay, err := r.run(r.transport)
 			if err != nil {
 				res.err = fmt.Errorf("replay: %w", err)
 				return
@@ -523,24 +473,24 @@ func runMatrix(rep matrixReport, rows []row, o options) int {
 		<-done[i]
 		res := results[i]
 		if res.err != nil {
-			fatalf("run %s: %v", r.name, res.err)
+			fatalf("run %s [%s]: %v", r.name, r.transport, res.err)
 		}
 		e := entry{outcome: res.out, rowFields: rowFields{Expected: "pass", WallSeconds: res.wall}}
 		status := "PASS"
 		if r.expectFail {
 			e.Expected = "fail"
 			status = "FAIL(expected)"
-			if res.out.check().Pass {
+			if res.out.check.Pass {
 				// The demo exists to show the checker has teeth; it
 				// passing is a harness regression.
 				status = "PASS(?)"
 				rep.AllPass = false
 			}
-		} else if !res.out.check().Pass {
+		} else if !res.out.check.Pass {
 			status = "FAIL"
 			rep.AllPass = false
 		}
-		name, transport := res.out.label()
+		name, transport := res.out.name, res.out.transport
 		if o.verifyDet && !r.expectFail {
 			det := res.replay == ""
 			e.Deterministic = &det
@@ -551,7 +501,7 @@ func runMatrix(rep matrixReport, rows []row, o options) int {
 			}
 		}
 		rep.Scenarios = append(rep.Scenarios, e)
-		fmt.Fprintf(os.Stderr, "%-28s %-11s %s  %s  [%.2fs wall]\n", name, transport, status, verdictSummary(res.out.check())+res.out.detail(), res.wall)
+		fmt.Fprintf(os.Stderr, "%-28s %-11s %s  %s  [%.2fs wall]\n", name, transport, status, verdictSummary(res.out.check)+res.out.detail, res.wall)
 	}
 
 	rep.WallSeconds = time.Since(start).Seconds()

@@ -17,10 +17,10 @@ import (
 // returns, after sleeping delay.
 func fakeRow(expectFail bool, delay time.Duration, report func(n int) chaos.Report) row {
 	var runs atomic.Int32
-	return row{name: "fake", expectFail: expectFail, run: func() (outcome, error) {
+	return row{name: "fake", expectFail: expectFail, run: func(string) (outcome, error) {
 		time.Sleep(delay)
 		rep := report(int(runs.Add(1) - 1))
-		return chaosOutcome{&rep}, nil
+		return chaosOutcome(&rep), nil
 	}}
 }
 
@@ -46,7 +46,7 @@ type decoded struct {
 func runRows(t *testing.T, rows []row, o options) (int, decoded) {
 	t.Helper()
 	o.out = filepath.Join(t.TempDir(), "report.json")
-	code := runMatrix(matrixReport{mode: "chaos", Seed: 1, Scale: 1}, rows, o)
+	code := runMatrix(matrixReport{Seed: 1, Scale: 1}, rows, o)
 	raw, err := os.ReadFile(o.out)
 	if err != nil {
 		t.Fatal(err)
@@ -160,19 +160,18 @@ func TestTimedVerdictIsTheOneReported(t *testing.T) {
 		Pass:       true,
 	}
 	for _, o := range []outcome{
-		chaosOutcome{&chaos.Report{Check: c}},
-		loadOutcome{&load.Result{CheckResult: c}},
+		chaosOutcome(&chaos.Report{Name: "chaos", Check: c}),
+		loadOutcome(&load.Result{Name: "load", CheckResult: c}),
 	} {
-		if s := verdictSummary(o.check()); !strings.Contains(s, "timed p=0.25 ") {
-			t.Errorf("%T: summary %q does not lead with the deciding timed p", o, s)
+		if s := verdictSummary(o.check); !strings.Contains(s, "timed p=0.25 ") {
+			t.Errorf("%s: summary %q does not lead with the deciding timed p", o.name, s)
 		}
-		m := verdictMetrics(o.check())
-		o.addMetrics(m, 1)
+		m := rowMetrics(o, 1)
 		want := map[string]float64{"p_value": 4e-7, "timed_p_value": 0.25, "timed_max_bound": 0.03,
 			"timed_pass": 1, "timed_depth_buckets": 2, "stale_depth_2": 3}
 		for k, v := range want {
 			if m[k] != v {
-				t.Errorf("%T: metric %s = %v, want %v", o, k, m[k], v)
+				t.Errorf("%s: metric %s = %v, want %v", o.name, k, m[k], v)
 			}
 		}
 	}

@@ -3,7 +3,7 @@
 // 4.2 and 5.2) against *adversarial* schedules rather than the i.i.d. noise
 // the sim package injects.
 //
-// The package has four pieces:
+// The package has five pieces:
 //
 //   - Engine, a transport.LinkHook whose per-link fault decisions (drop,
 //     duplicate, reorder, corrupt, asymmetric blocks) are pure functions of
@@ -15,11 +15,12 @@
 //   - a scenario DSL (schedule.go): Schedule{At(40, Crash(1, 2)),
 //     At(80, Heal())} applied at client-operation boundaries, with a library
 //     of named scenarios (scenarios.go);
-//   - Run (run.go), which drives write-then-read operations against a
-//     sim.Cluster under a schedule, records every operation into a History,
-//     and hands it to the consistency checker (history.go), which computes
-//     an empirical ε and a PBS-style staleness distribution and fails when
-//     ε exceeds the configured theorem bound at the configured confidence.
+//   - the run loop (drive.go) the load generator shares, whose Recorder
+//     hands each op to the consistency checker (history.go): an empirical ε
+//     and a PBS-style staleness distribution, failing when ε exceeds the
+//     theorem bound at the configured confidence;
+//   - Run (run.go), which drives write-then-read pairs on that loop under a
+//     schedule, recording every operation into a History.
 //
 // Determinism contract: operations are issued sequentially, every random
 // choice (quorum sampling, fault decisions, adversary replies) is derived

@@ -23,6 +23,16 @@ var chaosSeed = flag.Int64("chaos.seed", 1, "seed for the chaos scenario matrix"
 // chaosScale multiplies per-scenario trial counts (CI runs 1).
 var chaosScale = flag.Int("chaos.scale", 1, "trial-count multiplier for the chaos scenario matrix")
 
+// Check classifies every read in h against the writes that preceded it and
+// tests the empirical ε against cfg.Bound at confidence DefaultAlpha.
+func Check(h History, cfg CheckConfig) CheckResult {
+	c := NewChecker(cfg)
+	for _, op := range h {
+		c.Add(op)
+	}
+	return c.Result()
+}
+
 // find returns the named scenario.
 func find(name string) (Scenario, bool) {
 	for _, s := range Scenarios() {

@@ -68,13 +68,10 @@ type Op struct {
 	// function of the key and the ring view, so two runs from one seed must
 	// attribute every operation to the same cell.
 	Cell int `json:"cell,omitempty"`
-	// View is the membership-view version the operation was issued under:
-	// a counter the harness bumps once per membership departure or join
-	// (Leave/Join schedule actions, load-generator churn waves). The timed-
-	// quorum checker (CheckConfig.Timed) derives each read's churn depth D
-	// as read.View minus the View of its key's latest write, which is what
-	// the time-decayed ε bound is a function of. Always 0 in churn-free
-	// runs.
+	// View is the membership-view version the operation was issued under,
+	// which each departure or join bumps (sim.World.View). The timed
+	// checker (CheckConfig.Timed) takes a read's churn depth D as its View
+	// minus its key's latest write's. Always 0 in churn-free runs.
 	View uint64 `json:"view,omitempty"`
 	// Err is the operation's error text ("" on success).
 	Err string `json:"err,omitempty"`
@@ -168,28 +165,13 @@ type CheckConfig struct {
 	// not hide inside a passing global average.
 	Cells int
 	// Timed, when set, replaces the flat bound test with the timed-quorum
-	// verdict: eligible reads are bucketed by churn depth D (the read's
-	// View minus its key's last-write View), each bucket is allowed the
-	// time-decayed per-read bound min(1, Base + ε(D) - ε(0)) with ε(D) =
-	// combin.TimedEpsilon(N, QW, QR, D), and the total bad count is tested
-	// against the sum of bucket binomials. The flat PValue is still
-	// computed and reported for reference, but Pass follows the timed
-	// verdict (plus violations and per-cell sections, which keep using the
-	// flat bound). See CheckResult.Timed.
+	// verdict: eligible reads are bucketed by churn depth D (see Op.View),
+	// each bucket allowed the per-read bound min(1, Base + ε(D) - ε(0)),
+	// ε(D) = combin.TimedEpsilon(N, QW, QR, D), and the total bad count is
+	// tested against the sum of bucket binomials. The flat PValue is still
+	// reported, but Pass follows the timed verdict (and violations and the
+	// per-cell sections, which keep the flat bound).
 	Timed *TimedBound
-}
-
-// RunCheckConfig is the checker configuration of a simulated run of sys in
-// mode over cells quorum cells, tested against bound: the time-decayed
-// verdict when timed (the run churns its membership), else the flat one.
-// Both simulated runners, chaos's and the load generator's, judge through it.
-func RunCheckConfig(mode register.Mode, sys quorum.System, bound float64, cells int, timed bool) CheckConfig {
-	cfg := CheckConfig{Mode: mode, Bound: bound, Cells: cells}
-	if timed {
-		q := sys.QuorumSize()
-		cfg.Timed = &TimedBound{N: sys.N(), QW: q, QR: q, Base: bound}
-	}
-	return cfg
 }
 
 // TimedBound parameterizes the timed-quorum (time-decayed ε) test: the
@@ -318,9 +300,9 @@ type keyRec struct {
 
 // Checker is the consistency checker as a stream: Add classifies each op
 // against the writes Added before it, and Result tests the empirical ε
-// against cfg.Bound at confidence DefaultAlpha. Check runs one over a
-// recorded History; the load generator feeds one as it runs, so it judges
-// population-scale runs without recording them.
+// against cfg.Bound at confidence DefaultAlpha. Every run feeds one as it
+// runs, through a Recorder, so the load generator judges population-scale
+// runs without recording them.
 type Checker struct {
 	cfg   CheckConfig
 	res   CheckResult
@@ -349,16 +331,6 @@ func NewChecker(cfg CheckConfig) *Checker {
 		}
 	}
 	return c
-}
-
-// Check classifies every read in h against the writes that preceded it and
-// tests the empirical ε against cfg.Bound at confidence DefaultAlpha.
-func Check(h History, cfg CheckConfig) CheckResult {
-	c := NewChecker(cfg)
-	for _, op := range h {
-		c.Add(op)
-	}
-	return c.Result()
 }
 
 // Add records a write or classifies a read. Ops must arrive in the order

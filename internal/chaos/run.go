@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"pqs/internal/config"
-	"pqs/internal/diffusion"
 	"pqs/internal/quorum"
 	"pqs/internal/register"
 	"pqs/internal/replica"
@@ -16,7 +16,6 @@ import (
 	"pqs/internal/sv"
 	"pqs/internal/transport"
 	"pqs/internal/ts"
-	"pqs/internal/vtime"
 )
 
 // Config drives one chaos run.
@@ -28,18 +27,11 @@ type Config struct {
 	// Topology is the shape block. With Cells > 1 the cluster holds
 	// Cells*System.N() replicas and the checker enforces the ε bound per
 	// cell as well as globally (see CheckConfig.Cells); schedule actions
-	// keep addressing global server ids, so scenarios can partition between
-	// cells or crash a whole cell.
-	//
-	// Transport picks the plane of the run's sim.World, which carries the
-	// schedule's crashes, recoveries, leaves and joins on either plane. The
-	// link faults go to the Engine, the MemNetwork's link hook, on
-	// sim.TransportMem, and to the VirtualNet on sim.TransportTCPVirtual,
-	// which reimplements them at the byte-stream layer: drops reset
-	// connections, corruption flips bits in framed chunks, blocks refuse
-	// dials and reset streams, and duplication is a deliberate no-op — TCP
-	// sequence numbers preclude it (as bandwidth limits are on mem).
-	// Latency is virtual on both planes: it costs no wall time.
+	// address global server ids, so a scenario can partition between cells
+	// or crash a whole cell. Transport picks the plane of the run's
+	// sim.World; the link faults go to the Engine on mem and to the
+	// VirtualNet on tcp-virtual, which reimplements them on byte streams
+	// (see linkFaults). Latency is virtual on both planes.
 	config.Topology
 
 	// Name labels the run in reports.
@@ -50,35 +42,31 @@ type Config struct {
 	// is System's K().
 	Mode register.Mode
 	// Ops is the number of write-then-read pairs. Each pair writes a fresh
-	// version of a key from a rotating set of Keys keys (default 8) and
-	// reads it back, so staleness has measurable depth (the PBS-style
-	// distribution in CheckResult.StaleDepth).
+	// version of a key from a rotating set of Keys keys and reads it back,
+	// so staleness has measurable depth (CheckResult.StaleDepth).
 	Ops int
-	// Keys is the rotating key-set size (default 8, clamped to Ops).
+	// Keys is the rotating key-set size (0 means 8; clamped to Ops). Run
+	// refuses a negative value.
 	Keys int
 	// ReadLag, when positive, makes the read of pair t target the key
-	// written at pair t-ReadLag (clamped at 0) instead of the key just
-	// written — so schedule events (churn waves in particular) land
-	// *between* a key's last write and its read, giving timed-quorum runs
-	// reads with genuine churn depth D > 0. Use ReadLag < Keys, or the
-	// lagged key will have been overwritten in the meantime. 0 keeps the
-	// classic write-then-read-same-key pairing.
+	// written at pair t-ReadLag (clamped at 0), so schedule events (churn
+	// waves in particular) land between a key's write and its read, giving
+	// reads genuine churn depth D > 0. Run refuses a negative ReadLag, and
+	// one of Keys or more: the lagged key would be overwritten before its
+	// read.
 	ReadLag int
 	// Seed fixes every random choice of the run. Two runs with equal
 	// Config produce equal Histories.
 	Seed int64
-	// Schedule is the fault script, applied at pair boundaries.
+	// Schedule is the fault script, applied at pair boundaries. A run whose
+	// schedule holds a Leave or Join action churns the membership, and is
+	// judged, as a churning load run is, by the timed verdict: the checker
+	// buckets eligible reads by churn depth D (their view stamps' distance)
+	// and allows each bucket the time-decayed bound (CheckConfig.Timed).
 	Schedule Schedule
 	// Bound is the theorem's per-read ε for the system under test, tested
 	// at confidence DefaultAlpha.
 	Bound float64
-	// Timed enables the timed-quorum verdict: ops record the membership-
-	// view version (bumped by Leave/Join actions), and the checker buckets
-	// eligible reads by churn depth D, allowing each bucket the time-
-	// decayed bound Base + ε(D) - ε(0) with Base = Bound (see
-	// CheckConfig.Timed). The natural pairing is a churn schedule plus
-	// ReadLag, so reads actually observe D > 0.
-	Timed bool
 
 	// WireCodec selects the TCP serialization under tcp-virtual (zero value
 	// = CodecBinary, the production default; the wan/ scenarios run
@@ -129,106 +117,151 @@ type Report struct {
 	// Transport is the data plane the run used ("mem" or "tcp-virtual").
 	Transport string      `json:"transport"`
 	Check     CheckResult `json:"check"`
-	// SimSeconds is the virtual time the scenario covered (wall time spent
-	// is the caller's to measure — the run itself never reads the wall
-	// clock).
+	// SimSeconds is the virtual time the scenario covered (the run never
+	// reads the wall clock).
 	SimSeconds float64 `json:"sim_seconds,omitempty"`
-	// GossipRounds and GossipMerged summarize the diffusion group when
-	// Config.GossipEvery is set: synchronized rounds run and entries
-	// adopted from peers across all engines.
-	GossipRounds uint64 `json:"gossip_rounds,omitempty"`
-	GossipMerged uint64 `json:"gossip_merged,omitempty"`
-	// The delta-gossip byte accounting, summed over all engines:
-	// BytesPushed is the binary payload volume the watermark deltas
-	// actually carried, BytesSuppressed what the old full-snapshot pushes
-	// would have added on top, and FullSyncs the pushes that fell back to
-	// full state (first contact, post-churn rejoin, watermark regression).
+	// The diffusion group's rounds and, summed over its engines, the
+	// entries adopted from peers, the bytes the watermark deltas carried,
+	// the bytes full-snapshot pushes would have added, and the pushes that
+	// fell back to full state (first contact, rejoin, watermark regression).
+	GossipRounds          uint64 `json:"gossip_rounds,omitempty"`
+	GossipMerged          uint64 `json:"gossip_merged,omitempty"`
 	GossipBytesPushed     uint64 `json:"gossip_bytes_pushed,omitempty"`
 	GossipBytesSuppressed uint64 `json:"gossip_bytes_suppressed,omitempty"`
 	GossipFullSyncs       uint64 `json:"gossip_full_syncs,omitempty"`
-	// SigChecks and SigReused are the client's signature-verdict counters
-	// at the end of a dissemination run (register.AccessStats): verdicts
-	// that ran ed25519 and verdicts reused from an earlier check or from the
-	// client's own signing. StoredAudited counts the stored entries
-	// Config.SigAudit verified. Aggregates, not part of History.
+	// SigChecks and SigReused are a dissemination client's verdicts that
+	// ran ed25519 and that were reused (register.AccessStats);
+	// StoredAudited counts the stored entries Config.SigAudit verified.
 	SigChecks     uint64 `json:"sig_checks,omitempty"`
 	SigReused     uint64 `json:"sig_reused,omitempty"`
 	StoredAudited int    `json:"stored_audited,omitempty"`
-	// Lifecycle snapshots the main client's connection-lifecycle counters
-	// when Config.Lifecycle enables any feature under tcp-virtual. Counter
-	// totals are aggregates, not part of the byte-for-byte determinism
-	// contract (that contract covers History only).
+	// Lifecycle snapshots the client's connection-lifecycle counters when
+	// Config.Lifecycle enables any feature under tcp-virtual. Like every
+	// counter here, an aggregate: the determinism contract covers History.
 	Lifecycle *LifecycleReport `json:"lifecycle,omitempty"`
-	// StormCalls and StormErrors aggregate the side traffic of every Storm
-	// action the schedule fired (dial-storm scenarios); StormCoalesced and
-	// StormFastFails are the storm fleet's own dial-coalescing and
-	// backoff-fast-fail counts, collected before the fleet is torn down.
-	// Aggregates only; storm operations never enter History.
+	// StormCalls and StormErrors count the side traffic of every Storm
+	// action the schedule fired, StormCoalesced and StormFastFails the storm
+	// fleet's own dial coalescing and backoff fast-fails. Storm operations
+	// never enter History.
 	StormCalls     uint64 `json:"storm_calls,omitempty"`
 	StormErrors    uint64 `json:"storm_errors,omitempty"`
 	StormCoalesced uint64 `json:"storm_dials_coalesced,omitempty"`
 	StormFastFails uint64 `json:"storm_backoff_fast_fails,omitempty"`
-	// History is the full operation record (omitted from JSON reports;
-	// replay the seed to regenerate it). HistorySHA256 is its fingerprint,
-	// the hex SHA-256 over the canonical op lines: same seed, same hash, on
-	// every run and across commits that claim unchanged behaviour.
+	// History is the full operation record (not in JSON: replay the seed).
+	// HistorySHA256, the hex SHA-256 over its canonical op lines, is equal
+	// across runs of one seed and commits that claim unchanged behaviour.
 	History       History `json:"-"`
 	HistorySHA256 string  `json:"history_sha256"`
 }
 
-// Run executes cfg: it stands up a cluster with a deterministic fault
-// engine, plays the schedule while driving write-then-read pairs, records
-// every operation, and checks the resulting history. The returned report's
-// Check field carries the verdict; Run itself errors only on setup or
-// harness failures, never on consistency violations. The whole scenario
-// executes inside its own vtime.SimClock scheduler: latency, hedge timers
-// and slow-lorris delays take virtual time, and two runs of one Config
-// record equal Histories and equal SimSeconds.
+// Run executes cfg on a Rig: it plays the schedule while driving the
+// write-then-read pairs, and records and judges every operation. The
+// report's Check carries the verdict; Run errors only on a Config it
+// refuses (no System, Ops <= 0, Keys or ReadLag out of range) or a harness
+// failure. Latency, hedge timers and slow-lorris delays take virtual time,
+// and two runs of one Config record equal Histories and equal SimSeconds.
 func Run(cfg Config) (*Report, error) {
-	sc := vtime.NewSimClock()
-	var rep *Report
-	var err error
-	sc.Run(func() {
-		rep, err = run(cfg, sc)
-	})
-	return rep, err
-}
-
-// run is the scenario body, on clk.
-func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
-	if cfg.System == nil {
+	if cfg.Keys == 0 {
+		cfg.Keys = 8
+	}
+	switch {
+	case cfg.System == nil:
 		return nil, errors.New("chaos: Config.System is required")
-	}
-	if cfg.Ops <= 0 {
+	case cfg.Ops <= 0:
 		return nil, errors.New("chaos: Config.Ops must be positive")
+	case cfg.Keys < 0 || cfg.ReadLag < 0:
+		return nil, errors.New("chaos: Config.Keys and Config.ReadLag must not be negative")
+	case cfg.ReadLag >= cfg.Keys:
+		return nil, fmt.Errorf("chaos: Config.ReadLag %d is not below Keys %d: the lagged key is overwritten before its read", cfg.ReadLag, cfg.Keys)
 	}
-	keys := cfg.Keys
-	if keys <= 0 {
-		keys = 8
-	}
-	if keys > cfg.Ops {
-		keys = cfg.Ops
-	}
-
 	// One seed fixes the link faults on either plane: the Engine's on mem,
 	// the VirtualNet's under tcp-virtual.
-	faultSeed := cfg.Seed + 0x9E3779B9
-	world, err := sim.NewWorld(config.Cluster{Cells: cfg.Cells, N: cfg.System.N(), Seed: cfg.Seed, Clock: clk},
-		cfg.Transport, faultSeed, sim.TCPOptions{Codec: cfg.WireCodec, Lifecycle: cfg.Lifecycle})
+	rep, secs, err := Simulate(config.Cluster{Cells: cfg.Cells, N: cfg.System.N(), Seed: cfg.Seed}, cfg.Transport,
+		cfg.Seed+0x9E3779B9, sim.TCPOptions{Codec: cfg.WireCodec, Lifecycle: cfg.Lifecycle},
+		func(rig *Rig) (*Report, error) { return run(cfg, rig) })
 	if err != nil {
-		return nil, fmt.Errorf("chaos: %w", err)
+		return nil, err
 	}
-	defer world.Close()
-	rt := &runtime{world: world, clock: clk, lifecycle: cfg.Lifecycle}
-	if world.VNet != nil {
-		rt.faults = world.VNet
-	} else {
-		// The chaos engine is the MemNetwork's link hook: message-level
-		// fault injection.
-		rt.eng = NewEngine(faultSeed)
-		world.Cluster.Net.SetLinkHook(rt.eng)
-		rt.faults = rt.eng
+	rep.SimSeconds = secs
+	return rep, nil
+}
+
+// runtime is a run's state, which the schedule's actions act on (its Rig's
+// World and Gossip group, its plane's link faults), and its one client:
+// Run's population of one, with no gap between its arrivals, so the pairs
+// run back to back and schedule time is the pair index.
+type runtime struct {
+	*Rig
+	cfg    Config
+	faults linkFaults
+	client *register.Client
+	rec    *Recorder
+	events []Event
+	next   int     // the first event not yet fired
+	rep    *Report // its History, gossip rounds and Storm counters as they grow
+}
+
+func (rt *runtime) Gap() time.Duration { return 0 }
+
+// Step is pair t: the schedule's events due, the gossip round due, then
+// the write and the (lagged) read.
+func (rt *runtime) Step(t int) error {
+	cfg, ctx := rt.cfg, context.Background()
+	applied := rt.next
+	for rt.next < len(rt.events) && rt.events[rt.next].T <= t {
+		for _, act := range rt.events[rt.next].Acts {
+			act.apply(rt)
+		}
+		rt.next++
 	}
+	if rt.next > applied {
+		// An action's consequences run on other workers at this same
+		// virtual instant (a reset notifies the client's connections, which
+		// fail their connections, which the next acquire prunes). Let
+		// them finish, or whether the next write leases a dead
+		// connection or redials is the Go scheduler's choice.
+		rt.Clock.Settle()
+	}
+	if rt.Gossip != nil && t > 0 && t%cfg.GossipEvery == 0 {
+		// Diffusion interleaves with client traffic at pair
+		// boundaries: deterministic, and adversarial enough — the
+		// round runs under whatever partition/fault state the
+		// schedule has currently installed.
+		if err := rt.Gossip.Step(ctx); err != nil {
+			return fmt.Errorf("chaos: gossip round at t=%d: %w", t, err)
+		}
+		rt.rep.GossipRounds++
+	}
+	key := fmt.Sprintf("k%d", t%cfg.Keys)
+	value := fmt.Sprintf("v%d", t)
+	view := rt.World.View()
+
+	wr, werr := rt.client.Write(ctx, key, []byte(value))
+	rt.rep.History = append(rt.rep.History, rt.rec.Record(rt.client, Op{
+		Time: t, Kind: OpWrite, Key: key, Value: value, Stamp: wr.Stamp,
+		Full:   werr == nil && len(wr.Acked) == len(wr.Quorum),
+		Quorum: wr.Quorum,
+		View:   view,
+	}, werr))
+
+	// With ReadLag the read targets the key written ReadLag pairs ago,
+	// so churn events since that write give the read genuine depth D.
+	readKey := fmt.Sprintf("k%d", max(t-cfg.ReadLag, 0)%cfg.Keys)
+	rr, rerr := rt.client.Read(ctx, readKey)
+	rt.rep.History = append(rt.rep.History, rt.rec.Record(rt.client, Op{
+		Time: t, Kind: OpRead, Key: readKey,
+		Value: string(rr.Value), Stamp: rr.Stamp, Found: rr.Found,
+		Quorum: rr.Quorum,
+		View:   view,
+	}, rerr))
+	return nil
+}
+
+// run is the scenario body, on rig's clock; cfg is validated.
+func run(cfg Config, rig *Rig) (*Report, error) {
+	cfg.Keys = min(cfg.Keys, cfg.Ops)
+	clk, world := rig.Clock, rig.World
+	rt := &runtime{Rig: rig, cfg: cfg, faults: rig.faults()}
 	if cfg.LatencyMax > 0 {
 		world.SetLatency(cfg.LatencyMin, cfg.LatencyMax)
 	}
@@ -261,109 +294,25 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 	if err != nil {
 		return nil, fmt.Errorf("chaos: client: %w", err)
 	}
-
 	if cfg.GossipEvery > 0 {
-		group, err := diffusion.NewGroup(world.Cluster.Replicas, world.GossipTransport(), gossipFanout, nil, cfg.Seed, clk)
-		if err != nil {
+		if err := rig.Diffuse(gossipFanout); err != nil {
 			return nil, fmt.Errorf("chaos: diffusion group: %w", err)
 		}
-		rt.gossip = group
 	}
-	events := make([]Event, len(cfg.Schedule))
-	copy(events, cfg.Schedule)
-	sort.SliceStable(events, func(i, j int) bool { return events[i].T < events[j].T })
-
-	ctx := context.Background()
-	hist := make(History, 0, 2*cfg.Ops)
-	var gossipRounds uint64
-	seq := 0
-	next := 0
-	for t := 0; t < cfg.Ops; t++ {
-		applied := next
-		for next < len(events) && events[next].T <= t {
-			for _, act := range events[next].Acts {
-				act.apply(rt)
-			}
-			next++
-		}
-		if next > applied {
-			// An action's consequences run on other workers at this same
-			// virtual instant (a reset notifies the client's connections, which
-			// fail their connections, which the next acquire prunes). Let
-			// them finish, or whether the next write leases a dead
-			// connection or redials is the Go scheduler's choice.
-			clk.Settle()
-		}
-		if rt.gossip != nil && t > 0 && t%cfg.GossipEvery == 0 {
-			// Diffusion interleaves with client traffic at pair
-			// boundaries: deterministic, and adversarial enough — the
-			// round runs under whatever partition/fault state the
-			// schedule has currently installed.
-			if err := rt.gossip.Step(ctx); err != nil {
-				return nil, fmt.Errorf("chaos: gossip round at t=%d: %w", t, err)
-			}
-			gossipRounds++
-		}
-		key := fmt.Sprintf("k%d", t%keys)
-		value := fmt.Sprintf("v%d", t)
-		opCell := client.CellFor(key)
-		view := rt.world.View()
-
-		wr, werr := client.Write(ctx, key, []byte(value))
-		wop := Op{
-			Seq: seq, Time: t, Kind: OpWrite, Key: key, Value: value,
-			Stamp:  wr.Stamp,
-			Full:   werr == nil && len(wr.Acked) == len(wr.Quorum),
-			Quorum: wr.Quorum,
-			Cell:   opCell,
-			View:   view,
-		}
-		if werr != nil {
-			wop.Err = werr.Error()
-		}
-		hist = append(hist, wop)
-		seq++
-
-		// With ReadLag the read targets the key written ReadLag pairs ago,
-		// so churn events since that write give the read genuine depth D.
-		readKey, readCell := key, opCell
-		if cfg.ReadLag > 0 {
-			lagT := t - cfg.ReadLag
-			if lagT < 0 {
-				lagT = 0
-			}
-			readKey = fmt.Sprintf("k%d", lagT%keys)
-			readCell = client.CellFor(readKey)
-		}
-		rr, rerr := client.Read(ctx, readKey)
-		rop := Op{
-			Seq: seq, Time: t, Kind: OpRead, Key: readKey,
-			Value: string(rr.Value), Stamp: rr.Stamp, Found: rr.Found,
-			Quorum: rr.Quorum,
-			Cell:   readCell,
-			View:   view,
-		}
-		if rerr != nil {
-			rop.Err = rerr.Error()
-		}
-		hist = append(hist, rop)
-		seq++
+	rt.client = client
+	rt.rec = NewRecorder(cfg.Mode, cfg.System, cfg.Bound, cfg.Cells, cfg.Schedule.churns())
+	rt.events = append([]Event(nil), cfg.Schedule...)
+	sort.SliceStable(rt.events, func(i, j int) bool { return rt.events[i].T < rt.events[j].T })
+	rep := &Report{
+		Name: cfg.Name, Seed: cfg.Seed, System: cfg.System.Name(), Mode: cfg.Mode.String(), Ops: cfg.Ops,
+		Schedule: cfg.Schedule.String(), Transport: world.Plane(), History: make(History, 0, 2*cfg.Ops),
+	}
+	rt.rep = rep
+	if err := rig.Drive([]Client{rt}, cfg.Ops); err != nil {
+		return nil, err
 	}
 	client.WaitDrained()
-
-	rep := &Report{
-		Name:      cfg.Name,
-		Seed:      cfg.Seed,
-		System:    cfg.System.Name(),
-		Mode:      cfg.Mode.String(),
-		Ops:       cfg.Ops,
-		Schedule:  cfg.Schedule.String(),
-		Transport: world.Plane(),
-		History:   hist,
-		Check:     Check(hist, RunCheckConfig(cfg.Mode, cfg.System, cfg.Bound, cfg.Cells, cfg.Timed)),
-
-		HistorySHA256: hist.sha256(),
-	}
+	rep.Check, rep.HistorySHA256 = rt.rec.Result(), rep.History.sha256()
 	if cfg.Mode == register.Dissemination {
 		st := client.Stats()
 		rep.SigChecks, rep.SigReused = st.SigChecks, st.SigReused
@@ -371,9 +320,8 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 			rep.auditSignatures(world.Cluster.Replicas, writerKey.Public)
 		}
 	}
-	if rt.gossip != nil {
-		rep.GossipRounds = gossipRounds
-		for _, e := range rt.gossip.Engines() {
+	if rt.Gossip != nil {
+		for _, e := range rt.Gossip.Engines() {
 			st := e.Stats()
 			rep.GossipMerged += st.Merged
 			rep.GossipBytesPushed += st.BytesPushed
@@ -393,15 +341,6 @@ func run(cfg Config, clk *vtime.SimClock) (*Report, error) {
 			BreakerFastFails: st.BreakerFastFails,
 		}
 	}
-	rep.StormCalls = rt.stormCalls.Load()
-	rep.StormErrors = rt.stormErrors.Load()
-	rep.StormCoalesced = rt.stormCoalesced.Load()
-	rep.StormFastFails = rt.stormFastFails.Load()
-	// Read the clock here, on the run's own worker, before the deferred
-	// teardown: how many of the close → FIN → EOF chain's delivery timers
-	// fire before the last worker exits is up to the Go scheduler (see
-	// load.run).
-	rep.SimSeconds = clk.Elapsed().Seconds()
 	return rep, nil
 }
 

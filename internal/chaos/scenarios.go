@@ -157,9 +157,10 @@ func Scenarios() []Scenario {
 					Name: "benign/churn-timed", System: sys, Mode: register.Benign,
 					// Lagged reads make churn waves land BETWEEN a key's write
 					// and its read, so the depth buckets D=5,10,... are
-					// actually populated (ReadLag < Keys, see Config.ReadLag).
+					// actually populated (ReadLag < Keys, see Config.ReadLag);
+					// the Leave/Join waves make the verdict the timed one.
 					Ops: ops, Keys: 24, ReadLag: 8,
-					Seed: seed, Bound: sys.EpsilonBound(), Timed: true,
+					Seed: seed, Bound: sys.EpsilonBound(),
 					// No gossip: the rejoined-empty stores stay empty until
 					// rewritten, so the decay the timed bound allows for is
 					// genuinely visible.

@@ -8,15 +8,11 @@ package chaos
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"time"
 
-	"pqs/internal/diffusion"
 	"pqs/internal/quorum"
 	"pqs/internal/replica"
-	"pqs/internal/sim"
 	"pqs/internal/transport"
-	"pqs/internal/vtime"
 )
 
 // Action is one step of a fault schedule.
@@ -56,38 +52,6 @@ func (s Schedule) String() string {
 	return b.String()
 }
 
-// runtime is the mutable state actions operate on: the run's World, which
-// crashes, recovers and churns servers on either data plane and counts the
-// membership views (the run loop stamps World.View into each Op.View, which
-// is what the timed-quorum checker buckets reads by), and the live plane's
-// link faults.
-type runtime struct {
-	world *sim.World
-	// faults is the live plane's link-fault injector: the Engine hooked
-	// into the MemNetwork (message level) on mem, the VirtualNet itself
-	// (byte-stream level) on tcp-virtual.
-	faults linkFaults
-	// eng is the mem plane's Engine, nil under tcp-virtual; only
-	// duplication needs it by name.
-	eng *Engine
-	// clock is the run's SimClock; behaviors with delays are built against
-	// it.
-	clock vtime.Clock
-	// gossip is the diffusion group stepped between operation pairs when
-	// Config.GossipEvery is set; Leave and Join keep its membership
-	// current.
-	gossip *diffusion.Group
-	// lifecycle is Config.Lifecycle, handed to the dial-storm side clients
-	// so they exercise the same pooling/backoff/breaker policy as the main
-	// client.
-	lifecycle transport.LifecycleConfig
-	// stormCalls and stormErrors aggregate every Storm action's side
-	// traffic for the report; stormCoalesced and stormFastFails collect the
-	// storm fleet's lifecycle counters before the fleet is torn down.
-	// Aggregates only — never part of History.
-	stormCalls, stormErrors, stormCoalesced, stormFastFails atomic.Uint64
-}
-
 // linkFaults is the link-fault surface the two planes share. On the
 // byte-stream plane a drop resets the connection (a stream cannot survive a
 // gap), corruption flips a bit inside a framed chunk (which may break the
@@ -121,7 +85,7 @@ func (a actionFunc) String() string    { return a.name }
 func Crash(ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("crash%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			rt.world.Crash(id)
+			rt.World.Crash(id)
 		}
 	}}
 }
@@ -130,42 +94,58 @@ func Crash(ids ...quorum.ServerID) Action {
 func Recover(ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("recover%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			rt.world.Recover(id)
+			rt.World.Recover(id)
 		}
 	}}
+}
+
+// membership is a Leave or Join action: a schedule that holds one churns
+// the membership, and its run is judged by the timed verdict.
+type membership struct{ actionFunc }
+
+// churns reports whether the schedule holds a Leave or Join action.
+func (s Schedule) churns() bool {
+	for _, ev := range s {
+		for _, a := range ev.Acts {
+			if _, ok := a.(membership); ok {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // Leave departs servers from the membership: subsequent calls to them fail
 // with ErrUnknownServer, as if the address were gone. A diffusion group,
 // when the run has one, stops gossiping with them too.
 func Leave(ids ...quorum.ServerID) Action {
-	return actionFunc{fmt.Sprintf("leave%v", ids), func(rt *runtime) {
+	return membership{actionFunc{fmt.Sprintf("leave%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			rt.world.Leave(id)
-			if rt.gossip != nil {
-				if err := rt.gossip.Replace([]quorum.ServerID{id}, nil); err != nil {
+			rt.World.Leave(id)
+			if rt.Gossip != nil {
+				if err := rt.Gossip.Replace([]quorum.ServerID{id}, nil); err != nil {
 					panic(fmt.Sprintf("chaos: leave gossip %d: %v", id, err))
 				}
 			}
 		}
-	}}
+	}}}
 }
 
 // Join (re-)joins servers with fresh, empty replicas — a rejoining server
 // remembers nothing, the hardest membership-churn case for consistency.
 func Join(ids ...quorum.ServerID) Action {
-	return actionFunc{fmt.Sprintf("join%v", ids), func(rt *runtime) {
+	return membership{actionFunc{fmt.Sprintf("join%v", ids), func(rt *runtime) {
 		for _, id := range ids {
-			r, err := rt.world.Join(id)
-			if err == nil && rt.gossip != nil {
+			r, err := rt.World.Join(id)
+			if err == nil && rt.Gossip != nil {
 				// Departing id first tolerates a Join without a prior Leave.
-				err = rt.gossip.Replace([]quorum.ServerID{id}, []*replica.Replica{r})
+				err = rt.Gossip.Replace([]quorum.ServerID{id}, []*replica.Replica{r})
 			}
 			if err != nil {
 				panic(fmt.Sprintf("chaos: rejoin %d: %v", id, err))
 			}
 		}
-	}}
+	}}}
 }
 
 // BlockInbound severs every link *into* the listed servers (clients and
@@ -239,8 +219,8 @@ func ByteRateAsym(toServer, toClient int64) Action {
 }
 
 func setByteRate(rt *runtime, toServer, toClient int64) {
-	if rt.world.VNet != nil {
-		rt.world.VNet.SetByteRateAsym(toServer, toClient)
+	if rt.World.VNet != nil {
+		rt.World.VNet.SetByteRateAsym(toServer, toClient)
 	}
 }
 
@@ -248,14 +228,14 @@ func setByteRate(rt *runtime, toServer, toClient int64) {
 // BehaveEach for stateful behaviors).
 func Behave(b replica.Behavior, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave%v", ids), func(rt *runtime) {
-		Install(rt.world.Cluster, b, ids...)
+		Install(rt.World.Cluster, b, ids...)
 	}}
 }
 
 // BehaveEach installs a freshly built behavior per listed replica.
 func BehaveEach(mk func(id quorum.ServerID) replica.Behavior, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave-each%v", ids), func(rt *runtime) {
-		InstallEach(rt.world.Cluster, mk, ids...)
+		InstallEach(rt.World.Cluster, mk, ids...)
 	}}
 }
 
@@ -281,7 +261,7 @@ func BadSigEchoes(replay bool, ids ...quorum.ServerID) Action {
 		flavour = "replay"
 	}
 	return actionFunc{fmt.Sprintf("bad-sig-echo(%s)%v", flavour, ids), func(rt *runtime) {
-		InstallEach(rt.world.Cluster, func(id quorum.ServerID) replica.Behavior {
+		InstallEach(rt.World.Cluster, func(id quorum.ServerID) replica.Behavior {
 			return &replica.BadSigEcho{Bit: int(id), Replay: replay}
 		}, ids...)
 	}}
@@ -296,8 +276,8 @@ func StaleEchoes(ids ...quorum.ServerID) Action {
 // escalating delay, capped at max, slept on the run's SimClock).
 func SlowDown(step, max time.Duration, ids ...quorum.ServerID) Action {
 	return actionFunc{fmt.Sprintf("behave-each%v", ids), func(rt *runtime) {
-		InstallEach(rt.world.Cluster, func(quorum.ServerID) replica.Behavior {
-			return &SlowLorris{Step: step, Max: max, Clock: rt.clock}
+		InstallEach(rt.World.Cluster, func(quorum.ServerID) replica.Behavior {
+			return &SlowLorris{Step: step, Max: max, Clock: rt.Clock}
 		}, ids...)
 	}}
 }

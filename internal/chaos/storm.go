@@ -12,6 +12,7 @@ package chaos
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"pqs/internal/quorum"
 	"pqs/internal/transport"
@@ -46,21 +47,22 @@ func Storm(target quorum.ServerID, workers, calls int) Action {
 // traffic never overlaps the recorded client operations.
 func (rt *runtime) storm(target quorum.ServerID, workers, calls int) {
 	ctx := context.Background()
-	sched := vtime.SchedOf(rt.clock)
+	sched := vtime.SchedOf(rt.Clock)
 
 	var fleet []*transport.TCPClient
-	if rt.world.VNet != nil {
+	if rt.World.VNet != nil {
 		n := stormFleet
 		if workers < n {
 			n = workers
 		}
 		fleet = make([]*transport.TCPClient, n)
 		for i := range fleet {
-			fleet[i] = rt.world.NewSourceClient(stormSourceBase+quorum.ServerID(i), rt.lifecycle)
+			fleet[i] = rt.World.NewSourceClient(stormSourceBase+quorum.ServerID(i), rt.cfg.Lifecycle)
 		}
 	}
 
-	wg := vtime.NewWaitGroup(rt.clock)
+	var errs atomic.Uint64
+	wg := vtime.NewWaitGroup(rt.Clock)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		w := w
@@ -71,20 +73,21 @@ func (rt *runtime) storm(target quorum.ServerID, workers, calls int) {
 				if fleet != nil {
 					_, err = fleet[w%len(fleet)].Call(ctx, target, wire.PingRequest{})
 				} else {
-					_, err = rt.world.Caller().Call(ctx, target, wire.PingRequest{})
+					_, err = rt.World.Caller().Call(ctx, target, wire.PingRequest{})
 				}
-				rt.stormCalls.Add(1)
 				if err != nil {
-					rt.stormErrors.Add(1)
+					errs.Add(1)
 				}
 			}
 		})
 	}
 	wg.Wait()
+	rt.rep.StormCalls += uint64(workers * calls)
+	rt.rep.StormErrors += errs.Load()
 	for _, cl := range fleet {
 		st := cl.Stats()
-		rt.stormCoalesced.Add(st.DialsCoalesced)
-		rt.stormFastFails.Add(st.BackoffFastFails)
+		rt.rep.StormCoalesced += st.DialsCoalesced
+		rt.rep.StormFastFails += st.BackoffFastFails
 		cl.Close()
 	}
 }

@@ -25,7 +25,7 @@ func TestTimedChurnScenario(t *testing.T) {
 	}
 	tr := rep.Check.Timed
 	if tr == nil {
-		t.Fatal("Timed config set but CheckResult.Timed is nil")
+		t.Fatal("a churning schedule but CheckResult.Timed is nil")
 	}
 	deep := 0
 	for _, g := range tr.Groups {
@@ -119,7 +119,7 @@ func timedStormRun(t *testing.T) (Config, *Report) {
 	cfg := Config{
 		Name: "timed/storm", System: sys, Mode: register.Benign,
 		Ops: 2400, Keys: 24, ReadLag: 20,
-		Seed: *chaosSeed, Bound: sys.EpsilonBound(), Timed: true,
+		Seed: *chaosSeed, Bound: sys.EpsilonBound(),
 		Schedule: sched,
 	}
 	rep, err := Run(cfg)

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"pqs/internal/chaos"
 	"pqs/internal/config"
 	"pqs/internal/core"
 	"pqs/internal/sim"
@@ -51,7 +52,7 @@ func buildCost(t *testing.T, cells int) uint64 {
 			return
 		}
 		defer world.Close()
-		e := &engine{cfg: Config{System: sys, Seed: 1, Topology: config.Topology{Cells: cells}}, sc: sc, world: world}
+		e := &engine{Rig: &chaos.Rig{Clock: sc, World: world}, cfg: Config{System: sys, Seed: 1, Topology: config.Topology{Cells: cells}}}
 		built := make([]*clientState, clients)
 		var before, after runtime.MemStats
 		runtime.GC()

@@ -10,8 +10,8 @@
 //   - the diffusion strengthening of Section 1.1.
 //
 // The empirical ε of Theorems 3.2, 4.2 and 5.2 is chaos.Run's: it drives a
-// client against these clusters under a fault schedule and judges the
-// recorded history with chaos.Check. Every measurement is deterministic
+// client against these clusters under a fault schedule and judges each
+// operation with chaos.Checker as it records it. Every measurement is deterministic
 // given its seed.
 package sim
 
